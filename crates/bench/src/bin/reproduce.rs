@@ -26,15 +26,14 @@
 //!   interop  inter-operator waves vs per-layer GLP4NN on branchy nets x 3 GPUs  [--smoke]
 //!   multi-gpu data-parallel scaling: replicas x interconnect x overlap  [--smoke]
 //!   trace    Chrome-trace export: 4 nets x 3 modes + multi-GPU overlap  [--smoke]
-//!   bench-json  write BENCH_fleet.json (events/s + wall time, 4 smoke sweeps)
-//!   all      everything above (except bench-json, which reads the wall clock)
+//!   all      everything above
 //! ```
 //!
 //! Timing numbers are **simulated device time**; `T_p`/`T_a` are real
 //! measured wall times of the profiler and MILP solver. See DESIGN.md and
-//! EXPERIMENTS.md.
+//! EXPERIMENTS.md. Wall-clock throughput is measured by `benchmark/run.sh`
+//! (see `benchmark/README.md`), not here.
 
-use glp4nn_bench::bench_json;
 use glp4nn_bench::fleet as fleet_bench;
 use glp4nn_bench::interop as interop_bench;
 use glp4nn_bench::multi_gpu;
@@ -645,31 +644,6 @@ fn fleet_cmd(smoke: bool) {
     println!("scaled both directions; sanitized replicas + cross-device check stayed clean");
 }
 
-fn bench_json_cmd() {
-    let entries = bench_json::run_benches();
-    let json = bench_json::to_json(&entries);
-    let path = std::path::Path::new("BENCH_fleet.json");
-    std::fs::write(path, &json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-    println!("== bench-json: simulator throughput over the four smoke sweeps ==");
-    println!("(events are simulated work items; wall time is the host clock — this file");
-    println!(" is the only reproduction output allowed to contain wall-clock numbers)");
-    println!(
-        "{:<16} {:<20} {:>12} {:>10} {:>14}",
-        "sweep", "unit", "events", "wall (s)", "events/s"
-    );
-    for e in &entries {
-        println!(
-            "{:<16} {:<20} {:>12} {:>10.3} {:>14.1}",
-            e.name,
-            e.unit,
-            e.events,
-            e.wall_s,
-            e.events_per_s()
-        );
-    }
-    println!("wrote {}", path.display());
-}
-
 fn sanitize(smoke: bool) {
     println!("== Sanitize: plan validation + happens-before replay, 4 nets x 3 dispatch modes ==");
     println!("(two training iterations each so GLP4NN reaches concurrent steady state)");
@@ -981,7 +955,6 @@ fn main() {
         "generations" => generations(),
         "serving" => serving(smoke),
         "fleet" => fleet_cmd(smoke),
-        "bench-json" => bench_json_cmd(),
         "sanitize" => sanitize(smoke),
         "lint" => lint_cmd(smoke),
         "interop" => interop_cmd(smoke),
@@ -1037,7 +1010,7 @@ fn main() {
         }
         _ => {
             eprintln!(
-                "usage: reproduce <table1|ablation|table3|table4|table5|fig2|fig3|fig4|fig7|fig8|fig9|fig10|table6|fig11|generations|serving|fleet|bench-json|sanitize|lint|interop|replay|multi-gpu|trace|all> [--iters N] [--smoke]"
+                "usage: reproduce <table1|ablation|table3|table4|table5|fig2|fig3|fig4|fig7|fig8|fig9|fig10|table6|fig11|generations|serving|fleet|sanitize|lint|interop|replay|multi-gpu|trace|all> [--iters N] [--smoke]"
             );
             std::process::exit(2);
         }

@@ -12,6 +12,7 @@
 //! training.
 
 use crate::{iteration_timings, net_spec_with_batch, total_ns};
+use glp4nn::Phase;
 use gpu_sim::DeviceProps;
 use interop::InterOpExec;
 use nn::models;
@@ -87,7 +88,7 @@ fn sgd(net: &mut Net, lr: f32) {
 fn pw002_pairs(plan: &glp4nn::ExecPlan, props: &DeviceProps) -> usize {
     let mut san = Sanitizer::new(SanitizeMode::PlanOnly);
     san.attach_linter(LintConfig::from_props(props));
-    plan.validate_certified(&mut san, false);
+    glp4nn::plan::verify_capture(&mut san, None, Some(plan));
     assert!(
         san.reports().is_empty(),
         "candidate plan must be hazard-free: {:?}",
@@ -135,9 +136,9 @@ fn training_matches(dev: &DeviceProps, net_name: &str, iters: usize) -> (bool, u
     let mut losses = Vec::new();
     for it in 0..iters {
         fill_inputs(&mut net, &spec, it as u64);
-        losses.push(exec.forward(&mut ctx, &mut net));
+        losses.push(exec.pass(&mut ctx, &mut net, Phase::Forward));
         net.zero_param_diffs();
-        exec.backward(&mut ctx, &mut net);
+        exec.pass(&mut ctx, &mut net, Phase::Backward);
         sgd(&mut net, 0.01);
     }
     let identical = l0 == losses && w0 == net.state_dict();
@@ -179,8 +180,7 @@ pub fn interop_sweep(smoke: bool) -> Vec<InteropRow> {
             let mut exec = InterOpExec::new(&spec);
             let iter = |ctx: &mut ExecCtx, net: &mut Net, exec: &mut InterOpExec| {
                 ctx.take_timings();
-                exec.forward(ctx, net);
-                exec.backward(ctx, net);
+                exec.step(ctx, net);
                 total_ns(&ctx.take_timings())
             };
             iter(&mut ctx, &mut net, &mut exec); // capture
@@ -297,11 +297,9 @@ mod tests {
         let mut net = Net::from_spec(&spec);
         let mut exec = InterOpExec::new(&spec);
         ctx.take_timings();
-        exec.forward(&mut ctx, &mut net);
-        exec.backward(&mut ctx, &mut net);
+        exec.step(&mut ctx, &mut net);
         ctx.take_timings();
-        exec.forward(&mut ctx, &mut net);
-        exec.backward(&mut ctx, &mut net);
+        exec.step(&mut ctx, &mut net);
         let interop = total_ns(&ctx.take_timings());
         assert!(
             interop < per_layer,
@@ -322,7 +320,7 @@ mod tests {
             .timing_only();
         let mut net = Net::from_spec(&spec);
         let mut exec = InterOpExec::new(&spec);
-        exec.forward(&mut ctx, &mut net);
+        exec.pass(&mut ctx, &mut net, Phase::Forward);
         let fwd = &exec.phase_reports()[0];
         let pl = pw002_pairs(&fwd.serial_plan, &dev);
         let wv = pw002_pairs(&fwd.wave_plan, &dev);

@@ -5,7 +5,6 @@
 //! simulated device ([`gpu_sim`]), while `T_p`/`T_a` overheads are real
 //! measured wall times of our profiler and MILP solver.
 
-pub mod bench_json;
 pub mod fleet;
 pub mod interop;
 pub mod lint;

@@ -9,15 +9,14 @@
 //!
 //! The *concurrency maintainer* caches one [`ConcurrencyPlan`] per layer
 //! per GPU so the one-time analysis cost (`T_a`, Table 6) is paid once —
-//! and, one level up, one captured [`ExecPlan`] per (layer key, optimizer
-//! config), so steady-state iterations replay a frozen schedule without
-//! re-deriving or re-validating it.
+//! and, one level up, one captured [`crate::ExecPlan`] per (layer key,
+//! optimizer config) in its [`PlanCache`], so steady-state iterations replay
+//! a frozen schedule without re-deriving or re-validating it.
 
-use crate::plan::ExecPlan;
+use crate::plan::PlanCache;
 use gpu_sim::DeviceProps;
 use milp::{Model, Sense, VarKind};
 use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Aggregated profile of one kernel class, produced by the resource
@@ -64,10 +63,7 @@ pub struct KernelAnalyzer {
     plans: HashMap<String, ConcurrencyPlan>,
     /// Frozen execution plans: (layer key + optimizer tag) → captured plan.
     /// The analyzer is per-GPU, so device identity is implicit in the key.
-    exec_plans: HashMap<String, Arc<ExecPlan>>,
-    /// Times a schedule was captured into an [`ExecPlan`] (probe for the
-    /// cache-correctness tests).
-    captures: u64,
+    pub exec_plans: PlanCache,
     /// Times the MILP model was solved (probe for the steady-state tests).
     solves: u64,
     /// Accumulated analysis time on this GPU (`T_a`).
@@ -80,8 +76,7 @@ impl KernelAnalyzer {
         KernelAnalyzer {
             props,
             plans: HashMap::new(),
-            exec_plans: HashMap::new(),
-            captures: 0,
+            exec_plans: PlanCache::default(),
             solves: 0,
             total_analysis: Duration::ZERO,
         }
@@ -114,28 +109,6 @@ impl KernelAnalyzer {
     /// Number of cached plans.
     pub fn num_plans(&self) -> usize {
         self.plans.len()
-    }
-
-    /// Look up a frozen execution plan (capture-once / replay-many cache).
-    pub fn exec_plan_for(&self, plan_key: &str) -> Option<&Arc<ExecPlan>> {
-        self.exec_plans.get(plan_key)
-    }
-
-    /// Store a freshly captured execution plan under `plan_key` and count
-    /// the capture.
-    pub fn store_exec_plan(&mut self, plan_key: &str, plan: Arc<ExecPlan>) {
-        self.captures += 1;
-        self.exec_plans.insert(plan_key.to_string(), plan);
-    }
-
-    /// Number of cached execution plans.
-    pub fn num_exec_plans(&self) -> usize {
-        self.exec_plans.len()
-    }
-
-    /// Times a schedule was captured into an execution plan.
-    pub fn captures(&self) -> u64 {
-        self.captures
     }
 
     /// Times the MILP model was solved.

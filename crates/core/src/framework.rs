@@ -8,12 +8,11 @@
 use crate::analyzer::KernelAnalyzer;
 use crate::cost::CostReport;
 use crate::optim::OptimConfig;
-use crate::scheduler::RuntimeScheduler;
+use crate::scheduler::{RuntimeScheduler, Schedule};
 use crate::streams::{StreamError, StreamManager};
 use crate::tracker::ResourceTracker;
 use gpu_sim::{Device, DeviceProps, KernelDesc, SimTime};
-use sanitizer::Sanitizer;
-use std::sync::Arc;
+use sanitizer::{Sanitizer, SymGroupSpec};
 
 /// Error from framework-level execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,6 +60,16 @@ pub enum Phase {
     Forward,
     /// Backward propagation (paper Algorithm 2).
     Backward,
+}
+
+impl Phase {
+    /// Short form used in every cache key, plan label and telemetry name.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Phase::Forward => "fwd",
+            Phase::Backward => "bwd",
+        }
+    }
 }
 
 /// Identity of a layer execution site, keying the concurrency maintainer's
@@ -114,22 +123,20 @@ impl LayerKey {
 
     /// String form used by the plan cache.
     pub fn cache_key(&self) -> String {
-        let phase = match self.phase {
-            Phase::Forward => "fwd",
-            Phase::Backward => "bwd",
-        };
-        format!("{}/{}/{}/c{}", self.net, self.layer, phase, self.chunks)
+        format!(
+            "{}/{}/{}/c{}",
+            self.net,
+            self.layer,
+            self.phase.as_str(),
+            self.chunks
+        )
     }
 
     /// Shape-independent dispatch-site key (`net/layer/phase`), used by
     /// the sanitizer's symbolic-certificate cache: one disjointness proof
     /// covers every chunk count the site is captured at.
     pub fn site_key(&self) -> String {
-        let phase = match self.phase {
-            Phase::Forward => "fwd",
-            Phase::Backward => "bwd",
-        };
-        format!("{}/{}/{}", self.net, self.layer, phase)
+        format!("{}/{}/{}", self.net, self.layer, self.phase.as_str())
     }
 }
 
@@ -219,7 +226,7 @@ impl Glp4nn {
     pub fn plan_captures(&self, gpu: usize) -> u64 {
         self.gpus[gpu]
             .as_ref()
-            .map_or(0, |rt| rt.analyzer.captures())
+            .map_or(0, |rt| rt.analyzer.exec_plans.captures())
     }
 
     /// How many analytical-model (MILP) solves device `gpu` has run.
@@ -227,36 +234,29 @@ impl Glp4nn {
         self.gpus[gpu].as_ref().map_or(0, |rt| rt.analyzer.solves())
     }
 
-    /// Execute one layer's kernel groups on device `gpu` following the
-    /// runtime-scheduler workflow (profile once, then dispatch over the
-    /// model-sized stream pool).
+    /// Execute one schedule source — a layer's chunk groups or a dataflow
+    /// [`crate::KernelGraph`] — on device `gpu` through the runtime
+    /// scheduler's workflow (profile once, then capture over the
+    /// model-sized stream pool, then replay the frozen plan; see
+    /// [`RuntimeScheduler::execute`]). With a [`Sanitizer`] attached the
+    /// schedule is verified once, at capture, and (in full mode) the
+    /// executed command trace is replayed after every execution.
     ///
-    /// # Panics
-    /// Panics if `gpu` was not registered; fallible callers should use
-    /// [`try_execute`](Self::try_execute).
-    pub fn execute(
+    /// # Errors
+    /// [`Glp4nnError::DeviceNotRegistered`] if `gpu` was never registered;
+    /// nothing of `source` has been built or run in that case.
+    pub fn execute<G, S>(
         &mut self,
         dev: &mut Device,
         gpu: usize,
         key: &LayerKey,
-        groups: Vec<Vec<KernelDesc>>,
-    ) -> ExecReport {
-        self.try_execute(dev, gpu, key, groups, None)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Like [`execute`](Self::execute), but with typed errors instead of
-    /// panics and an optional schedule [`Sanitizer`]: when attached, the
-    /// exact dispatch plan is validated before launch and (in full mode)
-    /// the executed command trace is replayed afterwards.
-    pub fn try_execute(
-        &mut self,
-        dev: &mut Device,
-        gpu: usize,
-        key: &LayerKey,
-        groups: Vec<Vec<KernelDesc>>,
+        source: Schedule<'_, G, S>,
         sanitizer: Option<&mut Sanitizer>,
-    ) -> Result<ExecReport, Glp4nnError> {
+    ) -> Result<ExecReport, Glp4nnError>
+    where
+        G: FnOnce() -> Vec<Vec<KernelDesc>>,
+        S: FnOnce() -> Option<SymGroupSpec>,
+    {
         let rt = self
             .gpus
             .get_mut(gpu)
@@ -269,181 +269,10 @@ impl Glp4nn {
                 &mut rt.analyzer,
                 &self.streams,
                 key,
-                groups,
+                source,
                 sanitizer,
             )
             .map_err(Glp4nnError::from)
-    }
-
-    /// Like [`try_execute`](Self::try_execute), but builds the kernel
-    /// groups lazily: on a plan-cache hit the frozen [`crate::ExecPlan`]
-    /// is replayed and the closure is never called, so steady-state
-    /// iterations skip group construction entirely.
-    pub fn try_execute_with(
-        &mut self,
-        dev: &mut Device,
-        gpu: usize,
-        key: &LayerKey,
-        make_groups: impl FnOnce() -> Vec<Vec<KernelDesc>>,
-        sanitizer: Option<&mut Sanitizer>,
-    ) -> Result<ExecReport, Glp4nnError> {
-        let rt = self
-            .gpus
-            .get_mut(gpu)
-            .and_then(Option::as_mut)
-            .ok_or(Glp4nnError::DeviceNotRegistered { gpu })?;
-        rt.scheduler
-            .execute_with(
-                dev,
-                &self.tracker,
-                &mut rt.analyzer,
-                &self.streams,
-                key,
-                make_groups,
-                sanitizer,
-            )
-            .map_err(Glp4nnError::from)
-    }
-
-    /// Like [`try_execute_with`](Self::try_execute_with), with an optional
-    /// symbolic access-set declaration: when the layer supplies a
-    /// [`sanitizer::SymGroupSpec`], capture-time chunk checking uses a
-    /// cached symbolic disjointness certificate (one proof per
-    /// `key.site_key()`) plus an O(chunks) conformance check instead of
-    /// O(chunks²) pairwise comparisons. `make_spec` is only called on a
-    /// plan-cache miss with a sanitizer attached.
-    pub fn try_execute_spec(
-        &mut self,
-        dev: &mut Device,
-        gpu: usize,
-        key: &LayerKey,
-        make_spec: impl FnOnce() -> Option<sanitizer::SymGroupSpec>,
-        make_groups: impl FnOnce() -> Vec<Vec<KernelDesc>>,
-        sanitizer: Option<&mut Sanitizer>,
-    ) -> Result<ExecReport, Glp4nnError> {
-        let rt = self
-            .gpus
-            .get_mut(gpu)
-            .and_then(Option::as_mut)
-            .ok_or(Glp4nnError::DeviceNotRegistered { gpu })?;
-        rt.scheduler
-            .execute_spec(
-                dev,
-                &self.tracker,
-                &mut rt.analyzer,
-                &self.streams,
-                key,
-                make_spec,
-                make_groups,
-                sanitizer,
-            )
-            .map_err(Glp4nnError::from)
-    }
-
-    /// Execute a dataflow-style [`crate::KernelGraph`] (the §6 extension)
-    /// with the same profile-once-then-concurrent workflow as
-    /// [`execute`](Self::execute). Cross-stream dependencies are enforced
-    /// with events, so the dependency structure is preserved exactly.
-    ///
-    /// # Panics
-    /// Panics if `gpu` was not registered; fallible callers should use
-    /// [`try_execute_graph`](Self::try_execute_graph).
-    pub fn execute_graph(
-        &mut self,
-        dev: &mut Device,
-        gpu: usize,
-        key: &LayerKey,
-        graph: &crate::KernelGraph,
-    ) -> ExecReport {
-        self.try_execute_graph(dev, gpu, key, graph, None)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Like [`execute_graph`](Self::execute_graph), with typed errors and
-    /// an optional [`Sanitizer`]: the dependency closure is statically
-    /// checked against the declared access sets and the stream-assignment
-    /// plan is validated before launch.
-    pub fn try_execute_graph(
-        &mut self,
-        dev: &mut Device,
-        gpu: usize,
-        key: &LayerKey,
-        graph: &crate::KernelGraph,
-        mut sanitizer: Option<&mut Sanitizer>,
-    ) -> Result<ExecReport, Glp4nnError> {
-        let rt = self
-            .gpus
-            .get_mut(gpu)
-            .and_then(Option::as_mut)
-            .ok_or(Glp4nnError::DeviceNotRegistered { gpu })?;
-        let key_str = key.cache_key();
-
-        // Replay path: this graph's schedule was captured and validated
-        // before — tight issue loop, no analysis, no plan validation.
-        let graph_key = format!("{}#graph", rt.scheduler.exec_plan_key(key));
-        if rt.scheduler.plan_reuse() {
-            if let Some(plan) = rt.analyzer.exec_plan_for(&graph_key) {
-                crate::scheduler::tel_instant(dev, "plan", "plan.cache_hits", || {
-                    format!("plan.replay {key_str}")
-                });
-                let report = plan.replay(dev);
-                if let Some(san) = sanitizer {
-                    san.check_device(dev);
-                }
-                return Ok(report);
-            }
-        }
-
-        if let Some(san) = sanitizer.as_deref_mut() {
-            // Stream-agnostic: deps alone must cover every conflict, or
-            // some legal stream assignment races. Checked once per
-            // capture, not per iteration.
-            san.check_graph(&key_str, graph.nodes(), graph.all_deps());
-        }
-        if let Some(cplan) = rt.analyzer.plan_for(&key_str).cloned() {
-            // Capture path: freeze the stream assignment and event edges
-            // over the C_out-sized pool, validate once, cache, replay.
-            let pool = self.streams.pool(dev, gpu, cplan.streams as usize)?;
-            let plan = graph.capture(&key_str, &pool);
-            if let Some(san) = sanitizer.as_deref_mut() {
-                plan.validate(san);
-            }
-            let plan = Arc::new(plan);
-            rt.analyzer.store_exec_plan(&graph_key, Arc::clone(&plan));
-            crate::scheduler::tel_instant(dev, "plan", "plan.captures", || {
-                format!("plan.capture {key_str}")
-            });
-            let report = plan.replay(dev);
-            if let Some(san) = sanitizer {
-                san.check_device(dev);
-            }
-            return Ok(report);
-        }
-
-        // Profiling path: serial capture on the default stream, recorded
-        // by the tracker and fed to the analyzer — transient, runs once.
-        let profile_start = dev.now();
-        self.tracker.ingest(gpu, dev.trace());
-        self.tracker.enable(gpu);
-        let plan = graph.capture(&key_str, &[dev.default_stream()]);
-        let report = plan.replay(dev);
-        if let Some(san) = sanitizer {
-            san.check_device(dev);
-        }
-        self.tracker.ingest(gpu, dev.trace());
-        self.tracker.disable(gpu);
-        crate::scheduler::tel_span(dev, "profile", profile_start, dev.now(), || {
-            format!("profile {key_str}")
-        });
-        let profiles = self.tracker.parse(gpu);
-        crate::scheduler::tel_instant(dev, "cupti", "cupti.flushes", || {
-            format!("cupti.flush gpu{gpu}")
-        });
-        rt.analyzer.analyze(&key_str, &profiles);
-        crate::scheduler::tel_instant(dev, "milp", "milp.solves", || {
-            format!("milp.solve {key_str}")
-        });
-        Ok(report)
     }
 
     /// The cached concurrency plan for a layer, if analyzed.
@@ -519,6 +348,11 @@ mod tests {
         );
     }
 
+    fn run(glp: &mut Glp4nn, dev: &mut Device, gpu: usize, key: &LayerKey, n: u64) -> ExecReport {
+        glp.execute(dev, gpu, key, Schedule::groups(groups(n)), None)
+            .unwrap()
+    }
+
     #[test]
     fn multi_gpu_runtimes_are_private() {
         let mut glp = Glp4nn::new(2);
@@ -529,12 +363,12 @@ mod tests {
         let key = LayerKey::forward("net", "conv1");
 
         // Profile on GPU 0 only.
-        glp.execute(&mut d0, 0, &key, groups(4));
+        run(&mut glp, &mut d0, 0, &key, 4);
         assert!(glp.plan_for(0, &key).is_some());
         assert!(glp.plan_for(1, &key).is_none(), "analyzers are per-GPU");
 
         // GPU 1 profiles independently.
-        let r = glp.execute(&mut d1, 1, &key, groups(4));
+        let r = run(&mut glp, &mut d1, 1, &key, 4);
         assert_eq!(r.mode, ExecMode::Profiling);
         assert!(glp.plan_for(1, &key).is_some());
     }
@@ -545,7 +379,7 @@ mod tests {
         let mut dev = Device::new(DeviceProps::titan_xp());
         glp.register_device(0, dev.props());
         let key = LayerKey::forward("net", "conv1");
-        glp.execute(&mut dev, 0, &key, groups(6));
+        run(&mut glp, &mut dev, 0, &key, 6);
         let c = glp.cost_report(0);
         assert_eq!(c.kernels_recorded, 6);
         assert!(c.t_a.as_nanos() > 0);
@@ -553,27 +387,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "not registered")]
-    fn unregistered_device_panics() {
-        let mut glp = Glp4nn::new(1);
-        let mut dev = Device::new(DeviceProps::p100());
-        let key = LayerKey::forward("net", "l");
-        glp.execute(&mut dev, 0, &key, groups(1));
-    }
-
-    #[test]
-    fn try_execute_returns_typed_error() {
+    fn unregistered_device_is_a_typed_error() {
         let mut glp = Glp4nn::new(1);
         let mut dev = Device::new(DeviceProps::p100());
         let key = LayerKey::forward("net", "l");
         let err = glp
-            .try_execute(&mut dev, 0, &key, groups(1), None)
+            .execute(&mut dev, 0, &key, Schedule::groups(groups(1)), None)
             .unwrap_err();
         assert_eq!(err, Glp4nnError::DeviceNotRegistered { gpu: 0 });
         assert!(err.to_string().contains("not registered"), "{err}");
         // Out-of-range index is the same error, not a panic.
         assert_eq!(
-            glp.try_execute(&mut dev, 9, &key, groups(1), None),
+            glp.execute(&mut dev, 9, &key, Schedule::groups(groups(1)), None),
             Err(Glp4nnError::DeviceNotRegistered { gpu: 9 })
         );
     }
@@ -584,12 +409,73 @@ mod tests {
         let mut dev = Device::new(DeviceProps::k40c());
         glp.register_device(0, dev.props());
         let key = LayerKey::forward("net", "conv1");
-        glp.execute(&mut dev, 0, &key, groups(8));
+        run(&mut glp, &mut dev, 0, &key, 8);
         let plan = glp.plan_for(0, &key).unwrap();
-        glp.execute(&mut dev, 0, &key, groups(8));
+        run(&mut glp, &mut dev, 0, &key, 8);
         assert_eq!(
             glp.stream_manager().pool_size(0).unwrap(),
             plan.streams as usize
         );
+    }
+
+    /// A graph and the equivalent chain-of-groups request walk the same
+    /// profile → capture → replay steps through the one entry point, and
+    /// the graph's plan is cached under its own key.
+    #[test]
+    fn graph_and_groups_take_the_same_steps() {
+        let chains = || -> Vec<Vec<KernelDesc>> {
+            (0..8)
+                .map(|i| {
+                    ["im2col", "sgemm"]
+                        .iter()
+                        .map(|name| {
+                            KernelDesc::new(
+                                name,
+                                LaunchConfig::new(Dim3::linear(20), Dim3::linear(128), 48, 4096),
+                                KernelCost::new(4.0e6, 2.0e5),
+                            )
+                            .with_tag(i)
+                        })
+                        .collect()
+                })
+                .collect()
+        };
+        let mut graph = crate::KernelGraph::new();
+        for chain in chains() {
+            graph.add_chain(chain, &[]).unwrap();
+        }
+
+        // (mode, plan_solves, plan_captures) after each of four executions.
+        let steps = |graph: Option<&crate::KernelGraph>| {
+            let mut glp = Glp4nn::new(1);
+            let mut dev = Device::new(DeviceProps::k40c());
+            glp.register_device(0, dev.props());
+            let key = LayerKey::forward("net", "conv1").with_chunks(8);
+            let seq: Vec<(ExecMode, u64, u64)> = (0..4)
+                .map(|_| {
+                    let r = match graph {
+                        Some(g) => glp.execute(&mut dev, 0, &key, Schedule::graph(g), None),
+                        None => glp.execute(&mut dev, 0, &key, Schedule::groups(chains()), None),
+                    }
+                    .unwrap();
+                    (r.mode, glp.plan_solves(0), glp.plan_captures(0))
+                })
+                .collect();
+            (seq, glp, dev, key)
+        };
+        let (by_groups, ..) = steps(None);
+        let (by_graph, mut glp, mut dev, key) = steps(Some(&graph));
+        assert_eq!(by_graph, by_groups);
+        assert_eq!(by_graph[0], (ExecMode::Profiling, 1, 0));
+        assert!(matches!(by_graph[1], (ExecMode::Concurrent { .. }, 1, 1)));
+        assert_eq!(by_graph[2..], [by_graph[1], by_graph[1]], "cache hits");
+
+        // Graph and groups of one key share the concurrency plan but not
+        // the frozen schedule: the first groups request on the graph's
+        // framework captures without re-profiling, then hits.
+        for captures in [2, 2] {
+            run(&mut glp, &mut dev, 0, &key, 8);
+            assert_eq!((glp.plan_solves(0), glp.plan_captures(0)), (1, captures));
+        }
     }
 }

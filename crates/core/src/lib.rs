@@ -44,7 +44,7 @@
 //! ## Example
 //!
 //! ```
-//! use glp4nn::{Glp4nn, LayerKey, ExecMode};
+//! use glp4nn::{ExecMode, Glp4nn, LayerKey, Schedule};
 //! use gpu_sim::{Device, DeviceProps, KernelDesc, LaunchConfig, KernelCost, Dim3};
 //!
 //! let mut dev = Device::new(DeviceProps::p100());
@@ -63,16 +63,17 @@
 //! let groups: Vec<_> = (0..16).map(group).collect();
 //!
 //! // Iteration 1: profiling run on the default stream.
-//! let r1 = glp.execute(&mut dev, 0, &key, groups.clone());
+//! let r1 = glp.execute(&mut dev, 0, &key, Schedule::groups(groups.clone()), None)?;
 //! assert_eq!(r1.mode, ExecMode::Profiling);
 //!
 //! // Iteration 2+: concurrent dispatch over the model-sized stream pool.
-//! let r2 = glp.execute(&mut dev, 0, &key, groups);
+//! let r2 = glp.execute(&mut dev, 0, &key, Schedule::groups(groups), None)?;
 //! match r2.mode {
 //!     ExecMode::Concurrent { streams } => assert!(streams >= 2),
 //!     m => panic!("expected concurrent, got {m:?}"),
 //! }
 //! assert!(r2.elapsed_ns < r1.elapsed_ns);
+//! # Ok::<(), glp4nn::Glp4nnError>(())
 //! ```
 
 pub mod analyzer;
@@ -90,6 +91,7 @@ pub use cost::CostBook;
 pub use framework::{ExecMode, ExecReport, Glp4nn, Glp4nnError, LayerKey, Phase};
 pub use graph::{GraphError, KernelGraph};
 pub use optim::OptimConfig;
-pub use plan::{ExecPlan, PlanStep};
+pub use plan::{ExecPlan, PlanCache, PlanStep};
+pub use scheduler::Schedule;
 pub use streams::{StreamError, StreamManager};
 pub use tracker::ResourceTracker;

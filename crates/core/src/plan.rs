@@ -14,9 +14,9 @@
 //! All dispatch front-ends lower to this IR:
 //!
 //! * [`RuntimeScheduler::execute`](crate::scheduler::RuntimeScheduler::execute)
-//!   captures its round-robin group schedule (after §6 fusion/reordering);
-//! * [`KernelGraph::launch`](crate::graph::KernelGraph::launch) captures its
-//!   stream-inheritance DAG schedule;
+//!   captures its round-robin group schedule (after §6 fusion/reordering) or
+//!   a [`KernelGraph`](crate::graph::KernelGraph)'s stream-inheritance DAG
+//!   schedule;
 //! * the naive and fixed-stream modes of `nn::exec::ExecCtx` are trivially
 //!   captured single-pool plans.
 //!
@@ -26,6 +26,8 @@
 
 use crate::framework::{ExecMode, ExecReport};
 use gpu_sim::{Device, EventId, KernelDesc, KernelId, StreamId};
+use sanitizer::{PlanNodeRef, Sanitizer, SymGroupSpec};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Ways a frozen plan's step list can be malformed. Plans produced by the
@@ -331,7 +333,7 @@ impl ExecPlan {
 
     /// Reconstruct a plan from raw parts — a deserialized or hand-written
     /// step list — validating it up front. The validation views needed by
-    /// [`validate`](ExecPlan::validate) are rebuilt from the steps: one
+    /// [`verify_capture`] are rebuilt from the steps: one
     /// node per `Launch`, with the event waits a stream accumulated since
     /// its previous launch becoming that node's declared dependencies
     /// (attributed to the launch whose `Record` produced each event).
@@ -532,34 +534,132 @@ impl ExecPlan {
     pub fn node_deps(&self, i: usize) -> &[usize] {
         &self.node_deps[i]
     }
+}
 
-    /// Run the sanitizer's static plan check against the captured
-    /// schedule, borrowing the plan's tables instead of rebuilding a
-    /// `DispatchPlan`. Called exactly once, at capture time.
-    pub fn validate(&self, san: &mut sanitizer::Sanitizer) {
-        self.validate_certified(san, false);
+/// Frozen plans by cache key, plus the count of plans ever stored — the
+/// capture-once / replay-many cache every dispatch front-end instantiates
+/// (the per-GPU concurrency maintainer, `nn::ExecCtx`). The count is the
+/// cache-correctness probe: a steady-state workload stops incrementing it.
+#[derive(Debug, Default)]
+pub struct PlanCache {
+    plans: HashMap<String, Arc<ExecPlan>>,
+    captures: u64,
+}
+
+impl PlanCache {
+    /// Look up a frozen plan.
+    pub fn get(&self, key: &str) -> Option<&Arc<ExecPlan>> {
+        self.plans.get(key)
     }
 
-    /// Capture-time validation with an optional symbolic certificate.
-    /// With `certified` true a symbolic proof already covers hazard
-    /// freedom, so only the structural checks run (dangling deps, wait
-    /// cycles) — the O(kernels²) pair scan is skipped. Either way the
-    /// plan is also linted if the sanitizer has a linter attached.
-    pub fn validate_certified(&self, san: &mut sanitizer::Sanitizer, certified: bool) {
-        let nodes: Vec<sanitizer::PlanNodeRef<'_>> = (0..self.kernels.len())
-            .map(|i| sanitizer::PlanNodeRef {
-                kernel: &self.kernels[i],
-                stream: self.node_stream[i],
-                deps: &self.node_deps[i],
+    /// Store a freshly captured plan under `key` and count the capture.
+    pub fn store(&mut self, key: String, plan: Arc<ExecPlan>) {
+        self.captures += 1;
+        self.plans.insert(key, plan);
+    }
+
+    /// Plans stored so far (cache misses that led to a capture).
+    pub fn captures(&self) -> u64 {
+        self.captures
+    }
+}
+
+/// What a schedule was captured from, as capture-time verification sees it.
+#[derive(Debug, Clone, Copy)]
+pub enum CaptureSource<'a> {
+    /// The batch-split chunk groups of one dispatch site.
+    Chunks {
+        /// Sanitizer context string for diagnostics.
+        context: &'a str,
+        /// Shape-independent site key (`net/layer/phase`) of the
+        /// symbolic-certificate cache.
+        site: &'a str,
+        /// The layer's symbolic access declaration, when it has one.
+        spec: Option<&'a SymGroupSpec>,
+        /// One kernel chain per chunk.
+        groups: &'a [Vec<KernelDesc>],
+    },
+    /// A dataflow graph: the dependency closure alone must cover every
+    /// conflict, or some legal stream assignment races.
+    Graph {
+        /// Sanitizer context string for diagnostics.
+        context: &'a str,
+        /// Kernels in topological order.
+        nodes: &'a [KernelDesc],
+        /// Dependencies per node.
+        deps: &'a [Vec<usize>],
+    },
+}
+
+impl CaptureSource<'_> {
+    /// Freeze this source's schedule over `pool`: chunk groups round-robin,
+    /// a graph with stream inheritance.
+    pub fn capture(&self, label: &str, pool: &[StreamId], mode: ExecMode) -> ExecPlan {
+        match *self {
+            CaptureSource::Chunks { groups, .. } => {
+                ExecPlan::capture_round_robin(label, groups, pool, mode)
+            }
+            CaptureSource::Graph { nodes, deps, .. } => {
+                ExecPlan::capture_graph(label, nodes, deps, pool, mode)
+            }
+        }
+    }
+}
+
+/// Capture-time verification, run once per captured schedule and never on
+/// replay. First the `source` the schedule was built from: chunk regions
+/// must be disjoint (through the site's symbolic certificate when a spec is
+/// declared and proven, pairwise otherwise), a graph's dependencies must
+/// cover its conflicts. Then the `plan` about to be cached: the static plan
+/// check over its frozen tables, then the linter if one is attached. A plan
+/// whose source was certified skips the O(kernels²) hazard pair scan and
+/// keeps only the structural checks; a plan verified without its source
+/// (one spanning several sites) always gets the full scan. Returns whether
+/// the source was certified.
+pub fn verify_capture(
+    san: &mut Sanitizer,
+    source: Option<CaptureSource<'_>>,
+    plan: Option<&ExecPlan>,
+) -> bool {
+    let certified = match source {
+        Some(CaptureSource::Chunks {
+            context,
+            site,
+            spec: Some(spec),
+            groups,
+        }) => san.check_chunks_spec(context, site, spec, groups),
+        Some(CaptureSource::Chunks {
+            context, groups, ..
+        }) => {
+            san.check_chunks(context, groups);
+            false
+        }
+        Some(CaptureSource::Graph {
+            context,
+            nodes,
+            deps,
+        }) => {
+            san.check_graph(context, nodes, deps);
+            false
+        }
+        None => false,
+    };
+    if let Some(plan) = plan {
+        let nodes: Vec<PlanNodeRef<'_>> = (0..plan.kernels.len())
+            .map(|i| PlanNodeRef {
+                kernel: &plan.kernels[i],
+                stream: plan.node_stream[i],
+                deps: &plan.node_deps[i],
             })
             .collect();
         if certified {
-            san.check_plan_ref_certified(&self.label, &nodes);
+            san.check_plan_ref_certified(&plan.label, &nodes);
         } else {
-            san.check_plan_ref(&self.label, &nodes);
+            san.check_plan_ref(&plan.label, &nodes);
         }
-        san.lint_plan_nodes(&self.label, &nodes, self.num_events > 0, certified);
+        san.lint_plan_nodes(&plan.label, &nodes, plan.num_events > 0, certified);
     }
+    certified
 }
 
 #[cfg(test)]

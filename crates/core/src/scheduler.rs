@@ -11,12 +11,13 @@
 
 use crate::analyzer::KernelAnalyzer;
 use crate::framework::{ExecMode, ExecReport, LayerKey};
+use crate::graph::KernelGraph;
 use crate::optim::{fuse_group, reorder_groups, OptimConfig};
-use crate::plan::ExecPlan;
+use crate::plan::{verify_capture, CaptureSource, ExecPlan};
 use crate::streams::{StreamError, StreamManager};
 use crate::tracker::ResourceTracker;
 use gpu_sim::{Device, KernelDesc};
-use sanitizer::Sanitizer;
+use sanitizer::{Sanitizer, SymGroupSpec};
 use std::sync::Arc;
 
 /// Emit a host-track instant plus a counter bump on the device's attached
@@ -64,6 +65,54 @@ pub(crate) fn tel_span(
     }
 }
 
+/// One thing to schedule: where the kernels come from. A layer hands over
+/// its batch-split chunk groups lazily (on a plan-cache hit neither closure
+/// runs, so steady-state iterations build no kernel descriptors); a
+/// dataflow [`KernelGraph`] is borrowed as is.
+pub enum Schedule<'a, G, S> {
+    /// Mutually independent chunk groups, each an ordered chain of
+    /// dependent kernels (one sample's `im2col → sgemm → bias`).
+    Chunks {
+        /// Builds the groups; called on a plan-cache miss only.
+        make_groups: G,
+        /// Builds the site's symbolic access declaration, if the layer has
+        /// one; called on a plan-cache miss with a sanitizer attached only.
+        /// With a `Proven` certificate for `key.site_key()`, capture-time
+        /// checking drops from O(chunks²) pairwise comparisons plus an
+        /// O(kernels²) plan pair scan to an O(chunks) conformance check
+        /// plus structural plan checks. Conformance runs against the
+        /// *post-transform* groups: §6 fusion/reordering rewrites kernels,
+        /// so transformed schedules fall back to the pairwise path by
+        /// construction.
+        make_spec: S,
+    },
+    /// A dataflow-style kernel DAG (the §6 extension). Cross-stream
+    /// dependencies are enforced with events, so the dependency structure
+    /// is preserved exactly.
+    Graph(&'a KernelGraph),
+}
+
+type Groups = Vec<Vec<KernelDesc>>;
+
+// Constructors for the call sites that have no closures of their own: `fn`
+// pointers stand in for the unused type parameters, so none needs naming.
+impl<'a> Schedule<'a, fn() -> Groups, fn() -> Option<SymGroupSpec>> {
+    /// Chunk groups already built, no symbolic spec.
+    pub fn groups(
+        groups: Groups,
+    ) -> Schedule<'static, impl FnOnce() -> Groups, fn() -> Option<SymGroupSpec>> {
+        Schedule::Chunks {
+            make_groups: move || groups,
+            make_spec: || None,
+        }
+    }
+
+    /// A borrowed kernel graph.
+    pub fn graph(graph: &'a KernelGraph) -> Self {
+        Schedule::Graph(graph)
+    }
+}
+
 /// Per-GPU runtime scheduler.
 #[derive(Debug)]
 pub struct RuntimeScheduler {
@@ -97,222 +146,145 @@ impl RuntimeScheduler {
         self.plan_reuse = on;
     }
 
-    /// Whether execution-plan reuse is enabled.
-    pub fn plan_reuse(&self) -> bool {
-        self.plan_reuse
-    }
-
-    /// The cache key a layer's execution plan is stored under (the layer
-    /// key qualified by the optimizer configuration, which changes the
-    /// captured schedule).
-    pub fn exec_plan_key(&self, key: &LayerKey) -> String {
-        self.plan_key(&key.cache_key())
-    }
-
-    fn plan_key(&self, key_str: &str) -> String {
-        format!("{key_str}#{}", self.optim.cache_tag())
-    }
-
-    /// Replay the frozen execution plan cached for `key`, if any. Returns
-    /// `None` on a cache miss (or when plan reuse is disabled), in which
-    /// case the caller must build the kernel groups and go through
-    /// [`execute`](RuntimeScheduler::execute).
-    pub fn replay_cached(
-        &self,
-        dev: &mut Device,
-        analyzer: &KernelAnalyzer,
-        key: &LayerKey,
-        sanitizer: Option<&mut Sanitizer>,
-    ) -> Option<ExecReport> {
-        if !self.plan_reuse {
-            return None;
-        }
-        let plan = Arc::clone(analyzer.exec_plan_for(&self.plan_key(&key.cache_key()))?);
-        tel_instant(dev, "plan", "plan.cache_hits", || {
-            format!("plan.replay {}", key.cache_key())
-        });
-        let report = plan.replay(dev);
-        if let Some(san) = sanitizer {
-            san.check_device(dev);
-        }
-        Some(report)
-    }
-
-    /// Execute one layer's kernel groups on `dev`.
+    /// Execute one schedule source on `dev`: the Fig. 6 workflow, the only
+    /// copy of it.
     ///
-    /// Each *group* is an ordered chain of dependent kernels (e.g. one
-    /// sample's `im2col → sgemm → bias`); groups are mutually independent.
-    /// First execution of a `key` runs everything on the default stream
-    /// with profiling enabled, then feeds the tracker's parsed profiles to
-    /// the analyzer. Later executions dispatch groups round-robin over a
-    /// pool of `C_out` streams.
+    /// 1. *Replay.* A frozen plan is cached for `key` (qualified by the
+    ///    optimizer configuration, which changes the captured schedule,
+    ///    and by the source kind): replay it. The hot loop does no
+    ///    analysis, no MILP, no plan validation, no per-kernel allocation,
+    ///    and never builds the source.
+    /// 2. *Capture.* The concurrency plan for `key` is known: apply the
+    ///    optional §6 transforms to chunk groups (using the plan's profiled
+    ///    durations), freeze the schedule over the `C_out`-stream pool,
+    ///    verify it once, cache it, replay it.
+    /// 3. *Profile.* First sight of `key`: run serially on the default
+    ///    stream with the resource tracker recording, feed the parsed
+    ///    profiles to the analyzer. The serial plan is transient —
+    ///    profiling runs once per key.
     ///
-    /// With a [`Sanitizer`] attached, the exact schedule about to execute
-    /// is validated once at capture (chunk-region disjointness + plan
-    /// hazards); in full mode the executed command trace is additionally
-    /// replayed after every execution.
-    // One parameter per Fig. 5 module plus the optional sanitizer; a
-    // params struct would just rename the modules.
+    /// With a [`Sanitizer`] attached, the source is checked on every
+    /// non-replay execution and the plan about to be cached is validated
+    /// once ([`verify_capture`]); in full mode the executed command trace
+    /// is additionally replayed after every execution.
+    // One parameter per Fig. 5 module plus the source and the optional
+    // sanitizer; a params struct would just rename the modules.
     #[allow(clippy::too_many_arguments)]
-    pub fn execute(
+    pub fn execute<G, S>(
         &mut self,
         dev: &mut Device,
         tracker: &ResourceTracker,
         analyzer: &mut KernelAnalyzer,
         streams: &StreamManager,
         key: &LayerKey,
-        groups: Vec<Vec<KernelDesc>>,
-        sanitizer: Option<&mut Sanitizer>,
-    ) -> Result<ExecReport, StreamError> {
-        self.execute_with(
-            dev,
-            tracker,
-            analyzer,
-            streams,
-            key,
-            move || groups,
-            sanitizer,
-        )
-    }
-
-    /// Like [`execute`](RuntimeScheduler::execute), but builds the kernel
-    /// groups lazily: on a plan-cache hit the closure is never called, so
-    /// steady-state iterations skip group construction entirely.
-    #[allow(clippy::too_many_arguments)]
-    pub fn execute_with(
-        &mut self,
-        dev: &mut Device,
-        tracker: &ResourceTracker,
-        analyzer: &mut KernelAnalyzer,
-        streams: &StreamManager,
-        key: &LayerKey,
-        make_groups: impl FnOnce() -> Vec<Vec<KernelDesc>>,
-        sanitizer: Option<&mut Sanitizer>,
-    ) -> Result<ExecReport, StreamError> {
-        self.execute_spec(
-            dev,
-            tracker,
-            analyzer,
-            streams,
-            key,
-            || None,
-            make_groups,
-            sanitizer,
-        )
-    }
-
-    /// Like [`execute_with`](RuntimeScheduler::execute_with), with an
-    /// optional symbolic access-set declaration for the site. When the
-    /// layer supplies a [`sanitizer::SymGroupSpec`] and the sanitizer
-    /// holds (or derives) a `Proven` certificate for `key.site_key()`,
-    /// capture-time checking drops from O(chunks²) pairwise comparisons +
-    /// an O(kernels²) plan pair scan to an O(chunks) conformance check +
-    /// structural plan checks. Note the conformance check runs against the
-    /// *post-transform* groups: §6 fusion/reordering rewrites kernels, so
-    /// transformed schedules fail conformance and fall back to the
-    /// pairwise path by construction.
-    #[allow(clippy::too_many_arguments)]
-    pub fn execute_spec(
-        &mut self,
-        dev: &mut Device,
-        tracker: &ResourceTracker,
-        analyzer: &mut KernelAnalyzer,
-        streams: &StreamManager,
-        key: &LayerKey,
-        make_spec: impl FnOnce() -> Option<sanitizer::SymGroupSpec>,
-        make_groups: impl FnOnce() -> Vec<Vec<KernelDesc>>,
+        source: Schedule<'_, G, S>,
         mut sanitizer: Option<&mut Sanitizer>,
-    ) -> Result<ExecReport, StreamError> {
-        // Replay path: the schedule was captured and validated before.
-        // The hot loop does no analysis, no MILP, no plan validation, and
-        // no per-kernel allocation.
-        if let Some(report) = self.replay_cached(dev, analyzer, key, sanitizer.as_deref_mut()) {
-            return Ok(report);
-        }
+    ) -> Result<ExecReport, StreamError>
+    where
+        G: FnOnce() -> Groups,
+        S: FnOnce() -> Option<SymGroupSpec>,
+    {
+        // Inter-layer synchronization (paper §2.1): every execution ends
+        // with a device-wide barrier (inside replay).
+        let run = |plan: &ExecPlan, dev: &mut Device, san: Option<&mut Sanitizer>| {
+            let report = plan.replay(dev);
+            if let Some(san) = san {
+                san.check_device(dev);
+            }
+            report
+        };
 
         let key_str = key.cache_key();
-        let groups = make_groups();
+        let kind = match source {
+            Schedule::Chunks { .. } => "",
+            Schedule::Graph(_) => "#graph",
+        };
+        let plan_key = format!("{key_str}#{}{kind}", self.optim.cache_tag());
+        if self.plan_reuse {
+            if let Some(plan) = analyzer.exec_plans.get(&plan_key).cloned() {
+                tel_instant(dev, "plan", "plan.cache_hits", || {
+                    format!("plan.replay {key_str}")
+                });
+                return Ok(run(&plan, dev, sanitizer));
+            }
+        }
 
-        if let Some(cplan) = analyzer.plan_for(&key_str).cloned() {
-            // Capture path: apply the optional §6 extensions (using the
-            // plan's profiled durations), freeze the round-robin schedule
-            // over the C_out-stream pool, validate it once, cache it, and
-            // replay.
-            let overhead = dev.props().launch_overhead_ns;
-            let mut groups = groups;
-            if self.optim.fusion {
-                groups = groups
-                    .into_iter()
-                    .map(|g| {
-                        fuse_group(
-                            g,
-                            &cplan.class_durations,
-                            overhead,
-                            self.optim.fusion_threshold_x,
-                        )
-                    })
-                    .collect();
-            }
-            if self.optim.reordering {
-                groups = reorder_groups(groups, &cplan.class_durations, overhead);
-            }
-            let pool = streams.pool(dev, self.gpu, cplan.streams as usize)?;
-            let plan = ExecPlan::capture_round_robin(
-                &key_str,
-                &groups,
-                &pool,
-                ExecMode::Concurrent {
-                    streams: cplan.streams,
-                },
-            );
-            if let Some(san) = sanitizer.as_deref_mut() {
-                let certified = match make_spec() {
-                    Some(spec) => san.check_chunks_spec(&key_str, &key.site_key(), &spec, &groups),
-                    None => {
-                        san.check_chunks(&key_str, &groups);
-                        false
+        // Build the source: what gets captured, and what gets verified if
+        // a sanitizer is attached.
+        let cplan = analyzer.plan_for(&key_str).cloned();
+        let site = key.site_key();
+        let (groups, spec);
+        let source = match source {
+            Schedule::Chunks {
+                make_groups,
+                make_spec,
+            } => {
+                let mut built = make_groups();
+                if let Some(cplan) = &cplan {
+                    let overhead = dev.props().launch_overhead_ns;
+                    if self.optim.fusion {
+                        built = built
+                            .into_iter()
+                            .map(|g| {
+                                fuse_group(
+                                    g,
+                                    &cplan.class_durations,
+                                    overhead,
+                                    self.optim.fusion_threshold_x,
+                                )
+                            })
+                            .collect();
                     }
-                };
-                plan.validate_certified(san, certified);
+                    if self.optim.reordering {
+                        built = reorder_groups(built, &cplan.class_durations, overhead);
+                    }
+                }
+                groups = built;
+                spec = sanitizer.as_ref().and_then(|_| make_spec());
+                CaptureSource::Chunks {
+                    context: &key_str,
+                    site: &site,
+                    spec: spec.as_ref(),
+                    groups: &groups,
+                }
             }
-            let plan = Arc::new(plan);
-            analyzer.store_exec_plan(&self.plan_key(&key_str), Arc::clone(&plan));
+            Schedule::Graph(g) => CaptureSource::Graph {
+                context: &key_str,
+                nodes: g.nodes(),
+                deps: g.all_deps(),
+            },
+        };
+
+        if let Some(cplan) = cplan {
+            let pool = streams.pool(dev, self.gpu, cplan.streams as usize)?;
+            let mode = ExecMode::Concurrent {
+                streams: cplan.streams,
+            };
+            let plan = Arc::new(source.capture(&key_str, &pool, mode));
+            if let Some(san) = sanitizer.as_deref_mut() {
+                verify_capture(san, Some(source), Some(&plan));
+            }
+            analyzer.exec_plans.store(plan_key, Arc::clone(&plan));
             tel_instant(dev, "plan", "plan.captures", || {
                 format!("plan.capture {key_str}")
             });
-            // Inter-layer synchronization (paper §2.1): the layer ends with
-            // a device-wide barrier (inside replay).
-            let report = plan.replay(dev);
-            if let Some(san) = sanitizer {
-                san.check_device(dev);
-            }
-            return Ok(report);
+            return Ok(run(&plan, dev, sanitizer));
         }
 
-        // Profiling path: a trivially captured serial plan on the default
-        // stream, tracker enabled — transient, since profiling runs once
-        // per key. Skip any trace entries produced since the last
-        // profiling window (kernels of layers GLP4NN does not manage)
-        // before turning recording on.
+        // Chunks must be disjoint whatever the dispatch; the serial
+        // profiling plan itself is trivially race-free.
         if let Some(san) = sanitizer.as_deref_mut() {
-            // Chunks must be disjoint whatever the dispatch; the serial
-            // profiling plan itself is trivially race-free.
-            match make_spec() {
-                Some(spec) => {
-                    san.check_chunks_spec(&key_str, &key.site_key(), &spec, &groups);
-                }
-                None => san.check_chunks(&key_str, &groups),
-            }
+            verify_capture(san, Some(source), None);
         }
+        // Skip any trace entries produced since the last profiling window
+        // (kernels of layers GLP4NN does not manage) before turning
+        // recording on.
         let profile_start = dev.now();
         tracker.ingest(self.gpu, dev.trace());
         tracker.enable(self.gpu);
         let pool = [streams.default_stream(dev)];
-        let plan = ExecPlan::capture_round_robin(&key_str, &groups, &pool, ExecMode::Profiling);
-        let report = plan.replay(dev);
-        if let Some(san) = sanitizer {
-            san.check_device(dev);
-        }
+        let plan = source.capture(&key_str, &pool, ExecMode::Profiling);
+        let report = run(&plan, dev, sanitizer);
         tracker.ingest(self.gpu, dev.trace());
         tracker.disable(self.gpu);
         tel_span(dev, "profile", profile_start, dev.now(), || {
@@ -356,46 +328,52 @@ mod tests {
             .collect()
     }
 
-    fn setup() -> (Device, ResourceTracker, KernelAnalyzer, StreamManager) {
-        let dev = Device::new(DeviceProps::k40c());
-        let tracker = ResourceTracker::new(1);
-        let analyzer = KernelAnalyzer::new(DeviceProps::k40c());
-        let streams = StreamManager::new(1);
-        (dev, tracker, analyzer, streams)
+    /// One simulated GPU with its four Fig. 5 modules.
+    struct Rig {
+        dev: Device,
+        tracker: ResourceTracker,
+        analyzer: KernelAnalyzer,
+        streams: StreamManager,
+        sched: RuntimeScheduler,
+    }
+
+    impl Rig {
+        fn new() -> Self {
+            Rig {
+                dev: Device::new(DeviceProps::k40c()),
+                tracker: ResourceTracker::new(1),
+                analyzer: KernelAnalyzer::new(DeviceProps::k40c()),
+                streams: StreamManager::new(1),
+                sched: RuntimeScheduler::new(0),
+            }
+        }
+
+        fn run(&mut self, key: &LayerKey, n: u64) -> ExecReport {
+            self.sched
+                .execute(
+                    &mut self.dev,
+                    &self.tracker,
+                    &mut self.analyzer,
+                    &self.streams,
+                    key,
+                    Schedule::groups(groups(n)),
+                    None,
+                )
+                .unwrap()
+        }
     }
 
     #[test]
     fn first_run_profiles_then_concurrent() {
-        let (mut dev, tracker, mut analyzer, streams) = setup();
-        let mut sched = RuntimeScheduler::new(0);
+        let mut rig = Rig::new();
         let key = LayerKey::forward("net", "conv1");
 
-        let r1 = sched
-            .execute(
-                &mut dev,
-                &tracker,
-                &mut analyzer,
-                &streams,
-                &key,
-                groups(8),
-                None,
-            )
-            .unwrap();
+        let r1 = rig.run(&key, 8);
         assert_eq!(r1.mode, ExecMode::Profiling);
         assert_eq!(r1.kernels, 16);
-        assert!(analyzer.plan_for(&key.cache_key()).is_some());
+        assert!(rig.analyzer.plan_for(&key.cache_key()).is_some());
 
-        let r2 = sched
-            .execute(
-                &mut dev,
-                &tracker,
-                &mut analyzer,
-                &streams,
-                &key,
-                groups(8),
-                None,
-            )
-            .unwrap();
+        let r2 = rig.run(&key, 8);
         match r2.mode {
             ExecMode::Concurrent { streams: s } => assert!(s >= 1),
             m => panic!("expected concurrent, got {m:?}"),
@@ -404,31 +382,10 @@ mod tests {
 
     #[test]
     fn concurrent_is_faster_for_small_kernels() {
-        let (mut dev, tracker, mut analyzer, streams) = setup();
-        let mut sched = RuntimeScheduler::new(0);
+        let mut rig = Rig::new();
         let key = LayerKey::forward("net", "conv1");
-        let r1 = sched
-            .execute(
-                &mut dev,
-                &tracker,
-                &mut analyzer,
-                &streams,
-                &key,
-                groups(16),
-                None,
-            )
-            .unwrap();
-        let r2 = sched
-            .execute(
-                &mut dev,
-                &tracker,
-                &mut analyzer,
-                &streams,
-                &key,
-                groups(16),
-                None,
-            )
-            .unwrap();
+        let r1 = rig.run(&key, 16);
+        let r2 = rig.run(&key, 16);
         assert!(
             r2.elapsed_ns < r1.elapsed_ns,
             "concurrent {} vs profiled/serial {}",
@@ -439,34 +396,13 @@ mod tests {
 
     #[test]
     fn group_internal_order_is_preserved() {
-        let (mut dev, tracker, mut analyzer, streams) = setup();
-        let mut sched = RuntimeScheduler::new(0);
+        let mut rig = Rig::new();
         let key = LayerKey::forward("net", "conv1");
-        sched
-            .execute(
-                &mut dev,
-                &tracker,
-                &mut analyzer,
-                &streams,
-                &key,
-                groups(4),
-                None,
-            )
-            .unwrap();
-        let trace_before = dev.trace().len();
-        sched
-            .execute(
-                &mut dev,
-                &tracker,
-                &mut analyzer,
-                &streams,
-                &key,
-                groups(4),
-                None,
-            )
-            .unwrap();
+        rig.run(&key, 4);
+        let trace_before = rig.dev.trace().len();
+        rig.run(&key, 4);
         // For each tag, im2col must end before its sgemm starts.
-        let new = &dev.trace()[trace_before..];
+        let new = &rig.dev.trace()[trace_before..];
         for tag in 0..4u64 {
             let im = new
                 .iter()
@@ -487,71 +423,19 @@ mod tests {
 
     #[test]
     fn different_layers_profile_independently() {
-        let (mut dev, tracker, mut analyzer, streams) = setup();
-        let mut sched = RuntimeScheduler::new(0);
+        let mut rig = Rig::new();
         let k1 = LayerKey::forward("net", "conv1");
         let k2 = LayerKey::forward("net", "conv2");
-        assert_eq!(
-            sched
-                .execute(
-                    &mut dev,
-                    &tracker,
-                    &mut analyzer,
-                    &streams,
-                    &k1,
-                    groups(2),
-                    None
-                )
-                .unwrap()
-                .mode,
-            ExecMode::Profiling
-        );
-        assert_eq!(
-            sched
-                .execute(
-                    &mut dev,
-                    &tracker,
-                    &mut analyzer,
-                    &streams,
-                    &k2,
-                    groups(2),
-                    None
-                )
-                .unwrap()
-                .mode,
-            ExecMode::Profiling
-        );
-        assert_eq!(analyzer.num_plans(), 2);
+        assert_eq!(rig.run(&k1, 2).mode, ExecMode::Profiling);
+        assert_eq!(rig.run(&k2, 2).mode, ExecMode::Profiling);
+        assert_eq!(rig.analyzer.num_plans(), 2);
     }
 
     #[test]
     fn forward_and_backward_have_distinct_plans() {
-        let (mut dev, tracker, mut analyzer, streams) = setup();
-        let mut sched = RuntimeScheduler::new(0);
-        let kf = LayerKey::forward("net", "conv1");
-        let kb = LayerKey::backward("net", "conv1");
-        sched
-            .execute(
-                &mut dev,
-                &tracker,
-                &mut analyzer,
-                &streams,
-                &kf,
-                groups(2),
-                None,
-            )
-            .unwrap();
-        let r = sched
-            .execute(
-                &mut dev,
-                &tracker,
-                &mut analyzer,
-                &streams,
-                &kb,
-                groups(2),
-                None,
-            )
-            .unwrap();
+        let mut rig = Rig::new();
+        rig.run(&LayerKey::forward("net", "conv1"), 2);
+        let r = rig.run(&LayerKey::backward("net", "conv1"), 2);
         assert_eq!(r.mode, ExecMode::Profiling);
     }
 }

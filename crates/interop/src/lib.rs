@@ -41,6 +41,7 @@ pub mod wave;
 pub use dag::LayerDag;
 pub use wave::{co_schedule, WaveAssignment, WaveDispatchProfile};
 
+use glp4nn::plan::{verify_capture, CaptureSource};
 use glp4nn::{ExecMode, ExecPlan, KernelProfile, Phase};
 use gpu_sim::{Device, DeviceProps, KernelDesc, SimTime, StreamId};
 use nn::exec::StagedDispatch;
@@ -179,76 +180,59 @@ impl InterOpExec {
     /// Run one training step (forward + backward) through the
     /// inter-operator scheduler; returns the loss.
     pub fn step(&mut self, ctx: &mut ExecCtx, net: &mut Net) -> f32 {
-        let loss = self.forward(ctx, net);
-        self.backward(ctx, net);
+        let loss = self.pass(ctx, net, Phase::Forward);
+        self.pass(ctx, net, Phase::Backward);
         loss
     }
 
-    /// Forward pass: replay the cached whole-net plan when one exists for
-    /// this `(net, batch)`, otherwise stage the pass, capture and cache a
-    /// plan, then execute it. The returned loss is always computed by the
-    /// layers' real CPU math and is independent of the dispatch path.
-    pub fn forward(&mut self, ctx: &mut ExecCtx, net: &mut Net) -> f32 {
-        let key = self.plan_key(Phase::Forward, self.batch_of(net));
-        if let Some(plan) = ctx.net_plan(&key) {
-            ctx.set_suppress(true);
-            let loss = net.forward(ctx);
-            ctx.set_suppress(false);
-            self.replay(ctx, &plan, "interop/fwd", Phase::Forward);
-            return loss;
-        }
-        ctx.begin_staging();
-        let loss = net.forward(ctx);
-        let staged = ctx.take_staged();
-        let plan = self.capture(ctx, &staged, Phase::Forward, &key);
-        self.replay(ctx, &plan, "interop/fwd", Phase::Forward);
-        loss
-    }
-
-    /// Backward pass, mirroring [`forward`](InterOpExec::forward). Wave
-    /// order is reversed: the forward DAG's successor sets become
-    /// predecessor sets, so reversed level sets stay antichains.
-    pub fn backward(&mut self, ctx: &mut ExecCtx, net: &mut Net) {
-        let key = self.plan_key(Phase::Backward, self.batch_of(net));
-        if let Some(plan) = ctx.net_plan(&key) {
-            ctx.set_suppress(true);
-            net.backward(ctx);
-            ctx.set_suppress(false);
-            self.replay(ctx, &plan, "interop/bwd", Phase::Backward);
-            return;
-        }
-        ctx.begin_staging();
-        net.backward(ctx);
-        let staged = ctx.take_staged();
-        let plan = self.capture(ctx, &staged, Phase::Backward, &key);
-        self.replay(ctx, &plan, "interop/bwd", Phase::Backward);
-    }
-
-    /// One whole-net plan per `(net, phase, batch)` — the frozen-shape
-    /// contract: kernel geometry is a pure function of the batch size for
-    /// a fixed network, so agreeing keys dispatch identical kernels.
-    fn plan_key(&self, phase: Phase, batch: usize) -> String {
-        format!("{}/interop/{}/b{batch}", self.spec.name, phase_str(phase))
-    }
-
-    fn batch_of(&self, net: &mut Net) -> usize {
-        match self.spec.inputs.first() {
+    /// One pass of `net`: replay the cached whole-net plan when one exists
+    /// for this `(net, phase, batch)`, otherwise stage the pass, capture
+    /// and cache a plan, then execute it. Returns the loss of a forward
+    /// pass (always computed by the layers' real CPU math, independent of
+    /// the dispatch path) and 0 for a backward pass. Backward wave order
+    /// is reversed: the forward DAG's successor sets become predecessor
+    /// sets, so reversed level sets stay antichains.
+    pub fn pass(&mut self, ctx: &mut ExecCtx, net: &mut Net, phase: Phase) -> f32 {
+        let layers = |ctx: &mut ExecCtx, net: &mut Net| match phase {
+            Phase::Forward => net.forward(ctx),
+            Phase::Backward => {
+                net.backward(ctx);
+                0.0
+            }
+        };
+        // One whole-net plan per `(net, phase, batch)` — the frozen-shape
+        // contract: kernel geometry is a pure function of the batch size
+        // for a fixed network, so agreeing keys dispatch identical kernels.
+        let batch = match self.spec.inputs.first() {
             Some((name, _)) => net.blob(name).num(),
             None => 0,
-        }
-    }
-
-    fn replay(&self, ctx: &mut ExecCtx, plan: &ExecPlan, label: &str, phase: Phase) {
+        };
+        let key = format!("{}/interop/{}/b{batch}", self.spec.name, phase.as_str());
+        let (loss, plan) = match ctx.cached_plan(&key) {
+            Some(plan) => {
+                ctx.set_suppress(true);
+                let loss = layers(ctx, net);
+                ctx.set_suppress(false);
+                (loss, plan)
+            }
+            None => {
+                ctx.begin_staging();
+                let loss = layers(ctx, net);
+                let staged = ctx.take_staged();
+                (loss, self.capture(ctx, &staged, phase, &key))
+            }
+        };
         let report = plan.replay(&mut ctx.device);
         if ctx.sanitizer.is_full() {
             ctx.sanitizer.check_device(&ctx.device);
         }
         ctx.timings.push(LayerTiming {
-            layer: label.to_string(),
+            layer: format!("interop/{}", phase.as_str()),
             phase,
             elapsed_ns: report.elapsed_ns,
             mode: report.mode,
         });
+        loss
     }
 
     /// The cold path: turn one staged pass into a frozen whole-net plan.
@@ -357,21 +341,22 @@ impl InterOpExec {
             // Per-dispatch chunk disjointness first (symbolically certified
             // where the layer declares a spec — the certificate cache is
             // shared with per-layer dispatch sites), then the whole-net
-            // plan validation. `certified: false` deliberately keeps the
-            // full cross-node pair scan: catching cross-*operator* hazards
-            // is the point of validating at net scope.
+            // plan validation. Verifying the plan without a source
+            // deliberately keeps the full cross-node pair scan: catching
+            // cross-*operator* hazards is the point of validating at net
+            // scope.
             for d in staged {
-                let site = format!("{}/{}/{}", self.spec.name, d.layer, phase_str(phase));
+                let site = format!("{}/{}/{}", self.spec.name, d.layer, phase.as_str());
                 let dkey = format!("{site}/b{}/c{}/interop", ctx.batch, d.chunks);
-                match &d.spec {
-                    Some(spec) => {
-                        ctx.sanitizer
-                            .check_chunks_spec(&dkey, &site, spec, &d.groups);
-                    }
-                    None => ctx.sanitizer.check_chunks(&d.layer, &d.groups),
-                }
+                let source = CaptureSource::Chunks {
+                    context: if d.spec.is_some() { &dkey } else { &d.layer },
+                    site: &site,
+                    spec: d.spec.as_ref(),
+                    groups: &d.groups,
+                };
+                verify_capture(&mut ctx.sanitizer, Some(source), None);
             }
-            plan.validate_certified(&mut ctx.sanitizer, false);
+            verify_capture(&mut ctx.sanitizer, None, Some(&plan));
         }
 
         if let Some(rec) = ctx.device.telemetry() {
@@ -383,7 +368,7 @@ impl InterOpExec {
             );
         }
 
-        ctx.store_net_plan(key.to_string(), Arc::clone(&plan));
+        ctx.store_plan(key.to_string(), Arc::clone(&plan));
         self.reports.push(PhaseReport {
             phase,
             key: key.to_string(),
@@ -397,13 +382,6 @@ impl InterOpExec {
             coscheduled_kernels: asm_a.coscheduled_kernels,
         });
         plan
-    }
-}
-
-fn phase_str(phase: Phase) -> &'static str {
-    match phase {
-        Phase::Forward => "fwd",
-        Phase::Backward => "bwd",
     }
 }
 
@@ -668,9 +646,9 @@ mod tests {
         let mut losses = Vec::new();
         for it in 0..iters {
             fill_inputs(&mut net, spec, it as u64);
-            losses.push(exec.forward(&mut ctx, &mut net));
+            losses.push(exec.pass(&mut ctx, &mut net, Phase::Forward));
             net.zero_param_diffs();
-            exec.backward(&mut ctx, &mut net);
+            exec.pass(&mut ctx, &mut net, Phase::Backward);
             sgd(&mut net, 0.01);
         }
         (losses, net.state_dict(), ctx, exec)
@@ -689,7 +667,7 @@ mod tests {
             ctx.sanitizer.reports()
         );
         // One capture per phase; later iterations are pure replays.
-        assert_eq!(ctx.net_plans_cached(), 2);
+        assert_eq!(ctx.plan_captures(), 2);
         assert_eq!(exec.phase_reports().len(), 2);
     }
 
@@ -769,7 +747,7 @@ mod tests {
             fill_inputs(&mut net, &spec, it);
             exec.step(&mut ctx, &mut net);
         }
+        assert_eq!(captures, 2, "one whole-net plan per phase");
         assert_eq!(ctx.plan_captures(), captures, "steady state replays only");
-        assert_eq!(ctx.net_plans_cached(), 2);
     }
 }

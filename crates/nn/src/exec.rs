@@ -1,9 +1,9 @@
 //! Execution context: simulated device + dispatch policy + timing capture.
 
-use glp4nn::{ExecMode, ExecPlan, ExecReport, Glp4nn, LayerKey, Phase};
+use glp4nn::plan::{verify_capture, CaptureSource};
+use glp4nn::{ExecMode, ExecPlan, ExecReport, Glp4nn, LayerKey, Phase, PlanCache, Schedule};
 use gpu_sim::{Device, DeviceProps, EventId, KernelDesc, SimTime, StreamId};
 use sanitizer::{LintConfig, SanitizeMode, Sanitizer, SymGroupSpec};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// How a layer's kernel groups are dispatched to the device.
@@ -58,7 +58,8 @@ pub struct ExecCtx {
     pub gpu: usize,
     /// Dispatch policy for convolution layers.
     pub mode: DispatchMode,
-    /// GLP4NN runtime (required when `mode == Glp4nn`).
+    /// GLP4NN runtime. A default single-GPU framework is attached on the
+    /// first `Glp4nn`-mode dispatch if none is present.
     pub glp: Option<Glp4nn>,
     /// Whether layers run their real CPU math (`false` = timing-only, used
     /// for the large CaffeNet/GoogLeNet sweeps; see DESIGN.md).
@@ -84,12 +85,14 @@ pub struct ExecCtx {
     /// [`sanitize`]: ExecCtx::sanitize
     pub sanitizer: Sanitizer,
     fixed_pool: Vec<StreamId>,
-    /// Frozen execution plans for the self-dispatched (non-Glp4nn) modes,
-    /// keyed by `net/layer/phase/batch/chunks/mode`. The Glp4nn mode
-    /// caches inside the framework's concurrency maintainer instead.
-    plans: HashMap<String, Arc<ExecPlan>>,
+    /// Frozen execution plans captured by this context: per-site plans of
+    /// the self-dispatched (non-Glp4nn) modes, keyed by
+    /// `net/layer/phase/batch/chunks/pool`, and the inter-operator
+    /// scheduler's whole-net plans, keyed by `net/interop/phase/batch`
+    /// (the Nimble-style AOT cache). The Glp4nn mode caches inside the
+    /// framework's concurrency maintainer instead.
+    plans: PlanCache,
     plan_reuse: bool,
-    captures: u64,
     /// Staging mode: dispatches are recorded instead of executed (layers
     /// still run their CPU math). Used by the inter-operator scheduler to
     /// harvest every kernel group of a whole pass before building one
@@ -99,10 +102,6 @@ pub struct ExecCtx {
     /// Used during warm whole-net replays, where the device work is a
     /// single cached net-level plan instead of per-layer launches.
     suppress: bool,
-    /// Whole-net execution plans captured by the inter-operator
-    /// scheduler, keyed by `net/interop/phase/batch/...` (one plan per
-    /// (net, phase, batch, config) — the Nimble-style AOT cache).
-    net_plans: HashMap<String, Arc<ExecPlan>>,
     /// Deferred-issue mode: dispatches enqueue their plans (with
     /// inter-layer barrier events standing in for the per-layer
     /// `device.run()`) but never drive the simulation — the caller runs
@@ -133,7 +132,7 @@ impl ExecCtx {
         ctx
     }
 
-    /// Context with an explicit dispatch mode and no framework.
+    /// Context with an explicit dispatch mode.
     pub fn with_mode(props: DeviceProps, mode: DispatchMode) -> Self {
         ExecCtx {
             device: Device::new(props),
@@ -147,12 +146,10 @@ impl ExecCtx {
             timings: Vec::new(),
             sanitizer: Sanitizer::default(),
             fixed_pool: Vec::new(),
-            plans: HashMap::new(),
+            plans: PlanCache::default(),
             plan_reuse: true,
-            captures: 0,
             staged: None,
             suppress: false,
-            net_plans: HashMap::new(),
             deferred: false,
             pending: Vec::new(),
         }
@@ -174,7 +171,7 @@ impl ExecCtx {
     /// steady-state workload stops incrementing this: every later
     /// iteration is a pure plan replay.
     pub fn plan_captures(&self) -> u64 {
-        self.captures + self.glp.as_ref().map_or(0, |g| g.plan_captures(self.gpu))
+        self.plans.captures() + self.glp.as_ref().map_or(0, |g| g.plan_captures(self.gpu))
     }
 
     /// Disable real CPU math (timing-only experiments).
@@ -251,11 +248,6 @@ impl ExecCtx {
         self.staged.take().unwrap_or_default()
     }
 
-    /// Whether a staging pass is active.
-    pub fn is_staging(&self) -> bool {
-        self.staged.is_some()
-    }
-
     /// Switch dispatch suppression on or off: while on, dispatches are
     /// no-ops (CPU math still runs). The warm half of whole-net replay —
     /// the caller replays one cached net-level plan for the device work.
@@ -263,21 +255,15 @@ impl ExecCtx {
         self.suppress = on;
     }
 
-    /// Look up a cached whole-net execution plan.
-    pub fn net_plan(&self, key: &str) -> Option<Arc<ExecPlan>> {
-        self.net_plans.get(key).cloned()
+    /// Look up a plan in this context's cache.
+    pub fn cached_plan(&self, key: &str) -> Option<Arc<ExecPlan>> {
+        self.plans.get(key).cloned()
     }
 
-    /// Cache a whole-net execution plan (counts as a plan capture).
-    pub fn store_net_plan(&mut self, key: String, plan: Arc<ExecPlan>) {
-        self.captures += 1;
+    /// Cache a freshly captured plan (counts as a plan capture).
+    pub fn store_plan(&mut self, key: String, plan: Arc<ExecPlan>) {
         self.tel_plan_event("plan.captures", "plan.capture", &key);
-        self.net_plans.insert(key, plan);
-    }
-
-    /// Number of cached whole-net plans.
-    pub fn net_plans_cached(&self) -> usize {
-        self.net_plans.len()
+        self.plans.store(key, plan);
     }
 
     /// Grow the context's stream pool to at least `n` streams and return
@@ -322,66 +308,72 @@ impl ExecCtx {
         }
     }
 
-    /// Dispatch a layer's independent kernel groups according to the
-    /// context's mode; blocks until the device drains (the inter-layer
-    /// synchronization of the paper's §2.1) and records a timing entry.
-    pub fn dispatch_groups(
-        &mut self,
-        layer: &str,
-        phase: Phase,
-        groups: Vec<Vec<KernelDesc>>,
-    ) -> ExecReport {
-        let chunks = groups.len();
-        self.dispatch_groups_with(layer, phase, chunks, move || groups)
-    }
-
-    /// Like [`dispatch_groups`](ExecCtx::dispatch_groups), but builds the
-    /// kernel groups lazily: when the site's frozen [`ExecPlan`] is
-    /// cached, the plan replays and the closure is never called, so
-    /// steady-state iterations skip kernel-descriptor construction
-    /// entirely. `chunks` must equal the number of groups the closure
-    /// would build (it is part of the cache key).
-    pub fn dispatch_groups_with(
-        &mut self,
-        layer: &str,
-        phase: Phase,
-        chunks: usize,
-        make_groups: impl FnOnce() -> Vec<Vec<KernelDesc>>,
-    ) -> ExecReport {
-        self.dispatch_groups_sym(layer, phase, chunks, || None, make_groups)
-    }
-
-    /// Like [`dispatch_groups_with`](ExecCtx::dispatch_groups_with), with
-    /// an optional symbolic declaration of the per-chunk access pattern.
-    /// When the layer supplies a [`SymGroupSpec`], capture-time chunk
-    /// checking uses a cached symbolic disjointness certificate (one
-    /// proof per `net/layer/phase` site) plus an O(chunks) conformance
-    /// check instead of O(chunks²) pairwise comparisons, and certified
-    /// plans skip the plan-level pair scan too. `make_spec` is only
-    /// called at capture with the sanitizer enabled; replays never touch
-    /// either closure.
-    pub fn dispatch_groups_sym(
+    /// *Batch-split* dispatch: the layer's batch as `chunks` mutually
+    /// independent kernel groups, spread over the pool the context's
+    /// [`DispatchMode`] chooses. Blocks until the device drains (the
+    /// inter-layer synchronization of the paper's §2.1) and records a
+    /// timing entry.
+    ///
+    /// Both closures are lazy: when the site's frozen [`ExecPlan`] is
+    /// cached the plan replays and neither runs, so steady-state
+    /// iterations build no kernel descriptors. `make_groups` must build
+    /// exactly `chunks` groups (the count is part of the cache key).
+    /// `make_spec` is the layer's symbolic declaration of the per-chunk
+    /// access pattern, called at capture with the sanitizer enabled only:
+    /// with one, chunk checking uses a cached symbolic disjointness
+    /// certificate (one proof per `net/layer/phase` site) plus an O(chunks)
+    /// conformance check instead of O(chunks²) pairwise comparisons, and
+    /// certified plans skip the plan-level pair scan too.
+    pub fn dispatch_split(
         &mut self,
         layer: &str,
         phase: Phase,
         chunks: usize,
-        make_spec: impl FnOnce() -> Option<SymGroupSpec>,
-        make_groups: impl FnOnce() -> Vec<Vec<KernelDesc>>,
+        make_spec: impl Fn() -> Option<SymGroupSpec>,
+        make_groups: impl Fn() -> Vec<Vec<KernelDesc>>,
+    ) -> ExecReport {
+        self.dispatch(self.mode, layer, phase, chunks, make_spec, make_groups)
+    }
+
+    /// *Whole-batch* dispatch: a sequence of kernels covering the whole
+    /// batch, serialized on the default stream — the path of the layers the
+    /// paper leaves in original Caffe form.
+    pub fn dispatch_batch(
+        &mut self,
+        layer: &str,
+        phase: Phase,
+        kernels: Vec<KernelDesc>,
+    ) -> ExecReport {
+        let groups = [kernels];
+        self.dispatch(
+            DispatchMode::Naive,
+            layer,
+            phase,
+            1,
+            || None,
+            || groups.to_vec(),
+        )
+    }
+
+    fn dispatch(
+        &mut self,
+        mode: DispatchMode,
+        layer: &str,
+        phase: Phase,
+        chunks: usize,
+        make_spec: impl Fn() -> Option<SymGroupSpec>,
+        make_groups: impl Fn() -> Vec<Vec<KernelDesc>>,
     ) -> ExecReport {
         if self.staged.is_some() || self.suppress {
             return self.stage_or_skip(layer, phase, chunks, make_spec, make_groups);
         }
-        let report = match self.mode {
+        let serial = [self.device.default_stream()];
+        let report = match mode {
             DispatchMode::Naive => {
-                let pool = [self.device.default_stream()];
-                self.replay_or_capture(layer, phase, chunks, &pool, make_spec, make_groups)
+                self.replay_or_capture(layer, phase, chunks, &serial, make_spec, make_groups)
             }
             DispatchMode::FixedStreams(n) => {
-                while self.fixed_pool.len() < n as usize {
-                    let s = self.device.create_stream();
-                    self.fixed_pool.push(s);
-                }
-                let pool: Vec<StreamId> = self.fixed_pool[..n as usize].to_vec();
+                let pool = self.ensure_streams(n as usize);
                 self.replay_or_capture(layer, phase, chunks, &pool, make_spec, make_groups)
             }
             DispatchMode::Glp4nn => {
@@ -402,52 +394,38 @@ impl ExecCtx {
                     chunks,
                 };
                 let san = self.sanitizer.is_enabled().then_some(&mut self.sanitizer);
-                let glp = self
-                    .glp
-                    .as_mut()
-                    .expect("DispatchMode::Glp4nn requires an attached framework");
-                glp.try_execute_spec(
-                    &mut self.device,
-                    self.gpu,
-                    &key,
-                    make_spec,
-                    make_groups,
-                    san,
-                )
-                .unwrap_or_else(|e| panic!("{e}"))
+                let source = Schedule::Chunks {
+                    make_groups: &make_groups,
+                    make_spec: &make_spec,
+                };
+                let (device, plan_reuse) = (&self.device, self.plan_reuse);
+                let glp = self.glp.get_or_insert_with(|| {
+                    // `mode` was set without going through
+                    // [`glp4nn`](ExecCtx::glp4nn): same framework, late.
+                    let mut glp = Glp4nn::new(1);
+                    glp.register_device(0, device.props());
+                    glp.set_plan_reuse(plan_reuse);
+                    if let Some(rec) = device.telemetry() {
+                        glp.tracker()
+                            .set_telemetry(0, Arc::clone(rec), device.telemetry_pid());
+                    }
+                    glp
+                });
+                match glp.execute(&mut self.device, self.gpu, &key, source, san) {
+                    Ok(report) => report,
+                    // An attached framework that does not manage this GPU
+                    // leaves the layer in original Caffe form.
+                    Err(_) => self.replay_or_capture(
+                        layer,
+                        phase,
+                        chunks,
+                        &serial,
+                        make_spec,
+                        make_groups,
+                    ),
+                }
             }
         };
-        if self.sanitizer.is_full() && !self.deferred {
-            self.sanitizer.check_device(&self.device);
-        }
-        self.timings.push(LayerTiming {
-            layer: layer.to_string(),
-            phase,
-            elapsed_ns: report.elapsed_ns,
-            mode: report.mode,
-        });
-        report
-    }
-
-    /// Launch a single whole-batch kernel on the default stream and wait —
-    /// the path used by non-convolution layers, which the paper leaves in
-    /// original Caffe form.
-    pub fn dispatch_single(&mut self, layer: &str, phase: Phase, kernel: KernelDesc) -> ExecReport {
-        self.dispatch_batch(layer, phase, vec![kernel])
-    }
-
-    /// Launch a sequence of whole-batch kernels on the default stream.
-    pub fn dispatch_batch(
-        &mut self,
-        layer: &str,
-        phase: Phase,
-        kernels: Vec<KernelDesc>,
-    ) -> ExecReport {
-        if self.staged.is_some() || self.suppress {
-            return self.stage_or_skip(layer, phase, 1, || None, move || vec![kernels]);
-        }
-        let pool = [self.device.default_stream()];
-        let report = self.replay_or_capture(layer, phase, 1, &pool, || None, move || vec![kernels]);
         if self.sanitizer.is_full() && !self.deferred {
             self.sanitizer.check_device(&self.device);
         }
@@ -466,25 +444,15 @@ impl ExecCtx {
     /// function of `(batch, chunks)`, so two calls agreeing on this key
     /// dispatch identical kernels.
     fn plan_key(&self, layer: &str, phase: Phase, chunks: usize, pool_len: usize) -> String {
-        let phase = match phase {
-            Phase::Forward => "fwd",
-            Phase::Backward => "bwd",
-        };
         format!(
             "{}/{}/{}/b{}/c{}/p{}",
-            self.net_name, layer, phase, self.batch, chunks, pool_len
+            self.net_name,
+            layer,
+            phase.as_str(),
+            self.batch,
+            chunks,
+            pool_len
         )
-    }
-
-    /// Shape-independent dispatch-site key (`net/layer/phase`) for the
-    /// symbolic-certificate cache: one disjointness proof covers every
-    /// batch size and chunk count the site is captured at.
-    fn site_key(&self, layer: &str, phase: Phase) -> String {
-        let phase = match phase {
-            Phase::Forward => "fwd",
-            Phase::Backward => "bwd",
-        };
-        format!("{}/{}/{}", self.net_name, layer, phase)
     }
 
     /// The capture-once / replay-many core of the self-dispatched modes:
@@ -503,8 +471,7 @@ impl ExecCtx {
     ) -> ExecReport {
         let key = self.plan_key(layer, phase, chunks, pool.len());
         if self.plan_reuse {
-            if let Some(plan) = self.plans.get(&key) {
-                let plan = Arc::clone(plan);
+            if let Some(plan) = self.cached_plan(&key) {
                 self.tel_plan_event("plan.cache_hits", "plan.replay", &key);
                 return self.replay_or_issue(&plan);
             }
@@ -517,7 +484,7 @@ impl ExecCtx {
                 streams: pool.len() as u32,
             }
         };
-        let plan = ExecPlan::capture_round_robin(&key, &groups, pool, mode);
+        let plan = Arc::new(ExecPlan::capture_round_robin(&key, &groups, pool, mode));
         if self.sanitizer.is_enabled() {
             // Wall time of capture-time verification (chunk check + plan
             // validation + lint), surfaced as a telemetry counter.
@@ -528,17 +495,17 @@ impl ExecCtx {
                 .telemetry()
                 .is_some()
                 .then(std::time::Instant::now);
-            let site = self.site_key(layer, phase);
-            let certified = match make_spec() {
-                Some(spec) => self
-                    .sanitizer
-                    .check_chunks_spec(&key, &site, &spec, &groups),
-                None => {
-                    self.sanitizer.check_chunks(layer, &groups);
-                    false
-                }
+            // Shape-independent: one disjointness proof covers every batch
+            // size and chunk count the site is captured at.
+            let site = format!("{}/{}/{}", self.net_name, layer, phase.as_str());
+            let spec = make_spec();
+            let source = CaptureSource::Chunks {
+                context: if spec.is_some() { &key } else { layer },
+                site: &site,
+                spec: spec.as_ref(),
+                groups: &groups,
             };
-            plan.validate_certified(&mut self.sanitizer, certified);
+            let certified = verify_capture(&mut self.sanitizer, Some(source), Some(&plan));
             if let (Some(t0), Some(rec)) = (t0, self.device.telemetry()) {
                 let mut r = rec.lock().unwrap_or_else(|p| p.into_inner());
                 r.counter_add("sanitize.verify_ns", t0.elapsed().as_nanos() as u64);
@@ -547,12 +514,8 @@ impl ExecCtx {
                 }
             }
         }
-        self.captures += 1;
-        self.tel_plan_event("plan.captures", "plan.capture", &key);
-        let plan = Arc::new(plan);
-        let report = self.replay_or_issue(&plan);
-        self.plans.insert(key, plan);
-        report
+        self.store_plan(key, Arc::clone(&plan));
+        self.replay_or_issue(&plan)
     }
 
     /// Mirror one self-dispatched plan-cache event (capture or replay
@@ -681,10 +644,14 @@ mod tests {
             .collect()
     }
 
+    fn split(ctx: &mut ExecCtx, layer: &str, phase: Phase, n: u64) -> ExecReport {
+        ctx.dispatch_split(layer, phase, n as usize, || None, || groups(n))
+    }
+
     #[test]
     fn naive_serializes_on_default_stream() {
         let mut ctx = ExecCtx::naive(DeviceProps::p100());
-        let r = ctx.dispatch_groups("conv1", Phase::Forward, groups(4));
+        let r = split(&mut ctx, "conv1", Phase::Forward, 4);
         assert_eq!(r.kernels, 4);
         // All trace entries on stream 0.
         assert!(ctx.device.trace().iter().all(|t| t.stream.is_default()));
@@ -693,40 +660,77 @@ mod tests {
     #[test]
     fn fixed_streams_spread_groups() {
         let mut ctx = ExecCtx::with_mode(DeviceProps::p100(), DispatchMode::FixedStreams(4));
-        ctx.dispatch_groups("conv1", Phase::Forward, groups(8));
+        split(&mut ctx, "conv1", Phase::Forward, 8);
         let used: std::collections::HashSet<u32> =
             ctx.device.trace().iter().map(|t| t.stream.raw()).collect();
         assert_eq!(used.len(), 4);
     }
 
     #[test]
+    fn whole_batch_dispatch_ignores_the_mode() {
+        let mut ctx = ExecCtx::with_mode(DeviceProps::p100(), DispatchMode::FixedStreams(4));
+        let r = ctx.dispatch_batch("relu1", Phase::Forward, groups(3).concat());
+        assert_eq!((r.kernels, r.mode), (3, ExecMode::Profiling));
+        assert!(ctx.device.trace().iter().all(|t| t.stream.is_default()));
+    }
+
+    #[test]
     fn fixed_streams_faster_than_naive() {
         let t_for = |mode| {
             let mut ctx = ExecCtx::with_mode(DeviceProps::p100(), mode);
-            ctx.dispatch_groups("conv1", Phase::Forward, groups(16))
-                .elapsed_ns
+            split(&mut ctx, "conv1", Phase::Forward, 16).elapsed_ns
         };
         let naive = t_for(DispatchMode::Naive);
         let conc = t_for(DispatchMode::FixedStreams(8));
         assert!(conc < naive, "concurrent {conc} vs naive {naive}");
     }
 
+    fn timeline(ctx: &ExecCtx) -> Vec<(u32, SimTime, SimTime)> {
+        let trace = ctx.device.trace().iter();
+        trace
+            .map(|t| (t.stream.raw(), t.start_ns, t.end_ns))
+            .collect()
+    }
+
     #[test]
     fn glp4nn_mode_profiles_then_accelerates() {
         let mut ctx = ExecCtx::glp4nn(DeviceProps::k40c());
         ctx.net_name = "testnet".to_string();
-        let r1 = ctx.dispatch_groups("conv1", Phase::Forward, groups(12));
+        let r1 = split(&mut ctx, "conv1", Phase::Forward, 12);
         assert_eq!(r1.mode, ExecMode::Profiling);
-        let r2 = ctx.dispatch_groups("conv1", Phase::Forward, groups(12));
+        let r2 = split(&mut ctx, "conv1", Phase::Forward, 12);
         assert!(matches!(r2.mode, ExecMode::Concurrent { .. }));
         assert!(r2.elapsed_ns < r1.elapsed_ns);
+
+        // Setting the mode without attaching a framework gets the same
+        // framework on first dispatch: same steps, same timeline.
+        let mut late = ExecCtx::with_mode(DeviceProps::k40c(), DispatchMode::Glp4nn);
+        late.net_name = "testnet".to_string();
+        assert_eq!(split(&mut late, "conv1", Phase::Forward, 12), r1);
+        assert_eq!(split(&mut late, "conv1", Phase::Forward, 12), r2);
+        assert_eq!(timeline(&late), timeline(&ctx));
+        assert_eq!(late.plan_captures(), ctx.plan_captures());
+    }
+
+    #[test]
+    fn framework_that_does_not_manage_the_gpu_falls_back_to_serial() {
+        let mut ctx = ExecCtx::with_mode(DeviceProps::p100(), DispatchMode::Glp4nn);
+        ctx.glp = Some(Glp4nn::new(1)); // nothing registered
+        let r = split(&mut ctx, "conv1", Phase::Forward, 4);
+        assert_eq!((r.kernels, r.mode), (4, ExecMode::Profiling));
+        assert!(ctx.device.trace().iter().all(|t| t.stream.is_default()));
+        assert_eq!(timeline(&ctx), {
+            let mut naive = ExecCtx::naive(DeviceProps::p100());
+            split(&mut naive, "conv1", Phase::Forward, 4);
+            timeline(&naive)
+        });
     }
 
     #[test]
     fn timings_are_recorded_and_takeable() {
         let mut ctx = ExecCtx::naive(DeviceProps::titan_xp());
-        ctx.dispatch_groups("conv1", Phase::Forward, groups(2));
-        ctx.dispatch_groups("conv1", Phase::Backward, groups(2));
+        split(&mut ctx, "conv1", Phase::Forward, 2);
+        split(&mut ctx, "conv1", Phase::Backward, 2);
         assert_eq!(ctx.timings.len(), 2);
         assert!(ctx.total_elapsed_ns() > 0);
         let t = ctx.take_timings();
@@ -734,12 +738,5 @@ mod tests {
         assert_eq!(t[0].phase, Phase::Forward);
         assert_eq!(t[1].phase, Phase::Backward);
         assert!(ctx.timings.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "requires an attached framework")]
-    fn glp4nn_mode_without_framework_panics() {
-        let mut ctx = ExecCtx::with_mode(DeviceProps::p100(), DispatchMode::Glp4nn);
-        ctx.dispatch_groups("conv1", Phase::Forward, groups(1));
     }
 }

@@ -65,7 +65,7 @@ impl Layer for ConcatLayer {
                 .map(|i| BufferId::from_label(&format!("{}/in{i}", self.name)))
                 .collect();
             let out_buf = BufferId::from_label(&format!("{}/out", self.name));
-            ctx.dispatch_groups_sym(
+            ctx.dispatch_split(
                 &self.name,
                 Phase::Forward,
                 n,
@@ -100,15 +100,15 @@ impl Layer for ConcatLayer {
                 .collect();
             let read_refs: Vec<(&str, usize)> =
                 reads.iter().map(|(s, n)| (s.as_str(), *n)).collect();
-            ctx.dispatch_single(
+            ctx.dispatch_batch(
                 &self.name,
                 Phase::Forward,
-                kernels::declare_io(
+                vec![kernels::declare_io(
                     kernels::elemwise_kernel("concat", total, 0.0),
                     &self.name,
                     &read_refs,
                     &[("out", total)],
-                ),
+                )],
             );
         }
         if !ctx.compute {
@@ -142,7 +142,7 @@ impl Layer for ConcatLayer {
                 .map(|i| BufferId::from_label(&format!("{}/din{i}", self.name)))
                 .collect();
             let dout_buf = BufferId::from_label(&format!("{}/dout", self.name));
-            ctx.dispatch_groups_sym(
+            ctx.dispatch_split(
                 &self.name,
                 Phase::Backward,
                 n,
@@ -176,15 +176,15 @@ impl Layer for ConcatLayer {
                 .collect();
             let write_refs: Vec<(&str, usize)> =
                 writes.iter().map(|(s, n)| (s.as_str(), *n)).collect();
-            ctx.dispatch_single(
+            ctx.dispatch_batch(
                 &self.name,
                 Phase::Backward,
-                kernels::declare_io(
+                vec![kernels::declare_io(
                     kernels::elemwise_kernel("concat_bwd", total, 0.0),
                     &self.name,
                     &[("dout", total)],
                     &write_refs,
-                ),
+                )],
             );
         }
         if !ctx.compute {

@@ -51,15 +51,15 @@ impl Layer for ContrastiveLossLayer {
     fn forward(&mut self, ctx: &mut ExecCtx, bottom: &[&Blob], top: &mut [Blob]) {
         let fc = bottom[0].count();
         let nb = bottom[0].num();
-        ctx.dispatch_single(
+        ctx.dispatch_batch(
             &self.name,
             Phase::Forward,
-            kernels::declare_io(
+            vec![kernels::declare_io(
                 kernels::elemwise_kernel("contrastive", fc, 3.0),
                 &self.name,
                 &[("feat_a", fc), ("feat_b", fc), ("sim", nb)],
                 &[("diff", fc), ("dist", nb), ("loss", 1)],
-            ),
+            )],
         );
         if !ctx.compute {
             return;
@@ -91,15 +91,15 @@ impl Layer for ContrastiveLossLayer {
     fn backward(&mut self, ctx: &mut ExecCtx, top: &[&Blob], bottom: &mut [Blob]) {
         let fc = bottom[0].count();
         let nb = bottom[0].num();
-        ctx.dispatch_single(
+        ctx.dispatch_batch(
             &self.name,
             Phase::Backward,
-            kernels::declare_io(
+            vec![kernels::declare_io(
                 kernels::elemwise_kernel("contrastive_bwd", fc, 2.0),
                 &self.name,
                 &[("diff", fc), ("dist", nb), ("sim", nb), ("dloss", 1)],
                 &[("dfeat_a", fc), ("dfeat_b", fc)],
-            ),
+            )],
         );
         if !ctx.compute {
             return;

@@ -5,7 +5,7 @@
 //! kernel chain `im2col → sgemm → gemmk` (forward) or
 //! `im2col → sgemm(dW) → sgemm(dX) → col2im` (backward). These per-sample
 //! chains are mutually independent — the *batch-level parallelism* the
-//! framework exploits — so they are handed to [`ExecCtx::dispatch_groups`]
+//! framework exploits — so they are handed to [`ExecCtx::dispatch_split`]
 //! as one group per sample.
 //!
 //! The CPU math is the same code in every dispatch mode, and its reduction
@@ -318,7 +318,7 @@ impl Layer for ConvLayer {
         // Simulated-GPU dispatch: one dependent chain per sample. Lazy:
         // once the site's execution plan is cached, the groups are never
         // rebuilt — the frozen plan replays directly.
-        ctx.dispatch_groups_sym(
+        ctx.dispatch_split(
             &self.name,
             Phase::Forward,
             n,
@@ -380,7 +380,7 @@ impl Layer for ConvLayer {
         let t = top[0];
         let n = t.num();
 
-        ctx.dispatch_groups_sym(
+        ctx.dispatch_split(
             &self.name,
             Phase::Backward,
             n,

@@ -54,15 +54,15 @@ impl Layer for DropoutLayer {
 
     fn forward(&mut self, ctx: &mut ExecCtx, bottom: &[&Blob], top: &mut [Blob]) {
         let n = bottom[0].count();
-        ctx.dispatch_single(
+        ctx.dispatch_batch(
             &self.name,
             Phase::Forward,
-            kernels::declare_io(
+            vec![kernels::declare_io(
                 kernels::elemwise_kernel("dropout", n, 2.0),
                 &self.name,
                 &[("in", n)],
                 &[("out", n), ("mask", n)],
-            ),
+            )],
         );
         if !ctx.compute {
             return;
@@ -96,15 +96,15 @@ impl Layer for DropoutLayer {
 
     fn backward(&mut self, ctx: &mut ExecCtx, top: &[&Blob], bottom: &mut [Blob]) {
         let n = top[0].count();
-        ctx.dispatch_single(
+        ctx.dispatch_batch(
             &self.name,
             Phase::Backward,
-            kernels::declare_io(
+            vec![kernels::declare_io(
                 kernels::elemwise_kernel("dropout_bwd", n, 1.0),
                 &self.name,
                 &[("dout", n), ("mask", n)],
                 &[("din", n)],
-            ),
+            )],
         );
         if !ctx.compute {
             return;

@@ -61,15 +61,15 @@ impl Layer for InnerProductLayer {
         let in_elems = n * self.input_dim;
         let out_elems = n * self.num_output;
         let w_elems = self.num_output * self.input_dim;
-        ctx.dispatch_single(
+        ctx.dispatch_batch(
             &self.name,
             Phase::Forward,
-            kernels::declare_io(
+            vec![kernels::declare_io(
                 kernels::fc_gemm_kernel(n, self.num_output, self.input_dim),
                 &self.name,
                 &[("in", in_elems), ("w", w_elems), ("bias", self.num_output)],
                 &[("out", out_elems)],
-            ),
+            )],
         );
         if !ctx.compute {
             return;

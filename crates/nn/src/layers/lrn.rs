@@ -106,15 +106,15 @@ impl Layer for LrnLayer {
     fn backward(&mut self, ctx: &mut ExecCtx, top: &[&Blob], bottom: &mut [Blob]) {
         let t = top[0];
         let n = t.count();
-        ctx.dispatch_single(
+        ctx.dispatch_batch(
             &self.name,
             Phase::Backward,
-            kernels::declare_io(
+            vec![kernels::declare_io(
                 kernels::elemwise_kernel("lrn_bwd", n, self.size as f64 * 2.0),
                 &self.name,
                 &[("in", n), ("out", n), ("scale", n), ("dout", n)],
                 &[("din", n)],
-            ),
+            )],
         );
         if !ctx.compute {
             return;

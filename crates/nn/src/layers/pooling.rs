@@ -87,7 +87,7 @@ impl Layer for PoolingLayer {
             // dispatch as convolutions. Each chunk declares its sample's
             // regions so the sanitizer can prove chunks disjoint.
             let kernel = self.kernel;
-            ctx.dispatch_groups_sym(
+            ctx.dispatch_split(
                 &self.name,
                 Phase::Forward,
                 n,
@@ -114,13 +114,13 @@ impl Layer for PoolingLayer {
                 },
             );
         } else {
-            ctx.dispatch_single(
+            ctx.dispatch_batch(
                 &self.name,
                 Phase::Forward,
-                kernels::pool_kernel("pool", n * c * oh * ow, self.kernel)
+                vec![kernels::pool_kernel("pool", n * c * oh * ow, self.kernel)
                     .reads(in_buf, full_range(n * c * ih * iw))
                     .writes(out_buf, full_range(n * c * oh * ow))
-                    .writes(idx_buf, full_range(n * c * oh * ow)),
+                    .writes(idx_buf, full_range(n * c * oh * ow))],
             );
         }
         if !ctx.compute {
@@ -177,10 +177,10 @@ impl Layer for PoolingLayer {
         let t = top[0];
         let out_elems = t.count();
         let in_elems = bottom[0].count();
-        ctx.dispatch_single(
+        ctx.dispatch_batch(
             &self.name,
             Phase::Backward,
-            kernels::pool_kernel("pool_bwd", out_elems, self.kernel)
+            vec![kernels::pool_kernel("pool_bwd", out_elems, self.kernel)
                 .reads(
                     BufferId::from_label(&format!("{}/dout", self.name)),
                     full_range(out_elems),
@@ -192,7 +192,7 @@ impl Layer for PoolingLayer {
                 .writes(
                     BufferId::from_label(&format!("{}/din", self.name)),
                     full_range(in_elems),
-                ),
+                )],
         );
         if !ctx.compute {
             return;

@@ -46,15 +46,15 @@ impl Layer for ReluLayer {
 
     fn forward(&mut self, ctx: &mut ExecCtx, bottom: &[&Blob], top: &mut [Blob]) {
         let n = bottom[0].count();
-        ctx.dispatch_single(
+        ctx.dispatch_batch(
             &self.name,
             Phase::Forward,
-            kernels::declare_io(
+            vec![kernels::declare_io(
                 kernels::elemwise_kernel("relu", n, 1.0),
                 &self.name,
                 &[("in", n)],
                 &[("out", n)],
-            ),
+            )],
         );
         if !ctx.compute {
             return;
@@ -65,15 +65,15 @@ impl Layer for ReluLayer {
 
     fn backward(&mut self, ctx: &mut ExecCtx, top: &[&Blob], bottom: &mut [Blob]) {
         let n = top[0].count();
-        ctx.dispatch_single(
+        ctx.dispatch_batch(
             &self.name,
             Phase::Backward,
-            kernels::declare_io(
+            vec![kernels::declare_io(
                 kernels::elemwise_kernel("relu_bwd", n, 1.0),
                 &self.name,
                 &[("in", n), ("dout", n)],
                 &[("din", n)],
-            ),
+            )],
         );
         if !ctx.compute {
             return;

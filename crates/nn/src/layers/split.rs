@@ -56,7 +56,7 @@ impl Layer for SplitLayer {
                 .map(|i| BufferId::from_label(&format!("{}/out{i}", self.name)))
                 .collect();
             let tops = top.len();
-            ctx.dispatch_groups_sym(
+            ctx.dispatch_split(
                 &self.name,
                 Phase::Forward,
                 samples,
@@ -87,15 +87,15 @@ impl Layer for SplitLayer {
                 (0..top.len()).map(|i| (format!("out{i}"), n)).collect();
             let write_refs: Vec<(&str, usize)> =
                 writes.iter().map(|(s, c)| (s.as_str(), *c)).collect();
-            ctx.dispatch_single(
+            ctx.dispatch_batch(
                 &self.name,
                 Phase::Forward,
-                kernels::declare_io(
+                vec![kernels::declare_io(
                     kernels::elemwise_kernel("split", n * top.len(), 0.0),
                     &self.name,
                     &[("in", n)],
                     &write_refs,
-                ),
+                )],
             );
         }
         if !ctx.compute {
@@ -118,7 +118,7 @@ impl Layer for SplitLayer {
                 .map(|i| BufferId::from_label(&format!("{}/dout{i}", self.name)))
                 .collect();
             let tops = top.len();
-            ctx.dispatch_groups_sym(
+            ctx.dispatch_split(
                 &self.name,
                 Phase::Backward,
                 samples,
@@ -150,15 +150,15 @@ impl Layer for SplitLayer {
                 (0..top.len()).map(|i| (format!("dout{i}"), n)).collect();
             let read_refs: Vec<(&str, usize)> =
                 reads.iter().map(|(s, c)| (s.as_str(), *c)).collect();
-            ctx.dispatch_single(
+            ctx.dispatch_batch(
                 &self.name,
                 Phase::Backward,
-                kernels::declare_io(
+                vec![kernels::declare_io(
                     kernels::elemwise_kernel("split_bwd", n * top.len(), 1.0),
                     &self.name,
                     &read_refs,
                     &[("din", n)],
-                ),
+                )],
             );
         }
         if !ctx.compute {

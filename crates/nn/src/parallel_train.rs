@@ -763,26 +763,28 @@ mod tests {
 
     #[test]
     fn glp4nn_replicas_accelerate_after_profiling() {
-        let spec = models::cifar10_quick(16, 3);
+        let spec = models::cifar10_quick(8, 3);
         let ds = SyntheticDataset::cifar_like(3);
-        let mut dp = DataParallelTrainer::new(
-            &spec,
-            &[DeviceProps::p100(), DeviceProps::p100()],
-            true,
-            cfg(),
-        );
-        fill(dp.replica_net(0), &ds, 0);
-        fill(dp.replica_net(1), &ds, 16);
-        let first = dp.step(); // profiling iteration on both replicas
-        fill(dp.replica_net(0), &ds, 32);
-        fill(dp.replica_net(1), &ds, 48);
-        let second = dp.step(); // steady state
+        let devices = [DeviceProps::p100(), DeviceProps::p100()];
+        let two_steps = |mut dp: DataParallelTrainer| {
+            fill(dp.replica_net(0), &ds, 0);
+            fill(dp.replica_net(1), &ds, 8);
+            let first = dp.step(); // profiling iteration on both replicas
+            fill(dp.replica_net(0), &ds, 16);
+            fill(dp.replica_net(1), &ds, 24);
+            let second = dp.step(); // steady state
+            (first.compute_ns, second.compute_ns)
+        };
+        let (first, second) = two_steps(DataParallelTrainer::new(&spec, &devices, true, cfg()));
         assert!(
-            second.compute_ns < first.compute_ns,
-            "GLP4NN steady state must be faster: {} vs {}",
-            second.compute_ns,
-            first.compute_ns
+            second < first,
+            "GLP4NN steady state must be faster: {second} vs {first}"
         );
+        // Switching a framework-less trainer to Glp4nn dispatch attaches
+        // the same per-replica framework on first use.
+        let late = DataParallelTrainer::new(&spec, &devices, false, cfg())
+            .with_dispatch(DispatchMode::Glp4nn);
+        assert_eq!(two_steps(late), (first, second));
     }
 
     /// Run K iterations in each mode and compare simulated wall time.

@@ -22,7 +22,7 @@
 //! byte-identical across runs.
 
 use crate::diag::{LintCode, LintDiag, Severity};
-use crate::plan::{hb_edges, PlanNodeRef};
+use crate::plan::{HappensBefore, PlanNodeRef};
 use gpu_sim::DeviceProps;
 use std::collections::BTreeMap;
 
@@ -166,67 +166,29 @@ impl Linter {
             }
         }
 
-        // Shared happens-before machinery: same edges as the plan checker.
-        let succ = hb_edges(nodes);
-        let mut indeg = vec![0usize; n];
-        for outs in &succ {
-            for &j in outs {
-                indeg[j] += 1;
+        // Same happens-before relation as the plan checker.
+        let hb = match HappensBefore::build(nodes) {
+            Ok(hb) => hb,
+            Err(stuck) => {
+                // PL003 (b): a wait cycle. Everything downstream needs an
+                // acyclic relation, so stop after reporting.
+                let named: Vec<String> = stuck.iter().take(4).map(|i| i.to_string()).collect();
+                self.push(LintDiag {
+                    code: LintCode::WaitCycle,
+                    plan: label.to_string(),
+                    node: None,
+                    message: format!(
+                        "{} of {n} kernels can never start: event waits form a cycle through nodes {}",
+                        stuck.len(),
+                        named.join(", ")
+                    ),
+                    notes: vec![],
+                });
+                return self.summarize(before);
             }
-        }
-        let mut queue: std::collections::VecDeque<usize> =
-            (0..n).filter(|&i| indeg[i] == 0).collect();
-        let mut order = Vec::with_capacity(n);
-        while let Some(i) = queue.pop_front() {
-            order.push(i);
-            for &j in &succ[i] {
-                indeg[j] -= 1;
-                if indeg[j] == 0 {
-                    queue.push_back(j);
-                }
-            }
-        }
-        if order.len() < n {
-            // PL003 (b): a wait cycle. Everything downstream needs an
-            // acyclic relation, so stop after reporting.
-            let stuck: Vec<String> = (0..n)
-                .filter(|&i| indeg[i] > 0)
-                .take(4)
-                .map(|i| i.to_string())
-                .collect();
-            self.push(LintDiag {
-                code: LintCode::WaitCycle,
-                plan: label.to_string(),
-                node: None,
-                message: format!(
-                    "{} of {n} kernels can never start: event waits form a cycle through nodes {}",
-                    n - order.len(),
-                    stuck.join(", ")
-                ),
-                notes: vec![],
-            });
-            return self.summarize(before);
-        }
-
-        // Transitive closure as bitsets, in reverse topological order.
-        let words = n.div_ceil(64);
-        let mut reach: Vec<Vec<u64>> = vec![vec![0u64; words]; n];
-        for &i in order.iter().rev() {
-            for &j in &succ[i] {
-                let (row_j, row_i) = if i < j {
-                    let (a, b) = reach.split_at_mut(j);
-                    (&b[0], &mut a[i])
-                } else {
-                    let (a, b) = reach.split_at_mut(i);
-                    (&a[j], &mut b[0])
-                };
-                for w in 0..words {
-                    row_i[w] |= row_j[w];
-                }
-                reach[i][j / 64] |= 1 << (j % 64);
-            }
-        }
-        let reaches = |a: usize, b: usize| reach[a][b / 64] >> (b % 64) & 1 == 1;
+        };
+        let succ = &hb.succ;
+        let reaches = hb.closure();
 
         // PL001: conflicting kernels with no HB ordering (the pair scan a
         // symbolic certificate makes unnecessary).

@@ -164,27 +164,85 @@ fn kernel_ref(nodes: &[PlanNodeRef<'_>], i: usize) -> KernelRef {
     }
 }
 
-/// Happens-before edges of the plan: `i → j` when `j` cannot start
-/// before `i` completes. Stream FIFO order contributes edges between
-/// issue-order neighbours on the same stream; declared deps contribute
-/// the rest (cross-stream ones become event waits at dispatch).
-pub(crate) fn hb_edges(nodes: &[PlanNodeRef<'_>]) -> Vec<Vec<usize>> {
-    let n = nodes.len();
-    let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut last_on_stream: std::collections::HashMap<usize, usize> =
-        std::collections::HashMap::new();
-    for (i, node) in nodes.iter().enumerate() {
-        if let Some(&p) = last_on_stream.get(&node.stream) {
-            succ[p].push(i);
-        }
-        last_on_stream.insert(node.stream, i);
-        for &d in node.deps {
-            if d < n && d != i {
-                succ[d].push(i);
+/// The happens-before relation of a plan, shared by the plan checker and
+/// the linter: edges, a topological order, and (on demand) the transitive
+/// closure.
+pub(crate) struct HappensBefore {
+    /// `succ[i]` holds every `j` that cannot start before `i` completes.
+    /// Stream FIFO order contributes edges between issue-order neighbours
+    /// on the same stream; declared deps contribute the rest (cross-stream
+    /// ones become event waits at dispatch).
+    pub(crate) succ: Vec<Vec<usize>>,
+    order: Vec<usize>,
+}
+
+impl HappensBefore {
+    /// Build the relation, or return the nodes that can never start
+    /// because event waits form a cycle (Kahn's algorithm: any node left
+    /// undrained sits on, or behind, a wait cycle).
+    pub(crate) fn build(nodes: &[PlanNodeRef<'_>]) -> Result<Self, Vec<usize>> {
+        let n = nodes.len();
+        let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut last_on_stream: std::collections::HashMap<usize, usize> =
+            std::collections::HashMap::new();
+        for (i, node) in nodes.iter().enumerate() {
+            if let Some(&p) = last_on_stream.get(&node.stream) {
+                succ[p].push(i);
+            }
+            last_on_stream.insert(node.stream, i);
+            for &d in node.deps {
+                if d < n && d != i {
+                    succ[d].push(i);
+                }
             }
         }
+        let mut indeg = vec![0usize; n];
+        for outs in &succ {
+            for &j in outs {
+                indeg[j] += 1;
+            }
+        }
+        let mut queue: std::collections::VecDeque<usize> =
+            (0..n).filter(|&i| indeg[i] == 0).collect();
+        let mut order = Vec::with_capacity(n);
+        while let Some(i) = queue.pop_front() {
+            order.push(i);
+            for &j in &succ[i] {
+                indeg[j] -= 1;
+                if indeg[j] == 0 {
+                    queue.push_back(j);
+                }
+            }
+        }
+        if order.len() < n {
+            return Err((0..n).filter(|&i| indeg[i] > 0).collect());
+        }
+        Ok(HappensBefore { succ, order })
     }
-    succ
+
+    /// Transitive closure as bitsets, filled in reverse topological order;
+    /// the returned predicate answers "does `a` happen before `b`".
+    pub(crate) fn closure(&self) -> impl Fn(usize, usize) -> bool {
+        let n = self.succ.len();
+        let words = n.div_ceil(64);
+        let mut reach: Vec<Vec<u64>> = vec![vec![0u64; words]; n];
+        for &i in self.order.iter().rev() {
+            for &j in &self.succ[i] {
+                let (row_j, row_i) = if i < j {
+                    let (a, b) = reach.split_at_mut(j);
+                    (&b[0], &mut a[i])
+                } else {
+                    let (a, b) = reach.split_at_mut(i);
+                    (&a[j], &mut b[0])
+                };
+                for w in 0..words {
+                    row_i[w] |= row_j[w];
+                }
+                reach[i][j / 64] |= 1 << (j % 64);
+            }
+        }
+        move |a, b| reach[a][b / 64] >> (b % 64) & 1 == 1
+    }
 }
 
 /// Check an issue-ordered schedule given as borrowed node views:
@@ -219,74 +277,35 @@ pub(crate) fn check_nodes(
         }
     }
 
-    let succ = hb_edges(nodes);
-    // Cycle detection via Kahn's algorithm on the HB edge graph: any
-    // node left undrained sits on (or behind) a wait cycle.
-    let mut indeg = vec![0usize; n];
-    for outs in &succ {
-        for &j in outs {
-            indeg[j] += 1;
+    let hb = match HappensBefore::build(nodes) {
+        Ok(hb) => hb,
+        Err(stuck) => {
+            let named: Vec<String> = stuck
+                .iter()
+                .take(4)
+                .map(|&i| kernel_ref(nodes, i).to_string())
+                .collect();
+            out.push(Diagnostic {
+                kind: DiagnosticKind::EventWaitCycle,
+                context: label.to_string(),
+                first: None,
+                second: None,
+                site: None,
+                detail: format!(
+                    "{} of {} kernels can never start: event waits form a cycle through {}",
+                    stuck.len(),
+                    n,
+                    named.join(", ")
+                ),
+            });
+            // Conflict analysis below needs an acyclic HB relation.
+            return 0;
         }
-    }
-    let mut queue: std::collections::VecDeque<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-    let mut drained = 0usize;
-    let mut order = Vec::with_capacity(n);
-    while let Some(i) = queue.pop_front() {
-        drained += 1;
-        order.push(i);
-        for &j in &succ[i] {
-            indeg[j] -= 1;
-            if indeg[j] == 0 {
-                queue.push_back(j);
-            }
-        }
-    }
-    if drained < n {
-        let stuck: Vec<usize> = (0..n).filter(|&i| indeg[i] > 0).collect();
-        let named: Vec<String> = stuck
-            .iter()
-            .take(4)
-            .map(|&i| kernel_ref(nodes, i).to_string())
-            .collect();
-        out.push(Diagnostic {
-            kind: DiagnosticKind::EventWaitCycle,
-            context: label.to_string(),
-            first: None,
-            second: None,
-            site: None,
-            detail: format!(
-                "{} of {} kernels can never start: event waits form a cycle through {}",
-                stuck.len(),
-                n,
-                named.join(", ")
-            ),
-        });
-        // Conflict analysis below needs an acyclic HB relation.
-        return 0;
-    }
+    };
     if !scan_pairs {
         return 0;
     }
-
-    // Transitive HB closure over the topological order, as bitsets.
-    let words = n.div_ceil(64);
-    let mut reach: Vec<Vec<u64>> = vec![vec![0u64; words]; n];
-    for &i in order.iter().rev() {
-        for &j in &succ[i] {
-            let (row_j, row_i) = if i < j {
-                let (a, b) = reach.split_at_mut(j);
-                (&b[0], &mut a[i])
-            } else {
-                let (a, b) = reach.split_at_mut(i);
-                (&a[j], &mut b[0])
-            };
-            for w in 0..words {
-                row_i[w] |= row_j[w];
-            }
-            reach[i][j / 64] |= 1 << (j % 64);
-        }
-    }
-    let ordered = |a: usize, b: usize| reach[a][b / 64] >> (b % 64) & 1 == 1;
+    let ordered = hb.closure();
 
     let mut pairs = 0u64;
     for i in 0..n {

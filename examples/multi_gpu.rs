@@ -7,7 +7,7 @@
 //! cargo run --release --example multi_gpu
 //! ```
 
-use glp4nn::{ExecMode, Glp4nn, LayerKey};
+use glp4nn::{ExecMode, Glp4nn, Glp4nnError, LayerKey, Schedule};
 use gpu_sim::{Device, DeviceProps, Dim3, KernelCost, KernelDesc, LaunchConfig};
 
 /// A CaffeNet-conv3-shaped per-sample kernel chain.
@@ -32,7 +32,7 @@ fn groups(samples: u64) -> Vec<Vec<KernelDesc>> {
         .collect()
 }
 
-fn main() {
+fn main() -> Result<(), Glp4nnError> {
     let props = [
         DeviceProps::k40c(),
         DeviceProps::p100(),
@@ -54,9 +54,9 @@ fn main() {
         "GPU", "profile(ms)", "steady(ms)", "speedup", "plan (streams)"
     );
     for (i, dev) in devices.iter_mut().enumerate() {
-        let r1 = glp.execute(dev, i, &key, groups(32));
+        let r1 = glp.execute(dev, i, &key, Schedule::groups(groups(32)), None)?;
         assert_eq!(r1.mode, ExecMode::Profiling);
-        let r2 = glp.execute(dev, i, &key, groups(32));
+        let r2 = glp.execute(dev, i, &key, Schedule::groups(groups(32)), None)?;
         let streams = match r2.mode {
             ExecMode::Concurrent { streams } => streams,
             _ => unreachable!("plan must exist after profiling"),
@@ -82,4 +82,5 @@ fn main() {
             c.mem_total_bytes() as f64 / 1024.0
         );
     }
+    Ok(())
 }

@@ -16,8 +16,10 @@
 # emits a fleet Chrome trace), and the telemetry trace smoke (emits
 # Chrome traces for 4 nets x 3 modes plus a multi-GPU overlap run, then
 # round-trips every emitted file — fleet trace included — through the
-# standalone validate-trace binary), and the bench-json emitter (refreshes
-# BENCH_fleet.json; asserts the engine-level throughput rows are present).
+# standalone validate-trace binary). The four wall-clock-free smokes that
+# cross the dispatch path (replay, interop, lint, sanitize) are diffed
+# against tests/golden/smoke/, and the standalone benchmark crate is built
+# and tested so a library change that breaks the API it pins fails here.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -26,20 +28,19 @@ cargo clippy --workspace --all-targets -- -D warnings
 cargo build --workspace --release
 cargo test --workspace -q
 cargo run -p glp4nn-bench --release --bin reproduce -- serving --smoke
-cargo run -p glp4nn-bench --release --bin reproduce -- sanitize --smoke
-cargo run -p glp4nn-bench --release --bin reproduce -- lint --smoke
-cargo run -p glp4nn-bench --release --bin reproduce -- interop --smoke
-cargo run -p glp4nn-bench --release --bin reproduce -- replay --smoke
+for smoke in sanitize lint interop replay; do
+    cargo run -p glp4nn-bench --release --bin reproduce -- "$smoke" --smoke |
+        diff "tests/golden/smoke/$smoke.txt" -
+done
 cargo run -p glp4nn-bench --release --bin reproduce -- multi-gpu --smoke
 cargo run -p glp4nn-bench --release --bin reproduce -- fleet --smoke
 cargo run -p glp4nn-bench --release --bin reproduce -- trace --smoke
 cargo run -p telemetry --release --bin validate-trace -- target/telemetry/*.trace.json
 
-# Simulator throughput rows (the only wall-clock output): the refreshed
-# BENCH_fleet.json must carry the engine-level rows so CI history can
-# track event-loop throughput regressions.
-cargo run -p glp4nn-bench --release --bin reproduce -- bench-json
-grep -q '"name": "engine-events-1m"' BENCH_fleet.json
-grep -q '"name": "multi-gpu-smoke"' BENCH_fleet.json
+# The benchmark crate is a workspace of its own; build it where
+# benchmark/run.sh does, inside the ignored target/.
+export CARGO_TARGET_DIR="$PWD/target/benchmark"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+(cd benchmark && cargo test --offline)
 
 echo "ci: all checks passed"

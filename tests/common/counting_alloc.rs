@@ -9,32 +9,40 @@
 //! ```
 //!
 //! — then bracket the code under measurement with [`start`]/[`stop`].
-//! Counting is off by default, so test-harness setup does not pollute
-//! the counter; binaries using it should still keep the measured tests
-//! in their own test binary for isolation.
+//! Counting is per thread and off by default: a test sees only the
+//! allocations its own thread makes between its own `start` and `stop`,
+//! so the harness's parallel test threads (and its set-up) cannot land in
+//! another test's measured window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// A `#[global_allocator]` that counts `alloc`/`realloc` calls while
+/// A `#[global_allocator]` that counts `alloc`/`realloc` calls on threads
 /// armed via [`start`], delegating all actual work to [`System`].
 pub struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static COUNTING: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    // `const` initialisers and `Cell<Copy>` payloads: no lazy
+    // initialisation and no destructor, so touching these from inside the
+    // allocator never allocates or re-enters it.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    if COUNTING.get() {
+        ALLOCS.set(ALLOCS.get() + 1);
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count();
         System.alloc(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -43,15 +51,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 }
 
-/// Zero the counter and start counting allocations.
+/// Zero this thread's counter and start counting its allocations.
 pub fn start() {
-    ALLOCS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
+    ALLOCS.set(0);
+    COUNTING.set(true);
 }
 
-/// Stop counting and return the number of `alloc`/`realloc` calls since
-/// [`start`].
+/// Stop counting and return the number of `alloc`/`realloc` calls this
+/// thread made since [`start`].
 pub fn stop() -> u64 {
-    COUNTING.store(false, Ordering::SeqCst);
-    ALLOCS.load(Ordering::SeqCst)
+    COUNTING.set(false);
+    ALLOCS.get()
 }

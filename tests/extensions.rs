@@ -2,7 +2,7 @@
 //! in this reproduction: kernel fusion/reordering, dataflow dependency
 //! graphs, and data-parallel multi-GPU training.
 
-use glp4nn::{ExecMode, Glp4nn, KernelGraph, LayerKey, OptimConfig};
+use glp4nn::{ExecMode, Glp4nn, KernelGraph, LayerKey, OptimConfig, Schedule};
 use gpu_sim::{Device, DeviceProps, Dim3, KernelCost, KernelDesc, LaunchConfig};
 use nn::data::SyntheticDataset;
 use nn::models;
@@ -38,9 +38,13 @@ fn fusion_reduces_launches_and_time_for_small_kernels() {
         let mut glp = Glp4nn::with_optim(1, optim);
         glp.register_device(0, dev.props());
         let key = LayerKey::forward("net", "tiny");
-        glp.execute(&mut dev, 0, &key, small_groups(16)); // profile
+        let mut run = |dev: &mut Device| {
+            glp.execute(dev, 0, &key, Schedule::groups(small_groups(16)), None)
+                .unwrap()
+        };
+        run(&mut dev); // profile
         let before = dev.trace().len();
-        let r = glp.execute(&mut dev, 0, &key, small_groups(16));
+        let r = run(&mut dev);
         (r.elapsed_ns, dev.trace().len() - before)
     };
     let (base_ns, base_launches) = run(OptimConfig::default());
@@ -139,9 +143,13 @@ fn graph_execution_profiles_then_accelerates() {
         g
     };
 
-    let r1 = glp.execute_graph(&mut dev, 0, &key, &build());
+    let mut run = |dev: &mut Device| {
+        glp.execute(dev, 0, &key, Schedule::graph(&build()), None)
+            .unwrap()
+    };
+    let r1 = run(&mut dev);
     assert_eq!(r1.mode, ExecMode::Profiling);
-    let r2 = glp.execute_graph(&mut dev, 0, &key, &build());
+    let r2 = run(&mut dev);
     assert!(matches!(r2.mode, ExecMode::Concurrent { .. }));
     assert!(
         r2.elapsed_ns < r1.elapsed_ns,

@@ -3,7 +3,7 @@
 //! analyzer and runtime scheduler, and all GPUs in the same machine share
 //! a public resource tracker and stream manager" (paper §3.1).
 
-use glp4nn::{Glp4nn, LayerKey};
+use glp4nn::{ExecReport, Glp4nn, LayerKey, Schedule};
 use gpu_sim::{Device, DeviceProps, Dim3, KernelCost, KernelDesc, LaunchConfig};
 
 fn groups(n: u64, flops: f64) -> Vec<Vec<KernelDesc>> {
@@ -27,6 +27,18 @@ fn groups(n: u64, flops: f64) -> Vec<Vec<KernelDesc>> {
         .collect()
 }
 
+fn run(
+    glp: &mut Glp4nn,
+    dev: &mut Device,
+    gpu: usize,
+    key: &LayerKey,
+    n: u64,
+    f: f64,
+) -> ExecReport {
+    glp.execute(dev, gpu, key, Schedule::groups(groups(n, f)), None)
+        .expect("registered gpu")
+}
+
 #[test]
 fn two_gpus_profile_and_accelerate_independently() {
     let mut glp = Glp4nn::new(2);
@@ -37,14 +49,14 @@ fn two_gpus_profile_and_accelerate_independently() {
     let key = LayerKey::forward("net", "conv2");
 
     // Profile both.
-    glp.execute(&mut k40, 0, &key, groups(16, 4.0e6));
-    glp.execute(&mut p100, 1, &key, groups(16, 4.0e6));
+    run(&mut glp, &mut k40, 0, &key, 16, 4.0e6);
+    run(&mut glp, &mut p100, 1, &key, 16, 4.0e6);
     let plan_k40 = glp.plan_for(0, &key).expect("k40 plan");
     let plan_p100 = glp.plan_for(1, &key).expect("p100 plan");
 
     // Steady state beats naive serial time on both devices.
-    let r_k40 = glp.execute(&mut k40, 0, &key, groups(16, 4.0e6));
-    let r_p100 = glp.execute(&mut p100, 1, &key, groups(16, 4.0e6));
+    let r_k40 = run(&mut glp, &mut k40, 0, &key, 16, 4.0e6);
+    let r_p100 = run(&mut glp, &mut p100, 1, &key, 16, 4.0e6);
     assert!(matches!(r_k40.mode, glp4nn::ExecMode::Concurrent { .. }));
     assert!(matches!(r_p100.mode, glp4nn::ExecMode::Concurrent { .. }));
 
@@ -68,12 +80,21 @@ fn shared_tracker_keeps_per_gpu_overheads_separate() {
     glp.register_device(0, d0.props());
     glp.register_device(1, d1.props());
 
-    glp.execute(&mut d0, 0, &LayerKey::forward("net", "a"), groups(4, 1.0e6));
-    glp.execute(
+    run(
+        &mut glp,
+        &mut d0,
+        0,
+        &LayerKey::forward("net", "a"),
+        4,
+        1.0e6,
+    );
+    run(
+        &mut glp,
         &mut d1,
         1,
         &LayerKey::forward("net", "b"),
-        groups(10, 1.0e6),
+        10,
+        1.0e6,
     );
 
     let c0 = glp.cost_report(0);
@@ -94,8 +115,8 @@ fn per_gpu_plans_differ_across_device_generations() {
     glp.register_device(0, k40.props());
     glp.register_device(1, p100.props());
     let key = LayerKey::forward("net", "conv1");
-    glp.execute(&mut k40, 0, &key, groups(8, 2.0e7));
-    glp.execute(&mut p100, 1, &key, groups(8, 2.0e7));
+    run(&mut glp, &mut k40, 0, &key, 8, 2.0e7);
+    run(&mut glp, &mut p100, 1, &key, 8, 2.0e7);
     let pk = glp.plan_for(0, &key).unwrap();
     let pp = glp.plan_for(1, &key).unwrap();
     assert!(pk.streams <= DeviceProps::k40c().concurrency_degree());

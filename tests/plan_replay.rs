@@ -13,7 +13,7 @@
 //! capture-count probes).
 
 use glp4nn::analyzer::KernelAnalyzer;
-use glp4nn::scheduler::RuntimeScheduler;
+use glp4nn::scheduler::{RuntimeScheduler, Schedule};
 use glp4nn::streams::StreamManager;
 use glp4nn::tracker::ResourceTracker;
 use glp4nn::{LayerKey, OptimConfig, Phase};
@@ -108,7 +108,13 @@ proptest! {
                 ctx.net_name = "propnet".to_string();
                 ctx.batch = groups.len();
                 for _ in 0..3 {
-                    ctx.dispatch_groups("layer", Phase::Forward, groups.clone());
+                    ctx.dispatch_split(
+                        "layer",
+                        Phase::Forward,
+                        groups.len(),
+                        || None,
+                        || groups.clone(),
+                    );
                 }
             }
             prop_assert_eq!(
@@ -179,6 +185,10 @@ fn small_groups(n: u64) -> Vec<Vec<KernelDesc>> {
         .collect()
 }
 
+fn split(ctx: &mut ExecCtx, phase: Phase, n: u64) {
+    ctx.dispatch_split("conv1", phase, n as usize, || None, || small_groups(n));
+}
+
 /// The ExecCtx-level cache key: same (layer, phase, batch, chunks, mode)
 /// replays; changing batch size, chunk count, or dispatch mode misses and
 /// re-captures.
@@ -188,21 +198,21 @@ fn ctx_plan_cache_keys_on_batch_chunks_and_mode() {
         ExecCtx::with_mode(DeviceProps::p100(), DispatchMode::FixedStreams(4)).timing_only();
     ctx.net_name = "net".to_string();
     ctx.batch = 8;
-    ctx.dispatch_groups("conv1", Phase::Forward, small_groups(8));
+    split(&mut ctx, Phase::Forward, 8);
     assert_eq!(ctx.plan_captures(), 1, "first sight captures");
-    ctx.dispatch_groups("conv1", Phase::Forward, small_groups(8));
+    split(&mut ctx, Phase::Forward, 8);
     assert_eq!(ctx.plan_captures(), 1, "same key must hit");
     ctx.batch = 16;
-    ctx.dispatch_groups("conv1", Phase::Forward, small_groups(8));
+    split(&mut ctx, Phase::Forward, 8);
     assert_eq!(ctx.plan_captures(), 2, "batch-size change must miss");
-    ctx.dispatch_groups("conv1", Phase::Forward, small_groups(4));
+    split(&mut ctx, Phase::Forward, 4);
     assert_eq!(ctx.plan_captures(), 3, "chunk-count change must miss");
     ctx.mode = DispatchMode::Naive;
-    ctx.dispatch_groups("conv1", Phase::Forward, small_groups(4));
+    split(&mut ctx, Phase::Forward, 4);
     assert_eq!(ctx.plan_captures(), 4, "dispatch-mode change must miss");
-    ctx.dispatch_groups("conv1", Phase::Backward, small_groups(4));
+    split(&mut ctx, Phase::Backward, 4);
     assert_eq!(ctx.plan_captures(), 5, "phase change must miss");
-    ctx.dispatch_groups("conv1", Phase::Backward, small_groups(4));
+    split(&mut ctx, Phase::Backward, 4);
     assert_eq!(ctx.plan_captures(), 5, "warm key must keep hitting");
 }
 
@@ -221,19 +231,22 @@ fn scheduler_plan_cache_keys_on_optim_and_device() {
     let mut plain = RuntimeScheduler::with_optim(0, OptimConfig::default());
     let mut tuned = RuntimeScheduler::with_optim(0, OptimConfig::all());
 
+    let groups8 = || Schedule::groups(small_groups(8));
+    let captures_solves = |an: &KernelAnalyzer| (an.exec_plans.captures(), an.solves());
+
     let exec = |s: &mut RuntimeScheduler, dev: &mut Device, an: &mut KernelAnalyzer| {
-        s.execute(dev, &tracker, an, &streams, &key, small_groups(8), None)
+        s.execute(dev, &tracker, an, &streams, &key, groups8(), None)
             .unwrap()
     };
 
     exec(&mut plain, &mut dev, &mut analyzer); // profiling, no capture
-    assert_eq!((analyzer.captures(), analyzer.solves()), (0, 1));
+    assert_eq!(captures_solves(&analyzer), (0, 1));
     exec(&mut plain, &mut dev, &mut analyzer); // capture + replay
-    assert_eq!((analyzer.captures(), analyzer.solves()), (1, 1));
+    assert_eq!(captures_solves(&analyzer), (1, 1));
     exec(&mut plain, &mut dev, &mut analyzer); // pure replay
     exec(&mut plain, &mut dev, &mut analyzer);
     assert_eq!(
-        (analyzer.captures(), analyzer.solves()),
+        captures_solves(&analyzer),
         (1, 1),
         "steady state must not re-capture or re-solve"
     );
@@ -242,7 +255,7 @@ fn scheduler_plan_cache_keys_on_optim_and_device() {
     // shared but the execution plan must be re-captured.
     exec(&mut tuned, &mut dev, &mut analyzer);
     assert_eq!(
-        (analyzer.captures(), analyzer.solves()),
+        captures_solves(&analyzer),
         (2, 1),
         "OptimConfig change must miss the exec-plan cache"
     );
@@ -253,18 +266,18 @@ fn scheduler_plan_cache_keys_on_optim_and_device() {
     let mut analyzer2 = KernelAnalyzer::new(DeviceProps::titan_xp());
     let streams2 = StreamManager::new(1);
     let exec2 = |s: &mut RuntimeScheduler, dev: &mut Device, an: &mut KernelAnalyzer| {
-        s.execute(dev, &tracker, an, &streams2, &key, small_groups(8), None)
+        s.execute(dev, &tracker, an, &streams2, &key, groups8(), None)
             .unwrap()
     };
     exec2(&mut plain, &mut dev2, &mut analyzer2);
     exec2(&mut plain, &mut dev2, &mut analyzer2);
     assert_eq!(
-        (analyzer2.captures(), analyzer2.solves()),
+        captures_solves(&analyzer2),
         (1, 1),
         "new device must profile and capture afresh"
     );
     assert_eq!(
-        (analyzer.captures(), analyzer.solves()),
+        captures_solves(&analyzer),
         (2, 1),
         "first device's cache is untouched"
     );

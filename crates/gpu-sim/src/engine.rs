@@ -12,14 +12,32 @@
 //!    A kernel becomes *ready* when it reaches the front of its stream and
 //!    its launch has been issued; ready kernels become *active* as hardware
 //!    concurrency slots (at most `C` of them, Table 1) free up.
-//! 3. Active kernels issue thread blocks onto SMs in round-robin bursts:
-//!    every placement takes as many blocks as currently fit under the SM's
-//!    thread/block/shared-memory/register limits. Burst duration follows
-//!    the kernel's roofline cost stretched by the DRAM contention factor at
-//!    placement time.
+//! 3. Active kernels, in activation order, spread thread blocks over the
+//!    SMs one block per SM per rotation — like the hardware block
+//!    scheduler — until the grid is exhausted or no SM has room under its
+//!    thread/block/shared-memory/register limits. The blocks one such
+//!    placement puts on one SM form a *burst* that retires together; its
+//!    duration follows the kernel's roofline cost, scaled by the SM's
+//!    residency and stretched by the DRAM contention factor at placement
+//!    time.
 //! 4. When a kernel's last block retires the kernel completes, its stream
 //!    advances (possibly completing events and unblocking waiters), and a
 //!    pending kernel takes its concurrency slot.
+//!
+//! # The saturation invariant
+//!
+//! Every event ends with a dispatch, and **after a dispatch returns, no
+//! active kernel with unplaced blocks fits on any SM**. Placement only
+//! ever adds residency and [`SmState::fits`] is monotone in it, so one pass
+//! over the active kernels establishes this: whatever a later kernel
+//! places cannot make room for an earlier one. The invariant is what makes
+//! dispatch incremental. Between two dispatches the only residency that
+//! shrinks is the one SM whose burst the handled event retired — a
+//! `BurstDone` frees exactly one SM, every other event frees none — so a
+//! kernel that has already been offered the whole device is offered only
+//! that SM. A kernel is offered every SM exactly once, in the dispatch
+//! that follows its activation. Debug builds re-check every SM a kernel is
+//! not offered.
 //!
 //! The simulation is fully deterministic.
 
@@ -65,8 +83,10 @@ struct KernelRuntime {
     end: Option<SimTime>,
     state: KState,
     footprint: BlockFootprint,
-    nominal_block_ns: SimTime,
     bw_demand: f64,
+    /// Set by the first dispatch after activation, which offers the kernel
+    /// every SM; later dispatches offer it only the SM an event freed.
+    offered_all_sms: bool,
 }
 
 /// Queued event payloads. Ordering lives entirely in
@@ -136,8 +156,8 @@ pub struct Device {
     pending_trace: usize,
     trace: Vec<KernelTrace>,
     cmd_log: Vec<CmdRecord>,
-    /// Reusable per-SM block-placement scratch (avoids a heap allocation
-    /// per dispatch pass).
+    /// Reusable block-placement scratch, one count per offered SM (avoids
+    /// a heap allocation per placement).
     scratch_per_sm: Vec<u64>,
     /// Source-side state of copies enqueued on this device.
     copy_src: HashMap<u64, CopySrcState>,
@@ -342,7 +362,6 @@ impl Device {
         // which we pin to the device clock at enqueue).
         self.host_clock = self.host_clock.max(self.clock) + self.props.launch_overhead_ns;
         let id = KernelId(self.kernels.len() as u64);
-        let nominal = desc.cost.nominal_block_time_ns(&self.props, tpb);
         let demand = desc.cost.bandwidth_demand(&self.props, tpb);
         // Launch-time reservation: the completion this launch owes the
         // trace (and the episode's trailing sync marker in the command
@@ -360,8 +379,8 @@ impl Device {
             stream,
             launch_issued: self.host_clock,
             footprint,
-            nominal_block_ns: nominal,
             bw_demand: demand,
+            offered_all_sms: false,
             desc,
         });
         if let Some(hook) = self.launch_hook.as_mut() {
@@ -462,7 +481,7 @@ impl Device {
 
         debug_assert!(
             self.streams.iter().all(|s| s.is_idle() || s.copy_parked()),
-            "heap drained with non-idle streams (unsatisfiable event wait?)"
+            "event queue drained with non-idle streams (unsatisfiable event wait?)"
         );
         if self.streams.iter().all(|s| s.is_idle()) {
             self.push_sync_marker();
@@ -484,15 +503,15 @@ impl Device {
     // ----- fabric stepping API (crate-internal) ----------------------
 
     /// Kick all streams and the block dispatcher at the current time
-    /// without consuming any heap event ([`run`](Device::run)'s preamble).
+    /// without consuming any queued event ([`run`](Device::run)'s preamble).
     pub(crate) fn kick(&mut self) {
         for s in 0..self.streams.len() {
             self.advance_stream(StreamId(s as u32));
         }
-        self.dispatch(self.clock);
+        self.dispatch(None);
     }
 
-    /// Time of the next pending heap event, if any.
+    /// Time of the next pending queued event, if any.
     pub(crate) fn next_event_time(&self) -> Option<SimTime> {
         self.queue.peek_key().map(|k| k.time)
     }
@@ -506,13 +525,18 @@ impl Device {
         debug_assert!(key.time >= self.clock, "time went backwards");
         self.clock = key.time;
         self.events_processed += 1;
+        // The one SM whose residency the event shrank, if any.
+        let mut freed = None;
         match kind {
             EvKind::BurstDone {
                 kernel,
                 sm,
                 count,
                 demand_milli,
-            } => self.on_burst_done(kernel, sm, count, demand_milli),
+            } => {
+                self.on_burst_done(kernel, sm, count, demand_milli);
+                freed = Some(sm);
+            }
             EvKind::HostReady(k) => self.on_host_ready(k),
             EvKind::CopyHostReady(c) => {
                 if let Some(st) = self.copy_src.get(&c.0) {
@@ -523,7 +547,7 @@ impl Device {
             EvKind::CopyDone(c) => self.on_copy_done(c),
             EvKind::CopyArrived(c) => self.on_copy_arrived(c),
         }
-        self.dispatch(self.clock);
+        self.dispatch(freed);
         true
     }
 
@@ -838,9 +862,8 @@ impl Device {
 
     fn on_burst_done(&mut self, id: KernelId, sm: usize, count: u64, demand_milli: u64) {
         let fp = self.kernels[id.0 as usize].footprint;
-        for _ in 0..count {
-            self.sms[sm].update(&self.props, self.clock, &fp, false);
-        }
+        let blocks = u32::try_from(count).expect("a burst holds at most max_blocks_per_sm blocks");
+        self.sms[sm].release(&self.props, self.clock, &fp, blocks);
         self.bw.retire(demand_milli as f64 / 1000.0);
         let k = &mut self.kernels[id.0 as usize];
         k.blocks_done += count;
@@ -876,112 +899,116 @@ impl Device {
         }
     }
 
-    /// Place as many blocks of active kernels as fit, round-robin across
-    /// kernels, bursting per SM.
-    fn dispatch(&mut self, now: SimTime) {
-        loop {
-            let mut placed_any = false;
-            // Round-robin one SM-burst per kernel per pass. Index loop:
-            // `active` is not mutated inside a dispatch pass, and indexing
-            // avoids cloning the active set every pass.
-            for ai in 0..self.active.len() {
-                let id = self.active[ai];
-                let (remaining, fp, nominal, demand, sid) = {
-                    let k = &self.kernels[id.0 as usize];
-                    if k.state != KState::Active {
-                        continue;
-                    }
-                    (
-                        k.blocks_total - k.blocks_issued,
-                        k.footprint,
-                        k.nominal_block_ns,
-                        k.bw_demand,
-                        k.stream,
-                    )
-                };
-                if remaining == 0 {
-                    continue;
-                }
-                let _ = nominal;
-                // Wave placement: spread blocks one-per-SM in rotation,
-                // like the hardware block scheduler, until the grid is
-                // exhausted or no SM has room.
-                let num_sms = self.sms.len();
-                let mut per_sm = std::mem::take(&mut self.scratch_per_sm);
-                per_sm.clear();
-                per_sm.resize(num_sms, 0);
-                let mut placed_total = 0u64;
-                let mut progress = true;
-                while placed_total < remaining && progress {
-                    progress = false;
-                    for (smi, placed) in per_sm.iter_mut().enumerate().take(num_sms) {
-                        if placed_total >= remaining {
-                            break;
-                        }
-                        if self.sms[smi].fits(&self.props, &fp) {
-                            self.sms[smi].update(&self.props, now, &fp, true);
-                            *placed += 1;
-                            placed_total += 1;
-                            progress = true;
-                        }
-                    }
-                }
-                if placed_total == 0 {
-                    self.scratch_per_sm = per_sm;
-                    continue;
-                }
-                let factor = self.bw.place(demand * placed_total as f64);
-                // Residency-aware burst duration: SM issue throughput
-                // scales with resident warps up to `warps_for_peak`
-                // (latency hiding), then is shared warp-proportionally.
-                let cost = self.kernels[id.0 as usize].desc.cost;
-                let w_block = fp.threads.div_ceil(self.props.warp_size).max(1);
-                let bw_share = self.props.mem_bw_gbps * 1e9 / self.props.num_sms as f64;
-                for (smi, &n) in per_sm.iter().enumerate() {
-                    if n == 0 {
-                        continue;
-                    }
-                    let w_total = self.sms[smi]
-                        .threads_used
-                        .div_ceil(self.props.warp_size)
-                        .max(w_block);
-                    let rate_c = self.props.sm_peak_flops() * w_block as f64
-                        / w_total.max(self.props.warps_for_peak) as f64;
-                    let t_c = if cost.flops_per_block > 0.0 {
-                        cost.flops_per_block / rate_c
-                    } else {
-                        0.0
-                    };
-                    let t_m = if cost.dram_bytes_per_block > 0.0 {
-                        cost.dram_bytes_per_block / bw_share * factor
-                    } else {
-                        0.0
-                    };
-                    // The shared rate above already splits the SM among all
-                    // resident warps, so the n co-resident blocks of this
-                    // burst progress in parallel and retire together.
-                    let dur = (t_c.max(t_m) * 1e9 + 1000.0).ceil() as SimTime;
-                    self.push_ev(
-                        now + dur.max(1),
-                        sid,
-                        EvKind::BurstDone {
-                            kernel: id,
-                            sm: smi,
-                            count: n,
-                            demand_milli: (demand * n as f64 * 1000.0).round() as u64,
-                        },
-                    );
-                }
-                self.scratch_per_sm = per_sm;
-                let k = &mut self.kernels[id.0 as usize];
-                k.blocks_issued += placed_total;
-                if k.start.is_none() {
-                    k.start = Some(now);
-                }
-                placed_any = true;
+    /// Restore the saturation invariant (module docs): offer each active
+    /// kernel that still has unplaced blocks the SMs it may newly fit on —
+    /// all of them on its first dispatch since activation, afterwards only
+    /// `freed`, the SM the event being handled retired a burst from.
+    fn dispatch(&mut self, freed: Option<usize>) {
+        let now = self.clock;
+        // Index loop: `active` is not mutated inside a dispatch, and
+        // indexing avoids cloning the active set.
+        for ai in 0..self.active.len() {
+            let id = self.active[ai];
+            let k = &mut self.kernels[id.0 as usize];
+            debug_assert_eq!(k.state, KState::Active);
+            let remaining = k.blocks_total - k.blocks_issued;
+            if remaining == 0 {
+                continue;
             }
-            if !placed_any {
-                break;
+            let offered = if !std::mem::replace(&mut k.offered_all_sms, true) {
+                0..self.sms.len()
+            } else if let Some(sm) = freed {
+                sm..sm + 1
+            } else {
+                0..0
+            };
+            let (fp, demand, sid) = (k.footprint, k.bw_demand, k.stream);
+            // What the pre-incremental dispatcher found out by probing
+            // every SM for every kernel after every event.
+            #[cfg(debug_assertions)]
+            for smi in (0..self.sms.len()).filter(|smi| !offered.contains(smi)) {
+                assert!(
+                    !self.sms[smi].fits(&self.props, &fp),
+                    "saturation invariant broken: kernel {} fits on skipped SM {smi}",
+                    id.0
+                );
+            }
+            if offered.is_empty() {
+                continue;
+            }
+            // Wave placement: spread blocks one-per-SM in rotation, like
+            // the hardware block scheduler, until the grid is exhausted or
+            // no offered SM has room.
+            let mut per_sm = std::mem::take(&mut self.scratch_per_sm);
+            per_sm.clear();
+            per_sm.resize(offered.len(), 0);
+            let mut placed_total = 0u64;
+            let mut progress = true;
+            while placed_total < remaining && progress {
+                progress = false;
+                for (placed, smi) in per_sm.iter_mut().zip(offered.clone()) {
+                    if placed_total >= remaining {
+                        break;
+                    }
+                    if self.sms[smi].fits(&self.props, &fp) {
+                        self.sms[smi].update(&self.props, now, &fp, true);
+                        *placed += 1;
+                        placed_total += 1;
+                        progress = true;
+                    }
+                }
+            }
+            if placed_total == 0 {
+                self.scratch_per_sm = per_sm;
+                continue;
+            }
+            let factor = self.bw.place(demand * placed_total as f64);
+            // Residency-aware burst duration: SM issue throughput
+            // scales with resident warps up to `warps_for_peak`
+            // (latency hiding), then is shared warp-proportionally.
+            let cost = self.kernels[id.0 as usize].desc.cost;
+            let w_block = fp.threads.div_ceil(self.props.warp_size).max(1);
+            let bw_share = self.props.mem_bw_gbps * 1e9 / self.props.num_sms as f64;
+            for (&n, smi) in per_sm.iter().zip(offered) {
+                if n == 0 {
+                    continue;
+                }
+                let w_total = self.sms[smi]
+                    .threads_used
+                    .div_ceil(self.props.warp_size)
+                    .max(w_block);
+                let rate_c = self.props.sm_peak_flops() * w_block as f64
+                    / w_total.max(self.props.warps_for_peak) as f64;
+                let t_c = if cost.flops_per_block > 0.0 {
+                    cost.flops_per_block / rate_c
+                } else {
+                    0.0
+                };
+                let t_m = if cost.dram_bytes_per_block > 0.0 {
+                    cost.dram_bytes_per_block / bw_share * factor
+                } else {
+                    0.0
+                };
+                // The shared rate above already splits the SM among all
+                // resident warps, so the n co-resident blocks of this
+                // burst progress in parallel and retire together.
+                let dur = (t_c.max(t_m) * 1e9 + 1000.0).ceil() as SimTime;
+                self.push_ev(
+                    now + dur.max(1),
+                    sid,
+                    EvKind::BurstDone {
+                        kernel: id,
+                        sm: smi,
+                        count: n,
+                        demand_milli: (demand * n as f64 * 1000.0).round() as u64,
+                    },
+                );
+            }
+            self.scratch_per_sm = per_sm;
+            let k = &mut self.kernels[id.0 as usize];
+            k.blocks_issued += placed_total;
+            if k.start.is_none() {
+                k.start = Some(now);
             }
         }
     }

@@ -68,23 +68,35 @@ impl SmState {
             && self.regs_used + fp.regs <= dev.regs_per_sm
     }
 
-    /// Account the warp-time integral up to `now`, then apply a residency
-    /// change of `delta` blocks with footprint `fp`.
+    /// Account the warp-time integral up to `now`, then place (`place`)
+    /// or retire one block with footprint `fp`.
     pub fn update(&mut self, dev: &DeviceProps, now: u64, fp: &BlockFootprint, place: bool) {
-        let warps_resident = self.threads_used.div_ceil(dev.warp_size) as u128;
-        self.warp_time_integral += warps_resident * (now - self.last_change) as u128;
-        self.last_change = now;
         if place {
+            self.accrue(dev, now);
             self.threads_used += fp.threads;
             self.blocks_used += 1;
             self.smem_used += fp.smem;
             self.regs_used += fp.regs;
         } else {
-            self.threads_used -= fp.threads;
-            self.blocks_used -= 1;
-            self.smem_used -= fp.smem;
-            self.regs_used -= fp.regs;
+            self.release(dev, now, fp, 1);
         }
+    }
+
+    /// Account the warp-time integral up to `now`, then retire `n` blocks
+    /// with footprint `fp` at once — what `n` single-block retirements at
+    /// the same `now` amount to, since only the first accrues any time.
+    pub fn release(&mut self, dev: &DeviceProps, now: u64, fp: &BlockFootprint, n: u32) {
+        self.accrue(dev, now);
+        self.threads_used -= n * fp.threads;
+        self.blocks_used -= n;
+        self.smem_used -= n * fp.smem;
+        self.regs_used -= n * fp.regs;
+    }
+
+    fn accrue(&mut self, dev: &DeviceProps, now: u64) {
+        let warps_resident = self.threads_used.div_ceil(dev.warp_size) as u128;
+        self.warp_time_integral += warps_resident * (now - self.last_change) as u128;
+        self.last_change = now;
     }
 
     /// Fraction of the thread capacity in use right now.
@@ -152,6 +164,35 @@ mod tests {
         sm.update(&dev, 0, &fp, true); // integral += 0
         sm.update(&dev, 1000, &fp, false); // integral += 2 warps * 1000
         assert_eq!(sm.warp_time_integral, 2000);
+    }
+
+    #[test]
+    fn batched_release_equals_single_block_retirements() {
+        let dev = DeviceProps::p100();
+        let fp = BlockFootprint::of(&dev, &cfg(32, 16, 1024)); // 32 fit per SM
+        let fields = |sm: &SmState| {
+            (
+                sm.threads_used,
+                sm.blocks_used,
+                sm.smem_used,
+                sm.regs_used,
+                sm.warp_time_integral,
+                sm.last_change,
+            )
+        };
+        for n in [1u32, 2, 32] {
+            let mut one_by_one = SmState::new();
+            for i in 0..32 {
+                one_by_one.update(&dev, 10 * i, &fp, true);
+            }
+            let mut batched = one_by_one.clone();
+            for _ in 0..n {
+                one_by_one.update(&dev, 5_000, &fp, false);
+            }
+            batched.release(&dev, 5_000, &fp, n);
+            assert_eq!(fields(&batched), fields(&one_by_one), "n = {n}");
+            assert!(batched.warp_time_integral > 0);
+        }
     }
 
     #[test]

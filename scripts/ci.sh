@@ -19,7 +19,9 @@
 # standalone validate-trace binary). The four wall-clock-free smokes that
 # cross the dispatch path (replay, interop, lint, sanitize) are diffed
 # against tests/golden/smoke/, and the standalone benchmark crate is built
-# and tested so a library change that breaks the API it pins fails here.
+# and tested so a library change that breaks the API it pins fails here;
+# two of its workloads then run at the minimum length, because run.sh exits
+# non-zero when any digest in benchmark/expected_digests.txt moves.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -42,5 +44,8 @@ cargo run -p telemetry --release --bin validate-trace -- target/telemetry/*.trac
 export CARGO_TARGET_DIR="$PWD/target/benchmark"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 (cd benchmark && cargo test --offline)
+# The engine's step_one path, then the fabric's step_until path.
+bash benchmark/run.sh --workload train-steady --seed 1 --seconds 1 --trace 0 >/dev/null
+bash benchmark/run.sh --workload multi-gpu --seed 1 --seconds 1 --trace 0 >/dev/null
 
 echo "ci: all checks passed"

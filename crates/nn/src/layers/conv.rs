@@ -399,7 +399,8 @@ impl Layer for ConvLayer {
         let in_stride = ci * ih * iw;
         let out_stride = co * ohw;
         let tdiff = t.diff();
-        let bdata_owned: Vec<f32> = bottom[0].data().to_vec();
+        let (bdata, bdiff) = bottom[0].data_and_diff_mut();
+        let bdata: &[f32] = bdata; // shared by the weight-gradient workers
 
         // Bias gradient: fixed sample order (deterministic).
         {
@@ -422,7 +423,6 @@ impl Layer for ConvLayer {
             let mut partials = vec![0.0f32; chunks * wsize];
             crossbeam_scope(|scope| {
                 for (c, part) in partials.chunks_mut(wsize).enumerate() {
-                    let bdata = &bdata_owned;
                     let tdiff = &tdiff;
                     scope.spawn(move |_| {
                         let mut col = vec![0.0f32; if one_by_one { 0 } else { k * ohw }];
@@ -464,7 +464,7 @@ impl Layer for ConvLayer {
 
         // Bottom gradient: disjoint per-sample writes, parallel.
         let weight = self.weight.data();
-        tensor::pool::parallel_for_rows(bottom[0].diff_mut(), in_stride, |n0, chunk| {
+        tensor::pool::parallel_for_rows(bdiff, in_stride, |n0, chunk| {
             let mut col_diff = vec![0.0f32; k * ohw];
             let mut im_diff = vec![0.0f32; if one_by_one { 0 } else { in_stride }];
             for (s, out) in chunk.chunks_mut(in_stride).enumerate() {

@@ -125,8 +125,7 @@ impl Layer for LrnLayer {
         let (n, c, h, w) = (b.num(), b.channels(), b.height(), b.width());
         let spatial = h * w;
         let half = self.size / 2;
-        let data: Vec<f32> = b.data().to_vec();
-        let bd = b.diff_mut();
+        let (data, bd) = b.data_and_diff_mut();
         let factor = 2.0 * self.alpha * self.beta / self.size as f32;
         for nn in 0..n {
             for cc in 0..c {

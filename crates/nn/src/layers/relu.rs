@@ -78,9 +78,8 @@ impl Layer for ReluLayer {
         if !ctx.compute {
             return;
         }
-        let b = &mut bottom[0];
-        let data: Vec<f32> = b.data().to_vec();
-        relu_backward(&data, top[0].diff(), self.negative_slope, b.diff_mut());
+        let (data, diff) = bottom[0].data_and_diff_mut();
+        relu_backward(data, top[0].diff(), self.negative_slope, diff);
     }
 }
 

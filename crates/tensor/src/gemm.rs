@@ -1,17 +1,27 @@
-//! Blocked single-precision GEMM (the `sgemm` of the paper's Fig. 6).
+//! Single-precision GEMM (the `sgemm` of the paper's Fig. 6).
 //!
-//! Row-major `C = α·op(A)·op(B) + β·C` with cache-blocked inner loops and
-//! optional parallelism over row panels of `C`. This is the CPU stand-in
-//! for cuBLAS: every convolutional and fully-connected layer bottoms out
-//! here, exactly as Caffe's `forward_gpu` bottoms out in
-//! `cublasSgemm`.
+//! Row-major `C = α·op(A)·op(B) + β·C`, parallel over row panels of `C`.
+//! This is the CPU stand-in for cuBLAS: every convolutional and
+//! fully-connected layer bottoms out here, exactly as Caffe's
+//! `forward_gpu` bottoms out in `cublasSgemm`.
 //!
-//! The kernel is deterministic: accumulation order is fixed regardless of
-//! thread count (each output element is accumulated by exactly one thread
-//! in a fixed k-order), which underpins the framework's
-//! convergence-invariance guarantee.
+//! There is no cache blocking. The two arms with `B` as stored (`(No, No)`
+//! conv forward, `(Yes, No)` conv/fc data gradient) are axpy loops: one
+//! row of `B` streamed into one row of `C` per `(i, p)`, skipped when the
+//! scaled `A` element is zero. The `(No, Yes)` arm (conv weight gradient,
+//! fc forward) is a dot product per output element and runs as a
+//! register tile: `MR×NR` independent accumulators over a packed
+//! `NR`-column panel of `Bᵀ`.
+//!
+//! The kernel is deterministic: every output element is accumulated by
+//! exactly one thread, in ascending `p`, one multiply then one add per
+//! step (no FMA, no reassociation), whatever the thread count, the row
+//! split or the tile an element lands in. That underpins the framework's
+//! convergence-invariance guarantee, and it is why the tile may only
+//! widen *across* output elements, never along `k`.
 
 use crate::pool::parallel_for_rows;
+use std::ops::Range;
 
 /// Whether an operand is used as-is or transposed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,18 +89,7 @@ pub fn sgemm(
             }
             (Transpose::No, Transpose::Yes) => {
                 // B stored n×k; C[i][j] += alpha * A[i][p] * B[j][p] (dot rows).
-                for i in 0..rows {
-                    let ai = row0 + i;
-                    let arow = &a[ai * k..(ai + 1) * k];
-                    for j in 0..n {
-                        let brow = &b[j * k..(j + 1) * k];
-                        let mut acc = 0.0f32;
-                        for (av, bv) in arow.iter().zip(brow) {
-                            acc += av * bv;
-                        }
-                        c_chunk[i * n + j] += alpha * acc;
-                    }
-                }
+                dot_rows(&a[row0 * k..(row0 + rows) * k], b, n, k, alpha, c_chunk);
             }
             (Transpose::Yes, Transpose::No) => {
                 // A stored k×m; C[i][j] += alpha * A[p][i] * B[p][j].
@@ -125,50 +124,72 @@ pub fn sgemm(
     });
 }
 
-/// Row-major GEMV: `y = α · op(A)[m×n] · x + β · y`.
-#[allow(clippy::too_many_arguments)] // mirrors the BLAS sgemv signature
-pub fn sgemv(
-    ta: Transpose,
-    m: usize,
-    n: usize,
-    alpha: f32,
-    a: &[f32],
-    x: &[f32],
-    beta: f32,
-    y: &mut [f32],
-) {
-    match ta {
-        Transpose::No => {
-            assert_eq!(a.len(), m * n);
-            assert_eq!(x.len(), n);
-            assert_eq!(y.len(), m);
-            for (i, yv) in y.iter_mut().enumerate() {
-                let row = &a[i * n..(i + 1) * n];
-                let mut acc = 0.0f32;
-                for (av, xv) in row.iter().zip(x) {
-                    acc += av * xv;
-                }
-                *yv = alpha * acc + beta * *yv;
+/// Rows of `C` per register tile of the `(No, Yes)` arm.
+const MR: usize = 4;
+/// Columns of `C` per register tile: with [`MR`] rows that is eight
+/// four-lane accumulator registers, which leaves room for the `Bᵀ` panel
+/// row and the broadcast `A` element in the 16 registers of baseline SSE2.
+const NR: usize = 8;
+
+/// The `(No, Yes)` arm over one row panel: `c[i][j] += alpha · Σ_p
+/// a[i][p] · b[j][p]`, with `a` the panel's rows (`rows×k`), `b` stored
+/// `n×k` and `c` the panel (`rows×n`).
+///
+/// Each `NR`-column panel of `Bᵀ` is packed once (`pack[p][x] =
+/// b[j0 + x][p]`, edge columns zero) and reused by every row tile.
+fn dot_rows(a: &[f32], b: &[f32], n: usize, k: usize, alpha: f32, c: &mut [f32]) {
+    let rows = c.len() / n;
+    let full = rows - rows % MR;
+    let mut pack = vec![[0.0f32; NR]; k];
+    for j0 in (0..n).step_by(NR) {
+        let cols = j0..(j0 + NR).min(n);
+        if cols.len() < NR {
+            pack.fill([0.0; NR]);
+        }
+        for (x, j) in cols.clone().enumerate() {
+            for (lanes, bv) in pack.iter_mut().zip(&b[j * k..(j + 1) * k]) {
+                lanes[x] = *bv;
             }
         }
-        Transpose::Yes => {
-            assert_eq!(a.len(), m * n);
-            assert_eq!(x.len(), m);
-            assert_eq!(y.len(), n);
-            if beta == 0.0 {
-                y.iter_mut().for_each(|v| *v = 0.0);
-            } else if beta != 1.0 {
-                y.iter_mut().for_each(|v| *v *= beta);
+        for i in (0..full).step_by(MR) {
+            let (a, c) = (&a[i * k..(i + MR) * k], &mut c[i * n..(i + MR) * n]);
+            dot_tile::<MR>(a, &pack, alpha, c, cols.clone());
+        }
+        for i in full..rows {
+            let (a, c) = (&a[i * k..(i + 1) * k], &mut c[i * n..(i + 1) * n]);
+            dot_tile::<1>(a, &pack, alpha, c, cols.clone());
+        }
+    }
+}
+
+/// One `R×NR` tile: `R` rows of `A` (`a`, `R×k`) against a packed panel,
+/// added into columns `cols` of the same `R` rows of `C` (`c`, `R×n`).
+///
+/// Every accumulator is its own chain — start at `0.0`, one multiply then
+/// one add per `p`, ascending — so an element's value does not depend on
+/// `R`, on its lane or on its neighbours. Lanes past `cols.len()` are
+/// computed on the panel's zero padding and dropped.
+fn dot_tile<const R: usize>(
+    a: &[f32],
+    pack: &[[f32; NR]],
+    alpha: f32,
+    c: &mut [f32],
+    cols: Range<usize>,
+) {
+    let (k, n) = (pack.len(), c.len() / R);
+    let arows: [&[f32]; R] = std::array::from_fn(|r| &a[r * k..(r + 1) * k]);
+    let mut acc = [[0.0f32; NR]; R];
+    for (p, lanes) in pack.iter().enumerate() {
+        for r in 0..R {
+            let av = arows[r][p];
+            for x in 0..NR {
+                acc[r][x] += av * lanes[x];
             }
-            for i in 0..m {
-                let xv = alpha * x[i];
-                if xv != 0.0 {
-                    let row = &a[i * n..(i + 1) * n];
-                    for (yv, av) in y.iter_mut().zip(row) {
-                        *yv += xv * av;
-                    }
-                }
-            }
+        }
+    }
+    for (crow, acc) in c.chunks_exact_mut(n).zip(&acc) {
+        for (cv, sum) in crow[cols.clone()].iter_mut().zip(acc) {
+            *cv += alpha * sum;
         }
     }
 }
@@ -355,26 +376,6 @@ mod tests {
             c
         };
         assert_eq!(run(), run()); // bitwise
-    }
-
-    #[test]
-    fn gemv_no_trans() {
-        // [1 2; 3 4] * [1, 1] = [3, 7]
-        let a = vec![1.0, 2.0, 3.0, 4.0];
-        let x = vec![1.0, 1.0];
-        let mut y = vec![0.0; 2];
-        sgemv(Transpose::No, 2, 2, 1.0, &a, &x, 0.0, &mut y);
-        assert_eq!(y, vec![3.0, 7.0]);
-    }
-
-    #[test]
-    fn gemv_trans() {
-        // A^T * x with A=[1 2; 3 4], x=[1,1] -> [4, 6]
-        let a = vec![1.0, 2.0, 3.0, 4.0];
-        let x = vec![1.0, 1.0];
-        let mut y = vec![0.0; 2];
-        sgemv(Transpose::Yes, 2, 2, 1.0, &a, &x, 0.0, &mut y);
-        assert_eq!(y, vec![4.0, 6.0]);
     }
 
     #[test]

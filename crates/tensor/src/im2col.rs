@@ -3,6 +3,8 @@
 //! paper's workflow example: "there are three kernels needed to be
 //! computed, i.e., im2col, sgemm and gemmk").
 
+use std::ops::Range;
+
 /// Static geometry of a convolution: filter size, stride, padding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConvGeometry {
@@ -45,6 +47,19 @@ pub fn conv_out_dim(input: usize, kernel: usize, stride: usize, pad: usize) -> u
     (input + 2 * pad - kernel) / stride + 1
 }
 
+/// For a stride-1 convolution, the output columns `lo..hi` of one output
+/// row whose tap `kw` lands inside the image (`ow + kw − pad ∈ 0..width`),
+/// and the image column the first of them reads. Outside the span the tap
+/// reads padding; the span is empty when the whole row does.
+fn unit_stride_span(kw: usize, width: usize, pad: usize, out_w: usize) -> (Range<usize>, usize) {
+    let lo = pad.saturating_sub(kw).min(out_w);
+    let hi = (width + pad).saturating_sub(kw).min(out_w).max(lo);
+    // `lo + kw − pad`: zero when the span starts past column 0 (`pad > kw`).
+    // A tap past the right edge of a narrow image (`kw − pad ≥ width`) has
+    // an empty span; its start still has to be a valid index into the row.
+    (lo..hi, kw.saturating_sub(pad).min(width))
+}
+
 /// Expand one image `(channels × height × width)` into a column matrix of
 /// shape `(channels·kernel_h·kernel_w) × (out_h·out_w)`, row-major.
 ///
@@ -72,23 +87,31 @@ pub fn im2col(
         for kh in 0..geom.kernel_h {
             for kw in 0..geom.kernel_w {
                 for oh in 0..out_h {
+                    let out = &mut col[idx..idx + out_w];
+                    idx += out_w;
                     let ih = (oh * geom.stride + kh) as isize - geom.pad as isize;
                     if ih < 0 || ih >= height as isize {
-                        for _ in 0..out_w {
-                            col[idx] = 0.0;
-                            idx += 1;
-                        }
+                        out.fill(0.0);
                         continue;
                     }
                     let row = &im_c[ih as usize * width..(ih as usize + 1) * width];
-                    for ow in 0..out_w {
-                        let iw = (ow * geom.stride + kw) as isize - geom.pad as isize;
-                        col[idx] = if iw < 0 || iw >= width as isize {
-                            0.0
-                        } else {
-                            row[iw as usize]
-                        };
-                        idx += 1;
+                    if geom.stride == 1 {
+                        // One copy for the in-image span, zeros either side.
+                        // The span is the same for every `oh`; asked for here
+                        // so that only stride 1 computes it.
+                        let (span, first) = unit_stride_span(kw, width, geom.pad, out_w);
+                        out[..span.start].fill(0.0);
+                        out[span.clone()].copy_from_slice(&row[first..first + span.len()]);
+                        out[span.end..].fill(0.0);
+                    } else {
+                        for (ow, v) in out.iter_mut().enumerate() {
+                            let iw = (ow * geom.stride + kw) as isize - geom.pad as isize;
+                            *v = if iw < 0 || iw >= width as isize {
+                                0.0
+                            } else {
+                                row[iw as usize]
+                            };
+                        }
                     }
                 }
             }
@@ -122,18 +145,28 @@ pub fn col2im(
         for kh in 0..geom.kernel_h {
             for kw in 0..geom.kernel_w {
                 for oh in 0..out_h {
+                    let taps = &col[idx..idx + out_w];
+                    idx += out_w;
                     let ih = (oh * geom.stride + kh) as isize - geom.pad as isize;
                     if ih < 0 || ih >= height as isize {
-                        idx += out_w;
                         continue;
                     }
-                    let row_base = ih as usize * width;
-                    for ow in 0..out_w {
-                        let iw = (ow * geom.stride + kw) as isize - geom.pad as isize;
-                        if iw >= 0 && iw < width as isize {
-                            im_c[row_base + iw as usize] += col[idx];
+                    let row = &mut im_c[ih as usize * width..(ih as usize + 1) * width];
+                    if geom.stride == 1 {
+                        // The taps of one span hit distinct pixels, so each
+                        // pixel still sees its adds in (kh, kw, oh) order.
+                        let (span, first) = unit_stride_span(kw, width, geom.pad, out_w);
+                        let pixels = &mut row[first..first + span.len()];
+                        for (pv, tap) in pixels.iter_mut().zip(&taps[span.clone()]) {
+                            *pv += tap;
                         }
-                        idx += 1;
+                    } else {
+                        for (ow, tap) in taps.iter().enumerate() {
+                            let iw = (ow * geom.stride + kw) as isize - geom.pad as isize;
+                            if iw >= 0 && iw < width as isize {
+                                row[iw as usize] += tap;
+                            }
+                        }
                     }
                 }
             }
@@ -205,6 +238,22 @@ mod tests {
         // Center tap (1,1) reads the image everywhere -> all ones.
         let center_row = 4; // tap index kh=1,kw=1 -> (1*3+1)=4
         assert_eq!(&col[center_row * 4..center_row * 4 + 4], &[1.0; 4]);
+    }
+
+    #[test]
+    fn image_narrower_than_the_padding() {
+        // 1x1 image under a 5x5 kernel, pad 2: only the centre tap sees the
+        // pixel; taps 3 and 4 of a row start past the image's right edge.
+        let geom = ConvGeometry::square(5, 1, 2);
+        let mut col = vec![9.9f32; 25];
+        im2col(&[7.0], 1, 1, 1, &geom, &mut col);
+        let mut expected = vec![0.0f32; 25];
+        expected[12] = 7.0;
+        assert_eq!(col, expected);
+
+        let mut im = [9.9f32];
+        col2im(&[1.0; 25], 1, 1, 1, &geom, &mut im);
+        assert_eq!(im, [1.0]);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 # cross the dispatch path (replay, interop, lint, sanitize) are diffed
 # against tests/golden/smoke/, and the standalone benchmark crate is built
 # and tested so a library change that breaks the API it pins fails here;
-# two of its workloads then run at the minimum length, because run.sh exits
+# three of its workloads then run at the minimum length, because run.sh exits
 # non-zero when any digest in benchmark/expected_digests.txt moves.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -47,5 +47,7 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml
 # The engine's step_one path, then the fabric's step_until path.
 bash benchmark/run.sh --workload train-steady --seed 1 --seconds 1 --trace 0 >/dev/null
 bash benchmark/run.sh --workload multi-gpu --seed 1 --seconds 1 --trace 0 >/dev/null
+# Real f32 steps: seed 1 is the seed whose trained-weights digest is pinned.
+bash benchmark/run.sh --workload train-math --seed 1 --seconds 1 --trace 0 >/dev/null
 
 echo "ci: all checks passed"

@@ -51,7 +51,7 @@ use crate::stats::DeviceStats;
 use crate::stream::{CmdRecord, Command, CopyId, EventId, EventState, StreamId, StreamState};
 use crate::timeline::KernelTrace;
 use crate::SimTime;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 use telemetry::{RecorderSlot, SharedRecorder};
 
@@ -159,7 +159,8 @@ pub struct Device {
     /// Reusable block-placement scratch, one count per offered SM (avoids
     /// a heap allocation per placement).
     scratch_per_sm: Vec<u64>,
-    /// Source-side state of copies enqueued on this device.
+    /// Source-side state of copies enqueued on this device, until their
+    /// transfer completes (`CopyDone`).
     copy_src: HashMap<u64, CopySrcState>,
     /// Copies whose source half reached its stream front, awaiting link
     /// scheduling by the fabric: `(copy, ready time, discovery step)`.
@@ -168,8 +169,9 @@ pub struct Device {
     /// same-link copies in the exact order the one-event-at-a-time loop
     /// would have discovered them.
     copy_ready: Vec<(CopyId, SimTime, u64)>,
-    /// Inbound copies that have landed: copy → arrival time.
-    copy_arrived: HashMap<u64, SimTime>,
+    /// Inbound copies that landed before their `CopyDst` marker reached
+    /// its stream front; the marker consumes the entry when it pops.
+    copy_arrived: HashSet<u64>,
     /// Streams blocked at a `CopyDst` front, waiting for the transfer.
     copy_waiters: HashMap<u64, StreamId>,
     /// Optional telemetry recorder (kernel spans, event-dep flow arrows).
@@ -210,7 +212,7 @@ impl Device {
             scratch_per_sm: Vec::new(),
             copy_src: HashMap::new(),
             copy_ready: Vec::new(),
-            copy_arrived: HashMap::new(),
+            copy_arrived: HashSet::new(),
             copy_waiters: HashMap::new(),
             telemetry: RecorderSlot::empty(),
             telemetry_pid: 0,
@@ -512,7 +514,7 @@ impl Device {
     }
 
     /// Time of the next pending queued event, if any.
-    pub(crate) fn next_event_time(&self) -> Option<SimTime> {
+    pub(crate) fn next_event_time(&mut self) -> Option<SimTime> {
         self.queue.peek_key().map(|k| k.time)
     }
 
@@ -562,6 +564,21 @@ impl Device {
             n += 1;
         }
         n
+    }
+
+    /// The fabric's run-length step: process queued events for as long as
+    /// the next one fires at or before `horizon` and no copy has become
+    /// ready for link scheduling (the fabric must resolve a ready copy
+    /// before any further event, on this device or a peer). Returns the
+    /// time of the next pending event.
+    pub(crate) fn step_run(&mut self, horizon: SimTime) -> Option<SimTime> {
+        loop {
+            let next = self.next_event_time();
+            if !self.copy_ready.is_empty() || next.is_none_or(|t| t > horizon) {
+                return next;
+            }
+            self.step_one();
+        }
     }
 
     /// Whether every stream is fully idle (no copy-parked streams either)
@@ -645,7 +662,7 @@ impl Device {
     }
 
     fn on_copy_done(&mut self, id: CopyId) {
-        let st = self.copy_src.get(&id.0).expect("copy source state");
+        let st = self.copy_src.remove(&id.0).expect("copy source state");
         let sid = st.stream;
         debug_assert_eq!(self.streams[sid.0 as usize].copy_inflight, Some(id));
         self.streams[sid.0 as usize].copy_inflight = None;
@@ -653,16 +670,20 @@ impl Device {
     }
 
     fn on_copy_arrived(&mut self, id: CopyId) {
-        self.copy_arrived.insert(id.0, self.clock);
-        if let Some(sid) = self.copy_waiters.remove(&id.0) {
-            let s = sid.0 as usize;
-            if let Some(Command::CopyDst(c)) = self.streams[s].queue.front() {
-                if *c == id {
-                    self.streams[s].queue.pop_front();
-                }
-            }
-            self.advance_stream(sid);
-        }
+        let Some(sid) = self.copy_waiters.remove(&id.0) else {
+            // The marker has not reached its stream front yet; it pops
+            // without blocking when it does.
+            self.copy_arrived.insert(id.0);
+            return;
+        };
+        // A waiter parks only with this copy's marker at its front, and a
+        // parked stream cannot advance, so the marker is still there.
+        let s = sid.0 as usize;
+        debug_assert!(
+            matches!(self.streams[s].queue.front(), Some(Command::CopyDst(c)) if *c == id)
+        );
+        self.streams[s].queue.pop_front();
+        self.advance_stream(sid);
     }
 
     /// Convenience: wait for everything previously enqueued, like
@@ -784,7 +805,7 @@ impl Device {
                 }
                 Command::CopyDst(id) => {
                     let id = *id;
-                    if self.copy_arrived.contains_key(&id.0) {
+                    if self.copy_arrived.remove(&id.0) {
                         self.streams[s].queue.pop_front();
                     } else {
                         // Block until the transfer lands.
@@ -1226,6 +1247,49 @@ mod tests {
         let (b_s, b_e) = dev.kernel_span(b).unwrap();
         let overlap = a_e.min(b_e).saturating_sub(a_s.max(b_s));
         assert_eq!(overlap, 0, "C=1 must serialize everything");
+    }
+
+    #[test]
+    fn drained_ring_exchange_leaves_no_copy_bookkeeping() {
+        use crate::fabric::{CopyDesc, Fabric, LinkProps};
+        use crate::kernel::{BufferId, ByteRange, MemAccess};
+        let mut devices: Vec<Device> = (0..3).map(|_| Device::new(DeviceProps::p100())).collect();
+        let comm: Vec<StreamId> = devices.iter_mut().map(|d| d.create_stream()).collect();
+        let mut fabric = Fabric::ring(3, LinkProps::nvlink());
+        let mut devs: Vec<&mut Device> = devices.iter_mut().collect();
+        let mem = |buffer: u64| MemAccess {
+            buffer: BufferId(buffer),
+            range: ByteRange::new(0, 64 * 1024),
+        };
+        for round in 0..4u64 {
+            // Device 1's first receive marker sits behind a long kernel,
+            // so that copy lands before its marker reaches the stream
+            // front (the `copy_arrived` path); device 2's first marker is
+            // at the front from the start and parks (`copy_waiters`).
+            if round == 0 {
+                devs[1].launch(comm[1], kernel("busy", 56, 256, 5.0e8));
+            }
+            for src in 0..3 {
+                let dst = (src + 1) % 3;
+                fabric
+                    .copy_p2p(
+                        &mut devs,
+                        CopyDesc::new(
+                            "xchg",
+                            (src, comm[src], mem(round)),
+                            (dst, comm[dst], mem(100 + round)),
+                        ),
+                    )
+                    .unwrap();
+            }
+        }
+        fabric.run(&mut devs);
+        for (i, d) in devices.iter().enumerate() {
+            assert!(d.fully_idle(), "device {i} did not drain");
+            assert!(d.copy_src.is_empty(), "device {i} kept source state");
+            assert!(d.copy_arrived.is_empty(), "device {i} kept arrivals");
+            assert!(d.copy_waiters.is_empty(), "device {i} kept waiters");
+        }
     }
 
     #[test]

@@ -22,9 +22,30 @@
 //!   device, appear in its command log ([`CmdRecord::CopySrc`] /
 //!   [`CmdRecord::CopyDst`]) and in its timeline like kernels do.
 //! - [`Fabric::run`] is a global discrete-event loop: it always steps the
-//!   device with the earliest pending event, so cross-device timestamps
-//!   are processed in nondecreasing global order and copy completions
-//!   never time-travel. It is fully deterministic.
+//!   device with the earliest pending event (ties go to the lower device
+//!   index), so cross-device timestamps are processed in nondecreasing
+//!   global order and copy completions never time-travel. It is fully
+//!   deterministic.
+//!
+//! # The frontier invariant
+//!
+//! The loop does not ask every device for its next event after every
+//! event. It keeps a **frontier** — one cached next-event time per device
+//! — and relies on a short list of what can change a device's queue
+//! inside `run`: the device being stepped (a pop and the pushes the event
+//! causes), and `resolve_copy`, which pushes `CopyDone` on the copy's
+//! source device and `CopyArrived` on its destination. So only the
+//! stepped device and the two endpoints of each resolved copy are
+//! re-peeked. Likewise a copy becomes ready only when its source stream
+//! advances, which happens only while its own device steps, so after the
+//! initial kick only the stepped device is drained. And because nothing
+//! but the minimum device's own events and the copies they surface can
+//! move any frontier entry, that device keeps stepping
+//! (`Device::step_run`) for as long as its `(time, device index)` key
+//! stays below the runner-up's and no copy has surfaced: the global
+//! sequence of `step_one` and `resolve_copy` calls is exactly that of the
+//! loop that reselects after every event. Debug builds re-check every
+//! frontier entry against the device at every selection.
 //!
 //! The fabric does **not** own its devices — callers keep them (an
 //! execution context owns its `Device`) and lend `&mut [&mut Device]` per
@@ -319,12 +340,15 @@ pub struct Fabric {
     copies: Vec<CopyRecord>,
     jitter_seed: u64,
     /// Worker threads used by [`run`](Fabric::run) (see
-    /// [`set_workers`](Fabric::set_workers)). 1 = the one-event-at-a-time
-    /// global loop.
+    /// [`set_workers`](Fabric::set_workers)). 1 = the global
+    /// earliest-event loop.
     workers: usize,
     /// Reusable drain buffer for ready copies (keeps the steady-state
     /// loop allocation-free once warm).
     ready_buf: Vec<(CopyId, SimTime, u64)>,
+    /// Reusable storage for the loop's cached next-event time per device
+    /// (see the module docs, "The frontier invariant").
+    frontier: Vec<Option<SimTime>>,
     /// Optional telemetry recorder: P2P copy spans on the source stream,
     /// transfer flow arrows to the destination, and link-byte counters.
     /// Device index = Chrome-trace pid, matching the per-device
@@ -343,6 +367,7 @@ impl Fabric {
             jitter_seed: 0,
             workers: 1,
             ready_buf: Vec::new(),
+            frontier: Vec::new(),
             telemetry: telemetry::RecorderSlot::empty(),
         }
     }
@@ -398,7 +423,7 @@ impl Fabric {
 
     /// Number of worker threads [`run`](Fabric::run) may use to step
     /// devices concurrently under conservative lookahead. 1 (the
-    /// default) keeps the one-event-at-a-time global loop. Any worker
+    /// default) keeps the global earliest-event loop. Any worker
     /// count yields byte-identical results — see
     /// [`run_with_workers`](Fabric::run_with_workers).
     pub fn set_workers(&mut self, workers: usize) {
@@ -627,9 +652,10 @@ impl Fabric {
 
     /// Run all devices to completion using up to `workers` threads.
     ///
-    /// `workers <= 1` is the classic global discrete-event loop: always
-    /// step the device with the earliest pending event, so cross-device
-    /// timestamps are processed in nondecreasing global order.
+    /// `workers <= 1` is the global discrete-event loop: always step the
+    /// device with the earliest pending event, so cross-device timestamps
+    /// are processed in nondecreasing global order (selection is cached —
+    /// see the module docs, "The frontier invariant").
     ///
     /// `workers > 1` runs **conservative-lookahead rounds**: each round
     /// resolves all ready copies (sorted by ready time, then source
@@ -645,9 +671,9 @@ impl Fabric {
     /// including the sequential path — produces byte-identical timelines
     /// (pinned by the `fabric_parallel_determinism` proptest).
     ///
-    /// Telemetry forces the sequential path: recorder entries are pushed
-    /// in stepping order, and concurrent stepping would interleave them
-    /// nondeterministically.
+    /// Telemetry keeps a run on the one-worker loop — the default, and the
+    /// fast path: recorder entries are pushed in stepping order, and
+    /// concurrent stepping would interleave them nondeterministically.
     pub fn run_with_workers(&mut self, devs: &mut [&mut Device], workers: usize) -> SimTime {
         assert_eq!(
             devs.len(),
@@ -677,38 +703,69 @@ impl Fabric {
         devs.iter().map(|d| d.now()).max().unwrap_or(0)
     }
 
-    /// The classic loop: resolve ready copies, then step the single
-    /// globally earliest event, repeat.
+    /// The one-worker loop: resolve ready copies, then run-length step the
+    /// device with the earliest `(time, device index)` key, repeat. See
+    /// the module docs ("The frontier invariant") for why re-peeking only
+    /// the devices whose queues changed reproduces the loop that reselects
+    /// after every event.
     fn run_sequential(&mut self, devs: &mut [&mut Device]) {
-        let mut batch: Vec<(SimTime, CopyId)> = Vec::new();
+        let mut frontier = std::mem::take(&mut self.frontier);
+        frontier.clear();
+        frontier.extend(devs.iter_mut().map(|d| d.next_event_time()));
+        let mut ready = std::mem::take(&mut self.ready_buf);
+        ready.clear();
+        // The kick may have surfaced copies on any device; afterwards only
+        // the device that stepped can.
+        for d in devs.iter_mut() {
+            d.drain_ready_copies(&mut ready);
+        }
         loop {
             // Resolve copies whose source half reached its stream front,
             // in deterministic (ready time, copy id) order.
-            let mut drained = std::mem::take(&mut self.ready_buf);
-            drained.clear();
-            for d in devs.iter_mut() {
-                d.drain_ready_copies(&mut drained);
-            }
-            batch.clear();
-            batch.extend(drained.iter().map(|&(id, t, _)| (t, id)));
-            self.ready_buf = drained;
-            batch.sort_unstable();
-            for (t, id) in batch.iter().copied() {
+            ready.sort_unstable_by_key(|&(id, t, _)| (t, id));
+            for (id, t, _) in ready.drain(..) {
                 self.resolve_copy(devs, id, t);
+                for end in [self.copy_desc(id).src, self.copy_desc(id).dst] {
+                    frontier[end] = devs[end].next_event_time();
+                }
             }
-            // Step the device with the earliest pending event.
-            let next = devs
+            #[cfg(debug_assertions)]
+            for (j, d) in devs.iter_mut().enumerate() {
+                assert_eq!(
+                    frontier[j],
+                    d.next_event_time(),
+                    "stale frontier: device {j}"
+                );
+                d.drain_ready_copies(&mut ready);
+                assert!(ready.is_empty(), "undrained ready copy on device {j}");
+            }
+            // The earliest pending event and the runner-up.
+            let mut keys = frontier
                 .iter()
                 .enumerate()
-                .filter_map(|(i, d)| d.next_event_time().map(|t| (t, i)))
-                .min();
-            match next {
-                Some((_, i)) => {
-                    devs[i].step_one();
+                .filter_map(|(j, t)| t.map(|t| (t, j)));
+            let Some(mut first) = keys.next() else { break };
+            let mut second = None;
+            for key in keys {
+                if key < first {
+                    second = Some(std::mem::replace(&mut first, key));
+                } else if second.is_none_or(|s| key < s) {
+                    second = Some(key);
                 }
-                None => break,
             }
+            // The last timestamp at which device `i` still precedes the
+            // runner-up (`t2 > first.0 >= 0` whenever `j < i`).
+            let i = first.1;
+            let horizon = match second {
+                Some((t2, j)) if j < i => t2 - 1,
+                Some((t2, _)) => t2,
+                None => SimTime::MAX,
+            };
+            frontier[i] = devs[i].step_run(horizon);
+            devs[i].drain_ready_copies(&mut ready);
         }
+        self.frontier = frontier;
+        self.ready_buf = ready;
     }
 
     /// Conservative-lookahead rounds with per-device parallelism. See
@@ -734,7 +791,7 @@ impl Fabric {
             for (t, _, _, id) in batch.iter().copied() {
                 self.resolve_copy(devs, id, t);
             }
-            let Some(t_min) = devs.iter().filter_map(|d| d.next_event_time()).min() else {
+            let Some(t_min) = devs.iter_mut().filter_map(|d| d.next_event_time()).min() else {
                 if resolved == 0 {
                     break;
                 }
@@ -1076,6 +1133,173 @@ mod tests {
             .build_fabric();
         assert!(ring4.link(0, 1).is_some());
         assert!(ring4.link(0, 2).is_none());
+    }
+
+    impl Fabric {
+        /// The loop [`Fabric::run`] replaced, kept as the reference arm:
+        /// after every single event, drain and peek every device.
+        fn run_reference(&mut self, devs: &mut [&mut Device]) -> SimTime {
+            for d in devs.iter_mut() {
+                d.kick();
+            }
+            let mut drained = Vec::new();
+            let mut batch: Vec<(SimTime, CopyId)> = Vec::new();
+            loop {
+                for d in devs.iter_mut() {
+                    d.drain_ready_copies(&mut drained);
+                }
+                batch.extend(drained.drain(..).map(|(id, t, _)| (t, id)));
+                batch.sort_unstable();
+                for (t, id) in batch.drain(..) {
+                    self.resolve_copy(devs, id, t);
+                }
+                let next = devs
+                    .iter_mut()
+                    .enumerate()
+                    .filter_map(|(i, d)| d.next_event_time().map(|t| (t, i)))
+                    .min();
+                match next {
+                    Some((_, i)) => {
+                        devs[i].step_one();
+                    }
+                    None => break,
+                }
+            }
+            for d in devs.iter_mut() {
+                d.push_sync_marker();
+            }
+            devs.iter().map(|d| d.now()).max().unwrap_or(0)
+        }
+    }
+
+    /// The four link presets of `tests/fabric_determinism.rs`.
+    const LINKS: [fn() -> LinkProps; 4] = [
+        LinkProps::pcie3,
+        LinkProps::nvlink,
+        || LinkProps::pcie3().with_jitter(200),
+        || LinkProps::nvlink().with_jitter(50),
+    ];
+
+    /// One enqueue: `(is_copy, device, selector, class)` — a kernel launch
+    /// on `device`'s stream `selector % 2` with cost class `class`, or a
+    /// copy from `device` to the peer picked by `selector`, size class
+    /// `class`. Interleaved, so kernels queue behind arrival markers and
+    /// every arrival time shows in the timeline.
+    type Op = (bool, usize, usize, u8);
+
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        timeline: String,
+        copy_spans: Vec<Option<(SimTime, SimTime)>>,
+        events_processed: Vec<u64>,
+        clocks: Vec<SimTime>,
+        episode_ends: Vec<SimTime>,
+        /// Telemetry records carry their global recording order (`seq`),
+        /// so these pin the cross-device order of tied timestamps, which
+        /// no per-device output shows.
+        spans: Vec<telemetry::SpanEvent>,
+        flows: Vec<telemetry::FlowEvent>,
+    }
+
+    /// Build the workload from the recipe and drive every episode with
+    /// [`Fabric::run`] or the reference loop. `mirror` repeats each launch
+    /// on every device, so devices of one model fire events at identical
+    /// timestamps and selection is decided by the device-index tie-break.
+    /// Episodes end with unequal device clocks, so a later copy from a
+    /// lagging device to a leading one has an `end` before the
+    /// destination's clock.
+    fn drive(
+        models: &[u8],
+        link_sel: usize,
+        seed: u64,
+        mirror: bool,
+        episodes: &[Vec<Op>],
+        reference: bool,
+    ) -> Observed {
+        let n = models.len();
+        let mut devices: Vec<Device> = models
+            .iter()
+            .map(|&m| Device::new(DeviceProps::evaluation_set().swap_remove(m as usize)))
+            .collect();
+        let pools: Vec<Vec<StreamId>> = devices
+            .iter_mut()
+            .map(|d| (0..2).map(|_| d.create_stream()).collect())
+            .collect();
+        let mut fab = Fabric::fully_connected(n, LINKS[link_sel]());
+        fab.set_jitter_seed(seed);
+        let rec = telemetry::shared(telemetry::Telemetry::new());
+        fab.set_telemetry(rec.clone());
+        for (pid, d) in devices.iter_mut().enumerate() {
+            d.set_telemetry(rec.clone(), pid as u32);
+        }
+        let mut h = handles(&mut devices);
+        let mut copy_ids = Vec::new();
+        let mut episode_ends = Vec::new();
+        for ops in episodes {
+            for (i, &(is_copy, dev, sel, class)) in ops.iter().enumerate() {
+                let dev = dev % n;
+                if is_copy {
+                    let dst = (dev + 1 + sel % (n - 1)) % n;
+                    let bytes = [4 * 1024u64, 256 * 1024, 2 * 1024 * 1024][class as usize];
+                    let desc = CopyDesc::new(
+                        "p2p",
+                        (dev, pools[dev][sel % 2], mem("src", bytes)),
+                        (dst, pools[dst][(sel / 2) % 2], mem("dst", bytes)),
+                    );
+                    copy_ids.push(fab.copy_p2p(&mut h, desc).unwrap());
+                } else {
+                    let flops = [2.0e5, 1.0e6, 8.0e6][class as usize];
+                    for d in if mirror { 0..n } else { dev..dev + 1 } {
+                        let k = kernel("k", 28, flops).with_tag(i as u64);
+                        fab.launch_on(&mut h, d, pools[d][sel % 2], k).unwrap();
+                    }
+                }
+            }
+            episode_ends.push(if reference {
+                fab.run_reference(&mut h)
+            } else {
+                fab.run(&mut h)
+            });
+        }
+        let views: Vec<&Device> = devices.iter().collect();
+        let rec = rec.lock().expect("no recorder user panicked");
+        Observed {
+            spans: rec.spans().to_vec(),
+            flows: rec.flows().to_vec(),
+            timeline: fab.merged_timeline(&views).render_csv(),
+            copy_spans: copy_ids.iter().map(|&id| fab.copy_span(id)).collect(),
+            events_processed: views.iter().map(|d| d.events_processed()).collect(),
+            clocks: views.iter().map(|d| d.now()).collect(),
+            episode_ends,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// The frontier-cached, run-length-stepping loop is observationally
+        /// identical to reselecting among all devices after every event.
+        #[test]
+        fn run_matches_reference_loop(
+            models in proptest::collection::vec(0u8..3, 2..9),
+            uniform in proptest::bool::ANY,
+            link_sel in 0usize..LINKS.len(),
+            seed in proptest::prelude::any::<u64>(),
+            mirror in proptest::bool::ANY,
+            episodes in proptest::collection::vec(
+                proptest::collection::vec(
+                    (proptest::bool::ANY, 0usize..8, 0usize..28, 0u8..3),
+                    0..40,
+                ),
+                1..4,
+            ),
+        ) {
+            let models = if uniform { vec![models[0]; models.len()] } else { models };
+            let episodes: Vec<Vec<Op>> = episodes;
+            let got = drive(&models, link_sel, seed, mirror, &episodes, false);
+            let want = drive(&models, link_sel, seed, mirror, &episodes, true);
+            proptest::prop_assert_eq!(got, want);
+        }
     }
 
     #[test]

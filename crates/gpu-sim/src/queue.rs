@@ -34,9 +34,11 @@
 //! min-heap, so a pop is O(log day) — with days orders of magnitude
 //! smaller than the queue — and otherwise jumps the cursor straight to
 //! the earliest populated day: the next non-empty ring bucket or the
-//! earliest overflow day, whichever comes first. The ring doubles when
-//! occupancy exceeds `GROW_FACTOR` events per bucket, keeping each
-//! day small.
+//! earliest overflow day, whichever comes first. Peeking is the first
+//! half of popping: both first *settle* the cursor on the minimum's day,
+//! so a peek is never a separate scan that the following pop repeats.
+//! The ring doubles when occupancy exceeds `GROW_FACTOR` events per
+//! bucket, keeping each day small.
 //!
 //! Bucket storage is recycled (`clear`, never shrink), so a steady-state
 //! workload reaches a high-water mark after which push/pop allocate
@@ -219,28 +221,25 @@ impl<T> CalendarQueue<T> {
         }
     }
 
-    /// Remove and return the minimum-key event.
-    pub fn pop(&mut self) -> Option<(EventKey, T)> {
-        if self.len == 0 {
-            return None;
-        }
-        loop {
-            // `today` holds only events of the cursor's day and
-            // earlier; everything in the ring and overflow is at least
-            // a day later, so the minimum lives here.
-            if let Some(Reverse(HeapEntry(key, value))) = self.today.pop() {
-                self.len -= 1;
-                return Some((key, value));
-            }
-            // `today` is dry: jump straight to the earliest populated
-            // day — the next non-empty ring bucket or the earliest
-            // overflow day, whichever comes first. (Walking day by day
-            // would rescan the overflow list at every crossing, which
-            // is quadratic on sparse timelines like serving traces.)
-            // Ring events all predate every overflow event *filed under
-            // the current cursor position*, but overflow events may
-            // have become in-year as the cursor advanced, so the jump
-            // target must consider both.
+    /// Make the queue minimum the top of `today` (the first half of a
+    /// pop, shared with [`peek_key`](Self::peek_key)). `today` holds only
+    /// events of the cursor's day and earlier, and everything in the ring
+    /// and overflow is at least a day later, so there is nothing to do
+    /// while it has events. When it is dry, jump straight to the earliest
+    /// populated day — the next non-empty ring bucket or the earliest
+    /// overflow day, whichever comes first — promote that day's bucket
+    /// into `today` and admit the overflow events that now fit in the
+    /// year. (Walking day by day would rescan the overflow list at every
+    /// crossing, which is quadratic on sparse timelines like serving
+    /// traces.) Ring events all predate every overflow event *filed under
+    /// the current cursor position*, but overflow events may have become
+    /// in-year as the cursor advanced, so the jump target must consider
+    /// both. Moving the cursor early is invisible to callers:
+    /// [`push`](Self::push) files any key before the end of the cursor's
+    /// day into `today`, so pop order is the total [`EventKey`] order
+    /// wherever the cursor stands.
+    fn settle(&mut self) {
+        while self.today.is_empty() && self.len > 0 {
             let mask = self.buckets.len() - 1;
             let ring_day = (self.in_ring > 0).then(|| {
                 let mut d = 1;
@@ -260,8 +259,6 @@ impl<T> CalendarQueue<T> {
                     .expect("len > 0 with empty today implies ring or overflow"),
             };
             self.cur = self.day_of(self.day_start);
-            // Promote the day's bucket into `today` and admit the
-            // overflow events that now fit in the year.
             self.in_ring -= self.buckets[self.cur].len();
             let mut bucket = std::mem::take(&mut self.buckets[self.cur]);
             self.today
@@ -273,43 +270,21 @@ impl<T> CalendarQueue<T> {
         }
     }
 
-    /// The minimum key currently queued, without removing it. O(1) when
-    /// the cursor's day has events; otherwise runs the same
-    /// earliest-populated-day computation as [`pop`](Self::pop) but
-    /// read-only (no cursor movement), so it can run on a shared
-    /// reference and costs a day scan, not a full-queue scan — the
-    /// fabric's lookahead loop peeks before every event.
-    pub fn peek_key(&self) -> Option<EventKey> {
-        if self.len == 0 {
-            return None;
-        }
-        if let Some(Reverse(HeapEntry(k, _))) = self.today.peek() {
-            // Everything in the ring and overflow is at least a day
-            // later, so the minimum lives here.
-            return Some(*k);
-        }
-        // Each in-ring bucket holds exactly one (distinct) day of the
-        // current year, so the first non-empty bucket after the cursor
-        // holds the ring's earliest events.
-        let mask = self.buckets.len() - 1;
-        let ring_min = (self.in_ring > 0).then(|| {
-            let mut d = 1;
-            loop {
-                let min = self.buckets[(self.cur + d) & mask]
-                    .iter()
-                    .map(|(k, _)| *k)
-                    .min();
-                if let Some(min) = min {
-                    break min;
-                }
-                d += 1;
-            }
-        });
-        let over_min = self.overflow.peek().map(|Reverse(HeapEntry(k, _))| *k);
-        match (ring_min, over_min) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+    /// Remove and return the minimum-key event.
+    pub fn pop(&mut self) -> Option<(EventKey, T)> {
+        self.settle();
+        let Reverse(HeapEntry(key, value)) = self.today.pop()?;
+        self.len -= 1;
+        Some((key, value))
+    }
+
+    /// The minimum key currently queued, without removing it: the first
+    /// half of a [`pop`](Self::pop). It moves the cursor to the minimum's
+    /// day, so the pop that follows — or the next peek — finds `today`
+    /// populated and is O(1); the fabric peeks every device it steps.
+    pub fn peek_key(&mut self) -> Option<EventKey> {
+        self.settle();
+        self.today.peek().map(|Reverse(HeapEntry(k, _))| *k)
     }
 }
 
@@ -430,8 +405,9 @@ impl<T> EventQueue<T> {
         }
     }
 
-    /// The minimum key currently queued.
-    pub fn peek_key(&self) -> Option<EventKey> {
+    /// The minimum key currently queued (`&mut`: the calendar settles
+    /// its cursor on the minimum's day).
+    pub fn peek_key(&mut self) -> Option<EventKey> {
         match self {
             EventQueue::Calendar(q) => q.peek_key(),
             EventQueue::Heap(q) => q.peek_key(),

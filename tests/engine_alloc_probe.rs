@@ -16,7 +16,10 @@
 mod common;
 
 use common::counting_alloc;
-use gpu_sim::{Device, DeviceProps, Dim3, KernelCost, KernelDesc, LaunchConfig, StreamId};
+use gpu_sim::{
+    BufferId, ByteRange, CopyDesc, Device, DeviceProps, Dim3, Fabric, KernelCost, KernelDesc,
+    LaunchConfig, LinkProps, MemAccess, StreamId,
+};
 
 #[global_allocator]
 static ALLOCATOR: counting_alloc::CountingAlloc = counting_alloc::CountingAlloc;
@@ -48,21 +51,18 @@ fn episode_allocs(dev: &mut Device, pool: &[gpu_sim::StreamId], kernels: u64) ->
     (counting_alloc::stop(), dev.events_processed() - before)
 }
 
-/// Warm the device until eight consecutive episodes' event loops
-/// allocate nothing, then measure three more episodes. The calendar
-/// ring's bucket capacities reach their high-water marks only once the
-/// cursor has swept every bucket index at every episode-to-bucket-grid
-/// phase (the ring rotates with absolute simulated time), so "warm" is
-/// defined by observed quiescence, not an episode count; the warm-up is
-/// bounded and deterministic. Returns the allocation counts and the
-/// per-episode event count of the three post-quiescence episodes.
-fn measure_steady_state(kernels: u64) -> ([u64; 3], u64) {
-    let mut dev = Device::new(DeviceProps::p100());
-    let pool: Vec<_> = (0..4).map(|_| dev.create_stream()).collect();
+/// Run `episode` (which returns its event loop's allocation count) until
+/// eight consecutive episodes allocate nothing, then return the counts of
+/// three more. The calendar ring's bucket capacities reach their
+/// high-water marks only once the cursor has swept every bucket index at
+/// every episode-to-bucket-grid phase (the ring rotates with absolute
+/// simulated time), so "warm" is defined by observed quiescence, not an
+/// episode count; the warm-up is bounded and deterministic.
+fn steady_state_allocs(mut episode: impl FnMut() -> u64) -> [u64; 3] {
     let mut warm_episodes = 0;
     let mut quiet_streak = 0;
     while quiet_streak < 8 {
-        let (allocs, _) = episode_allocs(&mut dev, &pool, kernels);
+        let allocs = episode();
         quiet_streak = if allocs == 0 { quiet_streak + 1 } else { 0 };
         warm_episodes += 1;
         assert!(
@@ -71,13 +71,20 @@ fn measure_steady_state(kernels: u64) -> ([u64; 3], u64) {
              (last episode allocated {allocs} times)"
         );
     }
-    let mut counts = [0u64; 3];
+    [episode(), episode(), episode()]
+}
+
+/// Steady-state allocation counts of a single device's event loop, and
+/// the per-episode event count.
+fn measure_steady_state(kernels: u64) -> ([u64; 3], u64) {
+    let mut dev = Device::new(DeviceProps::p100());
+    let pool: Vec<_> = (0..4).map(|_| dev.create_stream()).collect();
     let mut events = 0;
-    for c in &mut counts {
+    let counts = steady_state_allocs(|| {
         let (allocs, ev) = episode_allocs(&mut dev, &pool, kernels);
-        *c = allocs;
         events = ev;
-    }
+        allocs
+    });
     (counts, events)
 }
 
@@ -122,4 +129,64 @@ fn heap_queue_reference_engine_is_also_allocation_free() {
         allocs, 0,
         "heap-queue warm event loop allocated {allocs} times"
     );
+}
+
+/// One multi-device episode: compute on every device plus three rounds of
+/// a ring exchange (every device sends to its successor) on dedicated
+/// communication streams, each receive followed by a kernel that
+/// consumes it. Returns the allocations of `Fabric::run` alone —
+/// enqueueing (host side) is excluded, as in the single-device probe.
+fn fabric_episode_allocs(
+    fabric: &mut Fabric,
+    devs: &mut [&mut Device],
+    compute: &[Vec<StreamId>],
+    comm: &[StreamId],
+) -> u64 {
+    let n = devs.len();
+    for (d, pool) in compute.iter().enumerate() {
+        enqueue_episode(devs[d], pool, 24);
+    }
+    for round in 0..3u64 {
+        for src in 0..n {
+            let dst = (src + 1) % n;
+            let mem = |buffer: u64| MemAccess {
+                buffer: BufferId(buffer),
+                range: ByteRange::new(0, 256 * 1024),
+            };
+            fabric
+                .copy_p2p(
+                    devs,
+                    CopyDesc::new(
+                        "xchg",
+                        (src, comm[src], mem(round)),
+                        (dst, comm[dst], mem(100 + round)),
+                    ),
+                )
+                .expect("ring neighbours are linked");
+            devs[dst].launch(comm[dst], kernel(round, 4.0e5));
+        }
+    }
+    counting_alloc::start();
+    fabric.run(devs);
+    counting_alloc::stop()
+}
+
+#[test]
+fn warm_fabric_loop_is_allocation_free() {
+    // The fabric's own state — the frontier, the ready-copy buffer, and
+    // each device's copy bookkeeping (entries are removed as copies
+    // complete, so the maps keep their capacity instead of growing) — is
+    // recycled like the engine's, so once warm `Fabric::run` allocates
+    // nothing either.
+    let mut devices: Vec<Device> = (0..4).map(|_| Device::new(DeviceProps::p100())).collect();
+    let compute: Vec<Vec<StreamId>> = devices
+        .iter_mut()
+        .map(|d| (0..2).map(|_| d.create_stream()).collect())
+        .collect();
+    let comm: Vec<StreamId> = devices.iter_mut().map(|d| d.create_stream()).collect();
+    let mut fabric = Fabric::ring(4, LinkProps::nvlink());
+    let mut devs: Vec<&mut Device> = devices.iter_mut().collect();
+    let counts =
+        steady_state_allocs(|| fabric_episode_allocs(&mut fabric, &mut devs, &compute, &comm));
+    assert_eq!(counts, [0, 0, 0]);
 }

@@ -20,11 +20,9 @@
 
 use gpu_sim::{Device, DeviceProps, Dim3, KernelCost, KernelDesc, LaunchConfig};
 use std::fmt::Write as _;
-use std::path::PathBuf;
 
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/engine/oversubscribed.txt")
-}
+#[path = "common/golden.rs"]
+mod golden;
 
 /// `(blocks, threads, regs/thread, smem bytes, flops/block, dram bytes/block)`.
 const SHAPES: [(u32, u32, u32, u32, f64, f64); 3] = [
@@ -95,20 +93,5 @@ fn oversubscribed_mix_matches_golden_file() {
         .into_iter()
         .map(render)
         .collect();
-    let path = golden_path();
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().expect("golden dir")).expect("create golden dir");
-        std::fs::write(&path, &text).expect("write golden file");
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "read {} ({e}); run with UPDATE_GOLDEN=1 to create",
-            path.display()
-        )
-    });
-    for (n, (got, want)) in text.lines().zip(golden.lines()).enumerate() {
-        assert_eq!(got, want, "first difference at line {}", n + 1);
-    }
-    assert_eq!(text.lines().count(), golden.lines().count());
+    golden::check("engine/oversubscribed.txt", &text);
 }

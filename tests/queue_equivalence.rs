@@ -115,6 +115,52 @@ proptest! {
         }
         prop_assert!(cal.is_empty());
     }
+
+    /// Peeking is the first half of popping: it settles the calendar's
+    /// cursor on the minimum's day. With only far-future keys queued that
+    /// is a jump of many years — and keys pushed afterwards, all earlier
+    /// than the cursor, must still pop first and in heap order, with
+    /// `peek_key` agreeing before every pop.
+    #[test]
+    fn peek_jumps_the_cursor_then_earlier_keys_still_pop_first(
+        far in prop::collection::vec((0u64..1_000_000, 0u32..4), 1..40),
+        early in arb_keys(),
+        late in arb_keys(),
+    ) {
+        let mut cal = CalendarQueue::new();
+        let mut heap = HeapQueue::new();
+        let mut next_seq = 0u64;
+        let mut push = |cal: &mut CalendarQueue<u64>, heap: &mut HeapQueue<u64>, mut k: EventKey| {
+            k.seq = next_seq;
+            next_seq += 1;
+            cal.push(k, k.seq);
+            heap.push(k, k.seq);
+        };
+        for (t, stream) in far {
+            let time = 1_000_000_000 + t * 997;
+            push(&mut cal, &mut heap, EventKey { time, stream, seq: 0 });
+        }
+        prop_assert_eq!(cal.peek_key(), heap.peek_key());
+        for k in early {
+            push(&mut cal, &mut heap, k);
+        }
+        // Pop half, peek again (the cursor may jump back out to the far
+        // keys), then push a second batch behind the cursor.
+        for _ in 0..heap.len() / 2 {
+            prop_assert_eq!(cal.peek_key(), heap.peek_key());
+            prop_assert_eq!(cal.pop(), heap.pop());
+        }
+        prop_assert_eq!(cal.peek_key(), heap.peek_key());
+        for k in late {
+            push(&mut cal, &mut heap, k);
+        }
+        while !heap.is_empty() {
+            prop_assert_eq!(cal.peek_key(), heap.peek_key());
+            prop_assert_eq!(cal.pop(), heap.pop());
+        }
+        prop_assert_eq!(cal.peek_key(), None);
+        prop_assert!(cal.is_empty());
+    }
 }
 
 /// 1000 events at the *same* timestamp pop in `(stream, seq)` order from

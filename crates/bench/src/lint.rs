@@ -5,8 +5,8 @@
 //! Correctness codes (`PLxxx`) must never fire on shipped schedules — the
 //! driver asserts that. Performance codes (`PWxxx`) are *expected* to
 //! differ by mode: naive dispatch serializes independent per-sample chains
-//! on one stream (PW002), while graph capture records an event after every
-//! launch whether or not anything waits on it (PW003).
+//! on one stream (PW002), while a plan that records events no other stream
+//! waits on carries them for nothing (PW003).
 
 use crate::{iteration_timings, net_spec, net_spec_with_batch};
 use gpu_sim::DeviceProps;

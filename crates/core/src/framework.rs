@@ -234,11 +234,10 @@ impl Glp4nn {
         self.gpus[gpu].as_ref().map_or(0, |rt| rt.analyzer.solves())
     }
 
-    /// Execute one schedule source — a layer's chunk groups or a dataflow
-    /// [`crate::KernelGraph`] — on device `gpu` through the runtime
-    /// scheduler's workflow (profile once, then capture over the
-    /// model-sized stream pool, then replay the frozen plan; see
-    /// [`RuntimeScheduler::execute`]). With a [`Sanitizer`] attached the
+    /// Execute one schedule source — a layer's chunk groups — on device
+    /// `gpu` through the runtime scheduler's workflow (profile once, then
+    /// capture over the model-sized stream pool, then replay the frozen
+    /// plan; see [`RuntimeScheduler::execute`]). With a [`Sanitizer`] attached the
     /// schedule is verified once, at capture, and (in full mode) the
     /// executed command trace is replayed after every execution.
     ///
@@ -250,7 +249,7 @@ impl Glp4nn {
         dev: &mut Device,
         gpu: usize,
         key: &LayerKey,
-        source: Schedule<'_, G, S>,
+        source: Schedule<G, S>,
         sanitizer: Option<&mut Sanitizer>,
     ) -> Result<ExecReport, Glp4nnError>
     where
@@ -416,66 +415,5 @@ mod tests {
             glp.stream_manager().pool_size(0).unwrap(),
             plan.streams as usize
         );
-    }
-
-    /// A graph and the equivalent chain-of-groups request walk the same
-    /// profile → capture → replay steps through the one entry point, and
-    /// the graph's plan is cached under its own key.
-    #[test]
-    fn graph_and_groups_take_the_same_steps() {
-        let chains = || -> Vec<Vec<KernelDesc>> {
-            (0..8)
-                .map(|i| {
-                    ["im2col", "sgemm"]
-                        .iter()
-                        .map(|name| {
-                            KernelDesc::new(
-                                name,
-                                LaunchConfig::new(Dim3::linear(20), Dim3::linear(128), 48, 4096),
-                                KernelCost::new(4.0e6, 2.0e5),
-                            )
-                            .with_tag(i)
-                        })
-                        .collect()
-                })
-                .collect()
-        };
-        let mut graph = crate::KernelGraph::new();
-        for chain in chains() {
-            graph.add_chain(chain, &[]).unwrap();
-        }
-
-        // (mode, plan_solves, plan_captures) after each of four executions.
-        let steps = |graph: Option<&crate::KernelGraph>| {
-            let mut glp = Glp4nn::new(1);
-            let mut dev = Device::new(DeviceProps::k40c());
-            glp.register_device(0, dev.props());
-            let key = LayerKey::forward("net", "conv1").with_chunks(8);
-            let seq: Vec<(ExecMode, u64, u64)> = (0..4)
-                .map(|_| {
-                    let r = match graph {
-                        Some(g) => glp.execute(&mut dev, 0, &key, Schedule::graph(g), None),
-                        None => glp.execute(&mut dev, 0, &key, Schedule::groups(chains()), None),
-                    }
-                    .unwrap();
-                    (r.mode, glp.plan_solves(0), glp.plan_captures(0))
-                })
-                .collect();
-            (seq, glp, dev, key)
-        };
-        let (by_groups, ..) = steps(None);
-        let (by_graph, mut glp, mut dev, key) = steps(Some(&graph));
-        assert_eq!(by_graph, by_groups);
-        assert_eq!(by_graph[0], (ExecMode::Profiling, 1, 0));
-        assert!(matches!(by_graph[1], (ExecMode::Concurrent { .. }, 1, 1)));
-        assert_eq!(by_graph[2..], [by_graph[1], by_graph[1]], "cache hits");
-
-        // Graph and groups of one key share the concurrency plan but not
-        // the frozen schedule: the first groups request on the graph's
-        // framework captures without re-profiling, then hits.
-        for captures in [2, 2] {
-            run(&mut glp, &mut dev, 0, &key, 8);
-            assert_eq!((glp.plan_solves(0), glp.plan_captures(0)), (1, captures));
-        }
     }
 }

@@ -79,7 +79,6 @@
 pub mod analyzer;
 pub mod cost;
 pub mod framework;
-pub mod graph;
 pub mod optim;
 pub mod plan;
 pub mod scheduler;
@@ -89,7 +88,6 @@ pub mod tracker;
 pub use analyzer::{ConcurrencyPlan, KernelAnalyzer, KernelProfile};
 pub use cost::CostBook;
 pub use framework::{ExecMode, ExecReport, Glp4nn, Glp4nnError, LayerKey, Phase};
-pub use graph::{GraphError, KernelGraph};
 pub use optim::OptimConfig;
 pub use plan::{ExecPlan, PlanCache, PlanStep};
 pub use scheduler::Schedule;

@@ -14,18 +14,19 @@
 //! All dispatch front-ends lower to this IR:
 //!
 //! * [`RuntimeScheduler::execute`](crate::scheduler::RuntimeScheduler::execute)
-//!   captures its round-robin group schedule (after §6 fusion/reordering) or
-//!   a [`KernelGraph`](crate::graph::KernelGraph)'s stream-inheritance DAG
-//!   schedule;
+//!   captures its round-robin group schedule (after §6 fusion/reordering);
 //! * the naive and fixed-stream modes of `nn::exec::ExecCtx` are trivially
-//!   captured single-pool plans.
+//!   captured single-pool plans;
+//! * `interop`'s whole-net wave scheduler captures its operator DAG with an
+//!   explicit stream assignment
+//!   ([`capture_assigned`](ExecPlan::capture_assigned)).
 //!
 //! The contract mirrors CUDA Graphs: a captured plan freezes kernel
 //! geometry, so the cache key must cover everything the kernels depend on
 //! (here: layer, phase, batch/chunk count, dispatch mode, device).
 
 use crate::framework::{ExecMode, ExecReport};
-use gpu_sim::{Device, EventId, KernelDesc, KernelId, StreamId};
+use gpu_sim::{Device, EventId, KernelDesc, StreamId};
 use sanitizer::{PlanNodeRef, Sanitizer, SymGroupSpec};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -130,7 +131,7 @@ pub enum PlanStep {
 /// A frozen, validated description of one layer-phase's dispatch.
 ///
 /// Produced by [`capture_round_robin`](ExecPlan::capture_round_robin) or
-/// [`capture_graph`](ExecPlan::capture_graph); executed by
+/// [`capture_assigned`](ExecPlan::capture_assigned); executed by
 /// [`replay`](ExecPlan::replay). Cheap to share (`Arc<ExecPlan>`): replay
 /// takes `&self`.
 #[derive(Debug)]
@@ -193,87 +194,15 @@ impl ExecPlan {
         plan
     }
 
-    /// Capture a DAG schedule with stream inheritance: each node runs on
-    /// the stream of its first not-yet-continued dependency (falling back
-    /// to round-robin pool assignment), waits on events of cross-stream
-    /// dependencies, and records an event after launch. This reproduces
-    /// [`KernelGraph::launch`](crate::graph::KernelGraph::launch) exactly,
-    /// including its event-numbering order.
-    ///
-    /// `deps[i]` must only reference earlier nodes (`d < i`); later
-    /// references are ignored, matching the validated graph invariant.
-    pub fn capture_graph(
-        label: &str,
-        nodes: &[KernelDesc],
-        deps: &[Vec<usize>],
-        pool: &[StreamId],
-        mode: ExecMode,
-    ) -> Self {
-        let n = nodes.len();
-        let mut plan = Self::empty(label, pool, mode);
-        let mut stream_idx: Vec<usize> = Vec::with_capacity(n);
-        let mut event_of: Vec<u32> = Vec::with_capacity(n);
-        let mut continued = vec![false; n];
-        let mut rr = 0usize;
-        for i in 0..n {
-            // Inherit the stream of the first dependency that has not
-            // already been continued by another child; otherwise open the
-            // next pool stream round-robin.
-            let inherit = deps[i]
-                .iter()
-                .copied()
-                .filter(|&d| d < i)
-                .find(|&d| !continued[d]);
-            let sidx = match inherit {
-                Some(d) => {
-                    continued[d] = true;
-                    stream_idx[d]
-                }
-                None => {
-                    let s = rr % pool.len();
-                    rr += 1;
-                    s
-                }
-            };
-            for &d in &deps[i] {
-                if d < i && stream_idx[d] != sidx {
-                    plan.steps.push(PlanStep::Wait {
-                        stream: sidx as u16,
-                        event: event_of[d],
-                    });
-                }
-            }
-            let ki = plan.kernels.len() as u32;
-            plan.kernels.push(Arc::new(nodes[i].clone()));
-            plan.steps.push(PlanStep::Launch {
-                stream: sidx as u16,
-                kernel: ki,
-            });
-            let ev = plan.num_events;
-            plan.num_events += 1;
-            plan.steps.push(PlanStep::Record {
-                stream: sidx as u16,
-                event: ev,
-            });
-            stream_idx.push(sidx);
-            event_of.push(ev);
-            plan.node_stream.push(sidx);
-            plan.node_deps
-                .push(deps[i].iter().copied().filter(|&d| d < i).collect());
-        }
-        plan
-    }
-
     /// Capture a DAG schedule with an *explicit* per-node stream
     /// assignment — the form produced by schedulers that decide stream
     /// placement themselves (the inter-operator wave scheduler assigns
     /// each operator's chunk groups to a dedicated sub-pool). Cross-stream
     /// dependencies become record/wait edges; same-stream dependencies are
-    /// satisfied by stream FIFO order and emit nothing. Unlike
-    /// [`capture_graph`](ExecPlan::capture_graph), an event is recorded
-    /// only for nodes some later cross-stream node actually waits on, so
-    /// replays create no dead events (and the linter's unused-event check
-    /// stays quiet).
+    /// satisfied by stream FIFO order and emit nothing. An event is
+    /// recorded only for nodes some later cross-stream node actually waits
+    /// on, so replays create no dead events (and the linter's unused-event
+    /// check stays quiet).
     ///
     /// `deps[i]` must only reference earlier nodes (`d < i`); later
     /// references are ignored. `stream_of[i]` indexes into `pool`.
@@ -448,18 +377,6 @@ impl ExecPlan {
     /// that need the simulation driven to completion follow with
     /// [`Device::run`] (or use [`replay`](ExecPlan::replay)).
     pub fn issue(&self, dev: &mut Device) {
-        self.issue_steps(dev, |_| {});
-    }
-
-    /// Like [`issue`](ExecPlan::issue) but collects the [`KernelId`]s
-    /// assigned to the plan's kernels, in plan kernel order.
-    pub fn issue_with_ids(&self, dev: &mut Device) -> Vec<KernelId> {
-        let mut ids = Vec::with_capacity(self.kernels.len());
-        self.issue_steps(dev, |id| ids.push(id));
-        ids
-    }
-
-    fn issue_steps(&self, dev: &mut Device, mut on_launch: impl FnMut(KernelId)) {
         // Events are one-shot in the simulator (as in CUDA without
         // explicit reset), so each replay gets a fresh batch.
         let mut events: Vec<EventId> = Vec::with_capacity(self.num_events as usize);
@@ -469,11 +386,10 @@ impl ExecPlan {
         for step in &self.steps {
             match *step {
                 PlanStep::Launch { stream, kernel } => {
-                    let id = dev.launch_shared(
+                    dev.launch_shared(
                         self.streams[stream as usize],
                         Arc::clone(&self.kernels[kernel as usize]),
                     );
-                    on_launch(id);
                 }
                 PlanStep::Record { stream, event } => {
                     dev.record_event(self.streams[stream as usize], events[event as usize]);
@@ -564,86 +480,42 @@ impl PlanCache {
     }
 }
 
-/// What a schedule was captured from, as capture-time verification sees it.
+/// What a schedule was captured from, as capture-time verification sees it:
+/// the batch-split chunk groups of one dispatch site.
 #[derive(Debug, Clone, Copy)]
-pub enum CaptureSource<'a> {
-    /// The batch-split chunk groups of one dispatch site.
-    Chunks {
-        /// Sanitizer context string for diagnostics.
-        context: &'a str,
-        /// Shape-independent site key (`net/layer/phase`) of the
-        /// symbolic-certificate cache.
-        site: &'a str,
-        /// The layer's symbolic access declaration, when it has one.
-        spec: Option<&'a SymGroupSpec>,
-        /// One kernel chain per chunk.
-        groups: &'a [Vec<KernelDesc>],
-    },
-    /// A dataflow graph: the dependency closure alone must cover every
-    /// conflict, or some legal stream assignment races.
-    Graph {
-        /// Sanitizer context string for diagnostics.
-        context: &'a str,
-        /// Kernels in topological order.
-        nodes: &'a [KernelDesc],
-        /// Dependencies per node.
-        deps: &'a [Vec<usize>],
-    },
-}
-
-impl CaptureSource<'_> {
-    /// Freeze this source's schedule over `pool`: chunk groups round-robin,
-    /// a graph with stream inheritance.
-    pub fn capture(&self, label: &str, pool: &[StreamId], mode: ExecMode) -> ExecPlan {
-        match *self {
-            CaptureSource::Chunks { groups, .. } => {
-                ExecPlan::capture_round_robin(label, groups, pool, mode)
-            }
-            CaptureSource::Graph { nodes, deps, .. } => {
-                ExecPlan::capture_graph(label, nodes, deps, pool, mode)
-            }
-        }
-    }
+pub struct CaptureSource<'a> {
+    /// Sanitizer context string for diagnostics.
+    pub context: &'a str,
+    /// Shape-independent site key (`net/layer/phase`) of the
+    /// symbolic-certificate cache.
+    pub site: &'a str,
+    /// The layer's symbolic access declaration, when it has one.
+    pub spec: Option<&'a SymGroupSpec>,
+    /// One kernel chain per chunk.
+    pub groups: &'a [Vec<KernelDesc>],
 }
 
 /// Capture-time verification, run once per captured schedule and never on
 /// replay. First the `source` the schedule was built from: chunk regions
 /// must be disjoint (through the site's symbolic certificate when a spec is
-/// declared and proven, pairwise otherwise), a graph's dependencies must
-/// cover its conflicts. Then the `plan` about to be cached: the static plan
-/// check over its frozen tables, then the linter if one is attached. A plan
-/// whose source was certified skips the O(kernels²) hazard pair scan and
-/// keeps only the structural checks; a plan verified without its source
-/// (one spanning several sites) always gets the full scan. Returns whether
-/// the source was certified.
+/// declared and proven, pairwise otherwise). Then the `plan` about to be
+/// cached: the static plan check over its frozen tables, then the linter if
+/// one is attached. A plan whose source was certified skips the O(kernels²)
+/// hazard pair scan and keeps only the structural checks; a plan verified
+/// without its source (one spanning several sites) always gets the full
+/// scan. Returns whether the source was certified.
 pub fn verify_capture(
     san: &mut Sanitizer,
     source: Option<CaptureSource<'_>>,
     plan: Option<&ExecPlan>,
 ) -> bool {
-    let certified = match source {
-        Some(CaptureSource::Chunks {
-            context,
-            site,
-            spec: Some(spec),
-            groups,
-        }) => san.check_chunks_spec(context, site, spec, groups),
-        Some(CaptureSource::Chunks {
-            context, groups, ..
-        }) => {
-            san.check_chunks(context, groups);
+    let certified = source.is_some_and(|src| match src.spec {
+        Some(spec) => san.check_chunks_spec(src.context, src.site, spec, src.groups),
+        None => {
+            san.check_chunks(src.context, src.groups);
             false
         }
-        Some(CaptureSource::Graph {
-            context,
-            nodes,
-            deps,
-        }) => {
-            san.check_graph(context, nodes, deps);
-            false
-        }
-        None => false,
-    };
+    });
     if let Some(plan) = plan {
         let nodes: Vec<PlanNodeRef<'_>> = (0..plan.kernels.len())
             .map(|i| PlanNodeRef {
@@ -729,65 +601,135 @@ mod tests {
         assert_eq!(r1.elapsed_ns, r2.elapsed_ns, "replay must be deterministic");
     }
 
+    /// `(start_ns, end_ns)` of the traced kernel called `name`.
+    fn span(dev: &Device, name: &str) -> (u64, u64) {
+        let t = dev.trace().iter().find(|t| &*t.name == name).unwrap();
+        (t.start_ns, t.end_ns)
+    }
+
     #[test]
-    fn graph_replay_matches_imperative_launch() {
-        // Diamond: 0 -> {1, 2} -> 3.
+    fn assigned_diamond_is_enforced_across_streams() {
+        // Diamond a -> {b, c} -> d with c alone on the second stream.
         let nodes = vec![
-            kernel("a", 8, 128, 1.0e6),
-            kernel("b", 8, 128, 2.0e6),
-            kernel("c", 8, 128, 3.0e6),
-            kernel("d", 8, 128, 1.0e6),
+            kernel("a", 14, 256, 5.0e6),
+            kernel("b", 14, 256, 5.0e6),
+            kernel("c", 14, 256, 5.0e6),
+            kernel("d", 14, 256, 5.0e6),
         ];
         let deps = vec![vec![], vec![0], vec![0], vec![1, 2]];
-
-        // Imperative reference: the old KernelGraph::launch body.
-        let mut dev_a = Device::new(DeviceProps::p100());
-        let pool_a: Vec<_> = (0..2).map(|_| dev_a.create_stream()).collect();
-        {
-            let mut stream_of = Vec::new();
-            let mut event_of: Vec<Option<EventId>> = vec![None; nodes.len()];
-            let mut continued = vec![false; nodes.len()];
-            let mut rr = 0usize;
-            for i in 0..nodes.len() {
-                let inherit = deps[i].iter().copied().find(|&d| !continued[d]);
-                let sid = match inherit {
-                    Some(d) => {
-                        continued[d] = true;
-                        stream_of[d]
-                    }
-                    None => {
-                        let s = pool_a[rr % pool_a.len()];
-                        rr += 1;
-                        s
-                    }
-                };
-                for &d in &deps[i] {
-                    if stream_of[d] != sid {
-                        dev_a.wait_event(sid, event_of[d].unwrap());
-                    }
-                }
-                dev_a.launch(sid, nodes[i].clone());
-                let ev = dev_a.create_event();
-                dev_a.record_event(sid, ev);
-                event_of[i] = Some(ev);
-                stream_of.push(sid);
-            }
-        }
-        dev_a.run();
-
-        let mut dev_b = Device::new(DeviceProps::p100());
-        let pool_b: Vec<_> = (0..2).map(|_| dev_b.create_stream()).collect();
-        let plan = ExecPlan::capture_graph(
-            "graph",
+        let mut dev = Device::new(DeviceProps::p100());
+        let pool: Vec<_> = (0..2).map(|_| dev.create_stream()).collect();
+        let plan = ExecPlan::capture_assigned(
+            "diamond",
             &nodes,
             &deps,
-            &pool_b,
+            &[0, 0, 1, 0],
+            &pool,
             ExecMode::Concurrent { streams: 2 },
         );
-        plan.replay(&mut dev_b);
-        assert_eq!(timeline(&dev_a), timeline(&dev_b));
-        assert_eq!(dev_a.command_log(), dev_b.command_log());
-        assert_eq!(plan.num_events(), 4);
+
+        // Only the two cross-stream edges (a -> c, c -> d) cost an event:
+        // a -> b and b -> d ride stream FIFO order, and b and d, which no
+        // other stream waits on, record nothing.
+        let (launch, record, wait) = (
+            |stream, kernel| PlanStep::Launch { stream, kernel },
+            |stream, event| PlanStep::Record { stream, event },
+            |stream, event| PlanStep::Wait { stream, event },
+        );
+        assert_eq!(
+            plan.steps(),
+            &[
+                launch(0, 0),
+                record(0, 0),
+                launch(0, 1),
+                wait(1, 0),
+                launch(1, 2),
+                record(1, 1),
+                wait(0, 1),
+                launch(0, 3),
+            ]
+        );
+        assert_eq!(plan.num_events(), 2);
+        assert_eq!(plan.node_streams(), &[0, 0, 1, 0]);
+        assert_eq!(plan.node_deps(3), &[1, 2]);
+        assert_eq!(plan.validate_steps(), Ok(()));
+
+        let r = plan.replay(&mut dev);
+        assert_eq!(r.kernels, 4);
+        let (a, b, c, d) = (
+            span(&dev, "a"),
+            span(&dev, "b"),
+            span(&dev, "c"),
+            span(&dev, "d"),
+        );
+        assert!(b.0 >= a.1, "b after a");
+        assert!(c.0 >= a.1, "c after a");
+        assert!(d.0 >= b.1, "d after b");
+        assert!(d.0 >= c.1, "d after c");
+    }
+
+    #[test]
+    fn assigned_independent_siblings_overlap() {
+        let nodes = vec![
+            kernel("a", 14, 256, 2.0e6),
+            kernel("b", 14, 256, 5.0e7),
+            kernel("c", 14, 256, 5.0e7),
+        ];
+        let deps = vec![vec![], vec![0], vec![0]];
+        let mut dev = Device::new(DeviceProps::p100());
+        let pool: Vec<_> = (0..4).map(|_| dev.create_stream()).collect();
+        let mode = ExecMode::Concurrent { streams: 4 };
+        let plan = ExecPlan::capture_assigned("fork", &nodes, &deps, &[0, 0, 1], &pool, mode);
+        plan.replay(&mut dev);
+        let ((bs, be), (cs, ce)) = (span(&dev, "b"), span(&dev, "c"));
+        assert!(
+            be.min(ce) > bs.max(cs),
+            "siblings must overlap: b {bs}-{be}, c {cs}-{ce}"
+        );
+    }
+
+    #[test]
+    fn assigned_same_stream_chain_needs_no_event() {
+        let nodes = vec![
+            kernel("x", 8, 128, 1.0e6),
+            kernel("y", 8, 128, 1.0e6),
+            kernel("z", 8, 128, 1.0e6),
+        ];
+        let deps = vec![vec![], vec![0], vec![1]];
+        let mut dev = Device::new(DeviceProps::p100());
+        let pool: Vec<_> = (0..4).map(|_| dev.create_stream()).collect();
+        let mode = ExecMode::Concurrent { streams: 4 };
+        let plan = ExecPlan::capture_assigned("chain", &nodes, &deps, &[2, 2, 2], &pool, mode);
+        assert_eq!(plan.num_events(), 0);
+        assert!(plan
+            .steps()
+            .iter()
+            .all(|s| matches!(s, PlanStep::Launch { stream: 2, .. })));
+        plan.replay(&mut dev);
+        assert!(dev.trace().iter().all(|t| t.stream == pool[2]));
+        assert!(span(&dev, "y").0 >= span(&dev, "x").1);
+        assert!(span(&dev, "z").0 >= span(&dev, "y").1);
+    }
+
+    #[test]
+    fn assigned_single_stream_serializes() {
+        // No declared dependency: the one stream's FIFO order is the only
+        // thing keeping the two apart.
+        let nodes = vec![kernel("a", 8, 128, 1.0e6), kernel("b", 8, 128, 1.0e6)];
+        let deps = vec![vec![], vec![]];
+        let mut dev = Device::new(DeviceProps::p100());
+        let pool = vec![dev.create_stream()];
+        let plan = ExecPlan::capture_assigned(
+            "serial",
+            &nodes,
+            &deps,
+            &[0, 0],
+            &pool,
+            ExecMode::Profiling,
+        );
+        assert_eq!(plan.num_events(), 0);
+        plan.replay(&mut dev);
+        assert!(span(&dev, "b").0 >= span(&dev, "a").1);
     }
 
     #[test]

@@ -11,7 +11,6 @@
 
 use crate::analyzer::KernelAnalyzer;
 use crate::framework::{ExecMode, ExecReport, LayerKey};
-use crate::graph::KernelGraph;
 use crate::optim::{fuse_group, reorder_groups, OptimConfig};
 use crate::plan::{verify_capture, CaptureSource, ExecPlan};
 use crate::streams::{StreamError, StreamManager};
@@ -23,13 +22,10 @@ use std::sync::Arc;
 /// Emit a host-track instant plus a counter bump on the device's attached
 /// recorder, if any. The name closure runs only when telemetry is
 /// attached, so the disabled path performs no formatting and no
-/// allocation.
-pub(crate) fn tel_instant(
-    dev: &Device,
-    cat: &str,
-    counter: &str,
-    make_name: impl FnOnce() -> String,
-) {
+/// allocation. Every plan-cache event in the workspace (this scheduler's and
+/// `nn::ExecCtx`'s self-dispatched modes) goes through here, so the
+/// instant-then-counter order the trace files pin has one definition.
+pub fn tel_instant(dev: &Device, cat: &str, counter: &str, make_name: impl FnOnce() -> String) {
     if let Some(rec) = dev.telemetry() {
         let mut r = rec.lock().unwrap_or_else(|p| p.into_inner());
         r.instant(
@@ -65,51 +61,39 @@ pub(crate) fn tel_span(
     }
 }
 
-/// One thing to schedule: where the kernels come from. A layer hands over
-/// its batch-split chunk groups lazily (on a plan-cache hit neither closure
-/// runs, so steady-state iterations build no kernel descriptors); a
-/// dataflow [`KernelGraph`] is borrowed as is.
-pub enum Schedule<'a, G, S> {
-    /// Mutually independent chunk groups, each an ordered chain of
-    /// dependent kernels (one sample's `im2col → sgemm → bias`).
-    Chunks {
-        /// Builds the groups; called on a plan-cache miss only.
-        make_groups: G,
-        /// Builds the site's symbolic access declaration, if the layer has
-        /// one; called on a plan-cache miss with a sanitizer attached only.
-        /// With a `Proven` certificate for `key.site_key()`, capture-time
-        /// checking drops from O(chunks²) pairwise comparisons plus an
-        /// O(kernels²) plan pair scan to an O(chunks) conformance check
-        /// plus structural plan checks. Conformance runs against the
-        /// *post-transform* groups: §6 fusion/reordering rewrites kernels,
-        /// so transformed schedules fall back to the pairwise path by
-        /// construction.
-        make_spec: S,
-    },
-    /// A dataflow-style kernel DAG (the §6 extension). Cross-stream
-    /// dependencies are enforced with events, so the dependency structure
-    /// is preserved exactly.
-    Graph(&'a KernelGraph),
+/// One thing to schedule: a layer's batch-split chunk groups — mutually
+/// independent, each an ordered chain of dependent kernels (one sample's
+/// `im2col → sgemm → bias`) — handed over lazily: on a plan-cache hit
+/// neither closure runs, so steady-state iterations build no kernel
+/// descriptors.
+pub struct Schedule<G, S> {
+    /// Builds the groups; called on a plan-cache miss only.
+    pub make_groups: G,
+    /// Builds the site's symbolic access declaration, if the layer has
+    /// one; called on a plan-cache miss with a sanitizer attached only.
+    /// With a `Proven` certificate for `key.site_key()`, capture-time
+    /// checking drops from O(chunks²) pairwise comparisons plus an
+    /// O(kernels²) plan pair scan to an O(chunks) conformance check
+    /// plus structural plan checks. Conformance runs against the
+    /// *post-transform* groups: §6 fusion/reordering rewrites kernels,
+    /// so transformed schedules fall back to the pairwise path by
+    /// construction.
+    pub make_spec: S,
 }
 
 type Groups = Vec<Vec<KernelDesc>>;
 
-// Constructors for the call sites that have no closures of their own: `fn`
+// Constructor for the call sites that have no closures of their own: `fn`
 // pointers stand in for the unused type parameters, so none needs naming.
-impl<'a> Schedule<'a, fn() -> Groups, fn() -> Option<SymGroupSpec>> {
+impl Schedule<fn() -> Groups, fn() -> Option<SymGroupSpec>> {
     /// Chunk groups already built, no symbolic spec.
     pub fn groups(
         groups: Groups,
-    ) -> Schedule<'static, impl FnOnce() -> Groups, fn() -> Option<SymGroupSpec>> {
-        Schedule::Chunks {
+    ) -> Schedule<impl FnOnce() -> Groups, fn() -> Option<SymGroupSpec>> {
+        Schedule {
             make_groups: move || groups,
             make_spec: || None,
         }
-    }
-
-    /// A borrowed kernel graph.
-    pub fn graph(graph: &'a KernelGraph) -> Self {
-        Schedule::Graph(graph)
     }
 }
 
@@ -150,10 +134,9 @@ impl RuntimeScheduler {
     /// copy of it.
     ///
     /// 1. *Replay.* A frozen plan is cached for `key` (qualified by the
-    ///    optimizer configuration, which changes the captured schedule,
-    ///    and by the source kind): replay it. The hot loop does no
-    ///    analysis, no MILP, no plan validation, no per-kernel allocation,
-    ///    and never builds the source.
+    ///    optimizer configuration, which changes the captured schedule):
+    ///    replay it. The hot loop does no analysis, no MILP, no plan
+    ///    validation, no per-kernel allocation, and never builds the source.
     /// 2. *Capture.* The concurrency plan for `key` is known: apply the
     ///    optional §6 transforms to chunk groups (using the plan's profiled
     ///    durations), freeze the schedule over the `C_out`-stream pool,
@@ -177,7 +160,7 @@ impl RuntimeScheduler {
         analyzer: &mut KernelAnalyzer,
         streams: &StreamManager,
         key: &LayerKey,
-        source: Schedule<'_, G, S>,
+        source: Schedule<G, S>,
         mut sanitizer: Option<&mut Sanitizer>,
     ) -> Result<ExecReport, StreamError>
     where
@@ -195,11 +178,7 @@ impl RuntimeScheduler {
         };
 
         let key_str = key.cache_key();
-        let kind = match source {
-            Schedule::Chunks { .. } => "",
-            Schedule::Graph(_) => "#graph",
-        };
-        let plan_key = format!("{key_str}#{}{kind}", self.optim.cache_tag());
+        let plan_key = format!("{key_str}#{}", self.optim.cache_tag());
         if self.plan_reuse {
             if let Some(plan) = analyzer.exec_plans.get(&plan_key).cloned() {
                 tel_instant(dev, "plan", "plan.cache_hits", || {
@@ -212,47 +191,33 @@ impl RuntimeScheduler {
         // Build the source: what gets captured, and what gets verified if
         // a sanitizer is attached.
         let cplan = analyzer.plan_for(&key_str).cloned();
-        let site = key.site_key();
-        let (groups, spec);
-        let source = match source {
-            Schedule::Chunks {
-                make_groups,
-                make_spec,
-            } => {
-                let mut built = make_groups();
-                if let Some(cplan) = &cplan {
-                    let overhead = dev.props().launch_overhead_ns;
-                    if self.optim.fusion {
-                        built = built
-                            .into_iter()
-                            .map(|g| {
-                                fuse_group(
-                                    g,
-                                    &cplan.class_durations,
-                                    overhead,
-                                    self.optim.fusion_threshold_x,
-                                )
-                            })
-                            .collect();
-                    }
-                    if self.optim.reordering {
-                        built = reorder_groups(built, &cplan.class_durations, overhead);
-                    }
-                }
-                groups = built;
-                spec = sanitizer.as_ref().and_then(|_| make_spec());
-                CaptureSource::Chunks {
-                    context: &key_str,
-                    site: &site,
-                    spec: spec.as_ref(),
-                    groups: &groups,
-                }
+        let mut groups = (source.make_groups)();
+        if let Some(cplan) = &cplan {
+            let overhead = dev.props().launch_overhead_ns;
+            if self.optim.fusion {
+                groups = groups
+                    .into_iter()
+                    .map(|g| {
+                        fuse_group(
+                            g,
+                            &cplan.class_durations,
+                            overhead,
+                            self.optim.fusion_threshold_x,
+                        )
+                    })
+                    .collect();
             }
-            Schedule::Graph(g) => CaptureSource::Graph {
-                context: &key_str,
-                nodes: g.nodes(),
-                deps: g.all_deps(),
-            },
+            if self.optim.reordering {
+                groups = reorder_groups(groups, &cplan.class_durations, overhead);
+            }
+        }
+        let site = key.site_key();
+        let spec = sanitizer.as_ref().and_then(|_| (source.make_spec)());
+        let source = CaptureSource {
+            context: &key_str,
+            site: &site,
+            spec: spec.as_ref(),
+            groups: &groups,
         };
 
         if let Some(cplan) = cplan {
@@ -260,7 +225,9 @@ impl RuntimeScheduler {
             let mode = ExecMode::Concurrent {
                 streams: cplan.streams,
             };
-            let plan = Arc::new(source.capture(&key_str, &pool, mode));
+            let plan = Arc::new(ExecPlan::capture_round_robin(
+                &key_str, &groups, &pool, mode,
+            ));
             if let Some(san) = sanitizer.as_deref_mut() {
                 verify_capture(san, Some(source), Some(&plan));
             }
@@ -283,7 +250,7 @@ impl RuntimeScheduler {
         tracker.ingest(self.gpu, dev.trace());
         tracker.enable(self.gpu);
         let pool = [streams.default_stream(dev)];
-        let plan = source.capture(&key_str, &pool, ExecMode::Profiling);
+        let plan = ExecPlan::capture_round_robin(&key_str, &groups, &pool, ExecMode::Profiling);
         let report = run(&plan, dev, sanitizer);
         tracker.ingest(self.gpu, dev.trace());
         tracker.disable(self.gpu);

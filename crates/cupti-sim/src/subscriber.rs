@@ -34,15 +34,7 @@ pub struct Profiler {
 impl Profiler {
     /// A profiler with the default buffer pool.
     pub fn new() -> Self {
-        Self::from_pool(BufferPool::default())
-    }
-
-    /// A profiler with a custom buffer pool (size × count).
-    pub fn with_pool(buffer_bytes: usize, num_buffers: usize) -> Self {
-        Self::from_pool(BufferPool::new(buffer_bytes, num_buffers))
-    }
-
-    fn from_pool(pool: BufferPool) -> Self {
+        let pool = BufferPool::default();
         let mut metrics = MetricsRegistry::new();
         overhead::init_registry(&mut metrics, pool.resident_bytes());
         Profiler {

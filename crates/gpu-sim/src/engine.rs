@@ -45,7 +45,7 @@ use crate::arena::Arena;
 use crate::contention::BandwidthTracker;
 use crate::device::DeviceProps;
 use crate::kernel::{KernelDesc, KernelId};
-use crate::queue::{CalendarQueue, EventKey, EventQueue, HeapQueue};
+use crate::queue::{EventKey, EventQueue, HeapQueue};
 use crate::sm::{BlockFootprint, SmState};
 use crate::stats::DeviceStats;
 use crate::stream::{CmdRecord, Command, CopyId, EventId, EventState, StreamId, StreamState};
@@ -246,15 +246,6 @@ impl Device {
     pub fn use_heap_queue(&mut self) {
         assert!(self.queue.is_empty(), "switch queues before enqueuing work");
         self.queue = EventQueue::Heap(HeapQueue::new());
-    }
-
-    /// Switch this device onto the calendar event queue (the default).
-    ///
-    /// # Panics
-    /// Panics if events are already pending (switch before enqueuing).
-    pub fn use_calendar_queue(&mut self) {
-        assert!(self.queue.is_empty(), "switch queues before enqueuing work");
-        self.queue = EventQueue::Calendar(CalendarQueue::new());
     }
 
     /// Number of discrete events processed so far (the engine-throughput
@@ -684,12 +675,6 @@ impl Device {
         );
         self.streams[s].queue.pop_front();
         self.advance_stream(sid);
-    }
-
-    /// Convenience: wait for everything previously enqueued, like
-    /// `cudaDeviceSynchronize`. Returns the completion time.
-    pub fn synchronize(&mut self) -> SimTime {
-        self.run()
     }
 
     /// Fast-forward an idle device's clock to `t` (no-op if `t` is in the

@@ -106,7 +106,7 @@ impl LinkProps {
 }
 
 /// Typed error for cross-device misuse, mirroring `StreamError` /
-/// `GraphError` elsewhere in the workspace: misconfigured topologies are
+/// `PlanError` elsewhere in the workspace: misconfigured topologies are
 /// caller bugs we want surfaced as values, not panics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FabricError {

@@ -518,12 +518,6 @@ impl KernelDesc {
         self.accesses.writes.push(MemAccess { buffer, range });
         self
     }
-
-    /// Replace the whole declared access set.
-    pub fn with_accesses(mut self, accesses: AccessSet) -> Self {
-        self.accesses = accesses;
-        self
-    }
 }
 
 #[cfg(test)]

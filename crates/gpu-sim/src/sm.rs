@@ -98,11 +98,6 @@ impl SmState {
         self.warp_time_integral += warps_resident * (now - self.last_change) as u128;
         self.last_change = now;
     }
-
-    /// Fraction of the thread capacity in use right now.
-    pub fn thread_utilization(&self, dev: &DeviceProps) -> f64 {
-        self.threads_used as f64 / dev.max_threads_per_sm as f64
-    }
 }
 
 impl Default for SmState {

@@ -348,7 +348,7 @@ impl InterOpExec {
             for d in staged {
                 let site = format!("{}/{}/{}", self.spec.name, d.layer, phase.as_str());
                 let dkey = format!("{site}/b{}/c{}/interop", ctx.batch, d.chunks);
-                let source = CaptureSource::Chunks {
+                let source = CaptureSource {
                     context: if d.spec.is_some() { &dkey } else { &d.layer },
                     site: &site,
                     spec: d.spec.as_ref(),

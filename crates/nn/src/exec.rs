@@ -1,6 +1,7 @@
 //! Execution context: simulated device + dispatch policy + timing capture.
 
 use glp4nn::plan::{verify_capture, CaptureSource};
+use glp4nn::scheduler::tel_instant;
 use glp4nn::{ExecMode, ExecPlan, ExecReport, Glp4nn, LayerKey, Phase, PlanCache, Schedule};
 use gpu_sim::{Device, DeviceProps, EventId, KernelDesc, SimTime, StreamId};
 use sanitizer::{LintConfig, SanitizeMode, Sanitizer, SymGroupSpec};
@@ -262,7 +263,9 @@ impl ExecCtx {
 
     /// Cache a freshly captured plan (counts as a plan capture).
     pub fn store_plan(&mut self, key: String, plan: Arc<ExecPlan>) {
-        self.tel_plan_event("plan.captures", "plan.capture", &key);
+        tel_instant(&self.device, "plan", "plan.captures", || {
+            format!("plan.capture {key}")
+        });
         self.plans.store(key, plan);
     }
 
@@ -394,7 +397,7 @@ impl ExecCtx {
                     chunks,
                 };
                 let san = self.sanitizer.is_enabled().then_some(&mut self.sanitizer);
-                let source = Schedule::Chunks {
+                let source = Schedule {
                     make_groups: &make_groups,
                     make_spec: &make_spec,
                 };
@@ -472,7 +475,9 @@ impl ExecCtx {
         let key = self.plan_key(layer, phase, chunks, pool.len());
         if self.plan_reuse {
             if let Some(plan) = self.cached_plan(&key) {
-                self.tel_plan_event("plan.cache_hits", "plan.replay", &key);
+                tel_instant(&self.device, "plan", "plan.cache_hits", || {
+                    format!("plan.replay {key}")
+                });
                 return self.replay_or_issue(&plan);
             }
         }
@@ -499,7 +504,7 @@ impl ExecCtx {
             // size and chunk count the site is captured at.
             let site = format!("{}/{}/{}", self.net_name, layer, phase.as_str());
             let spec = make_spec();
-            let source = CaptureSource::Chunks {
+            let source = CaptureSource {
                 context: if spec.is_some() { &key } else { layer },
                 site: &site,
                 spec: spec.as_ref(),
@@ -516,24 +521,6 @@ impl ExecCtx {
         }
         self.store_plan(key, Arc::clone(&plan));
         self.replay_or_issue(&plan)
-    }
-
-    /// Mirror one self-dispatched plan-cache event (capture or replay
-    /// hit) into the attached telemetry recorder: a counter bump plus a
-    /// host-track instant. Zero-cost when no recorder is attached — the
-    /// name string is only built behind the attachment check.
-    fn tel_plan_event(&self, counter: &str, verb: &str, key: &str) {
-        if let Some(rec) = self.device.telemetry() {
-            let mut r = rec.lock().unwrap_or_else(|poison| poison.into_inner());
-            r.instant(
-                self.device.telemetry_pid(),
-                telemetry::HOST_TID,
-                &format!("{verb} {key}"),
-                "plan",
-                self.device.now(),
-            );
-            r.counter_add(counter, 1);
-        }
     }
 
     /// Eager mode: replay the plan (issue + run to completion). Deferred

@@ -242,11 +242,6 @@ impl DataParallelTrainer {
         out
     }
 
-    /// Number of replicas.
-    pub fn num_replicas(&self) -> usize {
-        self.replicas.len()
-    }
-
     /// Current iteration.
     pub fn iteration(&self) -> usize {
         self.iter

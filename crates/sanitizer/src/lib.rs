@@ -208,11 +208,6 @@ impl Sanitizer {
         self.linter.as_ref()
     }
 
-    /// Mutable access to the attached linter, if any.
-    pub fn linter_mut(&mut self) -> Option<&mut Linter> {
-        self.linter.as_mut()
-    }
-
     /// Certificate-backed chunk check. `site` keys the certificate cache
     /// (conventionally `net/layer/phase` — shape- and mode-independent);
     /// `spec` is the layer's symbolic declaration of the per-chunk kernel
@@ -374,25 +369,6 @@ impl Sanitizer {
         }
         self.stats.plans_checked += 1;
         self.stats.plan_pairs += plan::check_nodes(label, nodes, &mut self.reports, true);
-    }
-
-    /// Static check of a kernel DAG (stream-agnostic): every pair of
-    /// conflicting kernels must be ordered by the dependency closure —
-    /// otherwise *some* legal schedule races. Pass the graph as
-    /// `(nodes, deps)` slices (e.g. `KernelGraph::nodes()` +
-    /// `KernelGraph::all_deps()`).
-    pub fn check_graph(&mut self, context: &str, nodes: &[KernelDesc], deps: &[Vec<usize>]) {
-        if !self.is_enabled() {
-            return;
-        }
-        // A graph is a plan with every node on its own stream: the only
-        // ordering left is the declared dependency closure.
-        let mut plan = DispatchPlan::new(context);
-        for (i, k) in nodes.iter().enumerate() {
-            let d = deps.get(i).map(Vec::as_slice).unwrap_or(&[]);
-            plan.add(k.clone(), i, d);
-        }
-        self.check_plan(&plan);
     }
 
     /// Dynamic check: replay the portion of `dev`'s command log recorded
@@ -582,21 +558,6 @@ mod tests {
         let mut san = Sanitizer::new(SanitizeMode::PlanOnly);
         san.check_device(&dev);
         assert_eq!(san.stats().trace_kernels, 0);
-    }
-
-    #[test]
-    fn graph_check_requires_deps_to_cover_conflicts() {
-        let buf = BufferId::from_label("lib/e");
-        let nodes = vec![
-            kernel("w").writes(buf, ByteRange::new(0, 64)),
-            kernel("r").reads(buf, ByteRange::new(0, 64)),
-        ];
-        let mut san = Sanitizer::new(SanitizeMode::PlanOnly);
-        san.check_graph("g", &nodes, &[vec![], vec![0]]);
-        assert_eq!(san.reports(), &[]);
-        san.check_graph("g", &nodes, &[vec![], vec![]]);
-        assert_eq!(san.reports().len(), 1);
-        assert_eq!(san.reports()[0].kind, DiagnosticKind::MissingDependency);
     }
 
     #[test]

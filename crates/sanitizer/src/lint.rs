@@ -115,11 +115,6 @@ impl Linter {
         &self.diags
     }
 
-    /// Drain accumulated findings.
-    pub fn take_diags(&mut self) -> Vec<LintDiag> {
-        std::mem::take(&mut self.diags)
-    }
-
     /// Render all accumulated findings in canonical order.
     pub fn render(&self) -> String {
         crate::diag::render_all(&self.diags)
@@ -133,10 +128,10 @@ impl Linter {
     /// Run every analysis over one frozen plan.
     ///
     /// `records_events` says whether the plan actually records events
-    /// (graph-captured plans do; round-robin chain plans synchronize
-    /// implicitly and get no PW003 analysis). `hazards_proven` says a
-    /// symbolic certificate already proved cross-chunk hazard-freedom for
-    /// this plan's kernels, so the O(n²) PL001 pair scan is skipped.
+    /// (DAG plans with cross-stream edges do; round-robin chain plans order
+    /// through stream FIFO alone and get no PW003 analysis). `hazards_proven`
+    /// says a symbolic certificate already proved cross-chunk hazard-freedom
+    /// for this plan's kernels, so the O(n²) PL001 pair scan is skipped.
     pub fn lint_plan(
         &mut self,
         label: &str,

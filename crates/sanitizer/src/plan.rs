@@ -2,11 +2,9 @@
 //!
 //! A [`DispatchPlan`] is the sanitizer's model of what a scheduler is
 //! *about* to do: an issue-ordered list of kernels, each with a target
-//! stream and a set of declared dependencies. Two constructors mirror the
-//! runtime's real dispatch policies ([`DispatchPlan::round_robin`] for the
-//! group scheduler, [`DispatchPlan::from_graph`] for the DAG scheduler), so
-//! the checker validates exactly the schedule that would execute — before
-//! anything executes.
+//! stream and a set of declared dependencies. [`DispatchPlan::round_robin`]
+//! mirrors the group scheduler's dispatch policy, so the checker validates
+//! exactly the schedule that would execute — before anything executes.
 
 use crate::report::{ConflictSite, Diagnostic, DiagnosticKind, KernelRef};
 use gpu_sim::KernelDesc;
@@ -78,43 +76,6 @@ impl DispatchPlan {
                 let deps: Vec<usize> = prev.into_iter().collect();
                 prev = Some(plan.add(k.clone(), g % num_streams, &deps));
             }
-        }
-        plan
-    }
-
-    /// The plan `KernelGraph::launch` would execute on a pool of
-    /// `pool_len` streams: nodes inherit the stream of their first
-    /// not-yet-continued dependency, otherwise take one round-robin.
-    ///
-    /// Takes the graph as `(nodes, deps)` slices so `core` can depend on
-    /// this crate without a cycle.
-    pub fn from_graph(
-        label: &str,
-        nodes: &[KernelDesc],
-        deps: &[Vec<usize>],
-        pool_len: usize,
-    ) -> Self {
-        let pool_len = pool_len.max(1);
-        let mut plan = DispatchPlan::new(label);
-        let mut stream_of: Vec<usize> = Vec::with_capacity(nodes.len());
-        let mut continued = vec![false; nodes.len()];
-        let mut rr = 0usize;
-        for (i, k) in nodes.iter().enumerate() {
-            let node_deps = deps.get(i).map(Vec::as_slice).unwrap_or(&[]);
-            let inherit = node_deps.iter().copied().find(|&d| d < i && !continued[d]);
-            let sid = match inherit {
-                Some(d) => {
-                    continued[d] = true;
-                    stream_of[d]
-                }
-                None => {
-                    let s = rr % pool_len;
-                    rr += 1;
-                    s
-                }
-            };
-            stream_of.push(sid);
-            plan.add(k.clone(), sid, node_deps);
         }
         plan
     }
@@ -246,10 +207,11 @@ impl HappensBefore {
 }
 
 /// Check an issue-ordered schedule given as borrowed node views:
-/// out-of-range deps, event-wait cycles (deadlock), and memory conflicts
-/// not covered by happens-before. Appends diagnostics to `out`; returns
-/// the number of kernel pairs compared. With `scan_pairs` false only the
-/// structural checks run (dangling deps, wait cycles) — the caller holds
+/// out-of-range deps, self-waits and event-wait cycles (deadlock), and
+/// memory conflicts not covered by happens-before. Appends diagnostics to
+/// `out`; returns the number of kernel pairs compared. With `scan_pairs`
+/// false only the structural checks run (dangling deps, self-waits, wait
+/// cycles) — the caller holds
 /// a symbolic certificate that already proves hazard-freedom, so the
 /// O(n²) conflict scan would re-derive a known fact.
 pub(crate) fn check_nodes(
@@ -261,19 +223,26 @@ pub(crate) fn check_nodes(
     let n = nodes.len();
     for (i, node) in nodes.iter().enumerate() {
         for &d in node.deps {
-            if d >= n {
-                out.push(Diagnostic {
-                    kind: DiagnosticKind::EventWaitCycle,
-                    context: label.to_string(),
-                    first: Some(kernel_ref(nodes, i)),
-                    second: None,
-                    site: None,
-                    detail: format!(
-                        "node {i} waits on nonexistent node {d} (plan has {n} nodes): \
-                         the wait can never be satisfied"
-                    ),
-                });
-            }
+            // `HappensBefore::build` skips both kinds of edge, so neither
+            // would surface as a cycle below.
+            let detail = if d >= n {
+                format!(
+                    "node {i} waits on nonexistent node {d} (plan has {n} nodes): \
+                     the wait can never be satisfied"
+                )
+            } else if d == i {
+                format!("node {i} waits on itself: the wait can never be satisfied")
+            } else {
+                continue;
+            };
+            out.push(Diagnostic {
+                kind: DiagnosticKind::EventWaitCycle,
+                context: label.to_string(),
+                first: Some(kernel_ref(nodes, i)),
+                second: None,
+                site: None,
+                detail,
+            });
         }
     }
 
@@ -457,21 +426,5 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].kind, DiagnosticKind::EventWaitCycle);
         assert!(out[0].to_string().contains("nonexistent"), "{}", out[0]);
-    }
-
-    #[test]
-    fn from_graph_mirrors_graph_launch_stream_inheritance() {
-        // Diamond a → {b, c} → d on 4 streams: b inherits a's stream, c
-        // takes a fresh one, d inherits b's.
-        let nodes = vec![kernel("a"), kernel("b"), kernel("c"), kernel("d")];
-        let deps = vec![vec![], vec![0], vec![0], vec![1, 2]];
-        let p = DispatchPlan::from_graph("t", &nodes, &deps, 4);
-        let s: Vec<usize> = p.nodes().iter().map(|n| n.stream).collect();
-        assert_eq!(s[0], s[1], "b continues a's stream");
-        assert_ne!(s[2], s[0], "c cannot continue a's stream twice");
-        assert_eq!(s[3], s[1], "d continues b's stream");
-        let mut out = Vec::new();
-        p.check(&mut out);
-        assert_eq!(out, vec![]);
     }
 }

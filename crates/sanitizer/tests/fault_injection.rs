@@ -6,8 +6,9 @@
 //!   kernels conflict (static).
 //! - `overlapping-chunk-regions` — a batch-split chunk's declared region
 //!   is widened into its neighbour (static).
-//! - `event-wait-cycle` — circular deps in a plan (static) and a trace
-//!   whose replay stalls on an event that is never recorded (dynamic).
+//! - `event-wait-cycle` — circular deps in a plan, down to a node that
+//!   waits on itself (static), and a trace whose replay stalls on an event
+//!   that is never recorded (dynamic).
 //! - `data-race` — conflicting launches on unordered streams (dynamic).
 
 use gpu_sim::{
@@ -104,6 +105,22 @@ fn circular_plan_deps_are_an_event_wait_cycle() {
         .reports()
         .iter()
         .any(|d| d.kind == DiagnosticKind::EventWaitCycle));
+}
+
+#[test]
+fn self_wait_in_plan_is_an_event_wait_cycle() {
+    // The shortest cycle: a node whose own completion it waits for. The
+    // rest of the plan is sound, so this is the only report.
+    let mut plan = DispatchPlan::new("self-wait");
+    plan.add(kernel("a"), 0, &[]);
+    plan.add(kernel("b"), 1, &[0, 1]);
+    let mut san = Sanitizer::new(SanitizeMode::PlanOnly);
+    san.check_plan(&plan);
+    let reports = san.reports();
+    assert_eq!(reports.len(), 1, "{reports:?}");
+    assert_eq!(reports[0].kind, DiagnosticKind::EventWaitCycle);
+    let msg = reports[0].to_string();
+    assert!(msg.contains("waits on itself"), "{msg}");
 }
 
 #[test]

@@ -76,9 +76,8 @@ proptest! {
         let victim_link = 1 + victim_link % (depth - 1).max(1);
         let groups = schedule(chunks, depth, stride_elems * 4);
 
-        // Graph-style plan: every kernel on its own stream, consecutive
-        // chain kernels linked by an explicit dep — the schedule shape
-        // `KernelGraph::launch` executes.
+        // Every kernel on its own stream, consecutive chain kernels
+        // linked by an explicit dep: declared deps are the only ordering.
         let build = |drop: Option<(usize, usize)>| {
             let mut plan = DispatchPlan::new("pt");
             let mut idx = 0usize;

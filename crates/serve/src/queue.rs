@@ -221,11 +221,6 @@ impl ClassQueue {
         self.len == 0
     }
 
-    /// Waiting requests of one class.
-    pub fn class_len(&self, class: usize) -> usize {
-        self.lanes.get(class).map_or(0, VecDeque::len)
-    }
-
     /// Number of priority lanes.
     pub fn num_classes(&self) -> usize {
         self.lanes.len()

@@ -266,12 +266,6 @@ impl Telemetry {
         &self.metrics
     }
 
-    /// Mutable access to the metrics registry (for views that fold
-    /// external measurements in, e.g. the CUPTI overhead model).
-    pub fn metrics_mut(&mut self) -> &mut MetricsRegistry {
-        &mut self.metrics
-    }
-
     /// Registered process names.
     pub fn process_names(&self) -> &BTreeMap<u32, String> {
         &self.process_names

@@ -1,32 +1,39 @@
 #!/usr/bin/env bash
-# CI gate: formatting, lints, build, full test suite, the serving smoke
-# sweep (deterministic; asserts GLP4NN throughput >= naive), the
-# schedule-sanitizer smoke matrix (asserts zero diagnostics across
-# 4 nets x 3 dispatch modes under full happens-before checking), the
-# plan-linter smoke matrix (symbolic disjointness certificates plus
-# performance lints; asserts zero correctness findings and at least one
-# certified capture), the
-# inter-operator smoke sweep (whole-net wave co-scheduling on branchy
-# nets x 3 GPUs; asserts waves beat per-layer GLP4NN everywhere, zero
-# sanitizer reports, bitwise-identical trained weights), the
-# plan-replay smoke matrix (asserts replayed ExecPlan timelines are
-# identical to imperative dispatch for 4 nets x 3 modes), the fleet
-# smoke sweep (sanitized multi-replica serving: asserts JSQ >= RR on SLO
-# attainment, zero sanitizer reports, and an up-then-down autoscale run;
-# emits a fleet Chrome trace), and the telemetry trace smoke (emits
-# Chrome traces for 4 nets x 3 modes plus a multi-GPU overlap run, then
-# round-trips every emitted file — fleet trace included — through the
-# standalone validate-trace binary). The five wall-clock-free smokes
-# (replay, interop, lint, sanitize across the dispatch path; multi-gpu
-# across the fabric) are diffed against tests/golden/smoke/, and the
-# standalone benchmark crate is built
-# and tested so a library change that breaks the API it pins fails here;
-# three of its workloads then run at the minimum length, because run.sh exits
-# non-zero when any digest in benchmark/expected_digests.txt moves.
+# CI gate. In order:
+# - formatting and the size ratchet: scripts/loc.sh's totals (non-test
+#   lines, `pub fn`) must not exceed scripts/loc.baseline, so a PR that grows
+#   the library raises the baseline on purpose;
+# - clippy with warnings denied, release build, full test suite;
+# - `reproduce serving --smoke` (deterministic; asserts GLP4NN throughput >=
+#   naive);
+# - the five wall-clock-free smokes, diffed against tests/golden/smoke/:
+#   sanitize (zero diagnostics, 4 nets x 3 dispatch modes under full
+#   happens-before checking), lint (zero correctness findings, at least one
+#   certified capture), interop (waves beat per-layer GLP4NN on branchy nets
+#   x 3 GPUs, zero sanitizer reports, bitwise-identical trained weights),
+#   replay (replayed ExecPlan timelines identical to imperative dispatch),
+#   multi-gpu (data-parallel scaling over the fabric);
+# - `reproduce fleet --smoke` (JSQ >= RR on SLO attainment, zero sanitizer
+#   reports, an up-then-down autoscale run; emits a fleet Chrome trace) and
+#   `reproduce trace --smoke` (Chrome traces for 4 nets x 3 modes plus a
+#   multi-GPU overlap run), then every emitted trace file round-trips through
+#   the standalone validate-trace binary;
+# - the standalone benchmark crate is built and tested, so a library change
+#   that breaks the API it pins fails here; three of its workloads then run
+#   at the minimum length, because run.sh exits non-zero when any digest in
+#   benchmark/expected_digests.txt moves.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo fmt --check
+read -r _ lines fns < <(bash scripts/loc.sh | tail -n 1)
+max_lines=$(awk '$1 == "lines" { print $2 }' scripts/loc.baseline)
+max_fns=$(awk '$1 == "pub_fn" { print $2 }' scripts/loc.baseline)
+if [ "$lines" -gt "$max_lines" ] || [ "$fns" -gt "$max_fns" ]; then
+    echo "ci: scripts/loc.sh totals ($lines lines, $fns pub fn) exceed" \
+        "scripts/loc.baseline ($max_lines, $max_fns)" >&2
+    exit 1
+fi
 cargo clippy --workspace --all-targets -- -D warnings
 cargo build --workspace --release
 cargo test --workspace -q

@@ -32,12 +32,41 @@
 //! over the active kernels establishes this: whatever a later kernel
 //! places cannot make room for an earlier one. The invariant is what makes
 //! dispatch incremental. Between two dispatches the only residency that
-//! shrinks is the one SM whose burst the handled event retired — a
-//! `BurstDone` frees exactly one SM, every other event frees none — so a
-//! kernel that has already been offered the whole device is offered only
-//! that SM. A kernel is offered every SM exactly once, in the dispatch
-//! that follows its activation. Debug builds re-check every SM a kernel is
-//! not offered.
+//! shrinks is the one SM whose burst was just retired — a retired burst
+//! frees exactly one SM, every other event frees none — so a kernel that
+//! has already been offered the whole device is offered only that SM. A
+//! kernel is offered every SM exactly once, in the dispatch that follows
+//! its activation. Debug builds re-check every SM a kernel is not offered.
+//!
+//! # Burst groups
+//!
+//! One placement often gives a run of adjacent SMs the same block count
+//! and the same end time (an idle P100 takes a 56-block kernel as 56 equal
+//! bursts). Such bursts carry the same `(time, stream)` and consecutive
+//! `seq`, so they would pop back-to-back with nothing between them; they
+//! are queued as **one** `BurstDone` over the SM range instead, and a
+//! range of one SM is the plain per-burst event. Placement closes a group
+//! where the next placed SM is not adjacent, got another block count or
+//! ends at another time, so pushes keep their ascending-SM order and every
+//! other event sorts wholly before or wholly after a group.
+//!
+//! Popping a group does, per member in ascending SM order, exactly what
+//! popping that member alone did: release the SM, retire the member's
+//! bandwidth demand (one retirement per member — floating-point
+//! subtraction does not distribute over the group), credit the kernel's
+//! blocks, dispatch with that SM freed, count one logical event
+//! ([`Device::events_processed`] counts retired bursts, not pops). This is
+//! sound because nothing a member's handling pushes can sort inside the
+//! group: bursts last at least 1000 ns, host-ready wake-ups are strictly
+//! in the future, and the one handler that acts at `now` — kernel
+//! completion, which activates pending kernels and surfaces ready copies —
+//! can run only on the group's last member, whose blocks are the kernel's
+//! last outstanding ones. For the same reason, when no active kernel has
+//! unplaced blocks at the group's start, the dispatches after all members
+//! but the last have nothing to place and are skipped. Debug builds check
+//! between members that the queue head still sorts after the group, and a
+//! test-only switch that never extends a group keeps the per-burst engine
+//! as the reference arm of the differential tests.
 //!
 //! The simulation is fully deterministic.
 
@@ -94,11 +123,13 @@ struct KernelRuntime {
 /// `(time, stream, seq)` tie-break contract.
 #[derive(Debug, PartialEq, Eq)]
 enum EvKind {
-    /// `count` blocks of a kernel finish on an SM.
+    /// `count` blocks of a kernel finish on each SM of `sm_lo..=sm_hi` — a
+    /// burst group (module docs); `demand_milli` is one member's demand.
     BurstDone {
         kernel: KernelId,
-        sm: usize,
-        count: u64,
+        sm_lo: u32,
+        sm_hi: u32,
+        count: u32,
         demand_milli: u64,
     },
     /// A host launch time arrives for a kernel at its stream front.
@@ -148,7 +179,8 @@ pub struct Device {
     pending: VecDeque<KernelId>,
     queue: EventQueue<EvKind>,
     seq: u64,
-    /// Events popped and processed so far (engine throughput metric).
+    /// Logical events processed so far: one per retired burst (a popped
+    /// group counts each member) plus one per other popped event.
     events_processed: u64,
     /// Trace/log slots still owed by in-flight work; `trace` keeps
     /// `capacity ≥ len + pending_trace` so event-time pushes never grow
@@ -158,7 +190,7 @@ pub struct Device {
     cmd_log: Vec<CmdRecord>,
     /// Reusable block-placement scratch, one count per offered SM (avoids
     /// a heap allocation per placement).
-    scratch_per_sm: Vec<u64>,
+    scratch_per_sm: Vec<u32>,
     /// Source-side state of copies enqueued on this device, until their
     /// transfer completes (`CopyDone`).
     copy_src: HashMap<u64, CopySrcState>,
@@ -183,6 +215,10 @@ pub struct Device {
     /// Recording stream and completion time per event, kept **only** while
     /// telemetry is attached (feeds dependency flow arrows).
     event_src: HashMap<u64, (StreamId, SimTime)>,
+    /// Reference arm for differential tests: never extend a burst group, so
+    /// every burst is queued and popped on its own.
+    #[cfg(test)]
+    pub(crate) never_extend_groups: bool,
 }
 
 impl Device {
@@ -217,6 +253,8 @@ impl Device {
             telemetry: RecorderSlot::empty(),
             telemetry_pid: 0,
             event_src: HashMap::new(),
+            #[cfg(test)]
+            never_extend_groups: false,
         }
     }
 
@@ -248,8 +286,10 @@ impl Device {
         self.queue = EventQueue::Heap(HeapQueue::new());
     }
 
-    /// Number of discrete events processed so far (the engine-throughput
-    /// denominator reported by benchmarks).
+    /// Number of logical discrete events processed so far (the
+    /// engine-throughput denominator reported by benchmarks): one per
+    /// retired burst and one per other event. Not the number of queue pops
+    /// — a burst group is one pop and counts once per member.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
     }
@@ -509,8 +549,9 @@ impl Device {
         self.queue.peek_key().map(|k| k.time)
     }
 
-    /// Process exactly one queued event (advancing the clock to it) and
-    /// re-dispatch. Returns `false` when no event was pending.
+    /// Pop one queued event (advancing the clock to it), handle it and
+    /// re-dispatch; a burst group retires member by member (module docs,
+    /// "Burst groups"). Returns `false` when no event was pending.
     pub(crate) fn step_one(&mut self) -> bool {
         let Some((key, kind)) = self.queue.pop() else {
             return false;
@@ -518,17 +559,34 @@ impl Device {
         debug_assert!(key.time >= self.clock, "time went backwards");
         self.clock = key.time;
         self.events_processed += 1;
-        // The one SM whose residency the event shrank, if any.
+        // The one SM whose residency the event shrank last, if any.
         let mut freed = None;
         match kind {
             EvKind::BurstDone {
                 kernel,
-                sm,
+                sm_lo,
+                sm_hi,
                 count,
                 demand_milli,
             } => {
-                self.on_burst_done(kernel, sm, count, demand_milli);
-                freed = Some(sm);
+                // With every active kernel fully placed a dispatch does
+                // nothing, and only the last member can change that (it
+                // alone can complete the kernel and so activate another).
+                let all_placed = sm_lo < sm_hi && self.all_active_placed();
+                for sm in sm_lo..sm_hi {
+                    self.on_burst_done(kernel, sm as usize, count, demand_milli);
+                    if !all_placed {
+                        self.dispatch(Some(sm as usize));
+                    }
+                    debug_assert!(!all_placed || self.all_active_placed());
+                    debug_assert!(
+                        self.queue.peek_key().is_none_or(|next| next > key),
+                        "an event sorts inside a burst group"
+                    );
+                    self.events_processed += 1;
+                }
+                self.on_burst_done(kernel, sm_hi as usize, count, demand_milli);
+                freed = Some(sm_hi as usize);
             }
             EvKind::HostReady(k) => self.on_host_ready(k),
             EvKind::CopyHostReady(c) => {
@@ -544,17 +602,21 @@ impl Device {
         true
     }
 
+    /// Whether no active kernel has unplaced blocks.
+    fn all_active_placed(&self) -> bool {
+        self.active.iter().all(|id| {
+            let k = &self.kernels[id.0 as usize];
+            k.blocks_issued == k.blocks_total
+        })
+    }
+
     /// Process every queued event with `time <= horizon` (the fabric's
     /// conservative-lookahead round body: safe to run concurrently with
     /// peers because no cross-device effect can land inside the horizon).
-    /// Returns the number of events processed.
-    pub(crate) fn step_until(&mut self, horizon: SimTime) -> u64 {
-        let mut n = 0;
+    pub(crate) fn step_until(&mut self, horizon: SimTime) {
         while self.queue.peek_key().is_some_and(|k| k.time <= horizon) {
             self.step_one();
-            n += 1;
         }
-        n
     }
 
     /// The fabric's run-length step: process queued events for as long as
@@ -866,13 +928,13 @@ impl Device {
         }
     }
 
-    fn on_burst_done(&mut self, id: KernelId, sm: usize, count: u64, demand_milli: u64) {
+    /// Retire one burst: `count` blocks of kernel `id` leave `sm`.
+    fn on_burst_done(&mut self, id: KernelId, sm: usize, count: u32, demand_milli: u64) {
         let fp = self.kernels[id.0 as usize].footprint;
-        let blocks = u32::try_from(count).expect("a burst holds at most max_blocks_per_sm blocks");
-        self.sms[sm].release(&self.props, self.clock, &fp, blocks);
+        self.sms[sm].release(&self.props, self.clock, &fp, count);
         self.bw.retire(demand_milli as f64 / 1000.0);
         let k = &mut self.kernels[id.0 as usize];
-        k.blocks_done += count;
+        k.blocks_done += u64::from(count);
         debug_assert!(k.blocks_done <= k.blocks_total);
         if k.blocks_done == k.blocks_total {
             k.end = Some(self.clock);
@@ -911,6 +973,10 @@ impl Device {
     /// `freed`, the SM the event being handled retired a burst from.
     fn dispatch(&mut self, freed: Option<usize>) {
         let now = self.clock;
+        #[cfg(test)]
+        let extend = !self.never_extend_groups;
+        #[cfg(not(test))]
+        let extend = true;
         // Index loop: `active` is not mutated inside a dispatch, and
         // indexing avoids cloning the active set.
         for ai in 0..self.active.len() {
@@ -975,6 +1041,17 @@ impl Device {
             let cost = self.kernels[id.0 as usize].desc.cost;
             let w_block = fp.threads.div_ceil(self.props.warp_size).max(1);
             let bw_share = self.props.mem_bw_gbps * 1e9 / self.props.num_sms as f64;
+            let peak_block = self.props.sm_peak_flops() * w_block as f64;
+            let t_m = if cost.dram_bytes_per_block > 0.0 {
+                cost.dram_bytes_per_block / bw_share * factor
+            } else {
+                0.0
+            };
+            // Within one placement a burst's duration depends on `w_total`
+            // alone: computed once per run of equal residencies.
+            let mut last_dur: Option<(u32, SimTime)> = None;
+            // The open burst group and its end time.
+            let mut open: Option<(SimTime, EvKind)> = None;
             for (&n, smi) in per_sm.iter().zip(offered) {
                 if n == 0 {
                     continue;
@@ -983,32 +1060,47 @@ impl Device {
                     .threads_used
                     .div_ceil(self.props.warp_size)
                     .max(w_block);
-                let rate_c = self.props.sm_peak_flops() * w_block as f64
-                    / w_total.max(self.props.warps_for_peak) as f64;
-                let t_c = if cost.flops_per_block > 0.0 {
-                    cost.flops_per_block / rate_c
-                } else {
-                    0.0
+                let dur = match last_dur {
+                    Some((w, dur)) if w == w_total => dur,
+                    _ => {
+                        let rate_c = peak_block / w_total.max(self.props.warps_for_peak) as f64;
+                        let t_c = if cost.flops_per_block > 0.0 {
+                            cost.flops_per_block / rate_c
+                        } else {
+                            0.0
+                        };
+                        // The shared rate above already splits the SM among
+                        // all resident warps, so the n co-resident blocks of
+                        // this burst progress in parallel and retire together.
+                        let dur = (t_c.max(t_m) * 1e9 + 1000.0).ceil() as SimTime;
+                        last_dur = Some((w_total, dur));
+                        dur
+                    }
                 };
-                let t_m = if cost.dram_bytes_per_block > 0.0 {
-                    cost.dram_bytes_per_block / bw_share * factor
-                } else {
-                    0.0
-                };
-                // The shared rate above already splits the SM among all
-                // resident warps, so the n co-resident blocks of this
-                // burst progress in parallel and retire together.
-                let dur = (t_c.max(t_m) * 1e9 + 1000.0).ceil() as SimTime;
-                self.push_ev(
-                    now + dur.max(1),
-                    sid,
-                    EvKind::BurstDone {
-                        kernel: id,
-                        sm: smi,
-                        count: n,
-                        demand_milli: (demand * n as f64 * 1000.0).round() as u64,
-                    },
-                );
+                let end = now + dur.max(1);
+                let sm = smi as u32;
+                match &mut open {
+                    Some((t, EvKind::BurstDone { sm_hi, count, .. }))
+                        if extend && *sm_hi + 1 == sm && *count == n && *t == end =>
+                    {
+                        *sm_hi = sm;
+                    }
+                    _ => {
+                        let group = EvKind::BurstDone {
+                            kernel: id,
+                            sm_lo: sm,
+                            sm_hi: sm,
+                            count: n,
+                            demand_milli: (demand * n as f64 * 1000.0).round() as u64,
+                        };
+                        if let Some((t, done)) = open.replace((end, group)) {
+                            self.push_ev(t, sid, done);
+                        }
+                    }
+                }
+            }
+            if let Some((t, done)) = open {
+                self.push_ev(t, sid, done);
             }
             self.scratch_per_sm = per_sm;
             let k = &mut self.kernels[id.0 as usize];
@@ -1274,6 +1366,199 @@ mod tests {
             assert!(d.copy_src.is_empty(), "device {i} kept source state");
             assert!(d.copy_arrived.is_empty(), "device {i} kept arrivals");
             assert!(d.copy_waiters.is_empty(), "device {i} kept waiters");
+        }
+    }
+
+    fn compute_only(name: &str, blocks: u32, threads: u32, flops: f64) -> KernelDesc {
+        KernelDesc::new(
+            name,
+            LaunchConfig::new(Dim3::linear(blocks), Dim3::linear(threads), 32, 0),
+            KernelCost::new(flops, 0.0),
+        )
+    }
+
+    #[test]
+    fn burst_event_payload_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<EvKind>(), 32);
+    }
+
+    #[test]
+    fn a_full_wave_is_one_queued_group_and_one_logical_event_per_sm() {
+        let mut dev = Device::new(DeviceProps::p100());
+        let s = dev.create_stream();
+        dev.launch(s, kernel("k", 56, 256, 1.0e6));
+        dev.kick();
+        assert!(
+            dev.step_one(),
+            "the host launch time arrives; the wave is placed"
+        );
+        assert_eq!(dev.queue.len(), 1, "56 equal bursts on adjacent SMs");
+        let before = dev.events_processed();
+        assert!(dev.step_one());
+        assert_eq!(dev.events_processed() - before, 56);
+        assert_eq!(dev.trace().len(), 1);
+        assert!(!dev.step_one());
+    }
+
+    #[test]
+    fn a_group_ends_where_the_block_count_or_the_end_time_changes() {
+        // 84 two-warp blocks: 2 per SM on SMs 0..28, 1 on the rest. Both
+        // residencies sit below `warps_for_peak`, so every burst ends at
+        // the same time and only the block count splits the wave.
+        let mut dev = Device::new(DeviceProps::p100());
+        let s = dev.create_stream();
+        dev.launch(s, compute_only("k", 84, 64, 1.0e6));
+        dev.kick();
+        dev.step_one();
+        assert_eq!(dev.queue.len(), 2);
+        for retired in [28, 56] {
+            assert!(dev.step_one());
+            assert_eq!(dev.events_processed(), 1 + retired);
+        }
+        assert_eq!(dev.trace().len(), 1);
+
+        // One 16-warp block everywhere, but SMs 0..28 already hold 16
+        // warps of `a`: equal counts, two residencies, two end times.
+        let mut dev = Device::new(DeviceProps::p100());
+        let (s1, s2) = (dev.create_stream(), dev.create_stream());
+        dev.launch(s1, compute_only("a", 28, 512, 1.0e9));
+        let b = dev.launch(s2, compute_only("b", 56, 512, 1.0e6));
+        dev.kick();
+        dev.step_one();
+        dev.step_one();
+        assert_eq!(dev.queue.len(), 3, "one group of `a`, two of `b`");
+        dev.step_one();
+        assert_eq!(dev.events_processed(), 2 + 28, "the uncrowded half first");
+        assert!(dev.kernel_span(b).is_none());
+        dev.step_one();
+        assert!(dev.kernel_span(b).is_some());
+    }
+
+    #[test]
+    fn completion_on_a_groups_last_member_stops_step_run_at_the_ready_copy() {
+        let mut dev = Device::new(DeviceProps::p100());
+        let (s1, s2) = (dev.create_stream(), dev.create_stream());
+        dev.launch(s1, kernel("producer", 56, 256, 1.0e6));
+        dev.enqueue_copy_src(s1, CopyId(0));
+        // Issued two launch overheads later at the same cost: its group is
+        // still queued, inside the horizon, when the producer's retires.
+        dev.launch(s2, kernel("bystander", 56, 256, 1.0e6));
+        dev.kick();
+        let next = dev.step_run(SimTime::MAX);
+        assert_eq!(dev.trace().len(), 1, "stopped before the bystander's group");
+        assert!(next.is_some_and(|t| t > dev.now()));
+        // Two host-ready events, then one logical event per producer burst.
+        assert_eq!(dev.copy_ready, [(CopyId(0), dev.now(), 2 + 56)]);
+    }
+
+    /// One launch of the differential mixes below — `(stream, blocks,
+    /// threads, smem, regs, cost class, edge)` — plus an optional
+    /// cross-stream edge issued right after it: edge `(0, ..)` records an
+    /// event on the launch's stream, `(1, stream, pick)` makes `stream` wait
+    /// for the `pick`-th event recorded so far, anything else issues none
+    /// (`tests/dispatch_saturation.rs` has the same generator for the public
+    /// surface).
+    type Op = (usize, u32, u32, u32, u32, usize, (u8, usize, usize));
+
+    fn issue_mix(dev: &mut Device, streams: usize, ops: &[Op]) {
+        let pool: Vec<_> = (0..streams).map(|_| dev.create_stream()).collect();
+        let mut recorded = Vec::new();
+        for (i, &(stream, blocks, threads, smem, regs, cost, edge)) in ops.iter().enumerate() {
+            // Few cost classes, so same-time completions are common.
+            let (flops, bytes) = [(2.0e4, 0.0), (3.0e5, 6.0e4), (5.0e4, 4.0e5)][cost];
+            let k = KernelDesc::new(
+                "k",
+                LaunchConfig::new(Dim3::linear(blocks), Dim3::linear(threads), regs, smem),
+                KernelCost::new(flops, bytes),
+            )
+            .with_tag(i as u64);
+            let stream = pool[stream % streams];
+            dev.launch(stream, k);
+            match edge {
+                (0, ..) => {
+                    let ev = dev.create_event();
+                    dev.record_event(stream, ev);
+                    recorded.push(ev);
+                }
+                // Only events recorded earlier in issue order: no cycle.
+                (1, waiter, pick) if !recorded.is_empty() => {
+                    dev.wait_event(pool[waiter % streams], recorded[pick % recorded.len()]);
+                }
+                _ => {}
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Burst groups against the per-SM arm, in lock-step: after every
+        /// grouped pop the reference catches up to the same logical event
+        /// count and must be in the same state.
+        #[test]
+        fn burst_groups_match_the_per_sm_reference(
+            props in proptest::sample::select({
+                let mut one_sm = DeviceProps::p100();
+                one_sm.num_sms = 1;
+                let mut single_slot = DeviceProps::p100();
+                single_slot.arch = crate::device::Arch::Tesla; // C = 1
+                // Any block above 24 KiB of shared memory is alone on its SM.
+                let mut starved = DeviceProps::p100();
+                starved.smem_per_sm = 48 * 1024;
+                let mut all = DeviceProps::evaluation_set();
+                all.extend([one_sm, single_slot, starved]);
+                all
+            }),
+            use_heap in proptest::bool::ANY,
+            streams in 1usize..=8,
+            ops in proptest::collection::vec(
+                (
+                    0usize..8,
+                    1u32..=5_000,
+                    32u32..=1024,
+                    0u32..=48 * 1024,
+                    16u32..=64,
+                    0usize..3,
+                    (0u8..5, 0usize..8, 0usize..64),
+                ),
+                1..=24,
+            ),
+        ) {
+            let ops: Vec<Op> = ops;
+            let mut pair = [false, true].map(|never_extend| {
+                let mut dev = Device::new(props.clone());
+                dev.never_extend_groups = never_extend;
+                if use_heap {
+                    dev.use_heap_queue();
+                }
+                issue_mix(&mut dev, streams, &ops);
+                dev.kick();
+                dev
+            });
+            let [grouped, per_sm] = &mut pair;
+            while grouped.step_one() {
+                while per_sm.events_processed < grouped.events_processed {
+                    proptest::prop_assert!(per_sm.step_one());
+                }
+                proptest::prop_assert_eq!(per_sm.events_processed, grouped.events_processed);
+                proptest::prop_assert_eq!(per_sm.clock, grouped.clock);
+                proptest::prop_assert_eq!(
+                    per_sm.bw.demand().to_bits(),
+                    grouped.bw.demand().to_bits()
+                );
+                proptest::prop_assert_eq!(per_sm.trace.len(), grouped.trace.len());
+                proptest::prop_assert!(per_sm.queue.len() >= grouped.queue.len());
+            }
+            proptest::prop_assert!(!per_sm.step_one());
+            proptest::prop_assert_eq!(grouped.run(), per_sm.run());
+            proptest::prop_assert_eq!(grouped.trace().len(), ops.len());
+            proptest::prop_assert_eq!(grouped.trace(), per_sm.trace());
+            proptest::prop_assert_eq!(grouped.command_log(), per_sm.command_log());
+            proptest::prop_assert_eq!(grouped.stats(), per_sm.stats());
+            for (a, b) in grouped.sms.iter().zip(&per_sm.sms) {
+                proptest::prop_assert_eq!(a.warp_time_integral, b.warp_time_integral);
+                proptest::prop_assert_eq!(a.last_change, b.last_change);
+            }
         }
     }
 

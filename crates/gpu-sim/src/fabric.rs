@@ -1137,7 +1137,7 @@ mod tests {
 
     impl Fabric {
         /// The loop [`Fabric::run`] replaced, kept as the reference arm:
-        /// after every single event, drain and peek every device.
+        /// after every single pop, drain and peek every device.
         fn run_reference(&mut self, devs: &mut [&mut Device]) -> SimTime {
             for d in devs.iter_mut() {
                 d.kick();
@@ -1231,6 +1231,8 @@ mod tests {
         fab.set_telemetry(rec.clone());
         for (pid, d) in devices.iter_mut().enumerate() {
             d.set_telemetry(rec.clone(), pid as u32);
+            // The reference arm also queues every burst on its own.
+            d.never_extend_groups = reference;
         }
         let mut h = handles(&mut devices);
         let mut copy_ids = Vec::new();
@@ -1277,8 +1279,9 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
 
-        /// The frontier-cached, run-length-stepping loop is observationally
-        /// identical to reselecting among all devices after every event.
+        /// The frontier-cached, run-length-stepping loop over burst groups
+        /// is observationally identical to reselecting among all devices
+        /// after every event, one burst per event.
         #[test]
         fn run_matches_reference_loop(
             models in proptest::collection::vec(0u8..3, 2..9),

@@ -19,9 +19,9 @@
 #   multi-GPU overlap run), then every emitted trace file round-trips through
 #   the standalone validate-trace binary;
 # - the standalone benchmark crate is built and tested, so a library change
-#   that breaks the API it pins fails here; three of its workloads then run
-#   at the minimum length, because run.sh exits non-zero when any digest in
-#   benchmark/expected_digests.txt moves.
+#   that breaks the API it pins fails here; all five of its workloads then
+#   run at the minimum length, because run.sh exits non-zero when any digest
+#   in benchmark/expected_digests.txt moves.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -56,6 +56,10 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml
 # step_until run only in the traced multi-gpu body and fabric_determinism).
 bash benchmark/run.sh --workload train-steady --seed 1 --seconds 1 --trace 0 >/dev/null
 bash benchmark/run.sh --workload multi-gpu --seed 1 --seconds 1 --trace 0 >/dev/null
+# The other two engine-bound workloads: idle-gap serving bursts, and cold
+# contexts whose dispatch sites profile and capture on scratch devices.
+bash benchmark/run.sh --workload fleet-serve --seed 1 --seconds 1 --trace 0 >/dev/null
+bash benchmark/run.sh --workload cold-capture --seed 1 --seconds 1 --trace 0 >/dev/null
 # Real f32 steps: seed 1 is the seed whose trained-weights digest is pinned.
 bash benchmark/run.sh --workload train-math --seed 1 --seconds 1 --trace 0 >/dev/null
 

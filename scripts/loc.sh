@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tracked size numbers (ROADMAP north star, "quality of design"): per crate,
 # the non-test lines under src/ (everything above each file's first
-# `#[cfg(test)]`) and the number of `pub fn` among them.
+# unindented `#[cfg(test)]`, the test module's; an indented one gates a
+# field or statement of the library) and the number of `pub fn` among them.
 # Usage: scripts/loc.sh [repo-root]   (default: this checkout)
 set -euo pipefail
 cd "${1:-$(dirname "$0")/..}"
@@ -14,7 +15,7 @@ for crate in crates/*/; do
     read -r lines fns < <(
         find "$crate/src" -name '*.rs' -print0 | sort -z | xargs -0 awk '
             FNR == 1 { in_tests = 0 }
-            /#\[cfg\(test\)\]/ { in_tests = 1 }
+            /^#\[cfg\(test\)\]/ { in_tests = 1 }
             !in_tests { lines++; if ($0 ~ /pub fn /) fns++ }
             END { print lines + 0, fns + 0 }'
     )

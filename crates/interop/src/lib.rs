@@ -43,7 +43,7 @@ pub use wave::{co_schedule, WaveAssignment, WaveDispatchProfile};
 
 use glp4nn::plan::{verify_capture, CaptureSource};
 use glp4nn::{ExecMode, ExecPlan, KernelProfile, Phase};
-use gpu_sim::{Device, DeviceProps, KernelDesc, SimTime, StreamId};
+use gpu_sim::{Device, DeviceProps, KernelDesc, KernelName, SimTime, StreamId};
 use nn::exec::StagedDispatch;
 use nn::{ExecCtx, LayerTiming, Net, NetSpec};
 use std::collections::HashMap;
@@ -53,7 +53,7 @@ use std::sync::Arc;
 /// agreeing on this key are charged the same measured duration.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct ClassKey {
-    name: String,
+    name: KernelName,
     blocks: u64,
     threads: u32,
     smem: u32,
@@ -64,7 +64,7 @@ struct ClassKey {
 impl ClassKey {
     fn of(k: &KernelDesc) -> Self {
         ClassKey {
-            name: k.name.to_string(),
+            name: k.name.clone(),
             blocks: k.launch.num_blocks(),
             threads: k.launch.threads_per_block(),
             smem: k.launch.smem_per_block(),
@@ -90,9 +90,9 @@ impl ClassProfiler {
         }
     }
 
-    fn duration_ns(&mut self, k: &KernelDesc) -> u64 {
-        let key = ClassKey::of(k);
-        if let Some(&d) = self.durations.get(&key) {
+    /// Solo duration of `k`, whose class key is `key`.
+    fn duration_ns(&mut self, key: &ClassKey, k: &KernelDesc) -> u64 {
+        if let Some(&d) = self.durations.get(key) {
             return d;
         }
         let mut dev = Device::new(self.props.clone());
@@ -101,7 +101,7 @@ impl ClassProfiler {
         dev.run();
         let t = dev.trace().last().expect("profiled kernel must trace");
         let d = t.duration_ns().max(1);
-        self.durations.insert(key, d);
+        self.durations.insert(key.clone(), d);
         d
     }
 }
@@ -399,21 +399,22 @@ fn layer_profile(
     for d in dispatches {
         for g in &d.groups {
             for k in g {
-                let dur = profiler.duration_ns(k);
                 let ck = ClassKey::of(k);
-                let entry = agg.entry(ck.clone()).or_insert_with(|| {
-                    order.push(ck);
-                    KernelProfile {
-                        name: k.name.to_string(),
-                        grid_blocks: k.launch.num_blocks(),
-                        threads_per_block: k.launch.threads_per_block(),
-                        regs_per_thread: k.launch.regs_per_thread,
-                        smem_per_block: k.launch.smem_per_block(),
-                        avg_duration_ns: dur,
-                        instances: 0,
-                    }
-                });
-                entry.instances += 1;
+                if let Some(class) = agg.get_mut(&ck) {
+                    class.instances += 1;
+                    continue;
+                }
+                let class = KernelProfile {
+                    name: k.name.to_string(),
+                    grid_blocks: k.launch.num_blocks(),
+                    threads_per_block: k.launch.threads_per_block(),
+                    regs_per_thread: k.launch.regs_per_thread,
+                    smem_per_block: k.launch.smem_per_block(),
+                    avg_duration_ns: profiler.duration_ns(&ck, k),
+                    instances: 1,
+                };
+                order.push(ck.clone());
+                agg.insert(ck, class);
             }
         }
     }

@@ -340,22 +340,17 @@ impl ExecCtx {
 
     /// *Whole-batch* dispatch: a sequence of kernels covering the whole
     /// batch, serialized on the default stream — the path of the layers the
-    /// paper leaves in original Caffe form.
+    /// paper leaves in original Caffe form. `make_kernels` is lazy like
+    /// [`dispatch_split`](ExecCtx::dispatch_split)'s closures: a warm
+    /// iteration replays the cached plan and builds no descriptor.
     pub fn dispatch_batch(
         &mut self,
         layer: &str,
         phase: Phase,
-        kernels: Vec<KernelDesc>,
+        make_kernels: impl Fn() -> Vec<KernelDesc>,
     ) -> ExecReport {
-        let groups = [kernels];
-        self.dispatch(
-            DispatchMode::Naive,
-            layer,
-            phase,
-            1,
-            || None,
-            || groups.to_vec(),
-        )
+        let make_groups = || vec![make_kernels()];
+        self.dispatch(DispatchMode::Naive, layer, phase, 1, || None, make_groups)
     }
 
     fn dispatch(
@@ -656,7 +651,7 @@ mod tests {
     #[test]
     fn whole_batch_dispatch_ignores_the_mode() {
         let mut ctx = ExecCtx::with_mode(DeviceProps::p100(), DispatchMode::FixedStreams(4));
-        let r = ctx.dispatch_batch("relu1", Phase::Forward, groups(3).concat());
+        let r = ctx.dispatch_batch("relu1", Phase::Forward, || groups(3).concat());
         assert_eq!((r.kernels, r.mode), (3, ExecMode::Profiling));
         assert!(ctx.device.trace().iter().all(|t| t.stream.is_default()));
     }

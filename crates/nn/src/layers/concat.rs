@@ -93,23 +93,21 @@ impl Layer for ConcatLayer {
                 },
             );
         } else {
-            let reads: Vec<(String, usize)> = bottom
-                .iter()
-                .enumerate()
-                .map(|(i, b)| (format!("in{i}"), b.count()))
-                .collect();
-            let read_refs: Vec<(&str, usize)> =
-                reads.iter().map(|(s, n)| (s.as_str(), *n)).collect();
-            ctx.dispatch_batch(
-                &self.name,
-                Phase::Forward,
+            ctx.dispatch_batch(&self.name, Phase::Forward, || {
+                let reads: Vec<(String, usize)> = bottom
+                    .iter()
+                    .enumerate()
+                    .map(|(i, b)| (format!("in{i}"), b.count()))
+                    .collect();
+                let read_refs: Vec<(&str, usize)> =
+                    reads.iter().map(|(s, n)| (s.as_str(), *n)).collect();
                 vec![kernels::declare_io(
                     kernels::elemwise_kernel("concat", total, 0.0),
                     &self.name,
                     &read_refs,
                     &[("out", total)],
-                )],
-            );
+                )]
+            });
         }
         if !ctx.compute {
             return;
@@ -169,23 +167,21 @@ impl Layer for ConcatLayer {
                 },
             );
         } else {
-            let writes: Vec<(String, usize)> = bottom
-                .iter()
-                .enumerate()
-                .map(|(i, b)| (format!("din{i}"), b.count()))
-                .collect();
-            let write_refs: Vec<(&str, usize)> =
-                writes.iter().map(|(s, n)| (s.as_str(), *n)).collect();
-            ctx.dispatch_batch(
-                &self.name,
-                Phase::Backward,
+            ctx.dispatch_batch(&self.name, Phase::Backward, || {
+                let writes: Vec<(String, usize)> = bottom
+                    .iter()
+                    .enumerate()
+                    .map(|(i, b)| (format!("din{i}"), b.count()))
+                    .collect();
+                let write_refs: Vec<(&str, usize)> =
+                    writes.iter().map(|(s, n)| (s.as_str(), *n)).collect();
                 vec![kernels::declare_io(
                     kernels::elemwise_kernel("concat_bwd", total, 0.0),
                     &self.name,
                     &[("dout", total)],
                     &write_refs,
-                )],
-            );
+                )]
+            });
         }
         if !ctx.compute {
             return;

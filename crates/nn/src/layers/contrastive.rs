@@ -51,16 +51,14 @@ impl Layer for ContrastiveLossLayer {
     fn forward(&mut self, ctx: &mut ExecCtx, bottom: &[&Blob], top: &mut [Blob]) {
         let fc = bottom[0].count();
         let nb = bottom[0].num();
-        ctx.dispatch_batch(
-            &self.name,
-            Phase::Forward,
+        ctx.dispatch_batch(&self.name, Phase::Forward, || {
             vec![kernels::declare_io(
                 kernels::elemwise_kernel("contrastive", fc, 3.0),
                 &self.name,
                 &[("feat_a", fc), ("feat_b", fc), ("sim", nb)],
                 &[("diff", fc), ("dist", nb), ("loss", 1)],
-            )],
-        );
+            )]
+        });
         if !ctx.compute {
             return;
         }
@@ -91,16 +89,14 @@ impl Layer for ContrastiveLossLayer {
     fn backward(&mut self, ctx: &mut ExecCtx, top: &[&Blob], bottom: &mut [Blob]) {
         let fc = bottom[0].count();
         let nb = bottom[0].num();
-        ctx.dispatch_batch(
-            &self.name,
-            Phase::Backward,
+        ctx.dispatch_batch(&self.name, Phase::Backward, || {
             vec![kernels::declare_io(
                 kernels::elemwise_kernel("contrastive_bwd", fc, 2.0),
                 &self.name,
                 &[("diff", fc), ("dist", nb), ("sim", nb), ("dloss", 1)],
                 &[("dfeat_a", fc), ("dfeat_b", fc)],
-            )],
-        );
+            )]
+        });
         if !ctx.compute {
             return;
         }

@@ -37,9 +37,25 @@ pub struct ConvConfig {
     pub pad: usize,
 }
 
+/// Ids of a convolution layer's named device buffers (`"{layer}/in"`,
+/// `"{layer}/col"`, ...), hashed and registered once at construction: the
+/// per-sample kernel groups name eight to ten of them per sample.
+struct ConvBufs {
+    input: BufferId,
+    col: BufferId,
+    w: BufferId,
+    out: BufferId,
+    bias: BufferId,
+    dout: BufferId,
+    dw_part: BufferId,
+    dcol: BufferId,
+    din: BufferId,
+}
+
 /// 2-D convolution over NCHW blobs via im2col + GEMM.
 pub struct ConvLayer {
     name: String,
+    bufs: ConvBufs,
     cfg: ConvConfig,
     geom: ConvGeometry,
     weight: Blob,
@@ -55,11 +71,23 @@ pub struct ConvLayer {
 }
 
 impl ConvLayer {
-    /// New convolution layer; weights are Xavier-filled deterministically
-    /// from `seed` on first reshape.
+    /// New convolution layer; the first reshape declares the weights as
+    /// Xavier-filled from `seed`, and the first read of them draws them.
     pub fn new(name: &str, cfg: ConvConfig, seed: u64) -> Self {
+        let buf = |which: &str| BufferId::from_label(&format!("{name}/{which}"));
         ConvLayer {
             name: name.to_string(),
+            bufs: ConvBufs {
+                input: buf("in"),
+                col: buf("col"),
+                w: buf("w"),
+                out: buf("out"),
+                bias: buf("bias"),
+                dout: buf("dout"),
+                dw_part: buf("dw.part"),
+                dcol: buf("dcol"),
+                din: buf("din"),
+            },
             geom: ConvGeometry::square(cfg.kernel, cfg.stride, cfg.pad),
             cfg,
             weight: Blob::empty(),
@@ -101,11 +129,6 @@ impl ConvLayer {
         self.cfg.kernel == 1 && self.cfg.stride == 1 && self.cfg.pad == 0
     }
 
-    /// Buffer id for one of this layer's named buffers.
-    fn buf(&self, which: &str) -> BufferId {
-        BufferId::from_label(&format!("{}/{which}", self.name))
-    }
-
     /// Per-sample forward kernel group. Each kernel declares the byte
     /// ranges it touches, so the schedule sanitizer can prove chunks of
     /// distinct samples write disjoint regions.
@@ -118,30 +141,27 @@ impl ConvLayer {
         if !self.is_1x1() {
             g.push(
                 kernels::im2col_kernel(self.ci, self.oh, self.ow, self.cfg.kernel, tag)
-                    .reads(self.buf("in"), in_r)
-                    .writes(self.buf("col"), col_r),
+                    .reads(self.bufs.input, in_r)
+                    .writes(self.bufs.col, col_r),
             );
         }
         // For 1×1/s1/p0 the GEMM reads the input image directly.
         let (gemm_src, gemm_src_r) = if self.is_1x1() {
-            (self.buf("in"), in_r)
+            (self.bufs.input, in_r)
         } else {
-            (self.buf("col"), col_r)
+            (self.bufs.col, col_r)
         };
         g.push(
             kernels::conv_gemm_kernel(self.cfg.num_output, self.k_dim(), self.ohw(), tag)
-                .reads(
-                    self.buf("w"),
-                    full_range(self.cfg.num_output * self.k_dim()),
-                )
+                .reads(self.bufs.w, full_range(self.cfg.num_output * self.k_dim()))
                 .reads(gemm_src, gemm_src_r)
-                .writes(self.buf("out"), out_r),
+                .writes(self.bufs.out, out_r),
         );
         g.push(
             kernels::bias_kernel(self.cfg.num_output, self.ohw(), tag)
-                .reads(self.buf("bias"), full_range(self.cfg.num_output))
-                .reads(self.buf("out"), out_r)
-                .writes(self.buf("out"), out_r),
+                .reads(self.bufs.bias, full_range(self.cfg.num_output))
+                .reads(self.bufs.out, out_r)
+                .writes(self.bufs.out, out_r),
         );
         g
     }
@@ -162,39 +182,39 @@ impl ConvLayer {
         if !self.is_1x1() {
             g.push(
                 kernels::im2col_kernel(self.ci, self.oh, self.ow, self.cfg.kernel, tag)
-                    .reads(self.buf("in"), in_r)
-                    .writes(self.buf("col"), col_r),
+                    .reads(self.bufs.input, in_r)
+                    .writes(self.bufs.col, col_r),
             );
         }
         let (col_src, col_src_r) = if self.is_1x1() {
-            (self.buf("in"), in_r)
+            (self.bufs.input, in_r)
         } else {
-            (self.buf("col"), col_r)
+            (self.bufs.col, col_r)
         };
         // dW_partial = dTop · col^T
         g.push(
             kernels::conv_gemm_kernel(co, self.ohw(), k, tag)
-                .reads(self.buf("dout"), dout_r)
+                .reads(self.bufs.dout, dout_r)
                 .reads(col_src, col_src_r)
-                .writes(self.buf("dw.part"), dw_part_r),
+                .writes(self.bufs.dw_part, dw_part_r),
         );
         // dcol = W^T · dTop; for 1×1 the column gradient *is* dIn.
         let (dcol_dst, dcol_dst_r) = if self.is_1x1() {
-            (self.buf("din"), in_r)
+            (self.bufs.din, in_r)
         } else {
-            (self.buf("dcol"), col_r)
+            (self.bufs.dcol, col_r)
         };
         g.push(
             kernels::conv_gemm_kernel(k, co, self.ohw(), tag)
-                .reads(self.buf("w"), full_range(co * k))
-                .reads(self.buf("dout"), dout_r)
+                .reads(self.bufs.w, full_range(co * k))
+                .reads(self.bufs.dout, dout_r)
                 .writes(dcol_dst, dcol_dst_r),
         );
         if !self.is_1x1() {
             g.push(
                 kernels::col2im_kernel(self.ci, self.ih, self.iw, self.cfg.kernel, tag)
-                    .reads(self.buf("dcol"), col_r)
-                    .writes(self.buf("din"), in_r),
+                    .reads(self.bufs.dcol, col_r)
+                    .writes(self.bufs.din, in_r),
             );
         }
         g
@@ -213,26 +233,26 @@ impl ConvLayer {
         if !self.is_1x1() {
             spec = spec.kernel(
                 SymKernel::new("im2col")
-                    .reads(self.buf("in"), in_r)
-                    .writes(self.buf("col"), col_r),
+                    .reads(self.bufs.input, in_r)
+                    .writes(self.bufs.col, col_r),
             );
         }
         let (gemm_src, gemm_src_r) = if self.is_1x1() {
-            (self.buf("in"), in_r)
+            (self.bufs.input, in_r)
         } else {
-            (self.buf("col"), col_r)
+            (self.bufs.col, col_r)
         };
         spec.kernel(
             SymKernel::new("sgemm")
-                .reads(self.buf("w"), sym_full(self.cfg.num_output * self.k_dim()))
+                .reads(self.bufs.w, sym_full(self.cfg.num_output * self.k_dim()))
                 .reads(gemm_src, gemm_src_r)
-                .writes(self.buf("out"), out_r),
+                .writes(self.bufs.out, out_r),
         )
         .kernel(
             SymKernel::new("gemmk")
-                .reads(self.buf("bias"), sym_full(self.cfg.num_output))
-                .reads(self.buf("out"), out_r)
-                .writes(self.buf("out"), out_r),
+                .reads(self.bufs.bias, sym_full(self.cfg.num_output))
+                .reads(self.bufs.out, out_r)
+                .writes(self.bufs.out, out_r),
         )
     }
 
@@ -247,37 +267,37 @@ impl ConvLayer {
         if !self.is_1x1() {
             spec = spec.kernel(
                 SymKernel::new("im2col")
-                    .reads(self.buf("in"), in_r)
-                    .writes(self.buf("col"), col_r),
+                    .reads(self.bufs.input, in_r)
+                    .writes(self.bufs.col, col_r),
             );
         }
         let (col_src, col_src_r) = if self.is_1x1() {
-            (self.buf("in"), in_r)
+            (self.bufs.input, in_r)
         } else {
-            (self.buf("col"), col_r)
+            (self.bufs.col, col_r)
         };
         spec = spec.kernel(
             SymKernel::new("sgemm")
-                .reads(self.buf("dout"), dout_r)
+                .reads(self.bufs.dout, dout_r)
                 .reads(col_src, col_src_r)
-                .writes(self.buf("dw.part"), sym_sample(co * k)),
+                .writes(self.bufs.dw_part, sym_sample(co * k)),
         );
         let (dcol_dst, dcol_dst_r) = if self.is_1x1() {
-            (self.buf("din"), in_r)
+            (self.bufs.din, in_r)
         } else {
-            (self.buf("dcol"), col_r)
+            (self.bufs.dcol, col_r)
         };
         spec = spec.kernel(
             SymKernel::new("sgemm")
-                .reads(self.buf("w"), sym_full(co * k))
-                .reads(self.buf("dout"), dout_r)
+                .reads(self.bufs.w, sym_full(co * k))
+                .reads(self.bufs.dout, dout_r)
                 .writes(dcol_dst, dcol_dst_r),
         );
         if !self.is_1x1() {
             spec = spec.kernel(
                 SymKernel::new("col2im")
-                    .reads(self.buf("dcol"), col_r)
-                    .writes(self.buf("din"), in_r),
+                    .reads(self.bufs.dcol, col_r)
+                    .writes(self.bufs.din, in_r),
             );
         }
         spec
@@ -303,10 +323,10 @@ impl Layer for ConvLayer {
         top[0].resize(&[b.num(), self.cfg.num_output, self.oh, self.ow]);
         if !self.initialized {
             let k = self.k_dim();
-            self.weight.resize(&[self.cfg.num_output, k]);
+            // Declared, not drawn: the weights materialise at first touch.
+            self.weight
+                .resize_filled(&[self.cfg.num_output, k], Filler::Xavier, k, self.seed);
             self.bias.resize(&[self.cfg.num_output]);
-            Filler::Xavier.fill(self.weight.data_mut(), k, self.seed);
-            Filler::Constant(0.0).fill(self.bias.data_mut(), 1, self.seed + 1);
             self.initialized = true;
         }
     }

@@ -54,16 +54,14 @@ impl Layer for DropoutLayer {
 
     fn forward(&mut self, ctx: &mut ExecCtx, bottom: &[&Blob], top: &mut [Blob]) {
         let n = bottom[0].count();
-        ctx.dispatch_batch(
-            &self.name,
-            Phase::Forward,
+        ctx.dispatch_batch(&self.name, Phase::Forward, || {
             vec![kernels::declare_io(
                 kernels::elemwise_kernel("dropout", n, 2.0),
                 &self.name,
                 &[("in", n)],
                 &[("out", n), ("mask", n)],
-            )],
-        );
+            )]
+        });
         if !ctx.compute {
             return;
         }
@@ -80,13 +78,9 @@ impl Layer for DropoutLayer {
         self.mask.clear();
         self.mask
             .extend((0..b.count()).map(|_| rng.gen::<f32>() >= self.ratio));
-        let t = top[0].data_mut();
+        let (t, data) = (top[0].data_mut(), b.data());
         for (i, v) in t.iter_mut().enumerate().take(b.count()) {
-            *v = if self.mask[i] {
-                b.data()[i] * scale
-            } else {
-                0.0
-            };
+            *v = if self.mask[i] { data[i] * scale } else { 0.0 };
         }
     }
 
@@ -96,16 +90,14 @@ impl Layer for DropoutLayer {
 
     fn backward(&mut self, ctx: &mut ExecCtx, top: &[&Blob], bottom: &mut [Blob]) {
         let n = top[0].count();
-        ctx.dispatch_batch(
-            &self.name,
-            Phase::Backward,
+        ctx.dispatch_batch(&self.name, Phase::Backward, || {
             vec![kernels::declare_io(
                 kernels::elemwise_kernel("dropout_bwd", n, 1.0),
                 &self.name,
                 &[("dout", n), ("mask", n)],
                 &[("din", n)],
-            )],
-        );
+            )]
+        });
         if !ctx.compute {
             return;
         }
@@ -114,13 +106,9 @@ impl Layer for DropoutLayer {
             d.copy_from_slice(top[0].diff());
             return;
         }
-        let scale = 1.0 / (1.0 - self.ratio);
+        let (scale, tdiff) = (1.0 / (1.0 - self.ratio), top[0].diff());
         for (i, v) in d.iter_mut().enumerate() {
-            *v = if self.mask[i] {
-                top[0].diff()[i] * scale
-            } else {
-                0.0
-            };
+            *v = if self.mask[i] { tdiff[i] * scale } else { 0.0 };
         }
     }
 }

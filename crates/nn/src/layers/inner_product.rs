@@ -47,10 +47,14 @@ impl Layer for InnerProductLayer {
         self.input_dim = b.count() / b.num();
         top[0].resize(&[b.num(), self.num_output]);
         if !self.initialized {
-            self.weight.resize(&[self.num_output, self.input_dim]);
+            // Declared, not drawn: the weights materialise at first touch.
+            self.weight.resize_filled(
+                &[self.num_output, self.input_dim],
+                Filler::Xavier,
+                self.input_dim,
+                self.seed,
+            );
             self.bias.resize(&[self.num_output]);
-            Filler::Xavier.fill(self.weight.data_mut(), self.input_dim, self.seed);
-            Filler::Constant(0.0).fill(self.bias.data_mut(), 1, self.seed + 1);
             self.initialized = true;
         }
     }
@@ -61,16 +65,14 @@ impl Layer for InnerProductLayer {
         let in_elems = n * self.input_dim;
         let out_elems = n * self.num_output;
         let w_elems = self.num_output * self.input_dim;
-        ctx.dispatch_batch(
-            &self.name,
-            Phase::Forward,
+        ctx.dispatch_batch(&self.name, Phase::Forward, || {
             vec![kernels::declare_io(
                 kernels::fc_gemm_kernel(n, self.num_output, self.input_dim),
                 &self.name,
                 &[("in", in_elems), ("w", w_elems), ("bias", self.num_output)],
                 &[("out", out_elems)],
-            )],
-        );
+            )]
+        });
         if !ctx.compute {
             return;
         }
@@ -101,9 +103,7 @@ impl Layer for InnerProductLayer {
         let in_elems = n * self.input_dim;
         let out_elems = n * self.num_output;
         let w_elems = self.num_output * self.input_dim;
-        ctx.dispatch_batch(
-            &self.name,
-            Phase::Backward,
+        ctx.dispatch_batch(&self.name, Phase::Backward, || {
             vec![
                 kernels::declare_io(
                     kernels::fc_gemm_kernel(self.num_output, self.input_dim, n),
@@ -117,8 +117,8 @@ impl Layer for InnerProductLayer {
                     &[("dout", out_elems), ("w", w_elems)],
                     &[("din", in_elems)],
                 ),
-            ],
-        );
+            ]
+        });
         if !ctx.compute {
             return;
         }

@@ -56,9 +56,7 @@ impl Layer for LrnLayer {
     fn forward(&mut self, ctx: &mut ExecCtx, bottom: &[&Blob], top: &mut [Blob]) {
         let b = bottom[0];
         let n = b.count();
-        ctx.dispatch_batch(
-            &self.name,
-            Phase::Forward,
+        ctx.dispatch_batch(&self.name, Phase::Forward, || {
             vec![
                 kernels::declare_io(
                     kernels::elemwise_kernel("lrn_fill_scale", n, self.size as f64),
@@ -72,8 +70,8 @@ impl Layer for LrnLayer {
                     &[("in", n), ("scale", n)],
                     &[("out", n)],
                 ),
-            ],
-        );
+            ]
+        });
         if !ctx.compute {
             return;
         }
@@ -106,16 +104,14 @@ impl Layer for LrnLayer {
     fn backward(&mut self, ctx: &mut ExecCtx, top: &[&Blob], bottom: &mut [Blob]) {
         let t = top[0];
         let n = t.count();
-        ctx.dispatch_batch(
-            &self.name,
-            Phase::Backward,
+        ctx.dispatch_batch(&self.name, Phase::Backward, || {
             vec![kernels::declare_io(
                 kernels::elemwise_kernel("lrn_bwd", n, self.size as f64 * 2.0),
                 &self.name,
                 &[("in", n), ("out", n), ("scale", n), ("dout", n)],
                 &[("din", n)],
-            )],
-        );
+            )]
+        });
         if !ctx.compute {
             return;
         }
@@ -126,19 +122,20 @@ impl Layer for LrnLayer {
         let spatial = h * w;
         let half = self.size / 2;
         let (data, bd) = b.data_and_diff_mut();
+        let (tdata, tdiff) = (t.data(), t.diff());
         let factor = 2.0 * self.alpha * self.beta / self.size as f32;
         for nn in 0..n {
             for cc in 0..c {
                 for s in 0..spatial {
                     let idx = (nn * c + cc) * spatial + s;
-                    let mut grad = t.diff()[idx] * self.scale[idx].powf(-self.beta);
+                    let mut grad = tdiff[idx] * self.scale[idx].powf(-self.beta);
                     // Windows centered at c2 that contain cc.
                     let lo = cc.saturating_sub(half);
                     let hi = (cc + half + 1).min(c);
                     let mut cross = 0.0f32;
                     for c2 in lo..hi {
                         let j = (nn * c + c2) * spatial + s;
-                        cross += t.diff()[j] * t.data()[j] / self.scale[j];
+                        cross += tdiff[j] * tdata[j] / self.scale[j];
                     }
                     grad -= factor * data[idx] * cross;
                     bd[idx] = grad;

@@ -78,9 +78,11 @@ impl Layer for PoolingLayer {
         let (n, c, ih, iw) = (b.num(), b.channels(), b.height(), b.width());
         let (oh, ow) = (self.oh, self.ow);
 
-        let in_buf = BufferId::from_label(&format!("{}/in", self.name));
-        let out_buf = BufferId::from_label(&format!("{}/out", self.name));
-        let idx_buf = BufferId::from_label(&format!("{}/argmax", self.name));
+        // Called only where descriptors are built (capture, staging).
+        let bufs = || {
+            ["in", "out", "argmax"]
+                .map(|which| BufferId::from_label(&format!("{}/{which}", self.name)))
+        };
         if ctx.batch_parallel_all {
             // Extension (paper §3.3.1): pooling processes samples
             // independently too, so it can use the same per-sample group
@@ -92,6 +94,7 @@ impl Layer for PoolingLayer {
                 Phase::Forward,
                 n,
                 || {
+                    let [in_buf, out_buf, idx_buf] = bufs();
                     Some(
                         sanitizer::SymGroupSpec::new().kernel(
                             sanitizer::SymKernel::new("pool")
@@ -102,6 +105,7 @@ impl Layer for PoolingLayer {
                     )
                 },
                 || {
+                    let [in_buf, out_buf, idx_buf] = bufs();
                     (0..n as u64)
                         .map(|i| {
                             vec![kernels::pool_kernel("pool", c * oh * ow, kernel)
@@ -114,14 +118,13 @@ impl Layer for PoolingLayer {
                 },
             );
         } else {
-            ctx.dispatch_batch(
-                &self.name,
-                Phase::Forward,
+            ctx.dispatch_batch(&self.name, Phase::Forward, || {
+                let [in_buf, out_buf, idx_buf] = bufs();
                 vec![kernels::pool_kernel("pool", n * c * oh * ow, self.kernel)
                     .reads(in_buf, full_range(n * c * ih * iw))
                     .writes(out_buf, full_range(n * c * oh * ow))
-                    .writes(idx_buf, full_range(n * c * oh * ow))],
-            );
+                    .writes(idx_buf, full_range(n * c * oh * ow))]
+            });
         }
         if !ctx.compute {
             return;
@@ -177,9 +180,7 @@ impl Layer for PoolingLayer {
         let t = top[0];
         let out_elems = t.count();
         let in_elems = bottom[0].count();
-        ctx.dispatch_batch(
-            &self.name,
-            Phase::Backward,
+        ctx.dispatch_batch(&self.name, Phase::Backward, || {
             vec![kernels::pool_kernel("pool_bwd", out_elems, self.kernel)
                 .reads(
                     BufferId::from_label(&format!("{}/dout", self.name)),
@@ -192,8 +193,8 @@ impl Layer for PoolingLayer {
                 .writes(
                     BufferId::from_label(&format!("{}/din", self.name)),
                     full_range(in_elems),
-                )],
-        );
+                )]
+        });
         if !ctx.compute {
             return;
         }

@@ -46,16 +46,14 @@ impl Layer for ReluLayer {
 
     fn forward(&mut self, ctx: &mut ExecCtx, bottom: &[&Blob], top: &mut [Blob]) {
         let n = bottom[0].count();
-        ctx.dispatch_batch(
-            &self.name,
-            Phase::Forward,
+        ctx.dispatch_batch(&self.name, Phase::Forward, || {
             vec![kernels::declare_io(
                 kernels::elemwise_kernel("relu", n, 1.0),
                 &self.name,
                 &[("in", n)],
                 &[("out", n)],
-            )],
-        );
+            )]
+        });
         if !ctx.compute {
             return;
         }
@@ -65,16 +63,14 @@ impl Layer for ReluLayer {
 
     fn backward(&mut self, ctx: &mut ExecCtx, top: &[&Blob], bottom: &mut [Blob]) {
         let n = top[0].count();
-        ctx.dispatch_batch(
-            &self.name,
-            Phase::Backward,
+        ctx.dispatch_batch(&self.name, Phase::Backward, || {
             vec![kernels::declare_io(
                 kernels::elemwise_kernel("relu_bwd", n, 1.0),
                 &self.name,
                 &[("in", n), ("dout", n)],
                 &[("din", n)],
-            )],
-        );
+            )]
+        });
         if !ctx.compute {
             return;
         }

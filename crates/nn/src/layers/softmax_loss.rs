@@ -53,16 +53,14 @@ impl Layer for SoftmaxLossLayer {
         let scores = bottom[0];
         let n = scores.num();
         let sc = scores.count();
-        ctx.dispatch_batch(
-            &self.name,
-            Phase::Forward,
+        ctx.dispatch_batch(&self.name, Phase::Forward, || {
             vec![kernels::declare_io(
                 kernels::elemwise_kernel("softmax_loss", sc, 4.0),
                 &self.name,
                 &[("scores", sc), ("labels", n)],
                 &[("probs", sc), ("loss", 1)],
-            )],
-        );
+            )]
+        });
         if !ctx.compute {
             return;
         }
@@ -75,16 +73,14 @@ impl Layer for SoftmaxLossLayer {
 
     fn backward(&mut self, ctx: &mut ExecCtx, top: &[&Blob], bottom: &mut [Blob]) {
         let sc = bottom[0].count();
-        ctx.dispatch_batch(
-            &self.name,
-            Phase::Backward,
+        ctx.dispatch_batch(&self.name, Phase::Backward, || {
             vec![kernels::declare_io(
                 kernels::elemwise_kernel("softmax_loss_bwd", sc, 1.0),
                 &self.name,
                 &[("probs", sc), ("labels", bottom[0].num()), ("dloss", 1)],
                 &[("dscores", sc)],
-            )],
-        );
+            )]
+        });
         if !ctx.compute {
             return;
         }

@@ -83,20 +83,18 @@ impl Layer for SplitLayer {
                 },
             );
         } else {
-            let writes: Vec<(String, usize)> =
-                (0..top.len()).map(|i| (format!("out{i}"), n)).collect();
-            let write_refs: Vec<(&str, usize)> =
-                writes.iter().map(|(s, c)| (s.as_str(), *c)).collect();
-            ctx.dispatch_batch(
-                &self.name,
-                Phase::Forward,
+            ctx.dispatch_batch(&self.name, Phase::Forward, || {
+                let writes: Vec<(String, usize)> =
+                    (0..top.len()).map(|i| (format!("out{i}"), n)).collect();
+                let write_refs: Vec<(&str, usize)> =
+                    writes.iter().map(|(s, c)| (s.as_str(), *c)).collect();
                 vec![kernels::declare_io(
                     kernels::elemwise_kernel("split", n * top.len(), 0.0),
                     &self.name,
                     &[("in", n)],
                     &write_refs,
-                )],
-            );
+                )]
+            });
         }
         if !ctx.compute {
             return;
@@ -146,20 +144,18 @@ impl Layer for SplitLayer {
                 },
             );
         } else {
-            let reads: Vec<(String, usize)> =
-                (0..top.len()).map(|i| (format!("dout{i}"), n)).collect();
-            let read_refs: Vec<(&str, usize)> =
-                reads.iter().map(|(s, c)| (s.as_str(), *c)).collect();
-            ctx.dispatch_batch(
-                &self.name,
-                Phase::Backward,
+            ctx.dispatch_batch(&self.name, Phase::Backward, || {
+                let reads: Vec<(String, usize)> =
+                    (0..top.len()).map(|i| (format!("dout{i}"), n)).collect();
+                let read_refs: Vec<(&str, usize)> =
+                    reads.iter().map(|(s, c)| (s.as_str(), *c)).collect();
                 vec![kernels::declare_io(
                     kernels::elemwise_kernel("split_bwd", n * top.len(), 1.0),
                     &self.name,
                     &read_refs,
                     &[("din", n)],
-                )],
-            );
+                )]
+            });
         }
         if !ctx.compute {
             return;

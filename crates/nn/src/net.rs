@@ -687,6 +687,30 @@ mod tests {
         }
     }
 
+    /// First-touch blobs: weights nobody read during timing-only
+    /// iterations materialise later exactly as an eager compute run's.
+    #[test]
+    fn state_dict_after_timing_only_iterations_is_bitwise_the_compute_one() {
+        let mut timed = Net::from_spec(&tiny_spec());
+        let mut ctx = ExecCtx::naive(DeviceProps::p100()).timing_only();
+        for _ in 0..2 {
+            timed.forward(&mut ctx);
+            timed.backward(&mut ctx);
+        }
+        let mut computed = Net::from_spec(&tiny_spec());
+        set_inputs(&mut computed);
+        computed.forward(&mut ExecCtx::naive(DeviceProps::p100()));
+
+        let bits = |state: Vec<Vec<f32>>| -> Vec<Vec<u32>> {
+            let to_bits = |p: &Vec<f32>| p.iter().map(|v| v.to_bits()).collect();
+            state.iter().map(to_bits).collect()
+        };
+        let (timed, computed) = (bits(timed.state_dict()), bits(computed.state_dict()));
+        assert_eq!(timed.len(), 4, "conv1 and ip1 weight + bias");
+        assert!(timed[0].iter().any(|&w| w != 0), "weights were filled");
+        assert_eq!(timed, computed);
+    }
+
     #[test]
     fn by_name_rejects_unknown_networks() {
         assert!(Net::by_name("CIFAR10", 4, 1).is_ok());

@@ -5,23 +5,68 @@
 //! width) or arbitrary dims for others — the exact layout Caffe's layers
 //! expect in Algorithms 1 and 2 of the paper (`bottom`, `top`, `weight`,
 //! `bias` are all blobs).
+//!
+//! # First-touch storage
+//!
+//! Shape and memory are separate: [`Blob::new`] and [`Blob::resize`] record
+//! only the shape and element count, and `data` and `diff` each materialise
+//! (zero-filled) the first time an accessor asks for them. A timing-only
+//! run reshapes every blob of a net and reads none, so it holds no tensor
+//! memory; a compute run touches everything on its first iteration and then
+//! pays one atomic load per accessor call. There is one storage path and no
+//! switch — whether a blob holds memory depends only on whether anyone
+//! asked for it. The invariants:
+//!
+//! - `data` and `diff` materialise independently: reading activations does
+//!   not allocate gradients.
+//! - [`Blob::count`] is a stored field, not the shape's product
+//!   ([`Blob::empty`] has 0 elements although an empty product is 1).
+//! - [`Blob::resize`] to an equal count keeps whatever is stored; to a
+//!   different count it drops storage *and* any pending filler.
+//! - A parameter blob declared with [`Blob::resize_filled`] carries its
+//!   *pending filler* `(Filler, fan_in, seed)`; the fill runs inside the
+//!   first touch of `data`, through [`Filler::fill`] and therefore from a
+//!   fresh RNG of that seed, so materialised weights are bit-identical
+//!   whenever they are touched.
+//! - [`Blob::zero_diff`] and [`Blob::zero_data`] allocate nothing: untouched
+//!   storage already reads as zero.
+//! - `Clone` of an untouched blob stays untouched, and `==` compares
+//!   `shape`, `data()`, `diff()`, so an untouched blob equals a zero-filled
+//!   one.
+
+use crate::Filler;
+use std::sync::OnceLock;
 
 /// An N-dimensional tensor with data and gradient storage.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Blob {
     shape: Vec<usize>,
-    data: Vec<f32>,
-    diff: Vec<f32>,
+    count: usize,
+    data: OnceLock<Vec<f32>>,
+    diff: OnceLock<Vec<f32>>,
+    /// What the first touch of `data` fills it with: `(filler, fan_in, seed)`.
+    pending: Option<(Filler, usize, u64)>,
+}
+
+impl PartialEq for Blob {
+    fn eq(&self, other: &Self) -> bool {
+        self.shape == other.shape && self.data() == other.data() && self.diff() == other.diff()
+    }
 }
 
 impl Blob {
-    /// A blob of the given shape, zero-filled.
+    /// A blob of the given shape, reading as zeros.
     pub fn new(shape: &[usize]) -> Self {
-        let count = shape.iter().product();
+        Self::with_count(shape, shape.iter().product())
+    }
+
+    fn with_count(shape: &[usize], count: usize) -> Self {
         Blob {
             shape: shape.to_vec(),
-            data: vec![0.0; count],
-            diff: vec![0.0; count],
+            count,
+            data: OnceLock::new(),
+            diff: OnceLock::new(),
+            pending: None,
         }
     }
 
@@ -30,13 +75,9 @@ impl Blob {
         Self::new(&[n, c, h, w])
     }
 
-    /// An empty (zero-dim) blob.
+    /// An empty (zero-dim, zero-element) blob.
     pub fn empty() -> Self {
-        Blob {
-            shape: vec![],
-            data: vec![],
-            diff: vec![],
-        }
+        Self::with_count(&[], 0)
     }
 
     /// Build from existing data with the given shape.
@@ -44,14 +85,10 @@ impl Blob {
     /// # Panics
     /// Panics if `data.len()` does not match the shape's element count.
     pub fn from_data(shape: &[usize], data: Vec<f32>) -> Self {
-        let count: usize = shape.iter().product();
-        assert_eq!(data.len(), count, "data length does not match shape");
-        let diff = vec![0.0; count];
-        Blob {
-            shape: shape.to_vec(),
-            data,
-            diff,
-        }
+        let mut blob = Self::new(shape);
+        assert_eq!(data.len(), blob.count, "data length does not match shape");
+        blob.data = OnceLock::from(data);
+        blob
     }
 
     /// Tensor shape.
@@ -61,7 +98,7 @@ impl Blob {
 
     /// Total number of elements.
     pub fn count(&self) -> usize {
-        self.data.len()
+        self.count
     }
 
     /// Batch dimension (dim 0; 1 for lower-rank blobs).
@@ -92,69 +129,97 @@ impl Blob {
     /// Reshape in place; element count must be preserved.
     pub fn reshape(&mut self, shape: &[usize]) {
         let count: usize = shape.iter().product();
-        assert_eq!(count, self.data.len(), "reshape must preserve count");
+        assert_eq!(count, self.count, "reshape must preserve count");
         self.shape = shape.to_vec();
     }
 
-    /// Resize, reallocating and zero-filling if the count changes.
+    /// Resize; a changed count drops the contents (and any pending filler),
+    /// so the blob reads as zeros again.
     pub fn resize(&mut self, shape: &[usize]) {
         let count: usize = shape.iter().product();
-        if count != self.data.len() {
-            self.data = vec![0.0; count];
-            self.diff = vec![0.0; count];
+        if count != self.count {
+            *self = Self::with_count(shape, count);
+        } else if shape != self.shape {
+            self.shape = shape.to_vec();
         }
-        self.shape = shape.to_vec();
+    }
+
+    /// [`resize`](Blob::resize), then declare the data's contents:
+    /// `filler.fill(data, fan_in, seed)` runs at the first touch of `data`
+    /// (see the module docs). The gradient is unaffected.
+    pub fn resize_filled(&mut self, shape: &[usize], filler: Filler, fan_in: usize, seed: u64) {
+        self.resize(shape);
+        self.data = OnceLock::new();
+        self.pending = Some((filler, fan_in, seed));
     }
 
     /// Immutable view of the data.
     pub fn data(&self) -> &[f32] {
-        &self.data
+        self.data.get_or_init(|| {
+            let mut data = vec![0.0; self.count];
+            if let Some((filler, fan_in, seed)) = self.pending {
+                filler.fill(&mut data, fan_in, seed);
+            }
+            data
+        })
     }
 
     /// Mutable view of the data.
     pub fn data_mut(&mut self) -> &mut [f32] {
-        &mut self.data
+        self.data();
+        self.data.get_mut().expect("materialised on the line above")
     }
 
     /// Immutable view of the gradient.
     pub fn diff(&self) -> &[f32] {
-        &self.diff
+        self.diff.get_or_init(|| vec![0.0; self.count])
     }
 
     /// Mutable view of the gradient.
     pub fn diff_mut(&mut self) -> &mut [f32] {
-        &mut self.diff
+        self.diff();
+        self.diff.get_mut().expect("materialised on the line above")
     }
 
     /// Simultaneous mutable access to data and diff (for in-place updates
     /// like `data -= lr * diff`).
     pub fn data_and_diff_mut(&mut self) -> (&mut [f32], &mut [f32]) {
-        (&mut self.data, &mut self.diff)
+        self.data();
+        self.diff();
+        let touched = "materialised on the lines above";
+        let (data, diff) = (self.data.get_mut(), self.diff.get_mut());
+        (data.expect(touched), diff.expect(touched))
     }
 
     /// Zero the gradient.
     pub fn zero_diff(&mut self) {
-        self.diff.iter_mut().for_each(|v| *v = 0.0);
+        if let Some(diff) = self.diff.get_mut() {
+            diff.fill(0.0);
+        }
     }
 
     /// Zero the data.
     pub fn zero_data(&mut self) {
-        self.data.iter_mut().for_each(|v| *v = 0.0);
+        self.pending = None;
+        if let Some(data) = self.data.get_mut() {
+            data.fill(0.0);
+        }
     }
 
     /// L2 norm of the data (diagnostics).
     pub fn data_l2(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
+        self.data().iter().map(|v| v * v).sum::<f32>().sqrt()
     }
 
     /// Sum of absolute data values (Caffe's `asum_data`).
     pub fn asum_data(&self) -> f32 {
-        self.data.iter().map(|v| v.abs()).sum()
+        self.data().iter().map(|v| v.abs()).sum()
     }
 
     /// Apply `data -= rate * diff` (plain SGD step on this blob).
     pub fn sgd_step(&mut self, rate: f32) {
-        for (d, g) in self.data.iter_mut().zip(&self.diff) {
+        let (data, diff) = self.data_and_diff_mut();
+        for (d, g) in data.iter_mut().zip(diff.iter()) {
             *d -= rate * g;
         }
     }
@@ -248,6 +313,86 @@ mod tests {
         assert!(b.diff().iter().all(|&v| v == 0.0));
         b.zero_data();
         assert!(b.data().iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn untouched_blob_equals_a_zero_filled_one_and_holds_no_memory() {
+        let lazy = Blob::nchw(2, 3, 4, 5);
+        assert!(lazy.data.get().is_none() && lazy.diff.get().is_none());
+        assert_eq!(lazy, Blob::from_data(&[2, 3, 4, 5], vec![0.0; 120]));
+        assert_ne!(lazy, Blob::from_data(&[2, 3, 4, 5], vec![1.0; 120]));
+        assert_eq!(Blob::empty().count(), 0);
+        assert!(Blob::empty().data().is_empty());
+    }
+
+    #[test]
+    fn data_and_diff_materialise_independently() {
+        let mut b = Blob::new(&[8]);
+        b.data_mut()[3] = 1.0;
+        assert!(b.diff.get().is_none(), "touching data allocated diff");
+        b.zero_diff();
+        assert!(b.diff.get().is_none(), "zero_diff allocated untouched diff");
+        let mut c = Blob::new(&[8]);
+        assert_eq!(c.diff_mut().len(), 8);
+        assert!(c.data.get().is_none(), "touching diff allocated data");
+        c.zero_data();
+        assert!(c.data.get().is_none(), "zero_data allocated untouched data");
+    }
+
+    #[test]
+    fn clone_then_touch_agrees_with_touch_then_clone() {
+        let mut declared = Blob::empty();
+        declared.resize_filled(&[4, 6], Filler::Xavier, 6, 11);
+        let early = declared.clone();
+        assert!(early.data.get().is_none(), "clone materialised the source");
+        declared.data();
+        let late = declared.clone();
+        assert_eq!(early.data(), late.data());
+        assert_eq!(early, late);
+    }
+
+    #[test]
+    fn resize_keeps_contents_only_at_equal_count() {
+        let mut b = Blob::empty();
+        b.resize_filled(&[2, 3], Filler::Constant(2.5), 1, 0);
+        b.resize(&[3, 2]);
+        assert_eq!(b.data(), &[2.5; 6], "equal count keeps the pending filler");
+        b.resize(&[6]);
+        assert_eq!(b.data(), &[2.5; 6], "equal count keeps the data");
+        b.resize(&[4]);
+        assert_eq!((b.shape(), b.data()), (&[4usize][..], &[0.0f32; 4][..]));
+        // A filler that was never run is dropped with the storage.
+        let mut c = Blob::empty();
+        c.resize_filled(&[2], Filler::Constant(1.0), 1, 0);
+        c.resize(&[3]);
+        assert_eq!(c.data(), &[0.0; 3]);
+        // zero_data overrides a pending filler without allocating.
+        let mut d = Blob::empty();
+        d.resize_filled(&[2], Filler::Constant(1.0), 1, 0);
+        d.zero_data();
+        assert_eq!(d.data(), &[0.0; 2]);
+    }
+
+    #[test]
+    fn late_touch_of_a_declared_filler_is_bitwise_the_eager_fill() {
+        for filler in [
+            Filler::Xavier,
+            Filler::Gaussian(0.1),
+            Filler::Uniform(-1.0, 2.0),
+        ] {
+            let (fan_in, seed) = (75, 0xC0FFEE);
+            let mut eager = vec![0.0f32; 32 * 75];
+            filler.fill(&mut eager, fan_in, seed);
+            let mut b = Blob::empty();
+            b.resize_filled(&[32, 75], filler, fan_in, seed);
+            // Unrelated traffic before the first touch of `data`.
+            b.diff_mut()[0] = 1.0;
+            b.zero_diff();
+            b.reshape(&[75, 32]);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(b.data()), bits(&eager), "{filler:?}");
+            assert_eq!(bits(b.clone().data_mut()), bits(&eager), "{filler:?}");
+        }
     }
 
     #[test]

@@ -21,7 +21,8 @@
 # - the standalone benchmark crate is built and tested, so a library change
 #   that breaks the API it pins fails here; all five of its workloads then
 #   run at the minimum length, because run.sh exits non-zero when any digest
-#   in benchmark/expected_digests.txt moves.
+#   in benchmark/expected_digests.txt moves; train-steady's peak RSS must
+#   stay under 120 MB (timing-only runs allocate no tensors).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -54,7 +55,15 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml
 # The engine's own loop (Device::run), then the fabric's one-worker loop
 # (Fabric::run at the default workers = 1; the lookahead rounds that call
 # step_until run only in the traced multi-gpu body and fabric_determinism).
-bash benchmark/run.sh --workload train-steady --seed 1 --seconds 1 --trace 0 >/dev/null
+# train-steady is timing-only: it reads no tensor, so with first-touch blob
+# storage CaffeNet's ~60 M weights are never allocated (49 MB peak; 338 MB
+# when storage was eager). The gate keeps eager storage from creeping back.
+steady=$(bash benchmark/run.sh --workload train-steady --seed 1 --seconds 1 --trace 0 | tail -n 1)
+rss=$(sed -n 's/.*"peak_rss_mb": {"value": \([0-9.]*\).*/\1/p' <<<"$steady")
+if ! awk -v rss="$rss" 'BEGIN { exit !(rss != "" && rss <= 120) }'; then
+    echo "ci: train-steady peak_rss_mb is '$rss', over the 120 MB gate: $steady" >&2
+    exit 1
+fi
 bash benchmark/run.sh --workload multi-gpu --seed 1 --seconds 1 --trace 0 >/dev/null
 # The other two engine-bound workloads: idle-gap serving bursts, and cold
 # contexts whose dispatch sites profile and capture on scratch devices.

@@ -17,8 +17,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-/// A `#[global_allocator]` that counts `alloc`/`realloc` calls on threads
-/// armed via [`start`], delegating all actual work to [`System`].
+/// A `#[global_allocator]` that counts `alloc`/`realloc` calls, and the
+/// bytes they request, on threads armed via [`start`], delegating all
+/// actual work to [`System`].
 pub struct CountingAlloc;
 
 thread_local! {
@@ -27,22 +28,26 @@ thread_local! {
     // allocator never allocates or re-enters it.
     static COUNTING: Cell<bool> = const { Cell::new(false) };
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count() {
+/// One call asking for `bytes` new bytes.
+fn count(bytes: usize) {
     if COUNTING.get() {
         ALLOCS.set(ALLOCS.get() + 1);
+        BYTES.set(BYTES.get() + bytes as u64);
     }
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        // A grown block is charged its growth, a shrunk one nothing.
+        count(new_size.saturating_sub(layout.size()));
         System.realloc(ptr, layout, new_size)
     }
 
@@ -51,9 +56,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 }
 
-/// Zero this thread's counter and start counting its allocations.
+/// Zero this thread's counters and start counting its allocations.
 pub fn start() {
     ALLOCS.set(0);
+    BYTES.set(0);
     COUNTING.set(true);
 }
 
@@ -62,4 +68,12 @@ pub fn start() {
 pub fn stop() -> u64 {
     COUNTING.set(false);
     ALLOCS.get()
+}
+
+/// Bytes this thread requested between the last [`start`] and [`stop`]
+/// (`alloc` sizes plus `realloc` growth; frees are not subtracted, so this
+/// is allocation traffic, not a high-water mark).
+#[allow(dead_code)] // each probe binary compiles its own copy of this file
+pub fn bytes() -> u64 {
+    BYTES.get()
 }

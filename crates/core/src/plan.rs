@@ -205,10 +205,12 @@ impl ExecPlan {
     /// check stays quiet).
     ///
     /// `deps[i]` must only reference earlier nodes (`d < i`); later
-    /// references are ignored. `stream_of[i]` indexes into `pool`.
+    /// references are ignored. `stream_of[i]` indexes into `pool`. The
+    /// plan shares the descriptors in `nodes` (a reference-count bump per
+    /// node), so several captures of one staged pass copy no kernel.
     pub fn capture_assigned(
         label: &str,
-        nodes: &[KernelDesc],
+        nodes: &[Arc<KernelDesc>],
         deps: &[Vec<usize>],
         stream_of: &[usize],
         pool: &[StreamId],
@@ -239,7 +241,7 @@ impl ExecPlan {
                 }
             }
             let ki = plan.kernels.len() as u32;
-            plan.kernels.push(Arc::new(nodes[i].clone()));
+            plan.kernels.push(Arc::clone(&nodes[i]));
             plan.steps.push(PlanStep::Launch {
                 stream: sidx as u16,
                 kernel: ki,
@@ -258,6 +260,28 @@ impl ExecPlan {
                 .push(deps[i].iter().copied().filter(|&d| d < i).collect());
         }
         plan
+    }
+
+    /// The same frozen schedule bound to another stream pool of the same
+    /// size — a candidate measured on a scratch device, re-targeted at the
+    /// device that will execute it. Tables are copied, kernel descriptors
+    /// shared; nothing is re-derived.
+    pub fn on_pool(&self, pool: &[StreamId]) -> Self {
+        assert_eq!(
+            pool.len(),
+            self.streams.len(),
+            "a plan is re-targeted at a pool of its own size"
+        );
+        ExecPlan {
+            label: self.label.clone(),
+            streams: pool.to_vec(),
+            kernels: self.kernels.clone(),
+            steps: self.steps.clone(),
+            num_events: self.num_events,
+            mode: self.mode,
+            node_stream: self.node_stream.clone(),
+            node_deps: self.node_deps.clone(),
+        }
     }
 
     /// Reconstruct a plan from raw parts — a deserialized or hand-written
@@ -500,10 +524,13 @@ pub struct CaptureSource<'a> {
 /// must be disjoint (through the site's symbolic certificate when a spec is
 /// declared and proven, pairwise otherwise). Then the `plan` about to be
 /// cached: the static plan check over its frozen tables, then the linter if
-/// one is attached. A plan whose source was certified skips the O(kernels²)
-/// hazard pair scan and keeps only the structural checks; a plan verified
-/// without its source (one spanning several sites) always gets the full
-/// scan. Returns whether the source was certified.
+/// one is attached — one analysis ([`Sanitizer::verify_plan`]: one
+/// happens-before relation, one closure, one hazard sweep) feeding both. A
+/// plan whose source was certified skips the hazard sweep and keeps only the
+/// structural checks; a plan verified without its source (one spanning
+/// several sites) always gets the sweep, which costs O(a log a) in the
+/// plan's declared accesses plus the overlapping pairs it finds, not
+/// O(kernels²). Returns whether the source was certified.
 pub fn verify_capture(
     san: &mut Sanitizer,
     source: Option<CaptureSource<'_>>,
@@ -524,12 +551,7 @@ pub fn verify_capture(
                 deps: &plan.node_deps[i],
             })
             .collect();
-        if certified {
-            san.check_plan_ref_certified(&plan.label, &nodes);
-        } else {
-            san.check_plan_ref(&plan.label, &nodes);
-        }
-        san.lint_plan_nodes(&plan.label, &nodes, plan.num_events > 0, certified);
+        san.verify_plan(&plan.label, &nodes, plan.num_events > 0, certified);
     }
     certified
 }
@@ -601,6 +623,10 @@ mod tests {
         assert_eq!(r1.elapsed_ns, r2.elapsed_ns, "replay must be deterministic");
     }
 
+    fn shared(kernels: Vec<KernelDesc>) -> Vec<Arc<KernelDesc>> {
+        kernels.into_iter().map(Arc::new).collect()
+    }
+
     /// `(start_ns, end_ns)` of the traced kernel called `name`.
     fn span(dev: &Device, name: &str) -> (u64, u64) {
         let t = dev.trace().iter().find(|t| &*t.name == name).unwrap();
@@ -610,12 +636,12 @@ mod tests {
     #[test]
     fn assigned_diamond_is_enforced_across_streams() {
         // Diamond a -> {b, c} -> d with c alone on the second stream.
-        let nodes = vec![
+        let nodes = shared(vec![
             kernel("a", 14, 256, 5.0e6),
             kernel("b", 14, 256, 5.0e6),
             kernel("c", 14, 256, 5.0e6),
             kernel("d", 14, 256, 5.0e6),
-        ];
+        ]);
         let deps = vec![vec![], vec![0], vec![0], vec![1, 2]];
         let mut dev = Device::new(DeviceProps::p100());
         let pool: Vec<_> = (0..2).map(|_| dev.create_stream()).collect();
@@ -669,12 +695,50 @@ mod tests {
     }
 
     #[test]
+    fn a_retargeted_plan_shares_kernels_and_replays_the_same_timeline() {
+        let nodes = shared(vec![
+            kernel("a", 14, 256, 5.0e6),
+            kernel("b", 14, 256, 5.0e6),
+            kernel("c", 14, 256, 5.0e6),
+        ]);
+        let deps = vec![vec![], vec![0], vec![0, 1]];
+        let mode = ExecMode::Concurrent { streams: 2 };
+        let mut scratch = Device::new(DeviceProps::p100());
+        let scratch_pool: Vec<_> = (0..2).map(|_| scratch.create_stream()).collect();
+        let probed =
+            ExecPlan::capture_assigned("p", &nodes, &deps, &[0, 1, 0], &scratch_pool, mode);
+
+        // The executing device's pool sits at other stream ids.
+        let mut dev = Device::new(DeviceProps::p100());
+        dev.create_stream();
+        let pool: Vec<_> = (0..2).map(|_| dev.create_stream()).collect();
+        assert_ne!(pool, scratch_pool);
+        let plan = probed.on_pool(&pool);
+        assert_eq!(plan.streams(), &pool[..]);
+        assert_eq!(plan.steps(), probed.steps());
+        assert_eq!(plan.node_streams(), probed.node_streams());
+        assert_eq!(plan.node_deps(2), probed.node_deps(2));
+        assert_eq!((plan.num_events(), plan.mode()), (2, mode));
+        assert!((0..3).all(|i| Arc::ptr_eq(&plan.kernels[i], &nodes[i])));
+
+        let (r1, r2) = (probed.replay(&mut scratch), plan.replay(&mut dev));
+        assert_eq!(r1, r2);
+        let spans = |d: &Device| -> Vec<_> {
+            let trace = d.trace().iter();
+            trace
+                .map(|t| (t.name.to_string(), t.start_ns, t.end_ns))
+                .collect()
+        };
+        assert_eq!(spans(&scratch), spans(&dev));
+    }
+
+    #[test]
     fn assigned_independent_siblings_overlap() {
-        let nodes = vec![
+        let nodes = shared(vec![
             kernel("a", 14, 256, 2.0e6),
             kernel("b", 14, 256, 5.0e7),
             kernel("c", 14, 256, 5.0e7),
-        ];
+        ]);
         let deps = vec![vec![], vec![0], vec![0]];
         let mut dev = Device::new(DeviceProps::p100());
         let pool: Vec<_> = (0..4).map(|_| dev.create_stream()).collect();
@@ -690,11 +754,11 @@ mod tests {
 
     #[test]
     fn assigned_same_stream_chain_needs_no_event() {
-        let nodes = vec![
+        let nodes = shared(vec![
             kernel("x", 8, 128, 1.0e6),
             kernel("y", 8, 128, 1.0e6),
             kernel("z", 8, 128, 1.0e6),
-        ];
+        ]);
         let deps = vec![vec![], vec![0], vec![1]];
         let mut dev = Device::new(DeviceProps::p100());
         let pool: Vec<_> = (0..4).map(|_| dev.create_stream()).collect();
@@ -715,7 +779,7 @@ mod tests {
     fn assigned_single_stream_serializes() {
         // No declared dependency: the one stream's FIFO order is the only
         // thing keeping the two apart.
-        let nodes = vec![kernel("a", 8, 128, 1.0e6), kernel("b", 8, 128, 1.0e6)];
+        let nodes = shared(vec![kernel("a", 8, 128, 1.0e6), kernel("b", 8, 128, 1.0e6)]);
         let deps = vec![vec![], vec![]];
         let mut dev = Device::new(DeviceProps::p100());
         let pool = vec![dev.create_stream()];

@@ -72,9 +72,10 @@ pub struct Schedule<G, S> {
     /// Builds the site's symbolic access declaration, if the layer has
     /// one; called on a plan-cache miss with a sanitizer attached only.
     /// With a `Proven` certificate for `key.site_key()`, capture-time
-    /// checking drops from O(chunks²) pairwise comparisons plus an
-    /// O(kernels²) plan pair scan to an O(chunks) conformance check
-    /// plus structural plan checks. Conformance runs against the
+    /// checking drops from two hazard sweeps (chunk unions, then plan
+    /// nodes; each O(a log a) in the declared accesses plus the
+    /// overlapping pairs found) to an O(chunks) conformance check plus
+    /// structural plan checks. Conformance runs against the
     /// *post-transform* groups: §6 fusion/reordering rewrites kernels,
     /// so transformed schedules fall back to the pairwise path by
     /// construction.

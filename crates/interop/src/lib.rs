@@ -91,13 +91,13 @@ impl ClassProfiler {
     }
 
     /// Solo duration of `k`, whose class key is `key`.
-    fn duration_ns(&mut self, key: &ClassKey, k: &KernelDesc) -> u64 {
+    fn duration_ns(&mut self, key: &ClassKey, k: &Arc<KernelDesc>) -> u64 {
         if let Some(&d) = self.durations.get(key) {
             return d;
         }
         let mut dev = Device::new(self.props.clone());
         let s = dev.default_stream();
-        dev.launch(s, k.clone());
+        dev.launch_shared(s, Arc::clone(k));
         dev.run();
         let t = dev.trace().last().expect("profiled kernel must trace");
         let d = t.duration_ns().max(1);
@@ -106,11 +106,16 @@ impl ClassProfiler {
     }
 }
 
+/// One staged dispatch's kernel groups, each descriptor moved into an `Arc`
+/// once: both candidates' assemblies, their probe plans and the executed
+/// plan share it instead of cloning name and access sets per capture.
+type SharedGroups = Vec<Vec<Arc<KernelDesc>>>;
+
 /// A fully resolved whole-net schedule before plan capture: the flattened
 /// kernel list with explicit dependencies and stream assignments, ready
 /// for [`ExecPlan::capture_assigned`].
 struct Assembly {
-    nodes: Vec<KernelDesc>,
+    nodes: Vec<Arc<KernelDesc>>,
     deps: Vec<Vec<usize>>,
     stream_of: Vec<usize>,
     num_streams: usize,
@@ -219,7 +224,7 @@ impl InterOpExec {
                 ctx.begin_staging();
                 let loss = layers(ctx, net);
                 let staged = ctx.take_staged();
-                (loss, self.capture(ctx, &staged, phase, &key))
+                (loss, self.capture(ctx, staged, phase, &key))
             }
         };
         let report = plan.replay(&mut ctx.device);
@@ -239,19 +244,38 @@ impl InterOpExec {
     fn capture(
         &mut self,
         ctx: &mut ExecCtx,
-        staged: &[StagedDispatch],
+        staged: Vec<StagedDispatch>,
         phase: Phase,
         key: &str,
     ) -> Arc<ExecPlan> {
+        if ctx.sanitizer.is_enabled() {
+            // Per-dispatch chunk disjointness (symbolically certified where
+            // the layer declares a spec — the certificate cache is shared
+            // with per-layer dispatch sites); the whole-net plan is
+            // validated once it exists, below.
+            for d in &staged {
+                let site = format!("{}/{}/{}", self.spec.name, d.layer, phase.as_str());
+                let dkey = format!("{site}/b{}/c{}/interop", ctx.batch, d.chunks);
+                let source = CaptureSource {
+                    context: if d.spec.is_some() { &dkey } else { &d.layer },
+                    site: &site,
+                    spec: d.spec.as_ref(),
+                    groups: &d.groups,
+                };
+                verify_capture(&mut ctx.sanitizer, Some(source), None);
+            }
+        }
+
         let props = ctx.device.props().clone();
         let n = self.dag.num_layers();
         let index: HashMap<&str, usize> = (0..n).map(|i| (self.dag.name(i), i)).collect();
-        let mut dispatches_of: Vec<Vec<&StagedDispatch>> = vec![Vec::new(); n];
+        let mut dispatches_of: Vec<Vec<SharedGroups>> = vec![Vec::new(); n];
         for d in staged {
             let li = *index
                 .get(d.layer.as_str())
                 .unwrap_or_else(|| panic!("staged dispatch from unknown layer {}", d.layer));
-            dispatches_of[li].push(d);
+            let share = |g: Vec<KernelDesc>| g.into_iter().map(Arc::new).collect();
+            dispatches_of[li].push(d.groups.into_iter().map(share).collect());
         }
 
         let mut profiler = ClassProfiler::new(props.clone());
@@ -265,17 +289,15 @@ impl InterOpExec {
             }
         }
         // Per-layer GLP4NN sizing (the single-dispatch joint model is the
-        // per-layer model): used for singleton waves, non-paying wave
-        // fall-backs, and the whole per-layer candidate.
-        let solo_width: HashMap<usize, u32> = profiles
+        // per-layer model), solved once per layer: the stream count sizes
+        // singleton waves, non-paying wave fall-backs and the whole
+        // per-layer candidate, the objective is the layer's side of every
+        // pays-comparison it takes part in.
+        let solo: HashMap<usize, Option<wave::Solo>> = profiles
             .iter()
-            .map(|(&li, p)| {
-                (
-                    li,
-                    co_schedule(&props, std::slice::from_ref(p)).streams_per_dispatch[0],
-                )
-            })
+            .map(|(&li, p)| (li, wave::solve_solo(&props, p)))
             .collect();
+        let solo_width = |li: usize| solo[&li].map_or(1, |(streams, _)| streams);
 
         // Candidate A — DAG waves, each multi-layer wave kept only when
         // the joint model says concurrency pays.
@@ -294,9 +316,10 @@ impl InterOpExec {
                 continue;
             }
             if active.len() >= 2 {
-                let wps: Vec<WaveDispatchProfile> =
-                    active.iter().map(|li| profiles[li].clone()).collect();
-                let wa = co_schedule(&props, &wps);
+                let wps: Vec<&WaveDispatchProfile> =
+                    active.iter().map(|li| &profiles[li]).collect();
+                let solos: Vec<Option<wave::Solo>> = active.iter().map(|li| solo[li]).collect();
+                let wa = wave::co_schedule_with(&props, &wps, &solos);
                 if wa.pays {
                     exec_waves_a.push(
                         active
@@ -309,7 +332,7 @@ impl InterOpExec {
                 }
             }
             for li in active {
-                exec_waves_a.push(vec![(li, solo_width[&li])]);
+                exec_waves_a.push(vec![(li, solo_width(li))]);
             }
         }
         // Candidate B — pure per-layer GLP4NN: every layer its own wave in
@@ -318,7 +341,7 @@ impl InterOpExec {
             .iter()
             .flat_map(|w| w.iter().copied())
             .filter(|li| profiles.contains_key(li))
-            .map(|li| vec![(li, solo_width[&li])])
+            .map(|li| vec![(li, solo_width(li))])
             .collect();
 
         // Dependency direction follows the phase: backward gradients flow
@@ -332,30 +355,21 @@ impl InterOpExec {
         let (wave_ns, wave_plan) = measure(&asm_a, key, &props);
         let (serial_ns, serial_plan) = measure(&asm_b, key, &props);
         let chose_waves = wave_ns <= serial_ns;
-        let chosen = if chose_waves { &asm_a } else { &asm_b };
+        let (chosen, probed) = if chose_waves {
+            (&asm_a, &wave_plan)
+        } else {
+            (&asm_b, &serial_plan)
+        };
 
+        // The executed plan is the winning probe's tables on this
+        // context's streams, not a third capture.
         let pool = ctx.ensure_streams(chosen.num_streams.max(1));
-        let plan = Arc::new(build_plan(key, chosen, &pool));
+        let plan = Arc::new(probed.on_pool(&pool));
 
         if ctx.sanitizer.is_enabled() {
-            // Per-dispatch chunk disjointness first (symbolically certified
-            // where the layer declares a spec — the certificate cache is
-            // shared with per-layer dispatch sites), then the whole-net
-            // plan validation. Verifying the plan without a source
-            // deliberately keeps the full cross-node pair scan: catching
-            // cross-*operator* hazards is the point of validating at net
-            // scope.
-            for d in staged {
-                let site = format!("{}/{}/{}", self.spec.name, d.layer, phase.as_str());
-                let dkey = format!("{site}/b{}/c{}/interop", ctx.batch, d.chunks);
-                let source = CaptureSource {
-                    context: if d.spec.is_some() { &dkey } else { &d.layer },
-                    site: &site,
-                    spec: d.spec.as_ref(),
-                    groups: &d.groups,
-                };
-                verify_capture(&mut ctx.sanitizer, Some(source), None);
-            }
+            // Verifying the plan without a source deliberately keeps the
+            // cross-node hazard sweep: catching cross-*operator* hazards is
+            // the point of validating at net scope.
             verify_capture(&mut ctx.sanitizer, None, Some(&plan));
         }
 
@@ -392,12 +406,12 @@ fn layer_profile(
     profiler: &mut ClassProfiler,
     layer: usize,
     name: &str,
-    dispatches: &[&StagedDispatch],
+    dispatches: &[SharedGroups],
 ) -> WaveDispatchProfile {
     let mut order: Vec<ClassKey> = Vec::new();
     let mut agg: HashMap<ClassKey, KernelProfile> = HashMap::new();
-    for d in dispatches {
-        for g in &d.groups {
+    for groups in dispatches {
+        for g in groups {
             for k in g {
                 let ck = ClassKey::of(k);
                 if let Some(class) = agg.get_mut(&ck) {
@@ -418,7 +432,7 @@ fn layer_profile(
             }
         }
     }
-    let groups = dispatches.iter().map(|d| d.groups.len()).max().unwrap_or(1);
+    let groups = dispatches.iter().map(Vec::len).max().unwrap_or(1);
     WaveDispatchProfile {
         layer,
         name: name.to_string(),
@@ -476,10 +490,10 @@ fn pred_deps(
 /// disjoint sub-pools.
 fn assemble(
     exec_waves: &[Vec<(usize, u32)>],
-    dispatches_of: &[Vec<&StagedDispatch>],
+    dispatches_of: &[Vec<SharedGroups>],
     preds_of: &[Vec<usize>],
 ) -> Assembly {
-    let mut nodes: Vec<KernelDesc> = Vec::new();
+    let mut nodes: Vec<Arc<KernelDesc>> = Vec::new();
     let mut deps: Vec<Vec<usize>> = Vec::new();
     let mut stream_of: Vec<usize> = Vec::new();
     let mut num_streams = 0usize;
@@ -492,8 +506,8 @@ fn assemble(
         for &(li, width) in wave {
             let width = width.max(1) as usize;
             let mut layer_last: Option<HashMap<usize, usize>> = None;
-            for d in &dispatches_of[li] {
-                if d.groups.iter().all(Vec::is_empty) {
+            for groups in &dispatches_of[li] {
+                if groups.iter().all(Vec::is_empty) {
                     continue;
                 }
                 // Cross deps for this dispatch's first node on each stream
@@ -507,10 +521,10 @@ fn assemble(
                     }
                     None => pred_deps(li, preds_of, &last_of_layer),
                 };
-                let s_d = width.min(d.groups.len().max(1));
+                let s_d = width.min(groups.len().max(1));
                 let mut cur_last: HashMap<usize, usize> = HashMap::new();
                 let mut touched = vec![false; s_d];
-                for (g, group) in d.groups.iter().enumerate() {
+                for (g, group) in groups.iter().enumerate() {
                     let local = g % s_d;
                     let stream = base + local;
                     let mut prev_in_group: Option<usize> = None;
@@ -522,7 +536,7 @@ fn assemble(
                         } else if !touched[local] {
                             dl.extend(cross.iter().copied());
                         }
-                        nodes.push(k.clone());
+                        nodes.push(Arc::clone(k));
                         deps.push(dl);
                         stream_of.push(stream);
                         prev_in_group = Some(idx);
@@ -556,33 +570,21 @@ fn assemble(
     }
 }
 
-fn build_plan(label: &str, asm: &Assembly, pool: &[StreamId]) -> ExecPlan {
+/// Instantiate an assembly against a scratch device and measure one
+/// replay — the candidate-selection probe. The scratch device is fresh
+/// and idle, so the measurement is deterministic and isolated from the
+/// training device's state.
+fn measure(asm: &Assembly, label: &str, props: &DeviceProps) -> (SimTime, Arc<ExecPlan>) {
     let n = asm.num_streams.max(1);
     let mode = if n <= 1 {
         ExecMode::Profiling
     } else {
         ExecMode::Concurrent { streams: n as u32 }
     };
-    ExecPlan::capture_assigned(
-        label,
-        &asm.nodes,
-        &asm.deps,
-        &asm.stream_of,
-        &pool[..n],
-        mode,
-    )
-}
-
-/// Instantiate an assembly against a scratch device and measure one
-/// replay — the candidate-selection probe. The scratch device is fresh
-/// and idle, so the measurement is deterministic and isolated from the
-/// training device's state.
-fn measure(asm: &Assembly, label: &str, props: &DeviceProps) -> (SimTime, Arc<ExecPlan>) {
     let mut dev = Device::new(props.clone());
-    let pool: Vec<StreamId> = (0..asm.num_streams.max(1))
-        .map(|_| dev.create_stream())
-        .collect();
-    let plan = build_plan(label, asm, &pool);
+    let pool: Vec<StreamId> = (0..n).map(|_| dev.create_stream()).collect();
+    let plan =
+        ExecPlan::capture_assigned(label, &asm.nodes, &asm.deps, &asm.stream_of, &pool, mode);
     let r = plan.replay(&mut dev);
     (r.elapsed_ns, Arc::new(plan))
 }
@@ -733,6 +735,58 @@ mod tests {
         for r in exec.phase_reports() {
             assert_eq!(r.multi_waves, 0);
         }
+    }
+
+    #[test]
+    fn fused_plan_verification_matches_the_separate_check_and_lint() {
+        use sanitizer::{LintConfig, PlanNodeRef, Sanitizer};
+        let props = DeviceProps::p100();
+        let spec = nn::models::siamese(32, 7);
+        let mut net = Net::from_spec(&spec);
+        let mut ctx = ExecCtx::naive(props.clone())
+            .batch_parallel_all()
+            .timing_only();
+        let mut exec = InterOpExec::new(&spec);
+        exec.step(&mut ctx, &mut net);
+        let sanitizer = || {
+            let mut san = Sanitizer::new(SanitizeMode::PlanOnly);
+            san.attach_linter(LintConfig::from_props(&props));
+            san
+        };
+        let mut findings = 0;
+        for r in exec.phase_reports() {
+            for plan in [&r.wave_plan, &r.serial_plan] {
+                let mut fused = sanitizer();
+                verify_capture(&mut fused, None, Some(plan));
+
+                let mut split = sanitizer();
+                let nodes: Vec<PlanNodeRef<'_>> = (0..plan.num_kernels())
+                    .map(|i| PlanNodeRef {
+                        kernel: plan.kernel(i),
+                        stream: plan.node_streams()[i],
+                        deps: plan.node_deps(i),
+                    })
+                    .collect();
+                split.check_plan_ref(plan.label(), &nodes);
+                split.lint_plan_nodes(plan.label(), &nodes, plan.num_events() > 0, false);
+
+                let (fl, sl) = (fused.linter().unwrap(), split.linter().unwrap());
+                assert_eq!(fused.reports(), split.reports());
+                assert_eq!(fl.diags(), sl.diags());
+                assert_eq!(fused.stats(), split.stats());
+                assert_eq!(fl.stats(), sl.stats());
+                // Whole-net scope: every declaring kernel pair is covered.
+                let m = plan.num_kernels() as u64;
+                assert!(m > 500, "Siamese b32 is a {m}-node plan");
+                assert_eq!(fused.stats().plan_pairs, m * (m - 1) / 2);
+                assert_eq!(fused.reports(), &[]);
+                findings += fl.diags().len();
+            }
+        }
+        assert!(
+            findings > 0,
+            "the per-layer candidates carry PW002 findings"
+        );
     }
 
     #[test]

@@ -80,27 +80,52 @@ impl WaveAssignment {
 /// with `pays = false`, mirroring the per-layer analyzer's serial
 /// fallback.
 pub fn co_schedule(props: &DeviceProps, dispatches: &[WaveDispatchProfile]) -> WaveAssignment {
-    let best_solo = dispatches
+    let refs: Vec<&WaveDispatchProfile> = dispatches.iter().collect();
+    let solos: Vec<Option<Solo>> = dispatches.iter().map(|d| solve_solo(props, d)).collect();
+    co_schedule_with(props, &refs, &solos)
+}
+
+/// One dispatch's solo optimum: `(streams, objective)` of the one-dispatch
+/// joint model, `None` where [`solve_joint`] fails.
+pub(crate) type Solo = (u32, f64);
+
+/// The one-dispatch model of `d` — the per-layer GLP4NN sizing and the
+/// pays-comparison baseline. A whole-net capture solves it once per layer
+/// and hands the results to every wave the layer appears in.
+pub(crate) fn solve_solo(props: &DeviceProps, d: &WaveDispatchProfile) -> Option<Solo> {
+    solve_joint(props, &[d]).map(|(streams, objective)| (streams[0], objective))
+}
+
+/// [`co_schedule`] over solo optima the caller already holds (`solos[i]` is
+/// [`solve_solo`] of `dispatches[i]`). A one-dispatch wave *is* its solo
+/// model, so only waves of two or more solve anything here.
+pub(crate) fn co_schedule_with(
+    props: &DeviceProps,
+    dispatches: &[&WaveDispatchProfile],
+    solos: &[Option<Solo>],
+) -> WaveAssignment {
+    let best_solo = solos
         .iter()
-        .filter_map(|d| solve_joint(props, std::slice::from_ref(d)))
-        .map(|(_, obj)| obj)
+        .flatten()
+        .map(|&(_, obj)| obj)
         .fold(0.0f64, f64::max);
-
-    let serial_fallback = |best_solo: f64| WaveAssignment {
-        streams_per_dispatch: vec![1; dispatches.len()],
-        objective_threads_per_sm: 0.0,
-        best_solo_objective: best_solo,
-        pays: false,
+    let joint = match (dispatches, solos) {
+        ([_], [solo]) => solo.map(|(streams, objective)| (vec![streams], objective)),
+        _ => solve_joint(props, dispatches),
     };
-
-    match solve_joint(props, dispatches) {
+    match joint {
         Some((streams_per_dispatch, objective)) => WaveAssignment {
             streams_per_dispatch,
             objective_threads_per_sm: objective,
             best_solo_objective: best_solo,
             pays: dispatches.len() >= 2 && objective >= best_solo * PAYS_MARGIN,
         },
-        None => serial_fallback(best_solo),
+        None => WaveAssignment {
+            streams_per_dispatch: vec![1; dispatches.len()],
+            objective_threads_per_sm: 0.0,
+            best_solo_objective: best_solo,
+            pays: false,
+        },
     }
 }
 
@@ -108,7 +133,10 @@ pub fn co_schedule(props: &DeviceProps, dispatches: &[WaveDispatchProfile]) -> W
 /// class set or solver failure (including a genuinely infeasible joint —
 /// e.g. one dispatch alone saturating the thread budget, leaving no room
 /// for another's progress constraint).
-fn solve_joint(props: &DeviceProps, dispatches: &[WaveDispatchProfile]) -> Option<(Vec<u32>, f64)> {
+fn solve_joint(
+    props: &DeviceProps,
+    dispatches: &[&WaveDispatchProfile],
+) -> Option<(Vec<u32>, f64)> {
     if dispatches.is_empty() || dispatches.iter().any(|d| d.classes.is_empty()) {
         return None;
     }

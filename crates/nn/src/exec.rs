@@ -325,8 +325,10 @@ impl ExecCtx {
     /// access pattern, called at capture with the sanitizer enabled only:
     /// with one, chunk checking uses a cached symbolic disjointness
     /// certificate (one proof per `net/layer/phase` site) plus an O(chunks)
-    /// conformance check instead of O(chunks²) pairwise comparisons, and
-    /// certified plans skip the plan-level pair scan too.
+    /// conformance check instead of a hazard sweep over the chunks' access
+    /// unions (O(a log a) in their declared accesses — it was O(chunks²)
+    /// comparisons before the sweep), and certified plans skip the
+    /// plan-level sweep too.
     pub fn dispatch_split(
         &mut self,
         layer: &str,

@@ -12,6 +12,13 @@ use tensor::Blob;
 pub struct ConcatLayer {
     name: String,
     channel_offsets: Vec<usize>,
+    /// Ids of the batch-split path's named device buffers: the top's two
+    /// hashed at construction, one per bottom by the first batch-split
+    /// dispatch that sees the wiring — not on every dispatch.
+    out_buf: BufferId,
+    dout_buf: BufferId,
+    in_bufs: Vec<BufferId>,
+    din_bufs: Vec<BufferId>,
 }
 
 impl ConcatLayer {
@@ -20,6 +27,10 @@ impl ConcatLayer {
         ConcatLayer {
             name: name.to_string(),
             channel_offsets: Vec::new(),
+            out_buf: BufferId::from_label(&format!("{name}/out")),
+            dout_buf: BufferId::from_label(&format!("{name}/dout")),
+            in_bufs: Vec::new(),
+            din_bufs: Vec::new(),
         }
     }
 }
@@ -61,10 +72,10 @@ impl Layer for ConcatLayer {
             // cross-chunk disjointness symbolically.
             let per_out = total_c * spatial;
             let per_in: Vec<usize> = bottom.iter().map(|b| b.channels() * spatial).collect();
-            let in_bufs: Vec<BufferId> = (0..bottom.len())
-                .map(|i| BufferId::from_label(&format!("{}/in{i}", self.name)))
-                .collect();
-            let out_buf = BufferId::from_label(&format!("{}/out", self.name));
+            if self.in_bufs.len() != bottom.len() {
+                self.in_bufs = kernels::indexed_bufs(&self.name, "in", bottom.len());
+            }
+            let (in_bufs, out_buf) = (&self.in_bufs, self.out_buf);
             ctx.dispatch_split(
                 &self.name,
                 Phase::Forward,
@@ -136,10 +147,10 @@ impl Layer for ConcatLayer {
             // tight sample regions.
             let per_out = total_c * spatial;
             let per_in: Vec<usize> = bottom.iter().map(|b| b.channels() * spatial).collect();
-            let din_bufs: Vec<BufferId> = (0..bottom.len())
-                .map(|i| BufferId::from_label(&format!("{}/din{i}", self.name)))
-                .collect();
-            let dout_buf = BufferId::from_label(&format!("{}/dout", self.name));
+            if self.din_bufs.len() != bottom.len() {
+                self.din_bufs = kernels::indexed_bufs(&self.name, "din", bottom.len());
+            }
+            let (din_bufs, dout_buf) = (&self.din_bufs, self.dout_buf);
             ctx.dispatch_split(
                 &self.name,
                 Phase::Backward,

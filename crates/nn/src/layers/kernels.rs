@@ -7,7 +7,7 @@
 //! the register pressure the paper reports (33 registers). Costs are
 //! roofline inputs: FLOPs and DRAM bytes per block.
 
-use gpu_sim::{ByteRange, Dim3, KernelCost, KernelDesc, LaunchConfig};
+use gpu_sim::{BufferId, ByteRange, Dim3, KernelCost, KernelDesc, LaunchConfig};
 
 /// Bytes per f32 element, for declared access ranges.
 pub const F32_BYTES: u64 = 4;
@@ -42,6 +42,15 @@ pub fn sym_full(elems: usize) -> sanitizer::SymRange {
     sanitizer::SymRange::fixed(full_range(elems))
 }
 
+/// Ids of a layer's per-blob buffers `"{layer}/{stem}0"`, `"{layer}/{stem}1"`,
+/// … for a blob count only the wiring knows (Split's tops, Concat's
+/// bottoms).
+pub(crate) fn indexed_bufs(layer: &str, stem: &str, count: usize) -> Vec<BufferId> {
+    (0..count)
+        .map(|i| BufferId::from_label(&format!("{layer}/{stem}{i}")))
+        .collect()
+}
+
 /// Annotate a whole-batch kernel with full-buffer accesses on the layer's
 /// named buffers: each entry is `(buffer suffix, element count)` and the
 /// buffer id is derived from `"{layer}/{suffix}"`. Used by layers whose
@@ -56,13 +65,13 @@ pub fn declare_io(
     let mut kd = kd;
     for (suffix, elems) in reads {
         kd = kd.reads(
-            gpu_sim::BufferId::from_label(&format!("{layer}/{suffix}")),
+            BufferId::from_label(&format!("{layer}/{suffix}")),
             full_range(*elems),
         );
     }
     for (suffix, elems) in writes {
         kd = kd.writes(
-            gpu_sim::BufferId::from_label(&format!("{layer}/{suffix}")),
+            BufferId::from_label(&format!("{layer}/{suffix}")),
             full_range(*elems),
         );
     }

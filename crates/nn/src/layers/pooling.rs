@@ -21,9 +21,20 @@ pub enum PoolMethod {
     Average,
 }
 
+/// Ids of a pooling layer's named device buffers, hashed and registered
+/// once at construction (as `ConvBufs` are).
+struct PoolBufs {
+    input: BufferId,
+    out: BufferId,
+    argmax: BufferId,
+    dout: BufferId,
+    din: BufferId,
+}
+
 /// Spatial pooling over NCHW blobs.
 pub struct PoolingLayer {
     name: String,
+    bufs: PoolBufs,
     method: PoolMethod,
     kernel: usize,
     stride: usize,
@@ -36,8 +47,16 @@ pub struct PoolingLayer {
 impl PoolingLayer {
     /// New pooling layer with a square window.
     pub fn new(name: &str, method: PoolMethod, kernel: usize, stride: usize) -> Self {
+        let buf = |which: &str| BufferId::from_label(&format!("{name}/{which}"));
         PoolingLayer {
             name: name.to_string(),
+            bufs: PoolBufs {
+                input: buf("in"),
+                out: buf("out"),
+                argmax: buf("argmax"),
+                dout: buf("dout"),
+                din: buf("din"),
+            },
             method,
             kernel,
             stride,
@@ -78,11 +97,7 @@ impl Layer for PoolingLayer {
         let (n, c, ih, iw) = (b.num(), b.channels(), b.height(), b.width());
         let (oh, ow) = (self.oh, self.ow);
 
-        // Called only where descriptors are built (capture, staging).
-        let bufs = || {
-            ["in", "out", "argmax"]
-                .map(|which| BufferId::from_label(&format!("{}/{which}", self.name)))
-        };
+        let (in_buf, out_buf, idx_buf) = (self.bufs.input, self.bufs.out, self.bufs.argmax);
         if ctx.batch_parallel_all {
             // Extension (paper §3.3.1): pooling processes samples
             // independently too, so it can use the same per-sample group
@@ -94,7 +109,6 @@ impl Layer for PoolingLayer {
                 Phase::Forward,
                 n,
                 || {
-                    let [in_buf, out_buf, idx_buf] = bufs();
                     Some(
                         sanitizer::SymGroupSpec::new().kernel(
                             sanitizer::SymKernel::new("pool")
@@ -105,7 +119,6 @@ impl Layer for PoolingLayer {
                     )
                 },
                 || {
-                    let [in_buf, out_buf, idx_buf] = bufs();
                     (0..n as u64)
                         .map(|i| {
                             vec![kernels::pool_kernel("pool", c * oh * ow, kernel)
@@ -119,7 +132,6 @@ impl Layer for PoolingLayer {
             );
         } else {
             ctx.dispatch_batch(&self.name, Phase::Forward, || {
-                let [in_buf, out_buf, idx_buf] = bufs();
                 vec![kernels::pool_kernel("pool", n * c * oh * ow, self.kernel)
                     .reads(in_buf, full_range(n * c * ih * iw))
                     .writes(out_buf, full_range(n * c * oh * ow))
@@ -182,18 +194,9 @@ impl Layer for PoolingLayer {
         let in_elems = bottom[0].count();
         ctx.dispatch_batch(&self.name, Phase::Backward, || {
             vec![kernels::pool_kernel("pool_bwd", out_elems, self.kernel)
-                .reads(
-                    BufferId::from_label(&format!("{}/dout", self.name)),
-                    full_range(out_elems),
-                )
-                .reads(
-                    BufferId::from_label(&format!("{}/argmax", self.name)),
-                    full_range(out_elems),
-                )
-                .writes(
-                    BufferId::from_label(&format!("{}/din", self.name)),
-                    full_range(in_elems),
-                )]
+                .reads(self.bufs.dout, full_range(out_elems))
+                .reads(self.bufs.argmax, full_range(out_elems))
+                .writes(self.bufs.din, full_range(in_elems))]
         });
         if !ctx.compute {
             return;

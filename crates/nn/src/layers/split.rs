@@ -14,6 +14,13 @@ use tensor::Blob;
 /// Copy one bottom into N tops; sum N top-gradients into the bottom.
 pub struct SplitLayer {
     name: String,
+    /// Ids of the batch-split path's named device buffers: the bottom's two
+    /// hashed at construction, one per top by the first batch-split
+    /// dispatch that sees the wiring — not on every dispatch.
+    in_buf: BufferId,
+    din_buf: BufferId,
+    out_bufs: Vec<BufferId>,
+    dout_bufs: Vec<BufferId>,
 }
 
 impl SplitLayer {
@@ -21,6 +28,10 @@ impl SplitLayer {
     pub fn new(name: &str) -> Self {
         SplitLayer {
             name: name.to_string(),
+            in_buf: BufferId::from_label(&format!("{name}/in")),
+            din_buf: BufferId::from_label(&format!("{name}/din")),
+            out_bufs: Vec::new(),
+            dout_bufs: Vec::new(),
         }
     }
 }
@@ -51,10 +62,10 @@ impl Layer for SplitLayer {
             // disjointness stays symbolically provable.
             let samples = bottom[0].num();
             let per = n / samples.max(1);
-            let in_buf = BufferId::from_label(&format!("{}/in", self.name));
-            let out_bufs: Vec<BufferId> = (0..top.len())
-                .map(|i| BufferId::from_label(&format!("{}/out{i}", self.name)))
-                .collect();
+            if self.out_bufs.len() != top.len() {
+                self.out_bufs = kernels::indexed_bufs(&self.name, "out", top.len());
+            }
+            let (in_buf, out_bufs) = (self.in_buf, &self.out_bufs);
             let tops = top.len();
             ctx.dispatch_split(
                 &self.name,
@@ -63,7 +74,7 @@ impl Layer for SplitLayer {
                 || {
                     let mut k =
                         sanitizer::SymKernel::new("split").reads(in_buf, kernels::sym_sample(per));
-                    for buf in &out_bufs {
+                    for buf in out_bufs {
                         k = k.writes(*buf, kernels::sym_sample(per));
                     }
                     Some(sanitizer::SymGroupSpec::new().kernel(k))
@@ -74,7 +85,7 @@ impl Layer for SplitLayer {
                             let mut kd = kernels::elemwise_kernel("split", per * tops, 0.0)
                                 .with_tag(i)
                                 .reads(in_buf, sample_range(i, per));
-                            for buf in &out_bufs {
+                            for buf in out_bufs {
                                 kd = kd.writes(*buf, sample_range(i, per));
                             }
                             vec![kd]
@@ -111,10 +122,10 @@ impl Layer for SplitLayer {
             // path's tight sample regions.
             let samples = bottom[0].num();
             let per = n / samples.max(1);
-            let din_buf = BufferId::from_label(&format!("{}/din", self.name));
-            let dout_bufs: Vec<BufferId> = (0..top.len())
-                .map(|i| BufferId::from_label(&format!("{}/dout{i}", self.name)))
-                .collect();
+            if self.dout_bufs.len() != top.len() {
+                self.dout_bufs = kernels::indexed_bufs(&self.name, "dout", top.len());
+            }
+            let (din_buf, dout_bufs) = (self.din_buf, &self.dout_bufs);
             let tops = top.len();
             ctx.dispatch_split(
                 &self.name,
@@ -122,7 +133,7 @@ impl Layer for SplitLayer {
                 samples,
                 || {
                     let mut k = sanitizer::SymKernel::new("split_bwd");
-                    for buf in &dout_bufs {
+                    for buf in dout_bufs {
                         k = k.reads(*buf, kernels::sym_sample(per));
                     }
                     Some(
@@ -135,7 +146,7 @@ impl Layer for SplitLayer {
                         .map(|i| {
                             let mut kd =
                                 kernels::elemwise_kernel("split_bwd", per * tops, 1.0).with_tag(i);
-                            for buf in &dout_bufs {
+                            for buf in dout_bufs {
                                 kd = kd.reads(*buf, sample_range(i, per));
                             }
                             vec![kd.writes(din_buf, sample_range(i, per))]

@@ -19,6 +19,7 @@
 //! is a deadlock.
 
 use crate::report::{ConflictSite, Diagnostic, DiagnosticKind, KernelRef};
+use crate::sweep::{conflict_candidates, pairs_covered};
 use gpu_sim::{CmdRecord, Device, EventId, StreamId};
 use std::collections::{HashMap, VecDeque};
 
@@ -46,7 +47,7 @@ impl LaunchRecord {
 
 /// Replay `log` (one sync-delimited segment at a time) against the kernel
 /// descriptors of `dev`, appending diagnostics to `out` under `context`.
-/// Returns `(kernels_checked, pairs_compared)`.
+/// Returns `(kernels_checked, pairs_covered)`.
 pub(crate) fn check_log(
     dev: &Device,
     log: &[CmdRecord],
@@ -186,44 +187,39 @@ fn check_segment(
         });
     }
 
-    // Race detection over every pair of launches with declared accesses.
-    let mut pairs = 0u64;
+    // Race detection among the launches with declared accesses: the sweep
+    // names the pairs whose regions conflict, the vector clocks decide
+    // which of those are unordered.
     let descs: Vec<_> = launches.iter().map(|l| dev.kernel_desc(l.kernel)).collect();
-    for i in 0..launches.len() {
-        if descs[i].accesses.is_empty() {
+    let sets: Vec<_> = descs.iter().map(|d| &d.accesses).collect();
+    let pairs = pairs_covered(&sets);
+    for (i, j) in conflict_candidates(&sets) {
+        let (i, j) = (i as usize, j as usize);
+        let (a, b) = (&launches[i], &launches[j]);
+        if a.happens_before(b) || b.happens_before(a) {
             continue;
         }
-        for j in (i + 1)..launches.len() {
-            if descs[j].accesses.is_empty() {
-                continue;
-            }
-            pairs += 1;
-            let (a, b) = (&launches[i], &launches[j]);
-            if a.happens_before(b) || b.happens_before(a) {
-                continue;
-            }
-            if let Some(c) = descs[i].accesses.conflict_with(&descs[j].accesses) {
-                let kernel_ref = |l: &LaunchRecord, d: &gpu_sim::KernelDesc| KernelRef {
-                    name: d.name.to_string(),
-                    tag: d.tag,
-                    stream: Some(l.stream.raw()),
-                    index: l.log_index,
-                };
-                out.push(Diagnostic {
-                    kind: DiagnosticKind::DataRace,
-                    context: context.to_string(),
-                    first: Some(kernel_ref(a, descs[i])),
-                    second: Some(kernel_ref(b, descs[j])),
-                    site: Some(ConflictSite {
-                        buffer: c.buffer,
-                        overlap: c.overlap,
-                        hazard: c.hazard(),
-                    }),
-                    detail: "no event or stream order makes these two launches \
-                             happens-before ordered"
-                        .to_string(),
-                });
-            }
+        if let Some(c) = sets[i].conflict_with(sets[j]) {
+            let kernel_ref = |l: &LaunchRecord, d: &gpu_sim::KernelDesc| KernelRef {
+                name: d.name.to_string(),
+                tag: d.tag,
+                stream: Some(l.stream.raw()),
+                index: l.log_index,
+            };
+            out.push(Diagnostic {
+                kind: DiagnosticKind::DataRace,
+                context: context.to_string(),
+                first: Some(kernel_ref(a, descs[i])),
+                second: Some(kernel_ref(b, descs[j])),
+                site: Some(ConflictSite {
+                    buffer: c.buffer,
+                    overlap: c.overlap,
+                    hazard: c.hazard(),
+                }),
+                detail: "no event or stream order makes these two launches \
+                         happens-before ordered"
+                    .to_string(),
+            });
         }
     }
     (launches.len() as u64, pairs)

@@ -21,6 +21,10 @@
 //! Both layers consume the declared memory access sets on
 //! [`gpu_sim::KernelDesc`] ([`gpu_sim::AccessSet`]); kernels that declare
 //! nothing are skipped, so instrumentation can be adopted incrementally.
+//! Every hazard check (plan nodes, chunk unions, trace launches) finds its
+//! conflicting pairs with one indexed sweep over the declared accesses
+//! (`sweep.rs`: sort by `(buffer, start)`, keep live writers and readers
+//! apart), not by comparing every pair.
 //!
 //! The [`Sanitizer`] accumulates [`Diagnostic`]s across checks; a clean
 //! run keeps [`Sanitizer::reports`] empty.
@@ -31,6 +35,7 @@ pub mod hb;
 pub mod lint;
 pub mod plan;
 pub mod report;
+mod sweep;
 pub mod symbolic;
 
 pub use diag::{LintCode, LintDiag, Severity};
@@ -41,7 +46,7 @@ pub use symbolic::{
     SymAccess, SymAccessSet, SymConflict, SymGroupSpec, SymKernel, SymRange, SymVerdict,
 };
 
-use gpu_sim::{CmdRecord, Device, Fabric, KernelDesc};
+use gpu_sim::{AccessSet, CmdRecord, Device, Fabric, KernelDesc};
 use std::collections::HashMap;
 
 /// How much checking the runtime should do.
@@ -62,23 +67,23 @@ pub enum SanitizeMode {
 /// assert the sanitizer ran, not just that it stayed silent.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SanitizerStats {
-    /// Chunk pairs compared for output-region disjointness.
+    /// Chunk pairs covered by output-region disjointness checks.
     pub chunk_pairs: u64,
-    /// Kernel pairs compared by the static plan checker.
+    /// Kernel pairs covered by the static plan checker's hazard sweep.
     pub plan_pairs: u64,
     /// Plans validated.
     pub plans_checked: u64,
     /// Launches replayed by the dynamic checker.
     pub trace_kernels: u64,
-    /// Launch pairs compared by the dynamic checker.
+    /// Launch pairs covered by the dynamic checker.
     pub trace_pairs: u64,
     /// Symbolic disjointness proofs run (one per dispatch site, cached).
     pub symbolic_proofs: u64,
     /// Chunks admitted by certificate conformance instead of pairwise
     /// comparison.
     pub symbolic_chunks: u64,
-    /// Captures fully admitted by a symbolic certificate (chunk pairwise
-    /// scan *and* plan pair scan skipped).
+    /// Captures fully admitted by a symbolic certificate (chunk check
+    /// *and* plan hazard sweep skipped).
     pub certified_captures: u64,
     /// Concrete groups that failed certificate conformance (fell back to
     /// pairwise checking).
@@ -140,53 +145,51 @@ impl Sanitizer {
     /// pairwise non-conflicting access sets (disjoint output regions), or
     /// dispatching them concurrently is not convergence-invariant. Each
     /// group is one chunk's kernel chain; its access set is the union over
-    /// the chain.
+    /// the chain. One sweep over the unions' declared accesses, not a
+    /// comparison per chunk pair; `chunk_pairs` counts the pairs covered.
     pub fn check_chunks(&mut self, context: &str, groups: &[Vec<KernelDesc>]) {
         if !self.is_enabled() {
             return;
         }
-        let unions: Vec<gpu_sim::AccessSet> = groups
+        let unions: Vec<AccessSet> = groups
             .iter()
             .map(|g| {
-                g.iter().fold(gpu_sim::AccessSet::default(), |acc, k| {
-                    gpu_sim::AccessSet::union(&acc, &k.accesses)
-                })
+                let mut union = AccessSet::default();
+                for k in g {
+                    union.reads.extend_from_slice(&k.accesses.reads);
+                    union.writes.extend_from_slice(&k.accesses.writes);
+                }
+                union
             })
             .collect();
-        for i in 0..unions.len() {
-            if unions[i].is_empty() {
-                continue;
-            }
-            for j in (i + 1)..unions.len() {
-                if unions[j].is_empty() {
-                    continue;
-                }
-                self.stats.chunk_pairs += 1;
-                if let Some(c) = unions[i].conflict_with(&unions[j]) {
-                    let chunk_ref = |g: usize| {
-                        groups[g].first().map(|k| KernelRef {
-                            name: k.name.to_string(),
-                            tag: k.tag,
-                            stream: None,
-                            index: g,
-                        })
-                    };
-                    self.reports.push(Diagnostic {
-                        kind: DiagnosticKind::OverlappingChunkRegions,
-                        context: context.to_string(),
-                        first: chunk_ref(i),
-                        second: chunk_ref(j),
-                        site: Some(ConflictSite {
-                            buffer: c.buffer,
-                            overlap: c.overlap,
-                            hazard: c.hazard(),
-                        }),
-                        detail: format!(
-                            "chunks {i} and {j} are dispatched concurrently but their \
-                             declared regions overlap"
-                        ),
-                    });
-                }
+        let sets: Vec<&AccessSet> = unions.iter().collect();
+        self.stats.chunk_pairs += sweep::pairs_covered(&sets);
+        for (i, j) in sweep::conflict_candidates(&sets) {
+            let (i, j) = (i as usize, j as usize);
+            if let Some(c) = unions[i].conflict_with(&unions[j]) {
+                let chunk_ref = |g: usize| {
+                    groups[g].first().map(|k| KernelRef {
+                        name: k.name.to_string(),
+                        tag: k.tag,
+                        stream: None,
+                        index: g,
+                    })
+                };
+                self.reports.push(Diagnostic {
+                    kind: DiagnosticKind::OverlappingChunkRegions,
+                    context: context.to_string(),
+                    first: chunk_ref(i),
+                    second: chunk_ref(j),
+                    site: Some(ConflictSite {
+                        buffer: c.buffer,
+                        overlap: c.overlap,
+                        hazard: c.hazard(),
+                    }),
+                    detail: format!(
+                        "chunks {i} and {j} are dispatched concurrently but their \
+                         declared regions overlap"
+                    ),
+                });
             }
         }
     }
@@ -216,7 +219,7 @@ impl Sanitizer {
     /// Returns `true` iff the capture is **certified**: the spec is
     /// symbolically proven hazard-free for all shapes and every concrete
     /// group conforms to it — in which case no pairwise comparison ran
-    /// and the caller may also skip the plan-level pair scan
+    /// and the caller may also skip the plan-level hazard sweep
     /// ([`check_plan_ref_certified`](Sanitizer::check_plan_ref_certified)).
     /// Any other outcome (refuted, unsupported, mismatch, forced
     /// baseline) returns `false`; unsupported/mismatch fall back to
@@ -325,7 +328,7 @@ impl Sanitizer {
 
     /// Structure-only plan check (dangling deps, wait cycles) for
     /// captures admitted by a symbolic certificate: hazard-freedom is
-    /// already proven, so the O(n²) pair scan of
+    /// already proven, so the hazard sweep of
     /// [`check_plan_ref`](Sanitizer::check_plan_ref) is skipped.
     pub fn check_plan_ref_certified(&mut self, label: &str, nodes: &[PlanNodeRef<'_>]) {
         if !self.is_enabled() {
@@ -347,6 +350,36 @@ impl Sanitizer {
         self.linter
             .as_mut()
             .map(|l| l.lint_plan(label, nodes, records_events, hazards_proven))
+    }
+
+    /// Capture-time verification of one plan in a single analysis: the
+    /// static check of [`check_plan_ref`](Sanitizer::check_plan_ref) (or,
+    /// when `certified`, of
+    /// [`check_plan_ref_certified`](Sanitizer::check_plan_ref_certified))
+    /// followed by [`lint_plan_nodes`](Sanitizer::lint_plan_nodes), with
+    /// the same reports, findings and counters as the two calls — but one
+    /// happens-before relation, one closure and one hazard sweep shared by
+    /// the checker and the linter instead of one each.
+    pub fn verify_plan(
+        &mut self,
+        label: &str,
+        nodes: &[PlanNodeRef<'_>],
+        records_events: bool,
+        certified: bool,
+    ) -> Option<PlanLintSummary> {
+        let check = self.is_enabled();
+        if !check && self.linter.is_none() {
+            return None;
+        }
+        let analysis = plan::PlanAnalysis::new(nodes, !certified, self.linter.is_some());
+        if check {
+            self.stats.plans_checked += 1;
+            self.stats.plan_pairs += analysis.pairs;
+            analysis.report(label, nodes, &mut self.reports);
+        }
+        self.linter
+            .as_mut()
+            .map(|l| l.lint_analysis(label, nodes, &analysis, records_events))
     }
 
     /// Static check of a dispatch plan: out-of-range deps, event-wait

@@ -6,8 +6,11 @@
 //! [`PlanNodeRef`] views. Findings carry stable codes ([`LintCode`]):
 //!
 //! - **PL001** unordered hazard, **PL003** wait cycle / dangling wait —
-//!   the correctness analyses, re-expressed as lint findings (and skipped
-//!   entirely when a symbolic certificate already proves hazard-freedom);
+//!   the correctness analyses, re-expressed as lint findings. PL001 reads
+//!   the hazards of the plan's one `PlanAnalysis` (an indexed sweep over
+//!   the declared accesses, `sweep.rs`, not a pair-by-pair scan;
+//!   skipped entirely when a symbolic certificate already proves
+//!   hazard-freedom);
 //! - **PL005** peak live-buffer footprint vs. device memory, from
 //!   per-buffer lifetime intervals over the plan;
 //! - **PW001** redundant synchronization: an event edge already implied
@@ -22,7 +25,7 @@
 //! byte-identical across runs.
 
 use crate::diag::{LintCode, LintDiag, Severity};
-use crate::plan::{HappensBefore, PlanNodeRef};
+use crate::plan::{PlanAnalysis, PlanNodeRef};
 use gpu_sim::DeviceProps;
 use std::collections::BTreeMap;
 
@@ -131,13 +134,27 @@ impl Linter {
     /// (DAG plans with cross-stream edges do; round-robin chain plans order
     /// through stream FIFO alone and get no PW003 analysis). `hazards_proven`
     /// says a symbolic certificate already proved cross-chunk hazard-freedom
-    /// for this plan's kernels, so the O(n²) PL001 pair scan is skipped.
+    /// for this plan's kernels, so the PL001 hazard sweep is skipped.
     pub fn lint_plan(
         &mut self,
         label: &str,
         nodes: &[PlanNodeRef<'_>],
         records_events: bool,
         hazards_proven: bool,
+    ) -> PlanLintSummary {
+        let analysis = PlanAnalysis::new(nodes, !hazards_proven, true);
+        self.lint_analysis(label, nodes, &analysis, records_events)
+    }
+
+    /// [`lint_plan`](Linter::lint_plan) over an analysis the caller already
+    /// holds (built `for_lint`) — capture-time verification shares one with
+    /// the plan checker.
+    pub(crate) fn lint_analysis(
+        &mut self,
+        label: &str,
+        nodes: &[PlanNodeRef<'_>],
+        analysis: &PlanAnalysis,
+        records_events: bool,
     ) -> PlanLintSummary {
         self.stats.plans_linted += 1;
         self.stats.nodes += nodes.len() as u64;
@@ -162,7 +179,7 @@ impl Linter {
         }
 
         // Same happens-before relation as the plan checker.
-        let hb = match HappensBefore::build(nodes) {
+        let hb = match &analysis.hb {
             Ok(hb) => hb,
             Err(stuck) => {
                 // PL003 (b): a wait cycle. Everything downstream needs an
@@ -183,41 +200,29 @@ impl Linter {
             }
         };
         let succ = &hb.succ;
-        let reaches = hb.closure();
+        let reach = analysis
+            .reach
+            .as_ref()
+            .expect("an analysis built for the linter keeps its closure");
+        let reaches = |a, b| reach.before(a, b);
 
-        // PL001: conflicting kernels with no HB ordering (the pair scan a
-        // symbolic certificate makes unnecessary).
-        if !hazards_proven {
-            for i in 0..n {
-                if nodes[i].kernel.accesses.is_empty() {
-                    continue;
-                }
-                for j in (i + 1)..n {
-                    if nodes[j].kernel.accesses.is_empty() || reaches(i, j) || reaches(j, i) {
-                        continue;
-                    }
-                    if let Some(c) = nodes[i]
-                        .kernel
-                        .accesses
-                        .conflict_with(&nodes[j].kernel.accesses)
-                    {
-                        self.push(LintDiag {
-                            code: LintCode::UnorderedHazard,
-                            plan: label.to_string(),
-                            node: Some(i),
-                            message: format!(
-                                "nodes {i} (`{}`) and {j} (`{}`) race: {} on {} over {}",
-                                nodes[i].kernel.name,
-                                nodes[j].kernel.name,
-                                c.hazard(),
-                                c.buffer,
-                                c.overlap
-                            ),
-                            notes: vec![],
-                        });
-                    }
-                }
-            }
+        // PL001: conflicting kernels with no HB ordering (none to report
+        // when a symbolic certificate made the sweep unnecessary).
+        for &(i, j, c) in &analysis.hazards {
+            self.push(LintDiag {
+                code: LintCode::UnorderedHazard,
+                plan: label.to_string(),
+                node: Some(i),
+                message: format!(
+                    "nodes {i} (`{}`) and {j} (`{}`) race: {} on {} over {}",
+                    nodes[i].kernel.name,
+                    nodes[j].kernel.name,
+                    c.hazard(),
+                    c.buffer,
+                    c.overlap
+                ),
+                notes: vec![],
+            });
         }
 
         // PW001: event edges outside the transitive reduction. An event

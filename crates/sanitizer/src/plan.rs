@@ -7,7 +7,8 @@
 //! exactly the schedule that would execute — before anything executes.
 
 use crate::report::{ConflictSite, Diagnostic, DiagnosticKind, KernelRef};
-use gpu_sim::KernelDesc;
+use crate::sweep::{conflict_candidates, pairs_covered};
+use gpu_sim::{AccessConflict, AccessSet, KernelDesc};
 
 /// One node of a dispatch plan.
 #[derive(Debug, Clone)]
@@ -137,6 +138,20 @@ pub(crate) struct HappensBefore {
     order: Vec<usize>,
 }
 
+/// Transitive closure of a [`HappensBefore`] relation: one bit row per
+/// node, all rows in one allocation.
+pub(crate) struct Reach {
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl Reach {
+    /// Does `a` happen before `b`?
+    pub(crate) fn before(&self, a: usize, b: usize) -> bool {
+        self.bits[a * self.words + b / 64] >> (b % 64) & 1 == 1
+    }
+}
+
 impl HappensBefore {
     /// Build the relation, or return the nodes that can never start
     /// because event waits form a cycle (Kahn's algorithm: any node left
@@ -181,74 +196,115 @@ impl HappensBefore {
         Ok(HappensBefore { succ, order })
     }
 
-    /// Transitive closure as bitsets, filled in reverse topological order;
-    /// the returned predicate answers "does `a` happen before `b`".
-    pub(crate) fn closure(&self) -> impl Fn(usize, usize) -> bool {
+    /// Transitive closure, filled in reverse topological order.
+    pub(crate) fn closure(&self) -> Reach {
         let n = self.succ.len();
         let words = n.div_ceil(64);
-        let mut reach: Vec<Vec<u64>> = vec![vec![0u64; words]; n];
+        let mut bits = vec![0u64; n * words];
         for &i in self.order.iter().rev() {
             for &j in &self.succ[i] {
-                let (row_j, row_i) = if i < j {
-                    let (a, b) = reach.split_at_mut(j);
-                    (&b[0], &mut a[i])
+                // `build` drops self-edges, so the two rows are distinct.
+                let (lo, hi) = bits.split_at_mut(i.max(j) * words);
+                let (row_i, row_j) = if i < j {
+                    (&mut lo[i * words..(i + 1) * words], &hi[..words])
                 } else {
-                    let (a, b) = reach.split_at_mut(i);
-                    (&a[j], &mut b[0])
+                    (&mut hi[..words], &lo[j * words..(j + 1) * words])
                 };
-                for w in 0..words {
-                    row_i[w] |= row_j[w];
+                for (w_i, w_j) in row_i.iter_mut().zip(row_j) {
+                    *w_i |= *w_j;
                 }
-                reach[i][j / 64] |= 1 << (j % 64);
+                row_i[j / 64] |= 1 << (j % 64);
             }
         }
-        move |a, b| reach[a][b / 64] >> (b % 64) & 1 == 1
+        Reach { words, bits }
     }
 }
 
-/// Check an issue-ordered schedule given as borrowed node views:
-/// out-of-range deps, self-waits and event-wait cycles (deadlock), and
-/// memory conflicts not covered by happens-before. Appends diagnostics to
-/// `out`; returns the number of kernel pairs compared. With `scan_pairs`
-/// false only the structural checks run (dangling deps, self-waits, wait
-/// cycles) — the caller holds
-/// a symbolic certificate that already proves hazard-freedom, so the
-/// O(n²) conflict scan would re-derive a known fact.
-pub(crate) fn check_nodes(
-    label: &str,
-    nodes: &[PlanNodeRef<'_>],
-    out: &mut Vec<Diagnostic>,
-    scan_pairs: bool,
-) -> u64 {
-    let n = nodes.len();
-    for (i, node) in nodes.iter().enumerate() {
-        for &d in node.deps {
-            // `HappensBefore::build` skips both kinds of edge, so neither
-            // would surface as a cycle below.
-            let detail = if d >= n {
-                format!(
-                    "node {i} waits on nonexistent node {d} (plan has {n} nodes): \
-                     the wait can never be satisfied"
-                )
-            } else if d == i {
-                format!("node {i} waits on itself: the wait can never be satisfied")
-            } else {
-                continue;
-            };
-            out.push(Diagnostic {
-                kind: DiagnosticKind::EventWaitCycle,
-                context: label.to_string(),
-                first: Some(kernel_ref(nodes, i)),
-                second: None,
-                site: None,
-                detail,
-            });
+/// What capture-time verification derives from one plan, computed once and
+/// read by both the checker's reports ([`report`](PlanAnalysis::report))
+/// and the linter: the happens-before relation, its closure, and the
+/// conflicting node pairs the relation leaves unordered.
+pub(crate) struct PlanAnalysis {
+    /// The relation, or the nodes stuck behind an event-wait cycle.
+    pub(crate) hb: Result<HappensBefore, Vec<usize>>,
+    /// Closure of an acyclic relation; present when the hazard scan or the
+    /// linter asked for it.
+    pub(crate) reach: Option<Reach>,
+    /// Unordered hazards `(i, j, conflict)`, `i < j`, ascending. Empty when
+    /// the scan was skipped or the relation is cyclic.
+    pub(crate) hazards: Vec<(usize, usize, AccessConflict)>,
+    /// Node pairs the hazard scan covered (0 when it did not run).
+    pub(crate) pairs: u64,
+}
+
+impl PlanAnalysis {
+    /// Analyse `nodes`. `scan_hazards` false skips the hazard scan — the
+    /// caller holds a symbolic certificate that already proves
+    /// hazard-freedom; `for_lint` keeps the closure for the linter's
+    /// synchronization analyses even then.
+    pub(crate) fn new(nodes: &[PlanNodeRef<'_>], scan_hazards: bool, for_lint: bool) -> Self {
+        let mut a = PlanAnalysis {
+            hb: HappensBefore::build(nodes),
+            reach: None,
+            hazards: Vec::new(),
+            pairs: 0,
+        };
+        let Ok(hb) = &a.hb else {
+            // Conflict analysis needs an acyclic relation.
+            return a;
+        };
+        if !(scan_hazards || for_lint) {
+            return a;
         }
+        let reach = hb.closure();
+        if scan_hazards {
+            let sets: Vec<&AccessSet> = nodes.iter().map(|n| &n.kernel.accesses).collect();
+            a.pairs = pairs_covered(&sets);
+            for (i, j) in conflict_candidates(&sets) {
+                let (i, j) = (i as usize, j as usize);
+                if reach.before(i, j) || reach.before(j, i) {
+                    continue;
+                }
+                if let Some(c) = sets[i].conflict_with(sets[j]) {
+                    a.hazards.push((i, j, c));
+                }
+            }
+        }
+        a.reach = Some(reach);
+        a
     }
 
-    let hb = match HappensBefore::build(nodes) {
-        Ok(hb) => hb,
-        Err(stuck) => {
+    /// The plan checker's findings: out-of-range deps and self-waits, an
+    /// event-wait cycle (deadlock), and memory conflicts not covered by
+    /// happens-before. Appends diagnostics to `out`.
+    pub(crate) fn report(&self, label: &str, nodes: &[PlanNodeRef<'_>], out: &mut Vec<Diagnostic>) {
+        let n = nodes.len();
+        for (i, node) in nodes.iter().enumerate() {
+            for &d in node.deps {
+                // `HappensBefore::build` skips both kinds of edge, so neither
+                // would surface as a cycle below.
+                let detail = if d >= n {
+                    format!(
+                        "node {i} waits on nonexistent node {d} (plan has {n} nodes): \
+                         the wait can never be satisfied"
+                    )
+                } else if d == i {
+                    format!("node {i} waits on itself: the wait can never be satisfied")
+                } else {
+                    continue;
+                };
+                out.push(Diagnostic {
+                    kind: DiagnosticKind::EventWaitCycle,
+                    context: label.to_string(),
+                    first: Some(kernel_ref(nodes, i)),
+                    second: None,
+                    site: None,
+                    detail,
+                });
+            }
+        }
+
+        if let Err(stuck) = &self.hb {
             let named: Vec<String> = stuck
                 .iter()
                 .take(4)
@@ -267,49 +323,43 @@ pub(crate) fn check_nodes(
                     named.join(", ")
                 ),
             });
-            // Conflict analysis below needs an acyclic HB relation.
-            return 0;
         }
-    };
-    if !scan_pairs {
-        return 0;
-    }
-    let ordered = hb.closure();
 
-    let mut pairs = 0u64;
-    for i in 0..n {
-        if nodes[i].kernel.accesses.is_empty() {
-            continue;
-        }
-        for j in (i + 1)..n {
-            if nodes[j].kernel.accesses.is_empty() {
-                continue;
-            }
-            pairs += 1;
-            if ordered(i, j) || ordered(j, i) {
-                continue;
-            }
-            if let Some(c) = nodes[i]
-                .kernel
-                .accesses
-                .conflict_with(&nodes[j].kernel.accesses)
-            {
-                out.push(Diagnostic {
-                    kind: DiagnosticKind::MissingDependency,
-                    context: label.to_string(),
-                    first: Some(kernel_ref(nodes, i)),
-                    second: Some(kernel_ref(nodes, j)),
-                    site: Some(ConflictSite {
-                        buffer: c.buffer,
-                        overlap: c.overlap,
-                        hazard: c.hazard(),
-                    }),
-                    detail: "no declared dependency or stream order covers this hazard".to_string(),
-                });
-            }
+        for &(i, j, c) in &self.hazards {
+            out.push(Diagnostic {
+                kind: DiagnosticKind::MissingDependency,
+                context: label.to_string(),
+                first: Some(kernel_ref(nodes, i)),
+                second: Some(kernel_ref(nodes, j)),
+                site: Some(ConflictSite {
+                    buffer: c.buffer,
+                    overlap: c.overlap,
+                    hazard: c.hazard(),
+                }),
+                detail: "no declared dependency or stream order covers this hazard".to_string(),
+            });
         }
     }
-    pairs
+}
+
+/// Check an issue-ordered schedule given as borrowed node views:
+/// out-of-range deps, self-waits and event-wait cycles (deadlock), and
+/// memory conflicts not covered by happens-before. Appends diagnostics to
+/// `out`; returns the number of kernel pairs the hazard scan covered —
+/// covered, not visited: the scan is one [`conflict_candidates`] sweep,
+/// `O(a log a)` in the plan's declared accesses plus the overlapping pairs
+/// it finds. With `scan_pairs` false only the structural checks run
+/// (dangling deps, self-waits, wait cycles) — the caller holds a symbolic
+/// certificate that already proves hazard-freedom.
+pub(crate) fn check_nodes(
+    label: &str,
+    nodes: &[PlanNodeRef<'_>],
+    out: &mut Vec<Diagnostic>,
+    scan_pairs: bool,
+) -> u64 {
+    let analysis = PlanAnalysis::new(nodes, scan_pairs, false);
+    analysis.report(label, nodes, out);
+    analysis.pairs
 }
 
 #[cfg(test)]

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Paired A/B run of one benchmark workload: a parent commit against HEAD,
-# decided by the rule the pipeline applies to a claimed gain.
+# Paired A/B run of one benchmark workload — or of all of them — a parent
+# commit against HEAD, decided by the rule the pipeline applies to a
+# claimed gain.
 #
-#   scripts/ab.sh <parent-ref> <workload> [pairs=10]
+#   scripts/ab.sh <parent-ref> <workload|all> [pairs=10]
 #
 # Both commits' files are exported into fresh checkouts under target/ab/
 # (the change side is HEAD, plus tracked and staged edits if the tree is
@@ -16,13 +17,25 @@
 # claimed when the change wins at least nine tenths of the pairs and that
 # last column says yes. Runs that end "correct": false or with failed
 # operations are counted and reported.
+#
+# `all` runs BENCHMARK.json's workloads in turn (same two builds) and ends
+# with the tables of all of them and one summary line per workload: per
+# metric "gain" (the claim rule holds), "identical", "within bound",
+# "unresolved" (the parent's own quartile distance exceeds the metric's
+# bound and the two sides' runs interleave) or "REGRESSION" (the change's
+# median is worse than the parent's by more than the bound).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-[ $# -ge 2 ] || { sed -n '2,6p' "$0" >&2; exit 2; }
+[ $# -ge 2 ] || { sed -n '2,7p' "$0" >&2; exit 2; }
 parent_ref=$1
-workload=$2
+workloads=$2
 pairs=${3:-10}
+if [ "$workloads" = all ]; then
+    workloads=$(awk '
+        /"workloads"/ { on = 1 } /"end_to_end"/ { on = 0 }
+        on && /"name"/ { gsub(/[",]/, ""); printf "%s ", $2 }' BENCHMARK.json)
+fi
 seconds=$(sed -n 's/.*"run_seconds": *\([0-9]*\).*/\1/p' BENCHMARK.json)
 root=$PWD/target/ab
 
@@ -43,31 +56,36 @@ done
 
 # One run the way the pipeline makes it: inside the checkout, through
 # run.sh; the last stdout line is the JSON result.
-run_side() { # side seed
-    (cd "$root/$1" && CARGO_TARGET_DIR=$root/$1-target bash benchmark/run.sh \
-        --workload "$workload" --seed "$2" --seconds "$seconds" --trace 0) | tail -n 1
+run_side() { # workload side seed
+    (cd "$root/$2" && CARGO_TARGET_DIR=$root/$2-target bash benchmark/run.sh \
+        --workload "$1" --seed "$3" --seconds "$seconds" --trace 0) | tail -n 1
 }
 
-results=$root/$workload.results
-: >"$results"
-base=$(($(date +%s) % 100000 * 100))
-echo "ab: ${ref[parent]:0:7} (parent) vs ${ref[change]:0:7} (change)," \
-    "$workload, $pairs pairs of ${seconds}s, seeds $((base + 1))..$((base + pairs))" >&2
-for ((i = 1; i <= pairs; i++)); do
-    if ((i % 2)); then order="parent change"; else order="change parent"; fi
-    for side in $order; do
-        printf '%s %s %s\n' "$i" "$side" "$(run_side "$side" $((base + i)))" >>"$results"
+run_pairs() { # workload
+    local results=$root/$1.results i side order base
+    : >"$results"
+    base=$(($(date +%s) % 100000 * 100))
+    echo "ab: ${ref[parent]:0:7} (parent) vs ${ref[change]:0:7} (change)," \
+        "$1, $pairs pairs of ${seconds}s, seeds $((base + 1))..$((base + pairs))" >&2
+    for ((i = 1; i <= pairs; i++)); do
+        if ((i % 2)); then order="parent change"; else order="change parent"; fi
+        for side in $order; do
+            printf '%s %s %s\n' "$i" "$side" "$(run_side "$1" "$side" $((base + i)))" >>"$results"
+        done
+        echo "ab: $1 pair $i/$pairs done ($order)" >&2
     done
-    echo "ab: pair $i/$pairs done ($order)" >&2
-done
+}
 
-# name:better for each end-to-end metric, in BENCHMARK.json order.
+# name:better:bound for each end-to-end metric, in BENCHMARK.json order.
 metrics=$(awk '
     /"end_to_end"/ { on = 1 } /"per_layer"/ { on = 0 }
     on && /"name"/   { gsub(/[",]/, ""); name = $2 }
-    on && /"better"/ { gsub(/[",]/, ""); printf "%s:%s ", name, $2 }' BENCHMARK.json)
+    on && /"better"/ { gsub(/[",]/, ""); better = $2 }
+    on && /"bound"/  { gsub(/[",]/, ""); printf "%s:%s:%s ", name, better, $2 }' BENCHMARK.json)
 
-awk -v metrics="$metrics" '
+# The table of one workload, then its summary line (prefixed "ab-summary:").
+report() { # workload
+    awk -v metrics="$metrics" -v workload="$1" '
 function value(line, name,    at, rest) {
     at = index(line, "\"" name "\": {\"value\": ")
     if (!at) return "nan"
@@ -89,13 +107,17 @@ function quantile(v, n, q,    i, j, t, h, lo) {
     if ($0 !~ /"failed": 0[,}]/) failed[side]++
 }
 END {
-    printf "%-12s %-7s %12s %12s %12s   %s\n", "metric", "side", "q1", "median", "q3", "verdict"
+    printf "%s\n%-12s %-7s %12s %12s %12s   %s\n", workload, "metric", "side", "q1", "median", "q3", "verdict"
     n = split(metrics, m, " ")
+    summary = ""
     for (k = 1; k <= n; k++) {
-        split(m[k], nb, ":"); name = nb[1]; higher = (nb[2] == "higher")
+        split(m[k], nb, ":"); name = nb[1]; higher = (nb[2] == "higher"); bound = nb[3] + 0
         win["parent"] = win["change"] = 0
+        amin = bmin = 1e300; amax = bmax = -1e300
         for (p = 1; p <= pairs; p++) {
             a[p] = value(line["parent", p], name); b[p] = value(line["change", p], name)
+            if (a[p] < amin) amin = a[p]; if (a[p] > amax) amax = a[p]
+            if (b[p] < bmin) bmin = b[p]; if (b[p] > bmax) bmax = b[p]
             if (a[p] == b[p]) continue
             win[(b[p] > a[p]) == higher ? "change" : "parent"]++
         }
@@ -106,7 +128,27 @@ END {
         printf "%-12s %-7s %12.6g %12.6g %12.6g   change/parent %.3f, won %d-%d of %d, beyond parent quartile distance: %s\n", \
             name, "change", bq1, bmed, bq3, (amed ? bmed / amed : 0), win["change"], win["parent"], pairs, \
             (diff > aq3 - aq1 ? "yes" : "no")
+        # How much worse the change median is, relative to the parent median.
+        worse = amed ? (higher ? amed - bmed : bmed - amed) / amed : 0
+        all_better = higher ? bmin > amax : bmax < amin
+        if (amin == amax && bmin == bmax && amin == bmin) status = "identical"
+        else if (worse < 0 && win["change"] >= 0.9 * pairs && diff > aq3 - aq1)
+            status = sprintf("gain %.3fx %d-%d", (higher ? bmed / amed : amed / bmed), win["change"], win["parent"])
+        else if (worse > bound) status = sprintf("REGRESSION %+.1f%%", -100 * worse)
+        else if (amed && (aq3 - aq1) / amed > bound && !all_better) status = "unresolved"
+        else status = sprintf("within bound (%+.1f%%)", -100 * worse)
+        summary = summary sprintf("%s%s %s", (k > 1 ? "; " : ""), name, status)
     }
     printf "incorrect runs: parent %d, change %d; runs with failed operations: parent %d, change %d\n", \
         bad["parent"], bad["change"], failed["parent"], failed["change"]
-}' "$results"
+    printf "ab-summary: %-13s %s; incorrect or failed runs %d\n", workload ":", summary, \
+        bad["parent"] + bad["change"] + failed["parent"] + failed["change"]
+}' "$root/$1.results"
+}
+
+# Measure every workload first, report after: the tables end up together,
+# followed by one line per workload.
+for w in $workloads; do run_pairs "$w"; done
+for w in $workloads; do report "$w"; done | awk '
+    /^ab-summary: / { sub(/^ab-summary: /, ""); lines = lines $0 "\n"; next } { print }
+    END { printf "%s", lines }'

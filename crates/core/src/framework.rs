@@ -229,11 +229,6 @@ impl Glp4nn {
             .map_or(0, |rt| rt.analyzer.exec_plans.captures())
     }
 
-    /// How many analytical-model (MILP) solves device `gpu` has run.
-    pub fn plan_solves(&self, gpu: usize) -> u64 {
-        self.gpus[gpu].as_ref().map_or(0, |rt| rt.analyzer.solves())
-    }
-
     /// Execute one schedule source — a layer's chunk groups — on device
     /// `gpu` through the runtime scheduler's workflow (profile once, then
     /// capture over the model-sized stream pool, then replay the frozen

@@ -6,19 +6,30 @@
 //! `forward_gpu` bottoms out in `cublasSgemm`.
 //!
 //! There is no cache blocking. The two arms with `B` as stored (`(No, No)`
-//! conv forward, `(Yes, No)` conv/fc data gradient) are axpy loops: one
-//! row of `B` streamed into one row of `C` per `(i, p)`, skipped when the
-//! scaled `A` element is zero. The `(No, Yes)` arm (conv weight gradient,
-//! fc forward) is a dot product per output element and runs as a
+//! conv forward, `(Yes, No)` conv/fc data gradient) are one axpy kernel
+//! that differs only in how it indexes `A`: an `AR×AW` tile of `C` stays in
+//! registers while `p` runs over all of `k`, and each of its rows adds
+//! `α·A[i][p]·B[p][..]` unless that scaled element is zero; edge rows and
+//! columns take the plain row loop. The `(No, Yes)` arm (conv weight
+//! gradient, fc forward) is a dot product per output element and runs as a
 //! register tile: `MR×NR` independent accumulators over a packed
 //! `NR`-column panel of `Bᵀ`.
+//!
+//! Every row panel runs one of two compilations of the same source: the
+//! portable `panel` (baseline SSE2 on x86-64) or `panel_avx2`, the same
+//! body under `#[target_feature(enable = "avx2")]`, which LLVM vectorises
+//! eight lanes wide. [`sgemm`] takes the AVX2 copy whenever the running CPU
+//! has it. The two are bitwise equal: AVX2 brings no fused multiply-add
+//! (that is the separate `fma` feature, enabled nowhere), and Rust never
+//! contracts `a * b + c` into one, so every lane still rounds the product
+//! and then the sum, exactly as the scalar code does.
 //!
 //! The kernel is deterministic: every output element is accumulated by
 //! exactly one thread, in ascending `p`, one multiply then one add per
 //! step (no FMA, no reassociation), whatever the thread count, the row
-//! split or the tile an element lands in. That underpins the framework's
-//! convergence-invariance guarantee, and it is why the tile may only
-//! widen *across* output elements, never along `k`.
+//! split, the instruction set or the tile an element lands in. That
+//! underpins the framework's convergence-invariance guarantee, and it is
+//! why a tile may only widen *across* output elements, never along `k`.
 
 use crate::pool::parallel_for_rows;
 use std::ops::Range;
@@ -69,66 +80,152 @@ pub fn sgemm(
     // Parallel over row-panels of C; each worker owns disjoint C rows, so
     // the computation is race-free and order-deterministic.
     parallel_for_rows(c, n, |row0, c_chunk| {
-        let rows = c_chunk.len() / n;
-        match (ta, tb) {
-            (Transpose::No, Transpose::No) => {
-                // C[i][j] += alpha * A[i][p] * B[p][j]  (ikj order, B streamed).
-                for i in 0..rows {
-                    let ai = row0 + i;
-                    let crow = &mut c_chunk[i * n..(i + 1) * n];
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: the running CPU supports AVX2, checked just above.
+            return unsafe { panel_avx2(ta, tb, m, n, k, alpha, a, b, row0, c_chunk) };
+        }
+        panel(ta, tb, m, n, k, alpha, a, b, row0, c_chunk);
+    });
+}
+
+/// [`panel`] compiled for AVX2: LLVM widens the same loops to eight lanes.
+///
+/// # Safety
+/// The running CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)] // panel's arguments
+unsafe fn panel_avx2(
+    ta: Transpose,
+    tb: Transpose,
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f32,
+    a: &[f32],
+    b: &[f32],
+    row0: usize,
+    c: &mut [f32],
+) {
+    panel(ta, tb, m, n, k, alpha, a, b, row0, c);
+}
+
+/// `C += α·op(A)·op(B)` on one row panel: rows `row0..` of `C`, the panel
+/// `c` (`rows×n`), with `a`, `b` the whole operands as [`sgemm`] takes them.
+///
+/// `#[inline(always)]` here and on everything it calls puts the whole body
+/// inside each caller, so [`panel_avx2`] compiles all of it for AVX2.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)] // sgemm's arguments plus the panel
+fn panel(
+    ta: Transpose,
+    tb: Transpose,
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f32,
+    a: &[f32],
+    b: &[f32],
+    row0: usize,
+    c: &mut [f32],
+) {
+    let rows = c.len() / n;
+    match (ta, tb) {
+        // C[i][j] += alpha * A[i][p] * B[p][j].
+        (Transpose::No, Transpose::No) => {
+            axpy_panel(|i, p| a[(row0 + i) * k + p], b, n, alpha, c);
+        }
+        // A stored k×m; C[i][j] += alpha * A[p][i] * B[p][j].
+        (Transpose::Yes, Transpose::No) => {
+            axpy_panel(|i, p| a[p * m + row0 + i], b, n, alpha, c);
+        }
+        // B stored n×k; C[i][j] += alpha * A[i][p] * B[j][p] (dot rows).
+        (Transpose::No, Transpose::Yes) => {
+            dot_rows(&a[row0 * k..(row0 + rows) * k], b, n, k, alpha, c);
+        }
+        // C[i][j] += alpha * A[p][i] * B[j][p].
+        (Transpose::Yes, Transpose::Yes) => {
+            for i in 0..rows {
+                let ai = row0 + i;
+                for j in 0..n {
+                    let mut acc = 0.0f32;
                     for p in 0..k {
-                        let av = alpha * a[ai * k + p];
-                        if av != 0.0 {
-                            let brow = &b[p * n..(p + 1) * n];
-                            for (cv, bv) in crow.iter_mut().zip(brow) {
-                                *cv += av * bv;
-                            }
-                        }
+                        acc += a[p * m + ai] * b[j * k + p];
                     }
-                }
-            }
-            (Transpose::No, Transpose::Yes) => {
-                // B stored n×k; C[i][j] += alpha * A[i][p] * B[j][p] (dot rows).
-                dot_rows(&a[row0 * k..(row0 + rows) * k], b, n, k, alpha, c_chunk);
-            }
-            (Transpose::Yes, Transpose::No) => {
-                // A stored k×m; C[i][j] += alpha * A[p][i] * B[p][j].
-                for p in 0..k {
-                    let arow = &a[p * m..(p + 1) * m];
-                    let brow = &b[p * n..(p + 1) * n];
-                    for i in 0..rows {
-                        let av = alpha * arow[row0 + i];
-                        if av != 0.0 {
-                            let crow = &mut c_chunk[i * n..(i + 1) * n];
-                            for (cv, bv) in crow.iter_mut().zip(brow) {
-                                *cv += av * bv;
-                            }
-                        }
-                    }
-                }
-            }
-            (Transpose::Yes, Transpose::Yes) => {
-                // C[i][j] += alpha * A[p][i] * B[j][p].
-                for i in 0..rows {
-                    let ai = row0 + i;
-                    for j in 0..n {
-                        let mut acc = 0.0f32;
-                        for p in 0..k {
-                            acc += a[p * m + ai] * b[j * k + p];
-                        }
-                        c_chunk[i * n + j] += alpha * acc;
-                    }
+                    c[i * n + j] += alpha * acc;
                 }
             }
         }
-    });
+    }
+}
+
+/// Rows of `C` per register tile of the axpy arms.
+const AR: usize = 4;
+/// Columns of `C` per register tile of the axpy arms: with [`AR`] rows that
+/// is eight eight-lane AVX2 accumulators, leaving room for two registers
+/// of the `B` row and the broadcast `A` element.
+const AW: usize = 16;
+
+/// The `(No, No)` and `(Yes, No)` arms over one row panel: `c[i][j] +=
+/// α·at(i, p)·b[p][j]` for ascending `p`, skipping every `(i, p)` whose
+/// scaled `A` element is zero, with `at(i, p)` the panel's `A[i][p]` as the
+/// arm stores it, `b` stored `k×n` and `c` the panel (`rows×n`).
+///
+/// Each row tile's scaled `A` elements are gathered once (`avs[p][r] =
+/// α·A[i0 + r][p]`) and reused by every column tile; an `AR×AW` tile loads
+/// its block of `C` once and stores it once. Each element sees the same
+/// adds in the same order as in the row loop that handles the edges, so
+/// tile edges leave no trace in the result.
+#[inline(always)]
+fn axpy_panel(at: impl Fn(usize, usize) -> f32, b: &[f32], n: usize, alpha: f32, c: &mut [f32]) {
+    let (rows, k) = (c.len() / n, b.len() / n);
+    let (full_rows, full_cols) = (rows - rows % AR, n - n % AW);
+    let mut avs = vec![[0.0f32; AR]; k];
+    for i0 in (0..full_rows).step_by(AR) {
+        for (p, avs) in avs.iter_mut().enumerate() {
+            *avs = std::array::from_fn(|r| alpha * at(i0 + r, p));
+        }
+        for j0 in (0..full_cols).step_by(AW) {
+            let mut acc = [[0.0f32; AW]; AR];
+            for (r, acc) in acc.iter_mut().enumerate() {
+                acc.copy_from_slice(&c[(i0 + r) * n + j0..][..AW]);
+            }
+            for (avs, brow) in avs.iter().zip(b.chunks_exact(n)) {
+                let brow: &[f32; AW] = brow[j0..j0 + AW].try_into().expect("AW columns");
+                for (acc, &av) in acc.iter_mut().zip(avs) {
+                    if av != 0.0 {
+                        for (cv, bv) in acc.iter_mut().zip(brow) {
+                            *cv += av * bv;
+                        }
+                    }
+                }
+            }
+            for (r, acc) in acc.iter().enumerate() {
+                c[(i0 + r) * n + j0..][..AW].copy_from_slice(acc);
+            }
+        }
+    }
+    // The row loop: edge columns of the tiled rows, every column of the rest.
+    for i in 0..rows {
+        let j0 = if i < full_rows { full_cols } else { 0 };
+        let crow = &mut c[i * n + j0..(i + 1) * n];
+        for p in 0..k {
+            let av = alpha * at(i, p);
+            if av != 0.0 {
+                for (cv, bv) in crow.iter_mut().zip(&b[p * n + j0..(p + 1) * n]) {
+                    *cv += av * bv;
+                }
+            }
+        }
+    }
 }
 
 /// Rows of `C` per register tile of the `(No, Yes)` arm.
 const MR: usize = 4;
-/// Columns of `C` per register tile: with [`MR`] rows that is eight
-/// four-lane accumulator registers, which leaves room for the `Bᵀ` panel
-/// row and the broadcast `A` element in the 16 registers of baseline SSE2.
+/// Columns of `C` per register tile of the `(No, Yes)` arm: one AVX2
+/// register per row. Sixteen lanes double the packed panel, which at
+/// `k = 1024` then no longer fits in L1 (measured slower, EXPERIMENTS.md).
 const NR: usize = 8;
 
 /// The `(No, Yes)` arm over one row panel: `c[i][j] += alpha · Σ_p
@@ -137,6 +234,7 @@ const NR: usize = 8;
 ///
 /// Each `NR`-column panel of `Bᵀ` is packed once (`pack[p][x] =
 /// b[j0 + x][p]`, edge columns zero) and reused by every row tile.
+#[inline(always)]
 fn dot_rows(a: &[f32], b: &[f32], n: usize, k: usize, alpha: f32, c: &mut [f32]) {
     let rows = c.len() / n;
     let full = rows - rows % MR;
@@ -169,6 +267,7 @@ fn dot_rows(a: &[f32], b: &[f32], n: usize, k: usize, alpha: f32, c: &mut [f32])
 /// one add per `p`, ascending — so an element's value does not depend on
 /// `R`, on its lane or on its neighbours. Lanes past `cols.len()` are
 /// computed on the panel's zero padding and dropped.
+#[inline(always)]
 fn dot_tile<const R: usize>(
     a: &[f32],
     pack: &[[f32; NR]],
@@ -376,6 +475,85 @@ mod tests {
             c
         };
         assert_eq!(run(), run()); // bitwise
+    }
+
+    /// Spread magnitudes salted with `0.0`, `-0.0` and subnormals.
+    fn salted(len: usize, seed: usize) -> Vec<f32> {
+        (0..len)
+            .map(|i| match (i * 7 + seed * 13) % 10 {
+                0 => 0.0,
+                1 => -0.0,
+                2 => f32::from_bits(1 + (i % 500) as u32),
+                3 => -f32::MIN_POSITIVE / 4.0,
+                _ => ((i * 37 + seed) % 201) as f32 / 97.0 - 1.03,
+            })
+            .collect()
+    }
+
+    /// The two compilations of [`panel`] agree bit for bit on every arm, on
+    /// shapes straddling both tiles' edges. CI hosts take the AVX2 copy, so
+    /// this test is where the portable one runs.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn portable_and_avx2_panels_are_bitwise_equal() {
+        if !is_x86_feature_detected!("avx2") {
+            eprintln!("no AVX2 on this CPU: only the portable panel exists");
+            return;
+        }
+        // x86's default NaN (what `0·inf` makes), so that every NaN the
+        // arithmetic can produce has the same bits whichever operand order
+        // each compilation picks.
+        let nan = -f32::NAN;
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for m in 1..=9 {
+            for n in [1, 15, 16, 17, 33, 40] {
+                for k in [1, 31, 70] {
+                    for ta in [Transpose::No, Transpose::Yes] {
+                        for tb in [Transpose::No, Transpose::Yes] {
+                            let a_at = |i, p| {
+                                if ta == Transpose::No {
+                                    i * k + p
+                                } else {
+                                    p * m + i
+                                }
+                            };
+                            let b_at = |p, j| {
+                                if tb == Transpose::No {
+                                    p * n + j
+                                } else {
+                                    j * k + p
+                                }
+                            };
+                            for poisoned in [false, true] {
+                                let (mut a, mut b) = (salted(m * k, 1), salted(k * n, 2));
+                                // Rows p ≡ 3 (mod 7) of op(B) hold ±inf and NaN
+                                // and meet a zero op(A) in every even row: the
+                                // axpy arms skip those, odd rows take them in.
+                                for p in (3..k).step_by(7).filter(|_| poisoned) {
+                                    for i in (0..m).step_by(2) {
+                                        a[a_at(i, p)] = if i % 4 == 0 { 0.0 } else { -0.0 };
+                                    }
+                                    for j in 0..n {
+                                        b[b_at(p, j)] =
+                                            [f32::INFINITY, f32::NEG_INFINITY, nan][j % 3];
+                                    }
+                                }
+                                let c0 = salted(m * n, 3);
+                                let (mut portable, mut avx2) = (c0.clone(), c0);
+                                panel(ta, tb, m, n, k, -1.5, &a, &b, 0, &mut portable);
+                                // SAFETY: AVX2 was detected at the top of the test.
+                                unsafe { panel_avx2(ta, tb, m, n, k, -1.5, &a, &b, 0, &mut avx2) };
+                                assert_eq!(
+                                    bits(&portable),
+                                    bits(&avx2),
+                                    "{ta:?}/{tb:?} {m}x{n}x{k} poisoned {poisoned}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,16 +8,26 @@
 //! dominate.
 
 use std::num::NonZeroUsize;
+use std::sync::OnceLock;
 
 /// Minimum items per worker before going parallel.
 const MIN_CHUNK: usize = 1024;
 
 /// Number of worker threads to use (hardware parallelism, capped at 16).
+///
+/// Read once, at the first call in the process, and fixed from then on:
+/// `available_parallelism` re-reads the CPU affinity mask and cgroup quota
+/// on every call (≈ 13 µs), which every `sgemm` would pay. A process that
+/// narrows its affinity (as `benchmark/` does) must do so before its first
+/// tensor call.
 pub fn num_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(16)
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
+            .min(16)
+    })
 }
 
 /// Run `f(start, end)` over disjoint sub-ranges covering `0..n`, possibly

@@ -214,9 +214,11 @@ proptest! {
 
     /// All four arms reproduce the plain loops bit for bit, including
     /// shapes that leave partial tiles, `k = 0` and `n` below one tile.
+    /// `m` and `n` run past twice the widest tile of any arm (the axpy
+    /// arms' 4×16: several full tiles, then edge rows and columns).
     #[test]
     fn gemm_is_bitwise_the_plain_loops(
-        m in 0usize..40, n in 0usize..40, k in 0usize..40,
+        m in 0usize..40, n in 0usize..80, k in 0usize..40,
         alpha in prop::sample::select(vec![1.0f32, 0.5, -1.0]),
         beta in prop::sample::select(vec![0.0f32, 1.0, 0.5]),
         seed in 0u64..1000,

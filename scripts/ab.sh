@@ -5,12 +5,15 @@
 #
 #   scripts/ab.sh <parent-ref> <workload|all> [pairs=10]
 #
-# Both commits' files are exported into fresh checkouts under target/ab/
-# (the change side is HEAD, plus tracked and staged edits if the tree is
-# dirty; untracked files are not measured), each benchmark/ is built once
-# into its own target directory, and the two are run in alternating
-# pairs — who goes first flips every pair, both sides of a pair share a
-# fresh seed, the run length is BENCHMARK.json's. For every end-to-end
+# Each commit's files are exported in turn into the same checkout,
+# target/ab/src (the change side is HEAD, plus tracked and staged edits if
+# the tree is dirty; untracked files are not measured), and its benchmark/
+# is built there once into a target directory of its own: cargo's symbol
+# hashes include the source path, so the same source built at two paths
+# orders its functions differently and reads about 1 % apart. The two
+# binaries are then run directly, with the arguments run.sh passes, in
+# alternating pairs — who goes first flips every pair, both sides of a
+# pair share a fresh seed, the run length is BENCHMARK.json's. For every end-to-end
 # metric it prints each side's median and quartiles, the pairs each side
 # won (ties count for neither), and whether the medians differ by more
 # than the distance between the parent's own quartiles. A gain may be
@@ -47,18 +50,18 @@ ref[change]=$(git stash create)
 [ -n "${ref[change]}" ] || ref[change]=$(git rev-parse --verify HEAD)
 
 for side in parent change; do
-    rm -rf "$root/$side"
-    mkdir -p "$root/$side"
-    git archive "${ref[$side]}" | tar -x -C "$root/$side"
+    rm -rf "$root/src"
+    mkdir -p "$root/src"
+    git archive "${ref[$side]}" | tar -x -C "$root/src"
     CARGO_TARGET_DIR=$root/$side-target cargo build --release --offline --quiet \
-        --manifest-path "$root/$side/benchmark/Cargo.toml"
+        --manifest-path "$root/src/benchmark/Cargo.toml"
 done
 
-# One run the way the pipeline makes it: inside the checkout, through
-# run.sh; the last stdout line is the JSON result.
+# One run with the arguments run.sh passes to the binary it builds; the
+# last stdout line is the JSON result.
 run_side() { # workload side seed
-    (cd "$root/$2" && CARGO_TARGET_DIR=$root/$2-target bash benchmark/run.sh \
-        --workload "$1" --seed "$3" --seconds "$seconds" --trace 0) | tail -n 1
+    "$root/$2-target/release/glp4nn-benchmark" \
+        --workload "$1" --seed "$3" --seconds "$seconds" --trace 0 | tail -n 1
 }
 
 run_pairs() { # workload

@@ -70,8 +70,10 @@
 //!
 //! The simulation is fully deterministic.
 
+mod memo;
+
 use crate::arena::Arena;
-use crate::contention::BandwidthTracker;
+use crate::contention::{burst_ns, BandwidthTracker};
 use crate::device::DeviceProps;
 use crate::kernel::{KernelDesc, KernelId};
 use crate::queue::{EventKey, EventQueue, HeapQueue};
@@ -99,7 +101,7 @@ enum KState {
     Done,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct KernelRuntime {
     desc: Arc<KernelDesc>,
     stream: StreamId,
@@ -215,10 +217,17 @@ pub struct Device {
     /// Recording stream and completion time per event, kept **only** while
     /// telemetry is attached (feeds dependency flow arrows).
     event_src: HashMap<u64, (StreamId, SimTime)>,
+    /// Replay memo by key ([`Device::replay_memo`]): `None` when seen once.
+    memo: HashMap<u64, Option<Box<memo::Outcome>>>,
+    /// Memo-applied replays and replays that ran the simulation.
+    memo_stats: (u64, u64),
     /// Reference arm for differential tests: never extend a burst group, so
     /// every burst is queued and popped on its own.
     #[cfg(test)]
     pub(crate) never_extend_groups: bool,
+    /// Reference arm for differential tests: the memo is never used.
+    #[cfg(test)]
+    pub(crate) never_memo: bool,
 }
 
 impl Device {
@@ -253,8 +262,12 @@ impl Device {
             telemetry: RecorderSlot::empty(),
             telemetry_pid: 0,
             event_src: HashMap::new(),
+            memo: HashMap::new(),
+            memo_stats: (0, 0),
             #[cfg(test)]
             never_extend_groups: false,
+            #[cfg(test)]
+            never_memo: false,
         }
     }
 
@@ -784,7 +797,6 @@ impl Device {
                 return; // in-order: wait for the running kernel / copy
             }
             let Some(cmd) = self.streams[s].queue.front() else {
-                self.streams[s].last_idle = self.clock;
                 return;
             };
             match cmd {
@@ -1042,8 +1054,8 @@ impl Device {
             let w_block = fp.threads.div_ceil(self.props.warp_size).max(1);
             let bw_share = self.props.mem_bw_gbps * 1e9 / self.props.num_sms as f64;
             let peak_block = self.props.sm_peak_flops() * w_block as f64;
-            let t_m = if cost.dram_bytes_per_block > 0.0 {
-                cost.dram_bytes_per_block / bw_share * factor
+            let t_m_base = if cost.dram_bytes_per_block > 0.0 {
+                cost.dram_bytes_per_block / bw_share
             } else {
                 0.0
             };
@@ -1072,7 +1084,8 @@ impl Device {
                         // The shared rate above already splits the SM among
                         // all resident warps, so the n co-resident blocks of
                         // this burst progress in parallel and retire together.
-                        let dur = (t_c.max(t_m) * 1e9 + 1000.0).ceil() as SimTime;
+                        let dur = burst_ns(t_c, t_m_base * factor);
+                        self.bw.note_burst(t_m_base, t_c, dur);
                         last_dur = Some((w_total, dur));
                         dur
                     }
@@ -1462,6 +1475,12 @@ mod tests {
 
     fn issue_mix(dev: &mut Device, streams: usize, ops: &[Op]) {
         let pool: Vec<_> = (0..streams).map(|_| dev.create_stream()).collect();
+        issue_ops(dev, &pool, ops);
+    }
+
+    /// [`issue_mix`] onto an existing pool.
+    fn issue_ops(dev: &mut Device, pool: &[StreamId], ops: &[Op]) {
+        let streams = pool.len();
         let mut recorded = Vec::new();
         for (i, &(stream, blocks, threads, smem, regs, cost, edge)) in ops.iter().enumerate() {
             // Few cost classes, so same-time completions are common.
@@ -1560,6 +1579,126 @@ mod tests {
                 proptest::prop_assert_eq!(a.last_change, b.last_change);
             }
         }
+
+        /// The replay memo against its never-memo arm. A few fixed command
+        /// sequences replay in a random interleaving, so most replays start
+        /// from a demand residue their own last replay did not leave, and
+        /// the DRAM-heavy cost class pushes placements past peak bandwidth.
+        /// Some replays start from a residue raised by up to 0.6 TB/s of
+        /// stray demand, which changes slowdown factors by far more than
+        /// the residue's drift ever does. After every replay, and after one
+        /// more episode issued without the memo, both devices must be in
+        /// the same state.
+        #[test]
+        fn memo_replays_match_the_never_memo_reference(
+            props in proptest::sample::select(DeviceProps::evaluation_set()),
+            streams in 1usize..=4,
+            plans in proptest::collection::vec(
+                proptest::collection::vec(arb_op(400), 1..=6),
+                1..=3,
+            ),
+            // `(sequence, stray demand, whether to add it first)`.
+            order in proptest::collection::vec((0usize..3, 0.0f64..6.0e11, 0u8..4), 3..=12),
+            tail in proptest::collection::vec(arb_op(400), 1..=4),
+        ) {
+            let mut pair = [false, true].map(|never_memo| {
+                let mut dev = Device::new(props.clone());
+                dev.never_memo = never_memo;
+                let pool: Vec<_> = (0..streams).map(|_| dev.create_stream()).collect();
+                (dev, pool)
+            });
+            for &(p, stray, when) in &order {
+                let p = p % plans.len();
+                for (dev, pool) in &mut pair {
+                    if when == 0 {
+                        dev.bw.place(stray);
+                    }
+                    dev.replay_memo(p as u64, |d| issue_ops(d, pool, &plans[p]));
+                }
+                assert_same_state(&pair[0].0, &pair[1].0)?;
+            }
+            for (dev, pool) in &mut pair {
+                issue_ops(dev, pool, &tail);
+                dev.run();
+            }
+            assert_same_state(&pair[0].0, &pair[1].0)?;
+            let (hits, misses) = pair[0].0.memo_stats();
+            proptest::prop_assert_eq!(hits + misses, order.len() as u64);
+            proptest::prop_assert_eq!(pair[1].0.memo_stats(), (0, order.len() as u64));
+        }
+    }
+
+    fn arb_op(max_blocks: u32) -> impl proptest::strategy::Strategy<Value = Op> {
+        (
+            0usize..8,
+            1u32..=max_blocks,
+            32u32..=1024,
+            0u32..=48 * 1024,
+            16u32..=64,
+            0usize..3,
+            (0u8..5, 0usize..8, 0usize..64),
+        )
+    }
+
+    /// Everything a replay leaves behind, compared between two devices.
+    fn assert_same_state(
+        a: &Device,
+        b: &Device,
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        proptest::prop_assert_eq!(a.now(), b.now());
+        proptest::prop_assert_eq!(a.host_clock, b.host_clock);
+        proptest::prop_assert_eq!(a.seq, b.seq);
+        proptest::prop_assert_eq!(a.events_processed(), b.events_processed());
+        proptest::prop_assert_eq!(a.bw.demand().to_bits(), b.bw.demand().to_bits());
+        proptest::prop_assert_eq!(a.trace(), b.trace());
+        proptest::prop_assert_eq!(a.command_log(), b.command_log());
+        proptest::prop_assert_eq!(&a.events, &b.events);
+        proptest::prop_assert_eq!(a.stats(), b.stats());
+        proptest::prop_assert_eq!(a.kernels.len(), b.kernels.len());
+        for i in 0..a.kernels.len() as u64 {
+            proptest::prop_assert_eq!(a.kernel_span(KernelId(i)), b.kernel_span(KernelId(i)));
+        }
+        for (x, y) in a.sms.iter().zip(&b.sms) {
+            proptest::prop_assert_eq!(x.warp_time_integral, y.warp_time_integral);
+            proptest::prop_assert_eq!(x.last_change, y.last_change);
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn a_key_records_on_its_second_idle_replay_and_applies_after() {
+        let mut dev = Device::new(DeviceProps::p100());
+        let pool: Vec<_> = (0..2).map(|_| dev.create_stream()).collect();
+        // A DRAM-heavy pair joined by an event, and a compute-only kernel.
+        let heavy: [Op; 3] = [
+            (0, 400, 256, 0, 32, 2, (0, 0, 0)),
+            (1, 300, 256, 0, 32, 2, (1, 1, 0)),
+            (1, 200, 128, 0, 32, 1, (9, 0, 0)),
+        ];
+        let light: [Op; 1] = [(0, 40, 128, 0, 32, 0, (9, 0, 0))];
+        for _ in 0..5 {
+            dev.replay_memo(0, |d| issue_ops(d, &pool, &heavy));
+            dev.replay_memo(1, |d| issue_ops(d, &pool, &light));
+        }
+        assert_eq!(dev.memo_stats(), (6, 4), "noted, recorded, then applied");
+        let Some(Some(recorded)) = dev.memo.get(&0) else {
+            panic!("key 0 was recorded");
+        };
+        assert!(recorded.residue.oversubscribed() > 0);
+
+        let replay = |dev: &mut Device| {
+            dev.replay_memo(0, |d| issue_ops(d, &pool, &heavy));
+            dev.memo_stats()
+        };
+        dev.set_launch_hook(Box::new(|_, _, _| {}));
+        assert_eq!(replay(&mut dev), (6, 5), "a launch hook sees every launch");
+        dev.clear_launch_hook();
+        dev.set_telemetry(telemetry::shared(telemetry::Telemetry::new()), 0);
+        assert_eq!(replay(&mut dev), (6, 6), "telemetry sees every kernel");
+        dev.clear_telemetry();
+        dev.launch(pool[1], kernel("in-flight", 8, 128, 1.0e6));
+        assert_eq!(replay(&mut dev), (6, 7), "the device was not idle");
+        assert_eq!(replay(&mut dev), (7, 7));
     }
 
     #[test]

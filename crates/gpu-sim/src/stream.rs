@@ -134,8 +134,6 @@ pub struct StreamState {
     /// A peer-to-peer copy sourced from this stream currently in transit
     /// (in-order: the stream is parked until the transfer completes).
     pub copy_inflight: Option<CopyId>,
-    /// Simulated time when the stream last became idle.
-    pub last_idle: u64,
 }
 
 impl StreamState {

@@ -9,6 +9,10 @@
 //! kernel count (i.e. strictly sub-per-kernel; the handful that remain
 //! are amortized `Vec` growth inside the simulator).
 //!
+//! The same bound holds for a whole warm replay that the device's replay
+//! memo applies instead of simulating: copying the recorded outcome into
+//! the device's logs allocates only when they outgrow their capacity.
+//!
 //! Telemetry must not change that: with no recorder attached — including
 //! after one was attached and detached again — the instrumentation is a
 //! `None` check and the same sub-per-kernel bound holds.
@@ -77,6 +81,38 @@ fn warm_replay_issue_loop_is_sub_per_kernel_allocation() {
          the issue loop must be sub-per-kernel",
         plan.num_kernels(),
         issue_allocs
+    );
+}
+
+#[test]
+fn warm_memo_hit_replay_is_sub_per_kernel_allocation() {
+    // A plan's third replay on an idle device applies the outcome its
+    // second recorded: no issue, no simulation, and the device's logs
+    // grow by amortized doubling only.
+    let mut dev = Device::new(DeviceProps::p100());
+    let pool: Vec<_> = (0..4).map(|_| dev.create_stream()).collect();
+    let g = groups(16, 4);
+    let plan = ExecPlan::capture_round_robin(
+        "alloc-probe-memo",
+        &g,
+        &pool,
+        ExecMode::Concurrent { streams: 4 },
+    );
+    for _ in 0..3 {
+        plan.replay(&mut dev);
+    }
+    let (hits, misses) = dev.memo_stats();
+
+    counting_alloc::start();
+    plan.replay(&mut dev);
+    let replay_allocs = counting_alloc::stop();
+    assert_eq!(dev.memo_stats(), (hits + 1, misses), "the replay was a hit");
+    assert!(
+        replay_allocs < plan.num_kernels() as u64,
+        "a memo-hit replay of {} kernels made {} allocations — \
+         applying a recorded outcome must be sub-per-kernel",
+        plan.num_kernels(),
+        replay_allocs
     );
 }
 

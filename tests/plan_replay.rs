@@ -19,8 +19,9 @@ use glp4nn::tracker::ResourceTracker;
 use glp4nn::{LayerKey, OptimConfig, Phase};
 use gpu_sim::{Device, DeviceProps, Dim3, KernelCost, KernelDesc, LaunchConfig};
 use nn::data::SyntheticDataset;
-use nn::{models, DispatchMode, ExecCtx, Net, Solver, SolverConfig};
+use nn::{models, DispatchMode, ExecCtx, Net, NetSpec, Solver, SolverConfig};
 use proptest::prelude::*;
+use sanitizer::SanitizeMode;
 use tensor::Blob;
 
 /// A kernel's observable execution record.
@@ -281,4 +282,95 @@ fn scheduler_plan_cache_keys_on_optim_and_device() {
         (2, 1),
         "first device's cache is untouched"
     );
+}
+
+fn iterate(ctx: &mut ExecCtx, net: &mut Net, iterations: usize) {
+    for _ in 0..iterations {
+        net.forward(ctx);
+        net.backward(ctx);
+    }
+}
+
+/// A warm plan replayed from an idle device applies the device's recorded
+/// outcome instead of simulating (`Device::replay_memo`). The reference
+/// arm installs a no-op launch hook, which keeps every replay on the
+/// simulation. Both arms run a Siamese loop under every dispatch mode,
+/// and a CaffeNet loop under 8 streams, whose conv layers push the DRAM
+/// demand past the P100's peak so the memo must re-check slowdown factors.
+/// Timelines, command logs, statistics, event counts and the full-mode
+/// sanitizer's happens-before diagnostics must all agree.
+#[test]
+fn memo_replays_match_the_simulation_on_warm_loops() {
+    let cases: [(NetSpec, &[DispatchMode]); 2] = [
+        (
+            models::siamese(16, 1),
+            &[
+                DispatchMode::Naive,
+                DispatchMode::FixedStreams(8),
+                DispatchMode::Glp4nn,
+            ],
+        ),
+        (models::caffenet(4, 1), &[DispatchMode::FixedStreams(8)]),
+    ];
+    for (spec, modes) in cases {
+        for &mode in modes {
+            let [mut memo, mut sim] = [false, true].map(|reference| {
+                let mut ctx = mode_ctx(DeviceProps::p100(), mode).sanitize(SanitizeMode::Full);
+                if reference {
+                    ctx.device.set_launch_hook(Box::new(|_, _, _| {}));
+                }
+                (ctx, Net::from_spec(&spec))
+            });
+            for (ctx, net) in [&mut memo, &mut sim] {
+                iterate(ctx, net, 5);
+            }
+            let (memo, sim) = (&memo.0, &sim.0);
+            let case = format!("{} under {mode:?}", spec.name);
+            assert_eq!(memo.device.trace(), sim.device.trace(), "{case}");
+            assert_eq!(
+                memo.device.command_log(),
+                sim.device.command_log(),
+                "{case}"
+            );
+            assert_eq!(memo.device.stats(), sim.device.stats(), "{case}");
+            assert_eq!(memo.device.now(), sim.device.now(), "{case}");
+            assert_eq!(
+                memo.device.events_processed(),
+                sim.device.events_processed(),
+                "{case}"
+            );
+            assert_eq!(memo.sanitizer.reports(), sim.sanitizer.reports(), "{case}");
+            assert_eq!(memo.sanitizer.stats(), sim.sanitizer.stats(), "{case}");
+            assert!(memo.device.memo_stats().0 > 0, "{case}: no replay hit");
+            assert_eq!(sim.device.memo_stats().0, 0, "{case}");
+        }
+    }
+}
+
+/// Once every plan has replayed twice on its device (noted, then
+/// recorded), every replay of a warm timing-only CIFAR10 loop is a memo
+/// hit, in every dispatch mode.
+#[test]
+fn every_warm_cifar10_replay_is_a_memo_hit() {
+    for mode in [
+        DispatchMode::Naive,
+        DispatchMode::FixedStreams(8),
+        DispatchMode::Glp4nn,
+    ] {
+        let mut ctx = mode_ctx(DeviceProps::p100(), mode);
+        let mut net = Net::from_spec(&models::cifar10_quick(100, 1));
+        // Glp4nn profiles on the first iteration and captures on the
+        // second; the other modes capture on the first.
+        iterate(&mut ctx, &mut net, 3);
+        ctx.take_timings();
+        let (hits, misses) = ctx.device.memo_stats();
+        iterate(&mut ctx, &mut net, 2);
+        let replays = ctx.take_timings().len() as u64;
+        assert!(replays > 0);
+        assert_eq!(
+            ctx.device.memo_stats(),
+            (hits + replays, misses),
+            "{mode:?}: a warm replay ran the simulation"
+        );
+    }
 }

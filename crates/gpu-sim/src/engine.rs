@@ -70,7 +70,7 @@
 //!
 //! The simulation is fully deterministic.
 
-mod memo;
+pub(crate) mod memo;
 
 use crate::arena::Arena;
 use crate::contention::{burst_ns, BandwidthTracker};
@@ -174,7 +174,7 @@ pub struct Device {
     event_waiters: Vec<Vec<StreamId>>,
     kernels: Arena<KernelRuntime>,
     sms: Vec<SmState>,
-    bw: BandwidthTracker,
+    pub(crate) bw: BandwidthTracker,
     /// Kernels holding a concurrency slot.
     active: Vec<KernelId>,
     /// Ready kernels waiting for a slot (FIFO).
@@ -470,19 +470,21 @@ impl Device {
             .push_back(Command::WaitEvent(event));
     }
 
-    /// Completion time of `event`, if completed.
+    /// Completion time of `event`, if completed (`None` for an id this
+    /// device never created).
     pub fn event_time(&self, event: EventId) -> Option<SimTime> {
-        match self.events[event.0 as usize] {
-            EventState::Completed(t) => Some(t),
+        match self.events.get(event.0 as usize)? {
+            EventState::Completed(t) => Some(*t),
             _ => None,
         }
     }
 
-    /// Kernel execution interval `(start, end)`, available after [`run`].
+    /// Kernel execution interval `(start, end)`, available after [`run`]
+    /// (`None` for an id this device never issued).
     ///
     /// [`run`]: Device::run
     pub fn kernel_span(&self, id: KernelId) -> Option<(SimTime, SimTime)> {
-        let k = &self.kernels[id.0 as usize];
+        let k = (id.0 < self.kernels.len() as u64).then(|| &self.kernels[id.0 as usize])?;
         match (k.start, k.end) {
             (Some(s), Some(e)) => Some((s, e)),
             _ => None,
@@ -1379,6 +1381,19 @@ mod tests {
             assert!(d.copy_src.is_empty(), "device {i} kept source state");
             assert!(d.copy_arrived.is_empty(), "device {i} kept arrivals");
             assert!(d.copy_waiters.is_empty(), "device {i} kept waiters");
+        }
+    }
+
+    impl Device {
+        /// Place DRAM demand nothing retires, moving the residue a memo's
+        /// residue program starts from.
+        pub(crate) fn add_stray_demand(&mut self, demand: f64) {
+            self.bw.place(demand);
+        }
+
+        /// The DRAM demand residue's bits.
+        pub(crate) fn demand_bits(&self) -> u64 {
+            self.bw.demand().to_bits()
         }
     }
 

@@ -2,18 +2,22 @@
 //! second replay of a key from an idle device is simulated and recorded
 //! relative to its start; later ones from an idle device apply the
 //! recording at the current clock and ids once its residue program
-//! ([`crate::contention`]) proves the simulation would repeat.
+//! ([`crate::contention`]) proves the simulation would repeat. The fabric's
+//! episode memo records and applies one [`Outcome`] per device the same way.
 
 use super::{Device, KernelRuntime};
 use crate::contention::Residue;
-use crate::stream::{CmdRecord, EventState};
+use crate::kernel::KernelName;
+use crate::sm::SmState;
+use crate::stream::{CmdRecord, CopyId, EventState};
 use crate::timeline::KernelTrace;
 use crate::SimTime;
+use std::sync::Arc;
 
 /// One idle replay's effect on a device, relative to its start: times from
 /// the start clock, kernel and event ids from the first one it assigned.
 #[derive(Debug)]
-pub(super) struct Outcome {
+pub(crate) struct Outcome {
     kernels: Vec<KernelRuntime>,
     trace: Vec<KernelTrace>,
     cmd_log: Vec<CmdRecord>,
@@ -24,12 +28,13 @@ pub(super) struct Outcome {
     advance: (SimTime, u64, u64),
     /// The host clock's offset, unless the replay launched nothing.
     host_clock: Option<SimTime>,
-    pub(super) residue: Residue,
+    pub(crate) residue: Residue,
 }
 
-/// Kernel-id, event-id and time offsets (wrapping: records subtract).
+/// Kernel-id, event-id, time and fabric copy-id offsets (wrapping: records
+/// subtract).
 #[derive(Clone, Copy)]
-struct Shift(u64, u64, SimTime);
+struct Shift(u64, u64, SimTime, u64);
 
 impl Shift {
     fn kernel(self, k: &KernelRuntime) -> KernelRuntime {
@@ -43,7 +48,12 @@ impl Shift {
 
     fn trace(self, t: &KernelTrace) -> KernelTrace {
         let mut t = t.clone();
-        t.id.0 = t.id.0.wrapping_add(self.0);
+        if t.id.0 > u64::MAX / 2 {
+            // A fabric copy's row: `KernelId(u64::MAX - copy)`, tag `copy`.
+            (t.id.0, t.tag) = (t.id.0.wrapping_sub(self.3), t.tag.wrapping_add(self.3));
+        } else {
+            t.id.0 = t.id.0.wrapping_add(self.0);
+        }
         for ns in [&mut t.launch_ns, &mut t.start_ns, &mut t.end_ns] {
             *ns = ns.wrapping_add(self.2);
         }
@@ -69,6 +79,23 @@ impl Shift {
     }
 }
 
+/// Where a recording starts: time base, first ids, and the state it diffs.
+pub(crate) struct Start {
+    base: SimTime,
+    ids: (usize, usize),
+    host: SimTime,
+    counters: (u64, u64),
+    lens: (usize, usize, usize),
+    sms: Vec<SmState>,
+}
+
+/// A device's pending fabric episode: its first kernel and recorded event.
+#[derive(Debug)]
+pub(crate) struct Segment {
+    pub(crate) kernels: usize,
+    pub(crate) events: usize,
+}
+
 impl Device {
     /// Issue one replay of a fixed command sequence with `issue` and run
     /// the device to completion — or, on an idle device that recorded this
@@ -85,15 +112,15 @@ impl Device {
             Some(Some(outcome)) if self.apply(outcome) => self.memo_stats.0 += 1,
             seen => {
                 self.memo_stats.1 += 1;
-                if seen.is_some() {
-                    let outcome = self.record(issue);
-                    memo.insert(key, outcome);
-                } else {
-                    if idle {
-                        memo.insert(key, None);
-                    }
-                    issue(self);
-                    self.run();
+                let start = seen
+                    .map(|_| self.record_start(self.clock, self.kernels.len(), self.events.len()));
+                if seen.is_none() && idle {
+                    memo.insert(key, None);
+                }
+                issue(self);
+                self.run();
+                if let Some(start) = start {
+                    memo.insert(key, self.record_finish(start, 0).map(Box::new));
                 }
             }
         }
@@ -117,27 +144,36 @@ impl Device {
             && self.fully_idle()
     }
 
-    /// Issue and run, recording the outcome; `None` when the replay
-    /// created streams or left work behind.
-    fn record(&mut self, issue: impl FnOnce(&mut Device)) -> Option<Box<Outcome>> {
-        let (c, host, seq, events) = (self.clock, self.host_clock, self.seq, self.events_processed);
-        let (k0, e0, streams) = (self.kernels.len(), self.events.len(), self.streams.len());
-        let (t0, l0, sms) = (self.trace.len(), self.cmd_log.len(), self.sms.clone());
+    /// Start recording: kernels from `k0` and events from `e0` on are the
+    /// recording's, its times are from `base`.
+    pub(crate) fn record_start(&mut self, base: SimTime, k0: usize, e0: usize) -> Start {
         self.bw.record(true);
-        issue(self);
-        self.run();
+        Start {
+            base,
+            ids: (k0, e0),
+            host: self.host_clock,
+            counters: (self.seq, self.events_processed),
+            lens: (self.trace.len(), self.cmd_log.len(), self.streams.len()),
+            sms: self.sms.clone(),
+        }
+    }
+
+    /// The outcome since `s`, copy ids from `copy0`; `None` when the run
+    /// created streams or left work behind.
+    pub(crate) fn record_finish(&mut self, s: Start, copy0: u64) -> Option<Outcome> {
+        let ((k0, e0), (t0, l0, streams)) = (s.ids, s.lens);
         let residue = (self.bw.record(false))
             .filter(|_| self.streams.len() == streams && self.quiescent())?;
-        let neg = |x: usize| (x as u64).wrapping_neg();
-        let to_rel = Shift(neg(k0), neg(e0), c.wrapping_neg());
-        Some(Box::new(Outcome {
+        let (c, neg) = (s.base, |x: usize| (x as u64).wrapping_neg());
+        let to_rel = Shift(neg(k0), neg(e0), c.wrapping_neg(), copy0.wrapping_neg());
+        Some(Outcome {
             kernels: (k0..self.kernels.len())
                 .map(|i| to_rel.kernel(&self.kernels[i]))
                 .collect(),
             trace: self.trace[t0..].iter().map(|t| to_rel.trace(t)).collect(),
             cmd_log: self.cmd_log[l0..].iter().map(|&r| to_rel.cmd(r)).collect(),
             events: self.events[e0..].iter().map(|&e| to_rel.event(e)).collect(),
-            sms: (self.sms.iter().zip(sms).enumerate())
+            sms: (self.sms.iter().zip(s.sms).enumerate())
                 .filter_map(|(i, (s, b))| {
                     let dw = s.warp_time_integral - b.warp_time_integral;
                     ((dw, s.last_change) != (0, b.last_change)).then(|| (i, dw, s.last_change - c))
@@ -145,12 +181,12 @@ impl Device {
                 .collect(),
             advance: (
                 self.clock - c,
-                self.seq - seq,
-                self.events_processed - events,
+                self.seq - s.counters.0,
+                self.events_processed - s.counters.1,
             ),
-            host_clock: (self.host_clock != host).then(|| self.host_clock - c),
+            host_clock: (self.host_clock != s.host).then(|| self.host_clock - c),
             residue,
-        }))
+        })
     }
 
     /// Apply `o` at the current clock and ids if its residue program holds
@@ -159,15 +195,39 @@ impl Device {
         if !self.bw.replay(&o.residue) {
             return false;
         }
-        let c = self.clock;
-        let at = Shift(self.kernels.len() as u64, self.events.len() as u64, c);
-        for k in &o.kernels {
-            self.kernels.push(at.kernel(k));
+        let (k, e) = (self.kernels.len() as u64, self.events.len() as u64);
+        self.apply_at(o, Shift(k, e, self.clock, 0));
+        true
+    }
+
+    /// Write `o` shifted by `at`. Kernel records overwrite the arena where a
+    /// fabric episode already launched them, keeping the live descriptor,
+    /// and are pushed past its end; event states overwrite events still
+    /// pending and are pushed past the table's end.
+    fn apply_at(&mut self, o: &Outcome, at: Shift) {
+        let (k0, e0, c) = (at.0 as usize, at.1 as usize, at.2);
+        for (i, k) in o.kernels.iter().enumerate() {
+            let k = at.kernel(k);
+            if k0 + i < self.kernels.len() {
+                let live = &mut self.kernels[k0 + i];
+                *live = KernelRuntime {
+                    desc: Arc::clone(&live.desc),
+                    ..k
+                };
+            } else {
+                self.kernels.push(k);
+            }
         }
         self.trace.extend(o.trace.iter().map(|t| at.trace(t)));
         self.cmd_log.extend(o.cmd_log.iter().map(|&r| at.cmd(r)));
-        self.events.extend(o.events.iter().map(|&e| at.event(e)));
-        // The recorded replay ended with every stream idle: no waiters.
+        for (i, &e) in o.events.iter().enumerate() {
+            match self.events.get_mut(e0 + i) {
+                Some(live) if *live == EventState::Pending => *live = at.event(e),
+                Some(_) => {}
+                None => self.events.push(at.event(e)),
+            }
+        }
+        // The recorded run ended with every stream idle: no waiters.
         self.event_waiters.resize_with(self.events.len(), Vec::new);
         for &(sm, integral, last_change) in &o.sms {
             self.sms[sm].warp_time_integral += integral;
@@ -179,6 +239,103 @@ impl Device {
         if let Some(host) = o.host_clock {
             self.host_clock = c + host;
         }
-        true
+    }
+
+    /// Append the key words of this device's pending fabric episode — what
+    /// its simulation reads: times from `base`, kernels by position, pending
+    /// events by distance from the table's end, copies from `copy0` plus
+    /// `copy`'s words for a sourced one — if it entered the episode
+    /// quiescent: unobserved, and nothing issued since its last `Sync` has
+    /// been simulated. `None` bypasses the memo.
+    pub(crate) fn segment_key(
+        &self,
+        base: SimTime,
+        copy0: u64,
+        key: &mut Vec<u64>,
+        mut copy: impl FnMut(CopyId, &mut Vec<u64>) -> Option<()>,
+    ) -> Option<Segment> {
+        let from = self.cmd_log.iter().rposition(|r| *r == CmdRecord::Sync);
+        let log = &self.cmd_log[from.map_or(0, |i| i + 1)..];
+        // Each command issued since queued one stream command: a simulated
+        // one has left its queue, and a parked stream holds copy state or
+        // a copy waiter.
+        let queued: usize = self.streams.iter().map(|s| s.queue.len()).sum();
+        let observed = self.launch_hook.is_some() || self.telemetry.is_attached();
+        let busy = (self.streams.iter()).any(|s| s.inflight.is_some() || s.copy_inflight.is_some());
+        let busy = busy || !self.copy_waiters.is_empty();
+        #[cfg(test)]
+        let busy = busy || self.never_memo;
+        if observed || busy || queued != log.len() || !self.queue.is_empty() {
+            return None;
+        }
+        key.extend([u64::MAX, self.clock - base, log.len() as u64]);
+        let launches = log.iter().filter(|r| matches!(r, CmdRecord::Launch { .. }));
+        let kernels = self.kernels.len() - launches.count();
+        let (n_events, mut next, mut e0) = (self.events.len() as u64, kernels as u64, u64::MAX);
+        for &r in log {
+            let (tag, stream, word) = match r {
+                CmdRecord::Launch { stream, kernel } if kernel.0 == next => {
+                    next += 1;
+                    let k = &self.kernels[kernel.0 as usize];
+                    let (fp, c, t) = (k.footprint, k.desc.cost, k.launch_issued);
+                    let shape =
+                        u64::from(fp.threads) | u64::from(fp.smem) << 16 | u64::from(fp.regs) << 40;
+                    let [flops, dram] =
+                        [c.flops_per_block, c.dram_bytes_per_block].map(f64::to_bits);
+                    key.extend([t.wrapping_sub(base), k.blocks_total, shape, flops, dram]);
+                    (0, stream, 0)
+                }
+                CmdRecord::RecordEvent { stream, event }
+                | CmdRecord::WaitEvent { stream, event } => {
+                    let wait = matches!(r, CmdRecord::WaitEvent { .. });
+                    // A wait on an earlier episode's event reads only that
+                    // it completed.
+                    let state = match self.events[event.0 as usize] {
+                        EventState::Pending => {
+                            e0 = e0.min(event.0);
+                            n_events - event.0
+                        }
+                        EventState::Completed(_) if wait => 0,
+                        _ => return None,
+                    };
+                    (1 + u64::from(wait), stream, state)
+                }
+                CmdRecord::CopySrc { stream, copy: id } => {
+                    copy(id, key)?;
+                    (3, stream, id.0.wrapping_sub(copy0))
+                }
+                CmdRecord::CopyDst { stream, copy: id } => (4, stream, id.0.wrapping_sub(copy0)),
+                _ => return None,
+            };
+            key.extend([tag | u64::from(stream.0) << 8, word]);
+        }
+        let events = e0.min(n_events) as usize;
+        Some(Segment { kernels, events })
+    }
+
+    /// Apply a fabric episode's outcome `o` at `base`, copy ids from `copy0`
+    /// (its residue program already re-run): patch the episode's kernels and
+    /// events, push the trace rows with the live kernels' and copies'
+    /// (`copy_name`) names, and drop what the simulation would consume.
+    pub(crate) fn apply_episode(
+        &mut self,
+        o: &Outcome,
+        seg: &Segment,
+        (base, copy0): (SimTime, u64),
+        copy_name: impl Fn(u64) -> KernelName,
+    ) {
+        let t0 = self.trace.len();
+        self.apply_at(o, Shift(seg.kernels as u64, seg.events as u64, base, copy0));
+        for t in &mut self.trace[t0..] {
+            if t.id.0 > u64::MAX / 2 {
+                t.name = copy_name(t.tag);
+            } else {
+                let desc = &self.kernels[t.id.0 as usize].desc;
+                (t.name, t.tag, t.launch) = (desc.name.clone(), desc.tag, desc.launch);
+            }
+        }
+        self.streams.iter_mut().for_each(|s| s.queue.clear());
+        self.copy_src.clear();
+        self.pending_trace = self.pending_trace.saturating_sub(o.trace.len());
     }
 }

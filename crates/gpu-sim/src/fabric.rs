@@ -51,13 +51,16 @@
 //! execution context owns its `Device`) and lend `&mut [&mut Device]` per
 //! call, indexed by the device's position in the slice.
 
+use crate::contention::BandwidthTracker;
 use crate::device::DeviceProps;
+use crate::engine::memo::{Outcome, Segment};
 use crate::engine::Device;
 use crate::kernel::{KernelDesc, KernelId, KernelName, LaunchConfig, MemAccess};
 use crate::stats::DeviceStats;
 use crate::stream::{CopyId, StreamId};
 use crate::timeline::{KernelTrace, Timeline};
 use crate::SimTime;
+use std::collections::HashMap;
 
 /// Properties of one directed link between two devices.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -354,7 +357,28 @@ pub struct Fabric {
     /// Device index = Chrome-trace pid, matching the per-device
     /// [`Device::set_telemetry`] convention.
     telemetry: telemetry::RecorderSlot,
+    /// Copies before this index were resolved by an earlier `run`.
+    settled: usize,
+    memo: Memo,
 }
+
+/// The quiescent fabric-run memo (DESIGN.md, "Quiescent fabric-run memo"):
+/// episodes by the hash of their key words, seen once (`None`) or recorded.
+#[derive(Debug, Default)]
+struct Memo {
+    runs: HashMap<u64, (Vec<u64>, Option<Box<Recording>>)>,
+    /// Reusable buffers: the pending episode's key and segments, and the
+    /// trackers saved while residue programs re-run.
+    key: Vec<u64>,
+    segments: Vec<Segment>,
+    saved: Vec<BandwidthTracker>,
+    stats: (u64, u64),
+}
+
+/// One recorded episode, relative to the earliest device clock: each
+/// device's outcome and model, and each copy's `(start, end)` in id order.
+#[derive(Debug)]
+struct Recording(Vec<Outcome>, Vec<DeviceProps>, Vec<(SimTime, SimTime)>);
 
 impl Fabric {
     /// A fabric of `n` devices with no links (connect them explicitly).
@@ -369,6 +393,8 @@ impl Fabric {
             ready_buf: Vec::new(),
             frontier: Vec::new(),
             telemetry: telemetry::RecorderSlot::empty(),
+            settled: 0,
+            memo: Memo::default(),
         }
     }
 
@@ -483,11 +509,12 @@ impl Fabric {
         &self.copies[id.raw() as usize].desc
     }
 
-    /// Resolved `(start, end)` of a copy's transfer, after [`run`].
+    /// Resolved `(start, end)` of a copy's transfer, after [`run`] (`None`
+    /// for an id this fabric never enqueued).
     ///
     /// [`run`]: Fabric::run
     pub fn copy_span(&self, id: CopyId) -> Option<(SimTime, SimTime)> {
-        let rec = &self.copies[id.raw() as usize];
+        let rec = self.copies.get(id.raw() as usize)?;
         match (rec.start, rec.end) {
             (Some(s), Some(e)) => Some((s, e)),
             _ => None,
@@ -674,6 +701,10 @@ impl Fabric {
     /// Telemetry keeps a run on the one-worker loop — the default, and the
     /// fast path: recorder entries are pushed in stepping order, and
     /// concurrent stepping would interleave them nondeterministically.
+    ///
+    /// At one worker, an episode is keyed by its pending program (DESIGN.md,
+    /// "Quiescent fabric-run memo"): its second sighting records, later ones
+    /// apply the recording where every device's residue program holds.
     pub fn run_with_workers(&mut self, devs: &mut [&mut Device], workers: usize) -> SimTime {
         assert_eq!(
             devs.len(),
@@ -684,13 +715,40 @@ impl Fabric {
         );
         let telemetry_on =
             self.telemetry.is_attached() || devs.iter().any(|d| d.telemetry().is_some());
-        for d in devs.iter_mut() {
-            d.kick();
-        }
-        if workers <= 1 || devs.len() <= 1 || telemetry_on {
-            self.run_sequential(devs);
-        } else {
-            self.run_lookahead(devs, workers.min(devs.len()));
+        let key = (workers <= 1 && !telemetry_on)
+            .then(|| self.episode_key(devs))
+            .flatten();
+        let mut runs = std::mem::take(&mut self.memo.runs);
+        let entry = key.and_then(|(hash, _)| runs.get(&hash));
+        let entry = entry.filter(|(k, _)| *k == self.memo.key);
+        let mut starts = None;
+        match (key, entry) {
+            (Some((_, base)), Some((_, Some(rec)))) if self.apply(devs, rec, base) => {
+                self.memo.stats.0 += 1;
+            }
+            (_, seen) => {
+                self.memo.stats.1 += 1;
+                match (key, seen) {
+                    (Some((_, base)), Some(_)) => {
+                        let segs = devs.iter_mut().zip(&self.memo.segments);
+                        starts = Some(Vec::from_iter(
+                            segs.map(|(d, s)| d.record_start(base, s.kernels, s.events)),
+                        ));
+                    }
+                    (Some((hash, _)), None) => {
+                        runs.insert(hash, (self.memo.key.clone(), None));
+                    }
+                    _ => {}
+                }
+                for d in devs.iter_mut() {
+                    d.kick();
+                }
+                if workers <= 1 || devs.len() <= 1 || telemetry_on {
+                    self.run_sequential(devs);
+                } else {
+                    self.run_lookahead(devs, workers.min(devs.len()));
+                }
+            }
         }
         for d in devs.iter_mut() {
             debug_assert!(
@@ -700,7 +758,87 @@ impl Fabric {
             );
             d.push_sync_marker();
         }
+        if let (Some(starts), Some((hash, base))) = (starts, key) {
+            // Every device stops recording, whichever fails.
+            let outcomes = Vec::from_iter(
+                (devs.iter_mut().zip(starts)).map(|(d, s)| d.record_finish(s, self.settled as u64)),
+            );
+            let copies = (self.copies[self.settled..].iter())
+                .map(|c| Some((c.start? - base, c.end? - base)))
+                .collect();
+            let props = devs.iter().map(|d| d.props().clone()).collect();
+            let recording = (outcomes.into_iter().collect::<Option<_>>())
+                .zip(copies)
+                .map(|(outcomes, copies)| Box::new(Recording(outcomes, props, copies)));
+            runs.insert(hash, (self.memo.key.clone(), recording));
+        }
+        self.memo.runs = runs;
+        self.settled = self.copies.len();
         devs.iter().map(|d| d.now()).max().unwrap_or(0)
+    }
+
+    /// `(hits, misses)` of the episode memo: [`run`](Fabric::run) calls
+    /// that applied a recorded episode, and calls that simulated.
+    pub fn memo_stats(&self) -> (u64, u64) {
+        self.memo.stats
+    }
+
+    /// The pending episode's key words and segments into the memo's buffers:
+    /// `(hash, earliest device clock)`, or `None` if a link jitters (it
+    /// hashes copy ids) or a device did not enter the episode quiescent.
+    /// `link_busy` is at most every future ready time then, so no input.
+    fn episode_key(&mut self, devs: &[&mut Device]) -> Option<(u64, SimTime)> {
+        let base = devs.iter().map(|d| d.now()).min()?;
+        let (copy0, copies, links) = (self.settled as u64, &self.copies, &self.links);
+        if links.iter().flatten().flatten().any(|l| l.jitter_ns > 0) {
+            return None;
+        }
+        let Memo { key, segments, .. } = &mut self.memo;
+        key.clear();
+        segments.clear();
+        for d in devs {
+            segments.push(d.segment_key(base, copy0, key, |id, key| {
+                let CopyRecord {
+                    desc: d, launch_ns, ..
+                } = copies.get(id.raw() as usize)?;
+                let link = links[d.src][d.dst]
+                    .map_or([0; 2], |l| [l.bandwidth_gbps.to_bits(), l.latency_ns]);
+                let dst = d.dst as u64 | u64::from(d.dst_stream.raw()) << 32;
+                key.extend([launch_ns.wrapping_sub(base), dst, d.bytes, link[0], link[1]]);
+                Some(())
+            })?);
+        }
+        let hash = (key.iter()).fold(0, |h: u64, &w| {
+            (h.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95)
+        });
+        Some((hash, base))
+    }
+
+    /// Apply `rec` at `base` if every device has the recorded model and its
+    /// residue program holds from its current residue; otherwise change
+    /// nothing.
+    fn apply(&mut self, devs: &mut [&mut Device], rec: &Recording, base: SimTime) -> bool {
+        let saved = &mut self.memo.saved;
+        saved.clear();
+        saved.extend(devs.iter().map(|d| d.bw.clone()));
+        let Recording(outcomes, props, copies) = rec;
+        let models = props.iter().eq(devs.iter().map(|d| d.props()));
+        if !models || !(devs.iter_mut().zip(outcomes)).all(|(d, o)| d.bw.replay(&o.residue)) {
+            for (d, bw) in devs.iter_mut().zip(saved.drain(..)) {
+                d.bw = bw;
+            }
+            return false;
+        }
+        for (c, &(s, e)) in self.copies[self.settled..].iter_mut().zip(copies) {
+            (c.start, c.end) = (Some(base + s), Some(base + e));
+            let busy = &mut self.link_busy[c.desc.src][c.desc.dst];
+            *busy = (*busy).max(base + e);
+        }
+        let (copies, at) = (&self.copies, (base, self.settled as u64));
+        for ((d, o), seg) in devs.iter_mut().zip(outcomes).zip(&self.memo.segments) {
+            d.apply_episode(o, seg, at, |c| copies[c as usize].desc.name.clone());
+        }
+        true
     }
 
     /// The one-worker loop: resolve ready copies, then run-length step the
@@ -843,6 +981,7 @@ mod tests {
     use super::*;
     use crate::device::DeviceProps;
     use crate::kernel::{BufferId, ByteRange, Dim3, KernelCost, KernelDesc};
+    use crate::stream::CmdRecord;
 
     fn mem(label: &str, len: u64) -> MemAccess {
         MemAccess {
@@ -1180,12 +1319,21 @@ mod tests {
         || LinkProps::nvlink().with_jitter(50),
     ];
 
-    /// One enqueue: `(is_copy, device, selector, class)` — a kernel launch
-    /// on `device`'s stream `selector % 2` with cost class `class`, or a
-    /// copy from `device` to the peer picked by `selector`, size class
-    /// `class`. Interleaved, so kernels queue behind arrival markers and
-    /// every arrival time shows in the timeline.
-    type Op = (bool, usize, usize, u8);
+    /// One enqueue: `(kind, device, selector, class)` — kind 0 a kernel
+    /// launch on `device`'s stream `selector % 2` with cost class `class`,
+    /// kind 1 a copy from `device` to the peer picked by `selector`, size
+    /// class `class`, kind 2 an event recorded on one of `device`'s streams
+    /// and waited on by the other. Interleaved, so kernels queue behind
+    /// arrival markers and every arrival time shows in the timeline.
+    type Op = (u8, usize, usize, u8);
+
+    /// Runs of one recipe episode: `(episode, repeats, stray, wait)` runs
+    /// episode `episode` `repeats` times; before repeat `run`, `stray =
+    /// (device, amount, run, gap)` places `amount` bytes/s of DRAM demand
+    /// nothing retires on that device or, with `gap`, moves its idle clock
+    /// `amount / 1e6` ns ahead; with `wait`, each repeat first waits on the
+    /// events the run before it recorded last on every device.
+    type Runs = (usize, usize, Option<(usize, f64, usize, bool)>, bool);
 
     #[derive(Debug, PartialEq)]
     struct Observed {
@@ -1194,6 +1342,9 @@ mod tests {
         events_processed: Vec<u64>,
         clocks: Vec<SimTime>,
         episode_ends: Vec<SimTime>,
+        logs: Vec<Vec<CmdRecord>>,
+        stats: Vec<DeviceStats>,
+        demand_bits: Vec<u64>,
         /// Telemetry records carry their global recording order (`seq`),
         /// so these pin the cross-device order of tied timestamps, which
         /// no per-device output shows.
@@ -1201,19 +1352,19 @@ mod tests {
         flows: Vec<telemetry::FlowEvent>,
     }
 
-    /// Build the workload from the recipe and drive every episode with
-    /// [`Fabric::run`] or the reference loop. `mirror` repeats each launch
-    /// on every device, so devices of one model fire events at identical
-    /// timestamps and selection is decided by the device-index tie-break.
-    /// Episodes end with unequal device clocks, so a later copy from a
-    /// lagging device to a leading one has an `end` before the
-    /// destination's clock.
+    /// Build the workload from the recipe and drive every run, then `tail`,
+    /// with [`Fabric::run`] or the reference loop (which never reaches the
+    /// memo). `mirror` repeats each launch on every device, so devices of
+    /// one model fire events at identical timestamps and selection is
+    /// decided by the device-index tie-break. Runs end with unequal device
+    /// clocks, so a later copy from a lagging device to a leading one has
+    /// an `end` before the destination's clock. `telemetry` attaches one
+    /// recorder everywhere, which also bypasses the memo.
     fn drive(
-        models: &[u8],
-        link_sel: usize,
-        seed: u64,
-        mirror: bool,
+        (models, link_sel, seed, mirror, telemetry): (&[u8], usize, u64, bool, bool),
         episodes: &[Vec<Op>],
+        runs: &[Runs],
+        tail: &[Op],
         reference: bool,
     ) -> Observed {
         let n = models.len();
@@ -1228,34 +1379,72 @@ mod tests {
         let mut fab = Fabric::fully_connected(n, LINKS[link_sel]());
         fab.set_jitter_seed(seed);
         let rec = telemetry::shared(telemetry::Telemetry::new());
-        fab.set_telemetry(rec.clone());
+        if telemetry {
+            fab.set_telemetry(rec.clone());
+        }
         for (pid, d) in devices.iter_mut().enumerate() {
-            d.set_telemetry(rec.clone(), pid as u32);
+            if telemetry {
+                d.set_telemetry(rec.clone(), pid as u32);
+            }
             // The reference arm also queues every burst on its own.
             d.never_extend_groups = reference;
         }
         let mut h = handles(&mut devices);
         let mut copy_ids = Vec::new();
         let mut episode_ends = Vec::new();
-        for ops in episodes {
-            for (i, &(is_copy, dev, sel, class)) in ops.iter().enumerate() {
-                let dev = dev % n;
-                if is_copy {
-                    let dst = (dev + 1 + sel % (n - 1)) % n;
-                    let bytes = [4 * 1024u64, 256 * 1024, 2 * 1024 * 1024][class as usize];
-                    let desc = CopyDesc::new(
-                        "p2p",
-                        (dev, pools[dev][sel % 2], mem("src", bytes)),
-                        (dst, pools[dst][(sel / 2) % 2], mem("dst", bytes)),
-                    );
-                    copy_ids.push(fab.copy_p2p(&mut h, desc).unwrap());
+        let mut last_events = Vec::new();
+        let schedule = runs.iter().flat_map(|&(e, repeats, stray, wait)| {
+            (0..repeats).map(move |r| {
+                let stray = stray.filter(|s| s.2 % repeats == r);
+                (&episodes[e % episodes.len()][..], stray, wait)
+            })
+        });
+        for (ops, stray, wait) in schedule.chain([(tail, None, false)]) {
+            if let Some((d, amount, _, gap)) = stray {
+                let d = &mut h[d % n];
+                if gap {
+                    d.advance_to(d.now() + amount as SimTime / 1_000_000);
                 } else {
-                    let flops = [2.0e5, 1.0e6, 8.0e6][class as usize];
-                    for d in if mirror { 0..n } else { dev..dev + 1 } {
-                        let k = kernel("k", 28, flops).with_tag(i as u64);
-                        fab.launch_on(&mut h, d, pools[d][sel % 2], k).unwrap();
+                    d.add_stray_demand(amount);
+                }
+            }
+            if wait {
+                for (d, &ev) in last_events.iter().enumerate() {
+                    h[d].wait_event(pools[d][1], ev);
+                }
+            }
+            for (i, &(kind, dev, sel, class)) in ops.iter().enumerate() {
+                let dev = dev % n;
+                match kind {
+                    0 => {
+                        let flops = [2.0e5, 1.0e6, 8.0e6][class as usize];
+                        for d in if mirror { 0..n } else { dev..dev + 1 } {
+                            let k = kernel("k", 28, flops).with_tag(i as u64);
+                            fab.launch_on(&mut h, d, pools[d][sel % 2], k).unwrap();
+                        }
+                    }
+                    1 => {
+                        let dst = (dev + 1 + sel % (n - 1)) % n;
+                        let bytes = [4 * 1024u64, 256 * 1024, 2 * 1024 * 1024][class as usize];
+                        let desc = CopyDesc::new(
+                            "p2p",
+                            (dev, pools[dev][sel % 2], mem("src", bytes)),
+                            (dst, pools[dst][(sel / 2) % 2], mem("dst", bytes)),
+                        );
+                        copy_ids.push(fab.copy_p2p(&mut h, desc).unwrap());
+                    }
+                    _ => {
+                        let ev = h[dev].create_event();
+                        h[dev].record_event(pools[dev][sel % 2], ev);
+                        h[dev].wait_event(pools[dev][(sel + 1) % 2], ev);
                     }
                 }
+            }
+            last_events.clear();
+            for (d, pool) in h.iter_mut().zip(&pools) {
+                let ev = d.create_event();
+                d.record_event(pool[0], ev);
+                last_events.push(ev);
             }
             episode_ends.push(if reference {
                 fab.run_reference(&mut h)
@@ -1263,6 +1452,11 @@ mod tests {
                 fab.run(&mut h)
             });
         }
+        let (hits, misses) = fab.memo_stats();
+        assert_eq!(
+            hits + misses,
+            episode_ends.len() as u64 * u64::from(!reference)
+        );
         let views: Vec<&Device> = devices.iter().collect();
         let rec = rec.lock().expect("no recorder user panicked");
         Observed {
@@ -1273,36 +1467,141 @@ mod tests {
             events_processed: views.iter().map(|d| d.events_processed()).collect(),
             clocks: views.iter().map(|d| d.now()).collect(),
             episode_ends,
+            logs: views.iter().map(|d| d.command_log().to_vec()).collect(),
+            stats: fab.stats(&views),
+            demand_bits: views.iter().map(|d| d.demand_bits()).collect(),
         }
+    }
+
+    fn arb_ops(len: usize) -> impl proptest::strategy::Strategy<Value = Vec<Op>> {
+        proptest::collection::vec((0u8..3, 0usize..8, 0usize..28, 0u8..3), 0..len)
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
 
-        /// The frontier-cached, run-length-stepping loop over burst groups
-        /// is observationally identical to reselecting among all devices
-        /// after every event, one burst per event.
+        /// The frontier-cached, run-length-stepping loop over burst groups,
+        /// and the episode memo in front of it, are observationally
+        /// identical to reselecting among all devices after every event,
+        /// one burst per event. Episodes repeat 1–6 times from idle — from
+        /// the second repeat on the memo records, then applies — some
+        /// repeats after stray DRAM demand that moves a recorded duration or
+        /// an idle gap that moves one device's start offset, some waiting on
+        /// the previous run's events; a different episode follows.
         #[test]
         fn run_matches_reference_loop(
             models in proptest::collection::vec(0u8..3, 2..9),
             uniform in proptest::bool::ANY,
             link_sel in 0usize..LINKS.len(),
             seed in proptest::prelude::any::<u64>(),
-            mirror in proptest::bool::ANY,
-            episodes in proptest::collection::vec(
+            flags in (proptest::bool::ANY, proptest::bool::ANY),
+            episodes in proptest::collection::vec(arb_ops(30), 1..4),
+            recipe in (
                 proptest::collection::vec(
-                    (proptest::bool::ANY, 0usize..8, 0usize..28, 0u8..3),
-                    0..40,
+                    (
+                        0usize..4,
+                        1usize..=6,
+                        (0u8..3, 0usize..8, 0.0f64..6.0e11, 0usize..6),
+                        proptest::bool::ANY,
+                    ),
+                    1..4,
                 ),
-                1..4,
+                arb_ops(12),
             ),
         ) {
             let models = if uniform { vec![models[0]; models.len()] } else { models };
+            let ((mirror, telemetry), (runs, tail)) = (flags, recipe);
+            let runs: Vec<Runs> = (runs.into_iter())
+                .map(|(e, repeats, (stray, d, amount, at), wait)| {
+                    (e, repeats, (stray > 0).then_some((d, amount, at, stray == 2)), wait)
+                })
+                .collect();
             let episodes: Vec<Vec<Op>> = episodes;
-            let got = drive(&models, link_sel, seed, mirror, &episodes, false);
-            let want = drive(&models, link_sel, seed, mirror, &episodes, true);
+            let tail: Vec<Op> = tail;
+            let setup = (&models[..], link_sel, seed, mirror, telemetry);
+            let got = drive(setup, &episodes, &runs, &tail, false);
+            let want = drive(setup, &episodes, &runs, &tail, true);
             proptest::prop_assert_eq!(got, want);
         }
+    }
+
+    #[test]
+    fn a_repeated_episode_records_on_its_second_run_and_applies_after() {
+        let mut devices = two_devices();
+        let (s0, s1) = (devices[0].create_stream(), devices[1].create_stream());
+        let mut fab = Fabric::fully_connected(2, LinkProps::nvlink());
+        let mut h = handles(&mut devices);
+        let episode = |fab: &mut Fabric, h: &mut [&mut Device], workers: usize| {
+            h[0].launch(s0, kernel("k", 28, 1.0e6));
+            let desc = CopyDesc::new(
+                "p2p",
+                (0, s0, mem("a", 1 << 16)),
+                (1, s1, mem("b", 1 << 16)),
+            );
+            fab.copy_p2p(h, desc).unwrap();
+            fab.run_with_workers(h, workers);
+            fab.memo_stats()
+        };
+        let stats: Vec<_> = (0..4).map(|_| episode(&mut fab, &mut h, 1)).collect();
+        assert_eq!(
+            stats,
+            [(0, 1), (0, 2), (1, 2), (2, 2)],
+            "noted, recorded, applied"
+        );
+        h[1].set_launch_hook(Box::new(|_, _, _| {}));
+        assert_eq!(
+            episode(&mut fab, &mut h, 1),
+            (2, 3),
+            "a launch hook sees every launch"
+        );
+        h[1].clear_launch_hook();
+        fab.set_telemetry(telemetry::shared(telemetry::Telemetry::new()));
+        assert_eq!(
+            episode(&mut fab, &mut h, 1),
+            (2, 4),
+            "telemetry sees every copy"
+        );
+        fab.clear_telemetry();
+        assert_eq!(
+            episode(&mut fab, &mut h, 2),
+            (2, 5),
+            "lookahead workers simulate"
+        );
+        h[0].launch(s0, kernel("in-flight", 8, 1.0e5));
+        h[0].kick(); // queues its host-ready event
+        assert_eq!(
+            episode(&mut fab, &mut h, 1),
+            (2, 6),
+            "a device was not quiescent"
+        );
+        assert_eq!(episode(&mut fab, &mut h, 1), (3, 6));
+        let mut fab = Fabric::fully_connected(2, LinkProps::nvlink().with_jitter(1));
+        for _ in 0..4 {
+            episode(&mut fab, &mut h, 1);
+        }
+        assert_eq!(fab.memo_stats(), (0, 4), "jitter hashes copy ids");
+    }
+
+    #[test]
+    fn foreign_ids_are_none_not_a_panic() {
+        let mut devices = two_devices();
+        let s0 = devices[0].create_stream();
+        let k = devices[0].launch(s0, kernel("k", 8, 1.0e5));
+        let ev = devices[0].create_event();
+        devices[0].record_event(s0, ev);
+        let mut fab = Fabric::fully_connected(2, LinkProps::nvlink());
+        let mut h = handles(&mut devices);
+        let id = (fab.copy_p2p(
+            &mut h,
+            CopyDesc::new("p2p", (0, s0, mem("a", 64)), (1, StreamId(0), mem("b", 64))),
+        ))
+        .unwrap();
+        fab.run(&mut h);
+        assert!(fab.copy_span(id).is_some());
+        assert_eq!(Fabric::new(2).copy_span(id), None);
+        assert!(h[0].kernel_span(k).is_some() && h[0].event_time(ev).is_some());
+        assert_eq!(h[1].kernel_span(k), None);
+        assert_eq!(h[1].event_time(ev), None);
     }
 
     #[test]

@@ -76,6 +76,65 @@ fn overlapped_training_is_clean_and_converges() {
     assert!(!tl.is_empty());
 }
 
+/// Timing-only steady steps repeat one device-and-link program, so after
+/// warm-up (the first step captures plans, the second notes the program)
+/// and one recording step, every step's `Fabric::run` applies the recorded
+/// episode — CIFAR10 and Siamese, PCIe and NVLink, with and without
+/// overlap. A trainer with a recorder attached simulates every step and is
+/// the reference: step reports, the merged timeline and device statistics
+/// agree, and the `Full`-mode sanitizers find nothing in the applied output.
+#[test]
+fn warm_steps_apply_the_recorded_fabric_episode() {
+    for spec in [models::cifar10_quick(4, 1), models::siamese(4, 1)] {
+        for link in [LinkProps::pcie3(), LinkProps::nvlink()] {
+            for overlap in [false, true] {
+                let case = format!("{} over {link:?}, overlap {overlap}", spec.name);
+                let [mut memo, mut sim] = [false, true].map(|reference| {
+                    let mut dp = DataParallelTrainer::new(
+                        &spec,
+                        &vec![DeviceProps::p100(); 4],
+                        false,
+                        SolverConfig::default(),
+                    )
+                    .with_link(link)
+                    .with_dispatch(DispatchMode::FixedStreams(4))
+                    .with_overlap(overlap)
+                    .timing_only()
+                    .sanitize(SanitizeMode::Full);
+                    if reference {
+                        dp.set_telemetry(telemetry::shared(telemetry::Telemetry::new()));
+                    }
+                    dp
+                });
+                let step = |dp: &mut DataParallelTrainer| {
+                    let r = dp.step();
+                    (r.wall_ns, r.compute_ns, r.comm_ns)
+                };
+                for _ in 0..3 {
+                    assert_eq!(step(&mut memo), step(&mut sim), "{case}");
+                }
+                let (hits, misses) = memo.fabric().memo_stats();
+                for i in 1..=3 {
+                    assert_eq!(step(&mut memo), step(&mut sim), "{case}");
+                    assert_eq!(
+                        memo.fabric().memo_stats(),
+                        (hits + i, misses),
+                        "{case}: a warm step simulated"
+                    );
+                }
+                assert_eq!(sim.fabric().memo_stats().0, 0, "{case}");
+                assert!(
+                    memo.merged_timeline().render_csv() == sim.merged_timeline().render_csv(),
+                    "{case}: merged timelines differ"
+                );
+                assert_eq!(memo.device_stats(), sim.device_stats(), "{case}");
+                assert_eq!(memo.diagnostics(), vec![], "{case}");
+                assert_eq!(sim.diagnostics(), vec![], "{case}");
+            }
+        }
+    }
+}
+
 /// The trainer's communication volume matches the collective layer run
 /// standalone: 2(R-1) segment copies per device, R(R-1) fold kernels.
 #[test]

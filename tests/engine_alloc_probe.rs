@@ -171,22 +171,44 @@ fn fabric_episode_allocs(
     counting_alloc::stop()
 }
 
-#[test]
-fn warm_fabric_loop_is_allocation_free() {
-    // The fabric's own state — the frontier, the ready-copy buffer, and
-    // each device's copy bookkeeping (entries are removed as copies
-    // complete, so the maps keep their capacity instead of growing) — is
-    // recycled like the engine's, so once warm `Fabric::run` allocates
-    // nothing either.
+/// Steady-state allocation counts of `Fabric::run` on a four-device ring
+/// over `link`, and the fabric's episode-memo `(hits, misses)` over them.
+fn fabric_steady_state(link: LinkProps) -> ([u64; 3], (u64, u64)) {
     let mut devices: Vec<Device> = (0..4).map(|_| Device::new(DeviceProps::p100())).collect();
     let compute: Vec<Vec<StreamId>> = devices
         .iter_mut()
         .map(|d| (0..2).map(|_| d.create_stream()).collect())
         .collect();
     let comm: Vec<StreamId> = devices.iter_mut().map(|d| d.create_stream()).collect();
-    let mut fabric = Fabric::ring(4, LinkProps::nvlink());
+    let mut fabric = Fabric::ring(4, link);
     let mut devs: Vec<&mut Device> = devices.iter_mut().collect();
-    let counts =
+    let mut warm =
         steady_state_allocs(|| fabric_episode_allocs(&mut fabric, &mut devs, &compute, &comm));
+    let (hits, misses) = fabric.memo_stats();
+    warm = warm.map(|_| fabric_episode_allocs(&mut fabric, &mut devs, &compute, &comm));
+    let (h, m) = fabric.memo_stats();
+    (warm, (h - hits, m - misses))
+}
+
+#[test]
+fn warm_fabric_loop_is_allocation_free() {
+    // The fabric's own state — the frontier, the ready-copy buffer, and
+    // each device's copy bookkeeping (entries are removed as copies
+    // complete, so the maps keep their capacity instead of growing) — is
+    // recycled like the engine's, so once warm `Fabric::run` allocates
+    // nothing either. The episode repeats, so the fabric's episode memo
+    // applies it: building and comparing the key, re-running the residue
+    // programs and writing the recorded outcome allocate nothing either.
+    let (counts, memo) = fabric_steady_state(LinkProps::nvlink());
     assert_eq!(counts, [0, 0, 0]);
+    assert_eq!(memo, (3, 0), "every warm episode applies the recording");
+}
+
+#[test]
+fn warm_simulated_fabric_loop_is_allocation_free() {
+    // A jittered link keeps every episode on the simulation (the jitter
+    // hashes copy ids), so this is the event loop itself.
+    let (counts, memo) = fabric_steady_state(LinkProps::nvlink().with_jitter(50));
+    assert_eq!(counts, [0, 0, 0]);
+    assert_eq!(memo, (0, 3), "a jittered episode is simulated");
 }

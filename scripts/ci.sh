@@ -4,18 +4,20 @@
 #   lines, `pub fn`) must not exceed scripts/loc.baseline, so a PR that grows
 #   the library raises the baseline on purpose;
 # - clippy with warnings denied, release build, full test suite;
-# - `reproduce serving --smoke` (deterministic; asserts GLP4NN throughput >=
-#   naive);
-# - the five wall-clock-free smokes, diffed against tests/golden/smoke/:
+# - the seven wall-clock-free smokes, diffed against tests/golden/smoke/:
+#   serving (dynamic batching over one replica; asserts GLP4NN throughput >=
+#   naive),
 #   sanitize (zero diagnostics, 4 nets x 3 dispatch modes under full
 #   happens-before checking), lint (zero correctness findings, at least one
 #   certified capture), interop (waves beat per-layer GLP4NN on branchy nets
 #   x 3 GPUs, zero sanitizer reports, bitwise-identical trained weights),
 #   replay (replayed ExecPlan timelines identical to imperative dispatch),
-#   multi-gpu (data-parallel scaling over the fabric);
-# - `reproduce fleet --smoke` (JSQ >= RR on SLO attainment, zero sanitizer
-#   reports, an up-then-down autoscale run; emits a fleet Chrome trace) and
-#   `reproduce trace --smoke` (Chrome traces for 4 nets x 3 modes plus a
+#   multi-gpu (data-parallel scaling over the fabric), fleet (JSQ >= RR on
+#   SLO attainment, zero sanitizer reports, an up-then-down autoscale run;
+#   emits a fleet Chrome trace);
+# - the full `reproduce serving` sweep, diffed against
+#   tests/golden/serving_full.txt;
+# - `reproduce trace --smoke` (Chrome traces for 4 nets x 3 modes plus a
 #   multi-GPU overlap run), then every emitted trace file round-trips through
 #   the standalone validate-trace binary;
 # - the standalone benchmark crate is built and tested, so a library change
@@ -38,12 +40,12 @@ fi
 cargo clippy --workspace --all-targets -- -D warnings
 cargo build --workspace --release
 cargo test --workspace -q
-cargo run -p glp4nn-bench --release --bin reproduce -- serving --smoke
-for smoke in sanitize lint interop replay multi-gpu; do
+for smoke in serving sanitize lint interop replay multi-gpu fleet; do
     cargo run -p glp4nn-bench --release --bin reproduce -- "$smoke" --smoke |
         diff "tests/golden/smoke/$smoke.txt" -
 done
-cargo run -p glp4nn-bench --release --bin reproduce -- fleet --smoke
+cargo run -p glp4nn-bench --release --bin reproduce -- serving |
+    diff tests/golden/serving_full.txt -
 cargo run -p glp4nn-bench --release --bin reproduce -- trace --smoke
 cargo run -p telemetry --release --bin validate-trace -- target/telemetry/*.trace.json
 

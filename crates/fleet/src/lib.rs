@@ -2,11 +2,11 @@
 
 //! A multi-replica serving fleet over the simulated GPU fabric.
 //!
-//! PR 1 built a single-replica serving engine; this crate scales it to
-//! the ROADMAP's "millions of users" regime: N [`serve::ServingEngine`]
-//! replicas placed across a [`gpu_sim::FabricSpec`] of possibly
-//! heterogeneous devices, driven from **one** simulated-clock event loop
-//! ([`FleetSim`]). The pieces:
+//! N [`serve::ServingEngine`] replicas placed across a
+//! [`gpu_sim::FabricSpec`] of possibly heterogeneous devices, driven from
+//! **one** simulated-clock event loop ([`FleetSim`]). It is the only
+//! serving loop: a single-device serving run is a one-slot, one-class
+//! fleet without a controller. The pieces:
 //!
 //! - [`router`]: pluggable request routing — round-robin,
 //!   join-shortest-queue, and a capacity-weighted variant for
@@ -15,7 +15,7 @@
 //!   [`telemetry::MetricsRegistry`], not from private simulator state.
 //! - **Continuous batching**: arrivals are admitted into a replica's
 //!   *next* wave rather than waiting for a full drain
-//!   ([`serve::BatchPolicy::decide_continuous`] +
+//!   ([`serve::BatchPolicy::decide`] with `work_conserving` set, +
 //!   [`serve::ServingEngine::run_wave`]); warm ExecPlan replay makes the
 //!   per-wave dispatch cost a cache hit.
 //! - **SLO-aware admission** ([`config::PriorityMix`]): per-tenant

@@ -302,8 +302,7 @@ impl FleetSim {
         let r = self.replicas[slot]
             .as_mut()
             .expect("dispatch on empty slot");
-        let decision =
-            policy.decide_continuous(now, r.queue.len(), r.queue.oldest_arrival(), just_drained);
+        let decision = policy.decide(now, r.queue.len(), r.queue.oldest_arrival(), just_drained);
         match decision {
             BatchDecision::Fire(k) => {
                 let wave = r.queue.pop_wave(k);
@@ -336,8 +335,9 @@ impl FleetSim {
         self.publish_gauges(slot);
     }
 
-    /// Retire `slot`'s wave at time `t`: account completions, then close
-    /// the next wave immediately (work-conserving continuous batching).
+    /// Retire `slot`'s wave at time `t`: account completions, then decide
+    /// the next wave at the drain (a work-conserving policy closes it
+    /// immediately: continuous batching).
     fn complete_wave(&mut self, slot: usize, t: SimTime) {
         let r = self.replicas[slot]
             .as_mut()

@@ -55,47 +55,6 @@ impl PoissonArrivals {
     }
 }
 
-/// Summary of an arrival trace: how many requests it holds and how they
-/// spread over simulated time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ArrivalSummary {
-    /// Number of requests in the trace.
-    pub count: usize,
-    /// Earliest arrival (ns); zero for an empty trace.
-    pub first_ns: SimTime,
-    /// Latest arrival (ns); zero for an empty trace.
-    pub last_ns: SimTime,
-    /// `last_ns - first_ns`; zero for an empty or single-request trace.
-    pub span_ns: SimTime,
-}
-
-impl ArrivalSummary {
-    /// Mean inter-arrival gap in ns (`span / (count - 1)`), or zero when
-    /// fewer than two requests arrived.
-    pub fn mean_gap_ns(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.span_ns as f64 / (self.count - 1) as f64
-        }
-    }
-}
-
-/// Summarize an arrival trace. An empty list yields the zero-span empty
-/// summary rather than panicking, so callers can summarize whatever a
-/// (possibly empty) generation step produced.
-pub fn summarize(reqs: &[Request]) -> ArrivalSummary {
-    let (Some(first), Some(last)) = (reqs.first(), reqs.last()) else {
-        return ArrivalSummary::default();
-    };
-    ArrivalSummary {
-        count: reqs.len(),
-        first_ns: first.arrival_ns,
-        last_ns: last.arrival_ns,
-        span_ns: last.arrival_ns.saturating_sub(first.arrival_ns),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,44 +79,12 @@ mod tests {
     fn mean_gap_approximates_rate() {
         // 2000 req/s -> mean gap 0.5 ms = 500_000 ns.
         let reqs = PoissonArrivals::new(2000.0, 0, 3).take(4000);
-        let mean_gap = summarize(&reqs).mean_gap_ns();
+        let span = reqs[3999].arrival_ns - reqs[0].arrival_ns;
+        let mean_gap = span as f64 / 3999.0;
         assert!(
             (mean_gap - 500_000.0).abs() < 50_000.0,
             "mean inter-arrival drifted: {mean_gap}"
         );
-    }
-
-    #[test]
-    fn empty_trace_summarizes_to_zero_span_instead_of_panicking() {
-        // Regression: summarizing an empty request list used to reach a
-        // `reqs.last().unwrap()` and panic; it must yield the empty
-        // summary instead.
-        let s = summarize(&[]);
-        assert_eq!(s, ArrivalSummary::default());
-        assert_eq!(s.count, 0);
-        assert_eq!(s.span_ns, 0);
-        assert_eq!(s.mean_gap_ns(), 0.0);
-        // A single request also has a zero span and no mean gap.
-        let one = summarize(&[Request {
-            id: 0,
-            arrival_ns: 77,
-        }]);
-        assert_eq!(one.count, 1);
-        assert_eq!(one.first_ns, 77);
-        assert_eq!(one.last_ns, 77);
-        assert_eq!(one.span_ns, 0);
-        assert_eq!(one.mean_gap_ns(), 0.0);
-    }
-
-    #[test]
-    fn summary_matches_trace_extremes() {
-        let reqs = PoissonArrivals::new(1000.0, 500, 11).take(64);
-        let s = summarize(&reqs);
-        assert_eq!(s.count, 64);
-        assert_eq!(s.first_ns, reqs[0].arrival_ns);
-        assert_eq!(s.last_ns, reqs[63].arrival_ns);
-        assert_eq!(s.span_ns, s.last_ns - s.first_ns);
-        assert!(s.mean_gap_ns() > 0.0);
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! The dynamic batching policy.
 
-use crate::queue::BoundedQueue;
 use gpu_sim::SimTime;
 
 /// When to close a batch and dispatch it.
@@ -11,10 +10,15 @@ pub struct BatchPolicy {
     /// Dispatch a partial batch once the oldest waiting request has
     /// queued this long (ns).
     pub max_delay_ns: SimTime,
+    /// Continuous batching: the instant a wave drains, whatever is queued
+    /// forms the next wave. When `false`, a drained engine waits on the
+    /// same size-or-delay triggers as an idle one.
+    pub work_conserving: bool,
 }
 
 impl BatchPolicy {
-    /// A size-and-delay policy.
+    /// A size-and-delay policy with continuous batching
+    /// (`work_conserving: true`).
     ///
     /// # Panics
     /// Panics if `max_batch` is zero.
@@ -23,28 +27,22 @@ impl BatchPolicy {
         BatchPolicy {
             max_batch,
             max_delay_ns,
+            work_conserving: true,
         }
     }
 
-    /// Decide what to do at simulated time `now` given the current queue.
-    pub fn decide(&self, now: SimTime, queue: &BoundedQueue) -> BatchDecision {
-        let oldest = queue.head().map(|r| r.arrival_ns);
-        self.decide_continuous(now, queue.len(), oldest, false)
-    }
-
-    /// The continuous-batching decision: admission is incremental, so the
-    /// policy sees only the queue's aggregate state, and `just_drained`
-    /// marks the instant a wave completed on the engine.
+    /// Decide what to do at simulated time `now`. Admission is
+    /// incremental, so the policy sees only the queue's aggregate state,
+    /// and `just_drained` marks the instant a wave completed on the
+    /// engine.
     ///
-    /// Waves still close on the size trigger (`max_batch` waiting) or the
-    /// delay trigger (oldest request waited `max_delay_ns`) — but at a
-    /// wave boundary the policy is *work-conserving*: requests that
-    /// arrived while the previous wave executed form the next wave
-    /// immediately, whatever their count, instead of waiting out the
-    /// delay timer behind an idle engine. That is what "admit into the
-    /// next wave instead of draining the batch" buys: an engine under
-    /// load never sits idle while work is queued.
-    pub fn decide_continuous(
+    /// A wave closes on the size trigger (`max_batch` waiting) or the
+    /// delay trigger (oldest request waited `max_delay_ns`). A
+    /// [`work_conserving`](Self::work_conserving) policy also fires at a
+    /// wave boundary whatever the count: requests that arrived while the
+    /// previous wave executed form the next wave immediately instead of
+    /// waiting out the delay timer behind an idle engine.
+    pub fn decide(
         &self,
         now: SimTime,
         queued: usize,
@@ -57,7 +55,7 @@ impl BatchPolicy {
         if queued >= self.max_batch {
             return BatchDecision::Fire(self.max_batch);
         }
-        if just_drained {
+        if just_drained && self.work_conserving {
             return BatchDecision::Fire(queued);
         }
         let deadline = oldest + self.max_delay_ns;
@@ -84,85 +82,52 @@ pub enum BatchDecision {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::Request;
-
-    fn queue_with(arrivals: &[u64]) -> BoundedQueue {
-        let mut q = BoundedQueue::new(64);
-        for (i, &t) in arrivals.iter().enumerate() {
-            q.admit(Request {
-                id: i as u64,
-                arrival_ns: t,
-            });
-        }
-        q
-    }
+    use BatchDecision::{Fire, Idle, WaitUntil};
 
     #[test]
-    fn size_trigger_fires_a_full_batch() {
-        let p = BatchPolicy::new(4, 1_000_000);
-        let q = queue_with(&[10, 20, 30, 40, 50]);
-        // Five waiting, max_batch 4: fire exactly 4 immediately, even
-        // though the delay deadline is far away.
-        assert_eq!(p.decide(60, &q), BatchDecision::Fire(4));
-    }
-
-    #[test]
-    fn delay_trigger_fires_a_partial_batch() {
-        let p = BatchPolicy::new(8, 1_000);
-        let q = queue_with(&[100, 200]);
-        // Before the head's deadline: wait for it.
-        assert_eq!(p.decide(500, &q), BatchDecision::WaitUntil(1_100));
-        // At/after the deadline: fire what is waiting (partial batch).
-        assert_eq!(p.decide(1_100, &q), BatchDecision::Fire(2));
-        assert_eq!(p.decide(5_000, &q), BatchDecision::Fire(2));
-    }
-
-    #[test]
-    fn empty_queue_is_idle() {
-        let p = BatchPolicy::new(4, 1_000);
-        let q = BoundedQueue::new(4);
-        assert_eq!(p.decide(0, &q), BatchDecision::Idle);
-    }
-
-    #[test]
-    fn zero_delay_fires_singletons_immediately() {
-        let p = BatchPolicy::new(8, 0);
-        let q = queue_with(&[42]);
-        assert_eq!(p.decide(42, &q), BatchDecision::Fire(1));
-    }
-
-    #[test]
-    fn continuous_is_work_conserving_at_wave_boundaries() {
-        let p = BatchPolicy::new(8, 1_000_000);
-        // Mid-wave arrivals (3 queued, far from both triggers): an idle
-        // engine would wait for the delay deadline...
-        assert_eq!(
-            p.decide_continuous(500, 3, Some(100), false),
-            BatchDecision::WaitUntil(1_000_100)
-        );
-        // ...but at the instant a wave drains, they fire immediately.
-        assert_eq!(
-            p.decide_continuous(500, 3, Some(100), true),
-            BatchDecision::Fire(3)
-        );
-        // The size trigger still caps the wave.
-        assert_eq!(
-            p.decide_continuous(500, 11, Some(100), true),
-            BatchDecision::Fire(8)
-        );
-        // And an empty queue is idle even at a wave boundary.
-        assert_eq!(p.decide_continuous(500, 0, None, true), BatchDecision::Idle);
-    }
-
-    #[test]
-    fn continuous_matches_batch_decide_when_not_draining() {
-        let p = BatchPolicy::new(4, 1_000);
-        let q = queue_with(&[100, 200]);
-        for now in [100, 500, 1_100, 5_000] {
+    fn decide_table() {
+        // (max_batch, max_delay_ns, now, queued, oldest, just_drained)
+        //   -> (work-conserving decision, size-or-delay decision)
+        #[rustfmt::skip]
+        let table = [
+            // Size trigger: five waiting, max_batch 4 fires exactly 4 at
+            // once, far from the delay deadline.
+            ((4, 1_000_000, 60, 5, Some(10), false), (Fire(4), Fire(4))),
+            ((4, 1_000_000, 60, 5, Some(10), true), (Fire(4), Fire(4))),
+            ((8, 1_000_000, 500, 11, Some(100), true), (Fire(8), Fire(8))),
+            // Delay trigger: before the head's deadline wait for it, at
+            // or after it fire the partial batch.
+            ((8, 1_000, 500, 2, Some(100), false), (WaitUntil(1_100), WaitUntil(1_100))),
+            ((8, 1_000, 1_100, 2, Some(100), false), (Fire(2), Fire(2))),
+            ((8, 1_000, 5_000, 2, Some(100), false), (Fire(2), Fire(2))),
+            ((8, 1_000, 5_000, 2, Some(100), true), (Fire(2), Fire(2))),
+            // Mid-wave arrivals far from both triggers wait; at the
+            // instant a wave drains, only a work-conserving policy fires
+            // them.
+            ((8, 1_000_000, 500, 3, Some(100), false), (WaitUntil(1_000_100), WaitUntil(1_000_100))),
+            ((8, 1_000_000, 500, 3, Some(100), true), (Fire(3), WaitUntil(1_000_100))),
+            ((8, 1_000, 500, 2, Some(100), true), (Fire(2), WaitUntil(1_100))),
+            // Zero delay fires singletons immediately.
+            ((8, 0, 42, 1, Some(42), false), (Fire(1), Fire(1))),
+            // An empty queue is idle, even at a wave boundary.
+            ((4, 1_000, 0, 0, None, false), (Idle, Idle)),
+            ((8, 1_000_000, 500, 0, None, true), (Idle, Idle)),
+            ((8, 0, 500, 0, None, true), (Idle, Idle)),
+        ];
+        for ((max_batch, delay, now, queued, oldest, drained), (conserving, triggered)) in table {
+            let on = BatchPolicy::new(max_batch, delay);
+            let off = BatchPolicy {
+                work_conserving: false,
+                ..on
+            };
+            let row = format!("max_batch {max_batch} delay {delay} at t={now}: {queued} queued, oldest {oldest:?}, drained {drained}");
+            assert_eq!(on.decide(now, queued, oldest, drained), conserving, "{row}");
+            assert_eq!(off.decide(now, queued, oldest, drained), triggered, "{row}");
+            // With the bit off, a wave boundary never changes the decision.
             assert_eq!(
-                p.decide(now, &q),
-                p.decide_continuous(now, q.len(), q.head().map(|r| r.arrival_ns), false),
-                "at t={now}"
+                off.decide(now, queued, oldest, !drained),
+                triggered,
+                "{row}"
             );
         }
     }

@@ -1,10 +1,15 @@
-//! Serving-run configuration.
+//! Serving-engine configuration.
 
 use crate::batcher::BatchPolicy;
 use gpu_sim::DeviceProps;
 use nn::DispatchMode;
 
-/// Everything a serving run needs.
+/// What a [`ServingEngine`](crate::ServingEngine) is built from.
+///
+/// The engine reads `device`, `mode`, `model`, `seed` and
+/// `policy.max_batch`. The load fields (`rate_rps`, `num_requests`,
+/// `queue_capacity`) and `policy.max_delay_ns` describe the run an event
+/// loop drives the engine with; this crate does not read them.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Simulated device to serve on.
@@ -23,33 +28,4 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Seed for the arrival process and model parameters.
     pub seed: u64,
-}
-
-impl ServeConfig {
-    /// A small CIFAR10-quick configuration useful as a starting point.
-    pub fn cifar10(mode: DispatchMode, device: DeviceProps, rate_rps: f64) -> Self {
-        ServeConfig {
-            device,
-            mode,
-            model: "CIFAR10".to_string(),
-            rate_rps,
-            num_requests: 400,
-            policy: BatchPolicy::new(8, 2_000_000),
-            queue_capacity: 1024,
-            seed: 42,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn preset_is_well_formed() {
-        let c = ServeConfig::cifar10(DispatchMode::Naive, DeviceProps::p100(), 1000.0);
-        assert_eq!(c.model, "CIFAR10");
-        assert!(c.policy.max_batch > 0);
-        assert!(c.queue_capacity >= c.policy.max_batch);
-    }
 }

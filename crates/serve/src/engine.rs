@@ -1,36 +1,12 @@
-//! The serving event loop: admission, batching, and inference dispatch in
-//! simulated time.
+//! The inference engine: one model instance on one simulated device,
+//! forwarding the waves an event loop closes.
 
-use crate::arrivals::PoissonArrivals;
-use crate::batcher::BatchDecision;
 use crate::config::ServeConfig;
-use crate::metrics::{throughput_rps, LatencyStats};
-use crate::queue::BoundedQueue;
-use crate::request::{fill_sample, Completion};
+use crate::request::fill_sample;
 use gpu_sim::{Device, SimTime};
 use nn::models::{spec_by_name, UnknownModelError};
 use nn::{DispatchMode, ExecCtx, Net, NetSpec};
 use sanitizer::{SanitizeMode, Sanitizer};
-
-/// Summary of one serving run. All times come off the simulated device
-/// clock, so two runs of the same [`ServeConfig`] are identical.
-#[derive(Debug, Clone)]
-pub struct ServingReport {
-    /// Requests served to completion.
-    pub completed: usize,
-    /// Requests shed at admission (queue full).
-    pub shed: usize,
-    /// Batches dispatched.
-    pub batches: usize,
-    /// Mean dispatched batch size.
-    pub mean_batch: f64,
-    /// First arrival to last completion (ns).
-    pub makespan_ns: SimTime,
-    /// Completed requests per simulated second.
-    pub throughput_rps: f64,
-    /// End-to-end latency distribution (queueing + device time).
-    pub latency: LatencyStats,
-}
 
 /// An inference server: one model instance on one simulated device,
 /// forwarding dynamic batches through [`Net::forward_inference`].
@@ -46,7 +22,6 @@ pub struct ServingEngine {
     net: Net,
     spec: NetSpec,
     output_blob: String,
-    telemetry: telemetry::RecorderSlot,
 }
 
 /// Construction options beyond the [`ServeConfig`]: fleet replicas run
@@ -97,37 +72,15 @@ impl ServingEngine {
             ctx,
             spec,
             output_blob,
-            telemetry: telemetry::RecorderSlot::empty(),
         })
     }
 
     /// Attach a shared telemetry recorder: the device records kernel spans
-    /// under pid 0, and the serving loop records request/batch lifecycle
-    /// spans under [`telemetry::SERVE_PID`]. Observation only.
-    pub fn set_telemetry(&mut self, rec: telemetry::SharedRecorder) {
-        self.set_telemetry_as(rec, 0);
-    }
-
-    /// Like [`set_telemetry`](Self::set_telemetry) with an explicit
-    /// Chrome-trace process id for the device — the fleet gives every
-    /// replica its own pid so traces render one process per replica.
+    /// under Chrome-trace process id `pid` (the fleet gives every replica
+    /// its own pid so traces render one process per replica). Observation
+    /// only.
     pub fn set_telemetry_as(&mut self, rec: telemetry::SharedRecorder, pid: u32) {
-        self.ctx.set_telemetry(std::sync::Arc::clone(&rec), pid);
-        self.telemetry.attach(rec);
-    }
-
-    /// Detach the shared telemetry recorder.
-    pub fn clear_telemetry(&mut self) {
-        self.ctx.clear_telemetry();
-        self.telemetry.clear();
-    }
-
-    /// Name the processes/threads this engine records under (call once
-    /// before export).
-    pub fn annotate_telemetry(&self, t: &mut telemetry::Telemetry) {
-        self.ctx.device.annotate_telemetry(t);
-        t.set_process_name(telemetry::SERVE_PID, "serve");
-        t.set_thread_name(telemetry::SERVE_PID, 0, "batches");
+        self.ctx.set_telemetry(rec, pid);
     }
 
     /// Fill `net`'s input blobs for a batch of request ids, resizing every
@@ -194,11 +147,6 @@ impl ServingEngine {
         self.ctx.device.now()
     }
 
-    /// Fast-forward the idle device clock (between batches).
-    pub fn advance_to(&mut self, t: SimTime) {
-        self.ctx.device.advance_to(t);
-    }
-
     /// The inference spec the engine serves.
     pub fn spec(&self) -> &NetSpec {
         &self.spec
@@ -237,138 +185,6 @@ impl ServingEngine {
     }
 }
 
-/// Run a full serving experiment: warmup, Poisson arrivals, dynamic
-/// batching, and metrics over the simulated clock.
-pub fn run_serving(config: &ServeConfig) -> Result<ServingReport, UnknownModelError> {
-    run_serving_traced(config, None)
-}
-
-/// Like [`run_serving`], with an optional shared telemetry recorder
-/// attached after warmup: kernel spans land under pid 0, request/batch
-/// lifecycle spans under [`telemetry::SERVE_PID`], and queue/batch/latency
-/// metrics in the registry. Attaching changes nothing about the schedule —
-/// the report is identical either way.
-pub fn run_serving_traced(
-    config: &ServeConfig,
-    rec: Option<telemetry::SharedRecorder>,
-) -> Result<ServingReport, UnknownModelError> {
-    let mut engine = ServingEngine::new(config)?;
-    engine.warmup(config.policy.max_batch);
-    if let Some(rec) = rec {
-        // Attach after warmup so the trace covers steady-state serving.
-        engine.set_telemetry(rec);
-    }
-
-    // Measurement starts after warmup; arrivals are offset to the warm
-    // clock so queueing delays are never negative.
-    let t0 = engine.now();
-    let mut arrivals = PoissonArrivals::new(config.rate_rps, t0, config.seed);
-    let pending = arrivals.take(config.num_requests);
-    let mut next = 0usize;
-
-    let mut queue = BoundedQueue::new(config.queue_capacity);
-    let mut completions: Vec<Completion> = Vec::with_capacity(config.num_requests);
-    let mut batches = 0usize;
-    let mut batched_total = 0usize;
-
-    loop {
-        let now = engine.now();
-        // Admit everything that has arrived by the current simulated time
-        // (in arrival order; the queue sheds when full).
-        while next < pending.len() && pending[next].arrival_ns <= now {
-            queue.admit(pending[next]);
-            next += 1;
-        }
-
-        match config.policy.decide(now, &queue) {
-            BatchDecision::Fire(k) => {
-                let depth = queue.len();
-                let batch = queue.pop_batch(k);
-                let ids: Vec<u64> = batch.iter().map(|r| r.id).collect();
-                let start = engine.now();
-                let _ = engine.forward_batch(&ids);
-                let done = engine.now();
-                batches += 1;
-                batched_total += batch.len();
-                engine.telemetry.with(|rec| {
-                    use telemetry::SERVE_PID;
-                    rec.span(
-                        SERVE_PID,
-                        0,
-                        &format!("batch x{}", batch.len()),
-                        "serve",
-                        start,
-                        done,
-                    );
-                    rec.counter_add("serve.batches", 1);
-                    rec.gauge_set("serve.queue_depth", depth as f64);
-                    rec.observe("serve.queue_depth", depth as u64);
-                    rec.observe("serve.batch_size", batch.len() as u64);
-                });
-                for r in &batch {
-                    engine.telemetry.with(|rec| {
-                        use telemetry::SERVE_PID;
-                        let tid = 1 + r.id;
-                        let name = format!("request {}", r.id);
-                        rec.span(SERVE_PID, tid, &name, "serve", r.arrival_ns, done);
-                        if start > r.arrival_ns {
-                            rec.span(SERVE_PID, tid, "queued", "serve", r.arrival_ns, start);
-                        }
-                        rec.span(SERVE_PID, tid, "exec", "serve", start, done);
-                        rec.counter_add("serve.completed", 1);
-                        rec.observe("serve.latency_ns", done - r.arrival_ns);
-                    });
-                    completions.push(Completion {
-                        id: r.id,
-                        arrival_ns: r.arrival_ns,
-                        start_ns: start,
-                        done_ns: done,
-                    });
-                }
-            }
-            BatchDecision::WaitUntil(deadline) => {
-                // Wake at the delay deadline or the next arrival,
-                // whichever is earlier.
-                let mut t = deadline;
-                if next < pending.len() {
-                    t = t.min(pending[next].arrival_ns);
-                }
-                engine.advance_to(t.max(now + 1));
-            }
-            BatchDecision::Idle => {
-                if next >= pending.len() {
-                    break; // every request completed or shed
-                }
-                engine.advance_to(pending[next].arrival_ns);
-            }
-        }
-    }
-
-    let first_arrival = pending.first().map(|r| r.arrival_ns).unwrap_or(t0);
-    let last_done = completions.iter().map(|c| c.done_ns).max().unwrap_or(t0);
-    let makespan_ns = last_done.saturating_sub(first_arrival);
-    // At least the first request is always admitted and served, so the
-    // latency summary exists whenever num_requests > 0.
-    let latency =
-        LatencyStats::from_completions(&completions).expect("serving run with zero completions");
-    engine.telemetry.with(|rec| {
-        rec.counter_add("serve.shed", queue.shed_count() as u64);
-        rec.gauge_set(
-            "serve.throughput_rps",
-            throughput_rps(completions.len(), makespan_ns),
-        );
-    });
-    Ok(ServingReport {
-        completed: completions.len(),
-        shed: queue.shed_count(),
-        batches,
-        mean_batch: batched_total as f64 / batches.max(1) as f64,
-        makespan_ns,
-        throughput_rps: throughput_rps(completions.len(), makespan_ns),
-        latency,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -386,50 +202,6 @@ mod tests {
             queue_capacity: 256,
             seed: 11,
         }
-    }
-
-    #[test]
-    fn unknown_model_is_an_error() {
-        let mut c = smoke_config(DispatchMode::Naive);
-        c.model = "ResNet".to_string();
-        assert!(run_serving(&c).is_err());
-    }
-
-    #[test]
-    fn serving_completes_all_requests_when_not_overloaded() {
-        let r = run_serving(&smoke_config(DispatchMode::Naive)).unwrap();
-        assert_eq!(r.completed, 60);
-        assert_eq!(r.shed, 0);
-        assert!(r.batches > 0 && r.batches <= 60);
-        assert!(r.mean_batch >= 1.0 && r.mean_batch <= 4.0);
-        assert!(r.throughput_rps > 0.0);
-        assert!(r.latency.p50_ns <= r.latency.p95_ns);
-        assert!(r.latency.p95_ns <= r.latency.p99_ns);
-        assert!(r.latency.p99_ns <= r.latency.max_ns);
-    }
-
-    #[test]
-    fn serving_is_deterministic() {
-        let cfg = smoke_config(DispatchMode::Glp4nn);
-        let a = run_serving(&cfg).unwrap();
-        let b = run_serving(&cfg).unwrap();
-        assert_eq!(a.completed, b.completed);
-        assert_eq!(a.makespan_ns, b.makespan_ns);
-        assert_eq!(a.latency, b.latency);
-        assert_eq!(a.throughput_rps.to_bits(), b.throughput_rps.to_bits());
-    }
-
-    #[test]
-    fn glp4nn_serves_no_slower_than_naive() {
-        let naive = run_serving(&smoke_config(DispatchMode::Naive)).unwrap();
-        let glp = run_serving(&smoke_config(DispatchMode::Glp4nn)).unwrap();
-        assert_eq!(naive.completed, glp.completed);
-        assert!(
-            glp.throughput_rps >= naive.throughput_rps,
-            "GLP4NN {} rps < naive {} rps",
-            glp.throughput_rps,
-            naive.throughput_rps
-        );
     }
 
     #[test]
@@ -456,19 +228,5 @@ mod tests {
                 "steady-state batches must be pure plan replays ({mode:?})"
             );
         }
-    }
-
-    #[test]
-    fn overload_sheds_but_still_serves() {
-        let mut c = smoke_config(DispatchMode::Naive);
-        // A burst far beyond the queue: arrivals at 1M rps with a tiny
-        // queue must shed most requests yet serve the admitted ones.
-        c.rate_rps = 1_000_000.0;
-        c.num_requests = 200;
-        c.queue_capacity = 8;
-        let r = run_serving(&c).unwrap();
-        assert!(r.shed > 0, "overload must shed");
-        assert_eq!(r.completed + r.shed, 200);
-        assert!(r.completed >= 8);
     }
 }

@@ -1,76 +1,10 @@
-//! Bounded admission queues with load shedding: the original FIFO
-//! [`BoundedQueue`], and the class-aware [`ClassQueue`] the serving fleet
-//! uses under continuous admission — per-tenant priority lanes, shed
-//! order that preempts the lowest class first, and deadline-expiry
-//! eviction.
+//! The class-aware bounded admission queue: per-tenant priority lanes,
+//! shed order that preempts the lowest class first, and deadline-expiry
+//! eviction. With one lane it is a plain FIFO that sheds arrivals once
+//! full.
 
-use crate::request::Request;
 use gpu_sim::SimTime;
 use std::collections::VecDeque;
-
-/// A FIFO admission queue with a hard capacity. Requests arriving while
-/// the queue is full are shed (rejected) rather than admitted — the
-/// standard protection for a serving system against unbounded queueing
-/// delay under overload.
-#[derive(Debug)]
-pub struct BoundedQueue {
-    items: VecDeque<Request>,
-    capacity: usize,
-    shed: usize,
-}
-
-impl BoundedQueue {
-    /// An empty queue admitting at most `capacity` requests.
-    ///
-    /// # Panics
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "queue capacity must be positive");
-        BoundedQueue {
-            items: VecDeque::new(),
-            capacity,
-            shed: 0,
-        }
-    }
-
-    /// Admit a request, or shed it if the queue is full. Returns whether
-    /// the request was admitted.
-    pub fn admit(&mut self, r: Request) -> bool {
-        if self.items.len() >= self.capacity {
-            self.shed += 1;
-            false
-        } else {
-            self.items.push_back(r);
-            true
-        }
-    }
-
-    /// The oldest waiting request, if any.
-    pub fn head(&self) -> Option<&Request> {
-        self.items.front()
-    }
-
-    /// Remove and return up to `n` requests in arrival order.
-    pub fn pop_batch(&mut self, n: usize) -> Vec<Request> {
-        let k = n.min(self.items.len());
-        self.items.drain(..k).collect()
-    }
-
-    /// Waiting requests.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Whether no requests are waiting.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// Requests shed so far.
-    pub fn shed_count(&self) -> usize {
-        self.shed
-    }
-}
 
 /// A request tagged with its tenant priority class and SLO deadline —
 /// the admission unit of the serving fleet.
@@ -246,38 +180,6 @@ impl ClassQueue {
 mod tests {
     use super::*;
 
-    fn req(id: u64, t: u64) -> Request {
-        Request { id, arrival_ns: t }
-    }
-
-    #[test]
-    fn sheds_when_full() {
-        let mut q = BoundedQueue::new(2);
-        assert!(q.admit(req(0, 10)));
-        assert!(q.admit(req(1, 20)));
-        assert!(!q.admit(req(2, 30)), "third request must be shed");
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.shed_count(), 1);
-        // Draining frees capacity again.
-        q.pop_batch(1);
-        assert!(q.admit(req(3, 40)));
-        assert_eq!(q.shed_count(), 1);
-    }
-
-    #[test]
-    fn pop_batch_preserves_fifo_order() {
-        let mut q = BoundedQueue::new(8);
-        for i in 0..5 {
-            q.admit(req(i, i * 10));
-        }
-        let batch = q.pop_batch(3);
-        assert_eq!(batch.iter().map(|r| r.id).collect::<Vec<_>>(), [0, 1, 2]);
-        assert_eq!(q.head().unwrap().id, 3);
-        // Requesting more than available returns what's left.
-        assert_eq!(q.pop_batch(10).len(), 2);
-        assert!(q.is_empty());
-    }
-
     fn creq(id: u64, class: usize, t: u64) -> ClassedRequest {
         ClassedRequest {
             id,
@@ -285,6 +187,25 @@ mod tests {
             arrival_ns: t,
             deadline_ns: SimTime::MAX,
         }
+    }
+
+    #[test]
+    fn sheds_when_full() {
+        // One lane: arrivals beyond capacity are shed, never queued.
+        let mut q = ClassQueue::new(1, 2);
+        assert_eq!(q.admit(creq(0, 0, 10)), Admission::Admitted);
+        assert_eq!(q.admit(creq(1, 0, 20)), Admission::Admitted);
+        assert_eq!(q.admit(creq(2, 0, 30)), Admission::Shed(creq(2, 0, 30)));
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.shed_count(), 1);
+        // Draining frees capacity again.
+        q.pop_wave(1);
+        assert_eq!(q.admit(creq(3, 0, 40)), Admission::Admitted);
+        assert_eq!(q.shed_count(), 1);
+        assert_eq!(
+            q.pop_wave(8).iter().map(|r| r.id).collect::<Vec<_>>(),
+            [1, 3]
+        );
     }
 
     #[test]

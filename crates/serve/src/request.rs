@@ -1,4 +1,4 @@
-//! Requests, completions, and deterministic request payloads.
+//! Requests and deterministic request payloads.
 
 use gpu_sim::SimTime;
 
@@ -9,26 +9,6 @@ pub struct Request {
     pub id: u64,
     /// Simulated arrival time (ns).
     pub arrival_ns: SimTime,
-}
-
-/// A served request with its full timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Completion {
-    /// The request id.
-    pub id: u64,
-    /// Simulated arrival time (ns).
-    pub arrival_ns: SimTime,
-    /// When its batch started executing (ns).
-    pub start_ns: SimTime,
-    /// When its batch finished (ns).
-    pub done_ns: SimTime,
-}
-
-impl Completion {
-    /// End-to-end latency: queueing delay + device time (ns).
-    pub fn latency_ns(&self) -> SimTime {
-        self.done_ns - self.arrival_ns
-    }
 }
 
 /// Fill one sample's input slice with the request's deterministic payload.
@@ -46,17 +26,6 @@ pub fn fill_sample(sample: &mut [f32], id: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn latency_is_done_minus_arrival() {
-        let c = Completion {
-            id: 0,
-            arrival_ns: 100,
-            start_ns: 150,
-            done_ns: 400,
-        };
-        assert_eq!(c.latency_ns(), 300);
-    }
 
     #[test]
     fn payloads_are_deterministic_and_id_dependent() {

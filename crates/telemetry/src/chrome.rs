@@ -2,8 +2,8 @@
 //!
 //! Layout conventions (loadable in `chrome://tracing` and Perfetto):
 //!
-//! - **pid** = device index (plus the synthetic [`crate::SERVE_PID`] /
-//!   [`crate::COLLECTIVE_PID`] lanes), named via `process_name` metadata.
+//! - **pid** = device index (plus the synthetic [`crate::COLLECTIVE_PID`]
+//!   and [`crate::FLEET_PID`] lanes), named via `process_name` metadata.
 //! - **tid** = stream id within the device (plus [`crate::HOST_TID`] for
 //!   host-side activity), named via `thread_name` metadata.
 //! - Spans are `B`/`E` duration-event pairs, **strictly nested per tid**:

@@ -61,10 +61,6 @@ use std::sync::{Arc, Mutex};
 /// through an `f64` round-trip in trace viewers.
 pub const HOST_TID: u64 = 999_999;
 
-/// Synthetic Chrome-trace *process* id for the serving engine's request
-/// lifecycle lane (one tid per request, so spans stay strictly nested).
-pub const SERVE_PID: u32 = 1000;
-
 /// Synthetic Chrome-trace *process* id for collective-communication
 /// aggregate spans (one per all-reduce bucket).
 pub const COLLECTIVE_PID: u32 = 1001;

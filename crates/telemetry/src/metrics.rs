@@ -264,6 +264,23 @@ mod tests {
     }
 
     #[test]
+    fn histogram_percentiles_match_direct_percentile() {
+        // Same known-quantile inputs through both paths: the raw
+        // nearest-rank helper and the histogram it is folded into.
+        let mut hist = Histogram::new();
+        let mut v: Vec<u64> = (1..=100).rev().collect();
+        for &x in &v {
+            hist.record(x);
+        }
+        v.sort_unstable();
+        for p in [1.0, 50.0, 90.0, 95.0, 99.0, 100.0] {
+            assert_eq!(hist.percentile(p), percentile_of_sorted(&v, p), "p{p}");
+        }
+        assert_eq!(hist.percentile(50.0), 50);
+        assert_eq!(hist.max(), Some(100));
+    }
+
+    #[test]
     fn registry_counter_gauge_histogram_roundtrip() {
         let mut m = MetricsRegistry::new();
         m.counter_add("a.hits", 3);

@@ -6,26 +6,17 @@
 //!
 //! Requests arrive as a seeded Poisson process in simulated time; the
 //! batcher fires on a size-8 or 2 ms-delay trigger; each batch runs an
-//! inference-only forward pass. Comparing naive dispatch against GLP4NN
-//! shows the cached per-batch-shape concurrency plans paying off in both
-//! throughput and tail latency.
+//! inference-only forward pass. The run is a one-replica fleet, the same
+//! configuration `reproduce serving` uses. Comparing naive dispatch against
+//! GLP4NN shows the cached per-batch-shape concurrency plans paying off in
+//! both throughput and tail latency.
 
+use fleet::FleetSim;
+use glp4nn_bench::serving::serving_config;
 use gpu_sim::DeviceProps;
 use nn::DispatchMode;
-use serve::{run_serving, BatchPolicy, ServeConfig};
 
 fn main() {
-    let cfg = |mode: DispatchMode| ServeConfig {
-        device: DeviceProps::p100(),
-        mode,
-        model: "CIFAR10".to_string(),
-        rate_rps: 6000.0,
-        num_requests: 300,
-        policy: BatchPolicy::new(8, 2_000_000),
-        queue_capacity: 1024,
-        seed: 42,
-    };
-
     println!("serving CIFAR10 on Tesla P100, 6000 req/s, batch <= 8 or 2 ms");
     println!(
         "{:<8} {:>11} {:>9} {:>9} {:>9} {:>7}",
@@ -35,15 +26,16 @@ fn main() {
         ("naive", DispatchMode::Naive),
         ("glp4nn", DispatchMode::Glp4nn),
     ] {
-        let r = run_serving(&cfg(mode)).unwrap();
+        let cfg = serving_config(DeviceProps::p100(), mode, 6000.0, false);
+        let r = FleetSim::new(cfg).unwrap().run();
         println!(
             "{:<8} {:>11.1} {:>9.3} {:>9.3} {:>9.3} {:>7.2}",
             name,
             r.throughput_rps,
-            r.latency.p50_ns as f64 / 1e6,
-            r.latency.p95_ns as f64 / 1e6,
-            r.latency.p99_ns as f64 / 1e6,
-            r.mean_batch
+            r.p50_ns as f64 / 1e6,
+            r.p95_ns as f64 / 1e6,
+            r.p99_ns as f64 / 1e6,
+            r.mean_wave
         );
     }
 }

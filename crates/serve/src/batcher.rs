@@ -84,37 +84,17 @@ mod tests {
     use super::*;
     use BatchDecision::{Fire, Idle, WaitUntil};
 
-    #[test]
-    fn decide_table() {
-        // (max_batch, max_delay_ns, now, queued, oldest, just_drained)
-        //   -> (work-conserving decision, size-or-delay decision)
-        #[rustfmt::skip]
-        let table = [
-            // Size trigger: five waiting, max_batch 4 fires exactly 4 at
-            // once, far from the delay deadline.
-            ((4, 1_000_000, 60, 5, Some(10), false), (Fire(4), Fire(4))),
-            ((4, 1_000_000, 60, 5, Some(10), true), (Fire(4), Fire(4))),
-            ((8, 1_000_000, 500, 11, Some(100), true), (Fire(8), Fire(8))),
-            // Delay trigger: before the head's deadline wait for it, at
-            // or after it fire the partial batch.
-            ((8, 1_000, 500, 2, Some(100), false), (WaitUntil(1_100), WaitUntil(1_100))),
-            ((8, 1_000, 1_100, 2, Some(100), false), (Fire(2), Fire(2))),
-            ((8, 1_000, 5_000, 2, Some(100), false), (Fire(2), Fire(2))),
-            ((8, 1_000, 5_000, 2, Some(100), true), (Fire(2), Fire(2))),
-            // Mid-wave arrivals far from both triggers wait; at the
-            // instant a wave drains, only a work-conserving policy fires
-            // them.
-            ((8, 1_000_000, 500, 3, Some(100), false), (WaitUntil(1_000_100), WaitUntil(1_000_100))),
-            ((8, 1_000_000, 500, 3, Some(100), true), (Fire(3), WaitUntil(1_000_100))),
-            ((8, 1_000, 500, 2, Some(100), true), (Fire(2), WaitUntil(1_100))),
-            // Zero delay fires singletons immediately.
-            ((8, 0, 42, 1, Some(42), false), (Fire(1), Fire(1))),
-            // An empty queue is idle, even at a wave boundary.
-            ((4, 1_000, 0, 0, None, false), (Idle, Idle)),
-            ((8, 1_000_000, 500, 0, None, true), (Idle, Idle)),
-            ((8, 0, 500, 0, None, true), (Idle, Idle)),
-        ];
-        for ((max_batch, delay, now, queued, oldest, drained), (conserving, triggered)) in table {
+    /// `(max_batch, max_delay_ns, now, queued, oldest, just_drained)`
+    /// `-> (work-conserving decision, size-or-delay decision)`.
+    type Row = (
+        (usize, SimTime, SimTime, usize, Option<SimTime>, bool),
+        (BatchDecision, BatchDecision),
+    );
+
+    /// Checks each row with the bit on and off, and that with the bit off
+    /// a wave boundary never changes the decision.
+    fn check(rows: &[Row]) {
+        for &((max_batch, delay, now, queued, oldest, drained), (conserving, triggered)) in rows {
             let on = BatchPolicy::new(max_batch, delay);
             let off = BatchPolicy {
                 work_conserving: false,
@@ -123,11 +103,81 @@ mod tests {
             let row = format!("max_batch {max_batch} delay {delay} at t={now}: {queued} queued, oldest {oldest:?}, drained {drained}");
             assert_eq!(on.decide(now, queued, oldest, drained), conserving, "{row}");
             assert_eq!(off.decide(now, queued, oldest, drained), triggered, "{row}");
-            // With the bit off, a wave boundary never changes the decision.
             assert_eq!(
                 off.decide(now, queued, oldest, !drained),
                 triggered,
                 "{row}"
+            );
+        }
+    }
+
+    #[test]
+    fn size_trigger_fires_a_full_batch() {
+        // Five waiting, max_batch 4: fire exactly 4 at once, far from the
+        // delay deadline, whether or not a wave just drained.
+        #[rustfmt::skip]
+        check(&[
+            ((4, 1_000_000, 60, 5, Some(10), false), (Fire(4), Fire(4))),
+            ((4, 1_000_000, 60, 5, Some(10), true), (Fire(4), Fire(4))),
+        ]);
+    }
+
+    #[test]
+    fn delay_trigger_fires_a_partial_batch() {
+        // Before the head's deadline wait for it; at or after it fire the
+        // partial batch.
+        #[rustfmt::skip]
+        check(&[
+            ((8, 1_000, 500, 2, Some(100), false), (WaitUntil(1_100), WaitUntil(1_100))),
+            ((8, 1_000, 1_100, 2, Some(100), false), (Fire(2), Fire(2))),
+            ((8, 1_000, 5_000, 2, Some(100), false), (Fire(2), Fire(2))),
+            ((8, 1_000, 5_000, 2, Some(100), true), (Fire(2), Fire(2))),
+        ]);
+    }
+
+    #[test]
+    fn empty_queue_is_idle() {
+        #[rustfmt::skip]
+        check(&[
+            ((4, 1_000, 0, 0, None, false), (Idle, Idle)),
+            ((8, 0, 500, 0, None, true), (Idle, Idle)),
+        ]);
+    }
+
+    #[test]
+    fn zero_delay_fires_singletons_immediately() {
+        check(&[((8, 0, 42, 1, Some(42), false), (Fire(1), Fire(1)))]);
+    }
+
+    #[test]
+    fn continuous_is_work_conserving_at_wave_boundaries() {
+        // Mid-wave arrivals far from both triggers wait; at the instant a
+        // wave drains, only a work-conserving policy fires them. The size
+        // trigger still caps the wave, and an empty queue is idle even at
+        // a wave boundary.
+        #[rustfmt::skip]
+        check(&[
+            ((8, 1_000_000, 500, 3, Some(100), false), (WaitUntil(1_000_100), WaitUntil(1_000_100))),
+            ((8, 1_000_000, 500, 3, Some(100), true), (Fire(3), WaitUntil(1_000_100))),
+            ((8, 1_000, 500, 2, Some(100), true), (Fire(2), WaitUntil(1_100))),
+            ((8, 1_000_000, 500, 11, Some(100), true), (Fire(8), Fire(8))),
+            ((8, 1_000_000, 500, 0, None, true), (Idle, Idle)),
+        ]);
+    }
+
+    #[test]
+    fn continuous_matches_batch_decide_when_not_draining() {
+        // Away from a wave boundary the bit makes no difference.
+        let on = BatchPolicy::new(4, 1_000);
+        let off = BatchPolicy {
+            work_conserving: false,
+            ..on
+        };
+        for now in [100, 500, 1_100, 5_000] {
+            assert_eq!(
+                on.decide(now, 2, Some(100), false),
+                off.decide(now, 2, Some(100), false),
+                "at t={now}"
             );
         }
     }

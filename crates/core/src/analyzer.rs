@@ -15,7 +15,7 @@
 
 use crate::plan::PlanCache;
 use gpu_sim::DeviceProps;
-use milp::{Model, Sense, VarKind};
+use milp::{Model, Sense, VarId, VarKind};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
@@ -154,51 +154,54 @@ fn per_kernel_cap(props: &DeviceProps, p: &KernelProfile) -> u32 {
     (cap.floor() as u32).clamp(1, props.concurrency_degree())
 }
 
-/// Run the analytical model on a set of kernel-class profiles.
-pub fn analyze_profiles(props: &DeviceProps, profiles: &[KernelProfile]) -> ConcurrencyPlan {
-    let t0 = Instant::now();
-    if profiles.is_empty() {
-        return ConcurrencyPlan {
-            per_kernel: vec![],
-            streams: 1,
-            objective_threads_per_sm: 0.0,
-            analysis_time: t0.elapsed(),
-            class_durations: HashMap::new(),
-        };
-    }
-
+/// Build the duty-cycle-weighted occupancy program (Eqs. 1-8) over one or
+/// more dispatches, each a kernel-class chain with a cap on concurrent
+/// instances per class. Within a dispatch the classes run one after the
+/// other, so each kernel's residency is its share of its own chain's time;
+/// the dispatches themselves share the device, so the per-SM rows (Eqs.
+/// 4-6) sum over all of them. Rows: the shared `smem`, `threads`, `blocks`
+/// and `conc_hi`, then one `Σ #K ≥ 1` row per dispatch. Returns the model
+/// and the variables, per dispatch in class order.
+fn occupancy_model(
+    props: &DeviceProps,
+    dispatches: &[(&[KernelProfile], u32)],
+) -> (Model, Vec<Vec<VarId>>) {
     let mut m = Model::new(Sense::Maximize);
-    let mut vars = Vec::with_capacity(profiles.len());
+    let mut vars = Vec::with_capacity(dispatches.len());
     let mut smem_terms = Vec::new();
     let mut thread_terms = Vec::new();
     let mut block_terms = Vec::new();
     let mut conc_terms = Vec::new();
 
-    // The kernels of one layer form a dependent chain (im2col → sgemm →
-    // bias, Fig. 6), so over the layer's lifetime kernel `K_i` occupies
-    // its SM footprint only for the fraction of time it executes. The
-    // per-SM constraints therefore charge each instance its *duty-cycle
-    // weighted* footprint — without this, a short im2col with a large grid
-    // would appear to fill the device although it is resident only
-    // briefly, and the model would degenerate to one stream.
-    let total_time: f64 = profiles
-        .iter()
-        .map(|p| p.avg_duration_ns.max(1) as f64)
-        .sum();
-
-    for p in profiles {
-        let duty = p.avg_duration_ns.max(1) as f64 / total_time;
-        let beta = beta_per_sm(props, p) as f64 * duty;
-        let tau = p.threads_per_block as f64;
-        let cap = per_kernel_cap(props, p);
-        // Objective (Eqs. 1-3): active threads per SM contributed by each
-        // concurrent instance of this class.
-        let v = m.add_var(&p.name, VarKind::Integer, 0.0, cap as f64, tau * beta);
-        vars.push(v);
-        smem_terms.push((v, p.smem_per_block as f64 * beta));
-        thread_terms.push((v, tau * beta));
-        block_terms.push((v, beta));
-        conc_terms.push((v, 1.0));
+    for &(profiles, group_cap) in dispatches {
+        // The kernels of one chain form a dependent sequence (im2col →
+        // sgemm → bias, Fig. 6), so over the chain's lifetime kernel `K_i`
+        // occupies its SM footprint only for the fraction of time it
+        // executes. The per-SM constraints therefore charge each instance
+        // its *duty-cycle weighted* footprint — without this, a short
+        // im2col with a large grid would appear to fill the device although
+        // it is resident only briefly, and the model would degenerate to
+        // one stream.
+        let total_time: f64 = profiles
+            .iter()
+            .map(|p| p.avg_duration_ns.max(1) as f64)
+            .sum();
+        let mut dvars = Vec::with_capacity(profiles.len());
+        for p in profiles {
+            let duty = p.avg_duration_ns.max(1) as f64 / total_time;
+            let beta = beta_per_sm(props, p) as f64 * duty;
+            let tau = p.threads_per_block as f64;
+            let cap = per_kernel_cap(props, p).min(group_cap);
+            // Objective (Eqs. 1-3): active threads per SM contributed by
+            // each concurrent instance of this class.
+            let v = m.add_var(&p.name, VarKind::Integer, 0.0, cap as f64, tau * beta);
+            dvars.push(v);
+            smem_terms.push((v, p.smem_per_block as f64 * beta));
+            thread_terms.push((v, tau * beta));
+            block_terms.push((v, beta));
+            conc_terms.push((v, 1.0));
+        }
+        vars.push(dvars);
     }
 
     // Eq. 4: shared memory per SM.
@@ -207,48 +210,76 @@ pub fn analyze_profiles(props: &DeviceProps, profiles: &[KernelProfile]) -> Conc
     m.add_le_constraint("threads", &thread_terms, props.max_threads_per_sm as f64);
     // Hardware resident-block limit per SM.
     m.add_le_constraint("blocks", &block_terms, props.max_blocks_per_sm as f64);
-    // Eq. 6: 1 ≤ Σ #K_i ≤ C.
+    // Eq. 6: Σ #K_i ≤ C over everything sharing the device, and every
+    // dispatch makes progress: at least one concurrent instance each.
     m.add_le_constraint("conc_hi", &conc_terms, props.concurrency_degree() as f64);
-    m.add_ge_constraint("conc_lo", &conc_terms, 1.0);
+    for dvars in &vars {
+        let progress: Vec<(VarId, f64)> = dvars.iter().map(|&v| (v, 1.0)).collect();
+        m.add_ge_constraint("conc_lo", &progress, 1.0);
+    }
+    (m, vars)
+}
 
-    // The program is feasible by construction (Σ#K ≥ 1 always fits), but a
-    // solver failure must not take the training loop down: fall back to
-    // the serial plan (one stream) and let the next profiling window retry.
-    let sol = match milp::solve(&m) {
-        Ok(sol) => sol,
-        Err(_) => {
-            return ConcurrencyPlan {
-                per_kernel: profiles.iter().map(|p| (p.name.clone(), 1)).collect(),
-                streams: 1,
-                objective_threads_per_sm: 0.0,
-                analysis_time: t0.elapsed(),
-                class_durations: profiles
-                    .iter()
-                    .map(|p| (p.name.clone(), p.avg_duration_ns))
-                    .collect(),
-            };
-        }
-    };
-
-    let per_kernel: Vec<(String, u32)> = profiles
+/// Solve the occupancy program of [`occupancy_model`] over `dispatches`
+/// (`(kernel classes, cap on concurrent instances per class)` each): the
+/// per-layer model is one dispatch with cap `u32::MAX`, a wave of several
+/// layers is one dispatch per layer with its group count as cap. Returns
+/// `#K` per dispatch per class and the objective (active threads per SM),
+/// or `None` when there is no dispatch, a dispatch has no class, or the
+/// solver fails (e.g. one dispatch saturating the thread budget leaves no
+/// room for another's progress row).
+pub fn solve_occupancy(
+    props: &DeviceProps,
+    dispatches: &[(&[KernelProfile], u32)],
+) -> Option<(Vec<Vec<u32>>, f64)> {
+    if dispatches.is_empty() || dispatches.iter().any(|(p, _)| p.is_empty()) {
+        return None;
+    }
+    let (m, vars) = occupancy_model(props, dispatches);
+    let sol = milp::solve(&m).ok()?;
+    let counts = vars
         .iter()
-        .zip(&vars)
-        .map(|(p, &v)| {
-            (
-                p.name.clone(),
-                sol.try_int_value(v).unwrap_or(1).max(0) as u32,
-            )
+        .map(|dvars| {
+            dvars
+                .iter()
+                .map(|&v| sol.try_int_value(v).unwrap_or(1).max(0) as u32)
+                .collect()
         })
         .collect();
-    let streams: u32 = per_kernel.iter().map(|&(_, k)| k).sum::<u32>().max(1);
+    Some((counts, sol.objective))
+}
+
+/// Run the analytical model on a set of kernel-class profiles.
+pub fn analyze_profiles(props: &DeviceProps, profiles: &[KernelProfile]) -> ConcurrencyPlan {
+    let t0 = Instant::now();
     let class_durations = profiles
         .iter()
         .map(|p| (p.name.clone(), p.avg_duration_ns))
         .collect();
+    // The program is feasible by construction (Σ#K ≥ 1 always fits), but a
+    // solver failure must not take the training loop down: fall back to
+    // the serial plan (one stream) and let the next profiling window retry.
+    // An empty profile set lands here too, as a serial plan with no class.
+    let Some((counts, objective)) = solve_occupancy(props, &[(profiles, u32::MAX)]) else {
+        return ConcurrencyPlan {
+            per_kernel: profiles.iter().map(|p| (p.name.clone(), 1)).collect(),
+            streams: 1,
+            objective_threads_per_sm: 0.0,
+            analysis_time: t0.elapsed(),
+            class_durations,
+        };
+    };
+
+    let per_kernel: Vec<(String, u32)> = profiles
+        .iter()
+        .zip(&counts[0])
+        .map(|(p, &k)| (p.name.clone(), k))
+        .collect();
+    let streams: u32 = counts[0].iter().sum::<u32>().max(1);
     ConcurrencyPlan {
         per_kernel,
         streams: streams.min(props.concurrency_degree()),
-        objective_threads_per_sm: sol.objective,
+        objective_threads_per_sm: objective,
         analysis_time: t0.elapsed(),
         class_durations,
     }
@@ -257,6 +288,7 @@ pub fn analyze_profiles(props: &DeviceProps, profiles: &[KernelProfile]) -> Conc
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn profile(name: &str, blocks: u64, threads: u32, smem: u32, dur_us: u64) -> KernelProfile {
         KernelProfile {
@@ -383,5 +415,48 @@ mod tests {
                 || (k40.objective_threads_per_sm - p100.objective_threads_per_sm).abs() > 1.0,
             "k40 {k40:?} p100 {p100:?}"
         );
+    }
+
+    fn arb_profile() -> impl Strategy<Value = KernelProfile> {
+        (
+            1u64..200,
+            prop::sample::select(vec![32u32, 64, 128, 256, 512, 1024]),
+            prop::sample::select(vec![0u32, 4096, 8192, 16384, 24576]),
+            1u64..5000,
+        )
+            .prop_map(|(blocks, threads, smem, dur_us)| profile("k", blocks, threads, smem, dur_us))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn occupancy_solve_matches_exhaustive_enumeration(
+            device in 0usize..3,
+            dispatches in prop::collection::vec(
+                (prop::collection::vec(arb_profile(), 1..=2), 1u32..=8),
+                1..=3,
+            ),
+        ) {
+            let props = &DeviceProps::evaluation_set()[device];
+            let model: Vec<(&[KernelProfile], u32)> =
+                dispatches.iter().map(|(c, cap)| (c.as_slice(), *cap)).collect();
+            let exhaustive = milp::enumerate::solve_exhaustive(&occupancy_model(props, &model).0);
+            let Some((counts, objective)) = solve_occupancy(props, &model) else {
+                prop_assert!(exhaustive.is_err(), "solver failed on {exhaustive:?}");
+                return Ok(());
+            };
+            let best = exhaustive.expect("the solver found a feasible point").objective;
+            prop_assert!(
+                (objective - best).abs() <= 1e-6 * best.abs().max(1.0),
+                "solve {objective} vs exhaustive {best}"
+            );
+            for ((classes, cap), k) in dispatches.iter().zip(&counts) {
+                prop_assert!(k.iter().sum::<u32>() >= 1, "a dispatch starved: {counts:?}");
+                for (p, &n) in classes.iter().zip(k) {
+                    prop_assert!(n <= per_kernel_cap(props, p).min(*cap), "{counts:?}");
+                }
+            }
+        }
     }
 }

@@ -4,14 +4,16 @@
 //! GLP4NN's MILP sizes a stream pool for one layer's kernel classes. A
 //! *wave* — an antichain of the layer DAG — holds dispatches from several
 //! independent layers that could share the device at once (Opara-style
-//! per-operator streams). This module builds one joint occupancy program
-//! over every (dispatch, kernel-class) pair in the wave: the same
-//! duty-cycle-weighted footprint terms and per-SM constraints as
-//! [`glp4nn::analyzer::analyze_profiles`], except that duty cycles are
-//! normalized *within each dispatch* (the dispatches themselves run
-//! concurrently, so each kernel's residency fraction is relative to its
-//! own chain, not the wave total), and every dispatch is forced at least
-//! one concurrent instance so no layer is starved.
+//! per-operator streams). This module solves one joint occupancy program
+//! over every (dispatch, kernel-class) pair in the wave, built by the same
+//! builder as the per-layer model
+//! ([`glp4nn::analyzer::solve_occupancy`]): duty cycles are normalized
+//! *within each dispatch* (the dispatches themselves run concurrently, so
+//! each kernel's residency fraction is relative to its own chain, not the
+//! wave total), each class is capped at the dispatch's group count, and
+//! every dispatch is forced at least one concurrent instance so no layer
+//! is starved. A one-dispatch wave is exactly the per-layer model with
+//! that group cap.
 //!
 //! The verdict includes a *pays* bit: co-scheduling is only worth the
 //! extra streams and cross-operator events when the joint occupancy beats
@@ -20,9 +22,9 @@
 //! falls back to per-layer GLP4NN scheduling, which is the paper's
 //! convergence-invariant baseline.
 
+use glp4nn::analyzer::solve_occupancy;
 use glp4nn::KernelProfile;
 use gpu_sim::DeviceProps;
-use milp::{Model, Sense, VarKind};
 
 /// Occupancy improvement (relative) the joint schedule must show over the
 /// best solo dispatch before co-scheduling is considered worthwhile.
@@ -35,7 +37,7 @@ const PAYS_MARGIN: f64 = 1.01;
 pub struct WaveDispatchProfile {
     /// Layer index in the DAG (for reporting).
     pub layer: usize,
-    /// Layer name (variable names in the joint model).
+    /// Layer name (for reporting).
     pub name: String,
     /// Independent kernel groups this dispatch launches.
     pub groups: usize,
@@ -129,82 +131,28 @@ pub(crate) fn co_schedule_with(
     }
 }
 
-/// Build and solve the joint model over `dispatches`; `None` on an empty
-/// class set or solver failure (including a genuinely infeasible joint —
-/// e.g. one dispatch alone saturating the thread budget, leaving no room
-/// for another's progress constraint).
+/// Solve the joint model over `dispatches`: [`solve_occupancy`] with each
+/// dispatch's classes capped at its group count (concurrency beyond the
+/// independent chains a dispatch launches is unrealizable), then each
+/// dispatch's `Σ_k #K_{d,k}` clamped to a usable stream count. `None` on an
+/// empty class set or solver failure (including a genuinely infeasible
+/// joint — e.g. one dispatch alone saturating the thread budget, leaving no
+/// room for another's progress row).
 fn solve_joint(
     props: &DeviceProps,
     dispatches: &[&WaveDispatchProfile],
 ) -> Option<(Vec<u32>, f64)> {
-    if dispatches.is_empty() || dispatches.iter().any(|d| d.classes.is_empty()) {
-        return None;
-    }
-
-    let mut m = Model::new(Sense::Maximize);
-    let mut vars: Vec<Vec<milp::VarId>> = Vec::with_capacity(dispatches.len());
-    let mut smem_terms = Vec::new();
-    let mut thread_terms = Vec::new();
-    let mut block_terms = Vec::new();
-    let mut conc_terms = Vec::new();
-
-    for d in dispatches {
-        // Duty cycles are per-dispatch: within one chain the classes run
-        // sequentially, but the chains of different dispatches overlap.
-        let chain_time: f64 = d
-            .classes
-            .iter()
-            .map(|p| p.avg_duration_ns.max(1) as f64)
-            .sum();
-        let mut dvars = Vec::with_capacity(d.classes.len());
-        let mut dconc = Vec::with_capacity(d.classes.len());
-        for p in &d.classes {
-            let duty = p.avg_duration_ns.max(1) as f64 / chain_time;
-            let beta = beta_per_sm(props, p) as f64 * duty;
-            let tau = p.threads_per_block as f64;
-            // Eq. 7 cap, further clamped by how many independent chains
-            // the dispatch actually launches — concurrency beyond the
-            // group count is unrealizable.
-            let cap = per_kernel_cap(props, p).min(d.groups.max(1) as u32);
-            let v = m.add_var(
-                &format!("{}::{}", d.name, p.name),
-                VarKind::Integer,
-                0.0,
-                cap as f64,
-                tau * beta,
-            );
-            dvars.push(v);
-            dconc.push((v, 1.0));
-            smem_terms.push((v, p.smem_per_block as f64 * beta));
-            thread_terms.push((v, tau * beta));
-            block_terms.push((v, beta));
-            conc_terms.push((v, 1.0));
-        }
-        // Every dispatch makes progress: at least one concurrent instance.
-        m.add_ge_constraint(&format!("progress::{}", d.name), &dconc, 1.0);
-        vars.push(dvars);
-    }
-
-    // The shared device: same per-SM budget the per-layer model uses,
-    // now split across operators.
-    m.add_le_constraint("smem", &smem_terms, props.smem_per_sm as f64);
-    m.add_le_constraint("threads", &thread_terms, props.max_threads_per_sm as f64);
-    m.add_le_constraint("blocks", &block_terms, props.max_blocks_per_sm as f64);
-    m.add_le_constraint("conc_hi", &conc_terms, props.concurrency_degree() as f64);
-
-    let sol = milp::solve(&m).ok()?;
-    let streams_per_dispatch: Vec<u32> = vars
+    let model: Vec<(&[KernelProfile], u32)> = dispatches
+        .iter()
+        .map(|d| (d.classes.as_slice(), d.groups.max(1) as u32))
+        .collect();
+    let (counts, objective) = solve_occupancy(props, &model)?;
+    let streams_per_dispatch = counts
         .iter()
         .zip(dispatches)
-        .map(|(dvars, d)| {
-            let total: u32 = dvars
-                .iter()
-                .map(|&v| sol.try_int_value(v).unwrap_or(1).max(0) as u32)
-                .sum();
-            clamp_streams(total, d.groups, props)
-        })
+        .map(|(k, d)| clamp_streams(k.iter().sum(), d.groups, props))
         .collect();
-    Some((streams_per_dispatch, sol.objective))
+    Some((streams_per_dispatch, objective))
 }
 
 fn clamp_streams(streams: u32, groups: usize, props: &DeviceProps) -> u32 {
@@ -212,42 +160,6 @@ fn clamp_streams(streams: u32, groups: usize, props: &DeviceProps) -> u32 {
         .max(1)
         .min(props.concurrency_degree())
         .min(groups.max(1) as u32)
-}
-
-// Eq. 8 / Eq. 7 of the per-layer model, restated here because the core
-// crate keeps them private. Kept textually in sync with
-// `glp4nn::analyzer` — the wave model must charge identical footprints or
-// the pays-comparison between joint and solo objectives is meaningless.
-
-fn beta_per_sm(props: &DeviceProps, p: &KernelProfile) -> u32 {
-    let even = ((p.grid_blocks / props.num_sms as u64) as u32).max(1);
-    let by_threads = (props.max_threads_per_sm / p.threads_per_block.max(1)).max(1);
-    let by_smem = props
-        .smem_per_sm
-        .checked_div(p.smem_per_block)
-        .map_or(u32::MAX, |v| v.max(1));
-    even.min(by_threads)
-        .min(by_smem)
-        .min(props.max_blocks_per_sm)
-}
-
-fn per_kernel_cap(props: &DeviceProps, p: &KernelProfile) -> u32 {
-    let launch = props.launch_overhead_ns.max(1);
-    let by_launch = (p.avg_duration_ns as f64 / launch as f64).ceil().max(1.0);
-    let denom_thr = p.threads_per_block as u64 * p.grid_blocks;
-    let by_threads = if denom_thr > 0 {
-        (props.max_threads_per_sm as u64 * props.num_sms as u64) as f64 / denom_thr as f64
-    } else {
-        f64::INFINITY
-    };
-    let by_smem = if p.smem_per_block > 0 {
-        (props.smem_per_sm as u64 * props.num_sms as u64) as f64
-            / (p.smem_per_block as u64 * p.grid_blocks) as f64
-    } else {
-        f64::INFINITY
-    };
-    let cap = by_launch.min(by_threads.max(1.0)).min(by_smem.max(1.0));
-    (cap.floor() as u32).clamp(1, props.concurrency_degree())
 }
 
 #[cfg(test)]
@@ -322,19 +234,27 @@ mod tests {
 
     #[test]
     fn single_dispatch_matches_per_layer_model() {
-        let props = DeviceProps::titan_xp();
-        let classes = vec![
+        // A one-dispatch wave is the per-layer model with the instance
+        // counts clamped to the group count: on every evaluation GPU the
+        // same stream count comes out, and the wave never "pays".
+        let classes = [
             profile("im2col", 18, 256, 0, 100),
             profile("sgemm", 24, 128, 8192, 400),
+            profile("bias", 6, 64, 0, 50),
         ];
-        let wa = co_schedule(&props, &[dispatch(0, "conv1", 16, classes.clone())]);
-        let solo = analyze_profiles(&props, &classes);
-        assert!(!wa.pays);
-        assert_eq!(
-            wa.streams_per_dispatch[0],
-            solo.streams.min(16),
-            "wa = {wa:?} solo = {solo:?}"
-        );
+        for props in DeviceProps::evaluation_set() {
+            for (classes, groups) in [(&classes[..2], 16), (&classes[..], 64)] {
+                let solo = analyze_profiles(&props, classes);
+                let wa = co_schedule(&props, &[dispatch(0, "conv", groups, classes.to_vec())]);
+                assert!(!wa.pays);
+                assert_eq!(
+                    wa.streams_per_dispatch[0],
+                    solo.streams.min(groups as u32),
+                    "{}: wa = {wa:?} solo = {solo:?}",
+                    props.name
+                );
+            }
+        }
     }
 
     #[test]
@@ -368,27 +288,5 @@ mod tests {
         );
         assert!(wa.streams_per_dispatch.iter().all(|&s| s >= 1));
         assert!(wa.total_streams() <= props.concurrency_degree() * 3);
-    }
-
-    #[test]
-    fn footprint_helpers_match_core_model() {
-        // The restated Eq. 7/8 helpers must agree with the per-layer
-        // analyzer: a single-dispatch joint model and the solo model see
-        // the same caps, so identical stream counts come out.
-        for props in DeviceProps::evaluation_set() {
-            let classes = vec![
-                profile("im2col", 18, 256, 0, 100),
-                profile("sgemm", 24, 128, 8192, 400),
-                profile("bias", 6, 64, 0, 50),
-            ];
-            let solo = analyze_profiles(&props, &classes);
-            let wa = co_schedule(&props, &[dispatch(0, "conv", 64, classes)]);
-            assert_eq!(
-                wa.streams_per_dispatch[0],
-                solo.streams.min(64),
-                "{}: wa = {wa:?} solo = {solo:?}",
-                props.name
-            );
-        }
     }
 }

@@ -1,16 +1,26 @@
-//! Cross-device happens-before race detection over a fabric of devices.
+//! Happens-before race detection over recorded command logs: the one replay
+//! behind both [`Sanitizer::check_device`](crate::Sanitizer::check_device)
+//! (one device, no fabric) and
+//! [`Sanitizer::check_fabric`](crate::Sanitizer::check_fabric) (every
+//! device of a [`Fabric`](gpu_sim::Fabric), replayed together).
 //!
-//! The per-device replay ([`crate::hb`]) sees one command log at a time and
-//! cannot follow a peer-to-peer copy to the other side. This module replays
-//! *all* device logs of a [`Fabric`](gpu_sim::Fabric) together:
+//! The engine records every host-issued stream command ([`CmdRecord`]); the
+//! replay walks the log suffixes with one vector clock per
+//! `(device, stream)`, CUDA semantics:
 //!
-//! - clocks are keyed by `(device, stream)`;
+//! - a stream executes its commands in FIFO order;
+//! - `record(e)` snapshots the recording stream's clock into `e`;
+//! - `wait(e)` joins `e`'s snapshot into the waiting stream's clock — and
+//!   can only fire after the record has (the engine blocks a wait enqueued
+//!   before its record until the event completes). A wait on an event the
+//!   suffixes never record is a join with already-checked history if the
+//!   device reports the event completed, and stalls otherwise;
 //! - a `CopySrc` is an access-carrying node — it **reads** the declared
 //!   source range on the source device and **writes** the declared
 //!   destination range on the destination device — and records a per-copy
-//!   virtual event;
-//! - a `CopyDst` waits on that virtual event, giving the cross-device
-//!   happens-before edge;
+//!   virtual event; a `CopyDst` waits on it, giving the cross-device
+//!   happens-before edge. Without a fabric, copy halves are skipped (their
+//!   edges cross devices, and a one-device replay sees only one side);
 //! - a device's own [`CmdRecord::Sync`] markers are per-device barriers:
 //!   commands of a later sync phase join the barrier clock of everything
 //!   the device completed in earlier phases (device logs do **not** need
@@ -21,34 +31,48 @@
 //! Buffers live in **per-device address spaces**: the same buffer label on
 //! two replicas names two different allocations (layers derive labels from
 //! layer names, identical across replicas), so accesses conflict only when
-//! they touch the same byte range of the same buffer *on the same device*.
-//! A copy's destination write participates in the destination device's
-//! space — the edge the fault-injection tests exercise.
+//! they touch the same byte range of the same buffer *on the same device*,
+//! in the same sync phase. A copy's destination write participates in the
+//! destination device's space — the edge the fault-injection tests
+//! exercise. Each `(device, phase)` bucket is scanned with
+//! [`conflict_candidates`]: two conflicting accesses whose clocks are
+//! incomparable are a data race. A replay that stalls (a wait whose event
+//! is never recorded, or waits forming a cycle) is a deadlock.
 
 use crate::report::{ConflictSite, Diagnostic, DiagnosticKind, KernelRef};
+use crate::sweep::{conflict_candidates, pairs_covered};
 use gpu_sim::{AccessSet, CmdRecord, Device, Fabric, MemAccess, StreamId};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Merged-replay clock key: a stream of a particular device.
 type Key = (usize, StreamId);
 
-/// One access-carrying node of the merged replay (a kernel launch or a
-/// peer-to-peer copy).
-struct Node {
-    name: String,
+/// One access-carrying node of the replay (a kernel launch with declared
+/// accesses, or a peer-to-peer copy).
+struct Node<'a> {
+    name: &'a str,
     tag: u64,
     key: Key,
     epoch: u64,
     clock: HashMap<Key, u64>,
     log_index: usize,
-    /// Accesses, each in a `(device, sync phase)` address-space bucket.
-    accesses: Vec<(usize, usize, AccessSet)>,
 }
 
-impl Node {
+impl Node<'_> {
+    /// `self` happens before `other` iff `other`'s snapshot has seen
+    /// `self`'s epoch on `self`'s stream.
     fn happens_before(&self, other: &Node) -> bool {
         other.clock.get(&self.key).copied().unwrap_or(0) >= self.epoch
     }
+}
+
+/// One node's accesses in one `(device, sync phase)` address-space bucket.
+struct Entry<'a> {
+    device: usize,
+    phase: usize,
+    node: usize,
+    set: Cow<'a, AccessSet>,
 }
 
 fn read_set(a: MemAccess) -> AccessSet {
@@ -65,11 +89,20 @@ fn write_set(a: MemAccess) -> AccessSet {
     }
 }
 
-/// Replay per-device log suffixes together, appending diagnostics to
-/// `out`. Returns `(access_nodes_replayed, pairs_compared)`.
-pub(crate) fn check_fabric_logs(
-    fabric: &Fabric,
-    devs: &[&Device],
+fn join(clock: &mut HashMap<Key, u64>, other: &HashMap<Key, u64>) {
+    for (k, t) in other {
+        let e = clock.entry(*k).or_insert(0);
+        *e = (*e).max(*t);
+    }
+}
+
+/// Replay per-device log suffixes together (`logs[d]` of `devs[d]`),
+/// following the copies of `fabric` when given, and append diagnostics to
+/// `out`. Returns `(launches_and_copies_replayed, pairs_covered)`, the
+/// pairs summed over the `(device, phase)` buckets.
+pub(crate) fn check_logs<'a>(
+    fabric: Option<&'a Fabric>,
+    devs: &[&'a Device],
     logs: &[&[CmdRecord]],
     context: &str,
     out: &mut Vec<Diagnostic>,
@@ -90,9 +123,8 @@ pub(crate) fn check_fabric_logs(
     // Destination-side sync phase of each copy (address-space bucket of
     // its landing write).
     let mut copy_dst_phase: HashMap<u64, usize> = HashMap::new();
-    // Events / copies whose record half appears in these suffixes; waits
-    // on anything older are joins with pre-suffix history, already ordered
-    // by the completed episodes the cursor skipped.
+    // Events / copies whose record half appears in these suffixes; a wait
+    // on anything else is decided by the device's event state.
     let mut recorded_events: HashSet<(usize, u64)> = HashSet::new();
     let mut recorded_copies: HashSet<u64> = HashSet::new();
 
@@ -102,6 +134,9 @@ pub(crate) fn check_fabric_logs(
             let sid = match c {
                 CmdRecord::Sync => {
                     phase += 1;
+                    continue;
+                }
+                CmdRecord::CopySrc { .. } | CmdRecord::CopyDst { .. } if fabric.is_none() => {
                     continue;
                 }
                 CmdRecord::Launch { stream, .. }
@@ -142,20 +177,29 @@ pub(crate) fn check_fabric_logs(
     }
 
     // ---- worklist replay ---------------------------------------------
+    // A wait enqueued before its record is legal (the engine blocks on
+    // it), so issue order alone cannot drive the replay: drain any stream
+    // whose head command can fire until none can.
     let mut clocks: HashMap<Key, HashMap<Key, u64>> = HashMap::new();
     let mut event_clock: HashMap<(usize, u64), HashMap<Key, u64>> = HashMap::new();
     let mut copy_clock: HashMap<u64, HashMap<Key, u64>> = HashMap::new();
     let mut nodes: Vec<Node> = Vec::new();
+    let mut entries: Vec<Entry> = Vec::new();
+    let mut replayed = 0u64;
     // Per-device barrier: clock joining everything in completed phases,
-    // and how many phases have completed.
+    // and how many phases have completed (leading empty phases — a suffix
+    // that starts at a sync marker — are complete from the start).
     let mut barrier: Vec<HashMap<Key, u64>> = vec![HashMap::new(); devs.len()];
-    let mut barrier_phase: Vec<usize> = vec![0; devs.len()];
+    let mut barrier_phase: Vec<usize> = phase_totals
+        .iter()
+        .map(|t| t.iter().take_while(|&&n| n == 0).count())
+        .collect();
     let mut phase_fired: Vec<Vec<usize>> = phase_totals.iter().map(|t| vec![0; t.len()]).collect();
 
     loop {
         let mut progressed = false;
         for &key in &key_order {
-            let (d, _sid) = key;
+            let d = key.0;
             loop {
                 let fifo = fifos.get_mut(&key).expect("fifo exists");
                 let Some(&(log_index, phase, cmd)) = fifo.queue.front() else {
@@ -168,12 +212,7 @@ pub(crate) fn check_fabric_logs(
                 }
                 if fifo.joined_phase < phase {
                     fifo.joined_phase = phase;
-                    let b = barrier[d].clone();
-                    let clock = clocks.entry(key).or_default();
-                    for (k, t) in b {
-                        let e = clock.entry(k).or_insert(0);
-                        *e = (*e).max(t);
-                    }
+                    join(clocks.entry(key).or_default(), &barrier[d]);
                 }
                 match cmd {
                     CmdRecord::Launch { kernel, .. } => {
@@ -181,16 +220,22 @@ pub(crate) fn check_fabric_logs(
                         let epoch = clock.entry(key).or_insert(0);
                         *epoch += 1;
                         let epoch = *epoch;
+                        replayed += 1;
                         let desc = devs[d].kernel_desc(kernel);
                         if !desc.accesses.is_empty() {
+                            entries.push(Entry {
+                                device: d,
+                                phase,
+                                node: nodes.len(),
+                                set: Cow::Borrowed(&desc.accesses),
+                            });
                             nodes.push(Node {
-                                name: desc.name.to_string(),
+                                name: &desc.name,
                                 tag: desc.tag,
                                 key,
                                 epoch,
                                 clock: clock.clone(),
                                 log_index,
-                                accesses: vec![(d, phase, desc.accesses.clone())],
                             });
                         }
                     }
@@ -200,53 +245,54 @@ pub(crate) fn check_fabric_logs(
                     }
                     CmdRecord::WaitEvent { event, .. } => {
                         match event_clock.get(&(d, event.raw())) {
-                            Some(ev) => {
-                                let ev = ev.clone();
-                                let clock = clocks.entry(key).or_default();
-                                for (k, t) in ev {
-                                    let e = clock.entry(k).or_insert(0);
-                                    *e = (*e).max(t);
-                                }
-                            }
-                            None if recorded_events.contains(&(d, event.raw())) => {
-                                break; // blocked: record not yet replayed
-                            }
-                            // Recorded before these suffixes: the wait is
+                            Some(ev) => join(clocks.entry(key).or_default(), ev),
+                            // Recorded before these suffixes and completed:
                             // a join with already-checked history.
-                            None => {}
+                            None if !recorded_events.contains(&(d, event.raw()))
+                                && devs[d].event_time(event).is_some() => {}
+                            // Blocked: the record is not replayed yet, or
+                            // is never issued at all.
+                            None => break,
                         }
                     }
                     CmdRecord::CopySrc { copy, .. } => {
+                        let Some(fabric) = fabric else {
+                            unreachable!("copy halves are dropped without a fabric")
+                        };
                         let desc = fabric.copy_desc(copy);
                         let clock = clocks.entry(key).or_default();
                         let epoch = clock.entry(key).or_insert(0);
                         *epoch += 1;
                         let epoch = *epoch;
+                        replayed += 1;
                         copy_clock.insert(copy.raw(), clock.clone());
-                        let mut accesses = vec![(desc.src, phase, read_set(desc.src_access))];
+                        let node = nodes.len();
+                        entries.push(Entry {
+                            device: desc.src,
+                            phase,
+                            node,
+                            set: Cow::Owned(read_set(desc.src_access)),
+                        });
                         if let Some(&dp) = copy_dst_phase.get(&copy.raw()) {
-                            accesses.push((desc.dst, dp, write_set(desc.dst_access)));
+                            entries.push(Entry {
+                                device: desc.dst,
+                                phase: dp,
+                                node,
+                                set: Cow::Owned(write_set(desc.dst_access)),
+                            });
                         }
                         nodes.push(Node {
-                            name: desc.name.to_string(),
+                            name: &desc.name,
                             tag: copy.raw(),
                             key,
                             epoch,
                             clock: clock.clone(),
                             log_index,
-                            accesses,
                         });
                     }
                     CmdRecord::CopyDst { copy, .. } => {
                         match copy_clock.get(&copy.raw()) {
-                            Some(cc) => {
-                                let cc = cc.clone();
-                                let clock = clocks.entry(key).or_default();
-                                for (k, t) in cc {
-                                    let e = clock.entry(k).or_insert(0);
-                                    *e = (*e).max(t);
-                                }
-                            }
+                            Some(cc) => join(clocks.entry(key).or_default(), cc),
                             None if recorded_copies.contains(&copy.raw()) => {
                                 break; // blocked: source half not replayed
                             }
@@ -264,17 +310,11 @@ pub(crate) fn check_fabric_logs(
                 while barrier_phase[d] < phase_totals[d].len()
                     && phase_fired[d][barrier_phase[d]] == phase_totals[d][barrier_phase[d]]
                 {
-                    let mut b = std::mem::take(&mut barrier[d]);
-                    for (k, clock) in clocks.iter() {
-                        if k.0 != d {
-                            continue;
-                        }
-                        for (ck, t) in clock {
-                            let e = b.entry(*ck).or_insert(0);
-                            *e = (*e).max(*t);
+                    for (k, clock) in &clocks {
+                        if k.0 == d {
+                            join(&mut barrier[d], clock);
                         }
                     }
-                    barrier[d] = b;
                     barrier_phase[d] += 1;
                 }
             }
@@ -288,8 +328,7 @@ pub(crate) fn check_fabric_logs(
     let stuck: Vec<String> = key_order
         .iter()
         .filter_map(|key| {
-            let f = &fifos[key];
-            f.queue.front().map(|&(i, _, c)| {
+            fifos[key].queue.front().map(|&(i, _, c)| {
                 let what = match c {
                     CmdRecord::WaitEvent { event, .. } => {
                         format!("waiting on event {}", event.raw())
@@ -315,74 +354,71 @@ pub(crate) fn check_fabric_logs(
             second: None,
             site: None,
             detail: format!(
-                "fabric trace replay deadlocks: {} (a copy or event half is \
-                 missing, or waits form a cross-device cycle)",
+                "trace replay deadlocks: {} (an event is never recorded, a copy \
+                 half is missing, or waits form a cycle)",
                 stuck.join("; ")
             ),
         });
     }
 
     // ---- race detection ----------------------------------------------
-    // Bucket access entries by (device, phase): entries in different
-    // phases of the same device are ordered by its sync barrier, and
-    // entries on different devices live in different address spaces.
-    let mut buckets: HashMap<(usize, usize), Vec<(usize, usize)>> = HashMap::new();
-    for (ni, n) in nodes.iter().enumerate() {
-        for (ai, (d, p, _)) in n.accesses.iter().enumerate() {
-            buckets.entry((*d, *p)).or_default().push((ni, ai));
-        }
-    }
-    let mut bucket_keys: Vec<(usize, usize)> = buckets.keys().copied().collect();
-    bucket_keys.sort_unstable();
+    // Entries in different phases of the same device are ordered by its
+    // sync barrier, and entries on different devices live in different
+    // address spaces, so only entries of one (device, phase) bucket can
+    // race: the sweep names the pairs whose regions conflict, the vector
+    // clocks decide which of those are unordered. The sort is stable, so
+    // each bucket keeps node order and its pairs come back ascending.
+    entries.sort_by_key(|e| (e.device, e.phase));
+    let node_ref = |n: &Node| KernelRef {
+        name: if devs.len() > 1 {
+            format!("dev{}:{}", n.key.0, n.name)
+        } else {
+            n.name.to_string()
+        },
+        tag: n.tag,
+        stream: Some(n.key.1.raw()),
+        index: n.log_index,
+    };
     let mut pairs = 0u64;
     let mut reported: HashSet<(usize, usize)> = HashSet::new();
-    for bk in bucket_keys {
-        let entries = &buckets[&bk];
-        for x in 0..entries.len() {
-            let (ni, ai) = entries[x];
-            for &(nj, aj) in &entries[x + 1..] {
-                if ni == nj || reported.contains(&(ni, nj)) {
-                    continue;
-                }
-                pairs += 1;
-                let (a, b) = (&nodes[ni], &nodes[nj]);
-                if a.happens_before(b) || b.happens_before(a) {
-                    continue;
-                }
-                if let Some(c) = a.accesses[ai].2.conflict_with(&b.accesses[aj].2) {
-                    reported.insert((ni, nj));
-                    let node_ref = |n: &Node| KernelRef {
-                        name: format!("dev{}:{}", n.key.0, n.name),
-                        tag: n.tag,
-                        stream: Some(n.key.1.raw()),
-                        index: n.log_index,
-                    };
-                    out.push(Diagnostic {
-                        kind: DiagnosticKind::DataRace,
-                        context: context.to_string(),
-                        first: Some(node_ref(a)),
-                        second: Some(node_ref(b)),
-                        site: Some(ConflictSite {
-                            buffer: c.buffer,
-                            overlap: c.overlap,
-                            hazard: c.hazard(),
-                        }),
-                        detail: format!(
-                            "no copy edge, event, or stream order makes these \
-                             happens-before ordered on device {}",
-                            bk.0
-                        ),
-                    });
-                }
+    for bucket in entries.chunk_by(|a, b| (a.device, a.phase) == (b.device, b.phase)) {
+        let sets: Vec<&AccessSet> = bucket.iter().map(|e| e.set.as_ref()).collect();
+        pairs += pairs_covered(&sets);
+        for (x, y) in conflict_candidates(&sets) {
+            let (x, y) = (x as usize, y as usize);
+            let (ni, nj) = (bucket[x].node, bucket[y].node);
+            let (a, b) = (&nodes[ni], &nodes[nj]);
+            if reported.contains(&(ni, nj)) || a.happens_before(b) || b.happens_before(a) {
+                continue;
+            }
+            if let Some(c) = sets[x].conflict_with(sets[y]) {
+                reported.insert((ni, nj));
+                out.push(Diagnostic {
+                    kind: DiagnosticKind::DataRace,
+                    context: context.to_string(),
+                    first: Some(node_ref(a)),
+                    second: Some(node_ref(b)),
+                    site: Some(ConflictSite {
+                        buffer: c.buffer,
+                        overlap: c.overlap,
+                        hazard: c.hazard(),
+                    }),
+                    detail: format!(
+                        "no copy edge, event, or stream order makes these \
+                         happens-before ordered on device {}",
+                        bucket[x].device
+                    ),
+                });
             }
         }
     }
-    (nodes.len() as u64, pairs)
+    (replayed, pairs)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{SanitizeMode, Sanitizer};
     use gpu_sim::{
         BufferId, ByteRange, CopyDesc, DeviceProps, Dim3, KernelCost, KernelDesc, LaunchConfig,
         LinkProps,
@@ -403,10 +439,11 @@ mod tests {
         }
     }
 
-    fn check(fabric: &Fabric, devs: &[&Device]) -> Vec<Diagnostic> {
+    /// Every device's whole log, replayed together over `fabric`.
+    fn check_all(fabric: &Fabric, devs: &[&Device]) -> Vec<Diagnostic> {
         let mut out = Vec::new();
         let logs: Vec<&[CmdRecord]> = devs.iter().map(|d| d.command_log()).collect();
-        check_fabric_logs(fabric, devs, &logs, "test", &mut out);
+        check_logs(Some(fabric), devs, &logs, "test", &mut out);
         out
     }
 
@@ -447,7 +484,7 @@ mod tests {
             fab.run(&mut h);
         }
         let views: Vec<&Device> = devs.iter().collect();
-        check(&fab, &views)
+        check_all(&fab, &views)
     }
 
     #[test]
@@ -484,7 +521,7 @@ mod tests {
         let mut h: Vec<&mut Device> = devs.iter_mut().collect();
         fab.run(&mut h);
         let views: Vec<&Device> = devs.iter().collect();
-        assert_eq!(check(&fab, &views), vec![]);
+        assert_eq!(check_all(&fab, &views), vec![]);
     }
 
     #[test]
@@ -516,7 +553,7 @@ mod tests {
         );
         fab.run(&mut h);
         let views: Vec<&Device> = devs.iter().collect();
-        let out = check(&fab, &views);
+        let out = check_all(&fab, &views);
         assert_eq!(out.len(), 1, "{out:?}");
         assert_eq!(out[0].kind, DiagnosticKind::DataRace);
         assert!(out[0].to_string().contains("src"), "{}", out[0]);
@@ -546,7 +583,7 @@ mod tests {
         let mut h: Vec<&mut Device> = devs.iter_mut().collect();
         fab.run(&mut h);
         let views: Vec<&Device> = devs.iter().collect();
-        assert_eq!(check(&fab, &views), vec![]);
+        assert_eq!(check_all(&fab, &views), vec![]);
     }
 
     #[test]
@@ -567,7 +604,24 @@ mod tests {
         let fab = Fabric::new(1);
         let suffix = &dev.command_log()[cut..];
         let mut out = Vec::new();
-        check_fabric_logs(&fab, &[&dev], &[suffix], "test", &mut out);
+        check_logs(Some(&fab), &[&dev], &[suffix], "test", &mut out);
         assert_eq!(out, vec![]);
+    }
+
+    #[test]
+    fn never_recorded_wait_is_a_deadlock() {
+        // A wait on an event no command ever records: the engine would
+        // hang in run(), so nothing runs and the replay must stall — through
+        // the fabric path exactly as through the per-device one.
+        let mut dev = Device::new(DeviceProps::p100());
+        let s0 = dev.create_stream();
+        let ev = dev.create_event();
+        dev.wait_event(s0, ev);
+        dev.launch(s0, kernel("blocked"));
+        let fab = Fabric::new(1);
+        let mut san = Sanitizer::new(SanitizeMode::Full);
+        san.check_fabric(&fab, &[&dev]);
+        assert_eq!(san.reports().len(), 1, "{:?}", san.reports());
+        assert_eq!(san.reports()[0].kind, DiagnosticKind::EventWaitCycle);
     }
 }

@@ -13,8 +13,9 @@
 //!   dependencies — prove chunk output regions pairwise disjoint, flag
 //!   RAW/WAW/WAR hazards not covered by a declared dep or stream order,
 //!   and detect event-wait cycles (deadlock). All before anything runs.
-//! - **Dynamic happens-before checking** ([`hb`]): replay the device's
-//!   recorded command trace (launch, event record/wait, synchronize) with
+//! - **Dynamic happens-before checking** ([`fabric`]): replay the recorded
+//!   command traces (launch, event record/wait, peer-to-peer copy,
+//!   synchronize) of one device or of every device of a fabric with
 //!   per-stream vector clocks and report any pair of overlapping accesses
 //!   (at least one write) unordered by happens-before.
 //!
@@ -31,7 +32,7 @@
 
 pub mod diag;
 pub mod fabric;
-pub mod hb;
+mod hb;
 pub mod lint;
 pub mod plan;
 pub mod report;
@@ -73,9 +74,10 @@ pub struct SanitizerStats {
     pub plan_pairs: u64,
     /// Plans validated.
     pub plans_checked: u64,
-    /// Launches replayed by the dynamic checker.
+    /// Launches and peer-to-peer copies replayed by the dynamic checker.
     pub trace_kernels: u64,
-    /// Launch pairs covered by the dynamic checker.
+    /// Access-carrying node pairs covered by the dynamic checker, counted
+    /// per (device, sync phase).
     pub trace_pairs: u64,
     /// Symbolic disjointness proofs run (one per dispatch site, cached).
     pub symbolic_proofs: u64,
@@ -415,13 +417,14 @@ impl Sanitizer {
         if self.log_cursor >= log.len() {
             return;
         }
-        // Only replay whole sync-delimited segments plus the (possibly
-        // unfinished) tail; the cursor always advances to the log end, and
+        // Replay everything since the cursor, the (possibly unfinished)
+        // tail included; the cursor always advances to the log end, and
         // commands before the cursor are already ordered against commands
         // after it by the completed run() they precede.
-        let (kernels, pairs) = hb::check_log(
-            dev,
-            &log[self.log_cursor..],
+        let (kernels, pairs) = fabric::check_logs(
+            None,
+            &[dev],
+            &[&log[self.log_cursor..]],
             "device-trace",
             &mut self.reports,
         );
@@ -435,9 +438,11 @@ impl Sanitizer {
     /// peer-to-peer copies across device boundaries. A copy reads its
     /// source range on the source device and writes its destination range
     /// on the destination device; the destination-side wait marker is the
-    /// happens-before edge consumers must be ordered behind. Use this (in
-    /// addition to per-device [`check_device`](Sanitizer::check_device))
-    /// whenever devices exchange data through a [`Fabric`].
+    /// happens-before edge consumers must be ordered behind. It is the same
+    /// replay as [`check_device`](Sanitizer::check_device) (which replays
+    /// one device with no fabric), run over every device at once: use it
+    /// whenever devices exchange data through a [`Fabric`]. Its cursors are
+    /// its own, so a device may also be checked through `check_device`.
     pub fn check_fabric(&mut self, fabric: &Fabric, devs: &[&Device]) {
         if !self.is_full() {
             return;
@@ -452,7 +457,7 @@ impl Sanitizer {
             return;
         }
         let (kernels, pairs) =
-            fabric::check_fabric_logs(fabric, devs, &logs, "fabric-trace", &mut self.reports);
+            fabric::check_logs(Some(fabric), devs, &logs, "fabric-trace", &mut self.reports);
         for (cur, d) in self.fabric_cursors.iter_mut().zip(devs) {
             *cur = d.command_log().len();
         }

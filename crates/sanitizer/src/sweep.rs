@@ -121,7 +121,7 @@ mod tests {
     use crate::{Diagnostic, LintConfig, LintDiag, LintStats, SanitizeMode, Sanitizer};
     use crate::{SanitizerStats, SymGroupSpec};
     use gpu_sim::{BufferId, ByteRange, Device, DeviceProps, Dim3, KernelCost, KernelDesc};
-    use gpu_sim::{LaunchConfig, MemAccess};
+    use gpu_sim::{CopyDesc, Fabric, LaunchConfig, LinkProps, MemAccess};
     use proptest::prelude::*;
 
     fn kernel(name: &str, set: &AccessSet) -> KernelDesc {
@@ -370,6 +370,92 @@ mod tests {
         (san.reports().to_vec(), san.stats())
     }
 
+    /// A command of the two-device arm: `(device, stream, ...)` as in
+    /// [`Cmd`], plus peer-to-peer copies from `src` to the other device.
+    #[derive(Debug, Clone)]
+    enum FabricCmd {
+        Launch(usize, usize, AccessSet),
+        Record(usize, usize),
+        Wait(usize, usize, usize),
+        /// `(src device, src stream, dst stream, src access, dst access)`.
+        Copy(usize, usize, usize, (u64, u64, u64), (u64, u64, u64)),
+        /// One `Fabric::run` over both devices.
+        Sync,
+    }
+
+    fn arb_fabric_cmds() -> impl Strategy<Value = Vec<FabricCmd>> {
+        // Copies move a non-empty range of one of the buffers launches name.
+        let range = (0u64..5, 0u64..14, 1u64..8).prop_map(|(b, s, n)| (b, s, s + n));
+        let cmd = (
+            0u8..12,
+            (0usize..2, 0usize..3, 0usize..3, 0usize..8),
+            arb_set(),
+            (range.clone(), range),
+        )
+            .prop_map(|(kind, (d, s, t, e), a, (src, dst))| match kind {
+                0..=4 => FabricCmd::Launch(d, s, a),
+                5..=6 => FabricCmd::Record(d, s),
+                7..=8 => FabricCmd::Wait(d, s, e),
+                9..=10 => FabricCmd::Copy(d, s, t, src, dst),
+                _ => FabricCmd::Sync,
+            });
+        prop::collection::vec(cmd, 0..30)
+    }
+
+    fn fabric_trace_outcome(cmds: &[FabricCmd]) -> (Vec<Diagnostic>, SanitizerStats) {
+        let mut devs = [
+            Device::new(DeviceProps::p100()),
+            Device::new(DeviceProps::p100()),
+        ];
+        let streams: Vec<Vec<_>> = devs
+            .iter_mut()
+            .map(|d| (0..3).map(|_| d.create_stream()).collect())
+            .collect();
+        let mut fab = Fabric::fully_connected(2, LinkProps::nvlink());
+        let mut recorded = [Vec::new(), Vec::new()];
+        let mem = |&(buffer, start, end): &(u64, u64, u64)| MemAccess {
+            buffer: BufferId(buffer),
+            range: ByteRange { start, end },
+        };
+        {
+            let mut h: Vec<&mut Device> = devs.iter_mut().collect();
+            for cmd in cmds {
+                match cmd {
+                    FabricCmd::Launch(d, s, a) => {
+                        h[*d].launch(streams[*d][*s], kernel("k", a));
+                    }
+                    FabricCmd::Record(d, s) => {
+                        let e = h[*d].create_event();
+                        h[*d].record_event(streams[*d][*s], e);
+                        recorded[*d].push(e);
+                    }
+                    FabricCmd::Wait(d, s, e) => {
+                        if !recorded[*d].is_empty() {
+                            let e = recorded[*d][e % recorded[*d].len()];
+                            h[*d].wait_event(streams[*d][*s], e);
+                        }
+                    }
+                    FabricCmd::Copy(src, s, t, a, b) => {
+                        let dst = 1 - src;
+                        let desc = CopyDesc::new(
+                            "p2p",
+                            (*src, streams[*src][*s], mem(a)),
+                            (dst, streams[dst][*t], mem(b)),
+                        );
+                        fab.copy_p2p(&mut h, desc)
+                            .expect("two fully-connected devices copy either way");
+                    }
+                    FabricCmd::Sync => {
+                        fab.run(&mut h);
+                    }
+                }
+            }
+        }
+        let mut san = Sanitizer::new(SanitizeMode::Full);
+        san.check_fabric(&fab, &devs.iter().collect::<Vec<_>>());
+        (san.reports().to_vec(), san.stats())
+    }
+
     fn chunk_outcome(groups: &[Vec<AccessSet>], spec: bool) -> (Vec<Diagnostic>, SanitizerStats) {
         let groups: Vec<Vec<KernelDesc>> = groups
             .iter()
@@ -410,9 +496,16 @@ mod tests {
         }
 
         #[test]
-        fn trace_replay_matches_the_all_pairs_reference(cmds in arb_cmds()) {
+        fn trace_replay_matches_the_all_pairs_reference(
+            cmds in arb_cmds(),
+            fabric_cmds in arb_fabric_cmds(),
+        ) {
             let reference = reference::with_all_pairs(|| trace_outcome(&cmds));
             prop_assert_eq!(trace_outcome(&cmds), reference);
+            // Two devices exchanging data: the race scan of the merged
+            // replay, copies' source reads and landing writes included.
+            let reference = reference::with_all_pairs(|| fabric_trace_outcome(&fabric_cmds));
+            prop_assert_eq!(fabric_trace_outcome(&fabric_cmds), reference);
         }
 
         #[test]

@@ -232,29 +232,47 @@ mod tests {
         assert!(!wa.pays, "wa = {wa:?}");
     }
 
+    /// A one-dispatch wave is the per-layer model with the instance counts
+    /// clamped to the group count: on every evaluation GPU the same stream
+    /// count comes out, and the wave never "pays".
+    fn assert_single_dispatch_matches(classes: &[KernelProfile], groups: usize) {
+        for props in DeviceProps::evaluation_set() {
+            let solo = analyze_profiles(&props, classes);
+            let wa = co_schedule(&props, &[dispatch(0, "conv", groups, classes.to_vec())]);
+            assert!(!wa.pays);
+            assert_eq!(
+                wa.streams_per_dispatch[0],
+                solo.streams.min(groups as u32),
+                "{}: wa = {wa:?} solo = {solo:?}",
+                props.name
+            );
+        }
+    }
+
     #[test]
     fn single_dispatch_matches_per_layer_model() {
-        // A one-dispatch wave is the per-layer model with the instance
-        // counts clamped to the group count: on every evaluation GPU the
-        // same stream count comes out, and the wave never "pays".
-        let classes = [
-            profile("im2col", 18, 256, 0, 100),
-            profile("sgemm", 24, 128, 8192, 400),
-            profile("bias", 6, 64, 0, 50),
-        ];
-        for props in DeviceProps::evaluation_set() {
-            for (classes, groups) in [(&classes[..2], 16), (&classes[..], 64)] {
-                let solo = analyze_profiles(&props, classes);
-                let wa = co_schedule(&props, &[dispatch(0, "conv", groups, classes.to_vec())]);
-                assert!(!wa.pays);
-                assert_eq!(
-                    wa.streams_per_dispatch[0],
-                    solo.streams.min(groups as u32),
-                    "{}: wa = {wa:?} solo = {solo:?}",
-                    props.name
-                );
-            }
-        }
+        assert_single_dispatch_matches(
+            &[
+                profile("im2col", 18, 256, 0, 100),
+                profile("sgemm", 24, 128, 8192, 400),
+            ],
+            16,
+        );
+    }
+
+    #[test]
+    fn footprint_helpers_match_core_model() {
+        // The joint model charges the per-layer analyzer's Eq. 7/8
+        // footprints (both come from `solve_occupancy`): with a group cap
+        // above every Eq. 7 cap, a three-class chain gets the solo count.
+        assert_single_dispatch_matches(
+            &[
+                profile("im2col", 18, 256, 0, 100),
+                profile("sgemm", 24, 128, 8192, 400),
+                profile("bias", 6, 64, 0, 50),
+            ],
+            64,
+        );
     }
 
     #[test]

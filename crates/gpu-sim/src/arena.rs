@@ -16,100 +16,57 @@
 //!
 //! The arena hands out stable indices into fixed-size chunks: a push
 //! never reallocates existing elements (unlike `Vec`), so `&mut` access
-//! to one slot stays valid while new kernels are launched. Chunks are
-//! retained across [`Arena::clear`], so a warm device reaches a
-//! high-water mark after which launches stop allocating too.
+//! to one slot stays valid while new kernels are launched. A chunk is
+//! allocated by the first push that lands in it, and [`Arena::skip`]
+//! hands out indices that hold nothing: a memo-applied replay's kernels
+//! keep their ids but no slot (DESIGN.md, "Quiescent-replay memo").
 
 /// Elements per chunk. Power of two so index math is shift/mask.
 const CHUNK: usize = 256;
 
-/// A chunked arena: stable indices, O(1) push/index, storage recycled by
-/// [`clear`](Arena::clear) without freeing chunks.
+/// A chunked arena: stable indices, O(1) push/index, chunks allocated on
+/// first use.
 #[derive(Debug)]
-pub struct Arena<T> {
-    chunks: Vec<Box<[Option<T>; CHUNK]>>,
+pub(crate) struct Arena<T> {
+    chunks: Vec<Option<Box<[Option<T>; CHUNK]>>>,
     len: usize,
-}
-
-impl<T> Default for Arena<T> {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl<T> Arena<T> {
     /// An empty arena (no chunks yet).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Arena {
             chunks: Vec::new(),
             len: 0,
         }
     }
 
-    /// Number of live slots.
-    pub fn len(&self) -> usize {
+    /// Number of indices handed out, skipped ones included.
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
-    /// Whether no slots are live.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Append a value, returning its stable index.
-    pub fn push(&mut self, value: T) -> usize {
+    pub(crate) fn push(&mut self, value: T) -> usize {
         let idx = self.len;
-        let (c, i) = (idx / CHUNK, idx % CHUNK);
-        if c == self.chunks.len() {
-            self.chunks.push(Box::new([(); CHUNK].map(|_| None)));
+        let c = idx / CHUNK;
+        if c >= self.chunks.len() {
+            self.chunks.resize_with(c + 1, || None);
         }
-        self.chunks[c][i] = Some(value);
+        let chunk = self.chunks[c].get_or_insert_with(|| Box::new([(); CHUNK].map(|_| None)));
+        chunk[idx % CHUNK] = Some(value);
         self.len += 1;
         idx
     }
 
-    /// Shared access to slot `idx`. Panics if out of bounds.
-    pub fn get(&self, idx: usize) -> &T {
-        assert!(
-            idx < self.len,
-            "arena index {idx} out of bounds {}",
-            self.len
-        );
-        self.chunks[idx / CHUNK][idx % CHUNK]
-            .as_ref()
-            .expect("live arena slot")
+    /// Hand out the next `n` indices without a value or a chunk.
+    pub(crate) fn skip(&mut self, n: usize) {
+        self.len += n;
     }
 
-    /// Mutable access to slot `idx`. Panics if out of bounds.
-    pub fn get_mut(&mut self, idx: usize) -> &mut T {
-        assert!(
-            idx < self.len,
-            "arena index {idx} out of bounds {}",
-            self.len
-        );
-        self.chunks[idx / CHUNK][idx % CHUNK]
-            .as_mut()
-            .expect("live arena slot")
-    }
-
-    /// Drop all values but keep the chunks, so refilling a warm arena
-    /// does not allocate until it passes its previous high-water mark.
-    pub fn clear(&mut self) {
-        for chunk in &mut self.chunks {
-            for slot in chunk.iter_mut() {
-                *slot = None;
-            }
-        }
-        self.len = 0;
-    }
-
-    /// Iterate over live slots in index order.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.chunks
-            .iter()
-            .flat_map(|c| c.iter())
-            .take(self.len)
-            .map(|s| s.as_ref().expect("live arena slot"))
+    /// Slot `idx`, if it was pushed (not skipped, not past the end).
+    pub(crate) fn get(&self, idx: usize) -> Option<&T> {
+        self.chunks.get(idx / CHUNK)?.as_ref()?[idx % CHUNK].as_ref()
     }
 }
 
@@ -117,18 +74,28 @@ impl<T> std::ops::Index<usize> for Arena<T> {
     type Output = T;
     fn index(&self, idx: usize) -> &T {
         self.get(idx)
+            .unwrap_or_else(|| panic!("arena index {idx} out of bounds or skipped"))
     }
 }
 
 impl<T> std::ops::IndexMut<usize> for Arena<T> {
     fn index_mut(&mut self, idx: usize) -> &mut T {
-        self.get_mut(idx)
+        let slot = self.chunks.get_mut(idx / CHUNK).and_then(|c| c.as_mut());
+        (slot.and_then(|c| c[idx % CHUNK].as_mut()))
+            .unwrap_or_else(|| panic!("arena index {idx} out of bounds or skipped"))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<T> Arena<T> {
+        /// Chunks allocated so far.
+        pub(crate) fn chunks_allocated(&self) -> usize {
+            self.chunks.iter().flatten().count()
+        }
+    }
 
     #[test]
     fn push_index_iter() {
@@ -141,7 +108,7 @@ mod tests {
         assert_eq!(a[999], 1998);
         a[500] = 7;
         assert_eq!(a[500], 7);
-        let collected: Vec<usize> = a.iter().copied().collect();
+        let collected: Vec<usize> = (0..a.len()).map(|i| a[i]).collect();
         assert_eq!(collected.len(), 1000);
         assert_eq!(collected[499], 998);
     }
@@ -151,32 +118,33 @@ mod tests {
         let mut a = Arena::new();
         let first = a.push(String::from("first"));
         // Force several chunk allocations; the first slot must not move.
-        let p0 = a.get(first).as_ptr();
+        let p0 = a[first].as_ptr();
         for i in 0..4 * CHUNK {
             a.push(format!("k{i}"));
         }
-        assert_eq!(a.get(first).as_ptr(), p0);
+        assert_eq!(a[first].as_ptr(), p0);
         assert_eq!(a[first], "first");
     }
 
     #[test]
-    fn clear_retains_chunks() {
+    fn skipped_indices_hold_nothing_and_allocate_no_chunk() {
         let mut a = Arena::new();
-        for i in 0..CHUNK + 1 {
-            a.push(i);
-        }
-        let chunks_before = a.chunks.len();
-        a.clear();
-        assert!(a.is_empty());
-        assert_eq!(a.chunks.len(), chunks_before);
-        a.push(42);
-        assert_eq!(a[0], 42);
+        a.push(1u32);
+        a.skip(10 * CHUNK);
+        assert_eq!((a.len(), a.chunks_allocated()), (1 + 10 * CHUNK, 1));
+        assert_eq!(
+            (a.get(0), a.get(1), a.get(5 * CHUNK)),
+            (Some(&1), None, None)
+        );
+        assert_eq!(a.push(42), 1 + 10 * CHUNK);
+        assert_eq!((a[1 + 10 * CHUNK], a.chunks_allocated()), (42, 2));
+        assert_eq!(a.get(2 + 10 * CHUNK), None, "past the end");
     }
 
     #[test]
     #[should_panic(expected = "out of bounds")]
     fn out_of_bounds_panics() {
         let a: Arena<u32> = Arena::new();
-        a.get(0);
+        let _ = a[0];
     }
 }

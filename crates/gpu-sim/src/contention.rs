@@ -19,6 +19,15 @@
 //! re-baseline (`place_and_retire_round_differently_so_the_residue_drifts`
 //! pins the asymmetry). It is why the replay memo does not key on the
 //! residue but re-runs a recorded [`Residue`] program from the current one.
+//!
+//! # One step, so the program is bit-identical
+//!
+//! Every change of the demand is one `step`, `(d + x).max(0.0)`: `place`
+//! adds `x ≥ 0` (the clamp never fires) and `retire` adds `x = −a` (IEEE 754
+//! rounds `d − a` and `d + (−a)` alike). The program stores each `x`, so
+//! `replay` folds `step` over it on a local demand in one pass, computing
+//! the tracker's own bits, and only accumulates whether each placement's
+//! `factor` matches the recording; the demand is written back if all did.
 
 use crate::device::DeviceProps;
 use crate::SimTime;
@@ -61,11 +70,11 @@ impl BandwidthTracker {
     /// Register a block's demand; returns the slowdown factor (≥ 1) to apply
     /// to that block's nominal duration.
     pub fn place(&mut self, demand: f64) -> f64 {
-        self.demand_bytes_per_s += demand;
+        self.demand_bytes_per_s = step(self.demand_bytes_per_s, demand);
         let factor = self.factor();
         if let Some(rec) = &mut self.rec {
             rec.ops.push(demand.to_bits());
-            if factor > 1.0 {
+            if factor != 1.0 {
                 rec.checks
                     .push((rec.ops.len() - 1, factor, 0.0, rec.bursts.len()));
             }
@@ -75,7 +84,7 @@ impl BandwidthTracker {
 
     /// Remove a retired block's demand.
     pub fn retire(&mut self, demand: f64) {
-        self.demand_bytes_per_s = (self.demand_bytes_per_s - demand).max(0.0);
+        self.demand_bytes_per_s = step(self.demand_bytes_per_s, -demand);
         if let Some(rec) = &mut self.rec {
             rec.ops.push((-demand).to_bits());
         }
@@ -83,11 +92,7 @@ impl BandwidthTracker {
 
     /// Current over-subscription factor (1.0 when demand ≤ peak).
     pub fn factor(&self) -> f64 {
-        if self.demand_bytes_per_s <= self.peak_bytes_per_s {
-            1.0
-        } else {
-            self.demand_bytes_per_s / self.peak_bytes_per_s
-        }
+        factor(self.demand_bytes_per_s, self.peak_bytes_per_s)
     }
 
     /// Current aggregate demand in bytes/s.
@@ -113,35 +118,52 @@ impl BandwidthTracker {
     }
 
     /// Re-run a recorded replay's `place`/`retire` calls from the current
-    /// demand. `true` (the demand left where the replay would leave it) if
-    /// every factor comes out bit-equal or, recorded past peak, still gives
-    /// every recorded burst duration; otherwise the demand is restored.
+    /// demand in one pass (module docs). `true` (the demand left where the
+    /// replay would leave it) if every factor comes out bit-equal or,
+    /// recorded past peak, still gives every recorded burst duration;
+    /// otherwise the demand is left alone.
     pub(crate) fn replay(&mut self, rec: &Residue) -> bool {
-        let start = self.demand_bytes_per_s;
-        let (mut checks, mut first_burst) = (rec.checks.iter().peekable(), 0);
-        for (i, &op) in rec.ops.iter().enumerate() {
-            let amount = f64::from_bits(op);
-            if amount.is_sign_negative() {
-                self.retire(-amount);
-                continue;
+        let peak = self.peak_bytes_per_s;
+        let (mut d, mut ok, mut from, mut first_burst) = (self.demand_bytes_per_s, true, 0, 0);
+        // Each check's placement, and the end, closes a run of ops whose
+        // placements were recorded at factor 1.
+        for check in rec.checks.iter().map(Some).chain([None]) {
+            let to = check.map_or(rec.ops.len(), |c| c.0);
+            for &op in &rec.ops[from..to] {
+                let x = f64::from_bits(op);
+                d = step(d, x);
+                ok &= x.is_sign_negative() | (factor(d, peak) == 1.0);
             }
-            let factor = self.place(amount);
-            let same = match checks.next_if(|c| c.0 == i) {
-                Some(&(_, recorded, t_m_base, end)) => {
-                    let bursts = &rec.bursts[std::mem::replace(&mut first_burst, end)..end];
-                    factor.to_bits() == recorded.to_bits()
-                        || bursts
-                            .iter()
-                            .all(|&(t_c, dur)| burst_ns(t_c, t_m_base * factor) == dur)
-                }
-                None => factor == 1.0,
+            let Some(&(at, recorded, t_m_base, end)) = check else {
+                break;
             };
-            if !same {
-                self.demand_bytes_per_s = start;
-                return false;
-            }
+            d = step(d, f64::from_bits(rec.ops[at]));
+            let f = factor(d, peak);
+            let bursts = &rec.bursts[std::mem::replace(&mut first_burst, end)..end];
+            ok &= f.to_bits() == recorded.to_bits()
+                || bursts
+                    .iter()
+                    .all(|&(t_c, dur)| burst_ns(t_c, t_m_base * f) == dur);
+            from = at + 1;
         }
-        true
+        if ok {
+            self.demand_bytes_per_s = d;
+        }
+        ok
+    }
+}
+
+/// One change of the demand `d`: a placement (`x ≥ 0`) or a retirement.
+fn step(d: f64, x: f64) -> f64 {
+    (d + x).max(0.0)
+}
+
+/// The over-subscription factor at demand `d`: exactly 1.0 up to `peak`.
+fn factor(d: f64, peak: f64) -> f64 {
+    if d <= peak {
+        1.0
+    } else {
+        d / peak
     }
 }
 
@@ -211,6 +233,46 @@ mod tests {
         assert!(t.demand() > 0.0, "the retirement no longer rounds");
         residues.dedup();
         assert_eq!(residues.len(), 4, "an idle device repeats a residue");
+    }
+
+    #[test]
+    fn the_one_pass_replay_lands_on_the_trackers_bits_at_zero_and_at_peak() {
+        let dev = DeviceProps::k40c(); // 288 GB/s
+        let peak = dev.mem_bw_gbps * 1e9;
+        // Negative amounts retire; the factors `place` returned.
+        let run = |t: &mut BandwidthTracker, program: &[f64]| {
+            let mut factors = Vec::new();
+            for &x in program {
+                if x.is_sign_negative() {
+                    t.retire(-x);
+                } else {
+                    factors.push(t.place(x));
+                }
+            }
+            factors
+        };
+        let programs: [&[f64]; 2] = [
+            // Retires more than it placed: the demand clamps at zero.
+            &[100.0e9 + 0.3, -150.0e9, 50.0e9 + 0.7, -(20.0e9 + 0.2)],
+            // Lands exactly on peak, where the factor is still 1.0.
+            &[peak / 4.0, 0.75 * peak, -peak / 4.0, 5.0e9, -0.75 * peak],
+        ];
+        for program in programs {
+            let mut recorder = BandwidthTracker::new(&dev);
+            recorder.record(true);
+            run(&mut recorder, program);
+            let rec = recorder.record(false).expect("recording");
+            assert!(rec.checks.is_empty(), "every recorded factor is 1.0");
+            for start in [0.0, 1.0e-3, 12_345.678_9, 1.0e9] {
+                let mut des = BandwidthTracker::new(&dev);
+                des.place(start);
+                let mut memo = des.clone();
+                let holds = run(&mut des, program).iter().all(|&f| f == 1.0);
+                assert_eq!(memo.replay(&rec), holds, "{start}");
+                let bits = if holds { des.demand() } else { start };
+                assert_eq!(memo.demand().to_bits(), bits.to_bits(), "{start}");
+            }
+        }
     }
 
     #[test]

@@ -186,7 +186,7 @@ pub struct Device {
     events_processed: u64,
     /// Trace/log slots still owed by in-flight work; `trace` keeps
     /// `capacity ≥ len + pending_trace` so event-time pushes never grow
-    /// the vector (see [`crate::arena`] for the allocation policy).
+    /// the vector (see `crate::arena` for the allocation policy).
     pending_trace: usize,
     trace: Vec<KernelTrace>,
     cmd_log: Vec<CmdRecord>,
@@ -218,7 +218,10 @@ pub struct Device {
     /// telemetry is attached (feeds dependency flow arrows).
     event_src: HashMap<u64, (StreamId, SimTime)>,
     /// Replay memo by key ([`Device::replay_memo`]): `None` when seen once.
-    memo: HashMap<u64, Option<Box<memo::Outcome>>>,
+    memo: HashMap<u64, Option<Arc<memo::Outcome>>>,
+    /// Memo-applied replays with kernels, by first kernel id: the outcome
+    /// and the clock it was applied at.
+    applied: Vec<(KernelId, Arc<memo::Outcome>, SimTime)>,
     /// Memo-applied replays and replays that ran the simulation.
     memo_stats: (u64, u64),
     /// Reference arm for differential tests: never extend a burst group, so
@@ -263,6 +266,7 @@ impl Device {
             telemetry_pid: 0,
             event_src: HashMap::new(),
             memo: HashMap::new(),
+            applied: Vec::new(),
             memo_stats: (0, 0),
             #[cfg(test)]
             never_extend_groups: false,
@@ -484,14 +488,14 @@ impl Device {
     ///
     /// [`run`]: Device::run
     pub fn kernel_span(&self, id: KernelId) -> Option<(SimTime, SimTime)> {
-        let k = (id.0 < self.kernels.len() as u64).then(|| &self.kernels[id.0 as usize])?;
-        match (k.start, k.end) {
-            (Some(s), Some(e)) => Some((s, e)),
-            _ => None,
-        }
+        let (k, at) = self.kernel_record(id)?;
+        Some((k.start?.wrapping_add(at), k.end?.wrapping_add(at)))
     }
 
-    /// All kernel traces so far, in launch order.
+    /// All trace rows so far, in completion order: a kernel's row is pushed
+    /// when its last block retires and a fabric copy's when the fabric
+    /// resolves it, so a short kernel on one stream precedes a long one
+    /// launched before it on another.
     pub fn trace(&self) -> &[KernelTrace] {
         &self.trace
     }
@@ -504,12 +508,10 @@ impl Device {
         &self.cmd_log
     }
 
-    /// Descriptor of a previously launched kernel.
-    ///
-    /// # Panics
-    /// Panics if `id` was not issued by this device.
-    pub fn kernel_desc(&self, id: KernelId) -> &KernelDesc {
-        self.kernels[id.0 as usize].desc.as_ref()
+    /// Descriptor of a previously launched kernel (`None` for an id this
+    /// device never issued).
+    pub fn kernel_desc(&self, id: KernelId) -> Option<&KernelDesc> {
+        self.kernel_record(id).map(|(k, _)| k.desc.as_ref())
     }
 
     /// Utilization statistics over everything simulated so far.
@@ -1670,8 +1672,10 @@ mod tests {
         proptest::prop_assert_eq!(&a.events, &b.events);
         proptest::prop_assert_eq!(a.stats(), b.stats());
         proptest::prop_assert_eq!(a.kernels.len(), b.kernels.len());
-        for i in 0..a.kernels.len() as u64 {
-            proptest::prop_assert_eq!(a.kernel_span(KernelId(i)), b.kernel_span(KernelId(i)));
+        for id in (0..a.kernels.len() as u64).map(KernelId) {
+            proptest::prop_assert_eq!(a.kernel_span(id), b.kernel_span(id));
+            let [x, y] = [a, b].map(|d| d.kernel_desc(id).expect("issued"));
+            proptest::prop_assert_eq!((&x.name, x.launch, x.cost), (&y.name, y.launch, y.cost));
         }
         for (x, y) in a.sms.iter().zip(&b.sms) {
             proptest::prop_assert_eq!(x.warp_time_integral, y.warp_time_integral);
@@ -1714,6 +1718,56 @@ mod tests {
         dev.launch(pool[1], kernel("in-flight", 8, 128, 1.0e6));
         assert_eq!(replay(&mut dev), (6, 7), "the device was not idle");
         assert_eq!(replay(&mut dev), (7, 7));
+    }
+
+    #[test]
+    fn warm_hits_answer_by_reference_and_allocate_no_arena_chunk() {
+        let mut dev = Device::new(DeviceProps::p100());
+        let pool: Vec<_> = (0..2).map(|_| dev.create_stream()).collect();
+        // 300 kernels a replay: past one chunk per hit if they took slots.
+        let plan: Vec<Op> = (0..300)
+            .map(|i| (i % 2, 8, 128, 0, 32, i % 2, (9, 0, 0)))
+            .collect();
+        for _ in 0..3 {
+            dev.replay_memo(0, |d| issue_ops(d, &pool, &plan));
+        }
+        let (chunks, mut before) = (dev.kernels.chunks_allocated(), 0);
+        for _ in 0..20 {
+            before = dev.now();
+            dev.replay_memo(0, |d| issue_ops(d, &pool, &plan));
+        }
+        assert_eq!(dev.memo_stats(), (21, 2));
+        assert_eq!(dev.kernels.chunks_allocated(), chunks);
+        assert_eq!((dev.kernels.len(), dev.applied.len()), (23 * 300, 21));
+        // The last hit's kernels answer from its recording, shifted.
+        let last = KernelId(22 * 300 + 299);
+        let (start, end) = dev.kernel_span(last).expect("applied");
+        assert!(before < start && start < end && end <= dev.now());
+        assert_eq!(dev.kernel_desc(last).map(|d| d.tag), Some(299));
+    }
+
+    #[test]
+    fn a_foreign_kernel_id_has_no_descriptor_or_span() {
+        let mut dev = Device::new(DeviceProps::p100());
+        let s = dev.create_stream();
+        let id = dev.launch(s, kernel("k", 8, 128, 1.0e6));
+        dev.run();
+        assert_eq!(dev.kernel_desc(id).map(|d| d.name.as_str()), Some("k"));
+        let foreign = KernelId(id.0 + 1);
+        assert!(dev.kernel_desc(foreign).is_none());
+        assert!(dev.kernel_span(foreign).is_none());
+        assert!(dev.kernel_desc(KernelId(u64::MAX)).is_none());
+    }
+
+    #[test]
+    fn trace_rows_are_in_completion_order() {
+        let mut dev = Device::new(DeviceProps::p100());
+        let (s1, s2) = (dev.create_stream(), dev.create_stream());
+        let long = dev.launch(s1, kernel("long", 8, 128, 1.0e9));
+        let short = dev.launch(s2, kernel("short", 8, 128, 1.0e6));
+        dev.run();
+        let ids: Vec<_> = dev.trace().iter().map(|t| t.id).collect();
+        assert_eq!(ids, [short, long], "the later launch finished first");
     }
 
     #[test]

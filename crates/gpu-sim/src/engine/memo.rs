@@ -2,12 +2,13 @@
 //! second replay of a key from an idle device is simulated and recorded
 //! relative to its start; later ones from an idle device apply the
 //! recording at the current clock and ids once its residue program
-//! ([`crate::contention`]) proves the simulation would repeat. The fabric's
-//! episode memo records and applies one [`Outcome`] per device the same way.
+//! ([`crate::contention`]) proves the simulation would repeat, by reference:
+//! its kernels get ids but no arena slots. The fabric's episode memo records
+//! and applies one [`Outcome`] per device the same way.
 
 use super::{Device, KernelRuntime};
 use crate::contention::Residue;
-use crate::kernel::KernelName;
+use crate::kernel::{KernelId, KernelName};
 use crate::sm::SmState;
 use crate::stream::{CmdRecord, CopyId, EventState};
 use crate::timeline::KernelTrace;
@@ -120,7 +121,7 @@ impl Device {
                 issue(self);
                 self.run();
                 if let Some(start) = start {
-                    memo.insert(key, self.record_finish(start, 0).map(Box::new));
+                    memo.insert(key, self.record_finish(start, 0).map(Arc::new));
                 }
             }
         }
@@ -190,34 +191,39 @@ impl Device {
     }
 
     /// Apply `o` at the current clock and ids if its residue program holds
-    /// from the current residue; otherwise change nothing.
-    fn apply(&mut self, o: &Outcome) -> bool {
+    /// from the current residue; otherwise change nothing. Its kernels take
+    /// the next ids without arena slots: one `applied` entry answers for
+    /// them ([`kernel_record`](Device::kernel_record)).
+    fn apply(&mut self, o: &Arc<Outcome>) -> bool {
         if !self.bw.replay(&o.residue) {
             return false;
         }
         let (k, e) = (self.kernels.len() as u64, self.events.len() as u64);
+        if !o.kernels.is_empty() {
+            self.applied.push((KernelId(k), Arc::clone(o), self.clock));
+            self.kernels.skip(o.kernels.len());
+        }
         self.apply_at(o, Shift(k, e, self.clock, 0));
         true
     }
 
-    /// Write `o` shifted by `at`. Kernel records overwrite the arena where a
-    /// fabric episode already launched them, keeping the live descriptor,
-    /// and are pushed past its end; event states overwrite events still
-    /// pending and are pushed past the table's end.
-    fn apply_at(&mut self, o: &Outcome, at: Shift) {
-        let (k0, e0, c) = (at.0 as usize, at.1 as usize, at.2);
-        for (i, k) in o.kernels.iter().enumerate() {
-            let k = at.kernel(k);
-            if k0 + i < self.kernels.len() {
-                let live = &mut self.kernels[k0 + i];
-                *live = KernelRuntime {
-                    desc: Arc::clone(&live.desc),
-                    ..k
-                };
-            } else {
-                self.kernels.push(k);
-            }
+    /// Kernel `id`'s record and the clock its times are relative to: its
+    /// arena slot (times absolute), or the recording an `applied` entry
+    /// holds for it. `None` for an id this device never issued.
+    pub(super) fn kernel_record(&self, id: KernelId) -> Option<(&KernelRuntime, SimTime)> {
+        if let Some(k) = self.kernels.get(id.0 as usize) {
+            return Some((k, 0));
         }
+        let at = (self.applied.partition_point(|(first, ..)| first.0 <= id.0)).checked_sub(1)?;
+        let (first, o, clock) = &self.applied[at];
+        Some((o.kernels.get((id.0 - first.0) as usize)?, *clock))
+    }
+
+    /// Write everything of `o` but its kernel records, shifted by `at`:
+    /// event states overwrite events still pending and are pushed past the
+    /// table's end.
+    fn apply_at(&mut self, o: &Outcome, at: Shift) {
+        let (e0, c) = (at.1 as usize, at.2);
         self.trace.extend(o.trace.iter().map(|t| at.trace(t)));
         self.cmd_log.extend(o.cmd_log.iter().map(|&r| at.cmd(r)));
         for (i, &e) in o.events.iter().enumerate() {
@@ -314,7 +320,8 @@ impl Device {
     }
 
     /// Apply a fabric episode's outcome `o` at `base`, copy ids from `copy0`
-    /// (its residue program already re-run): patch the episode's kernels and
+    /// (its residue program already re-run): overwrite the arena slots of
+    /// the episode's launches, keeping their live descriptors, patch its
     /// events, push the trace rows with the live kernels' and copies'
     /// (`copy_name`) names, and drop what the simulation would consume.
     pub(crate) fn apply_episode(
@@ -324,8 +331,16 @@ impl Device {
         (base, copy0): (SimTime, u64),
         copy_name: impl Fn(u64) -> KernelName,
     ) {
+        let at = Shift(seg.kernels as u64, seg.events as u64, base, copy0);
         let t0 = self.trace.len();
-        self.apply_at(o, Shift(seg.kernels as u64, seg.events as u64, base, copy0));
+        for (i, k) in o.kernels.iter().enumerate() {
+            let live = &mut self.kernels[seg.kernels + i];
+            *live = KernelRuntime {
+                desc: Arc::clone(&live.desc),
+                ..at.kernel(k)
+            };
+        }
+        self.apply_at(o, at);
         for t in &mut self.trace[t0..] {
             if t.id.0 > u64::MAX / 2 {
                 t.name = copy_name(t.tag);

@@ -45,7 +45,7 @@
 //! assert_eq!(dev.trace().len(), 1);
 //! ```
 
-pub mod arena;
+mod arena;
 pub mod contention;
 pub mod device;
 pub mod engine;
@@ -58,7 +58,6 @@ pub mod stats;
 pub mod stream;
 pub mod timeline;
 
-pub use arena::Arena;
 pub use device::{Arch, ArchFeatures, DeviceProps};
 pub use engine::{Device, LaunchHook};
 pub use fabric::{CopyDesc, Fabric, FabricError, FabricSpec, FabricTopology, LinkProps};

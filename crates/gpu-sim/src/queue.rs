@@ -43,7 +43,7 @@
 //! Bucket storage is recycled (`clear`, never shrink), so a steady-state
 //! workload reaches a high-water mark after which push/pop allocate
 //! nothing — half of the engine's zero-allocation-per-event budget (the
-//! other half is [`crate::arena`]).
+//! other half is `crate::arena`).
 
 use crate::SimTime;
 use std::cmp::Reverse;

@@ -222,7 +222,7 @@ pub(crate) fn check_logs<'a>(
                         let epoch = *epoch;
                         replayed += 1;
                         let desc = devs[d].kernel_desc(kernel);
-                        if !desc.accesses.is_empty() {
+                        if let Some(desc) = desc.filter(|d| !d.accesses.is_empty()) {
                             entries.push(Entry {
                                 device: d,
                                 phase,

@@ -303,6 +303,16 @@ mod tests {
     }
 
     #[test]
+    fn even_spread_eq8() {
+        let dev = DeviceProps::k40c(); // 15 SMs
+        let beta = |blocks| beta_per_sm(&dev, &profile("k", blocks, 128, 0, 10));
+        assert_eq!(beta(150), 10);
+        assert_eq!(beta(151), 10);
+        // Floors at 1 for tiny grids.
+        assert_eq!(beta(3), 1);
+    }
+
+    #[test]
     fn small_kernels_get_multiple_streams() {
         // Per-sample kernels with small grids (18 blocks on a 15-SM K40C)
         // leave SMs idle; the model should pack several instances.

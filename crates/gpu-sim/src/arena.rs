@@ -10,9 +10,9 @@
 //!   slot of trace/cmd-log capacity on the device's contiguous log
 //!   vectors.
 //! * **Event time** (`step_one` and its handlers): consume only
-//!   pre-reserved capacity. The calendar queue recycles bucket storage,
-//!   the arena's chunks are never moved or freed, and the log vectors
-//!   were sized at launch.
+//!   pre-reserved capacity. The event queue's heap keeps its storage
+//!   across episodes, the arena's chunks are never moved or freed, and
+//!   the log vectors were sized at launch.
 //!
 //! The arena hands out stable indices into fixed-size chunks: a push
 //! never reallocates existing elements (unlike `Vec`), so `&mut` access

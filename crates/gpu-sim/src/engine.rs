@@ -76,7 +76,7 @@ use crate::arena::Arena;
 use crate::contention::{burst_ns, BandwidthTracker};
 use crate::device::DeviceProps;
 use crate::kernel::{KernelDesc, KernelId};
-use crate::queue::{EventKey, EventQueue, HeapQueue};
+use crate::queue::{EventKey, EventQueue};
 use crate::sm::{BlockFootprint, SmState};
 use crate::stats::DeviceStats;
 use crate::stream::{CmdRecord, Command, CopyId, EventId, EventState, StreamId, StreamState};
@@ -251,7 +251,7 @@ impl Device {
             bw,
             active: Vec::new(),
             pending: VecDeque::new(),
-            queue: EventQueue::default(),
+            queue: EventQueue::new(),
             seq: 0,
             events_processed: 0,
             pending_trace: 0,
@@ -289,18 +289,6 @@ impl Device {
     /// Remove the launch hook.
     pub fn clear_launch_hook(&mut self) {
         self.launch_hook = None;
-    }
-
-    /// Switch this device onto the pre-calendar binary-heap event queue.
-    /// Differential tests replay identical workloads under both queues
-    /// and assert byte-identical timelines; there is no reason to call
-    /// this outside such a comparison.
-    ///
-    /// # Panics
-    /// Panics if events are already pending (switch before enqueuing).
-    pub fn use_heap_queue(&mut self) {
-        assert!(self.queue.is_empty(), "switch queues before enqueuing work");
-        self.queue = EventQueue::Heap(HeapQueue::new());
     }
 
     /// Number of logical discrete events processed so far (the
@@ -562,7 +550,7 @@ impl Device {
     }
 
     /// Time of the next pending queued event, if any.
-    pub(crate) fn next_event_time(&mut self) -> Option<SimTime> {
+    pub(crate) fn next_event_time(&self) -> Option<SimTime> {
         self.queue.peek_key().map(|k| k.time)
     }
 
@@ -1545,7 +1533,6 @@ mod tests {
                 all.extend([one_sm, single_slot, starved]);
                 all
             }),
-            use_heap in proptest::bool::ANY,
             streams in 1usize..=8,
             ops in proptest::collection::vec(
                 (
@@ -1564,9 +1551,6 @@ mod tests {
             let mut pair = [false, true].map(|never_extend| {
                 let mut dev = Device::new(props.clone());
                 dev.never_extend_groups = never_extend;
-                if use_heap {
-                    dev.use_heap_queue();
-                }
                 issue_mix(&mut dev, streams, &ops);
                 dev.kick();
                 dev

@@ -233,15 +233,6 @@ struct CopyRecord {
     end: Option<SimTime>,
 }
 
-/// How the slots of a [`FabricSpec`] are wired together.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FabricTopology {
-    /// Every ordered pair of slots joined by the spec's link.
-    FullyConnected,
-    /// Slot `i` linked bidirectionally to `(i + 1) % n`.
-    Ring,
-}
-
 /// A declarative placement plan for a fabric: which device model occupies
 /// each slot and how the slots are linked.
 ///
@@ -250,17 +241,16 @@ pub enum FabricTopology {
 /// the data-parallel trainer, a benchmark sweep) needs a description it
 /// can instantiate devices and fabric from together, keeping slot indices
 /// consistent between the two. That is this type: a named, possibly
-/// heterogeneous list of [`DeviceProps`] plus a link model and topology.
+/// heterogeneous list of [`DeviceProps`] plus the link model that fully
+/// connects them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FabricSpec {
     /// Name shown in reports (e.g. `uniform8-nvlink`).
     pub name: String,
     /// Device model per fabric slot, in slot order.
     pub slots: Vec<DeviceProps>,
-    /// Link model joining the slots.
+    /// Link model joining every ordered pair of slots.
     pub link: LinkProps,
-    /// Wiring between slots.
-    pub topology: FabricTopology,
 }
 
 impl FabricSpec {
@@ -274,7 +264,6 @@ impl FabricSpec {
             name: name.to_string(),
             slots: vec![props; n],
             link,
-            topology: FabricTopology::FullyConnected,
         }
     }
 
@@ -288,14 +277,7 @@ impl FabricSpec {
             name: name.to_string(),
             slots,
             link,
-            topology: FabricTopology::FullyConnected,
         }
-    }
-
-    /// The same spec with a different topology.
-    pub fn with_topology(mut self, topology: FabricTopology) -> Self {
-        self.topology = topology;
-        self
     }
 
     /// Number of device slots.
@@ -314,18 +296,9 @@ impl FabricSpec {
         self.slots[i].device_peak_flops()
     }
 
-    /// Instantiate the link structure described by this spec.
+    /// Instantiate the fully-connected fabric described by this spec.
     pub fn build_fabric(&self) -> Fabric {
-        let n = self.slots.len();
-        match self.topology {
-            FabricTopology::FullyConnected => Fabric::fully_connected(n, self.link),
-            FabricTopology::Ring => Fabric::ring(n, self.link),
-        }
-    }
-
-    /// Instantiate one fresh [`Device`] per slot, in slot order.
-    pub fn spawn_devices(&self) -> Vec<Device> {
-        self.slots.iter().cloned().map(Device::new).collect()
+        Fabric::fully_connected(self.slots.len(), self.link)
     }
 }
 
@@ -849,7 +822,7 @@ impl Fabric {
     fn run_sequential(&mut self, devs: &mut [&mut Device]) {
         let mut frontier = std::mem::take(&mut self.frontier);
         frontier.clear();
-        frontier.extend(devs.iter_mut().map(|d| d.next_event_time()));
+        frontier.extend(devs.iter().map(|d| d.next_event_time()));
         let mut ready = std::mem::take(&mut self.ready_buf);
         ready.clear();
         // The kick may have surfaced copies on any device; afterwards only
@@ -929,7 +902,7 @@ impl Fabric {
             for (t, _, _, id) in batch.iter().copied() {
                 self.resolve_copy(devs, id, t);
             }
-            let Some(t_min) = devs.iter_mut().filter_map(|d| d.next_event_time()).min() else {
+            let Some(t_min) = devs.iter().filter_map(|d| d.next_event_time()).min() else {
                 if resolved == 0 {
                     break;
                 }
@@ -1239,8 +1212,6 @@ mod tests {
     fn fabric_spec_builds_matching_devices_and_links() {
         let spec = FabricSpec::uniform("u4", 4, DeviceProps::p100(), LinkProps::nvlink());
         assert_eq!(spec.num_slots(), 4);
-        let devs = spec.spawn_devices();
-        assert_eq!(devs.len(), 4);
         let fab = spec.build_fabric();
         assert_eq!(fab.num_devices(), 4);
         // Fully connected: every ordered pair linked.
@@ -1258,20 +1229,10 @@ mod tests {
                 DeviceProps::titan_xp(),
             ],
             LinkProps::pcie3(),
-        )
-        .with_topology(FabricTopology::Ring);
+        );
         assert_eq!(hetero.slot(0).name, DeviceProps::k40c().name);
         assert!(hetero.slot_peak_flops(1) > hetero.slot_peak_flops(0));
-        let ring = hetero.build_fabric();
-        assert!(ring.link(0, 1).is_some());
-        assert!(ring.link(1, 2).is_some());
-        assert!(ring.link(2, 0).is_some());
-        // Ring of 3 happens to be fully connected; a ring of 4 is not.
-        let ring4 = FabricSpec::uniform("r4", 4, DeviceProps::p100(), LinkProps::nvlink())
-            .with_topology(FabricTopology::Ring)
-            .build_fabric();
-        assert!(ring4.link(0, 1).is_some());
-        assert!(ring4.link(0, 2).is_none());
+        assert_eq!(hetero.build_fabric().num_devices(), 3);
     }
 
     impl Fabric {
@@ -1293,7 +1254,7 @@ mod tests {
                     self.resolve_copy(devs, id, t);
                 }
                 let next = devs
-                    .iter_mut()
+                    .iter()
                     .enumerate()
                     .filter_map(|(i, d)| d.next_event_time().map(|t| (t, i)))
                     .min();

@@ -84,11 +84,6 @@ impl LaunchConfig {
     pub fn smem_per_block(&self) -> u32 {
         self.smem_static + self.smem_dynamic
     }
-
-    /// Registers used by one block.
-    pub fn regs_per_block(&self) -> u32 {
-        self.regs_per_thread * self.threads_per_block()
-    }
 }
 
 /// Per-block work of a kernel, driving the simulator's cost model.
@@ -544,7 +539,6 @@ mod tests {
         assert_eq!(lc.num_blocks(), 32);
         assert_eq!(lc.threads_per_block(), 256);
         assert_eq!(lc.smem_per_block(), 1536);
-        assert_eq!(lc.regs_per_block(), 33 * 256);
     }
 
     #[test]

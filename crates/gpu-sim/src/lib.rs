@@ -52,7 +52,7 @@ pub mod engine;
 pub mod fabric;
 pub mod kernel;
 pub mod occupancy;
-pub mod queue;
+mod queue;
 pub mod sm;
 pub mod stats;
 pub mod stream;
@@ -60,13 +60,12 @@ pub mod timeline;
 
 pub use device::{Arch, ArchFeatures, DeviceProps};
 pub use engine::{Device, LaunchHook};
-pub use fabric::{CopyDesc, Fabric, FabricError, FabricSpec, FabricTopology, LinkProps};
+pub use fabric::{CopyDesc, Fabric, FabricError, FabricSpec, LinkProps};
 pub use kernel::{
     AccessConflict, AccessSet, BufferId, ByteRange, Dim3, KernelCost, KernelDesc, KernelId,
     KernelName, LaunchConfig, MemAccess,
 };
 pub use occupancy::OccupancyResult;
-pub use queue::{CalendarQueue, EventKey, EventQueue, HeapQueue};
 pub use stats::{stats_by_kernel, DeviceStats, KernelClassStats};
 pub use stream::{CmdRecord, CopyId, EventId, StreamId};
 pub use timeline::{KernelTrace, Timeline};

@@ -90,13 +90,6 @@ pub fn occupancy(dev: &DeviceProps, cfg: &LaunchConfig) -> OccupancyResult {
     }
 }
 
-/// The paper's Eq. 8: blocks of kernel `K_i` placed on a single SM when the
-/// grid is spread evenly (`β_{K_i} = ⌊#β_{K_i} / #SM⌋`, floored at 1 so a
-/// small kernel still counts as occupying one slot).
-pub fn blocks_per_sm_even_spread(dev: &DeviceProps, cfg: &LaunchConfig) -> u32 {
-    ((cfg.num_blocks() / dev.num_sms as u64) as u32).max(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,15 +145,6 @@ mod tests {
         assert_eq!(r.blocks_per_sm, 1);
         assert_eq!(r.limiter, Limiter::GridSize);
         assert!(r.occupancy < 0.1);
-    }
-
-    #[test]
-    fn even_spread_eq8() {
-        let dev = DeviceProps::k40c(); // 15 SMs
-        assert_eq!(blocks_per_sm_even_spread(&dev, &cfg(150, 128, 8, 0)), 10);
-        assert_eq!(blocks_per_sm_even_spread(&dev, &cfg(151, 128, 8, 0)), 10);
-        // Floors at 1 for tiny grids.
-        assert_eq!(blocks_per_sm_even_spread(&dev, &cfg(3, 128, 8, 0)), 1);
     }
 
     #[test]

@@ -74,17 +74,9 @@ fn arb_op() -> impl Strategy<Value = Op> {
 }
 
 /// Issue `ops` and run to completion; `(start_ns, end_ns)` per kernel in
-/// completion order, plus the number of events processed.
-fn run_mix(
-    props: &DeviceProps,
-    streams: usize,
-    ops: &[Op],
-    use_heap: bool,
-) -> (Vec<(u64, u64)>, u64) {
+/// completion order.
+fn run_mix(props: &DeviceProps, streams: usize, ops: &[Op]) -> Vec<(u64, u64)> {
     let mut dev = Device::new(props.clone());
-    if use_heap {
-        dev.use_heap_queue();
-    }
     let pool: Vec<_> = (0..streams).map(|_| dev.create_stream()).collect();
     let mut recorded = Vec::new();
     for (i, op) in ops.iter().enumerate() {
@@ -118,14 +110,14 @@ fn run_mix(
         }
     }
     dev.run();
-    let spans = dev.trace().iter().map(|t| (t.start_ns, t.end_ns)).collect();
-    (spans, dev.events_processed())
+    dev.trace().iter().map(|t| (t.start_ns, t.end_ns)).collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Every mix drains, completes every launch, and is queue-invariant —
+    /// Every mix drains (debug builds assert no stream is left waiting),
+    /// completes every launch, and starts every kernel before it ends —
     /// with the engine's skip-time assertion live throughout.
     #[test]
     fn hostile_mixes_drain_identically_on_both_queues(
@@ -133,12 +125,9 @@ proptest! {
         streams in 1usize..=8,
         ops in prop::collection::vec(arb_op(), 1..=24),
     ) {
-        let (calendar, cal_events) = run_mix(&props, streams, &ops, false);
-        let (heap, heap_events) = run_mix(&props, streams, &ops, true);
-        prop_assert_eq!(calendar.len(), ops.len());
-        prop_assert!(calendar.iter().all(|&(start, end)| start < end));
-        prop_assert_eq!(calendar, heap);
-        prop_assert_eq!(cal_events, heap_events);
+        let spans = run_mix(&props, streams, &ops);
+        prop_assert_eq!(spans.len(), ops.len());
+        prop_assert!(spans.iter().all(|&(start, end)| start < end));
     }
 }
 

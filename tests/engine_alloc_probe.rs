@@ -1,13 +1,13 @@
 //! Allocation probe for the discrete-event hot loop.
 //!
-//! PR 10's bar is stricter than the replay probe's sub-per-kernel bound:
-//! once the device is warm (calendar-queue buckets grown, kernel arena
-//! chunks allocated, trace/cmd-log capacity reserved at launch time),
-//! the *event loop itself* — `Device::run` after all launches are
-//! enqueued — must perform **zero** heap allocations. Every event pops
-//! from recycled bucket storage, every kernel runtime lives in a
-//! retained arena slot, and every trace row lands in capacity that the
-//! launch path reserved up front.
+//! The bar is stricter than the replay probe's sub-per-kernel bound:
+//! once the device is warm (event-queue heap grown, kernel arena chunks
+//! allocated, trace/cmd-log capacity reserved at launch time), the *event
+//! loop itself* — `Device::run` after all launches are enqueued — must
+//! perform **zero** heap allocations. Every event pops from the heap's
+//! retained storage, every kernel runtime lives in a retained arena slot,
+//! and every trace row lands in capacity that the launch path reserved up
+//! front.
 //!
 //! Lives in its own test binary so other tests' allocations cannot
 //! pollute the counter.
@@ -53,11 +53,9 @@ fn episode_allocs(dev: &mut Device, pool: &[gpu_sim::StreamId], kernels: u64) ->
 
 /// Run `episode` (which returns its event loop's allocation count) until
 /// eight consecutive episodes allocate nothing, then return the counts of
-/// three more. The calendar ring's bucket capacities reach their
-/// high-water marks only once the cursor has swept every bucket index at
-/// every episode-to-bucket-grid phase (the ring rotates with absolute
-/// simulated time), so "warm" is defined by observed quiescence, not an
-/// episode count; the warm-up is bounded and deterministic.
+/// three more. "Warm" is defined by observed quiescence, not an episode
+/// count: every retained buffer must have reached its high-water mark.
+/// The warm-up is bounded and deterministic.
 fn steady_state_allocs(mut episode: impl FnMut() -> u64) -> [u64; 3] {
     let mut warm_episodes = 0;
     let mut quiet_streak = 0;
@@ -107,28 +105,6 @@ fn allocation_freedom_holds_at_scale() {
     let (counts, events) = measure_steady_state(640);
     assert!(events > 640);
     assert_eq!(counts, [0, 0, 0]);
-}
-
-#[test]
-fn heap_queue_reference_engine_is_also_allocation_free() {
-    // The reference binary-heap queue shares the arena and reservation
-    // discipline; switching queues must not reintroduce per-event heap
-    // traffic (BinaryHeap storage is retained across episodes too).
-    let mut dev = Device::new(DeviceProps::p100());
-    dev.use_heap_queue();
-    let pool: Vec<_> = (0..4).map(|_| dev.create_stream()).collect();
-    for _ in 0..2 {
-        enqueue_episode(&mut dev, &pool, 64);
-        dev.run();
-    }
-    enqueue_episode(&mut dev, &pool, 64);
-    counting_alloc::start();
-    dev.run();
-    let allocs = counting_alloc::stop();
-    assert_eq!(
-        allocs, 0,
-        "heap-queue warm event loop allocated {allocs} times"
-    );
 }
 
 /// One multi-device episode: compute on every device plus three rounds of

@@ -2,7 +2,7 @@
 //!
 //! `engine_golden.rs` pins one device's event order; this pins the order
 //! the *fabric* interleaves several devices in. Three different GPUs
-//! (K40C, P100, Titan XP — so their calendars never advance in
+//! (K40C, P100, Titan XP — so their clocks never advance in
 //! lock-step) sit on a jittered PCIe ring; each runs compute kernels on
 //! two streams, and two gradient buckets are ring-all-reduced on the
 //! communication streams, each gated behind an event recorded mid-way

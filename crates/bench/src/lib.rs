@@ -175,7 +175,7 @@ pub fn forward_layer_times(dev: DeviceProps, net_name: &str, glp: bool) -> Vec<(
     ctx.take_timings()
         .into_iter()
         .filter(|t| t.phase == Phase::Forward)
-        .map(|t| (t.layer, t.elapsed_ns))
+        .map(|t| (t.layer.to_string(), t.elapsed_ns))
         .collect()
 }
 

@@ -82,34 +82,42 @@ impl Phase {
 /// batch shape is profiled once and then reuses its own cached plan, since
 /// the analytical model's `C_out` depends on how many groups compete for
 /// the device.
+/// The key borrows its names: building one copies no string.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct LayerKey {
+pub struct LayerKey<'a> {
     /// Network name.
-    pub net: String,
+    pub net: &'a str,
     /// Layer name within the network.
-    pub layer: String,
+    pub layer: &'a str,
     /// Forward or backward pass.
     pub phase: Phase,
     /// Number of kernel groups dispatched (0 = shape-agnostic site).
     pub chunks: usize,
 }
 
-impl LayerKey {
+impl std::fmt::Display for LayerKey<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (net, layer, phase) = (self.net, self.layer, self.phase.as_str());
+        write!(f, "{net}/{layer}/{phase}/c{}", self.chunks)
+    }
+}
+
+impl<'a> LayerKey<'a> {
     /// Key for a forward-pass execution.
-    pub fn forward(net: &str, layer: &str) -> Self {
+    pub fn forward(net: &'a str, layer: &'a str) -> Self {
         LayerKey {
-            net: net.to_string(),
-            layer: layer.to_string(),
+            net,
+            layer,
             phase: Phase::Forward,
             chunks: 0,
         }
     }
 
     /// Key for a backward-pass execution.
-    pub fn backward(net: &str, layer: &str) -> Self {
+    pub fn backward(net: &'a str, layer: &'a str) -> Self {
         LayerKey {
-            net: net.to_string(),
-            layer: layer.to_string(),
+            net,
+            layer,
             phase: Phase::Backward,
             chunks: 0,
         }
@@ -121,15 +129,10 @@ impl LayerKey {
         self
     }
 
-    /// String form used by the plan cache.
+    /// String form used by the plan cache (the key's `Display`, which the
+    /// warm dispatch path writes into a reused buffer instead).
     pub fn cache_key(&self) -> String {
-        format!(
-            "{}/{}/{}/c{}",
-            self.net,
-            self.layer,
-            self.phase.as_str(),
-            self.chunks
-        )
+        self.to_string()
     }
 
     /// Shape-independent dispatch-site key (`net/layer/phase`), used by

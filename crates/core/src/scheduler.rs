@@ -17,6 +17,7 @@ use crate::streams::{StreamError, StreamManager};
 use crate::tracker::ResourceTracker;
 use gpu_sim::{Device, KernelDesc};
 use sanitizer::{Sanitizer, SymGroupSpec};
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// Emit a host-track instant plus a counter bump on the device's attached
@@ -103,6 +104,10 @@ impl Schedule<fn() -> Groups, fn() -> Option<SymGroupSpec>> {
 pub struct RuntimeScheduler {
     gpu: usize,
     optim: OptimConfig,
+    /// `#` plus [`OptimConfig::cache_tag`], formatted once.
+    tag: String,
+    /// Reused `cache_key#tag` buffer: only a miss copies it.
+    key: String,
     plan_reuse: bool,
 }
 
@@ -118,6 +123,8 @@ impl RuntimeScheduler {
     pub fn with_optim(gpu: usize, optim: OptimConfig) -> Self {
         RuntimeScheduler {
             gpu,
+            tag: format!("#{}", optim.cache_tag()),
+            key: String::new(),
             optim,
             plan_reuse: true,
         }
@@ -178,16 +185,19 @@ impl RuntimeScheduler {
             report
         };
 
-        let key_str = key.cache_key();
-        let plan_key = format!("{key_str}#{}", self.optim.cache_tag());
+        self.key.clear();
+        let _ = write!(self.key, "{key}");
+        let key_len = self.key.len();
+        self.key.push_str(&self.tag);
         if self.plan_reuse {
-            if let Some(plan) = analyzer.exec_plans.get(&plan_key).cloned() {
+            if let Some(plan) = analyzer.exec_plans.get(&self.key).cloned() {
                 tel_instant(dev, "plan", "plan.cache_hits", || {
-                    format!("plan.replay {key_str}")
+                    format!("plan.replay {}", &self.key[..key_len])
                 });
                 return Ok(run(&plan, dev, sanitizer));
             }
         }
+        let key_str = self.key[..key_len].to_string();
 
         // Build the source: what gets captured, and what gets verified if
         // a sanitizer is attached.
@@ -232,7 +242,9 @@ impl RuntimeScheduler {
             if let Some(san) = sanitizer.as_deref_mut() {
                 verify_capture(san, Some(source), Some(&plan));
             }
-            analyzer.exec_plans.store(plan_key, Arc::clone(&plan));
+            analyzer
+                .exec_plans
+                .store(self.key.clone(), Arc::clone(&plan));
             tel_instant(dev, "plan", "plan.captures", || {
                 format!("plan.capture {key_str}")
             });

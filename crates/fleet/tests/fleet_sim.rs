@@ -168,3 +168,18 @@ fn brownout_sheds_besteffort_to_protect_tight_deadlines() {
     );
     assert_eq!(r.completed + r.shed + r.expired, r.offered);
 }
+
+#[test]
+fn timing_only_replicas_report_what_computing_replicas_report() {
+    // Timing-only replicas skip the request payloads and the layer math;
+    // neither may move anything the fleet simulates.
+    let run = |timing_only| {
+        let mut cfg = small_cfg(RouterPolicy::JoinShortestQueue);
+        cfg.num_requests = 500;
+        cfg.engine.timing_only = timing_only;
+        FleetSim::new(cfg).unwrap().run()
+    };
+    let timed = run(true);
+    assert_eq!(timed.completed + timed.shed + timed.expired, 500);
+    assert_eq!(timed, run(false));
+}

@@ -232,7 +232,7 @@ impl InterOpExec {
             ctx.sanitizer.check_device(&ctx.device);
         }
         ctx.timings.push(LayerTiming {
-            layer: format!("interop/{}", phase.as_str()),
+            layer: format!("interop/{}", phase.as_str()).into(),
             phase,
             elapsed_ns: report.elapsed_ns,
             mode: report.mode,

@@ -5,6 +5,7 @@ use glp4nn::scheduler::tel_instant;
 use glp4nn::{ExecMode, ExecPlan, ExecReport, Glp4nn, LayerKey, Phase, PlanCache, Schedule};
 use gpu_sim::{Device, DeviceProps, EventId, KernelDesc, SimTime, StreamId};
 use sanitizer::{LintConfig, SanitizeMode, Sanitizer, SymGroupSpec};
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// How a layer's kernel groups are dispatched to the device.
@@ -38,11 +39,12 @@ pub struct StagedDispatch {
     pub spec: Option<SymGroupSpec>,
 }
 
-/// Per-layer timing record captured during a pass.
+/// Per-layer timing record captured during a pass; `layer` shares the
+/// dispatching layer's `Arc` name, so recording one allocates no `String`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LayerTiming {
     /// Layer name.
-    pub layer: String,
+    pub layer: Arc<str>,
     /// Forward or backward.
     pub phase: Phase,
     /// Simulated elapsed ns for the layer (inter-layer sync included).
@@ -77,7 +79,8 @@ pub struct ExecCtx {
     /// part of the execution-plan cache key, since per-layer kernel
     /// geometry depends on it).
     pub batch: usize,
-    /// Captured per-layer timings (cleared by [`take_timings`]).
+    /// Captured per-layer timings, one per executed dispatch, until the owner
+    /// takes ([`take_timings`]) or clears them (the serving engine, per wave).
     ///
     /// [`take_timings`]: ExecCtx::take_timings
     pub timings: Vec<LayerTiming>,
@@ -93,6 +96,7 @@ pub struct ExecCtx {
     /// (the Nimble-style AOT cache). The Glp4nn mode caches inside the
     /// framework's concurrency maintainer instead.
     plans: PlanCache,
+    key: String,
     plan_reuse: bool,
     /// Staging mode: dispatches are recorded instead of executed (layers
     /// still run their CPU math). Used by the inter-operator scheduler to
@@ -148,6 +152,7 @@ impl ExecCtx {
             sanitizer: Sanitizer::default(),
             fixed_pool: Vec::new(),
             plans: PlanCache::default(),
+            key: String::new(),
             plan_reuse: true,
             staged: None,
             suppress: false,
@@ -331,7 +336,7 @@ impl ExecCtx {
     /// plan-level sweep too.
     pub fn dispatch_split(
         &mut self,
-        layer: &str,
+        layer: &Arc<str>,
         phase: Phase,
         chunks: usize,
         make_spec: impl Fn() -> Option<SymGroupSpec>,
@@ -347,7 +352,7 @@ impl ExecCtx {
     /// iteration replays the cached plan and builds no descriptor.
     pub fn dispatch_batch(
         &mut self,
-        layer: &str,
+        layer: &Arc<str>,
         phase: Phase,
         make_kernels: impl Fn() -> Vec<KernelDesc>,
     ) -> ExecReport {
@@ -358,7 +363,7 @@ impl ExecCtx {
     fn dispatch(
         &mut self,
         mode: DispatchMode,
-        layer: &str,
+        layer: &Arc<str>,
         phase: Phase,
         chunks: usize,
         make_spec: impl Fn() -> Option<SymGroupSpec>,
@@ -388,8 +393,8 @@ impl ExecCtx {
                 // scheduler, against the schedule it actually captures
                 // (post fusion/reordering).
                 let key = LayerKey {
-                    net: self.net_name.clone(),
-                    layer: layer.to_string(),
+                    net: &self.net_name,
+                    layer,
                     phase,
                     chunks,
                 };
@@ -430,7 +435,7 @@ impl ExecCtx {
             self.sanitizer.check_device(&self.device);
         }
         self.timings.push(LayerTiming {
-            layer: layer.to_string(),
+            layer: Arc::clone(layer),
             phase,
             elapsed_ns: report.elapsed_ns,
             mode: report.mode,
@@ -438,13 +443,15 @@ impl ExecCtx {
         report
     }
 
-    /// Cache key for one dispatch site. Batch size and chunk count pin the
-    /// kernel geometry (the frozen-shape contract, as with CUDA Graphs):
-    /// for a fixed network, every per-layer kernel descriptor is a pure
-    /// function of `(batch, chunks)`, so two calls agreeing on this key
-    /// dispatch identical kernels.
-    fn plan_key(&self, layer: &str, phase: Phase, chunks: usize, pool_len: usize) -> String {
-        format!(
+    /// Write the cache key for one dispatch site into the reused `key`.
+    /// Batch size and chunk count pin the kernel geometry (the frozen-shape
+    /// contract, as with CUDA Graphs): for a fixed network, every per-layer
+    /// kernel descriptor is a pure function of `(batch, chunks)`, so two
+    /// calls agreeing on this key dispatch identical kernels.
+    fn plan_key(&mut self, layer: &str, phase: Phase, chunks: usize, pool_len: usize) {
+        self.key.clear();
+        let _ = write!(
+            self.key,
             "{}/{}/{}/b{}/c{}/p{}",
             self.net_name,
             layer,
@@ -452,7 +459,7 @@ impl ExecCtx {
             self.batch,
             chunks,
             pool_len
-        )
+        );
     }
 
     /// The capture-once / replay-many core of the self-dispatched modes:
@@ -469,15 +476,16 @@ impl ExecCtx {
         make_spec: impl FnOnce() -> Option<SymGroupSpec>,
         make_groups: impl FnOnce() -> Vec<Vec<KernelDesc>>,
     ) -> ExecReport {
-        let key = self.plan_key(layer, phase, chunks, pool.len());
+        self.plan_key(layer, phase, chunks, pool.len());
         if self.plan_reuse {
-            if let Some(plan) = self.cached_plan(&key) {
+            if let Some(plan) = self.cached_plan(&self.key) {
                 tel_instant(&self.device, "plan", "plan.cache_hits", || {
-                    format!("plan.replay {key}")
+                    format!("plan.replay {}", self.key)
                 });
                 return self.replay_or_issue(&plan);
             }
         }
+        let key = self.key.clone();
         let groups = make_groups();
         let mode = if pool.len() <= 1 {
             ExecMode::Profiling // serial on default stream
@@ -629,7 +637,7 @@ mod tests {
     }
 
     fn split(ctx: &mut ExecCtx, layer: &str, phase: Phase, n: u64) -> ExecReport {
-        ctx.dispatch_split(layer, phase, n as usize, || None, || groups(n))
+        ctx.dispatch_split(&layer.into(), phase, n as usize, || None, || groups(n))
     }
 
     #[test]
@@ -653,7 +661,7 @@ mod tests {
     #[test]
     fn whole_batch_dispatch_ignores_the_mode() {
         let mut ctx = ExecCtx::with_mode(DeviceProps::p100(), DispatchMode::FixedStreams(4));
-        let r = ctx.dispatch_batch("relu1", Phase::Forward, || groups(3).concat());
+        let r = ctx.dispatch_batch(&"relu1".into(), Phase::Forward, || groups(3).concat());
         assert_eq!((r.kernels, r.mode), (3, ExecMode::Profiling));
         assert!(ctx.device.trace().iter().all(|t| t.stream.is_default()));
     }

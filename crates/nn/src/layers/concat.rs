@@ -10,7 +10,7 @@ use tensor::Blob;
 
 /// Concatenate any number of NCHW bottoms along the channel axis.
 pub struct ConcatLayer {
-    name: String,
+    name: std::sync::Arc<str>,
     channel_offsets: Vec<usize>,
     /// Ids of the batch-split path's named device buffers: the top's two
     /// hashed at construction, one per bottom by the first batch-split
@@ -25,7 +25,7 @@ impl ConcatLayer {
     /// New concat layer.
     pub fn new(name: &str) -> Self {
         ConcatLayer {
-            name: name.to_string(),
+            name: name.into(),
             channel_offsets: Vec::new(),
             out_buf: BufferId::from_label(&format!("{name}/out")),
             dout_buf: BufferId::from_label(&format!("{name}/dout")),

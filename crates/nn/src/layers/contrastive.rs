@@ -13,7 +13,7 @@ use tensor::Blob;
 
 /// Contrastive loss over paired embeddings.
 pub struct ContrastiveLossLayer {
-    name: String,
+    name: std::sync::Arc<str>,
     margin: f32,
     /// Cached pairwise difference vectors (`a − b`), `[n × d]`.
     diff: Vec<f32>,
@@ -25,7 +25,7 @@ impl ContrastiveLossLayer {
     /// New contrastive loss with the given margin (Caffe default 1.0).
     pub fn new(name: &str, margin: f32) -> Self {
         ContrastiveLossLayer {
-            name: name.to_string(),
+            name: name.into(),
             margin,
             diff: Vec::new(),
             dist: Vec::new(),

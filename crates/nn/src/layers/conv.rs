@@ -54,7 +54,7 @@ struct ConvBufs {
 
 /// 2-D convolution over NCHW blobs via im2col + GEMM.
 pub struct ConvLayer {
-    name: String,
+    name: std::sync::Arc<str>,
     bufs: ConvBufs,
     cfg: ConvConfig,
     geom: ConvGeometry,
@@ -76,7 +76,7 @@ impl ConvLayer {
     pub fn new(name: &str, cfg: ConvConfig, seed: u64) -> Self {
         let buf = |which: &str| BufferId::from_label(&format!("{name}/{which}"));
         ConvLayer {
-            name: name.to_string(),
+            name: name.into(),
             bufs: ConvBufs {
                 input: buf("in"),
                 col: buf("col"),

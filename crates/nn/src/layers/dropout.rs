@@ -15,7 +15,7 @@ use tensor::Blob;
 /// Inverted dropout: surviving activations are scaled by `1/(1-ratio)` at
 /// train time so inference needs no rescaling.
 pub struct DropoutLayer {
-    name: String,
+    name: std::sync::Arc<str>,
     ratio: f32,
     seed: u64,
     iteration: u64,
@@ -29,7 +29,7 @@ impl DropoutLayer {
     pub fn new(name: &str, ratio: f32, seed: u64) -> Self {
         assert!((0.0..1.0).contains(&ratio), "ratio must be in [0, 1)");
         DropoutLayer {
-            name: name.to_string(),
+            name: name.into(),
             ratio,
             seed,
             iteration: 0,

@@ -9,7 +9,7 @@ use tensor::{Blob, Filler};
 
 /// `top[n × out] = bottom[n × in] · W^T + bias`.
 pub struct InnerProductLayer {
-    name: String,
+    name: std::sync::Arc<str>,
     num_output: usize,
     weight: Blob, // [out, in]
     bias: Blob,   // [out]
@@ -22,7 +22,7 @@ impl InnerProductLayer {
     /// New FC layer with `num_output` units.
     pub fn new(name: &str, num_output: usize, seed: u64) -> Self {
         InnerProductLayer {
-            name: name.to_string(),
+            name: name.into(),
             num_output,
             weight: Blob::empty(),
             bias: Blob::empty(),

@@ -11,7 +11,7 @@ use tensor::Blob;
 
 /// Across-channel LRN with Krizhevsky's defaults.
 pub struct LrnLayer {
-    name: String,
+    name: std::sync::Arc<str>,
     size: usize,
     alpha: f32,
     beta: f32,
@@ -30,7 +30,7 @@ impl LrnLayer {
     pub fn with_params(name: &str, size: usize, alpha: f32, beta: f32, k: f32) -> Self {
         assert!(size % 2 == 1, "LRN size must be odd");
         LrnLayer {
-            name: name.to_string(),
+            name: name.into(),
             size,
             alpha,
             beta,

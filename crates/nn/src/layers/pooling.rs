@@ -33,7 +33,7 @@ struct PoolBufs {
 
 /// Spatial pooling over NCHW blobs.
 pub struct PoolingLayer {
-    name: String,
+    name: std::sync::Arc<str>,
     bufs: PoolBufs,
     method: PoolMethod,
     kernel: usize,
@@ -49,7 +49,7 @@ impl PoolingLayer {
     pub fn new(name: &str, method: PoolMethod, kernel: usize, stride: usize) -> Self {
         let buf = |which: &str| BufferId::from_label(&format!("{name}/{which}"));
         PoolingLayer {
-            name: name.to_string(),
+            name: name.into(),
             bufs: PoolBufs {
                 input: buf("in"),
                 out: buf("out"),

@@ -9,7 +9,7 @@ use tensor::Blob;
 
 /// Rectified linear unit, `top = max(bottom, 0)`.
 pub struct ReluLayer {
-    name: String,
+    name: std::sync::Arc<str>,
     negative_slope: f32,
 }
 
@@ -17,7 +17,7 @@ impl ReluLayer {
     /// Standard ReLU.
     pub fn new(name: &str) -> Self {
         ReluLayer {
-            name: name.to_string(),
+            name: name.into(),
             negative_slope: 0.0,
         }
     }
@@ -25,7 +25,7 @@ impl ReluLayer {
     /// Leaky ReLU with the given negative slope.
     pub fn leaky(name: &str, negative_slope: f32) -> Self {
         ReluLayer {
-            name: name.to_string(),
+            name: name.into(),
             negative_slope,
         }
     }

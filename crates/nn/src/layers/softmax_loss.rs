@@ -12,7 +12,7 @@ use tensor::Blob;
 
 /// Softmax followed by cross-entropy against integer labels.
 pub struct SoftmaxLossLayer {
-    name: String,
+    name: std::sync::Arc<str>,
     /// Cached probabilities from the forward pass.
     probs: Vec<f32>,
     classes: usize,
@@ -22,7 +22,7 @@ impl SoftmaxLossLayer {
     /// New loss layer.
     pub fn new(name: &str) -> Self {
         SoftmaxLossLayer {
-            name: name.to_string(),
+            name: name.into(),
             probs: Vec::new(),
             classes: 0,
         }

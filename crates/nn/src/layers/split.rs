@@ -13,7 +13,7 @@ use tensor::Blob;
 
 /// Copy one bottom into N tops; sum N top-gradients into the bottom.
 pub struct SplitLayer {
-    name: String,
+    name: std::sync::Arc<str>,
     /// Ids of the batch-split path's named device buffers: the bottom's two
     /// hashed at construction, one per top by the first batch-split
     /// dispatch that sees the wiring — not on every dispatch.
@@ -27,7 +27,7 @@ impl SplitLayer {
     /// New split layer (top count is taken from the wiring).
     pub fn new(name: &str) -> Self {
         SplitLayer {
-            name: name.to_string(),
+            name: name.into(),
             in_buf: BufferId::from_label(&format!("{name}/in")),
             din_buf: BufferId::from_label(&format!("{name}/din")),
             out_bufs: Vec::new(),

@@ -322,7 +322,7 @@ impl Net {
     /// Run the forward pass; returns the weighted sum of loss-layer
     /// outputs.
     pub fn forward(&mut self, ctx: &mut ExecCtx) -> f32 {
-        ctx.net_name = self.name.clone();
+        ctx.net_name.clone_from(&self.name);
         ctx.batch = self.blobs.first().map_or(0, |b| b.num());
         let mut loss = 0.0f32;
         for i in 0..self.layers.len() {
@@ -344,7 +344,7 @@ impl Net {
             self.layers.len(),
             "order must cover every layer"
         );
-        ctx.net_name = self.name.clone();
+        ctx.net_name.clone_from(&self.name);
         ctx.batch = self.blobs.first().map_or(0, |b| b.num());
         let mut loss = 0.0f32;
         for &i in order {
@@ -406,7 +406,7 @@ impl Net {
     /// then step `i` from `num_layers()-1` down to 0;
     /// [`backward`](Net::backward) is exactly that loop.
     pub fn backward_layer(&mut self, i: usize, ctx: &mut ExecCtx) {
-        ctx.net_name = self.name.clone();
+        ctx.net_name.clone_from(&self.name);
         ctx.batch = self.blobs.first().map_or(0, |b| b.num());
         if !self.layers[i].needs_backward() {
             return;

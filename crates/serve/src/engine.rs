@@ -86,15 +86,14 @@ impl ServingEngine {
     /// Fill `net`'s input blobs for a batch of request ids, resizing every
     /// input's leading (batch) dimension to the batch size. Sample
     /// payloads depend only on the request id and the input's position, so
-    /// an offline net fed the same ids sees identical inputs.
+    /// an offline net fed the same ids sees identical inputs. Only a
+    /// computing engine fills its inputs; a timing-only one resizes them.
     pub fn fill_inputs(net: &mut Net, spec: &NetSpec, ids: &[u64]) {
+        Self::resize_inputs(net, spec, ids.len());
         for (ii, (name, shape)) in spec.inputs.iter().enumerate() {
-            let mut dims = shape.clone();
-            dims[0] = ids.len();
             let blob = net.blob_mut(name);
-            blob.resize(&dims);
-            if dims.len() > 1 {
-                let per: usize = dims[1..].iter().product();
+            if shape.len() > 1 {
+                let per: usize = shape[1..].iter().product();
                 for (s, &id) in ids.iter().enumerate() {
                     let slice = &mut blob.data_mut()[s * per..(s + 1) * per];
                     fill_sample(slice, id.wrapping_add((ii as u64) << 32));
@@ -106,12 +105,32 @@ impl ServingEngine {
         }
     }
 
-    /// Forward one batch of requests; returns each request's output row
-    /// (the final top blob, split per sample).
-    pub fn forward_batch(&mut self, ids: &[u64]) -> Vec<Vec<f32>> {
+    /// Set every input's leading (batch) dimension to `batch`.
+    fn resize_inputs(net: &mut Net, spec: &NetSpec, batch: usize) {
+        for (name, shape) in &spec.inputs {
+            let mut dims = shape.clone();
+            dims[0] = batch;
+            net.blob_mut(name).resize(&dims);
+        }
+    }
+
+    /// Forward one wave without reading its outputs. The timing list is
+    /// cleared first, so it holds this wave's dispatches and no more.
+    fn forward_wave(&mut self, ids: &[u64]) {
         assert!(!ids.is_empty(), "empty batch");
-        Self::fill_inputs(&mut self.net, &self.spec, ids);
+        self.ctx.timings.clear();
+        if self.ctx.compute {
+            Self::fill_inputs(&mut self.net, &self.spec, ids);
+        } else {
+            Self::resize_inputs(&mut self.net, &self.spec, ids.len());
+        }
         self.net.forward_inference(&mut self.ctx);
+    }
+
+    /// Forward one batch of requests; returns each request's output row
+    /// (the final top blob, split per sample; no values when timing-only).
+    pub fn forward_batch(&mut self, ids: &[u64]) -> Vec<Vec<f32>> {
+        self.forward_wave(ids);
         let out = self.net.blob(&self.output_blob);
         let per = out.count() / ids.len();
         out.data().chunks(per).map(<[f32]>::to_vec).collect()
@@ -129,8 +148,8 @@ impl ServingEngine {
     pub fn warmup(&mut self, max_batch: usize) {
         for k in 1..=max_batch {
             let ids: Vec<u64> = (0..k as u64).map(|i| u64::MAX - i).collect();
-            let _ = self.forward_batch(&ids);
-            let _ = self.forward_batch(&ids);
+            self.forward_wave(&ids);
+            self.forward_wave(&ids);
         }
     }
 
@@ -158,14 +177,15 @@ impl ServingEngine {
     /// the half of continuous batching that belongs to the engine:
     /// accept whatever the admission queue closed into the wave, replay
     /// the warm plan for that batch size, and report exactly when the
-    /// engine becomes free for the next wave.
+    /// engine becomes free for the next wave. Unlike
+    /// [`forward_batch`](Self::forward_batch) it builds no output rows.
     ///
     /// # Panics
     /// Panics on an empty wave.
     pub fn run_wave(&mut self, ids: &[u64], not_before: SimTime) -> WaveTiming {
         self.ctx.device.advance_to(not_before);
         let start_ns = self.now();
-        let _ = self.forward_batch(ids);
+        self.forward_wave(ids);
         WaveTiming {
             start_ns,
             done_ns: self.now(),
@@ -228,5 +248,25 @@ mod tests {
                 "steady-state batches must be pure plan replays ({mode:?})"
             );
         }
+    }
+
+    #[test]
+    fn timings_hold_one_wave() {
+        let cfg = smoke_config(DispatchMode::Glp4nn);
+        let opts = EngineOptions {
+            timing_only: true,
+            sanitize: None,
+        };
+        let mut engine = ServingEngine::new_with(&cfg, opts).unwrap();
+        engine.warmup(4);
+        for w in 0..100u64 {
+            let ids: Vec<u64> = (0..1 + w % 4).collect();
+            engine.run_wave(&ids, engine.now());
+        }
+        // One wave's dispatch count, from an offline pass over the spec.
+        let mut ctx = ExecCtx::glp4nn(cfg.device.clone()).timing_only();
+        Net::from_spec(engine.spec()).forward_inference(&mut ctx);
+        assert!(!ctx.timings.is_empty());
+        assert_eq!(engine.ctx.timings.len(), ctx.timings.len());
     }
 }

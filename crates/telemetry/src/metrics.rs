@@ -106,9 +106,14 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    /// Add `delta` to counter `name` (created at zero on first touch).
+    /// Add `delta` to counter `name` (created at zero on first touch; only
+    /// a new name allocates, here and in the other updates).
     pub fn counter_add(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += delta;
+        if let Some(v) = self.counters.get_mut(name) {
+            *v += delta;
+        } else {
+            self.counters.insert(name.to_string(), delta);
+        }
     }
 
     /// Current value of counter `name` (zero if never touched).
@@ -118,7 +123,11 @@ impl MetricsRegistry {
 
     /// Set gauge `name` to `value`.
     pub fn gauge_set(&mut self, name: &str, value: f64) {
-        self.gauges.insert(name.to_string(), value);
+        if let Some(v) = self.gauges.get_mut(name) {
+            *v = value;
+        } else {
+            self.gauges.insert(name.to_string(), value);
+        }
     }
 
     /// Current value of gauge `name`, if ever set.
@@ -128,10 +137,14 @@ impl MetricsRegistry {
 
     /// Record one observation into histogram `name`.
     pub fn observe(&mut self, name: &str, value: u64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(value);
+        if let Some(h) = self.histograms.get_mut(name) {
+            h.record(value);
+        } else {
+            self.histograms
+                .entry(name.to_string())
+                .or_default()
+                .record(value);
+        }
     }
 
     /// Histogram `name`, if any observations were recorded.

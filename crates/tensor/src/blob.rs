@@ -134,14 +134,17 @@ impl Blob {
     }
 
     /// Resize; a changed count drops the contents (and any pending filler),
-    /// so the blob reads as zeros again.
+    /// so the blob reads as zeros again. The shape's `Vec` is reused: a
+    /// resize that keeps the rank allocates nothing.
     pub fn resize(&mut self, shape: &[usize]) {
         let count: usize = shape.iter().product();
         if count != self.count {
-            *self = Self::with_count(shape, count);
-        } else if shape != self.shape {
-            self.shape = shape.to_vec();
+            self.count = count;
+            self.data = OnceLock::new();
+            self.diff = OnceLock::new();
+            self.pending = None;
         }
+        shape.clone_into(&mut self.shape);
     }
 
     /// [`resize`](Blob::resize), then declare the data's contents:

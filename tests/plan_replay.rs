@@ -110,7 +110,7 @@ proptest! {
                 ctx.batch = groups.len();
                 for _ in 0..3 {
                     ctx.dispatch_split(
-                        "layer",
+                        &"layer".into(),
                         Phase::Forward,
                         groups.len(),
                         || None,
@@ -187,7 +187,13 @@ fn small_groups(n: u64) -> Vec<Vec<KernelDesc>> {
 }
 
 fn split(ctx: &mut ExecCtx, phase: Phase, n: u64) {
-    ctx.dispatch_split("conv1", phase, n as usize, || None, || small_groups(n));
+    ctx.dispatch_split(
+        &"conv1".into(),
+        phase,
+        n as usize,
+        || None,
+        || small_groups(n),
+    );
 }
 
 /// The ExecCtx-level cache key: same (layer, phase, batch, chunks, mode)

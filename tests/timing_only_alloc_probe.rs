@@ -4,7 +4,7 @@
 //! not pay for any: blobs record their shape at `reshape` and materialise
 //! `data`/`diff` only when an accessor asks (`tensor::blob`, "First-touch
 //! storage"), and parameter blobs carry their filler instead of running
-//! it. Two budgets pin that, both measured with the shared counting
+//! it. These budgets pin that, all measured with the shared counting
 //! allocator (`tests/common/counting_alloc.rs`) on the test's own thread:
 //!
 //! - **bytes, cold**: building GoogLeNet at batch 8 and running its first
@@ -16,8 +16,17 @@
 //! - **calls, warm**: a warm naive CIFAR10 iteration replays cached plans,
 //!   and since `ExecCtx::dispatch_batch` takes its kernels lazily the
 //!   whole-batch layers build no `KernelDesc` (and hash no buffer label)
-//!   on the way: 162 allocation calls (what is left is per-dispatch
-//!   bookkeeping — the plan key, the timing record), 345 at the parent.
+//!   on the way, and since cache hits look plans up through one reused key
+//!   buffer and share the layer's name the timing record allocates no
+//!   `String` either: 53 allocation calls (what is left is
+//!   `Net::forward_layer`'s per-layer `Vec`s), 162 with per-dispatch key
+//!   and name strings and 345 with eager descriptors.
+//! - **calls and bytes, warm serving wave**: a timing-only GLP4NN CIFAR10
+//!   `ServingEngine` on P100 writes no request payload (12 KB a sample
+//!   when it did) and its cache hits build no `String`: the median warm
+//!   wave makes 24 calls for 1,536 bytes, where writing payloads and
+//!   formatting keys made 108 calls for 89 KB. Registry updates of
+//!   existing names make none.
 //!
 //! Lives in its own test binary so other tests' allocations cannot
 //! pollute the counter.
@@ -27,8 +36,10 @@ mod common;
 
 use common::counting_alloc;
 use gpu_sim::DeviceProps;
-use nn::{ExecCtx, Net};
+use nn::{DispatchMode, ExecCtx, Net};
 use sanitizer::SanitizeMode;
+use serve::{BatchPolicy, EngineOptions, ServeConfig, ServingEngine};
+use telemetry::MetricsRegistry;
 
 #[global_allocator]
 static ALLOCATOR: counting_alloc::CountingAlloc = counting_alloc::CountingAlloc;
@@ -72,9 +83,81 @@ fn warm_timing_only_iteration_builds_no_whole_batch_descriptors() {
     let calls = counting_alloc::stop();
     assert_eq!(ctx.plan_captures(), captures, "the iteration was warm");
     assert!(
-        calls <= 200,
+        calls <= 80,
         "a warm naive CIFAR10 b16 iteration made {calls} allocation calls \
-         (162 when pinned) — whole-batch layers must not build descriptors \
-         a cache hit throws away"
+         (53 when pinned) — whole-batch layers must not build descriptors, \
+         nor cache hits strings, that a hit throws away"
     );
+}
+
+#[test]
+fn warm_timing_only_serving_wave_writes_no_payload() {
+    // Every wave changes the batch size (the cycle wraps 7 -> 8 too), so
+    // every wave resizes its input blob.
+    const SIZES: [usize; 6] = [8, 3, 8, 5, 1, 7];
+    const WAVES: usize = 120;
+    let cfg = ServeConfig {
+        device: DeviceProps::p100(),
+        mode: DispatchMode::Glp4nn,
+        model: "CIFAR10".to_string(),
+        rate_rps: 1000.0,
+        num_requests: 0,
+        policy: BatchPolicy::new(8, 0),
+        queue_capacity: 64,
+        seed: 1,
+    };
+    let opts = EngineOptions {
+        timing_only: true,
+        sanitize: None,
+    };
+    let mut engine = ServingEngine::new_with(&cfg, opts).expect("known model");
+    engine.warmup(8);
+    let ids: Vec<u64> = (0..8).collect();
+    let wave = |engine: &mut ServingEngine, k: usize| {
+        engine.run_wave(&ids[..SIZES[k % SIZES.len()]], engine.now());
+    };
+    for k in 0..SIZES.len() {
+        wave(&mut engine, k);
+    }
+    let captures = engine.plan_captures();
+    let mut calls = Vec::with_capacity(WAVES);
+    let mut bytes = Vec::with_capacity(WAVES);
+    for k in 0..WAVES {
+        counting_alloc::start();
+        wave(&mut engine, k);
+        calls.push(counting_alloc::stop());
+        bytes.push(counting_alloc::bytes());
+    }
+    assert_eq!(engine.plan_captures(), captures, "every wave was warm");
+    // The median wave: the device log's occasional doubling (a memo hit
+    // still appends its trace rows) lands on a few waves and is not what
+    // this probe pins.
+    calls.sort_unstable();
+    bytes.sort_unstable();
+    let (calls, bytes) = (calls[WAVES / 2], bytes[WAVES / 2]);
+    assert!(
+        calls <= 32 && bytes <= 4096,
+        "a warm timing-only CIFAR10 serving wave made {calls} allocation \
+         calls for {bytes} bytes (24 and 1,536 when pinned; 108 and 89 KB \
+         when every wave wrote a 12 KB payload per sample)"
+    );
+}
+
+#[test]
+fn warm_registry_updates_allocate_nothing() {
+    let mut registry = MetricsRegistry::new();
+    registry.gauge_set("fleet.replica3.queue_depth", 0.0);
+    registry.counter_add("fleet.completed", 1);
+    counting_alloc::start();
+    for i in 0..1000 {
+        registry.gauge_set("fleet.replica3.queue_depth", i as f64);
+        registry.counter_add("fleet.completed", 1);
+    }
+    let calls = counting_alloc::stop();
+    assert_eq!(
+        calls, 0,
+        "updating existing names made {calls} allocation calls"
+    );
+    assert_eq!(registry.counter("fleet.completed"), 1001);
+    assert_eq!(registry.gauge("fleet.replica3.queue_depth"), Some(999.0));
 }

@@ -92,8 +92,8 @@ fn plans_are_cached_per_layer_and_phase() {
             &glp4nn::LayerKey::forward("CIFAR10", layer).with_chunks(16),
         );
         let b = glp4nn::LayerKey {
-            net: "CIFAR10".into(),
-            layer: layer.into(),
+            net: "CIFAR10",
+            layer,
             phase: Phase::Backward,
             chunks: 16,
         };

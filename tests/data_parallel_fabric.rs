@@ -152,3 +152,56 @@ fn trainer_traffic_matches_ring_bound() {
     assert_eq!(rep.reduce_kernels as usize, r * (r - 1));
     assert!(rep.span(&fabric).is_some());
 }
+
+/// 64-bit FNV-1a over the little-endian bytes of `words`.
+fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for w in words {
+        for b in w.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Pins what `DataParallelTrainer::step` computes: three numerics steps of
+/// CIFAR10-quick (batch 2) on 1–4 replicas of mixed K40C / P100 / Titan
+/// XP, with overlap off and on. Each row holds the digest of every
+/// replica's final weights and the digest of every step's
+/// `(compute_ns, comm_ns, wall_ns)`.
+#[test]
+fn plain_steps_keep_their_weights_and_step_reports() {
+    #[rustfmt::skip]
+    let want: [(usize, bool, u64, u64); 8] = [
+        (1, false, 0x1468_6ce3_c1f3_0b6c, 0xec63_f663_4595_4de5),
+        (1, true, 0x1468_6ce3_c1f3_0b6c, 0xec63_f663_4595_4de5),
+        (2, false, 0x6e11_a24f_36ac_afa9, 0x9d23_04df_454d_c6a4),
+        (2, true, 0x6e11_a24f_36ac_afa9, 0x449f_8c2d_0850_eea9),
+        (3, false, 0xa53a_4447_2c34_969c, 0x2f4e_e16e_2317_a9b7),
+        (3, true, 0xa53a_4447_2c34_969c, 0x25ad_c3de_75a6_6976),
+        (4, false, 0xb46d_9b86_697e_4aad, 0x16f0_7109_c109_e6b6),
+        (4, true, 0xb46d_9b86_697e_4aad, 0x6784_6c8c_076d_9b1a),
+    ];
+    let batch = 2;
+    let ds = SyntheticDataset::cifar_like(7);
+    let spec = models::cifar10_quick(batch, 13);
+    let models = DeviceProps::evaluation_set();
+    let mut got = Vec::new();
+    for &(replicas, overlap, _, _) in &want {
+        let devices: Vec<_> = (0..replicas).map(|r| models[r % 3].clone()).collect();
+        let mut dp = DataParallelTrainer::new(&spec, &devices, false, SolverConfig::default())
+            .with_overlap(overlap);
+        let mut steps = Vec::new();
+        for it in 0..3 {
+            for r in 0..replicas {
+                fill(dp.replica_net(r), &ds, (it * replicas + r) * batch);
+            }
+            let rep = dp.step();
+            steps.extend([rep.compute_ns, rep.comm_ns, rep.wall_ns]);
+        }
+        let weights = (0..replicas).flat_map(|r| dp.replica_net(r).state_dict());
+        let weights = fnv(weights.flatten().map(|v| u64::from(v.to_bits())));
+        got.push((replicas, overlap, weights, fnv(steps)));
+    }
+    assert_eq!(got, want);
+}

@@ -38,76 +38,6 @@ fn next_id() -> u64 {
     NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Ways a frozen plan's step list can be malformed. Plans produced by the
-/// capture constructors are correct by construction; raw plans (built
-/// from serialized or hand-written step lists via
-/// [`ExecPlan::from_raw`]) are validated before they may touch a device —
-/// replaying a malformed plan used to panic on the event-table index
-/// instead of reporting *which* step was wrong.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlanError {
-    /// A `Wait` step references an in-range event that no earlier
-    /// `Record` step produced: the wait could never be satisfied.
-    UnrecordedEvent {
-        /// Step index of the offending `Wait`.
-        step: usize,
-        /// Plan-local event number it waits on.
-        event: u32,
-    },
-    /// A step references an event number outside the plan's event table.
-    EventOutOfRange {
-        /// Step index of the offending step.
-        step: usize,
-        /// Out-of-range plan-local event number.
-        event: u32,
-    },
-    /// A step's stream index is outside the plan's stream table.
-    StreamOutOfRange {
-        /// Step index of the offending step.
-        step: usize,
-        /// Out-of-range stream-table index.
-        stream: u16,
-    },
-    /// A `Launch` step's kernel index is outside the plan's kernel table.
-    KernelOutOfRange {
-        /// Step index of the offending `Launch`.
-        step: usize,
-        /// Out-of-range kernel-table index.
-        kernel: u32,
-    },
-}
-
-impl std::fmt::Display for PlanError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match *self {
-            PlanError::UnrecordedEvent { step, event } => write!(
-                f,
-                "step {step} waits on event {event} before any step records it"
-            ),
-            PlanError::EventOutOfRange { step, event } => {
-                write!(
-                    f,
-                    "step {step} references event {event} outside the event table"
-                )
-            }
-            PlanError::StreamOutOfRange { step, stream } => {
-                write!(
-                    f,
-                    "step {step} references stream {stream} outside the stream table"
-                )
-            }
-            PlanError::KernelOutOfRange { step, kernel } => {
-                write!(
-                    f,
-                    "step {step} launches kernel {kernel} outside the kernel table"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for PlanError {}
-
 /// One step of a frozen execution plan. Streams, kernels, and events are
 /// indices into the owning plan's tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -292,105 +222,6 @@ impl ExecPlan {
             node_stream: self.node_stream.clone(),
             node_deps: self.node_deps.clone(),
         }
-    }
-
-    /// Reconstruct a plan from raw parts — a deserialized or hand-written
-    /// step list — validating it up front. The validation views needed by
-    /// [`verify_capture`] are rebuilt from the steps: one
-    /// node per `Launch`, with the event waits a stream accumulated since
-    /// its previous launch becoming that node's declared dependencies
-    /// (attributed to the launch whose `Record` produced each event).
-    pub fn from_raw(
-        label: &str,
-        pool: &[StreamId],
-        kernels: Vec<KernelDesc>,
-        steps: Vec<PlanStep>,
-        num_events: u32,
-        mode: ExecMode,
-    ) -> Result<Self, PlanError> {
-        let mut plan = ExecPlan {
-            id: next_id(),
-            label: label.to_string(),
-            streams: pool.to_vec(),
-            kernels: kernels.into_iter().map(Arc::new).collect(),
-            steps,
-            num_events,
-            mode,
-            node_stream: Vec::new(),
-            node_deps: Vec::new(),
-        };
-        plan.validate_steps()?;
-        let mut event_src: Vec<Option<usize>> = vec![None; num_events as usize];
-        let mut last_node_on_stream: Vec<Option<usize>> = vec![None; plan.streams.len()];
-        let mut pending: Vec<Vec<u32>> = vec![Vec::new(); plan.streams.len()];
-        for step in &plan.steps {
-            match *step {
-                PlanStep::Launch { stream, .. } => {
-                    let s = stream as usize;
-                    let deps: Vec<usize> = pending[s]
-                        .drain(..)
-                        .filter_map(|e| event_src[e as usize])
-                        .collect();
-                    let node = plan.node_stream.len();
-                    plan.node_stream.push(s);
-                    plan.node_deps.push(deps);
-                    last_node_on_stream[s] = Some(node);
-                }
-                PlanStep::Record { stream, event } => {
-                    event_src[event as usize] = last_node_on_stream[stream as usize];
-                }
-                PlanStep::Wait { stream, event } => {
-                    pending[stream as usize].push(event);
-                }
-            }
-        }
-        Ok(plan)
-    }
-
-    /// Check the step list against the plan's tables: every stream,
-    /// kernel, and event index in range, and no wait on an event that has
-    /// not been recorded by an earlier step.
-    pub fn validate_steps(&self) -> Result<(), PlanError> {
-        let mut recorded = vec![false; self.num_events as usize];
-        for (i, step) in self.steps.iter().enumerate() {
-            let stream = match *step {
-                PlanStep::Launch { stream, .. }
-                | PlanStep::Record { stream, .. }
-                | PlanStep::Wait { stream, .. } => stream,
-            };
-            if stream as usize >= self.streams.len() {
-                return Err(PlanError::StreamOutOfRange { step: i, stream });
-            }
-            match *step {
-                PlanStep::Launch { kernel, .. } => {
-                    if kernel as usize >= self.kernels.len() {
-                        return Err(PlanError::KernelOutOfRange { step: i, kernel });
-                    }
-                }
-                PlanStep::Record { event, .. } => {
-                    if event as usize >= recorded.len() {
-                        return Err(PlanError::EventOutOfRange { step: i, event });
-                    }
-                    recorded[event as usize] = true;
-                }
-                PlanStep::Wait { event, .. } => {
-                    if event as usize >= recorded.len() {
-                        return Err(PlanError::EventOutOfRange { step: i, event });
-                    }
-                    if !recorded[event as usize] {
-                        return Err(PlanError::UnrecordedEvent { step: i, event });
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Validate the step list, then replay. The safe entry point for
-    /// plans not produced by a capture constructor.
-    pub fn try_replay(&self, dev: &mut Device) -> Result<ExecReport, PlanError> {
-        self.validate_steps()?;
-        Ok(self.replay(dev))
     }
 
     /// Replay the plan: issue every step, run the device to completion,
@@ -691,7 +522,6 @@ mod tests {
         assert_eq!(plan.num_events(), 2);
         assert_eq!(plan.node_streams(), &[0, 0, 1, 0]);
         assert_eq!(plan.node_deps(3), &[1, 2]);
-        assert_eq!(plan.validate_steps(), Ok(()));
 
         let r = plan.replay(&mut dev);
         assert_eq!(r.kernels, 4);
@@ -807,107 +637,6 @@ mod tests {
         assert_eq!(plan.num_events(), 0);
         plan.replay(&mut dev);
         assert!(span(&dev, "b").0 >= span(&dev, "a").1);
-    }
-
-    #[test]
-    fn wait_on_unrecorded_event_is_a_typed_error_not_a_panic() {
-        let mut dev = Device::new(DeviceProps::p100());
-        let pool = vec![dev.create_stream(), dev.create_stream()];
-        // A wait that precedes its record: replaying this used to index a
-        // not-yet-created simulator event.
-        let steps = vec![
-            PlanStep::Wait {
-                stream: 0,
-                event: 0,
-            },
-            PlanStep::Launch {
-                stream: 0,
-                kernel: 0,
-            },
-            PlanStep::Record {
-                stream: 0,
-                event: 0,
-            },
-        ];
-        let err = ExecPlan::from_raw(
-            "bad",
-            &pool,
-            vec![kernel("k", 8, 128, 1.0e6)],
-            steps,
-            1,
-            ExecMode::Profiling,
-        )
-        .unwrap_err();
-        assert_eq!(err, PlanError::UnrecordedEvent { step: 0, event: 0 });
-        assert!(err.to_string().contains("before any step records it"));
-
-        // The same malformed steps inside an already-built plan are caught
-        // by try_replay instead of panicking in the issue loop.
-        let mut plan = ExecPlan::capture_round_robin(
-            "bad2",
-            &[vec![kernel("k", 8, 128, 1.0e6)]],
-            &pool,
-            ExecMode::Profiling,
-        );
-        plan.steps.push(PlanStep::Wait {
-            stream: 0,
-            event: 7,
-        });
-        let err = plan.try_replay(&mut dev).unwrap_err();
-        assert_eq!(err, PlanError::EventOutOfRange { step: 1, event: 7 });
-    }
-
-    #[test]
-    fn from_raw_validates_tables_and_rebuilds_views() {
-        let mut dev = Device::new(DeviceProps::p100());
-        let pool = vec![dev.create_stream(), dev.create_stream()];
-        let ks = vec![kernel("a", 8, 128, 1.0e6), kernel("b", 8, 128, 1.0e6)];
-
-        // Out-of-range kernel and stream indices are typed errors.
-        let bad_kernel = vec![PlanStep::Launch {
-            stream: 0,
-            kernel: 9,
-        }];
-        assert_eq!(
-            ExecPlan::from_raw("t", &pool, ks.clone(), bad_kernel, 0, ExecMode::Profiling)
-                .unwrap_err(),
-            PlanError::KernelOutOfRange { step: 0, kernel: 9 }
-        );
-        let bad_stream = vec![PlanStep::Launch {
-            stream: 5,
-            kernel: 0,
-        }];
-        assert_eq!(
-            ExecPlan::from_raw("t", &pool, ks.clone(), bad_stream, 0, ExecMode::Profiling)
-                .unwrap_err(),
-            PlanError::StreamOutOfRange { step: 0, stream: 5 }
-        );
-
-        // A well-formed cross-stream record/wait chain replays and its
-        // reconstructed validation view carries the event dependency.
-        let steps = vec![
-            PlanStep::Launch {
-                stream: 0,
-                kernel: 0,
-            },
-            PlanStep::Record {
-                stream: 0,
-                event: 0,
-            },
-            PlanStep::Wait {
-                stream: 1,
-                event: 0,
-            },
-            PlanStep::Launch {
-                stream: 1,
-                kernel: 1,
-            },
-        ];
-        let plan = ExecPlan::from_raw("t", &pool, ks, steps, 1, ExecMode::Profiling).unwrap();
-        assert_eq!(plan.node_streams(), &[0, 1]);
-        assert_eq!(plan.node_deps(1), &[0], "wait reattributed to launch 0");
-        let r = plan.try_replay(&mut dev).unwrap();
-        assert_eq!(r.kernels, 2);
     }
 
     #[test]

@@ -42,12 +42,10 @@
 
 pub mod activity;
 pub mod buffer;
-pub mod callback;
 pub mod overhead;
 pub mod subscriber;
 
 pub use activity::{ActivityKind, ActivityRecord, DecodeError};
 pub use buffer::{ActivityBuffer, BufferPool, DEFAULT_BUFFER_BYTES, DEFAULT_POOL_BUFFERS};
-pub use callback::{ApiCallRecord, CallbackSubscriber};
 pub use overhead::ProfilerOverhead;
 pub use subscriber::Profiler;

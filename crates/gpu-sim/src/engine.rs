@@ -154,13 +154,6 @@ struct CopySrcState {
     notified: bool,
 }
 
-/// Synchronous launch-interception hook (the driver-API callback site a
-/// CUPTI-style callback API subscribes to). Invoked inside
-/// [`Device::launch`] with the descriptor, target stream, and the host
-/// time at which the launch call completed. `Send` so devices can be
-/// stepped from fabric worker threads.
-pub type LaunchHook = Box<dyn FnMut(&KernelDesc, StreamId, SimTime) + Send>;
-
 /// A simulated GPU device.
 ///
 /// See the [crate-level docs](crate) for the execution model.
@@ -168,7 +161,6 @@ pub struct Device {
     props: DeviceProps,
     clock: SimTime,
     host_clock: SimTime,
-    launch_hook: Option<LaunchHook>,
     streams: Vec<StreamState>,
     events: Vec<EventState>,
     event_waiters: Vec<Vec<StreamId>>,
@@ -242,7 +234,6 @@ impl Device {
             props,
             clock: 0,
             host_clock: 0,
-            launch_hook: None,
             streams: vec![StreamState::default()],
             events: Vec::new(),
             event_waiters: Vec::new(),
@@ -278,17 +269,6 @@ impl Device {
     /// Device properties.
     pub fn props(&self) -> &DeviceProps {
         &self.props
-    }
-
-    /// Install a synchronous launch-interception hook (at most one; the
-    /// CUPTI-style callback API multiplexes its own subscribers on top).
-    pub fn set_launch_hook(&mut self, hook: LaunchHook) {
-        self.launch_hook = Some(hook);
-    }
-
-    /// Remove the launch hook.
-    pub fn clear_launch_hook(&mut self) {
-        self.launch_hook = None;
     }
 
     /// Number of logical discrete events processed so far (the
@@ -421,13 +401,6 @@ impl Device {
             offered_all_sms: false,
             desc,
         });
-        if let Some(hook) = self.launch_hook.as_mut() {
-            hook(
-                self.kernels[id.0 as usize].desc.as_ref(),
-                stream,
-                self.host_clock,
-            );
-        }
         self.cmd_log.push(CmdRecord::Launch { stream, kernel: id });
         self.streams[stream.0 as usize]
             .queue
@@ -1693,15 +1666,12 @@ mod tests {
             dev.replay_memo(0, |d| issue_ops(d, &pool, &heavy));
             dev.memo_stats()
         };
-        dev.set_launch_hook(Box::new(|_, _, _| {}));
-        assert_eq!(replay(&mut dev), (6, 5), "a launch hook sees every launch");
-        dev.clear_launch_hook();
         dev.set_telemetry(telemetry::shared(telemetry::Telemetry::new()), 0);
-        assert_eq!(replay(&mut dev), (6, 6), "telemetry sees every kernel");
+        assert_eq!(replay(&mut dev), (6, 5), "telemetry sees every kernel");
         dev.clear_telemetry();
         dev.launch(pool[1], kernel("in-flight", 8, 128, 1.0e6));
-        assert_eq!(replay(&mut dev), (6, 7), "the device was not idle");
-        assert_eq!(replay(&mut dev), (7, 7));
+        assert_eq!(replay(&mut dev), (6, 6), "the device was not idle");
+        assert_eq!(replay(&mut dev), (7, 6));
     }
 
     #[test]

@@ -103,7 +103,7 @@ impl Device {
     /// key's replay, apply the recording instead, with the same observable
     /// result. Every call with one `key` must issue the same commands on the
     /// same existing streams (`ExecPlan` keys by plan); the second call on
-    /// an idle device records. A launch hook or telemetry bypasses the memo.
+    /// an idle device records. Attached telemetry bypasses the memo.
     pub fn replay_memo(&mut self, key: u64, issue: impl FnOnce(&mut Device)) -> SimTime {
         let idle = self.quiescent();
         #[cfg(test)]
@@ -138,8 +138,7 @@ impl Device {
     /// Nothing observes the replay and nothing is in flight (an active or
     /// pending kernel, or copy state, keeps a stream busy).
     fn quiescent(&self) -> bool {
-        self.launch_hook.is_none()
-            && !self.telemetry.is_attached()
+        !self.telemetry.is_attached()
             && self.host_clock <= self.clock
             && self.cmd_log.last().is_none_or(|r| *r == CmdRecord::Sync)
             && self.fully_idle()
@@ -266,7 +265,7 @@ impl Device {
         // one has left its queue, and a parked stream holds copy state or
         // a copy waiter.
         let queued: usize = self.streams.iter().map(|s| s.queue.len()).sum();
-        let observed = self.launch_hook.is_some() || self.telemetry.is_attached();
+        let observed = self.telemetry.is_attached();
         let busy = (self.streams.iter()).any(|s| s.inflight.is_some() || s.copy_inflight.is_some());
         let busy = busy || !self.copy_waiters.is_empty();
         #[cfg(test)]

@@ -109,7 +109,7 @@ impl LinkProps {
 }
 
 /// Typed error for cross-device misuse, mirroring `StreamError` /
-/// `PlanError` elsewhere in the workspace: misconfigured topologies are
+/// `SolveError` elsewhere in the workspace: misconfigured topologies are
 /// caller bugs we want surfaced as values, not panics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FabricError {
@@ -1509,13 +1509,13 @@ mod tests {
             [(0, 1), (0, 2), (1, 2), (2, 2)],
             "noted, recorded, applied"
         );
-        h[1].set_launch_hook(Box::new(|_, _, _| {}));
+        h[1].set_telemetry(telemetry::shared(telemetry::Telemetry::new()), 1);
         assert_eq!(
             episode(&mut fab, &mut h, 1),
             (2, 3),
-            "a launch hook sees every launch"
+            "a device's recorder sees every kernel"
         );
-        h[1].clear_launch_hook();
+        h[1].clear_telemetry();
         fab.set_telemetry(telemetry::shared(telemetry::Telemetry::new()));
         assert_eq!(
             episode(&mut fab, &mut h, 1),

@@ -24,16 +24,17 @@
 //!   communication hides behind compute.
 //!
 //! Numerics are decoupled from the simulated schedule, deliberately: the
-//! simulator moves no data, so gradient math happens host-side. The plain
-//! [`step`](DataParallelTrainer::step) combines per-replica gradients in
-//! a fixed tree (deterministic for a given replica count);
-//! [`step_sharded`](DataParallelTrainer::step_sharded) goes further and
-//! reproduces the paper's convergence-invariance contract for data
-//! parallelism: the global batch is cut into a *fixed* number of shards,
-//! each shard's gradient is computed separately, and shards are combined
-//! by a fixed binary tree over shard indices
-//! ([`collective::tree_sum_scaled`]) — so trained weights are **bitwise
-//! identical for any replica count** that divides the shard count.
+//! simulator moves no data, so gradient math happens host-side. Every
+//! step computes each shard's gradient separately, combines shards (and
+//! their losses) by a fixed binary tree over shard indices
+//! ([`collective::tree_sum_scaled`]), and applies one momentum update to
+//! every replica. The plain [`step`](DataParallelTrainer::step) takes one
+//! shard per replica (deterministic for a given replica count);
+//! [`step_sharded`](DataParallelTrainer::step_sharded) reproduces the
+//! paper's convergence-invariance contract for data parallelism: the
+//! global batch is cut into a *fixed* number of shards, so trained weights
+//! are **bitwise identical for any replica count** that divides the shard
+//! count.
 
 use crate::exec::{DispatchMode, ExecCtx};
 use crate::net::{Net, NetSpec};
@@ -45,8 +46,8 @@ use sanitizer::{Diagnostic, SanitizeMode, Sanitizer};
 /// Result of one data-parallel step.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepReport {
-    /// Mean loss over replicas (for [`DataParallelTrainer::step_sharded`],
-    /// the fixed-tree mean over shards).
+    /// Fixed-tree mean loss over shards (one shard per replica for
+    /// [`DataParallelTrainer::step`]).
     pub loss: f32,
     /// Simulated compute time: the slowest replica's eager pass (ns). In
     /// overlap mode compute and communication are indistinguishable, and
@@ -201,9 +202,8 @@ impl DataParallelTrainer {
 
     /// Skip host-side math on every replica: kernels are still dispatched
     /// and timed on the simulated devices, but no CPU arithmetic runs —
-    /// including the trainer's own gradient combine / solver update /
-    /// parameter broadcast. Losses and weights become meaningless — use
-    /// for timing sweeps.
+    /// including the trainer's own gradient combine and solver update.
+    /// Losses and weights become meaningless — use for timing sweeps.
     pub fn timing_only(mut self) -> Self {
         for (_, ctx) in &mut self.replicas {
             ctx.compute = false;
@@ -213,9 +213,9 @@ impl DataParallelTrainer {
 
     /// Whether host-side numerics are live (false after
     /// [`timing_only`](DataParallelTrainer::timing_only)). Guards the
-    /// trainer's gradient/solver/broadcast math: in timing-only mode the
-    /// weights are meaningless anyway, so copying hundreds of MB of
-    /// parameters per step would be pure overhead.
+    /// trainer's gradient/solver math: in timing-only mode the weights are
+    /// meaningless anyway, so copying hundreds of MB of gradients per step
+    /// would be pure overhead.
     fn numerics(&self) -> bool {
         self.replicas.iter().any(|(_, ctx)| ctx.compute)
     }
@@ -272,99 +272,13 @@ impl DataParallelTrainer {
         self.fabric.merged_timeline(&views)
     }
 
-    /// One synchronous step. Input sub-batches must already be loaded into
-    /// every replica's input blobs. Gradients are combined in a fixed tree
-    /// over replica indices (deterministic; for replica-count-*invariant*
-    /// bits use [`step_sharded`](DataParallelTrainer::step_sharded)).
+    /// One synchronous step with one shard per replica. Input sub-batches
+    /// must already be loaded into every replica's input blobs. Gradients
+    /// are combined in a fixed tree over replica indices (deterministic;
+    /// for replica-count-*invariant* bits use
+    /// [`step_sharded`](DataParallelTrainer::step_sharded)).
     pub fn step(&mut self) -> StepReport {
-        let r_count = self.replicas.len();
-        let t0 = self.begin_iteration();
-
-        // Gradient buffers only matter when host numerics run; clearing
-        // (and lazily allocating) hundreds of MB of diffs per replica is
-        // pure overhead in timing-only mode.
-        let numerics = self.numerics();
-        let mut losses = Vec::with_capacity(r_count);
-        for (net, ctx) in &mut self.replicas {
-            if numerics {
-                net.zero_param_diffs();
-            }
-            ctx.take_timings();
-            let loss = net.forward(ctx);
-            net.seed_loss_grads();
-            losses.push(loss);
-        }
-        let comm_reports = self.backward_with_allreduce();
-        let (compute_ns, comm_ns, wall_ns) = self.finish_iteration(&t0, &comm_reports);
-
-        // Host-side numerics: skipped entirely in timing-only mode (the
-        // simulated schedule above is unaffected; weights are documented
-        // meaningless there).
-        if !self.numerics() {
-            self.iter += 1;
-            return StepReport {
-                loss: losses.iter().sum::<f32>() / r_count as f32,
-                compute_ns,
-                comm_ns,
-                wall_ns,
-            };
-        }
-
-        // Fixed-tree gradient mean over replicas, into replica 0.
-        if r_count > 1 {
-            let inv = 1.0 / r_count as f32;
-            let parts: Vec<Vec<Vec<f32>>> = self
-                .replicas
-                .iter_mut()
-                .map(|(net, _)| net.params_mut().iter().map(|p| p.diff().to_vec()).collect())
-                .collect();
-            let mut master = self.replicas[0].0.params_mut();
-            for (pi, p) in master.iter_mut().enumerate() {
-                let views: Vec<&[f32]> = parts.iter().map(|r| r[pi].as_slice()).collect();
-                let reduced = tree_sum_scaled(&views, inv);
-                p.diff_mut().copy_from_slice(&reduced);
-            }
-        }
-
-        // SGD update on replica 0 (same rule as `Solver::step`).
-        let lr = self.cfg.base_lr; // fixed policy in the data-parallel path
-        {
-            let mut master = self.replicas[0].0.params_mut();
-            if self.momentum.len() != master.len() {
-                self.momentum = master.iter().map(|p| vec![0.0; p.count()]).collect();
-            }
-            for (p, h) in master.iter_mut().zip(&mut self.momentum) {
-                let (data, diff) = p.data_and_diff_mut();
-                for i in 0..data.len() {
-                    let g = diff[i] + self.cfg.weight_decay * data[i];
-                    h[i] = self.cfg.momentum * h[i] + lr * g;
-                    data[i] -= h[i];
-                }
-            }
-        }
-
-        // Broadcast parameters to the other replicas (host-side; the
-        // simulated broadcast cost is part of the reduced buckets already
-        // circulated by the all-gather phase of the ring).
-        let master_params: Vec<Vec<f32>> = self.replicas[0]
-            .0
-            .params_mut()
-            .iter()
-            .map(|p| p.data().to_vec())
-            .collect();
-        for (net, _) in self.replicas.iter_mut().skip(1) {
-            for (p, src) in net.params_mut().iter_mut().zip(&master_params) {
-                p.data_mut().copy_from_slice(src);
-            }
-        }
-
-        self.iter += 1;
-        StepReport {
-            loss: losses.iter().sum::<f32>() / r_count as f32,
-            compute_ns,
-            comm_ns,
-            wall_ns,
-        }
+        self.step_over(self.replicas.len(), |_, _| {})
     }
 
     /// One convergence-invariant step over `shards` fixed shards (see
@@ -375,12 +289,20 @@ impl DataParallelTrainer {
     /// reduction tree and every intermediate rounding — is identical for
     /// every replica count dividing `S`. Trained weights are bitwise
     /// reproducible across replica counts and device models.
-    pub fn step_sharded<F>(&mut self, mut fill: F) -> StepReport
+    pub fn step_sharded<F>(&mut self, fill: F) -> StepReport
+    where
+        F: FnMut(&mut Net, usize),
+    {
+        self.step_over(self.shards, fill)
+    }
+
+    /// One step over `s_count` shards, `fill` loading shard `q` before its
+    /// pass.
+    fn step_over<F>(&mut self, s_count: usize, mut fill: F) -> StepReport
     where
         F: FnMut(&mut Net, usize),
     {
         let r_count = self.replicas.len();
-        let s_count = self.shards;
         assert!(
             s_count.is_multiple_of(r_count),
             "{s_count} shards do not divide over {r_count} replicas"

@@ -470,11 +470,6 @@ impl Sanitizer {
         &self.reports
     }
 
-    /// Drain accumulated diagnostics.
-    pub fn take_reports(&mut self) -> Vec<Diagnostic> {
-        std::mem::take(&mut self.reports)
-    }
-
     /// Checking counters.
     pub fn stats(&self) -> SanitizerStats {
         self.stats
@@ -596,18 +591,5 @@ mod tests {
         let mut san = Sanitizer::new(SanitizeMode::PlanOnly);
         san.check_device(&dev);
         assert_eq!(san.stats().trace_kernels, 0);
-    }
-
-    #[test]
-    fn take_reports_drains() {
-        let buf = BufferId::from_label("lib/f");
-        let mut san = Sanitizer::new(SanitizeMode::PlanOnly);
-        let groups = vec![
-            vec![kernel("w").writes(buf, ByteRange::new(0, 64))],
-            vec![kernel("w").writes(buf, ByteRange::new(0, 64))],
-        ];
-        san.check_chunks("layer", &groups);
-        assert_eq!(san.take_reports().len(), 1);
-        assert_eq!(san.reports(), &[]);
     }
 }

@@ -22,6 +22,7 @@ use nn::data::SyntheticDataset;
 use nn::{models, DispatchMode, ExecCtx, Net, NetSpec, Solver, SolverConfig};
 use proptest::prelude::*;
 use sanitizer::SanitizeMode;
+use telemetry::Telemetry;
 use tensor::Blob;
 
 /// A kernel's observable execution record.
@@ -299,7 +300,7 @@ fn iterate(ctx: &mut ExecCtx, net: &mut Net, iterations: usize) {
 
 /// A warm plan replayed from an idle device applies the device's recorded
 /// outcome instead of simulating (`Device::replay_memo`). The reference
-/// arm installs a no-op launch hook, which keeps every replay on the
+/// arm attaches a telemetry recorder, which keeps every replay on the
 /// simulation. Both arms run a Siamese loop under every dispatch mode,
 /// and a CaffeNet loop under 8 streams, whose conv layers push the DRAM
 /// demand past the P100's peak so the memo must re-check slowdown factors.
@@ -323,7 +324,7 @@ fn memo_replays_match_the_simulation_on_warm_loops() {
             let [mut memo, mut sim] = [false, true].map(|reference| {
                 let mut ctx = mode_ctx(DeviceProps::p100(), mode).sanitize(SanitizeMode::Full);
                 if reference {
-                    ctx.device.set_launch_hook(Box::new(|_, _, _| {}));
+                    ctx.set_telemetry(telemetry::shared(Telemetry::new()), 0);
                 }
                 (ctx, Net::from_spec(&spec))
             });

@@ -180,7 +180,8 @@ pub struct FleetConfig {
     pub load_phases: Option<Vec<LoadPhase>>,
     /// Seed for arrivals, class assignment and model parameters.
     pub seed: u64,
-    /// Controller cadence (brownout + autoscaler), simulated ns.
+    /// Controller cadence (brownout + autoscaler), simulated ns; 0 runs
+    /// no controller: no brownout and no autoscaling.
     pub tick_ns: SimTime,
     /// Queue-depth autoscaling; `None` keeps every fabric slot active.
     pub autoscale: Option<AutoscaleConfig>,

@@ -536,7 +536,9 @@ impl FleetSim {
         let requests = self.generate_requests();
         let first_arrival = requests.first().map(|r| r.arrival_ns).unwrap_or(self.t0);
         let mut next_arrival = 0usize;
-        let mut next_tick = self.t0 + self.cfg.tick_ns;
+        // `tick_ns == 0` runs no controller (`FleetConfig::tick_ns`).
+        let tick = self.cfg.tick_ns;
+        let mut next_tick = (tick > 0).then(|| self.t0 + tick);
 
         loop {
             let t_done = self
@@ -559,10 +561,7 @@ impl FleetSim {
                 break;
             }
             let mut t = SimTime::MAX;
-            for cand in [t_done, t_arr, t_wake, Some(next_tick)]
-                .into_iter()
-                .flatten()
-            {
+            for cand in [t_done, t_arr, t_wake, next_tick].into_iter().flatten() {
                 t = t.min(cand);
             }
 
@@ -593,10 +592,10 @@ impl FleetSim {
                 }
             }
             // 4. Controller tick.
-            if t == next_tick {
+            if next_tick == Some(t) {
                 self.brownout_tick(t);
                 self.autoscale_tick(t);
-                next_tick = t + self.cfg.tick_ns;
+                next_tick = Some(t + tick);
             }
         }
 

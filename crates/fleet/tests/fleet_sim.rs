@@ -183,3 +183,23 @@ fn timing_only_replicas_report_what_computing_replicas_report() {
     assert_eq!(timed.completed + timed.shed + timed.expired, 500);
     assert_eq!(timed, run(false));
 }
+
+#[test]
+fn a_zero_tick_runs_no_controller_and_returns() {
+    for autoscale in [None, Some(AutoscaleConfig::new(2, 8))] {
+        let mut cfg = small_cfg(RouterPolicy::JoinShortestQueue);
+        (cfg.num_requests, cfg.tick_ns, cfg.autoscale) = (200, 0, autoscale);
+        // On its own thread, so a controller that re-arms at the same
+        // instant fails the test instead of stalling it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(FleetSim::new(cfg).unwrap().run());
+        });
+        let r = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("a run with tick_ns 0 returns");
+        assert_eq!(r.offered, 200);
+        assert_eq!(r.completed + r.shed + r.expired, r.offered);
+        assert_eq!((r.brownout_sheds, r.scale_ups, r.scale_downs), (0, 0, 0));
+    }
+}

@@ -1354,8 +1354,8 @@ mod tests {
             self.bw.place(demand);
         }
 
-        /// The DRAM demand residue's bits.
-        pub(crate) fn demand_bits(&self) -> u64 {
+        /// The DRAM demand residue's bits (folding pending memo programs).
+        pub(crate) fn demand_bits(&mut self) -> u64 {
             self.bw.demand().to_bits()
         }
     }
@@ -1562,7 +1562,8 @@ mod tests {
         /// stray demand, which changes slowdown factors by far more than
         /// the residue's drift ever does. After every replay, and after one
         /// more episode issued without the memo, both devices must be in
-        /// the same state.
+        /// the same state; the exact demand, which folds the programs of
+        /// hits proven from a bound, is read at random points between them.
         #[test]
         fn memo_replays_match_the_never_memo_reference(
             props in proptest::sample::select(DeviceProps::evaluation_set()),
@@ -1571,7 +1572,8 @@ mod tests {
                 proptest::collection::vec(arb_op(400), 1..=6),
                 1..=3,
             ),
-            // `(sequence, stray demand, whether to add it first)`.
+            // `(sequence, stray demand, add it first (0) or read the demand
+            // after (1))`.
             order in proptest::collection::vec((0usize..3, 0.0f64..6.0e11, 0u8..4), 3..=12),
             tail in proptest::collection::vec(arb_op(400), 1..=4),
         ) {
@@ -1590,12 +1592,18 @@ mod tests {
                     dev.replay_memo(p as u64, |d| issue_ops(d, pool, &plans[p]));
                 }
                 assert_same_state(&pair[0].0, &pair[1].0)?;
+                if when == 1 {
+                    let [a, b] = pair.each_mut().map(|(dev, _)| dev.demand_bits());
+                    proptest::prop_assert_eq!(a, b);
+                }
             }
             for (dev, pool) in &mut pair {
                 issue_ops(dev, pool, &tail);
                 dev.run();
             }
             assert_same_state(&pair[0].0, &pair[1].0)?;
+            let [a, b] = pair.each_mut().map(|(dev, _)| dev.demand_bits());
+            proptest::prop_assert_eq!(a, b);
             let (hits, misses) = pair[0].0.memo_stats();
             proptest::prop_assert_eq!(hits + misses, order.len() as u64);
             proptest::prop_assert_eq!(pair[1].0.memo_stats(), (0, order.len() as u64));
@@ -1614,7 +1622,8 @@ mod tests {
         )
     }
 
-    /// Everything a replay leaves behind, compared between two devices.
+    /// Everything a replay leaves behind but the demand (reading it folds),
+    /// compared between two devices.
     fn assert_same_state(
         a: &Device,
         b: &Device,
@@ -1623,7 +1632,6 @@ mod tests {
         proptest::prop_assert_eq!(a.host_clock, b.host_clock);
         proptest::prop_assert_eq!(a.seq, b.seq);
         proptest::prop_assert_eq!(a.events_processed(), b.events_processed());
-        proptest::prop_assert_eq!(a.bw.demand().to_bits(), b.bw.demand().to_bits());
         proptest::prop_assert_eq!(a.trace(), b.trace());
         proptest::prop_assert_eq!(a.command_log(), b.command_log());
         proptest::prop_assert_eq!(&a.events, &b.events);
@@ -1672,6 +1680,34 @@ mod tests {
         dev.launch(pool[1], kernel("in-flight", 8, 128, 1.0e6));
         assert_eq!(replay(&mut dev), (6, 6), "the device was not idle");
         assert_eq!(replay(&mut dev), (7, 6));
+    }
+
+    #[test]
+    fn warm_hits_past_peak_fold_nothing_until_read_then_land_on_the_reference() {
+        // Two DRAM-heavy kernels joined by an event: placements past peak.
+        let heavy: [Op; 2] = [
+            (0, 400, 256, 0, 32, 2, (0, 0, 0)),
+            (1, 300, 256, 0, 32, 2, (1, 1, 0)),
+        ];
+        let mut pair = [false, true].map(|never_memo| {
+            let mut dev = Device::new(DeviceProps::p100());
+            dev.never_memo = never_memo;
+            let pool: Vec<_> = (0..2).map(|_| dev.create_stream()).collect();
+            for _ in 0..52 {
+                dev.replay_memo(0, |d| issue_ops(d, &pool, &heavy));
+            }
+            dev
+        });
+        let [memo, reference] = &mut pair;
+        assert_eq!(memo.memo_stats(), (50, 2));
+        let Some(Some(recorded)) = memo.memo.get(&0) else {
+            panic!("key 0 was recorded");
+        };
+        assert!(recorded.residue.oversubscribed() > 0);
+        assert_eq!(memo.bw.pending(), 50, "every hit was proven, none folded");
+        assert_same_state(memo, reference).unwrap();
+        assert_eq!(memo.demand_bits(), reference.demand_bits());
+        assert_eq!(memo.bw.pending(), 0);
     }
 
     #[test]

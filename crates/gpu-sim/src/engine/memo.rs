@@ -1,8 +1,8 @@
 //! The quiescent-replay memo (DESIGN.md, "Quiescent-replay memo"): the
 //! second replay of a key from an idle device is simulated and recorded
 //! relative to its start; later ones from an idle device apply the
-//! recording at the current clock and ids once its residue program
-//! ([`crate::contention`]) proves the simulation would repeat, by reference:
+//! recording at the current clock and ids once its residue program is
+//! proven to repeat ([`crate::contention`]), by reference:
 //! its kernels get ids but no arena slots. The fabric's episode memo records
 //! and applies one [`Outcome`] per device the same way.
 
@@ -29,7 +29,7 @@ pub(crate) struct Outcome {
     advance: (SimTime, u64, u64),
     /// The host clock's offset, unless the replay launched nothing.
     host_clock: Option<SimTime>,
-    pub(crate) residue: Residue,
+    pub(crate) residue: Arc<Residue>,
 }
 
 /// Kernel-id, event-id, time and fabric copy-id offsets (wrapping: records
@@ -185,18 +185,20 @@ impl Device {
                 self.events_processed - s.counters.1,
             ),
             host_clock: (self.host_clock != s.host).then(|| self.host_clock - c),
-            residue,
+            residue: Arc::new(residue),
         })
     }
 
-    /// Apply `o` at the current clock and ids if its residue program holds
-    /// from the current residue; otherwise change nothing. Its kernels take
-    /// the next ids without arena slots: one `applied` entry answers for
-    /// them ([`kernel_record`](Device::kernel_record)).
+    /// Apply `o` at the current clock and ids if its residue program is
+    /// proven to repeat from the current demand ([`crate::contention`]);
+    /// otherwise change nothing observable. Its kernels take the next ids
+    /// without arena slots: one `applied` entry answers for them
+    /// ([`kernel_record`](Device::kernel_record)).
     fn apply(&mut self, o: &Arc<Outcome>) -> bool {
-        if !self.bw.replay(&o.residue) {
+        if !self.bw.check(&o.residue) {
             return false;
         }
+        self.bw.commit(&o.residue);
         let (k, e) = (self.kernels.len() as u64, self.events.len() as u64);
         if !o.kernels.is_empty() {
             self.applied.push((KernelId(k), Arc::clone(o), self.clock));
@@ -319,7 +321,7 @@ impl Device {
     }
 
     /// Apply a fabric episode's outcome `o` at `base`, copy ids from `copy0`
-    /// (its residue program already re-run): overwrite the arena slots of
+    /// (its residue program already applied): overwrite the arena slots of
     /// the episode's launches, keeping their live descriptors, patch its
     /// events, push the trace rows with the live kernels' and copies'
     /// (`copy_name`) names, and drop what the simulation would consume.

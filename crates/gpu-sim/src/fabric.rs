@@ -51,7 +51,6 @@
 //! execution context owns its `Device`) and lend `&mut [&mut Device]` per
 //! call, indexed by the device's position in the slice.
 
-use crate::contention::BandwidthTracker;
 use crate::device::DeviceProps;
 use crate::engine::memo::{Outcome, Segment};
 use crate::engine::Device;
@@ -340,11 +339,9 @@ pub struct Fabric {
 #[derive(Debug, Default)]
 struct Memo {
     runs: HashMap<u64, (Vec<u64>, Option<Box<Recording>>)>,
-    /// Reusable buffers: the pending episode's key and segments, and the
-    /// trackers saved while residue programs re-run.
+    /// Reusable buffers: the pending episode's key and segments.
     key: Vec<u64>,
     segments: Vec<Segment>,
-    saved: Vec<BandwidthTracker>,
     stats: (u64, u64),
 }
 
@@ -677,7 +674,8 @@ impl Fabric {
     ///
     /// At one worker, an episode is keyed by its pending program (DESIGN.md,
     /// "Quiescent fabric-run memo"): its second sighting records, later ones
-    /// apply the recording where every device's residue program holds.
+    /// apply the recording where every device's residue program is proven to
+    /// repeat.
     pub fn run_with_workers(&mut self, devs: &mut [&mut Device], workers: usize) -> SimTime {
         assert_eq!(
             devs.len(),
@@ -788,18 +786,15 @@ impl Fabric {
     }
 
     /// Apply `rec` at `base` if every device has the recorded model and its
-    /// residue program holds from its current residue; otherwise change
-    /// nothing.
+    /// residue program is proven to repeat from its current demand
+    /// ([`crate::contention`]); otherwise change nothing observable. Every
+    /// device is checked before any is written.
     fn apply(&mut self, devs: &mut [&mut Device], rec: &Recording, base: SimTime) -> bool {
-        let saved = &mut self.memo.saved;
-        saved.clear();
-        saved.extend(devs.iter().map(|d| d.bw.clone()));
         let Recording(outcomes, props, copies) = rec;
-        let models = props.iter().eq(devs.iter().map(|d| d.props()));
-        if !models || !(devs.iter_mut().zip(outcomes)).all(|(d, o)| d.bw.replay(&o.residue)) {
-            for (d, bw) in devs.iter_mut().zip(saved.drain(..)) {
-                d.bw = bw;
-            }
+        if !props.iter().eq(devs.iter().map(|d| d.props())) {
+            return false;
+        }
+        if !(devs.iter_mut().zip(outcomes)).all(|(d, o)| d.bw.check(&o.residue)) {
             return false;
         }
         for (c, &(s, e)) in self.copies[self.settled..].iter_mut().zip(copies) {
@@ -809,6 +804,7 @@ impl Fabric {
         }
         let (copies, at) = (&self.copies, (base, self.settled as u64));
         for ((d, o), seg) in devs.iter_mut().zip(outcomes).zip(&self.memo.segments) {
+            d.bw.commit(&o.residue);
             d.apply_episode(o, seg, at, |c| copies[c as usize].desc.name.clone());
         }
         true
@@ -1418,6 +1414,7 @@ mod tests {
             hits + misses,
             episode_ends.len() as u64 * u64::from(!reference)
         );
+        let demand_bits = devices.iter_mut().map(|d| d.demand_bits()).collect();
         let views: Vec<&Device> = devices.iter().collect();
         let rec = rec.lock().expect("no recorder user panicked");
         Observed {
@@ -1430,7 +1427,7 @@ mod tests {
             episode_ends,
             logs: views.iter().map(|d| d.command_log().to_vec()).collect(),
             stats: fab.stats(&views),
-            demand_bits: views.iter().map(|d| d.demand_bits()).collect(),
+            demand_bits,
         }
     }
 
@@ -1541,6 +1538,61 @@ mod tests {
             episode(&mut fab, &mut h, 1);
         }
         assert_eq!(fab.memo_stats(), (0, 4), "jitter hashes copy ids");
+    }
+
+    #[test]
+    fn device_memo_hits_and_fabric_hits_interleave_on_the_never_memo_bits() {
+        let arm = |never_memo: bool| {
+            let mut devices = two_devices();
+            let s: Vec<_> = (devices.iter_mut())
+                .map(|d| {
+                    d.never_memo = never_memo;
+                    [d.create_stream(), d.create_stream()]
+                })
+                .collect();
+            let mut fab = Fabric::fully_connected(2, LinkProps::nvlink());
+            let mut pending = 0;
+            for _ in 0..6 {
+                // A device-memo replay on each device, then a fabric episode.
+                for (d, s) in devices.iter_mut().zip(&s) {
+                    d.replay_memo(7, |d| {
+                        d.launch(s[0], kernel("solo", 112, 4.0e6));
+                        d.launch(s[1], kernel("solo", 112, 8.0e6));
+                    });
+                }
+                let mut h = handles(&mut devices);
+                h[0].launch(s[0][0], kernel("k", 56, 2.0e6));
+                let (src, dst) = (
+                    (0, s[0][0], mem("a", 1 << 20)),
+                    (1, s[1][1], mem("b", 1 << 20)),
+                );
+                fab.copy_p2p(&mut h, CopyDesc::new("p2p", src, dst))
+                    .unwrap();
+                h[1].launch(s[1][1], kernel("consume", 56, 2.0e6));
+                fab.run(&mut h);
+                pending = pending.max(devices.iter().map(|d| d.bw.pending()).sum());
+            }
+            let stats = (
+                devices.iter().map(|d| d.memo_stats()).collect::<Vec<_>>(),
+                fab.memo_stats(),
+            );
+            let demand: Vec<_> = devices.iter_mut().map(|d| d.demand_bits()).collect();
+            let views: Vec<&Device> = devices.iter().collect();
+            let clocks: Vec<_> = views.iter().map(|d| d.now()).collect();
+            (
+                fab.merged_timeline(&views).render_csv(),
+                clocks,
+                demand,
+                stats,
+                pending,
+            )
+        };
+        let (got, want) = (arm(false), arm(true));
+        assert_eq!((&got.0, &got.1, &got.2), (&want.0, &want.1, &want.2));
+        let (devices, (fabric_hits, _)) = got.3;
+        assert_eq!(devices, [(4, 2); 2], "noted, recorded, applied");
+        assert!(fabric_hits >= 3, "{fabric_hits} episodes applied");
+        assert!(got.4 > 2, "hits of both memos left their programs pending");
     }
 
     #[test]

@@ -173,8 +173,10 @@ fn warm_fabric_loop_is_allocation_free() {
     // complete, so the maps keep their capacity instead of growing) — is
     // recycled like the engine's, so once warm `Fabric::run` allocates
     // nothing either. The episode repeats, so the fabric's episode memo
-    // applies it: building and comparing the key, re-running the residue
-    // programs and writing the recorded outcome allocate nothing either.
+    // applies it: building and comparing the key, proving the residue
+    // programs from the bound and writing the recorded outcome allocate
+    // nothing either, but for the pending-program list, which grows by one
+    // entry per device and hit into capacity that doubles.
     let (counts, memo) = fabric_steady_state(LinkProps::nvlink());
     assert_eq!(counts, [0, 0, 0]);
     assert_eq!(memo, (3, 0), "every warm episode applies the recording");

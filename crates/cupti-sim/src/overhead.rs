@@ -9,12 +9,12 @@
 //!
 //! The accounting itself is kept in a [`telemetry::MetricsRegistry`]
 //! owned by the [`Profiler`](crate::Profiler) (counters named by
-//! [`metric`]); [`ProfilerOverhead`] is the typed snapshot view read back
+//! [`metric`], updated through [`OverheadCounters`]); [`ProfilerOverhead`] is the typed snapshot view read back
 //! out of that registry for cost reports.
 
 use crate::activity::ActivityRecord;
 use std::time::Duration;
-use telemetry::MetricsRegistry;
+use telemetry::{CounterId, MetricsRegistry};
 
 /// Counter names the profiler accounts under in its metrics registry.
 pub mod metric {
@@ -30,24 +30,43 @@ pub mod metric {
     pub const T_P_NANOS: &str = "cupti.t_p_ns";
 }
 
-/// Seed a fresh registry with the fixed pool-resident footprint.
-pub fn init_registry(m: &mut MetricsRegistry, pool_resident_bytes: usize) {
-    m.counter_add(metric::MEM_CUPTI_BYTES, pool_resident_bytes as u64);
+/// The overhead counters, resolved once in a profiler's registry: the
+/// per-record accounting then updates them by index, not by name.
+#[derive(Debug, Clone, Copy)]
+pub struct OverheadCounters {
+    mem_tt: CounterId,
+    mem_k: CounterId,
+    kernels: CounterId,
+    t_p: CounterId,
 }
 
-/// Account one recorded kernel (Eq. 11 terms) into the registry.
-pub fn account_record(m: &mut MetricsRegistry, rec: &ActivityRecord) {
-    m.counter_add(metric::MEM_TT_BYTES, ActivityRecord::TIMESTAMP_BYTES as u64);
-    m.counter_add(
-        metric::MEM_K_BYTES,
-        (rec.encoded_len() - ActivityRecord::TIMESTAMP_BYTES) as u64,
-    );
-    m.counter_add(metric::KERNELS_RECORDED, 1);
-}
+impl OverheadCounters {
+    /// Resolve the counters in a fresh registry and seed it with the
+    /// fixed pool-resident footprint.
+    pub fn init(m: &mut MetricsRegistry, pool_resident_bytes: usize) -> Self {
+        m.counter_add(metric::MEM_CUPTI_BYTES, pool_resident_bytes as u64);
+        OverheadCounters {
+            mem_tt: m.counter_id(metric::MEM_TT_BYTES),
+            mem_k: m.counter_id(metric::MEM_K_BYTES),
+            kernels: m.counter_id(metric::KERNELS_RECORDED),
+            t_p: m.counter_id(metric::T_P_NANOS),
+        }
+    }
 
-/// Accrue real profiling time (`T_p`) into the registry.
-pub fn add_profiling_time(m: &mut MetricsRegistry, d: Duration) {
-    m.counter_add(metric::T_P_NANOS, d.as_nanos() as u64);
+    /// Account one recorded kernel (Eq. 11 terms) into the registry.
+    pub fn account_record(&self, m: &mut MetricsRegistry, rec: &ActivityRecord) {
+        m.counter_add_id(self.mem_tt, ActivityRecord::TIMESTAMP_BYTES as u64);
+        m.counter_add_id(
+            self.mem_k,
+            (rec.encoded_len() - ActivityRecord::TIMESTAMP_BYTES) as u64,
+        );
+        m.counter_add_id(self.kernels, 1);
+    }
+
+    /// Accrue real profiling time (`T_p`) into the registry.
+    pub fn add_profiling_time(&self, m: &mut MetricsRegistry, d: Duration) {
+        m.counter_add_id(self.t_p, d.as_nanos() as u64);
+    }
 }
 
 /// Memory and time overhead of the profiler, per the paper's cost model —
@@ -108,9 +127,9 @@ mod tests {
     #[test]
     fn eq10_total_is_sum_of_parts() {
         let mut m = MetricsRegistry::new();
-        init_registry(&mut m, 1024);
-        account_record(&mut m, &rec("abc"));
-        account_record(&mut m, &rec("defgh"));
+        let c = OverheadCounters::init(&mut m, 1024);
+        c.account_record(&mut m, &rec("abc"));
+        c.account_record(&mut m, &rec("defgh"));
         let o = ProfilerOverhead::from_metrics(&m);
         assert_eq!(
             o.mem_total_bytes(),
@@ -123,8 +142,9 @@ mod tests {
     #[test]
     fn eq11_scales_with_kernel_count() {
         let mut m = MetricsRegistry::new();
+        let c = OverheadCounters::init(&mut m, 0);
         for _ in 0..10 {
-            account_record(&mut m, &rec("k"));
+            c.account_record(&mut m, &rec("k"));
         }
         let o = ProfilerOverhead::from_metrics(&m);
         assert_eq!(o.mem_tt_bytes, 160);
@@ -135,8 +155,9 @@ mod tests {
     #[test]
     fn time_accumulates() {
         let mut m = MetricsRegistry::new();
-        add_profiling_time(&mut m, Duration::from_micros(5));
-        add_profiling_time(&mut m, Duration::from_micros(7));
+        let c = OverheadCounters::init(&mut m, 0);
+        c.add_profiling_time(&mut m, Duration::from_micros(5));
+        c.add_profiling_time(&mut m, Duration::from_micros(7));
         let o = ProfilerOverhead::from_metrics(&m);
         assert_eq!(o.t_p, Duration::from_micros(12));
     }

@@ -2,7 +2,7 @@
 
 use crate::activity::ActivityRecord;
 use crate::buffer::BufferPool;
-use crate::overhead::{self, ProfilerOverhead};
+use crate::overhead::{OverheadCounters, ProfilerOverhead};
 use std::time::Instant;
 use telemetry::{MetricsRegistry, RecorderSlot, SharedRecorder};
 
@@ -24,6 +24,7 @@ pub struct Profiler {
     enabled: bool,
     pool: BufferPool,
     metrics: MetricsRegistry,
+    counters: OverheadCounters,
     telemetry: RecorderSlot,
     telemetry_pid: u32,
     /// Trace entries already consumed (so repeated `ingest` of a growing
@@ -36,11 +37,12 @@ impl Profiler {
     pub fn new() -> Self {
         let pool = BufferPool::default();
         let mut metrics = MetricsRegistry::new();
-        overhead::init_registry(&mut metrics, pool.resident_bytes());
+        let counters = OverheadCounters::init(&mut metrics, pool.resident_bytes());
         Profiler {
             enabled: false,
             pool,
             metrics,
+            counters,
             telemetry: RecorderSlot::empty(),
             telemetry_pid: 0,
             consumed: 0,
@@ -89,12 +91,13 @@ impl Profiler {
         let mut batch_end_ns = 0u64;
         for t in new {
             let rec = ActivityRecord::from_trace(t);
-            overhead::account_record(&mut self.metrics, &rec);
+            self.counters.account_record(&mut self.metrics, &rec);
             self.pool.push(&rec);
             batch_end_ns = batch_end_ns.max(rec.end_ns);
             n += 1;
         }
-        overhead::add_profiling_time(&mut self.metrics, t0.elapsed());
+        self.counters
+            .add_profiling_time(&mut self.metrics, t0.elapsed());
         let pid = self.telemetry_pid;
         self.telemetry.with(|r| {
             r.counter_add("cupti.records", n as u64);
@@ -122,7 +125,8 @@ impl Profiler {
                 out.push(rec);
             }
         }
-        overhead::add_profiling_time(&mut self.metrics, t0.elapsed());
+        self.counters
+            .add_profiling_time(&mut self.metrics, t0.elapsed());
         self.telemetry.with(|r| {
             r.counter_add("cupti.flushed_records", out.len() as u64);
         });

@@ -3,6 +3,7 @@
 
 use crate::router::RouterPolicy;
 use gpu_sim::{DeviceProps, FabricSpec, LinkProps, SimTime};
+use nn::models::{spec_by_name, SpecError, UnknownModelError};
 use nn::DispatchMode;
 use serve::{BatchPolicy, EngineOptions};
 
@@ -34,15 +35,28 @@ impl PriorityMix {
     /// # Panics
     /// Panics if `classes` is empty or shares do not sum to ~1.
     pub fn new(name: &str, classes: Vec<ClassSpec>) -> Self {
-        assert!(!classes.is_empty(), "a mix needs at least one class");
-        let total: f64 = classes.iter().map(|c| c.share).sum();
-        assert!(
-            (total - 1.0).abs() < 1e-9,
-            "class shares must sum to 1, got {total}"
-        );
-        PriorityMix {
+        let mix = PriorityMix {
             name: name.to_string(),
             classes,
+        };
+        if let Err(e) = mix.check() {
+            panic!("{e}");
+        }
+        mix
+    }
+
+    /// The mix's own well-formedness: at least one class, shares summing
+    /// to ~1 (the fields are public, so a struct literal skips
+    /// [`PriorityMix::new`]).
+    fn check(&self) -> Result<(), FleetConfigError> {
+        if self.classes.is_empty() {
+            return Err(FleetConfigError::EmptyMix);
+        }
+        let total: f64 = self.classes.iter().map(|c| c.share).sum();
+        if (total - 1.0).abs() < 1e-9 {
+            Ok(())
+        } else {
+            Err(FleetConfigError::SharesNotOne { total })
         }
     }
 
@@ -153,6 +167,72 @@ impl AutoscaleConfig {
     }
 }
 
+/// A [`FleetConfig`] that [`crate::FleetSim::new`] refuses, instead of
+/// panicking deep inside a replica.
+#[derive(Debug, Clone, PartialEq)]
+pub enum FleetConfigError {
+    /// An arrival rate (`rate_rps`, or a load phase's) that is zero,
+    /// negative or not finite.
+    ArrivalRate(f64),
+    /// `queue_capacity` is 0.
+    ZeroQueueCapacity,
+    /// `policy.max_batch` is 0.
+    ZeroMaxBatch,
+    /// The fabric has no slot to place a replica on.
+    NoSlots,
+    /// `autoscale.min_replicas` is 0.
+    ZeroMinReplicas,
+    /// `autoscale.min_replicas` exceeds `autoscale.max_replicas`.
+    MinAboveMax {
+        /// The configured floor.
+        min: usize,
+        /// The configured ceiling.
+        max: usize,
+    },
+    /// The priority mix has no class.
+    EmptyMix,
+    /// The class shares do not sum to 1.
+    SharesNotOne {
+        /// Their sum.
+        total: f64,
+    },
+    /// The model name does not resolve.
+    UnknownModel(UnknownModelError),
+}
+
+impl std::fmt::Display for FleetConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FleetConfigError::ArrivalRate(r) => {
+                write!(f, "arrival rate must be positive and finite, got {r}")
+            }
+            FleetConfigError::ZeroQueueCapacity => f.write_str("queue capacity must be positive"),
+            FleetConfigError::ZeroMaxBatch => f.write_str("max_batch must be positive"),
+            FleetConfigError::NoSlots => f.write_str("the fabric has no slot"),
+            FleetConfigError::ZeroMinReplicas => f.write_str("autoscale min_replicas must be >= 1"),
+            FleetConfigError::MinAboveMax { min, max } => {
+                write!(f, "autoscale needs min ({min}) <= max ({max})")
+            }
+            FleetConfigError::EmptyMix => f.write_str("a mix needs at least one class"),
+            FleetConfigError::SharesNotOne { total } => {
+                write!(f, "class shares must sum to 1, got {total}")
+            }
+            FleetConfigError::UnknownModel(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for FleetConfigError {}
+
+impl From<SpecError> for FleetConfigError {
+    fn from(e: SpecError) -> Self {
+        match e {
+            SpecError::UnknownModel(e) => FleetConfigError::UnknownModel(e),
+            SpecError::ZeroBatch => FleetConfigError::ZeroMaxBatch,
+        }
+    }
+}
+
 /// Everything a fleet run needs.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
@@ -218,6 +298,42 @@ impl FleetConfig {
     /// Number of fabric slots (the replica ceiling).
     pub fn num_slots(&self) -> usize {
         self.fabric.num_slots()
+    }
+
+    /// Check every field a run would otherwise trip over:
+    /// [`crate::FleetSim::new`] calls this before spawning anything.
+    pub fn validate(&self) -> Result<(), FleetConfigError> {
+        let bad = |r: &f64| !(r.is_finite() && *r > 0.0);
+        let bad_rate = match &self.load_phases {
+            Some(phases) => phases.iter().map(|p| p.rate_rps).find(bad),
+            None => Some(self.rate_rps).filter(bad),
+        };
+        if let Some(rate) = bad_rate {
+            return Err(FleetConfigError::ArrivalRate(rate));
+        }
+        if self.queue_capacity == 0 {
+            return Err(FleetConfigError::ZeroQueueCapacity);
+        }
+        if self.policy.max_batch == 0 {
+            return Err(FleetConfigError::ZeroMaxBatch);
+        }
+        if self.num_slots() == 0 {
+            return Err(FleetConfigError::NoSlots);
+        }
+        if let Some(auto) = self.autoscale {
+            if auto.min_replicas == 0 {
+                return Err(FleetConfigError::ZeroMinReplicas);
+            }
+            if auto.min_replicas > auto.max_replicas {
+                return Err(FleetConfigError::MinAboveMax {
+                    min: auto.min_replicas,
+                    max: auto.max_replicas,
+                });
+            }
+        }
+        self.mix.check()?;
+        spec_by_name(&self.model, self.policy.max_batch, self.seed)?;
+        Ok(())
     }
 
     /// Replicas active at start: the autoscaler's floor, or every slot.

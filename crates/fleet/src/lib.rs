@@ -38,8 +38,8 @@ pub mod router;
 pub mod sim;
 
 pub use config::{
-    fabric_hetero12, fabric_uniform8, AutoscaleConfig, ClassSpec, FleetConfig, LoadPhase,
-    PriorityMix,
+    fabric_hetero12, fabric_uniform8, AutoscaleConfig, ClassSpec, FleetConfig, FleetConfigError,
+    LoadPhase, PriorityMix,
 };
 pub use replica::Replica;
 pub use report::{ClassReport, FleetReport};

@@ -5,9 +5,10 @@
 //! (`fleet.replica.{slot}.queue_depth` / `.inflight`) rather than from
 //! private simulator state — the same numbers an operator's dashboard
 //! would show, so the router can never act on information the telemetry
-//! layer doesn't export.
+//! layer doesn't export. The router resolves those gauge names to ids
+//! once per registry layout and then reads loads by index.
 
-use telemetry::MetricsRegistry;
+use telemetry::{GaugeId, GaugeLayout, MetricsRegistry};
 
 /// Pluggable routing policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,14 +54,19 @@ pub fn inflight_gauge(slot: usize) -> String {
     format!("fleet.replica.{slot}.inflight")
 }
 
-/// A router instance (owns the round-robin cursor and a per-slot gauge
-/// name cache — gauge lookups happen once per arrival per replica, so
-/// re-formatting the names each time would dominate the loop).
+/// A router instance: the round-robin cursor, plus each slot's two gauge
+/// ids. Ids are resolved once per registry layout (a different registry,
+/// or one that gained a gauge, re-resolves), so a route reads loads by
+/// index, with no string lookup and no allocation.
 #[derive(Debug)]
 pub struct Router {
     policy: RouterPolicy,
     rr_next: usize,
-    gauge_names: Vec<(String, String)>,
+    /// The layout `gauge_ids` was resolved against.
+    layout: Option<GaugeLayout>,
+    /// Per slot, the queue-depth and inflight gauge ids; `None` where the
+    /// registry holds no such gauge.
+    gauge_ids: Vec<[Option<GaugeId>; 2]>,
 }
 
 impl Router {
@@ -69,7 +75,8 @@ impl Router {
         Router {
             policy,
             rr_next: 0,
-            gauge_names: Vec::new(),
+            layout: None,
+            gauge_ids: Vec::new(),
         }
     }
 
@@ -78,18 +85,28 @@ impl Router {
         self.policy
     }
 
-    fn ensure_names(&mut self, slot: usize) {
-        while self.gauge_names.len() <= slot {
-            let s = self.gauge_names.len();
-            self.gauge_names
-                .push((queue_depth_gauge(s), inflight_gauge(s)));
+    /// Make `gauge_ids` cover slots `0..=max_slot` of `metrics`.
+    fn resolve(&mut self, metrics: &MetricsRegistry, max_slot: usize) {
+        let layout = metrics.gauge_layout();
+        if self.layout == Some(layout) && max_slot < self.gauge_ids.len() {
+            return;
         }
+        let slots = self.gauge_ids.len().max(max_slot + 1);
+        self.gauge_ids.clear();
+        self.gauge_ids.extend((0..slots).map(|s| {
+            [
+                metrics.find_gauge(&queue_depth_gauge(s)),
+                metrics.find_gauge(&inflight_gauge(s)),
+            ]
+        }));
+        self.layout = Some(layout);
     }
 
     /// Replica `slot`'s queued + inflight load according to the gauges.
     fn load(&self, metrics: &MetricsRegistry, slot: usize) -> f64 {
-        let (depth, inflight) = &self.gauge_names[slot];
-        metrics.gauge(depth).unwrap_or(0.0) + metrics.gauge(inflight).unwrap_or(0.0)
+        let read = |id: Option<GaugeId>| id.and_then(|id| metrics.gauge_by_id(id)).unwrap_or(0.0);
+        let [depth, inflight] = self.gauge_ids[slot];
+        read(depth) + read(inflight)
     }
 
     /// Pick a replica among `active` slots.
@@ -103,8 +120,9 @@ impl Router {
     /// Panics if `active` is empty.
     pub fn route(&mut self, active: &[usize], metrics: &MetricsRegistry, weights: &[f64]) -> usize {
         assert!(!active.is_empty(), "routing with no active replicas");
-        if let Some(&max_slot) = active.iter().max() {
-            self.ensure_names(max_slot);
+        if self.policy != RouterPolicy::RoundRobin {
+            let max_slot = active.iter().copied().max().unwrap_or(0);
+            self.resolve(metrics, max_slot);
         }
         match self.policy {
             RouterPolicy::RoundRobin => {
@@ -182,5 +200,125 @@ mod tests {
         // first-wins tie; one more request breaks it.
         let m2 = metrics_with_loads(&[(0, 4.0, 0.0), (1, 10.0, 0.0)]);
         assert_eq!(r.route(&[0, 1], &m2, &[1.0, 2.0]), 0);
+    }
+    #[test]
+    fn one_router_reads_each_registrys_own_loads() {
+        // Same gauge count, opposite insertion order: slot 0's gauges sit
+        // at the indices that hold slot 1's in the other registry.
+        let a = metrics_with_loads(&[(0, 1.0, 0.0), (1, 5.0, 0.0)]);
+        let b = metrics_with_loads(&[(1, 1.0, 0.0), (0, 5.0, 0.0)]);
+        let mut r = Router::new(RouterPolicy::JoinShortestQueue);
+        for _ in 0..3 {
+            assert_eq!(r.route(&[0, 1], &a, &[1.0; 2]), 0);
+            assert_eq!(r.route(&[0, 1], &b, &[1.0; 2]), 1);
+        }
+        // A clone is another registry: its writes are its own.
+        let mut c = a.clone();
+        c.gauge_set(&queue_depth_gauge(0), 9.0);
+        assert_eq!(r.route(&[0, 1], &c, &[1.0; 2]), 1);
+        assert_eq!(r.route(&[0, 1], &a, &[1.0; 2]), 0);
+    }
+
+    #[test]
+    fn a_gauge_first_set_after_caching_is_seen_on_the_next_route() {
+        let mut m = metrics_with_loads(&[(0, 3.0, 0.0)]);
+        let mut r = Router::new(RouterPolicy::JoinShortestQueue);
+        // Slot 1 has no gauge yet, so it reads load 0 and wins.
+        assert_eq!(r.route(&[0, 1], &m, &[1.0; 2]), 1);
+        m.gauge_set(&inflight_gauge(1), 8.0);
+        assert_eq!(r.route(&[0, 1], &m, &[1.0; 2]), 0);
+        // A write to a gauge the router already resolved is seen too.
+        m.gauge_set(&queue_depth_gauge(0), 9.0);
+        assert_eq!(r.route(&[0, 1], &m, &[1.0; 2]), 1);
+    }
+
+    #[test]
+    fn a_missing_gauge_reads_as_zero_load() {
+        let mut m = MetricsRegistry::new();
+        m.gauge_set(&queue_depth_gauge(0), 1.0);
+        m.gauge_set(&inflight_gauge(1), 0.5);
+        // Slot 2 has neither gauge, slot 1 only one of its two.
+        let mut jsq = Router::new(RouterPolicy::JoinShortestQueue);
+        assert_eq!(jsq.route(&[0, 1, 2], &m, &[1.0; 3]), 2);
+        assert_eq!(jsq.route(&[0, 1], &m, &[1.0; 3]), 1);
+        // A gauge resolved to an id but never set reads as zero too.
+        m.gauge_id(&queue_depth_gauge(3));
+        assert_eq!(jsq.route(&[0, 3], &m, &[1.0; 4]), 3);
+        let mut weighted = Router::new(RouterPolicy::Weighted);
+        assert_eq!(weighted.route(&[0, 1, 2], &m, &[1.0; 3]), 2);
+    }
+
+    /// The by-name reference: every gauge looked up by its name on every
+    /// call, the first minimal score winning.
+    fn reference_route(
+        policy: RouterPolicy,
+        rr_next: &mut usize,
+        active: &[usize],
+        m: &MetricsRegistry,
+        weights: &[f64],
+    ) -> usize {
+        let load = |s: usize| {
+            m.gauge(&queue_depth_gauge(s)).unwrap_or(0.0)
+                + m.gauge(&inflight_gauge(s)).unwrap_or(0.0)
+        };
+        let score = |s: usize| match policy {
+            RouterPolicy::Weighted => (load(s) + 1.0) / weights[s].max(f64::MIN_POSITIVE),
+            _ => load(s),
+        };
+        if policy == RouterPolicy::RoundRobin {
+            let slot = active[*rr_next % active.len()];
+            *rr_next += 1;
+            return slot;
+        }
+        let mut best = active[0];
+        for &s in active {
+            if score(s) < score(best) {
+                best = s;
+            }
+        }
+        best
+    }
+
+    const SLOTS: usize = 8;
+
+    /// One step: gauge writes `(registry, slot, inflight?, load)`, then a
+    /// route over the slots `mask` marks on one of the two registries.
+    type Step = (Vec<(bool, usize, bool, u8)>, u8, bool);
+
+    fn step() -> impl proptest::strategy::Strategy<Value = Step> {
+        use proptest::prelude::*;
+        (
+            proptest::collection::vec((any::<bool>(), 0..SLOTS, any::<bool>(), 0u8..6), 0..4),
+            any::<u8>(),
+            any::<bool>(),
+        )
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn id_routing_picks_what_by_name_routing_picks(
+            steps in proptest::collection::vec(step(), 1..40),
+            weights in proptest::collection::vec(0.25f64..4.0, SLOTS),
+        ) {
+            let mut registries = [MetricsRegistry::new(), MetricsRegistry::new()];
+            let mut routers = RouterPolicy::all().map(Router::new);
+            let mut cursors = [0usize; 3];
+            for (writes, mask, which) in steps {
+                for (reg, slot, inflight, load) in writes {
+                    let name = if inflight { inflight_gauge(slot) } else { queue_depth_gauge(slot) };
+                    registries[reg as usize].gauge_set(&name, f64::from(load));
+                }
+                let mut active: Vec<usize> = (0..SLOTS).filter(|s| mask & (1 << s) != 0).collect();
+                if active.is_empty() {
+                    active.push(usize::from(mask) % SLOTS);
+                }
+                let m = &registries[which as usize];
+                for (router, cursor) in routers.iter_mut().zip(&mut cursors) {
+                    let policy = router.policy();
+                    let want = reference_route(policy, cursor, &active, m, &weights);
+                    proptest::prop_assert_eq!(router.route(&active, m, &weights), want, "{}", policy.name());
+                }
+            }
+        }
     }
 }

@@ -8,12 +8,11 @@
 //! (routing, brownout, autoscaling) reads state produced by this
 //! ordering, so two runs of the same [`FleetConfig`] are identical.
 
-use crate::config::FleetConfig;
+use crate::config::{FleetConfig, FleetConfigError};
 use crate::replica::Replica;
 use crate::report::{ClassReport, FleetReport};
 use crate::router::{inflight_gauge, queue_depth_gauge, Router};
 use gpu_sim::{Fabric, SimTime};
-use nn::models::UnknownModelError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sanitizer::Sanitizer;
@@ -21,7 +20,7 @@ use serve::{
     Admission, BatchDecision, ClassQueue, ClassedRequest, EngineOptions, PoissonArrivals,
     ServeConfig, ServingEngine,
 };
-use telemetry::{MetricsRegistry, SharedRecorder, FLEET_PID};
+use telemetry::{CounterId, GaugeId, MetricsRegistry, SharedRecorder, FLEET_PID};
 
 /// Ticks without an SLO violation before the brownout controller
 /// re-admits a previously shed class.
@@ -41,6 +40,29 @@ struct ClassOutcome {
     window: Vec<u64>,
 }
 
+/// The fleet's own counters, resolved once: the event loop bumps them per
+/// wave or per arrival.
+#[derive(Debug, Clone, Copy)]
+struct Counters {
+    waves: CounterId,
+    completed: CounterId,
+    shed: CounterId,
+    preempted: CounterId,
+    brownout_shed: CounterId,
+}
+
+impl Counters {
+    fn resolve(m: &mut MetricsRegistry) -> Self {
+        Counters {
+            waves: m.counter_id("fleet.waves"),
+            completed: m.counter_id("fleet.completed"),
+            shed: m.counter_id("fleet.shed"),
+            preempted: m.counter_id("fleet.preempted"),
+            brownout_shed: m.counter_id("fleet.brownout_shed"),
+        }
+    }
+}
+
 /// A multi-replica serving fleet on one simulated clock.
 ///
 /// Build with [`FleetSim::new`] (spawns and warms the initial
@@ -52,13 +74,18 @@ pub struct FleetSim {
     /// Live fleet metrics — the gauges the router reads, plus counters.
     /// Always on (cheap), independent of trace recording.
     metrics: MetricsRegistry,
+    counters: Counters,
     recorder: Option<SharedRecorder>,
     /// One entry per fabric slot; `None` until the slot is spawned.
     replicas: Vec<Option<Replica>>,
     /// Per-slot relative capacity (peak FLOPs of the slot's model).
     weights: Vec<f64>,
-    /// Cached gauge names per slot (hot path).
-    gauge_names: Vec<(String, String)>,
+    /// Per slot, the queue-depth and inflight gauges the router reads;
+    /// resolved when the slot's replica spawns.
+    gauge_ids: Vec<Option<[GaugeId; 2]>>,
+    /// Slots the router may target, ascending; refreshed whenever a
+    /// replica spawns or changes activity, so an arrival allocates none.
+    active: Vec<usize>,
     outcomes: Vec<ClassOutcome>,
     /// Brownout state: only classes `< admit_classes` are admitted.
     admit_classes: usize,
@@ -80,23 +107,25 @@ pub struct FleetSim {
 }
 
 impl FleetSim {
-    /// Build the fleet: spawn the initial replicas (warmup runs now, on
-    /// each replica's own device clock) and set the measurement origin
-    /// to the latest warmup completion.
-    pub fn new(cfg: FleetConfig) -> Result<Self, UnknownModelError> {
+    /// Validate the configuration ([`FleetConfig::validate`]), spawn the
+    /// initial replicas (warmup runs now, on each replica's own device
+    /// clock) and set the measurement origin to the latest warmup
+    /// completion.
+    pub fn new(cfg: FleetConfig) -> Result<Self, FleetConfigError> {
+        cfg.validate()?;
         let slots = cfg.num_slots();
         let weights: Vec<f64> = (0..slots).map(|i| cfg.fabric.slot_peak_flops(i)).collect();
-        let gauge_names: Vec<(String, String)> = (0..slots)
-            .map(|i| (queue_depth_gauge(i), inflight_gauge(i)))
-            .collect();
         let cross_sanitizer = cfg.engine.sanitize.map(Sanitizer::new);
+        let mut metrics = MetricsRegistry::new();
         let mut sim = FleetSim {
             router: Router::new(cfg.router),
-            metrics: MetricsRegistry::new(),
+            counters: Counters::resolve(&mut metrics),
+            metrics,
             recorder: None,
             replicas: (0..slots).map(|_| None).collect(),
             weights,
-            gauge_names,
+            gauge_ids: vec![None; slots],
+            active: Vec::with_capacity(slots),
             outcomes: vec![ClassOutcome::default(); cfg.mix.num_classes()],
             admit_classes: cfg.mix.num_classes(),
             clean_ticks: 0,
@@ -117,8 +146,7 @@ impl FleetSim {
         for slot in 0..sim.cfg.initial_replicas() {
             let r = sim.spawn_replica(slot)?;
             sim.t0 = sim.t0.max(r.warmup_ns);
-            sim.replicas[slot] = Some(r);
-            sim.publish_gauges(slot);
+            sim.install(slot, r);
         }
         sim.last_done_ns = sim.t0;
         sim.peak_active = sim.cfg.initial_replicas();
@@ -128,7 +156,7 @@ impl FleetSim {
     /// Build (but do not install) a replica for `slot`: engine plus
     /// warmup. The fresh device's clock equals the warmup duration when
     /// this returns — the plan-capture cost charged to the spawner.
-    fn spawn_replica(&self, slot: usize) -> Result<Replica, UnknownModelError> {
+    fn spawn_replica(&self, slot: usize) -> Result<Replica, FleetConfigError> {
         let serve_cfg = ServeConfig {
             device: self.cfg.fabric.slot(slot).clone(),
             mode: self.cfg.mode,
@@ -203,14 +231,26 @@ impl FleetSim {
         &self.cfg
     }
 
+    /// Put a spawned replica into its slot, resolve and publish its
+    /// gauges, and let the router target it.
+    fn install(&mut self, slot: usize, replica: Replica) {
+        self.replicas[slot] = Some(replica);
+        self.gauge_ids[slot] = Some([
+            self.metrics.gauge_id(&queue_depth_gauge(slot)),
+            self.metrics.gauge_id(&inflight_gauge(slot)),
+        ]);
+        self.publish_gauges(slot);
+        self.refresh_active();
+    }
+
     fn publish_gauges(&mut self, slot: usize) {
-        let (queued, inflight) = match &self.replicas[slot] {
-            Some(r) => (r.queue.len(), r.inflight.len()),
-            None => (0, 0),
+        let (Some(r), Some([depth, inflight])) = (&self.replicas[slot], self.gauge_ids[slot])
+        else {
+            return;
         };
-        let (depth_name, inflight_name) = &self.gauge_names[slot];
-        self.metrics.gauge_set(depth_name, queued as f64);
-        self.metrics.gauge_set(inflight_name, inflight as f64);
+        let (queued, inflight_len) = (r.queue.len(), r.inflight.len());
+        self.metrics.gauge_set_id(depth, queued as f64);
+        self.metrics.gauge_set_id(inflight, inflight_len as f64);
     }
 
     fn instant(&mut self, name: &str, t: SimTime) {
@@ -220,14 +260,16 @@ impl FleetSim {
         }
     }
 
-    /// Slots the router may currently target.
-    fn active_slots(&self) -> Vec<usize> {
-        self.replicas
-            .iter()
-            .flatten()
-            .filter(|r| r.active)
-            .map(|r| r.slot)
-            .collect()
+    /// Recompute the slots the router may target, in place.
+    fn refresh_active(&mut self) {
+        self.active.clear();
+        self.active.extend(
+            self.replicas
+                .iter()
+                .flatten()
+                .filter(|r| r.active)
+                .map(|r| r.slot),
+        );
     }
 
     /// Generate the run's request trace: Poisson arrivals from the
@@ -315,7 +357,7 @@ impl FleetSim {
                 r.waves += 1;
                 self.total_waves += 1;
                 self.total_wave_requests += ids.len();
-                self.metrics.counter_add("fleet.waves", 1);
+                self.metrics.counter_add_id(self.counters.waves, 1);
                 if let Some(rec) = &self.recorder {
                     let mut guard = rec.lock().unwrap_or_else(|p| p.into_inner());
                     guard.span(
@@ -348,7 +390,7 @@ impl FleetSim {
         if !wave.is_empty() {
             self.last_done_ns = self.last_done_ns.max(t);
             self.metrics
-                .counter_add("fleet.completed", wave.len() as u64);
+                .counter_add_id(self.counters.completed, wave.len() as u64);
         }
         for req in &wave {
             let out = &mut self.outcomes[req.class];
@@ -370,22 +412,23 @@ impl FleetSim {
             // Brownout: the SLO controller is shedding this class.
             self.outcomes[req.class].shed += 1;
             self.brownout_sheds += 1;
-            self.metrics.counter_add("fleet.brownout_shed", 1);
+            self.metrics.counter_add_id(self.counters.brownout_shed, 1);
             return;
         }
-        let active = self.active_slots();
-        let slot = self.router.route(&active, &self.metrics, &self.weights);
+        let slot = self
+            .router
+            .route(&self.active, &self.metrics, &self.weights);
         let now = req.arrival_ns;
         let r = self.replicas[slot].as_mut().expect("routed to empty slot");
         match r.queue.admit(req) {
             Admission::Admitted => {}
             Admission::Preempted(victim) => {
                 self.outcomes[victim.class].shed += 1;
-                self.metrics.counter_add("fleet.preempted", 1);
+                self.metrics.counter_add_id(self.counters.preempted, 1);
             }
             Admission::Shed(back) => {
                 self.outcomes[back.class].shed += 1;
-                self.metrics.counter_add("fleet.shed", 1);
+                self.metrics.counter_add_id(self.counters.shed, 1);
             }
         }
         self.publish_gauges(slot);
@@ -441,12 +484,14 @@ impl FleetSim {
         let Some(auto) = self.cfg.autoscale else {
             return;
         };
-        let active = self.active_slots();
-        let mean_depth = active
+        // Both scale checks compare the count from before either step.
+        let active = self.active.len();
+        let mean_depth = self
+            .active
             .iter()
             .map(|&s| self.replicas[s].as_ref().map_or(0, Replica::load))
             .sum::<usize>() as f64
-            / active.len().max(1) as f64;
+            / active.max(1) as f64;
         self.metrics.gauge_set("fleet.mean_depth", mean_depth);
         if mean_depth > auto.high_watermark {
             self.up_streak += 1;
@@ -459,15 +504,15 @@ impl FleetSim {
             self.down_streak = 0;
         }
         let max = auto.max_replicas.min(self.cfg.num_slots());
-        if self.up_streak >= auto.up_after && active.len() < max {
+        if self.up_streak >= auto.up_after && active < max {
             self.up_streak = 0;
             self.scale_up(t);
         }
-        if self.down_streak >= auto.down_after && active.len() > auto.min_replicas {
+        if self.down_streak >= auto.down_after && active > auto.min_replicas {
             self.down_streak = 0;
             self.scale_down(t);
         }
-        let now_active = self.active_slots().len();
+        let now_active = self.active.len();
         self.peak_active = self.peak_active.max(now_active);
         self.metrics
             .gauge_set("fleet.active_replicas", now_active as f64);
@@ -481,6 +526,7 @@ impl FleetSim {
             r.active = true;
             r.draining = false;
             let slot = r.slot;
+            self.refresh_active();
             self.scale_ups += 1;
             self.metrics.counter_add("fleet.scale_ups", 1);
             self.instant(&format!("scale-up:reuse-slot{slot}"), t);
@@ -497,8 +543,7 @@ impl FleetSim {
         replica.busy = true;
         replica.busy_until = t + warmup;
         self.warmup_total_ns += warmup;
-        self.replicas[slot] = Some(replica);
-        self.publish_gauges(slot);
+        self.install(slot, replica);
         self.scale_ups += 1;
         self.metrics.counter_add("fleet.scale_ups", 1);
         self.instant(&format!("scale-up:spawn-slot{slot}"), t);
@@ -518,12 +563,13 @@ impl FleetSim {
     fn scale_down(&mut self, t: SimTime) {
         // Retire the highest-slot active replica: stop routing to it and
         // let it drain.
-        let Some(slot) = self.active_slots().into_iter().max() else {
+        let Some(&slot) = self.active.last() else {
             return;
         };
         let r = self.replicas[slot].as_mut().expect("active slot exists");
         r.active = false;
         r.draining = true;
+        self.refresh_active();
         self.scale_downs += 1;
         self.metrics.counter_add("fleet.scale_downs", 1);
         self.instant(&format!("scale-down:slot{slot}"), t);

@@ -2,8 +2,8 @@
 //! policy behaviour, telemetry layout, and sanitized runs.
 
 use fleet::{
-    fabric_hetero12, fabric_uniform8, replica_pid, AutoscaleConfig, FleetConfig, FleetSim,
-    LoadPhase, PriorityMix, RouterPolicy,
+    fabric_hetero12, fabric_uniform8, replica_pid, AutoscaleConfig, ClassSpec, FleetConfig,
+    FleetConfigError, FleetSim, LoadPhase, PriorityMix, RouterPolicy,
 };
 use sanitizer::SanitizeMode;
 use telemetry::FLEET_PID;
@@ -202,4 +202,115 @@ fn a_zero_tick_runs_no_controller_and_returns() {
         assert_eq!(r.completed + r.shed + r.expired, r.offered);
         assert_eq!((r.brownout_sheds, r.scale_ups, r.scale_downs), (0, 0, 0));
     }
+}
+
+#[test]
+fn every_malformed_config_is_a_typed_error() {
+    type Edit = fn(&mut FleetConfig);
+    type Expect = fn(&FleetConfigError) -> bool;
+    let cases: [(&str, Edit, Expect); 12] = [
+        (
+            "rate 0",
+            |c| c.rate_rps = 0.0,
+            |e| matches!(e, FleetConfigError::ArrivalRate(r) if *r == 0.0),
+        ),
+        (
+            "rate NaN",
+            |c| c.rate_rps = f64::NAN,
+            |e| matches!(e, FleetConfigError::ArrivalRate(r) if r.is_nan()),
+        ),
+        (
+            "a phase at rate 0",
+            |c| {
+                c.load_phases = Some(vec![
+                    LoadPhase {
+                        num_requests: 10,
+                        rate_rps: 1_000.0,
+                    },
+                    LoadPhase {
+                        num_requests: 10,
+                        rate_rps: 0.0,
+                    },
+                ])
+            },
+            |e| matches!(e, FleetConfigError::ArrivalRate(_)),
+        ),
+        (
+            "queue capacity 0",
+            |c| c.queue_capacity = 0,
+            |e| *e == FleetConfigError::ZeroQueueCapacity,
+        ),
+        (
+            "max_batch 0",
+            |c| c.policy.max_batch = 0,
+            |e| *e == FleetConfigError::ZeroMaxBatch,
+        ),
+        (
+            "no fabric slot",
+            |c| c.fabric.slots.clear(),
+            |e| *e == FleetConfigError::NoSlots,
+        ),
+        (
+            "autoscale min 0",
+            |c| {
+                c.autoscale = Some(AutoscaleConfig {
+                    min_replicas: 0,
+                    ..AutoscaleConfig::new(1, 4)
+                })
+            },
+            |e| *e == FleetConfigError::ZeroMinReplicas,
+        ),
+        (
+            "autoscale min above max",
+            |c| {
+                c.autoscale = Some(AutoscaleConfig {
+                    min_replicas: 5,
+                    ..AutoscaleConfig::new(1, 4)
+                })
+            },
+            |e| *e == FleetConfigError::MinAboveMax { min: 5, max: 4 },
+        ),
+        (
+            "empty mix",
+            |c| c.mix.classes.clear(),
+            |e| *e == FleetConfigError::EmptyMix,
+        ),
+        (
+            "shares under 1",
+            |c| c.mix.classes[0].share = 0.1,
+            |e| matches!(e, FleetConfigError::SharesNotOne { .. }),
+        ),
+        (
+            "shares NaN",
+            |c| {
+                c.mix = PriorityMix {
+                    name: "nan".into(),
+                    classes: vec![ClassSpec {
+                        name: "only".into(),
+                        share: f64::NAN,
+                        deadline_ns: u64::MAX,
+                    }],
+                }
+            },
+            |e| matches!(e, FleetConfigError::SharesNotOne { .. }),
+        ),
+        (
+            "unknown model",
+            |c| c.model = "ResNet".into(),
+            |e| matches!(e, FleetConfigError::UnknownModel(m) if m.requested == "ResNet"),
+        ),
+    ];
+    for (what, edit, expected) in cases {
+        let mut cfg = small_cfg(RouterPolicy::Weighted);
+        edit(&mut cfg);
+        let outcome = std::panic::catch_unwind(|| FleetSim::new(cfg).map(|_| ()));
+        let err = match outcome {
+            Ok(Err(e)) => e,
+            Ok(Ok(())) => panic!("{what}: accepted"),
+            Err(_) => panic!("{what}: panicked instead of returning an error"),
+        };
+        assert!(expected(&err), "{what}: wrong error {err:?}");
+        assert!(!err.to_string().is_empty());
+    }
+    assert_eq!(small_cfg(RouterPolicy::Weighted).validate(), Ok(()));
 }

@@ -42,7 +42,7 @@ pub mod solver;
 
 pub use exec::{DispatchMode, ExecCtx, LayerTiming, StagedDispatch};
 pub use layer::Layer;
-pub use models::UnknownModelError;
+pub use models::{SpecError, UnknownModelError};
 pub use net::{Net, NetSpec};
 pub use parallel_train::{DataParallelTrainer, StepReport};
 pub use solver::{LrPolicy, MomentumKind, Solver, SolverConfig};

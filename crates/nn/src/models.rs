@@ -344,18 +344,45 @@ impl std::fmt::Display for UnknownModelError {
 
 impl std::error::Error for UnknownModelError {}
 
-/// Build a named evaluation network's spec at an explicit batch size.
-pub fn spec_by_name(net: &str, batch: usize, seed: u64) -> Result<NetSpec, UnknownModelError> {
-    match net {
-        "CIFAR10" => Ok(cifar10_quick(batch, seed)),
-        "Siamese" => Ok(siamese(batch, seed)),
-        "CaffeNet" => Ok(caffenet(batch, seed)),
-        "GoogLeNet" => Ok(googlenet_subset(batch, seed)),
-        "FanOut" => Ok(fanout(batch, seed)),
-        other => Err(UnknownModelError {
-            requested: other.to_string(),
-        }),
+/// Why [`spec_by_name`] could not build a spec.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SpecError {
+    /// The name is not a known network.
+    UnknownModel(UnknownModelError),
+    /// A batch of zero samples: every layer's per-sample size would
+    /// divide by it.
+    ZeroBatch,
+}
+
+impl std::fmt::Display for SpecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SpecError::UnknownModel(e) => e.fmt(f),
+            SpecError::ZeroBatch => f.write_str("batch size must be positive, got 0"),
+        }
     }
+}
+
+impl std::error::Error for SpecError {}
+
+/// Build a named evaluation network's spec at an explicit batch size.
+pub fn spec_by_name(net: &str, batch: usize, seed: u64) -> Result<NetSpec, SpecError> {
+    let build = match net {
+        "CIFAR10" => cifar10_quick,
+        "Siamese" => siamese,
+        "CaffeNet" => caffenet,
+        "GoogLeNet" => googlenet_subset,
+        "FanOut" => fanout,
+        other => {
+            return Err(SpecError::UnknownModel(UnknownModelError {
+                requested: other.to_string(),
+            }))
+        }
+    };
+    if batch == 0 {
+        return Err(SpecError::ZeroBatch);
+    }
+    Ok(build(batch, seed))
 }
 
 /// Default batch sizes per network (Table 5's `N` column).
@@ -456,6 +483,25 @@ mod tests {
         );
         assert!(spec_by_name("nope", 4, 1).is_err());
         assert_eq!(spec_by_name("CIFAR10", 4, 1).unwrap(), cifar10_quick(4, 1));
+    }
+
+    #[test]
+    fn batch_zero_is_an_error_not_a_division_by_zero() {
+        for name in MODEL_NAMES.iter().chain(&["FanOut"]) {
+            assert_eq!(
+                spec_by_name(name, 0, 1),
+                Err(SpecError::ZeroBatch),
+                "{name}"
+            );
+            assert!(Net::by_name(name, 0, 1).is_err(), "{name}");
+        }
+        let err = spec_by_name("CIFAR10", 0, 1).unwrap_err();
+        assert!(err.to_string().contains("batch"), "{err}");
+        // The name is checked first.
+        assert!(matches!(
+            spec_by_name("nope", 0, 1),
+            Err(SpecError::UnknownModel(_))
+        ));
     }
 
     #[test]

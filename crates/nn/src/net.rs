@@ -255,11 +255,7 @@ impl Net {
 
     /// Build one of the paper's evaluation networks by name (see
     /// [`crate::models::MODEL_NAMES`]).
-    pub fn by_name(
-        net: &str,
-        batch: usize,
-        seed: u64,
-    ) -> Result<Net, crate::models::UnknownModelError> {
+    pub fn by_name(net: &str, batch: usize, seed: u64) -> Result<Net, crate::models::SpecError> {
         Ok(Net::from_spec(&crate::models::spec_by_name(
             net, batch, seed,
         )?))

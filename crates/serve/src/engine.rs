@@ -4,7 +4,7 @@
 use crate::config::ServeConfig;
 use crate::request::fill_sample;
 use gpu_sim::{Device, SimTime};
-use nn::models::{spec_by_name, UnknownModelError};
+use nn::models::{spec_by_name, SpecError};
 use nn::{DispatchMode, ExecCtx, Net, NetSpec};
 use sanitizer::{SanitizeMode, Sanitizer};
 
@@ -46,12 +46,12 @@ pub struct WaveTiming {
 
 impl ServingEngine {
     /// Build the engine for a configuration (device, mode, model, seed).
-    pub fn new(config: &ServeConfig) -> Result<Self, UnknownModelError> {
+    pub fn new(config: &ServeConfig) -> Result<Self, SpecError> {
         Self::new_with(config, EngineOptions::default())
     }
 
     /// Build the engine with explicit [`EngineOptions`].
-    pub fn new_with(config: &ServeConfig, opts: EngineOptions) -> Result<Self, UnknownModelError> {
+    pub fn new_with(config: &ServeConfig, opts: EngineOptions) -> Result<Self, SpecError> {
         let spec = spec_by_name(&config.model, config.policy.max_batch, config.seed)?.inference();
         let output_blob = spec
             .final_top()

@@ -18,8 +18,8 @@
 //!   gauge and histogram (sorted, deterministic).
 //!
 //! Determinism is a design constraint, not an accident: all span
-//! timestamps come from the simulated nanosecond clock, registries are
-//! `BTreeMap`-backed, and flow ids are allocated sequentially in recording
+//! timestamps come from the simulated nanosecond clock, registries export
+//! in sorted name order, and flow ids are allocated sequentially in recording
 //! order — so for a fixed workload the exported trace is **byte-stable**
 //! and can be golden-file tested. Wall-clock quantities (e.g. the
 //! profiler's `T_p`) live in *metrics counters only*, never in span
@@ -49,7 +49,9 @@ pub mod metrics;
 pub mod validate;
 
 pub use chrome::chrome_trace;
-pub use metrics::{percentile_of_sorted, Histogram, MetricsRegistry};
+pub use metrics::{
+    percentile_of_sorted, CounterId, GaugeId, GaugeLayout, Histogram, MetricsRegistry,
+};
 pub use validate::{validate_chrome_trace, TraceSummary};
 
 use std::collections::BTreeMap;

@@ -27,6 +27,11 @@
 //!   wave makes 24 calls for 1,536 bytes, where writing payloads and
 //!   formatting keys made 108 calls for 89 KB. Registry updates of
 //!   existing names make none.
+//! - **calls, warm fleet arrival**: once the replicas are warm, an arrival
+//!   that the fleet routes, admits, publishes and counts allocates
+//!   nothing. The router reads its gauges through cached ids, and the
+//!   fleet routes from a reused active-slot buffer; it used to collect a
+//!   fresh `Vec` of active slots per arrival.
 //!
 //! Lives in its own test binary so other tests' allocations cannot
 //! pollute the counter.
@@ -35,7 +40,8 @@
 mod common;
 
 use common::counting_alloc;
-use gpu_sim::DeviceProps;
+use fleet::{ClassSpec, FleetConfig, FleetSim, PriorityMix, RouterPolicy};
+use gpu_sim::{DeviceProps, FabricSpec, LinkProps};
 use nn::{DispatchMode, ExecCtx, Net};
 use sanitizer::SanitizeMode;
 use serve::{BatchPolicy, EngineOptions, ServeConfig, ServingEngine};
@@ -160,4 +166,46 @@ fn warm_registry_updates_allocate_nothing() {
     );
     assert_eq!(registry.counter("fleet.completed"), 1001);
     assert_eq!(registry.gauge("fleet.replica3.queue_depth"), Some(999.0));
+}
+
+#[test]
+fn warm_fleet_arrivals_allocate_nothing() {
+    // Two replicas and arrivals a thousand times faster than a wave: the
+    // first few start both replicas and fill both queues, and every later
+    // arrival is routed, admitted (shed: the queues are full), published
+    // and counted while no new wave starts. So the calls one run makes
+    // beyond a shorter run's are the arrivals' own.
+    let run = |requests: usize| {
+        let fabric = FabricSpec::uniform("pair", 2, DeviceProps::p100(), LinkProps::nvlink());
+        let mix = PriorityMix::new(
+            "single",
+            vec![ClassSpec {
+                name: "all".into(),
+                share: 1.0,
+                deadline_ns: u64::MAX,
+            }],
+        );
+        let cfg = FleetConfig {
+            queue_capacity: 4,
+            rate_rps: 1e12,
+            num_requests: requests,
+            tick_ns: 0,
+            ..FleetConfig::cifar10(fabric, RouterPolicy::JoinShortestQueue, mix)
+        };
+        let mut sim = FleetSim::new(cfg).expect("valid config");
+        counting_alloc::start();
+        let report = sim.run();
+        (report, counting_alloc::stop())
+    };
+    let (short, short_calls) = run(1_000);
+    let (long, long_calls) = run(3_000);
+    assert_eq!(long.waves, short.waves, "the extra arrivals start no wave");
+    assert_eq!(long.shed - short.shed, 2_000, "the extra arrivals are shed");
+    let extra = long_calls.saturating_sub(short_calls);
+    assert!(
+        extra <= 8,
+        "2,000 more warm arrivals made {extra} more allocation calls \
+         ({short_calls} vs {long_calls}): routing, admission, gauge \
+         publication and counter updates must not allocate"
+    );
 }

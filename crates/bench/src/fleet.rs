@@ -53,8 +53,8 @@ pub fn fleet_mixes() -> Vec<PriorityMix> {
 }
 
 /// Build the config for one sweep cell. Smoke cells run every replica
-/// under the full sanitizer (static plan checks + happens-before replay
-/// + the fleet's cross-device check).
+/// under the full sanitizer (static plan checks + one happens-before
+/// replay of each replica's device log).
 pub fn cell_config(
     fabric: FabricSpec,
     policy: RouterPolicy,

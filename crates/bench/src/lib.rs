@@ -1,5 +1,5 @@
-//! Shared workload builders for the reproduction harness and the
-//! criterion benches.
+//! Shared workload builders for the reproduction harness, the examples
+//! and the root integration tests.
 //!
 //! Everything here is deterministic; timing numbers come from the
 //! simulated device ([`gpu_sim`]), while `T_p`/`T_a` overheads are real

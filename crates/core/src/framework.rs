@@ -236,8 +236,8 @@ impl Glp4nn {
     /// `gpu` through the runtime scheduler's workflow (profile once, then
     /// capture over the model-sized stream pool, then replay the frozen
     /// plan; see [`RuntimeScheduler::execute`]). With a [`Sanitizer`] attached the
-    /// schedule is verified once, at capture, and (in full mode) the
-    /// executed command trace is replayed after every execution.
+    /// schedule is verified once, at capture; replaying the executed
+    /// command trace is left to the caller that owns the device's log.
     ///
     /// # Errors
     /// [`Glp4nnError::DeviceNotRegistered`] if `gpu` was never registered;

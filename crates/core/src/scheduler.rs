@@ -154,10 +154,14 @@ impl RuntimeScheduler {
     ///    profiles to the analyzer. The serial plan is transient —
     ///    profiling runs once per key.
     ///
+    /// Every execution ends with a device-wide barrier (inside replay):
+    /// the inter-layer synchronization of paper §2.1.
+    ///
     /// With a [`Sanitizer`] attached, the source is checked on every
     /// non-replay execution and the plan about to be cached is validated
-    /// once ([`verify_capture`]); in full mode the executed command trace
-    /// is additionally replayed after every execution.
+    /// once ([`verify_capture`]). The executed command trace is not
+    /// replayed here: the caller that owns the device's whole command log
+    /// (`nn::ExecCtx::dispatch`) replays it once, in full mode.
     // One parameter per Fig. 5 module plus the source and the optional
     // sanitizer; a params struct would just rename the modules.
     #[allow(clippy::too_many_arguments)]
@@ -169,22 +173,12 @@ impl RuntimeScheduler {
         streams: &StreamManager,
         key: &LayerKey,
         source: Schedule<G, S>,
-        mut sanitizer: Option<&mut Sanitizer>,
+        sanitizer: Option<&mut Sanitizer>,
     ) -> Result<ExecReport, StreamError>
     where
         G: FnOnce() -> Groups,
         S: FnOnce() -> Option<SymGroupSpec>,
     {
-        // Inter-layer synchronization (paper §2.1): every execution ends
-        // with a device-wide barrier (inside replay).
-        let run = |plan: &ExecPlan, dev: &mut Device, san: Option<&mut Sanitizer>| {
-            let report = plan.replay(dev);
-            if let Some(san) = san {
-                san.check_device(dev);
-            }
-            report
-        };
-
         self.key.clear();
         let _ = write!(self.key, "{key}");
         let key_len = self.key.len();
@@ -194,7 +188,7 @@ impl RuntimeScheduler {
                 tel_instant(dev, "plan", "plan.cache_hits", || {
                     format!("plan.replay {}", &self.key[..key_len])
                 });
-                return Ok(run(&plan, dev, sanitizer));
+                return Ok(plan.replay(dev));
             }
         }
         let key_str = self.key[..key_len].to_string();
@@ -239,7 +233,7 @@ impl RuntimeScheduler {
             let plan = Arc::new(ExecPlan::capture_round_robin(
                 &key_str, &groups, &pool, mode,
             ));
-            if let Some(san) = sanitizer.as_deref_mut() {
+            if let Some(san) = sanitizer {
                 verify_capture(san, Some(source), Some(&plan));
             }
             analyzer
@@ -248,12 +242,12 @@ impl RuntimeScheduler {
             tel_instant(dev, "plan", "plan.captures", || {
                 format!("plan.capture {key_str}")
             });
-            return Ok(run(&plan, dev, sanitizer));
+            return Ok(plan.replay(dev));
         }
 
         // Chunks must be disjoint whatever the dispatch; the serial
         // profiling plan itself is trivially race-free.
-        if let Some(san) = sanitizer.as_deref_mut() {
+        if let Some(san) = sanitizer {
             verify_capture(san, Some(source), None);
         }
         // Skip any trace entries produced since the last profiling window
@@ -264,7 +258,7 @@ impl RuntimeScheduler {
         tracker.enable(self.gpu);
         let pool = [streams.default_stream(dev)];
         let plan = ExecPlan::capture_round_robin(&key_str, &groups, &pool, ExecMode::Profiling);
-        let report = run(&plan, dev, sanitizer);
+        let report = plan.replay(dev);
         tracker.ingest(self.gpu, dev.trace());
         tracker.disable(self.gpu);
         tel_span(dev, "profile", profile_start, dev.now(), || {

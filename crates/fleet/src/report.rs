@@ -91,8 +91,9 @@ pub struct FleetReport {
     /// Total warmup (plan capture) time charged to spawns after start
     /// (ns).
     pub warmup_total_ns: SimTime,
-    /// Sanitizer diagnostics across replicas plus the cross-device
-    /// check (zero when sanitizing is off or the run is clean).
+    /// Sanitizer diagnostics summed over the replicas' engines, each of
+    /// which replays its own device's command log once (zero when
+    /// sanitizing is off or the run is clean).
     pub sanitizer_reports: usize,
 }
 

@@ -12,10 +12,9 @@ use crate::config::{FleetConfig, FleetConfigError};
 use crate::replica::Replica;
 use crate::report::{ClassReport, FleetReport};
 use crate::router::{inflight_gauge, queue_depth_gauge, Router};
-use gpu_sim::{Fabric, SimTime};
+use gpu_sim::SimTime;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sanitizer::Sanitizer;
 use serve::{
     Admission, BatchDecision, ClassQueue, ClassedRequest, EngineOptions, PoissonArrivals,
     ServeConfig, ServingEngine,
@@ -100,8 +99,6 @@ pub struct FleetSim {
     total_waves: usize,
     total_wave_requests: usize,
     last_done_ns: SimTime,
-    /// Cross-device sanitizer (active when the engines sanitize).
-    cross_sanitizer: Option<Sanitizer>,
     /// Measurement origin: all initial replicas warm by this time.
     t0: SimTime,
 }
@@ -115,7 +112,6 @@ impl FleetSim {
         cfg.validate()?;
         let slots = cfg.num_slots();
         let weights: Vec<f64> = (0..slots).map(|i| cfg.fabric.slot_peak_flops(i)).collect();
-        let cross_sanitizer = cfg.engine.sanitize.map(Sanitizer::new);
         let mut metrics = MetricsRegistry::new();
         let mut sim = FleetSim {
             router: Router::new(cfg.router),
@@ -139,7 +135,6 @@ impl FleetSim {
             total_waves: 0,
             total_wave_requests: 0,
             last_done_ns: 0,
-            cross_sanitizer,
             t0: 0,
             cfg,
         };
@@ -660,8 +655,7 @@ impl FleetSim {
             "request conservation violated"
         );
 
-        // Cross-device sanitize over every spawned replica's command log.
-        let sanitizer_reports = self.run_sanitizers();
+        let sanitizer_reports = self.sanitizer_reports();
 
         let mut all_latency: Vec<u64> = Vec::with_capacity(completed);
         for o in &self.outcomes {
@@ -762,37 +756,49 @@ impl FleetSim {
         }
     }
 
-    /// Collect per-engine sanitizer diagnostics and run the cross-device
-    /// check over the fabric; returns the total report count (zero on a
-    /// clean run, or when sanitizing is off).
-    fn run_sanitizers(&mut self) -> usize {
-        let mut total = 0usize;
-        for r in self.replicas.iter().flatten() {
-            total += r.engine.sanitizer().reports().len();
-        }
-        if let Some(sani) = &mut self.cross_sanitizer {
-            let devices: Vec<&gpu_sim::Device> = self
-                .replicas
-                .iter()
-                .flatten()
-                .map(|r| r.engine.device())
-                .collect();
-            // The fleet never issues P2P copies, but the cross-device
-            // replay still validates every replica's command log under
-            // the fabric's happens-before model.
-            let fabric = if devices.len() == self.cfg.num_slots() {
-                self.cfg.fabric.build_fabric()
-            } else {
-                Fabric::new(devices.len())
-            };
-            sani.check_fabric(&fabric, &devices);
-            total += sani.reports().len();
-        }
-        total
+    /// Sanitizer diagnostics summed over the live replicas' engines (zero
+    /// on a clean run, or when sanitizing is off). Replicas never exchange
+    /// a copy, so each engine's own per-dispatch replay of its device log
+    /// is the whole happens-before check.
+    fn sanitizer_reports(&self) -> usize {
+        self.replicas
+            .iter()
+            .flatten()
+            .map(|r| r.engine.sanitizer().reports().len())
+            .sum()
     }
 }
 
 /// Chrome-trace pid of replica `slot` (see [`FLEET_PID`]).
 pub fn replica_pid(slot: usize) -> u32 {
     FLEET_PID + 1 + slot as u32
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{fabric_uniform8, PriorityMix, RouterPolicy};
+    use sanitizer::SanitizeMode;
+
+    #[test]
+    fn every_engine_replays_its_own_log() {
+        let mut cfg = FleetConfig::cifar10(
+            fabric_uniform8(),
+            RouterPolicy::Weighted,
+            PriorityMix::premium_heavy(),
+        );
+        cfg.rate_rps = 60_000.0;
+        cfg.num_requests = 200;
+        cfg.engine.sanitize = Some(SanitizeMode::Full);
+        let mut sim = FleetSim::new(cfg).unwrap();
+        let report = sim.run();
+        assert_eq!(report.sanitizer_reports, 0);
+        let mut engines = 0;
+        for r in sim.replicas.iter().flatten() {
+            let stats = r.engine.sanitizer().stats();
+            assert!(stats.trace_kernels > 0, "slot {} replayed nothing", r.slot);
+            engines += 1;
+        }
+        assert_eq!(engines, report.replicas);
+    }
 }

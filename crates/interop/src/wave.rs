@@ -61,14 +61,6 @@ pub struct WaveAssignment {
     pub pays: bool,
 }
 
-impl WaveAssignment {
-    /// Total streams the wave needs when every dispatch gets its own
-    /// sub-pool.
-    pub fn total_streams(&self) -> u32 {
-        self.streams_per_dispatch.iter().sum()
-    }
-}
-
 /// Solve the joint occupancy program for one wave of dispatches.
 ///
 /// A single-dispatch wave degenerates to the per-layer model with the
@@ -305,6 +297,6 @@ mod tests {
             ],
         );
         assert!(wa.streams_per_dispatch.iter().all(|&s| s >= 1));
-        assert!(wa.total_streams() <= props.concurrency_degree() * 3);
+        assert!(wa.streams_per_dispatch.iter().sum::<u32>() <= props.concurrency_degree() * 3);
     }
 }

@@ -611,11 +611,6 @@ impl ExecCtx {
     pub fn take_timings(&mut self) -> Vec<LayerTiming> {
         std::mem::take(&mut self.timings)
     }
-
-    /// Total simulated time across recorded timings.
-    pub fn total_elapsed_ns(&self) -> SimTime {
-        self.timings.iter().map(|t| t.elapsed_ns).sum()
-    }
 }
 
 #[cfg(test)]
@@ -724,7 +719,7 @@ mod tests {
         split(&mut ctx, "conv1", Phase::Forward, 2);
         split(&mut ctx, "conv1", Phase::Backward, 2);
         assert_eq!(ctx.timings.len(), 2);
-        assert!(ctx.total_elapsed_ns() > 0);
+        assert!(ctx.timings.iter().map(|t| t.elapsed_ns).sum::<SimTime>() > 0);
         let t = ctx.take_timings();
         assert_eq!(t.len(), 2);
         assert_eq!(t[0].phase, Phase::Forward);

@@ -46,11 +46,6 @@ pub trait Layer {
     fn set_train(&mut self, _train: bool) {}
 }
 
-/// Shared helper: number of samples in a 4-D bottom blob.
-pub fn batch_size(bottom: &Blob) -> usize {
-    bottom.num()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,10 +80,5 @@ mod tests {
         assert!(l.needs_backward());
         assert!(l.params_mut().is_empty());
         assert_eq!(l.layer_type(), "Null");
-    }
-
-    #[test]
-    fn batch_size_reads_dim0() {
-        assert_eq!(batch_size(&Blob::nchw(7, 3, 2, 2)), 7);
     }
 }

@@ -441,10 +441,10 @@ impl Layer for ConvLayer {
             let chunks = num_workers().min(n).max(1);
             let per = n.div_ceil(chunks);
             let mut partials = vec![0.0f32; chunks * wsize];
-            crossbeam_scope(|scope| {
+            std::thread::scope(|scope| {
                 for (c, part) in partials.chunks_mut(wsize).enumerate() {
                     let tdiff = &tdiff;
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         let mut col = vec![0.0f32; if one_by_one { 0 } else { k * ohw }];
                         let lo = c * per;
                         let hi = ((c + 1) * per).min(n);
@@ -517,14 +517,6 @@ impl Layer for ConvLayer {
     fn params_mut(&mut self) -> Vec<&mut Blob> {
         vec![&mut self.weight, &mut self.bias]
     }
-}
-
-/// Thin wrapper so the layer body reads cleanly.
-fn crossbeam_scope<'env, F, R>(f: F) -> R
-where
-    F: FnOnce(&crossbeam::thread::Scope<'env>) -> R,
-{
-    crossbeam::scope(f).expect("conv backward worker panicked")
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 //!   zoo used by the paper's four evaluation networks: convolution,
 //!   pooling, ReLU, LRN, inner product, softmax loss, contrastive loss
 //!   (Siamese), concat (GoogLeNet), dropout and accuracy.
-//! - [`net`]: `NetSpec` (serde-serializable network description, Caffe's
+//! - [`net`]: `NetSpec` (declarative network description, Caffe's
 //!   prototxt equivalent) and `Net`, a topologically-executed layer stack.
 //! - [`solver`]: plain SGD with momentum, weight decay and the standard
 //!   learning-rate policies.

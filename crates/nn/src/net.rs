@@ -1,6 +1,6 @@
 //! Network assembly and execution (Caffe's `Net`).
 //!
-//! A [`NetSpec`] is the serde-serializable equivalent of a Caffe prototxt:
+//! A [`NetSpec`] is the in-code equivalent of a Caffe prototxt:
 //! named input blobs plus a list of layer specs wired by blob names. A
 //! [`Net`] instantiates the layers, owns all blobs, and runs forward /
 //! backward passes layer by layer with an inter-layer synchronization
@@ -9,12 +9,11 @@
 use crate::exec::ExecCtx;
 use crate::layer::Layer;
 use crate::layers::*;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use tensor::Blob;
 
-/// Layer kind + hyper-parameters (the serializable part of a layer).
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+/// Layer kind + hyper-parameters (the declarative part of a layer).
+#[derive(Debug, Clone, PartialEq)]
 pub enum LayerKind {
     /// 2-D convolution.
     Convolution {
@@ -66,7 +65,7 @@ pub enum LayerKind {
 }
 
 /// One layer in a [`NetSpec`].
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerSpec {
     /// Layer instance name.
     pub name: String,
@@ -79,7 +78,7 @@ pub struct LayerSpec {
 }
 
 /// A complete network description.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetSpec {
     /// Network name (keys GLP4NN's plan cache).
     pub name: String,
@@ -545,16 +544,6 @@ mod tests {
         // Conv weights received gradient.
         let grads: f32 = net.params_mut()[0].diff().iter().map(|v| v.abs()).sum();
         assert!(grads > 0.0);
-    }
-
-    #[test]
-    fn spec_roundtrips_through_serde() {
-        let spec = tiny_spec();
-        // serde structural equality via clone (serde_json unavailable in
-        // the sanctioned offline crate set; Serialize/Deserialize impls
-        // are exercised by the derive's generated code at compile time).
-        let copy = spec.clone();
-        assert_eq!(spec, copy);
     }
 
     #[test]

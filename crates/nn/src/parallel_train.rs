@@ -80,8 +80,9 @@ pub struct DataParallelTrainer {
     comm: RingComm,
     overlap: bool,
     shards: usize,
-    /// Merged cross-device trace checking (per-device checking lives in
-    /// each replica's context).
+    /// The one happens-before replay of every replica's command log, run
+    /// over the fabric because copies cross devices (the replicas'
+    /// contexts keep only their static checks).
     sanitizer: Sanitizer,
     telemetry: telemetry::RecorderSlot,
 }
@@ -220,19 +221,24 @@ impl DataParallelTrainer {
         self.replicas.iter().any(|(_, ctx)| ctx.compute)
     }
 
-    /// Enable schedule sanitizing on every replica (plan validation +
-    /// per-device happens-before replay) and on the merged cross-device
-    /// fabric trace.
+    /// Enable schedule sanitizing: every replica's context validates its
+    /// plans statically, and in `Full` mode the trainer replays all
+    /// replicas' command logs together over the fabric once per step —
+    /// the only happens-before replay, so a race is reported once.
     pub fn sanitize(mut self, mode: SanitizeMode) -> Self {
+        let replica_mode = match mode {
+            SanitizeMode::Full => SanitizeMode::PlanOnly,
+            m => m,
+        };
         for (_, ctx) in &mut self.replicas {
-            ctx.sanitizer = Sanitizer::new(mode);
+            ctx.sanitizer = Sanitizer::new(replica_mode);
         }
         self.sanitizer = Sanitizer::new(mode);
         self
     }
 
-    /// All sanitizer diagnostics accumulated so far (per-replica checks
-    /// first, then merged fabric checks).
+    /// All sanitizer diagnostics accumulated so far (per-replica static
+    /// checks first, then the fabric replay's).
     pub fn diagnostics(&self) -> Vec<Diagnostic> {
         let mut out = Vec::new();
         for (_, ctx) in &self.replicas {
@@ -524,10 +530,7 @@ impl DataParallelTrainer {
             }
         }
         let comm_ns = span.map_or(0, |(s, e)| e - s);
-        if self.sanitizer.is_full() || self.replicas.iter().any(|(_, c)| c.sanitizer.is_full()) {
-            for (_, ctx) in &mut self.replicas {
-                ctx.sanitizer.check_device(&ctx.device);
-            }
+        if self.sanitizer.is_full() {
             let views: Vec<&Device> = self.replicas.iter().map(|(_, c)| &c.device).collect();
             self.sanitizer.check_fabric(&self.fabric, &views);
         }
@@ -736,6 +739,41 @@ mod tests {
             overlapped <= eager,
             "overlap must not be slower: {overlapped} vs {eager}"
         );
+    }
+
+    #[test]
+    fn injected_race_is_reported_once_by_the_fabric_replay() {
+        use gpu_sim::{BufferId, ByteRange, Dim3, KernelCost, KernelDesc, LaunchConfig};
+        use sanitizer::DiagnosticKind;
+
+        let spec = models::cifar10_quick(4, 3);
+        let mut dp = DataParallelTrainer::new(
+            &spec,
+            &[DeviceProps::p100(), DeviceProps::p100()],
+            false,
+            cfg(),
+        )
+        .timing_only()
+        .sanitize(SanitizeMode::Full);
+        // Two launches writing one range from two streams of replica 1,
+        // with no event between them.
+        let buf = BufferId::from_label("injected/race");
+        let dev = &mut dp.replicas[1].1.device;
+        for name in ["w0", "w1"] {
+            let s = dev.create_stream();
+            let k = KernelDesc::new(
+                name,
+                LaunchConfig::new(Dim3::linear(4), Dim3::linear(128), 32, 0),
+                KernelCost::new(1.0e5, 1.0e4),
+            )
+            .writes(buf, ByteRange::new(0, 64));
+            dev.launch(s, k);
+        }
+        dp.step();
+        let diags = dp.diagnostics();
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].kind, DiagnosticKind::DataRace);
+        assert_eq!(diags[0].context, "fabric-trace");
     }
 
     #[test]

@@ -8,10 +8,9 @@
 
 use crate::exec::ExecCtx;
 use crate::net::Net;
-use serde::{Deserialize, Serialize};
 
 /// Learning-rate schedule (Caffe's `lr_policy`).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LrPolicy {
     /// Constant learning rate.
     Fixed,
@@ -44,7 +43,7 @@ pub enum LrPolicy {
 }
 
 /// Momentum flavour.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MomentumKind {
     /// Classical heavy-ball momentum (Caffe's `SGD` solver).
     #[default]
@@ -54,7 +53,7 @@ pub enum MomentumKind {
 }
 
 /// Solver hyper-parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolverConfig {
     /// Base learning rate.
     pub base_lr: f32,

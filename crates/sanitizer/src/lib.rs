@@ -90,8 +90,8 @@ pub struct SanitizerStats {
     /// Concrete groups that failed certificate conformance (fell back to
     /// pairwise checking).
     pub conformance_misses: u64,
-    /// Capture checks that ran the pairwise path (no spec, unsupported
-    /// spec, conformance miss, or forced baseline).
+    /// Capture checks that ran the pairwise path (unsupported spec or
+    /// conformance miss).
     pub pairwise_fallbacks: u64,
 }
 
@@ -106,10 +106,6 @@ pub struct Sanitizer {
     /// Per-device cursors for merged fabric replay ([`check_fabric`]
     /// (Sanitizer::check_fabric)); indexed by fabric device index.
     fabric_cursors: Vec<usize>,
-    /// When set, [`check_chunks_spec`](Sanitizer::check_chunks_spec)
-    /// ignores certificates and always runs the pairwise checker — the
-    /// baseline arm of the symbolic-vs-pairwise benchmark.
-    force_pairwise: bool,
     /// Cached symbolic verdicts, keyed by dispatch site
     /// (`net/layer/phase`) and guarded by the exact spec they were proven
     /// for: a site whose declaration changes (reshape, site collision) is
@@ -196,12 +192,6 @@ impl Sanitizer {
         }
     }
 
-    /// Force the pairwise chunk checker even when a symbolic certificate
-    /// is available — the baseline arm of capture-time benchmarks.
-    pub fn set_force_pairwise(&mut self, force: bool) {
-        self.force_pairwise = force;
-    }
-
     /// Attach a plan linter; captured plans are linted as they are
     /// validated and symbolic findings (PL002/PL004) are mirrored into it.
     pub fn attach_linter(&mut self, cfg: LintConfig) {
@@ -223,8 +213,8 @@ impl Sanitizer {
     /// group conforms to it — in which case no pairwise comparison ran
     /// and the caller may also skip the plan-level hazard sweep
     /// ([`check_plan_ref_certified`](Sanitizer::check_plan_ref_certified)).
-    /// Any other outcome (refuted, unsupported, mismatch, forced
-    /// baseline) returns `false`; unsupported/mismatch fall back to
+    /// Any other outcome (refuted, unsupported, mismatch) returns
+    /// `false`; unsupported/mismatch fall back to
     /// [`check_chunks`](Sanitizer::check_chunks), a refutation is
     /// reported directly.
     pub fn check_chunks_spec(
@@ -235,11 +225,6 @@ impl Sanitizer {
         groups: &[Vec<KernelDesc>],
     ) -> bool {
         if !self.is_enabled() {
-            return false;
-        }
-        if self.force_pairwise {
-            self.stats.pairwise_fallbacks += 1;
-            self.check_chunks(context, groups);
             return false;
         }
         let verdict = match self.certs.get(site) {
@@ -440,9 +425,9 @@ impl Sanitizer {
     /// on the destination device; the destination-side wait marker is the
     /// happens-before edge consumers must be ordered behind. It is the same
     /// replay as [`check_device`](Sanitizer::check_device) (which replays
-    /// one device with no fabric), run over every device at once: use it
-    /// whenever devices exchange data through a [`Fabric`]. Its cursors are
-    /// its own, so a device may also be checked through `check_device`.
+    /// one device with no fabric), run over every device at once: use it,
+    /// instead of per-device checks, whenever devices exchange data
+    /// through a [`Fabric`], so each command is replayed once.
     pub fn check_fabric(&mut self, fabric: &Fabric, devs: &[&Device]) {
         if !self.is_full() {
             return;

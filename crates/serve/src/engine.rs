@@ -193,7 +193,7 @@ impl ServingEngine {
     }
 
     /// The simulated device this engine serves on (for fleet-level
-    /// stats, merged timelines and cross-device sanitizing).
+    /// stats and merged timelines).
     pub fn device(&self) -> &Device {
         &self.ctx.device
     }

@@ -218,14 +218,6 @@ impl Blob {
     pub fn asum_data(&self) -> f32 {
         self.data().iter().map(|v| v.abs()).sum()
     }
-
-    /// Apply `data -= rate * diff` (plain SGD step on this blob).
-    pub fn sgd_step(&mut self, rate: f32) {
-        let (data, diff) = self.data_and_diff_mut();
-        for (d, g) in data.iter_mut().zip(diff.iter()) {
-            *d -= rate * g;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -291,14 +283,6 @@ mod tests {
         let mut c = Blob::from_data(&[4], vec![1.0, 2.0, 3.0, 4.0]);
         c.resize(&[2, 2]);
         assert_eq!(c.data()[3], 4.0);
-    }
-
-    #[test]
-    fn sgd_step_updates_data() {
-        let mut b = Blob::from_data(&[3], vec![1.0, 2.0, 3.0]);
-        b.diff_mut().copy_from_slice(&[0.5, 0.5, 0.5]);
-        b.sgd_step(2.0);
-        assert_eq!(b.data(), &[0.0, 1.0, 2.0]);
     }
 
     #[test]

@@ -9,13 +9,6 @@ pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     }
 }
 
-/// `x *= alpha`.
-pub fn scal(alpha: f32, x: &mut [f32]) {
-    for v in x.iter_mut() {
-        *v *= alpha;
-    }
-}
-
 /// Dot product.
 pub fn dot(x: &[f32], y: &[f32]) -> f32 {
     assert_eq!(x.len(), y.len());
@@ -98,8 +91,6 @@ mod tests {
         let mut y = vec![10.0, 20.0];
         axpy(2.0, &x, &mut y);
         assert_eq!(y, vec![12.0, 24.0]);
-        scal(0.5, &mut y);
-        assert_eq!(y, vec![6.0, 12.0]);
     }
 
     #[test]

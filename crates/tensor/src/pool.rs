@@ -2,7 +2,7 @@
 //!
 //! Rayon is not in the sanctioned offline dependency set, so this module
 //! provides the one primitive the GEMM and conv layers need: evenly split
-//! an index range across scoped worker threads (crossbeam scope — no
+//! an index range across scoped worker threads (`std::thread::scope` — no
 //! `'static` bound, no allocation of long-lived pool state). Falls back to
 //! sequential execution for small ranges where spawn overhead would
 //! dominate.
@@ -46,7 +46,7 @@ where
     }
     let chunks = workers.min(n.div_ceil(MIN_CHUNK));
     let chunk = n.div_ceil(chunks);
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for c in 0..chunks {
             let start = c * chunk;
             let end = ((c + 1) * chunk).min(n);
@@ -54,10 +54,9 @@ where
                 break;
             }
             let f = &f;
-            scope.spawn(move |_| f(start, end));
+            scope.spawn(move || f(start, end));
         }
-    })
-    .expect("worker panicked in parallel_for");
+    });
 }
 
 /// Like [`parallel_for`] but hands each worker a mutable, disjoint slice of
@@ -80,7 +79,7 @@ where
     }
     let chunks = workers.min(rows);
     let rows_per = rows.div_ceil(chunks);
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         let mut rest = data;
         let mut row = 0;
         while !rest.is_empty() {
@@ -88,12 +87,11 @@ where
             let (head, tail) = rest.split_at_mut(take);
             let f = &f;
             let r0 = row;
-            scope.spawn(move |_| f(r0, head));
+            scope.spawn(move || f(r0, head));
             row += take / stride;
             rest = tail;
         }
-    })
-    .expect("worker panicked in parallel_for_rows");
+    });
 }
 
 #[cfg(test)]

@@ -13,27 +13,17 @@
 use glp4nn_bench::{iteration_timings, net_spec_with_batch};
 use gpu_sim::DeviceProps;
 use nn::{DispatchMode, ExecCtx, Net};
-use sanitizer::SanitizeMode;
+use sanitizer::{SanitizeMode, Sanitizer};
 
 const MODELS: [&str; 4] = ["CIFAR10", "Siamese", "CaffeNet", "GoogLeNet"];
 
 fn sanitized_iteration(net: &str, batch: usize, mode: DispatchMode) -> ExecCtx {
-    sanitized_iteration_with(net, batch, mode, false)
-}
-
-fn sanitized_iteration_with(
-    net: &str,
-    batch: usize,
-    mode: DispatchMode,
-    force_pairwise: bool,
-) -> ExecCtx {
     let mut ctx = match mode {
         DispatchMode::Glp4nn => ExecCtx::glp4nn(DeviceProps::p100()),
         m => ExecCtx::with_mode(DeviceProps::p100(), m),
     }
     .timing_only()
     .sanitize(SanitizeMode::Full);
-    ctx.sanitizer.set_force_pairwise(force_pairwise);
     let mut net_obj = Net::from_spec(&net_spec_with_batch(net, batch, 1));
     // Two iterations so GLP4NN reaches concurrent steady state (the first
     // profiles on the default stream).
@@ -99,21 +89,29 @@ fn full_iteration_is_race_free_under_every_dispatch_mode() {
 
 #[test]
 fn larger_batches_scale_the_checked_pairs() {
-    // Under the forced-pairwise baseline, chunk pairs grow quadratically
-    // with the batch: a quick sanity check that per-sample declarations
-    // track the batch size.
-    let small = sanitized_iteration_with("CIFAR10", 2, DispatchMode::Glp4nn, true)
-        .sanitizer
-        .stats();
-    let large = sanitized_iteration_with("CIFAR10", 8, DispatchMode::Glp4nn, true)
-        .sanitizer
-        .stats();
+    // Chunk pairs grow quadratically with the batch: a quick sanity check
+    // that per-sample declarations track the batch size. Capture admits
+    // these sites by symbolic certificate, so the pairwise checker runs on
+    // one staged iteration's chunk groups directly.
+    let chunk_pairs = |batch: usize| {
+        let mut ctx = ExecCtx::glp4nn(DeviceProps::p100()).timing_only();
+        let mut net = Net::from_spec(&net_spec_with_batch("CIFAR10", batch, 1));
+        ctx.begin_staging();
+        iteration_timings(&mut ctx, &mut net);
+        let mut san = Sanitizer::new(SanitizeMode::PlanOnly);
+        for site in ctx.take_staged() {
+            san.check_chunks(&site.layer, &site.groups);
+        }
+        assert!(
+            san.reports().is_empty(),
+            "batch {batch}: {:?}",
+            san.reports()
+        );
+        san.stats().chunk_pairs
+    };
+    let (small, large) = (chunk_pairs(2), chunk_pairs(8));
     assert!(
-        large.chunk_pairs > small.chunk_pairs * 4,
-        "chunk pairs: batch 8 = {} vs batch 2 = {}",
-        large.chunk_pairs,
-        small.chunk_pairs
+        large > small * 4,
+        "chunk pairs: batch 8 = {large} vs batch 2 = {small}"
     );
-    // The symbolic path stays off in this baseline arm.
-    assert_eq!(large.symbolic_chunks, 0);
 }

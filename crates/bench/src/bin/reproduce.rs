@@ -641,7 +641,7 @@ fn fleet_cmd(smoke: bool) {
         path.display()
     );
     println!("\nfleet: JSQ >= round-robin SLO attainment at every sweep point; autoscaler");
-    println!("scaled both directions; sanitized replicas + cross-device check stayed clean");
+    println!("scaled both directions; each replica's own happens-before replay stayed clean");
 }
 
 fn sanitize(smoke: bool) {
@@ -666,12 +666,9 @@ fn sanitize(smoke: bool) {
     let mut total_reports = 0usize;
     for net in ["CIFAR10", "Siamese", "CaffeNet", "GoogLeNet"] {
         for (label, mode) in modes {
-            let mut ctx = match mode {
-                DispatchMode::Glp4nn => ExecCtx::glp4nn(DeviceProps::p100()),
-                m => ExecCtx::with_mode(DeviceProps::p100(), m),
-            }
-            .timing_only()
-            .sanitize(sanitizer::SanitizeMode::Full);
+            let mut ctx = ExecCtx::with_mode(DeviceProps::p100(), mode)
+                .timing_only()
+                .sanitize(sanitizer::SanitizeMode::Full);
             let spec = if smoke {
                 net_spec_with_batch(net, 4, 1)
             } else {
@@ -803,11 +800,7 @@ fn replay(smoke: bool) {
             // arm: reuse off, so every iteration re-captures — the
             // behaviour of the old per-iteration dispatch loops.
             let mk = |reuse: bool| {
-                let mut ctx = match mode {
-                    DispatchMode::Glp4nn => ExecCtx::glp4nn(DeviceProps::p100()),
-                    m => ExecCtx::with_mode(DeviceProps::p100(), m),
-                }
-                .timing_only();
+                let mut ctx = ExecCtx::with_mode(DeviceProps::p100(), mode).timing_only();
                 if reuse {
                     ctx = ctx.sanitize(sanitizer::SanitizeMode::Full);
                 } else {
@@ -874,7 +867,9 @@ fn multi_gpu_cmd(smoke: bool) {
     println!();
     multi_gpu::print_utilization(smoke);
     println!("\nmulti-gpu: overlap >= no-overlap throughput at every operating point;");
-    println!("full sweep ran under the sanitizer (per-device + cross-device) with zero reports");
+    println!(
+        "full sweep ran under the sanitizer (one cross-device replay per step) with zero reports"
+    );
 }
 
 fn trace_cmd(smoke: bool) {

@@ -56,13 +56,10 @@ pub fn lint_sweep(smoke: bool) -> Vec<LintRow> {
     let mut rows = Vec::new();
     for net in NETS {
         for (label, mode) in modes() {
-            let mut ctx = match mode {
-                DispatchMode::Glp4nn => ExecCtx::glp4nn(DeviceProps::p100()),
-                m => ExecCtx::with_mode(DeviceProps::p100(), m),
-            }
-            .timing_only()
-            .sanitize(sanitizer::SanitizeMode::PlanOnly)
-            .lint();
+            let mut ctx = ExecCtx::with_mode(DeviceProps::p100(), mode)
+                .timing_only()
+                .sanitize(sanitizer::SanitizeMode::PlanOnly)
+                .lint();
             let spec = if smoke {
                 net_spec_with_batch(net, 4, 1)
             } else {

@@ -42,11 +42,7 @@ pub fn trace_net_with_stats(
         crate::net_spec(net, 1)
     };
     let iters = if smoke { 2 } else { 3 };
-    let mut ctx = match mode {
-        DispatchMode::Glp4nn => ExecCtx::glp4nn(DeviceProps::p100()),
-        m => ExecCtx::with_mode(DeviceProps::p100(), m),
-    }
-    .timing_only();
+    let mut ctx = ExecCtx::with_mode(DeviceProps::p100(), mode).timing_only();
     let mut net_obj = Net::from_spec(&spec);
     let rec = telemetry::shared(Telemetry::new());
     ctx.set_telemetry(rec.clone(), 0);

@@ -137,7 +137,9 @@ impl ExecCtx {
         ctx
     }
 
-    /// Context with an explicit dispatch mode.
+    /// Context with an explicit dispatch mode. In `Glp4nn` mode the same
+    /// framework as [`glp4nn`](ExecCtx::glp4nn)'s attaches on the first
+    /// dispatch, taking the plan-reuse setting and recorder set by then.
     pub fn with_mode(props: DeviceProps, mode: DispatchMode) -> Self {
         ExecCtx {
             device: Device::new(props),
@@ -697,6 +699,32 @@ mod tests {
         assert_eq!(split(&mut late, "conv1", Phase::Forward, 12), r2);
         assert_eq!(timeline(&late), timeline(&ctx));
         assert_eq!(late.plan_captures(), ctx.plan_captures());
+
+        // The late framework also inherits plan reuse switched off before
+        // it attached, and a recorder attached before the first dispatch
+        // (its profiler's ingest spans land under the device's pid).
+        let run = |mut ctx: ExecCtx, reuse: bool, traced: bool| {
+            if !reuse {
+                ctx = ctx.without_plan_reuse();
+            }
+            let rec = telemetry::shared(telemetry::Telemetry::new());
+            if traced {
+                ctx.set_telemetry(rec.clone(), 3);
+            }
+            ctx.net_name = "testnet".to_string();
+            let reports = [0; 3].map(|_| split(&mut ctx, "conv1", Phase::Forward, 12));
+            let rec = rec.lock().expect("recorder");
+            let recorded = (rec.spans().to_vec(), rec.metrics_snapshot());
+            (reports, timeline(&ctx), ctx.plan_captures(), recorded)
+        };
+        for (reuse, traced) in [(false, false), (true, true)] {
+            let eager = run(ExecCtx::glp4nn(DeviceProps::k40c()), reuse, traced);
+            let late = ExecCtx::with_mode(DeviceProps::k40c(), DispatchMode::Glp4nn);
+            assert_eq!(run(late, reuse, traced), eager);
+            let (_, _, captures, (spans, _)) = eager;
+            assert_eq!(spans.is_empty(), !traced);
+            assert_eq!(captures, if reuse { 1 } else { 2 });
+        }
     }
 
     #[test]

@@ -774,6 +774,7 @@ mod tests {
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].kind, DiagnosticKind::DataRace);
         assert_eq!(diags[0].context, "fabric-trace");
+        assert!(diags[0].detail.ends_with("on device 1"), "{diags:?}");
     }
 
     #[test]

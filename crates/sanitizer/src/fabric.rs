@@ -324,6 +324,17 @@ pub(crate) fn check_logs<'a>(
         }
     }
 
+    // A one-device replay without a fabric (`Sanitizer::check_device`)
+    // knows its device only as slice index 0, so it names streams alone.
+    let named = fabric.is_some() || devs.len() > 1;
+    let on_device = |d: usize| {
+        if named {
+            format!(" on device {d}")
+        } else {
+            String::new()
+        }
+    };
+
     // ---- deadlock detection ------------------------------------------
     let stuck: Vec<String> = key_order
         .iter()
@@ -339,9 +350,9 @@ pub(crate) fn check_logs<'a>(
                     _ => "blocked behind its device's sync barrier".to_string(),
                 };
                 format!(
-                    "device {} stream {} blocked at log[{i}] {what}",
-                    key.0,
-                    key.1.raw()
+                    "stream {}{} blocked at log[{i}] {what}",
+                    key.1.raw(),
+                    on_device(key.0)
                 )
             })
         })
@@ -405,8 +416,8 @@ pub(crate) fn check_logs<'a>(
                     }),
                     detail: format!(
                         "no copy edge, event, or stream order makes these \
-                         happens-before ordered on device {}",
-                        bucket[x].device
+                         happens-before ordered{}",
+                        on_device(bucket[x].device)
                     ),
                 });
             }

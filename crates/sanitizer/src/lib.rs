@@ -393,7 +393,8 @@ impl Sanitizer {
 
     /// Dynamic check: replay the portion of `dev`'s command log recorded
     /// since the last call, with vector clocks, reporting unordered
-    /// conflicting launches and stalled (deadlocked) replays.
+    /// conflicting launches and stalled (deadlocked) replays. The reports
+    /// name streams only: `dev` may be any GPU of a fleet or trainer.
     pub fn check_device(&mut self, dev: &Device) {
         if !self.is_full() {
             return;
@@ -565,6 +566,33 @@ mod tests {
         san.check_device(&dev);
         assert_eq!(san.reports().len(), 1);
         assert_eq!(san.reports()[0].kind, DiagnosticKind::DataRace);
+    }
+
+    #[test]
+    fn one_device_replay_names_no_device() {
+        // The replay knows the device only as slice index 0, whichever GPU
+        // (or fleet replica) it is, so a race and a stuck wait name streams.
+        let buf = BufferId::from_label("lib/e");
+        let mut dev = Device::new(DeviceProps::p100());
+        let (s0, s1) = (dev.create_stream(), dev.create_stream());
+        let mut san = Sanitizer::new(SanitizeMode::Full);
+        dev.launch(s0, kernel("w0").writes(buf, ByteRange::new(0, 64)));
+        dev.launch(s1, kernel("w1").writes(buf, ByteRange::new(0, 64)));
+        dev.run();
+        san.check_device(&dev);
+        // Enqueued only: the engine would hang on a never-recorded event.
+        let ev = dev.create_event();
+        dev.wait_event(s0, ev);
+        san.check_device(&dev);
+        let kinds: Vec<_> = san.reports().iter().map(|d| d.kind).collect();
+        assert_eq!(
+            kinds,
+            [DiagnosticKind::DataRace, DiagnosticKind::EventWaitCycle]
+        );
+        for d in san.reports() {
+            assert!(!d.detail.contains("device"), "{}", d.detail);
+        }
+        assert!(san.reports()[1].detail.contains("stream 1 blocked"));
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::config::ServeConfig;
 use crate::request::fill_sample;
 use gpu_sim::{Device, SimTime};
 use nn::models::{spec_by_name, SpecError};
-use nn::{DispatchMode, ExecCtx, Net, NetSpec};
+use nn::{ExecCtx, Net, NetSpec};
 use sanitizer::{SanitizeMode, Sanitizer};
 
 /// An inference server: one model instance on one simulated device,
@@ -57,10 +57,7 @@ impl ServingEngine {
             .final_top()
             .expect("inference spec has no layers")
             .to_string();
-        let mut ctx = match config.mode {
-            DispatchMode::Glp4nn => ExecCtx::glp4nn(config.device.clone()),
-            mode => ExecCtx::with_mode(config.device.clone(), mode),
-        };
+        let mut ctx = ExecCtx::with_mode(config.device.clone(), config.mode);
         if opts.timing_only {
             ctx = ctx.timing_only();
         }
@@ -210,6 +207,7 @@ mod tests {
     use super::*;
     use crate::batcher::BatchPolicy;
     use gpu_sim::DeviceProps;
+    use nn::DispatchMode;
 
     fn smoke_config(mode: DispatchMode) -> ServeConfig {
         ServeConfig {

@@ -31,10 +31,7 @@ fn mode(sel: usize) -> DispatchMode {
 }
 
 fn ctx_for(mode_sel: usize, dev_sel: usize) -> ExecCtx {
-    match mode(mode_sel) {
-        DispatchMode::Glp4nn => ExecCtx::glp4nn(device(dev_sel)),
-        m => ExecCtx::with_mode(device(dev_sel), m),
-    }
+    ExecCtx::with_mode(device(dev_sel), mode(mode_sel))
 }
 
 /// Train `iters` solver steps of one of the two cheap compute-on nets;

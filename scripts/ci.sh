@@ -3,6 +3,10 @@
 # - formatting and the size ratchet: scripts/loc.sh's totals (non-test
 #   lines, `pub fn`) must not exceed scripts/loc.baseline, so a PR that grows
 #   the library raises the baseline on purpose;
+# - one integration-test binary per package: no package may have more than
+#   one target of kind `test` (targets, not files: the root tests/*.rs are
+#   modules of the one tests/integration.rs, a crate's are modules of its
+#   tests/integration/main.rs);
 # - clippy with warnings denied, release build, full test suite;
 # - the seven wall-clock-free smokes, diffed against tests/golden/smoke/:
 #   serving (dynamic batching over one replica; asserts GLP4NN throughput >=
@@ -35,6 +39,12 @@ max_fns=$(awk '$1 == "pub_fn" { print $2 }' scripts/loc.baseline)
 if [ "$lines" -gt "$max_lines" ] || [ "$fns" -gt "$max_fns" ]; then
     echo "ci: scripts/loc.sh totals ($lines lines, $fns pub fn) exceed" \
         "scripts/loc.baseline ($max_lines, $max_fns)" >&2
+    exit 1
+fi
+multi=$(cargo metadata --no-deps --format-version 1 --offline | jq -r '.packages[]
+    | select([.targets[] | select(.kind == ["test"])] | length > 1) | .name')
+if [ -n "$multi" ]; then
+    echo "ci: more than one integration-test target in package(s):" $multi >&2
     exit 1
 fi
 cargo clippy --workspace --all-targets -- -D warnings

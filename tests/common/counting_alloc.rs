@@ -1,6 +1,6 @@
 //! A counting global allocator for allocation-budget assertions.
 //!
-//! Install it in the test binary's root —
+//! Installed once, in the test binary's root —
 //!
 //! ```ignore
 //! #[global_allocator]
@@ -73,7 +73,6 @@ pub fn stop() -> u64 {
 /// Bytes this thread requested between the last [`start`] and [`stop`]
 /// (`alloc` sizes plus `realloc` growth; frees are not subtracted, so this
 /// is allocation traffic, not a high-water mark).
-#[allow(dead_code)] // each probe binary compiles its own copy of this file
 pub fn bytes() -> u64 {
     BYTES.get()
 }

@@ -1,5 +1,4 @@
-//! Golden-file comparison shared by the `*_golden.rs` test binaries
-//! (pulled in via `#[path = "common/golden.rs"] mod golden;`).
+//! Golden-file comparison shared by the `*_golden.rs` test modules.
 
 use std::path::PathBuf;
 

@@ -1,5 +1,5 @@
-//! Helpers shared by the root integration-test binaries (pulled in via
-//! `#[path = "common/mod.rs"] mod common;` — `autotests = false` keeps
-//! this file from becoming a test binary of its own).
+//! Helpers shared by the modules of the root integration-test binary
+//! (`tests/integration.rs` declares `mod common;` once).
 
 pub mod counting_alloc;
+pub mod golden;

@@ -9,20 +9,15 @@
 //! and every trace row lands in capacity that the launch path reserved up
 //! front.
 //!
-//! Lives in its own test binary so other tests' allocations cannot
-//! pollute the counter.
+//! Counting is per thread and off by default, so the tests running on
+//! the harness's other threads, which share this binary's allocator,
+//! cannot land in a probe's window.
 
-#[path = "common/mod.rs"]
-mod common;
-
-use common::counting_alloc;
+use crate::common::counting_alloc;
 use gpu_sim::{
     BufferId, ByteRange, CopyDesc, Device, DeviceProps, Dim3, Fabric, KernelCost, KernelDesc,
     LaunchConfig, LinkProps, MemAccess, StreamId,
 };
-
-#[global_allocator]
-static ALLOCATOR: counting_alloc::CountingAlloc = counting_alloc::CountingAlloc;
 
 fn kernel(i: u64, flops: f64) -> KernelDesc {
     KernelDesc::new(

@@ -15,14 +15,13 @@
 //! behaviour change:
 //!
 //! ```text
-//! UPDATE_GOLDEN=1 cargo test -p integration --test engine_golden
+//! UPDATE_GOLDEN=1 cargo test -p glp4nn-bench --test integration engine_golden::
 //! ```
 
 use gpu_sim::{Device, DeviceProps, Dim3, KernelCost, KernelDesc, LaunchConfig};
 use std::fmt::Write as _;
 
-#[path = "common/golden.rs"]
-mod golden;
+use crate::common::golden;
 
 /// `(blocks, threads, regs/thread, smem bytes, flops/block, dram bytes/block)`.
 const SHAPES: [(u32, u32, u32, u32, f64, f64); 3] = [

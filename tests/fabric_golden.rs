@@ -16,7 +16,7 @@
 //! behaviour change:
 //!
 //! ```text
-//! UPDATE_GOLDEN=1 cargo test -p integration --test fabric_golden
+//! UPDATE_GOLDEN=1 cargo test -p glp4nn-bench --test integration fabric_golden::
 //! ```
 
 use collective::{Bucket, RingComm};
@@ -25,8 +25,7 @@ use gpu_sim::{
 };
 use std::fmt::Write as _;
 
-#[path = "common/golden.rs"]
-mod golden;
+use crate::common::golden;
 
 fn compute(i: u64) -> KernelDesc {
     // Three cost classes, grids of one to three waves.

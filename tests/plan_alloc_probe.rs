@@ -17,18 +17,13 @@
 //! after one was attached and detached again — the instrumentation is a
 //! `None` check and the same sub-per-kernel bound holds.
 //!
-//! Lives in its own test binary so other tests' allocations cannot
-//! pollute the counter.
+//! Counting is per thread and off by default, so the tests running on
+//! the harness's other threads, which share this binary's allocator,
+//! cannot land in a probe's window.
 
-#[path = "common/mod.rs"]
-mod common;
-
-use common::counting_alloc;
+use crate::common::counting_alloc;
 use glp4nn::{ExecMode, ExecPlan};
 use gpu_sim::{Device, DeviceProps, Dim3, KernelCost, KernelDesc, LaunchConfig};
-
-#[global_allocator]
-static ALLOCATOR: counting_alloc::CountingAlloc = counting_alloc::CountingAlloc;
 
 fn groups(n: u64, chain: usize) -> Vec<Vec<KernelDesc>> {
     (0..n)

@@ -79,14 +79,6 @@ fn arb_groups() -> impl Strategy<Value = Vec<Vec<KernelDesc>>> {
     )
 }
 
-fn mode_ctx(props: DeviceProps, mode: DispatchMode) -> ExecCtx {
-    match mode {
-        DispatchMode::Glp4nn => ExecCtx::glp4nn(props),
-        m => ExecCtx::with_mode(props, m),
-    }
-    .timing_only()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -104,8 +96,8 @@ proptest! {
             DispatchMode::FixedStreams(4),
             DispatchMode::Glp4nn,
         ] {
-            let mut replayed = mode_ctx(props.clone(), mode);
-            let mut imperative = mode_ctx(props.clone(), mode).without_plan_reuse();
+            let mut replayed = ExecCtx::with_mode(props.clone(), mode).timing_only();
+            let mut imperative = ExecCtx::with_mode(props.clone(), mode).timing_only().without_plan_reuse();
             for ctx in [&mut replayed, &mut imperative] {
                 ctx.net_name = "propnet".to_string();
                 ctx.batch = groups.len();
@@ -137,7 +129,7 @@ fn replayed_training_is_bitwise_identical() {
     let batch = 4;
     let iters = 3;
     let run = |mode: DispatchMode, reuse: bool| -> (Vec<u32>, Vec<u32>) {
-        let mut ctx = mode_ctx(DeviceProps::p100(), mode);
+        let mut ctx = ExecCtx::with_mode(DeviceProps::p100(), mode).timing_only();
         ctx.compute = true;
         if !reuse {
             ctx = ctx.without_plan_reuse();
@@ -322,7 +314,9 @@ fn memo_replays_match_the_simulation_on_warm_loops() {
     for (spec, modes) in cases {
         for &mode in modes {
             let [mut memo, mut sim] = [false, true].map(|reference| {
-                let mut ctx = mode_ctx(DeviceProps::p100(), mode).sanitize(SanitizeMode::Full);
+                let mut ctx = ExecCtx::with_mode(DeviceProps::p100(), mode)
+                    .timing_only()
+                    .sanitize(SanitizeMode::Full);
                 if reference {
                     ctx.set_telemetry(telemetry::shared(Telemetry::new()), 0);
                 }
@@ -364,7 +358,7 @@ fn every_warm_cifar10_replay_is_a_memo_hit() {
         DispatchMode::FixedStreams(8),
         DispatchMode::Glp4nn,
     ] {
-        let mut ctx = mode_ctx(DeviceProps::p100(), mode);
+        let mut ctx = ExecCtx::with_mode(DeviceProps::p100(), mode).timing_only();
         let mut net = Net::from_spec(&models::cifar10_quick(100, 1));
         // Glp4nn profiles on the first iteration and captures on the
         // second; the other modes capture on the first.

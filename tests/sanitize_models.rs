@@ -18,12 +18,9 @@ use sanitizer::{SanitizeMode, Sanitizer};
 const MODELS: [&str; 4] = ["CIFAR10", "Siamese", "CaffeNet", "GoogLeNet"];
 
 fn sanitized_iteration(net: &str, batch: usize, mode: DispatchMode) -> ExecCtx {
-    let mut ctx = match mode {
-        DispatchMode::Glp4nn => ExecCtx::glp4nn(DeviceProps::p100()),
-        m => ExecCtx::with_mode(DeviceProps::p100(), m),
-    }
-    .timing_only()
-    .sanitize(SanitizeMode::Full);
+    let mut ctx = ExecCtx::with_mode(DeviceProps::p100(), mode)
+        .timing_only()
+        .sanitize(SanitizeMode::Full);
     let mut net_obj = Net::from_spec(&net_spec_with_batch(net, batch, 1));
     // Two iterations so GLP4NN reaches concurrent steady state (the first
     // profiles on the default stream).

@@ -7,7 +7,7 @@
 //! `tests/golden/cifar10_glp4nn.trace.json`; regenerate it with
 //!
 //! ```text
-//! UPDATE_GOLDEN=1 cargo test -p integration --test telemetry_trace
+//! UPDATE_GOLDEN=1 cargo test -p glp4nn-bench --test integration telemetry_trace::
 //! ```
 //!
 //! after an intentional trace-format or instrumentation change, and

@@ -33,22 +33,17 @@
 //!   fleet routes from a reused active-slot buffer; it used to collect a
 //!   fresh `Vec` of active slots per arrival.
 //!
-//! Lives in its own test binary so other tests' allocations cannot
-//! pollute the counter.
+//! Counting is per thread and off by default, so the tests running on
+//! the harness's other threads, which share this binary's allocator,
+//! cannot land in a probe's window.
 
-#[path = "common/mod.rs"]
-mod common;
-
-use common::counting_alloc;
+use crate::common::counting_alloc;
 use fleet::{ClassSpec, FleetConfig, FleetSim, PriorityMix, RouterPolicy};
 use gpu_sim::{DeviceProps, FabricSpec, LinkProps};
 use nn::{DispatchMode, ExecCtx, Net};
 use sanitizer::SanitizeMode;
 use serve::{BatchPolicy, EngineOptions, ServeConfig, ServingEngine};
 use telemetry::MetricsRegistry;
-
-#[global_allocator]
-static ALLOCATOR: counting_alloc::CountingAlloc = counting_alloc::CountingAlloc;
 
 fn iteration(ctx: &mut ExecCtx, net: &mut Net) {
     ctx.take_timings();

@@ -10,7 +10,7 @@
 //! largest `C_out` seen.
 
 use gpu_sim::{Device, StreamId};
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Error from stream-manager operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,14 +51,18 @@ impl StreamManager {
         }
     }
 
+    fn lock(&self) -> MutexGuard<'_, Vec<Vec<StreamId>>> {
+        self.pools.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Number of managed GPUs.
     pub fn num_gpus(&self) -> usize {
-        self.pools.lock().len()
+        self.lock().len()
     }
 
     /// Current pool size on `gpu`.
     pub fn pool_size(&self, gpu: usize) -> Result<usize, StreamError> {
-        let pools = self.pools.lock();
+        let pools = self.lock();
         pools.get(gpu).map(Vec::len).ok_or(StreamError::UnknownGpu {
             gpu,
             num_gpus: pools.len(),
@@ -73,7 +77,7 @@ impl StreamManager {
         gpu: usize,
         n: usize,
     ) -> Result<Vec<StreamId>, StreamError> {
-        let mut pools = self.pools.lock();
+        let mut pools = self.lock();
         let num_gpus = pools.len();
         let pool = pools
             .get_mut(gpu)
@@ -198,5 +202,27 @@ mod tests {
         assert_eq!(mgr.pool_size(0).unwrap(), 2);
         assert_eq!(mgr.pool_size(1).unwrap(), 4);
         assert_eq!(mgr.num_gpus(), 2);
+    }
+
+    /// A panic while one of the shared locks is held poisons neither: the
+    /// tracker and the stream manager both recover the guard.
+    #[test]
+    fn a_panic_inside_the_lock_poisons_nothing() {
+        use crate::tracker::ResourceTracker;
+        use std::panic::catch_unwind;
+
+        let tracker = ResourceTracker::new(1);
+        assert!(catch_unwind(|| tracker.enable(99)).is_err(), "no GPU 99");
+        assert_eq!(tracker.num_gpus(), 1);
+        tracker.enable(0);
+
+        let mut dev = Device::new(DeviceProps::p100());
+        let mgr = StreamManager::new(1);
+        let held = catch_unwind(|| {
+            let _pools = mgr.pools.lock();
+            panic!("panic while the pool lock is held");
+        });
+        assert!(held.is_err());
+        assert_eq!(mgr.pool(&mut dev, 0, 2).unwrap().len(), 2);
     }
 }

@@ -9,15 +9,16 @@
 
 use crate::analyzer::KernelProfile;
 use cupti_sim::{ActivityRecord, Profiler};
-use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// The shared resource tracker.
 ///
 /// Wrapped in a [`Mutex`] because the paper's architecture shares one
 /// tracker across per-GPU runtime schedulers; dispatch itself stays
 /// single-threaded (that is the point of the stream pool), so the lock is
-/// uncontended in practice.
+/// uncontended in practice. A panic inside the lock does not poison it:
+/// every call recovers the guard.
 #[derive(Debug)]
 pub struct ResourceTracker {
     inner: Mutex<TrackerInner>,
@@ -38,25 +39,29 @@ impl ResourceTracker {
         }
     }
 
+    fn lock(&self) -> MutexGuard<'_, TrackerInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Number of devices tracked.
     pub fn num_gpus(&self) -> usize {
-        self.inner.lock().profilers.len()
+        self.lock().profilers.len()
     }
 
     /// Enable profiling on one device (start of a profiling run).
     pub fn enable(&self, gpu: usize) {
-        self.inner.lock().profilers[gpu].enable();
+        self.lock().profilers[gpu].enable();
     }
 
     /// Disable profiling on one device.
     pub fn disable(&self, gpu: usize) {
-        self.inner.lock().profilers[gpu].disable();
+        self.lock().profilers[gpu].disable();
     }
 
     /// Ingest new kernel traces from device `gpu` (asynchronous activity
     /// delivery). Returns the number of kernels recorded.
     pub fn ingest(&self, gpu: usize, trace: &[gpu_sim::KernelTrace]) -> usize {
-        self.inner.lock().profilers[gpu].ingest(trace)
+        self.lock().profilers[gpu].ingest(trace)
     }
 
     /// Flush raw records and parse them into per-class kernel profiles —
@@ -64,24 +69,24 @@ impl ResourceTracker {
     /// launch configuration is taken from the first record of a class and
     /// execution time is averaged over all its instances.
     pub fn parse(&self, gpu: usize) -> Vec<KernelProfile> {
-        let records = self.inner.lock().profilers[gpu].flush();
+        let records = self.lock().profilers[gpu].flush();
         parse_records(&records)
     }
 
     /// Profiler overhead accounting for device `gpu` (Fig. 10 / Table 6).
     pub fn overhead(&self, gpu: usize) -> cupti_sim::ProfilerOverhead {
-        self.inner.lock().profilers[gpu].overhead()
+        self.lock().profilers[gpu].overhead()
     }
 
     /// Mirror device `gpu`'s profiler activity into a shared recorder
     /// (ingest instants on the host track, record counters).
     pub fn set_telemetry(&self, gpu: usize, rec: telemetry::SharedRecorder, pid: u32) {
-        self.inner.lock().profilers[gpu].set_telemetry(rec, pid);
+        self.lock().profilers[gpu].set_telemetry(rec, pid);
     }
 
     /// Detach the shared recorder from device `gpu`'s profiler.
     pub fn clear_telemetry(&self, gpu: usize) {
-        self.inner.lock().profilers[gpu].clear_telemetry();
+        self.lock().profilers[gpu].clear_telemetry();
     }
 }
 

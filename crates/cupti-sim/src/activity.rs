@@ -4,8 +4,6 @@
 //! kernel name, mirroring CUPTI's `CUpti_ActivityKernel` records. The binary
 //! round-trip is what makes the buffer pool's memory accounting honest.
 
-use bytes::{Buf, BufMut};
-
 /// Kind of activity record (subset of CUPTI's activity kinds).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ActivityKind {
@@ -112,63 +110,59 @@ impl ActivityRecord {
         self.end_ns - self.start_ns
     }
 
-    /// Serialize into `buf` (little-endian, name length-prefixed u16).
-    pub fn encode<B: BufMut>(&self, buf: &mut B) {
-        buf.put_u8(self.kind.to_u8());
-        buf.put_u64_le(self.tag);
-        buf.put_u32_le(self.stream);
-        buf.put_u32_le(self.grid.0);
-        buf.put_u32_le(self.grid.1);
-        buf.put_u32_le(self.grid.2);
-        buf.put_u32_le(self.block.0);
-        buf.put_u32_le(self.block.1);
-        buf.put_u32_le(self.block.2);
-        buf.put_u32_le(self.regs_per_thread);
-        buf.put_u32_le(self.smem_static);
-        buf.put_u32_le(self.smem_dynamic);
-        buf.put_u64_le(self.start_ns);
-        buf.put_u64_le(self.end_ns);
-        buf.put_u16_le(self.name.len() as u16);
-        buf.put_slice(self.name.as_bytes());
+    /// Append to `buf` (little-endian, name length-prefixed u16).
+    pub fn encode(&self, buf: &mut Vec<u8>) {
+        buf.push(self.kind.to_u8());
+        buf.extend_from_slice(&self.tag.to_le_bytes());
+        buf.extend_from_slice(&self.stream.to_le_bytes());
+        buf.extend_from_slice(&self.grid.0.to_le_bytes());
+        buf.extend_from_slice(&self.grid.1.to_le_bytes());
+        buf.extend_from_slice(&self.grid.2.to_le_bytes());
+        buf.extend_from_slice(&self.block.0.to_le_bytes());
+        buf.extend_from_slice(&self.block.1.to_le_bytes());
+        buf.extend_from_slice(&self.block.2.to_le_bytes());
+        buf.extend_from_slice(&self.regs_per_thread.to_le_bytes());
+        buf.extend_from_slice(&self.smem_static.to_le_bytes());
+        buf.extend_from_slice(&self.smem_dynamic.to_le_bytes());
+        buf.extend_from_slice(&self.start_ns.to_le_bytes());
+        buf.extend_from_slice(&self.end_ns.to_le_bytes());
+        buf.extend_from_slice(&(self.name.len() as u16).to_le_bytes());
+        buf.extend_from_slice(self.name.as_bytes());
     }
 
-    /// Deserialize one record from `buf`, reporting exactly how malformed
-    /// input is malformed.
-    pub fn decode<B: Buf>(buf: &mut B) -> Result<Self, DecodeError> {
-        if buf.remaining() < Self::FIXED_ENCODED_BYTES {
+    /// Deserialize one record off the front of `buf`, reporting exactly how
+    /// malformed input is malformed.
+    pub fn decode(buf: &mut &[u8]) -> Result<Self, DecodeError> {
+        if buf.len() < Self::FIXED_ENCODED_BYTES {
             return Err(DecodeError::Truncated {
                 needed: Self::FIXED_ENCODED_BYTES,
-                available: buf.remaining(),
+                available: buf.len(),
             });
         }
-        let kind_code = buf.get_u8();
+        let [kind_code] = take(buf);
         let kind = ActivityKind::from_u8(kind_code).ok_or(DecodeError::BadKind(kind_code))?;
-        let tag = buf.get_u64_le();
-        let stream = buf.get_u32_le();
-        let grid = (buf.get_u32_le(), buf.get_u32_le(), buf.get_u32_le());
-        let block = (buf.get_u32_le(), buf.get_u32_le(), buf.get_u32_le());
-        let regs_per_thread = buf.get_u32_le();
-        let smem_static = buf.get_u32_le();
-        let smem_dynamic = buf.get_u32_le();
-        let start_ns = buf.get_u64_le();
-        let end_ns = buf.get_u64_le();
-        let name_len = buf.get_u16_le() as usize;
-        if buf.remaining() < name_len {
+        let tag = u64::from_le_bytes(take(buf));
+        let [stream, g0, g1, g2, b0, b1, b2, regs_per_thread, smem_static, smem_dynamic] =
+            std::array::from_fn(|_| u32::from_le_bytes(take(buf)));
+        let start_ns = u64::from_le_bytes(take(buf));
+        let end_ns = u64::from_le_bytes(take(buf));
+        let name_len = u16::from_le_bytes(take(buf)) as usize;
+        if buf.len() < name_len {
             return Err(DecodeError::Truncated {
                 needed: name_len,
-                available: buf.remaining(),
+                available: buf.len(),
             });
         }
-        let mut name_bytes = vec![0u8; name_len];
-        buf.copy_to_slice(&mut name_bytes);
-        let name = String::from_utf8(name_bytes).map_err(|_| DecodeError::BadName)?;
+        let (name, rest) = buf.split_at(name_len);
+        *buf = rest;
+        let name = String::from_utf8(name.to_vec()).map_err(|_| DecodeError::BadName)?;
         Ok(ActivityRecord {
             kind,
             name,
             tag,
             stream,
-            grid,
-            block,
+            grid: (g0, g1, g2),
+            block: (b0, b1, b2),
             regs_per_thread,
             smem_static,
             smem_dynamic,
@@ -199,10 +193,16 @@ impl ActivityRecord {
     }
 }
 
+/// Consume the next `N` bytes of `buf`; `decode` checks the length first.
+fn take<const N: usize>(buf: &mut &[u8]) -> [u8; N] {
+    let (head, rest) = buf.split_first_chunk().expect("decode checked the length");
+    *buf = rest;
+    *head
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::BytesMut;
 
     fn sample() -> ActivityRecord {
         ActivityRecord {
@@ -223,25 +223,26 @@ mod tests {
     #[test]
     fn roundtrip() {
         let r = sample();
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         r.encode(&mut buf);
         assert_eq!(buf.len(), r.encoded_len());
-        let mut cur = buf.freeze();
+        assert_eq!(buf[1..9], 42u64.to_le_bytes(), "the tag is little-endian");
+        let mut cur = buf.as_slice();
         let back = ActivityRecord::decode(&mut cur).unwrap();
         assert_eq!(back, r);
-        assert_eq!(cur.remaining(), 0);
+        assert!(cur.is_empty());
     }
 
     #[test]
     fn multiple_records_in_sequence() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         let a = sample();
         let mut b = sample();
         b.name = "im2col".to_string();
         b.tag = 7;
         a.encode(&mut buf);
         b.encode(&mut buf);
-        let mut cur = buf.freeze();
+        let mut cur = buf.as_slice();
         assert_eq!(ActivityRecord::decode(&mut cur).unwrap(), a);
         assert_eq!(ActivityRecord::decode(&mut cur).unwrap(), b);
         // Clean exhaustion reads as a truncation with nothing available.
@@ -257,10 +258,9 @@ mod tests {
     #[test]
     fn decode_rejects_truncation() {
         let r = sample();
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         r.encode(&mut buf);
-        let truncated = buf.freeze().slice(0..10);
-        let mut cur = truncated;
+        let mut cur = &buf[..10];
         let err = ActivityRecord::decode(&mut cur).unwrap_err();
         assert_eq!(
             err,
@@ -275,22 +275,20 @@ mod tests {
     #[test]
     fn decode_rejects_bad_kind_and_name() {
         let r = sample();
-        let mut buf = BytesMut::new();
-        r.encode(&mut buf);
-        let mut bytes = buf.freeze().as_slice().to_vec();
+        let mut bytes = Vec::new();
+        r.encode(&mut bytes);
         bytes[0] = 99; // corrupt the kind byte
-        let mut cur = bytes::Bytes::from(bytes);
+        let mut cur = bytes.as_slice();
         assert_eq!(
             ActivityRecord::decode(&mut cur),
             Err(DecodeError::BadKind(99))
         );
 
-        let mut buf = BytesMut::new();
-        r.encode(&mut buf);
-        let mut bytes = buf.freeze().as_slice().to_vec();
+        let mut bytes = Vec::new();
+        r.encode(&mut bytes);
         let name_at = bytes.len() - r.name.len();
         bytes[name_at] = 0xFF; // invalid UTF-8 lead byte
-        let mut cur = bytes::Bytes::from(bytes);
+        let mut cur = bytes.as_slice();
         let err = ActivityRecord::decode(&mut cur).unwrap_err();
         assert_eq!(err, DecodeError::BadName);
         assert!(err.to_string().contains("UTF-8"), "{err}");

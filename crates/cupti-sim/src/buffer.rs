@@ -7,7 +7,6 @@
 //! larger than the other two parts in our experiments").
 
 use crate::activity::ActivityRecord;
-use bytes::{Bytes, BytesMut};
 
 /// Default size of one activity buffer (CUPTI's default is 3 MiB; the
 /// compact tracker uses smaller 512 KiB buffers).
@@ -19,7 +18,7 @@ pub const DEFAULT_POOL_BUFFERS: usize = 2;
 /// One fixed-capacity activity buffer being filled.
 #[derive(Debug)]
 pub struct ActivityBuffer {
-    buf: BytesMut,
+    buf: Vec<u8>,
     capacity: usize,
     records: usize,
 }
@@ -28,7 +27,7 @@ impl ActivityBuffer {
     /// Allocate an empty buffer with `capacity` bytes.
     pub fn new(capacity: usize) -> Self {
         ActivityBuffer {
-            buf: BytesMut::with_capacity(capacity),
+            buf: Vec::with_capacity(capacity),
             capacity,
             records: 0,
         }
@@ -59,10 +58,11 @@ impl ActivityBuffer {
         self.capacity
     }
 
-    /// Freeze and take the contents, resetting the buffer.
-    pub fn complete(&mut self) -> Bytes {
+    /// Take the contents, leaving an empty buffer that allocates again on
+    /// its next push.
+    pub fn complete(&mut self) -> Vec<u8> {
         self.records = 0;
-        self.buf.split().freeze()
+        std::mem::take(&mut self.buf)
     }
 }
 
@@ -70,7 +70,7 @@ impl ActivityBuffer {
 #[derive(Debug)]
 pub struct BufferPool {
     current: ActivityBuffer,
-    completed: Vec<Bytes>,
+    completed: Vec<Vec<u8>>,
     buffer_bytes: usize,
     num_buffers: usize,
     dropped: usize,
@@ -110,7 +110,7 @@ impl BufferPool {
 
     /// Complete the current buffer and return all full buffers, emptying
     /// the pool (the client-side "drain").
-    pub fn drain(&mut self) -> Vec<Bytes> {
+    pub fn drain(&mut self) -> Vec<Vec<u8>> {
         if self.current.records() > 0 {
             let b = self.current.complete();
             self.completed.push(b);

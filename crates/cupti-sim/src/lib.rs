@@ -11,7 +11,7 @@
 //!   (name, grid/block dims, registers per thread, static+dynamic shared
 //!   memory, stream id and start/end timestamps).
 //! - [`buffer`] — records are serialized into fixed-size binary buffers
-//!   ([`bytes`]-backed) handed over via a requested/completed double-buffer
+//!   (`Vec<u8>`) handed over via a requested/completed double-buffer
 //!   protocol, exactly like `cuptiActivityRegisterCallbacks`.
 //! - [`subscriber::Profiler`] — enable/disable, ingest kernel traces from a
 //!   [`gpu_sim::Device`], flush completed buffers, and parse records back.

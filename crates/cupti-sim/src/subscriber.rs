@@ -118,10 +118,11 @@ impl Profiler {
     pub fn flush(&mut self) -> Vec<ActivityRecord> {
         let t0 = Instant::now();
         let mut out = Vec::new();
-        for mut buf in self.pool.drain() {
+        for buf in self.pool.drain() {
+            let mut cur = buf.as_slice();
             // Clean exhaustion or a malformed tail: either way the rest of
             // this buffer is unreadable, so stop at the first decode error.
-            while let Ok(rec) = ActivityRecord::decode(&mut buf) {
+            while let Ok(rec) = ActivityRecord::decode(&mut cur) {
                 out.push(rec);
             }
         }

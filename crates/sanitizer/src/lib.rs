@@ -32,7 +32,6 @@
 
 pub mod diag;
 pub mod fabric;
-mod hb;
 pub mod lint;
 pub mod plan;
 pub mod report;

@@ -101,9 +101,9 @@ pub trait Recorder {
     fn observe(&mut self, name: &str, value: u64);
 }
 
-/// A recorder shared across subsystems. `std::sync::Mutex` (not the
-/// vendored `parking_lot`) so the unsized coercion to `dyn Recorder`
-/// works and the telemetry crate stays dependency-free.
+/// A recorder shared across subsystems. A `std::sync::Mutex`, so the
+/// unsized coercion to `dyn Recorder` works and the telemetry crate stays
+/// dependency-free.
 pub type SharedRecorder = Arc<Mutex<dyn Recorder + Send>>;
 
 /// Wrap a concrete [`Telemetry`] (or any recorder) into the shared handle

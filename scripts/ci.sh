@@ -5,9 +5,10 @@
 #   the library raises the baseline on purpose;
 # - one integration-test binary per package: no package may have more than
 #   one target of kind `test` (targets, not files: the root tests/*.rs are
-#   modules of the one tests/integration.rs). `nn`, `sanitizer` and `serve`
-#   still keep one binary per tests/*.rs file and are exempt until each
-#   folds its files into tests/integration/main.rs; the list only shrinks;
+#   modules of the one tests/integration.rs, a crate's are modules of its
+#   tests/integration/main.rs);
+# - no dead dependency edge: scripts/deps.sh fails when a normal or dev
+#   dependency is never named in its package's sources;
 # - clippy with warnings denied, release build, full test suite;
 # - the seven wall-clock-free smokes, diffed against tests/golden/smoke/:
 #   serving (dynamic batching over one replica; asserts GLP4NN throughput >=
@@ -43,10 +44,13 @@ if [ "$lines" -gt "$max_lines" ] || [ "$fns" -gt "$max_fns" ]; then
     exit 1
 fi
 multi=$(cargo metadata --no-deps --format-version 1 --offline | jq -r '.packages[]
-    | select(.name | IN("nn", "sanitizer", "serve") | not)
     | select([.targets[] | select(.kind == ["test"])] | length > 1) | .name')
 if [ -n "$multi" ]; then
     echo "ci: more than one integration-test target in package(s):" $multi >&2
+    exit 1
+fi
+if ! unused=$(bash scripts/deps.sh); then
+    echo "ci: dependencies no source names (delete the manifest line):" $unused >&2
     exit 1
 fi
 cargo clippy --workspace --all-targets -- -D warnings

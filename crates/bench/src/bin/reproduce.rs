@@ -282,10 +282,7 @@ fn fig9() {
     }
 }
 
-fn profile_net(
-    dev: DeviceProps,
-    net_name: &str,
-) -> (glp4nn::CostBook, glp4nn::framework::Glp4nn, u64) {
+fn profile_net(dev: DeviceProps, net_name: &str) -> (glp4nn::cost::CostReport, u64) {
     let spec = net_spec(net_name, 1);
     let mut ctx = ExecCtx::glp4nn(dev).timing_only();
     let mut net = Net::from_spec(&spec);
@@ -297,9 +294,9 @@ fn profile_net(
     for _ in 0..3 {
         book.add_iteration(total_ns(&iteration_timings(&mut ctx, &mut net)));
     }
-    let glp = ctx.glp.take().unwrap();
-    let iter_ns = (book.training_ns / 3) as u64;
-    (book, glp, iter_ns)
+    let cost = (ctx.glp.as_ref().and_then(|glp| glp.cost_report(0).ok()))
+        .expect("ExecCtx::glp4nn registers GPU 0 with its framework");
+    (cost, (book.training_ns / 3) as u64)
 }
 
 fn fig10() {
@@ -311,8 +308,7 @@ fn fig10() {
     for net in ["GoogLeNet", "CaffeNet", "CIFAR10", "Siamese"] {
         for dev in devices() {
             let name = dev.name.clone();
-            let (_, glp, _) = profile_net(dev, net);
-            let c = glp.cost_report(0);
+            let (c, _) = profile_net(dev, net);
             println!(
                 "{:<10} {:<10} {:>12.2} {:>12.2} {:>14.2} {:>14.2}",
                 net,
@@ -346,8 +342,7 @@ fn table6() {
     for net in ["GoogLeNet", "CaffeNet", "CIFAR10", "Siamese"] {
         for dev in devices() {
             let name = dev.name.clone();
-            let (_, glp, iter_ns) = profile_net(dev, net);
-            let c = glp.cost_report(0);
+            let (c, iter_ns) = profile_net(dev, net);
             let total_train_ns = iter_ns as u128 * train_iters(net) as u128;
             let ratio = c.t_total().as_nanos() as f64 / total_train_ns as f64;
             println!(

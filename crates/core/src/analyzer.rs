@@ -8,12 +8,10 @@
 //! `C_out = Σ #K_i` (Eq. 9), the number of streams to create.
 //!
 //! The *concurrency maintainer* caches one [`ConcurrencyPlan`] per layer
-//! per GPU so the one-time analysis cost (`T_a`, Table 6) is paid once —
-//! and, one level up, one captured [`crate::ExecPlan`] per (layer key,
-//! optimizer config) in its [`PlanCache`], so steady-state iterations replay
-//! a frozen schedule without re-deriving or re-validating it.
+//! per GPU so the one-time analysis cost (`T_a`, Table 6) is paid once. The
+//! schedules captured from those plans live one level up, in the caller's
+//! [`crate::PlanCache`].
 
-use crate::plan::PlanCache;
 use gpu_sim::DeviceProps;
 use milp::{Model, Sense, VarId, VarKind};
 use std::collections::HashMap;
@@ -61,9 +59,6 @@ pub struct KernelAnalyzer {
     props: DeviceProps,
     /// Concurrency maintainer: layer key → plan.
     plans: HashMap<String, ConcurrencyPlan>,
-    /// Frozen execution plans: (layer key + optimizer tag) → captured plan.
-    /// The analyzer is per-GPU, so device identity is implicit in the key.
-    pub exec_plans: PlanCache,
     /// Times the MILP model was solved (probe for the steady-state tests).
     solves: u64,
     /// Accumulated analysis time on this GPU (`T_a`).
@@ -76,7 +71,6 @@ impl KernelAnalyzer {
         KernelAnalyzer {
             props,
             plans: HashMap::new(),
-            exec_plans: PlanCache::default(),
             solves: 0,
             total_analysis: Duration::ZERO,
         }

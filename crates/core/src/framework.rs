@@ -8,6 +8,7 @@
 use crate::analyzer::KernelAnalyzer;
 use crate::cost::CostReport;
 use crate::optim::OptimConfig;
+use crate::plan::PlanCache;
 use crate::scheduler::{RuntimeScheduler, Schedule};
 use crate::streams::{StreamError, StreamManager};
 use crate::tracker::ResourceTracker;
@@ -214,28 +215,11 @@ impl Glp4nn {
         self.gpus.len()
     }
 
-    /// Enable or disable execution-plan reuse on every registered GPU.
-    /// With reuse off each iteration re-captures (and re-validates) its
-    /// schedule — the behaviour of the old imperative dispatch loops,
-    /// kept as the baseline for replay-equivalence checks and benchmarks.
-    pub fn set_plan_reuse(&mut self, on: bool) {
-        for rt in self.gpus.iter_mut().flatten() {
-            rt.scheduler.set_plan_reuse(on);
-        }
-    }
-
-    /// How many execution plans device `gpu` has captured so far (cache
-    /// misses; a steady-state workload should stop incrementing this).
-    pub fn plan_captures(&self, gpu: usize) -> u64 {
-        self.gpus[gpu]
-            .as_ref()
-            .map_or(0, |rt| rt.analyzer.exec_plans.captures())
-    }
-
     /// Execute one schedule source — a layer's chunk groups — on device
     /// `gpu` through the runtime scheduler's workflow (profile once, then
     /// capture over the model-sized stream pool, then replay the frozen
-    /// plan; see [`RuntimeScheduler::execute`]). With a [`Sanitizer`] attached the
+    /// plan; see [`RuntimeScheduler::execute`]). Frozen plans are kept in
+    /// `plans`, the caller's cache for `dev`. With a [`Sanitizer`] attached the
     /// schedule is verified once, at capture; replaying the executed
     /// command trace is left to the caller that owns the device's log.
     ///
@@ -245,6 +229,7 @@ impl Glp4nn {
     pub fn execute<G, S>(
         &mut self,
         dev: &mut Device,
+        plans: &mut PlanCache,
         gpu: usize,
         key: &LayerKey,
         source: Schedule<G, S>,
@@ -262,6 +247,7 @@ impl Glp4nn {
         rt.scheduler
             .execute(
                 dev,
+                plans,
                 &self.tracker,
                 &mut rt.analyzer,
                 &self.streams,
@@ -272,28 +258,30 @@ impl Glp4nn {
             .map_err(Glp4nnError::from)
     }
 
-    /// The cached concurrency plan for a layer, if analyzed.
+    /// The cached concurrency plan for a layer, if analyzed (`None` for a
+    /// GPU that is not registered).
     pub fn plan_for(&self, gpu: usize, key: &LayerKey) -> Option<crate::ConcurrencyPlan> {
-        self.gpus[gpu]
-            .as_ref()
-            .and_then(|rt| rt.analyzer.plan_for(&key.cache_key()).cloned())
+        let rt = self.gpus.get(gpu)?.as_ref()?;
+        rt.analyzer.plan_for(&key.cache_key()).cloned()
     }
 
     /// One-time overhead report for device `gpu` (Table 6 / Fig. 10 data).
-    pub fn cost_report(&self, gpu: usize) -> CostReport {
+    ///
+    /// # Errors
+    /// [`Glp4nnError::DeviceNotRegistered`] if `gpu` was never registered.
+    pub fn cost_report(&self, gpu: usize) -> Result<CostReport, Glp4nnError> {
+        let rt = self.gpus.get(gpu).and_then(Option::as_ref);
+        let rt = rt.ok_or(Glp4nnError::DeviceNotRegistered { gpu })?;
+        let t_a = rt.analyzer.total_analysis_time();
         let o = self.tracker.overhead(gpu);
-        let t_a = self.gpus[gpu]
-            .as_ref()
-            .map(|rt| rt.analyzer.total_analysis_time())
-            .unwrap_or_default();
-        CostReport {
+        Ok(CostReport {
             t_p: o.t_p,
             t_a,
             mem_tt_bytes: o.mem_tt_bytes,
             mem_k_bytes: o.mem_k_bytes,
             mem_cupti_bytes: o.mem_cupti_bytes,
             kernels_recorded: o.kernels_recorded,
-        }
+        })
     }
 
     /// Shared resource tracker (for direct inspection).
@@ -345,8 +333,11 @@ mod tests {
         );
     }
 
+    /// One dispatch through a fresh plan cache: only profiled or captured
+    /// runs, never a replay, which these tests do not look at.
     fn run(glp: &mut Glp4nn, dev: &mut Device, gpu: usize, key: &LayerKey, n: u64) -> ExecReport {
-        glp.execute(dev, gpu, key, Schedule::groups(groups(n)), None)
+        let plans = &mut PlanCache::default();
+        glp.execute(dev, plans, gpu, key, Schedule::groups(groups(n)), None)
             .unwrap()
     }
 
@@ -377,7 +368,7 @@ mod tests {
         glp.register_device(0, dev.props());
         let key = LayerKey::forward("net", "conv1");
         run(&mut glp, &mut dev, 0, &key, 6);
-        let c = glp.cost_report(0);
+        let c = glp.cost_report(0).unwrap();
         assert_eq!(c.kernels_recorded, 6);
         assert!(c.t_a.as_nanos() > 0);
         assert!(c.mem_total_bytes() > c.mem_tt_bytes + c.mem_k_bytes);
@@ -388,16 +379,29 @@ mod tests {
         let mut glp = Glp4nn::new(1);
         let mut dev = Device::new(DeviceProps::p100());
         let key = LayerKey::forward("net", "l");
+        let plans = &mut PlanCache::default();
         let err = glp
-            .execute(&mut dev, 0, &key, Schedule::groups(groups(1)), None)
+            .execute(&mut dev, plans, 0, &key, Schedule::groups(groups(1)), None)
             .unwrap_err();
         assert_eq!(err, Glp4nnError::DeviceNotRegistered { gpu: 0 });
         assert!(err.to_string().contains("not registered"), "{err}");
         // Out-of-range index is the same error, not a panic.
         assert_eq!(
-            glp.execute(&mut dev, 9, &key, Schedule::groups(groups(1)), None),
+            glp.execute(&mut dev, plans, 9, &key, Schedule::groups(groups(1)), None),
             Err(Glp4nnError::DeviceNotRegistered { gpu: 9 })
         );
+    }
+
+    #[test]
+    fn reports_on_an_unknown_gpu_are_an_error_and_none() {
+        let mut glp = Glp4nn::new(1);
+        glp.register_device(0, &DeviceProps::p100());
+        let key = LayerKey::forward("net", "l");
+        assert_eq!(
+            glp.cost_report(9).unwrap_err(),
+            Glp4nnError::DeviceNotRegistered { gpu: 9 }
+        );
+        assert_eq!(glp.plan_for(9, &key), None);
     }
 
     #[test]

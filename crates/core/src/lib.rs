@@ -44,10 +44,11 @@
 //! ## Example
 //!
 //! ```
-//! use glp4nn::{ExecMode, Glp4nn, LayerKey, Schedule};
+//! use glp4nn::{ExecMode, Glp4nn, LayerKey, PlanCache, Schedule};
 //! use gpu_sim::{Device, DeviceProps, KernelDesc, LaunchConfig, KernelCost, Dim3};
 //!
 //! let mut dev = Device::new(DeviceProps::p100());
+//! let mut plans = PlanCache::default(); // the device's frozen schedules
 //! let mut glp = Glp4nn::new(1);
 //! glp.register_device(0, dev.props());
 //!
@@ -63,11 +64,11 @@
 //! let groups: Vec<_> = (0..16).map(group).collect();
 //!
 //! // Iteration 1: profiling run on the default stream.
-//! let r1 = glp.execute(&mut dev, 0, &key, Schedule::groups(groups.clone()), None)?;
+//! let r1 = glp.execute(&mut dev, &mut plans, 0, &key, Schedule::groups(groups.clone()), None)?;
 //! assert_eq!(r1.mode, ExecMode::Profiling);
 //!
 //! // Iteration 2+: concurrent dispatch over the model-sized stream pool.
-//! let r2 = glp.execute(&mut dev, 0, &key, Schedule::groups(groups), None)?;
+//! let r2 = glp.execute(&mut dev, &mut plans, 0, &key, Schedule::groups(groups), None)?;
 //! match r2.mode {
 //!     ExecMode::Concurrent { streams } => assert!(streams >= 2),
 //!     m => panic!("expected concurrent, got {m:?}"),

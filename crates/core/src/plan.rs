@@ -11,7 +11,8 @@
 //! per-kernel heap allocation — the same division of labour as CUDA
 //! Graphs' `cudaGraphInstantiate` / `cudaGraphLaunch`.
 //!
-//! All dispatch front-ends lower to this IR:
+//! All dispatch front-ends lower to this IR, cached in the one
+//! [`PlanCache`] of the context that owns the device:
 //!
 //! * [`RuntimeScheduler::execute`](crate::scheduler::RuntimeScheduler::execute)
 //!   captures its round-robin group schedule (after §6 fusion/reordering);
@@ -21,11 +22,14 @@
 //!   explicit stream assignment
 //!   ([`capture_assigned`](ExecPlan::capture_assigned)).
 //!
+//! The first two share one replay-or-capture step ([`PlanCache::lookup`]).
+//!
 //! The contract mirrors CUDA Graphs: a captured plan freezes kernel
 //! geometry, so the cache key must cover everything the kernels depend on
 //! (here: layer, phase, batch/chunk count, dispatch mode, device).
 
 use crate::framework::{ExecMode, ExecReport};
+use crate::scheduler::tel_instant;
 use gpu_sim::{Device, EventId, KernelDesc, StreamId};
 use sanitizer::{PlanNodeRef, Sanitizer, SymGroupSpec};
 use std::collections::HashMap;
@@ -321,30 +325,106 @@ impl ExecPlan {
 }
 
 /// Frozen plans by cache key, plus the count of plans ever stored — the
-/// capture-once / replay-many cache every dispatch front-end instantiates
-/// (the per-GPU concurrency maintainer, `nn::ExecCtx`). The count is the
-/// cache-correctness probe: a steady-state workload stops incrementing it.
+/// capture-once / replay-many cache. Each `nn::ExecCtx` owns exactly one:
+/// its self-dispatched modes and the runtime scheduler reach it through the
+/// replay-or-capture step ([`lookup`](PlanCache::lookup), then
+/// [`PlanMiss::capture`]), `interop`'s whole-net plans through `get` and
+/// `store`. The count is the cache-correctness probe: a steady-state
+/// workload stops incrementing it.
 #[derive(Debug, Default)]
 pub struct PlanCache {
     plans: HashMap<String, Arc<ExecPlan>>,
     captures: u64,
+    /// Plan reuse switched off: [`lookup`](PlanCache::lookup) always misses.
+    recapture: bool,
 }
 
 impl PlanCache {
-    /// Look up a frozen plan.
+    /// Switch plan reuse off, so every dispatch re-captures and re-validates
+    /// its schedule like the old imperative launch loops: the reference arm
+    /// of the replay-equivalence checks. [`get`](PlanCache::get) ignores it.
+    pub fn disable_reuse(&mut self) {
+        self.recapture = true;
+    }
+
+    /// Look up a frozen plan, whether or not reuse is on.
     pub fn get(&self, key: &str) -> Option<&Arc<ExecPlan>> {
         self.plans.get(key)
     }
 
-    /// Store a freshly captured plan under `key` and count the capture.
-    pub fn store(&mut self, key: String, plan: Arc<ExecPlan>) {
+    /// Store a captured plan under `key`, counted, with a
+    /// `plan.capture {name}` instant on `dev`'s recorder, if any.
+    pub fn store(&mut self, dev: &Device, key: &str, name: &str, plan: Arc<ExecPlan>) {
+        tel_instant(dev, "plan", "plan.captures", || {
+            format!("plan.capture {name}")
+        });
         self.captures += 1;
-        self.plans.insert(key, plan);
+        self.plans.insert(key.to_string(), plan);
     }
 
     /// Plans stored so far (cache misses that led to a capture).
     pub fn captures(&self) -> u64 {
         self.captures
+    }
+
+    /// The replay-or-capture step: the plan cached under `key`, with a
+    /// `plan.replay {name}` instant (one map lookup, no allocation), or the
+    /// miss through which the caller's capture is verified and stored.
+    /// `name` is the traced name (the scheduler's drops its optimizer tag).
+    pub fn lookup<'c>(
+        &'c mut self,
+        dev: &Device,
+        key: &'c str,
+        name: &'c str,
+    ) -> Result<Arc<ExecPlan>, PlanMiss<'c>> {
+        if !self.recapture {
+            if let Some(plan) = self.plans.get(key) {
+                tel_instant(dev, "plan", "plan.cache_hits", || {
+                    format!("plan.replay {name}")
+                });
+                return Ok(Arc::clone(plan));
+            }
+        }
+        let cache = self;
+        Err(PlanMiss { cache, key, name })
+    }
+}
+
+/// A [`PlanCache::lookup`] miss, holding the key the capture is stored under.
+#[derive(Debug)]
+pub struct PlanMiss<'c> {
+    cache: &'c mut PlanCache,
+    key: &'c str,
+    name: &'c str,
+}
+
+impl PlanMiss<'_> {
+    /// Verify the caller's capture against its `source` if a sanitizer is
+    /// given ([`verify_capture`]; traced runs add its wall time to
+    /// `sanitize.verify_ns` and count `sanitize.certified_captures`), then
+    /// [`store`](PlanCache::store) it and return it for replay.
+    pub fn capture(
+        self,
+        dev: &Device,
+        sanitizer: Option<&mut Sanitizer>,
+        source: CaptureSource<'_>,
+        plan: ExecPlan,
+    ) -> Arc<ExecPlan> {
+        if let Some(san) = sanitizer {
+            let t0 = dev.telemetry().is_some().then(std::time::Instant::now);
+            let certified = verify_capture(san, Some(source), Some(&plan));
+            if let (Some(t0), Some(rec)) = (t0, dev.telemetry()) {
+                let mut r = rec.lock().unwrap_or_else(|p| p.into_inner());
+                r.counter_add("sanitize.verify_ns", t0.elapsed().as_nanos() as u64);
+                if certified {
+                    r.counter_add("sanitize.certified_captures", 1);
+                }
+            }
+        }
+        let plan = Arc::new(plan);
+        self.cache
+            .store(dev, self.key, self.name, Arc::clone(&plan));
+        plan
     }
 }
 
@@ -465,6 +545,20 @@ mod tests {
 
         let r2 = plan.replay(&mut dev_b);
         assert_eq!(r1.elapsed_ns, r2.elapsed_ns, "replay must be deterministic");
+    }
+
+    #[test]
+    fn round_robin_matches_group_scheduler_shape() {
+        let k = |name| kernel(name, 8, 128, 1.0e5);
+        let groups = vec![vec![k("a0"), k("a1")], vec![k("b0")], vec![k("c0")]];
+        let mut dev = Device::new(DeviceProps::p100());
+        let pool: Vec<_> = (0..2).map(|_| dev.create_stream()).collect();
+        let mode = ExecMode::Concurrent { streams: 2 };
+        let p = ExecPlan::capture_round_robin("t", &groups, &pool, mode);
+        assert_eq!(p.num_kernels(), 4);
+        assert_eq!(p.node_streams(), &[0, 0, 1, 0]);
+        assert_eq!(p.node_deps(1), &[0], "chain edge inside group");
+        assert!(p.node_deps(2).is_empty());
     }
 
     fn shared(kernels: Vec<KernelDesc>) -> Vec<Arc<KernelDesc>> {

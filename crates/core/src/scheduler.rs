@@ -12,21 +12,25 @@
 use crate::analyzer::KernelAnalyzer;
 use crate::framework::{ExecMode, ExecReport, LayerKey};
 use crate::optim::{fuse_group, reorder_groups, OptimConfig};
-use crate::plan::{verify_capture, CaptureSource, ExecPlan};
+use crate::plan::{verify_capture, CaptureSource, ExecPlan, PlanCache};
 use crate::streams::{StreamError, StreamManager};
 use crate::tracker::ResourceTracker;
 use gpu_sim::{Device, KernelDesc};
 use sanitizer::{Sanitizer, SymGroupSpec};
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 /// Emit a host-track instant plus a counter bump on the device's attached
 /// recorder, if any. The name closure runs only when telemetry is
 /// attached, so the disabled path performs no formatting and no
-/// allocation. Every plan-cache event in the workspace (this scheduler's and
-/// `nn::ExecCtx`'s self-dispatched modes) goes through here, so the
-/// instant-then-counter order the trace files pin has one definition.
-pub fn tel_instant(dev: &Device, cat: &str, counter: &str, make_name: impl FnOnce() -> String) {
+/// allocation. Every plan-cache event in the workspace ([`PlanCache`]'s)
+/// and every profiling-stage event of this scheduler goes through here, so
+/// the instant-then-counter order the trace files pin has one definition.
+pub(crate) fn tel_instant(
+    dev: &Device,
+    cat: &str,
+    counter: &str,
+    make_name: impl FnOnce() -> String,
+) {
     if let Some(rec) = dev.telemetry() {
         let mut r = rec.lock().unwrap_or_else(|p| p.into_inner());
         r.instant(
@@ -108,7 +112,6 @@ pub struct RuntimeScheduler {
     tag: String,
     /// Reused `cache_key#tag` buffer: only a miss copies it.
     key: String,
-    plan_reuse: bool,
 }
 
 impl RuntimeScheduler {
@@ -126,29 +129,22 @@ impl RuntimeScheduler {
             tag: format!("#{}", optim.cache_tag()),
             key: String::new(),
             optim,
-            plan_reuse: true,
         }
-    }
-
-    /// Enable or disable execution-plan reuse. With reuse off every
-    /// iteration re-captures (and re-validates) its schedule — the
-    /// behaviour of the old imperative dispatch loop, kept as a baseline
-    /// for the replay-equivalence checks and benchmarks.
-    pub fn set_plan_reuse(&mut self, on: bool) {
-        self.plan_reuse = on;
     }
 
     /// Execute one schedule source on `dev`: the Fig. 6 workflow, the only
     /// copy of it.
     ///
-    /// 1. *Replay.* A frozen plan is cached for `key` (qualified by the
-    ///    optimizer configuration, which changes the captured schedule):
-    ///    replay it. The hot loop does no analysis, no MILP, no plan
-    ///    validation, no per-kernel allocation, and never builds the source.
+    /// 1. *Replay.* The replay-or-capture step ([`PlanCache::lookup`])
+    ///    finds a frozen plan for `key` (qualified by the optimizer
+    ///    configuration, which changes the captured schedule) in `plans`,
+    ///    the caller's cache: replay it. The hot loop does no analysis, no
+    ///    MILP, no plan validation, no per-kernel allocation, and never
+    ///    builds the source.
     /// 2. *Capture.* The concurrency plan for `key` is known: apply the
     ///    optional §6 transforms to chunk groups (using the plan's profiled
-    ///    durations), freeze the schedule over the `C_out`-stream pool,
-    ///    verify it once, cache it, replay it.
+    ///    durations), freeze the schedule over the `C_out`-stream pool, and
+    ///    let the step's miss verify it once and cache it; replay it.
     /// 3. *Profile.* First sight of `key`: run serially on the default
     ///    stream with the resource tracker recording, feed the parsed
     ///    profiles to the analyzer. The serial plan is transient —
@@ -162,12 +158,14 @@ impl RuntimeScheduler {
     /// once ([`verify_capture`]). The executed command trace is not
     /// replayed here: the caller that owns the device's whole command log
     /// (`nn::ExecCtx::dispatch`) replays it once, in full mode.
-    // One parameter per Fig. 5 module plus the source and the optional
-    // sanitizer; a params struct would just rename the modules.
+    // One parameter per Fig. 5 module plus the device's plan cache, the
+    // source and the optional sanitizer; a params struct would just rename
+    // the modules.
     #[allow(clippy::too_many_arguments)]
     pub fn execute<G, S>(
         &mut self,
         dev: &mut Device,
+        plans: &mut PlanCache,
         tracker: &ResourceTracker,
         analyzer: &mut KernelAnalyzer,
         streams: &StreamManager,
@@ -183,19 +181,15 @@ impl RuntimeScheduler {
         let _ = write!(self.key, "{key}");
         let key_len = self.key.len();
         self.key.push_str(&self.tag);
-        if self.plan_reuse {
-            if let Some(plan) = analyzer.exec_plans.get(&self.key).cloned() {
-                tel_instant(dev, "plan", "plan.cache_hits", || {
-                    format!("plan.replay {}", &self.key[..key_len])
-                });
-                return Ok(plan.replay(dev));
-            }
-        }
-        let key_str = self.key[..key_len].to_string();
+        let name = &self.key[..key_len];
+        let miss = match plans.lookup(dev, &self.key, name) {
+            Ok(plan) => return Ok(plan.replay(dev)),
+            Err(miss) => miss,
+        };
 
         // Build the source: what gets captured, and what gets verified if
         // a sanitizer is attached.
-        let cplan = analyzer.plan_for(&key_str).cloned();
+        let cplan = analyzer.plan_for(name).cloned();
         let mut groups = (source.make_groups)();
         if let Some(cplan) = &cplan {
             let overhead = dev.props().launch_overhead_ns;
@@ -219,7 +213,7 @@ impl RuntimeScheduler {
         let site = key.site_key();
         let spec = sanitizer.as_ref().and_then(|_| (source.make_spec)());
         let source = CaptureSource {
-            context: &key_str,
+            context: name,
             site: &site,
             spec: spec.as_ref(),
             groups: &groups,
@@ -230,19 +224,8 @@ impl RuntimeScheduler {
             let mode = ExecMode::Concurrent {
                 streams: cplan.streams,
             };
-            let plan = Arc::new(ExecPlan::capture_round_robin(
-                &key_str, &groups, &pool, mode,
-            ));
-            if let Some(san) = sanitizer {
-                verify_capture(san, Some(source), Some(&plan));
-            }
-            analyzer
-                .exec_plans
-                .store(self.key.clone(), Arc::clone(&plan));
-            tel_instant(dev, "plan", "plan.captures", || {
-                format!("plan.capture {key_str}")
-            });
-            return Ok(plan.replay(dev));
+            let plan = ExecPlan::capture_round_robin(name, &groups, &pool, mode);
+            return Ok(miss.capture(dev, sanitizer, source, plan).replay(dev));
         }
 
         // Chunks must be disjoint whatever the dispatch; the serial
@@ -257,21 +240,19 @@ impl RuntimeScheduler {
         tracker.ingest(self.gpu, dev.trace());
         tracker.enable(self.gpu);
         let pool = [streams.default_stream(dev)];
-        let plan = ExecPlan::capture_round_robin(&key_str, &groups, &pool, ExecMode::Profiling);
+        let plan = ExecPlan::capture_round_robin(name, &groups, &pool, ExecMode::Profiling);
         let report = plan.replay(dev);
         tracker.ingest(self.gpu, dev.trace());
         tracker.disable(self.gpu);
         tel_span(dev, "profile", profile_start, dev.now(), || {
-            format!("profile {key_str}")
+            format!("profile {name}")
         });
         let profiles = tracker.parse(self.gpu);
         tel_instant(dev, "cupti", "cupti.flushes", || {
             format!("cupti.flush gpu{}", self.gpu)
         });
-        analyzer.analyze(&key_str, &profiles);
-        tel_instant(dev, "milp", "milp.solves", || {
-            format!("milp.solve {key_str}")
-        });
+        analyzer.analyze(name, &profiles);
+        tel_instant(dev, "milp", "milp.solves", || format!("milp.solve {name}"));
         Ok(report)
     }
 }
@@ -302,9 +283,10 @@ mod tests {
             .collect()
     }
 
-    /// One simulated GPU with its four Fig. 5 modules.
+    /// One simulated GPU with its four Fig. 5 modules and its plan cache.
     struct Rig {
         dev: Device,
+        plans: PlanCache,
         tracker: ResourceTracker,
         analyzer: KernelAnalyzer,
         streams: StreamManager,
@@ -315,6 +297,7 @@ mod tests {
         fn new() -> Self {
             Rig {
                 dev: Device::new(DeviceProps::k40c()),
+                plans: PlanCache::default(),
                 tracker: ResourceTracker::new(1),
                 analyzer: KernelAnalyzer::new(DeviceProps::k40c()),
                 streams: StreamManager::new(1),
@@ -326,6 +309,7 @@ mod tests {
             self.sched
                 .execute(
                     &mut self.dev,
+                    &mut self.plans,
                     &self.tracker,
                     &mut self.analyzer,
                     &self.streams,

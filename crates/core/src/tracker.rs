@@ -49,17 +49,26 @@ impl ResourceTracker {
     }
 
     /// Enable profiling on one device (start of a profiling run).
+    ///
+    /// # Panics
+    /// If `gpu >= self.num_gpus()`.
     pub fn enable(&self, gpu: usize) {
         self.lock().profilers[gpu].enable();
     }
 
     /// Disable profiling on one device.
+    ///
+    /// # Panics
+    /// If `gpu >= self.num_gpus()`.
     pub fn disable(&self, gpu: usize) {
         self.lock().profilers[gpu].disable();
     }
 
     /// Ingest new kernel traces from device `gpu` (asynchronous activity
     /// delivery). Returns the number of kernels recorded.
+    ///
+    /// # Panics
+    /// If `gpu >= self.num_gpus()`.
     pub fn ingest(&self, gpu: usize, trace: &[gpu_sim::KernelTrace]) -> usize {
         self.lock().profilers[gpu].ingest(trace)
     }
@@ -68,6 +77,9 @@ impl ResourceTracker {
     /// the *kernel parser* step. Records are grouped by kernel name;
     /// launch configuration is taken from the first record of a class and
     /// execution time is averaged over all its instances.
+    ///
+    /// # Panics
+    /// If `gpu >= self.num_gpus()`.
     pub fn parse(&self, gpu: usize) -> Vec<KernelProfile> {
         let records = self.lock().profilers[gpu].flush();
         parse_records(&records)

@@ -415,16 +415,9 @@ impl Fabric {
     /// Number of worker threads [`run`](Fabric::run) may use to step
     /// devices concurrently under conservative lookahead. 1 (the
     /// default) keeps the global earliest-event loop. Any worker
-    /// count yields byte-identical results — see
-    /// [`run_with_workers`](Fabric::run_with_workers).
+    /// count yields byte-identical results — see [`run`](Fabric::run).
     pub fn set_workers(&mut self, workers: usize) {
         self.workers = workers.max(1);
-    }
-
-    /// Builder form of [`set_workers`](Fabric::set_workers).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.set_workers(workers);
-        self
     }
 
     /// The smallest latency of any configured link — the conservative
@@ -432,7 +425,7 @@ impl Fabric {
     /// global time `T` lands strictly after `T + min_link_latency`, so
     /// devices may safely advance that far ahead of their peers.
     /// `None` when no links exist (devices are then fully independent).
-    pub fn min_link_latency(&self) -> Option<SimTime> {
+    fn min_link_latency(&self) -> Option<SimTime> {
         self.links
             .iter()
             .flatten()
@@ -634,10 +627,9 @@ impl Fabric {
     /// Run all devices to completion, scheduling link transfers as their
     /// source halves become ready. Returns the latest device clock.
     ///
-    /// Uses the worker count configured by
+    /// Uses up to the worker count configured by
     /// [`set_workers`](Fabric::set_workers); results are byte-identical
-    /// for every worker count (see
-    /// [`run_with_workers`](Fabric::run_with_workers)).
+    /// for every worker count (see `run_with_workers`).
     pub fn run(&mut self, devs: &mut [&mut Device]) -> SimTime {
         self.run_with_workers(devs, self.workers)
     }
@@ -671,7 +663,7 @@ impl Fabric {
     /// "Quiescent fabric-run memo"): its second sighting records, later ones
     /// apply the recording where every device's residue program is proven to
     /// repeat.
-    pub fn run_with_workers(&mut self, devs: &mut [&mut Device], workers: usize) -> SimTime {
+    fn run_with_workers(&mut self, devs: &mut [&mut Device], workers: usize) -> SimTime {
         assert_eq!(
             devs.len(),
             self.num_devices,
@@ -871,8 +863,7 @@ impl Fabric {
     }
 
     /// Conservative-lookahead rounds with per-device parallelism. See
-    /// [`run_with_workers`](Fabric::run_with_workers) for the horizon
-    /// argument.
+    /// `run_with_workers` for the horizon argument.
     fn run_lookahead(&mut self, devs: &mut [&mut Device], workers: usize) {
         let lookahead = self.min_link_latency();
         // (ready time, src device, discovery step, copy): same-link copies
@@ -1483,7 +1474,8 @@ mod tests {
                 (1, s1, mem("b", 1 << 16)),
             );
             fab.copy_p2p(h, desc).unwrap();
-            fab.run_with_workers(h, workers);
+            fab.set_workers(workers);
+            fab.run(h);
             fab.memo_stats()
         };
         let stats: Vec<_> = (0..4).map(|_| episode(&mut fab, &mut h, 1)).collect();

@@ -213,7 +213,7 @@ impl InterOpExec {
             None => 0,
         };
         let key = format!("{}/interop/{}/b{batch}", self.spec.name, phase.as_str());
-        let (loss, plan) = match ctx.cached_plan(&key) {
+        let (loss, plan) = match ctx.plans.get(&key).cloned() {
             Some(plan) => {
                 ctx.set_suppress(true);
                 let loss = layers(ctx, net);
@@ -382,7 +382,7 @@ impl InterOpExec {
             );
         }
 
-        ctx.store_plan(key.to_string(), Arc::clone(&plan));
+        ctx.plans.store(&ctx.device, key, key, Arc::clone(&plan));
         self.reports.push(PhaseReport {
             phase,
             key: key.to_string(),

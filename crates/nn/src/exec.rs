@@ -1,7 +1,6 @@
 //! Execution context: simulated device + dispatch policy + timing capture.
 
-use glp4nn::plan::{verify_capture, CaptureSource};
-use glp4nn::scheduler::tel_instant;
+use glp4nn::plan::CaptureSource;
 use glp4nn::{ExecMode, ExecPlan, ExecReport, Glp4nn, LayerKey, Phase, PlanCache, Schedule};
 use gpu_sim::{Device, DeviceProps, EventId, KernelDesc, SimTime, StreamId};
 use sanitizer::{LintConfig, SanitizeMode, Sanitizer, SymGroupSpec};
@@ -89,15 +88,13 @@ pub struct ExecCtx {
     /// [`sanitize`]: ExecCtx::sanitize
     pub sanitizer: Sanitizer,
     fixed_pool: Vec<StreamId>,
-    /// Frozen execution plans captured by this context: per-site plans of
-    /// the self-dispatched (non-Glp4nn) modes, keyed by
-    /// `net/layer/phase/batch/chunks/pool`, and the inter-operator
-    /// scheduler's whole-net plans, keyed by `net/interop/phase/batch`
-    /// (the Nimble-style AOT cache). The Glp4nn mode caches inside the
-    /// framework's concurrency maintainer instead.
-    plans: PlanCache,
+    /// Every frozen execution plan this context captured, in one cache:
+    /// self-dispatched sites keyed `net/layer/phase/batch/chunks/pool`,
+    /// Glp4nn sites `net/layer/phase/chunks#optim` (the runtime scheduler
+    /// writes them here), and the inter-operator scheduler's whole-net
+    /// plans `net/interop/phase/batch` (the Nimble-style AOT cache).
+    pub plans: PlanCache,
     key: String,
-    plan_reuse: bool,
     /// Staging mode: dispatches are recorded instead of executed (layers
     /// still run their CPU math). Used by the inter-operator scheduler to
     /// harvest every kernel group of a whole pass before building one
@@ -139,7 +136,7 @@ impl ExecCtx {
 
     /// Context with an explicit dispatch mode. In `Glp4nn` mode the same
     /// framework as [`glp4nn`](ExecCtx::glp4nn)'s attaches on the first
-    /// dispatch, taking the plan-reuse setting and recorder set by then.
+    /// dispatch, taking the recorder set by then.
     pub fn with_mode(props: DeviceProps, mode: DispatchMode) -> Self {
         ExecCtx {
             device: Device::new(props),
@@ -155,7 +152,6 @@ impl ExecCtx {
             fixed_pool: Vec::new(),
             plans: PlanCache::default(),
             key: String::new(),
-            plan_reuse: true,
             staged: None,
             suppress: false,
             deferred: false,
@@ -163,23 +159,19 @@ impl ExecCtx {
         }
     }
 
-    /// Disable execution-plan reuse: every dispatch re-captures (and
-    /// re-validates) its schedule, the behaviour of the old imperative
-    /// launch loops. Kept as the baseline for replay-equivalence checks.
+    /// Disable execution-plan reuse ([`PlanCache::disable_reuse`]): every
+    /// dispatch, in every mode, re-captures (and re-validates) its schedule.
+    /// Kept as the baseline for replay-equivalence checks.
     pub fn without_plan_reuse(mut self) -> Self {
-        self.plan_reuse = false;
-        if let Some(glp) = self.glp.as_mut() {
-            glp.set_plan_reuse(false);
-        }
+        self.plans.disable_reuse();
         self
     }
 
-    /// How many execution plans this context has captured (including, in
-    /// Glp4nn mode, captures inside the attached framework). A
+    /// How many execution plans this context has captured, in any mode. A
     /// steady-state workload stops incrementing this: every later
     /// iteration is a pure plan replay.
     pub fn plan_captures(&self) -> u64 {
-        self.plans.captures() + self.glp.as_ref().map_or(0, |g| g.plan_captures(self.gpu))
+        self.plans.captures()
     }
 
     /// Disable real CPU math (timing-only experiments).
@@ -261,19 +253,6 @@ impl ExecCtx {
     /// the caller replays one cached net-level plan for the device work.
     pub fn set_suppress(&mut self, on: bool) {
         self.suppress = on;
-    }
-
-    /// Look up a plan in this context's cache.
-    pub fn cached_plan(&self, key: &str) -> Option<Arc<ExecPlan>> {
-        self.plans.get(key).cloned()
-    }
-
-    /// Cache a freshly captured plan (counts as a plan capture).
-    pub fn store_plan(&mut self, key: String, plan: Arc<ExecPlan>) {
-        tel_instant(&self.device, "plan", "plan.captures", || {
-            format!("plan.capture {key}")
-        });
-        self.plans.store(key, plan);
     }
 
     /// Grow the context's stream pool to at least `n` streams and return
@@ -405,20 +384,20 @@ impl ExecCtx {
                     make_groups: &make_groups,
                     make_spec: &make_spec,
                 };
-                let (device, plan_reuse) = (&self.device, self.plan_reuse);
+                let device = &self.device;
                 let glp = self.glp.get_or_insert_with(|| {
                     // `mode` was set without going through
                     // [`glp4nn`](ExecCtx::glp4nn): same framework, late.
                     let mut glp = Glp4nn::new(1);
                     glp.register_device(0, device.props());
-                    glp.set_plan_reuse(plan_reuse);
                     if let Some(rec) = device.telemetry() {
                         glp.tracker()
                             .set_telemetry(0, Arc::clone(rec), device.telemetry_pid());
                     }
                     glp
                 });
-                match glp.execute(&mut self.device, self.gpu, &key, source, san) {
+                let (dev, plans) = (&mut self.device, &mut self.plans);
+                match glp.execute(dev, plans, self.gpu, &key, source, san) {
                     Ok(report) => report,
                     // An attached framework that does not manage this GPU
                     // leaves the layer in original Caffe form.
@@ -464,11 +443,11 @@ impl ExecCtx {
         );
     }
 
-    /// The capture-once / replay-many core of the self-dispatched modes:
-    /// on a cache hit the frozen plan replays (tight issue loop, no
-    /// validation, no per-kernel allocation); on a miss the groups are
-    /// built, captured round-robin over `pool`, statically validated
-    /// once, cached, and replayed.
+    /// The capture-once / replay-many core of the self-dispatched modes
+    /// ([`PlanCache::lookup`]): on a hit the frozen plan replays (tight
+    /// issue loop, no validation, no per-kernel allocation); on a miss the
+    /// groups are built, captured round-robin over `pool`, statically
+    /// validated once, cached, and replayed.
     fn replay_or_capture(
         &mut self,
         layer: &str,
@@ -479,54 +458,33 @@ impl ExecCtx {
         make_groups: impl FnOnce() -> Vec<Vec<KernelDesc>>,
     ) -> ExecReport {
         self.plan_key(layer, phase, chunks, pool.len());
-        if self.plan_reuse {
-            if let Some(plan) = self.cached_plan(&self.key) {
-                tel_instant(&self.device, "plan", "plan.cache_hits", || {
-                    format!("plan.replay {}", self.key)
-                });
-                return self.replay_or_issue(&plan);
-            }
-        }
-        let key = self.key.clone();
-        let groups = make_groups();
-        let mode = if pool.len() <= 1 {
-            ExecMode::Profiling // serial on default stream
-        } else {
-            ExecMode::Concurrent {
-                streams: pool.len() as u32,
+        let key = &self.key;
+        let plan = match self.plans.lookup(&self.device, key, key) {
+            Ok(plan) => plan,
+            Err(miss) => {
+                let groups = make_groups();
+                let mode = if pool.len() <= 1 {
+                    ExecMode::Profiling // serial on default stream
+                } else {
+                    ExecMode::Concurrent {
+                        streams: pool.len() as u32,
+                    }
+                };
+                let plan = ExecPlan::capture_round_robin(key, &groups, pool, mode);
+                let san = self.sanitizer.is_enabled().then_some(&mut self.sanitizer);
+                // Shape-independent: one disjointness proof covers every
+                // batch size and chunk count the site is captured at.
+                let site = format!("{}/{}/{}", self.net_name, layer, phase.as_str());
+                let spec = san.as_ref().and_then(|_| make_spec());
+                let source = CaptureSource {
+                    context: if spec.is_some() { key } else { layer },
+                    site: &site,
+                    spec: spec.as_ref(),
+                    groups: &groups,
+                };
+                miss.capture(&self.device, san, source, plan)
             }
         };
-        let plan = Arc::new(ExecPlan::capture_round_robin(&key, &groups, pool, mode));
-        if self.sanitizer.is_enabled() {
-            // Wall time of capture-time verification (chunk check + plan
-            // validation + lint), surfaced as a telemetry counter.
-            // Observation only: the clock is read solely when a recorder
-            // is attached, so default runs stay wall-clock-free.
-            let t0 = self
-                .device
-                .telemetry()
-                .is_some()
-                .then(std::time::Instant::now);
-            // Shape-independent: one disjointness proof covers every batch
-            // size and chunk count the site is captured at.
-            let site = format!("{}/{}/{}", self.net_name, layer, phase.as_str());
-            let spec = make_spec();
-            let source = CaptureSource {
-                context: if spec.is_some() { &key } else { layer },
-                site: &site,
-                spec: spec.as_ref(),
-                groups: &groups,
-            };
-            let certified = verify_capture(&mut self.sanitizer, Some(source), Some(&plan));
-            if let (Some(t0), Some(rec)) = (t0, self.device.telemetry()) {
-                let mut r = rec.lock().unwrap_or_else(|p| p.into_inner());
-                r.counter_add("sanitize.verify_ns", t0.elapsed().as_nanos() as u64);
-                if certified {
-                    r.counter_add("sanitize.certified_captures", 1);
-                }
-            }
-        }
-        self.store_plan(key, Arc::clone(&plan));
         self.replay_or_issue(&plan)
     }
 
@@ -700,8 +658,9 @@ mod tests {
         assert_eq!(timeline(&late), timeline(&ctx));
         assert_eq!(late.plan_captures(), ctx.plan_captures());
 
-        // The late framework also inherits plan reuse switched off before
-        // it attached, and a recorder attached before the first dispatch
+        // Plan reuse switched off before the framework attached holds for
+        // it too (the switch is on the context's one cache), and the late
+        // framework inherits a recorder attached before the first dispatch
         // (its profiler's ingest spans land under the device's pid).
         let run = |mut ctx: ExecCtx, reuse: bool, traced: bool| {
             if !reuse {

@@ -176,8 +176,8 @@ impl DataParallelTrainer {
 
     /// Let the fabric step replicas' devices on up to `workers` threads
     /// under conservative lookahead. Simulation results are byte-identical
-    /// for any worker count (see [`Fabric::run_with_workers`]); this only
-    /// changes real wall-clock time.
+    /// for any worker count (see [`Fabric::run`]); this only changes real
+    /// wall-clock time.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.fabric.set_workers(workers);
         self

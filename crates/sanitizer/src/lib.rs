@@ -8,11 +8,12 @@
 //! dependency is preserved. This crate turns that claim from an argument
 //! into a machine-checked property, in two layers:
 //!
-//! - **Static plan checking** ([`plan::DispatchPlan`]): given the schedule
-//!   a dispatcher is about to execute — kernels, target streams, declared
-//!   dependencies — prove chunk output regions pairwise disjoint, flag
-//!   RAW/WAW/WAR hazards not covered by a declared dep or stream order,
-//!   and detect event-wait cycles (deadlock). All before anything runs.
+//! - **Static plan checking** ([`PlanNodeRef`] views of a frozen plan):
+//!   given the schedule a dispatcher is about to execute — kernels, target
+//!   streams, declared dependencies — prove chunk output regions pairwise
+//!   disjoint, flag RAW/WAW/WAR hazards not covered by a declared dep or
+//!   stream order, and detect event-wait cycles (deadlock). All before
+//!   anything runs.
 //! - **Dynamic happens-before checking** ([`fabric`]): replay the recorded
 //!   command traces (launch, event record/wait, peer-to-peer copy,
 //!   synchronize) of one device or of every device of a fabric with
@@ -40,7 +41,7 @@ pub mod symbolic;
 
 pub use diag::{LintCode, LintDiag, Severity};
 pub use lint::{LintConfig, LintStats, Linter, PlanLintSummary};
-pub use plan::{DispatchPlan, PlanNode, PlanNodeRef};
+pub use plan::PlanNodeRef;
 pub use report::{ConflictSite, Diagnostic, DiagnosticKind, KernelRef};
 pub use symbolic::{
     SymAccess, SymAccessSet, SymConflict, SymGroupSpec, SymKernel, SymRange, SymVerdict,
@@ -368,20 +369,9 @@ impl Sanitizer {
             .map(|l| l.lint_analysis(label, nodes, &analysis, records_events))
     }
 
-    /// Static check of a dispatch plan: out-of-range deps, event-wait
-    /// cycles, and hazards not covered by declared deps or stream order.
-    pub fn check_plan(&mut self, plan: &DispatchPlan) {
-        if !self.is_enabled() {
-            return;
-        }
-        self.stats.plans_checked += 1;
-        self.stats.plan_pairs += plan.check(&mut self.reports);
-    }
-
-    /// Static check of a schedule given as borrowed node views — the
-    /// zero-copy form of [`check_plan`](Sanitizer::check_plan), used to
-    /// validate a captured execution plan exactly once at capture time
-    /// without rebuilding a [`DispatchPlan`].
+    /// Static check of a schedule given as borrowed node views, such as a
+    /// captured execution plan's: out-of-range deps, event-wait cycles, and
+    /// hazards not covered by declared deps or stream order.
     pub fn check_plan_ref(&mut self, label: &str, nodes: &[PlanNodeRef<'_>]) {
         if !self.is_enabled() {
             return;

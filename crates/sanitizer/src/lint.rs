@@ -416,7 +416,7 @@ impl Linter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::DispatchPlan;
+    use crate::plan::tests::refs;
     use gpu_sim::{BufferId, ByteRange, Dim3, KernelCost, KernelDesc, LaunchConfig};
 
     fn cfg() -> LintConfig {
@@ -434,20 +434,21 @@ mod tests {
         )
     }
 
-    fn lint(plan: &DispatchPlan, records_events: bool) -> (Linter, PlanLintSummary) {
+    fn lint(nodes: &[PlanNodeRef<'_>], records_events: bool) -> (Linter, PlanLintSummary) {
         let mut l = Linter::new(cfg());
-        let s = l.lint_plan(&plan.label, &plan.node_refs(), records_events, false);
+        let s = l.lint_plan("t", nodes, records_events, false);
         (l, s)
     }
 
     #[test]
     fn redundant_event_edge_is_pw001() {
         // a(s0) → b(s1) → c(s0), plus a direct wait c → a: implied.
-        let mut p = DispatchPlan::new("t");
-        let a = p.add(kernel("a"), 0, &[]);
-        let b = p.add(kernel("b"), 1, &[a]);
-        p.add(kernel("c"), 2, &[b, a]);
-        let (l, s) = lint(&p, true);
+        let p = [
+            (kernel("a"), 0, vec![]),
+            (kernel("b"), 1, vec![0]),
+            (kernel("c"), 2, vec![1, 0]),
+        ];
+        let (l, s) = lint(&refs(&p), true);
         assert_eq!(s.performance, 1 + 1, "PW001 plus PW003 for unused events");
         let codes: Vec<&str> = l.diags().iter().map(|d| d.code.code()).collect();
         assert!(codes.contains(&"PW001"), "{codes:?}");
@@ -457,20 +458,19 @@ mod tests {
 
     #[test]
     fn necessary_event_edge_is_not_flagged() {
-        let mut p = DispatchPlan::new("t");
-        let a = p.add(kernel("a"), 0, &[]);
-        p.add(kernel("b"), 1, &[a]);
-        let (l, _) = lint(&p, false);
+        let p = [(kernel("a"), 0, vec![]), (kernel("b"), 1, vec![0])];
+        let (l, _) = lint(&refs(&p), false);
         assert!(l.diags().iter().all(|d| d.code.code() != "PW001"));
     }
 
     #[test]
     fn independent_same_stream_pair_is_pw002() {
         let buf = BufferId::from_label("lint/a");
-        let mut p = DispatchPlan::new("t");
-        p.add(kernel("w0").writes(buf, ByteRange::new(0, 64)), 0, &[]);
-        p.add(kernel("w1").writes(buf, ByteRange::new(64, 128)), 0, &[]);
-        let (l, s) = lint(&p, false);
+        let p = [
+            (kernel("w0").writes(buf, ByteRange::new(0, 64)), 0, vec![]),
+            (kernel("w1").writes(buf, ByteRange::new(64, 128)), 0, vec![]),
+        ];
+        let (l, s) = lint(&refs(&p), false);
         assert_eq!(s.performance, 1);
         assert_eq!(l.diags()[0].code.code(), "PW002");
         assert!(l.diags()[0].message.contains("stream 0"));
@@ -480,15 +480,21 @@ mod tests {
     fn pw002_suppressed_by_dep_conflict_or_occupancy() {
         let buf = BufferId::from_label("lint/b");
         // Declared dep: required serialization.
-        let mut p = DispatchPlan::new("t");
-        let a = p.add(kernel("w0").writes(buf, ByteRange::new(0, 64)), 0, &[]);
-        p.add(kernel("w1").writes(buf, ByteRange::new(64, 128)), 0, &[a]);
-        assert_eq!(lint(&p, false).1.performance, 0);
+        let p = [
+            (kernel("w0").writes(buf, ByteRange::new(0, 64)), 0, vec![]),
+            (
+                kernel("w1").writes(buf, ByteRange::new(64, 128)),
+                0,
+                vec![0],
+            ),
+        ];
+        assert_eq!(lint(&refs(&p), false).1.performance, 0);
         // Conflicting accesses: required serialization.
-        let mut p = DispatchPlan::new("t");
-        p.add(kernel("w0").writes(buf, ByteRange::new(0, 64)), 0, &[]);
-        p.add(kernel("w1").writes(buf, ByteRange::new(0, 64)), 0, &[]);
-        assert_eq!(lint(&p, false).1.performance, 0);
+        let p = [
+            (kernel("w0").writes(buf, ByteRange::new(0, 64)), 0, vec![]),
+            (kernel("w1").writes(buf, ByteRange::new(0, 64)), 0, vec![]),
+        ];
+        assert_eq!(lint(&refs(&p), false).1.performance, 0);
         // Saturating kernel: occupancy-justified.
         let big = KernelDesc::new(
             "big",
@@ -496,39 +502,37 @@ mod tests {
             KernelCost::new(1.0e5, 1.0e4),
         )
         .writes(buf, ByteRange::new(0, 64));
-        let mut p = DispatchPlan::new("t");
-        p.add(big, 0, &[]);
-        p.add(kernel("w1").writes(buf, ByteRange::new(64, 128)), 0, &[]);
-        assert_eq!(lint(&p, false).1.performance, 0);
+        let p = [
+            (big, 0, vec![]),
+            (kernel("w1").writes(buf, ByteRange::new(64, 128)), 0, vec![]),
+        ];
+        assert_eq!(lint(&refs(&p), false).1.performance, 0);
     }
 
     #[test]
     fn unordered_hazard_is_pl001_unless_proven() {
         let buf = BufferId::from_label("lint/c");
-        let mut p = DispatchPlan::new("t");
-        p.add(kernel("w0").writes(buf, ByteRange::new(0, 64)), 0, &[]);
-        p.add(kernel("w1").writes(buf, ByteRange::new(32, 96)), 1, &[]);
-        let (l, s) = lint(&p, false);
+        let p = [
+            (kernel("w0").writes(buf, ByteRange::new(0, 64)), 0, vec![]),
+            (kernel("w1").writes(buf, ByteRange::new(32, 96)), 1, vec![]),
+        ];
+        let (l, s) = lint(&refs(&p), false);
         assert_eq!(s.correctness, 1);
         assert_eq!(l.diags()[0].code.code(), "PL001");
         // With a certificate the scan is skipped.
         let mut l2 = Linter::new(cfg());
-        let s2 = l2.lint_plan(&p.label, &p.node_refs(), false, true);
+        let s2 = l2.lint_plan("t", &refs(&p), false, true);
         assert_eq!(s2.correctness, 0);
     }
 
     #[test]
     fn wait_cycle_and_dangling_wait_are_pl003() {
-        let mut p = DispatchPlan::new("t");
-        p.add(kernel("k0"), 0, &[1]);
-        p.add(kernel("k1"), 1, &[0]);
-        let (l, s) = lint(&p, false);
+        let p = [(kernel("k0"), 0, vec![1]), (kernel("k1"), 1, vec![0])];
+        let (l, s) = lint(&refs(&p), false);
         assert_eq!(s.correctness, 1);
         assert_eq!(l.diags()[0].code.code(), "PL003");
 
-        let mut p = DispatchPlan::new("t");
-        p.add(kernel("k"), 0, &[9]);
-        let (l, _) = lint(&p, false);
+        let (l, _) = lint(&refs(&[(kernel("k"), 0, vec![9])]), false);
         assert!(l.diags().iter().any(|d| d.message.contains("nonexistent")));
     }
 
@@ -539,9 +543,8 @@ mod tests {
             max_resident_threads: 1 << 16,
         });
         let buf = BufferId::from_label("lint/d");
-        let mut p = DispatchPlan::new("t");
-        p.add(kernel("w").writes(buf, ByteRange::new(0, 200)), 0, &[]);
-        let s = l.lint_plan(&p.label, &p.node_refs(), false, false);
+        let p = [(kernel("w").writes(buf, ByteRange::new(0, 200)), 0, vec![])];
+        let s = l.lint_plan("t", &refs(&p), false, false);
         assert_eq!(s.correctness, 1);
         assert_eq!(l.diags()[0].code.code(), "PL005");
         assert!(
@@ -562,20 +565,19 @@ mod tests {
             BufferId::from_label("lint/e1"),
             BufferId::from_label("lint/e2"),
         );
-        let mut p = DispatchPlan::new("t");
-        let a = p.add(kernel("w1").writes(b1, ByteRange::new(0, 80)), 0, &[]);
-        p.add(kernel("w2").writes(b2, ByteRange::new(0, 80)), 0, &[a]);
-        let s = l.lint_plan(&p.label, &p.node_refs(), false, false);
+        let p = [
+            (kernel("w1").writes(b1, ByteRange::new(0, 80)), 0, vec![]),
+            (kernel("w2").writes(b2, ByteRange::new(0, 80)), 0, vec![0]),
+        ];
+        let s = l.lint_plan("t", &refs(&p), false, false);
         assert_eq!(s.correctness, 0, "{}", l.render());
     }
 
     #[test]
     fn unused_events_only_for_recording_plans() {
-        let mut p = DispatchPlan::new("t");
-        p.add(kernel("a"), 0, &[]);
-        p.add(kernel("b"), 1, &[]);
-        assert_eq!(lint(&p, false).1.performance, 0);
-        let (l, s) = lint(&p, true);
+        let p = [(kernel("a"), 0, vec![]), (kernel("b"), 1, vec![])];
+        assert_eq!(lint(&refs(&p), false).1.performance, 0);
+        let (l, s) = lint(&refs(&p), true);
         assert_eq!(s.performance, 1);
         assert_eq!(l.diags()[0].code.code(), "PW003");
     }
@@ -584,10 +586,11 @@ mod tests {
     fn stats_count_by_severity() {
         let buf = BufferId::from_label("lint/f");
         let mut l = Linter::new(cfg());
-        let mut p = DispatchPlan::new("t");
-        p.add(kernel("w0").writes(buf, ByteRange::new(0, 64)), 0, &[]);
-        p.add(kernel("w1").writes(buf, ByteRange::new(32, 96)), 1, &[]);
-        l.lint_plan(&p.label, &p.node_refs(), false, false);
+        let p = [
+            (kernel("w0").writes(buf, ByteRange::new(0, 64)), 0, vec![]),
+            (kernel("w1").writes(buf, ByteRange::new(32, 96)), 1, vec![]),
+        ];
+        l.lint_plan("t", &refs(&p), false, false);
         assert_eq!(l.stats().plans_linted, 1);
         assert_eq!(l.stats().errors, 1);
     }

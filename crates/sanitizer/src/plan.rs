@@ -1,119 +1,27 @@
-//! Dispatch plans and the static schedule checker.
-//!
-//! A [`DispatchPlan`] is the sanitizer's model of what a scheduler is
-//! *about* to do: an issue-ordered list of kernels, each with a target
-//! stream and a set of declared dependencies. [`DispatchPlan::round_robin`]
-//! mirrors the group scheduler's dispatch policy, so the checker validates
-//! exactly the schedule that would execute — before anything executes.
+//! The static schedule checker. A plan is what a scheduler is *about* to
+//! do: an issue-ordered slice of [`PlanNodeRef`] views (kernel, target
+//! stream, declared dependencies) borrowed from the frozen execution plan
+//! being captured, so the checker validates exactly the schedule that
+//! would execute, before anything executes.
 
 use crate::report::{ConflictSite, Diagnostic, DiagnosticKind, KernelRef};
 use crate::sweep::{conflict_candidates, pairs_covered};
 use gpu_sim::{AccessConflict, AccessSet, KernelDesc};
 
-/// One node of a dispatch plan.
-#[derive(Debug, Clone)]
-pub struct PlanNode {
-    /// The kernel to launch.
-    pub kernel: KernelDesc,
-    /// Target stream (pool-relative index).
-    pub stream: usize,
-    /// Plan-node indices whose completion this node waits for (cross-stream
-    /// deps become event record/wait pairs at dispatch time).
-    pub deps: Vec<usize>,
-}
-
-/// A borrowed view of one plan node, so a frozen execution plan can be
-/// validated in place — no kernels cloned into a [`DispatchPlan`] per
-/// check. [`DispatchPlan::check`] itself runs on this view.
+/// A borrowed view of one plan node, so a frozen execution plan is
+/// validated in place, with no kernel cloned per check.
 #[derive(Debug, Clone, Copy)]
 pub struct PlanNodeRef<'a> {
     /// The kernel to launch.
     pub kernel: &'a KernelDesc,
     /// Target stream (pool-relative index).
     pub stream: usize,
-    /// Plan-node indices whose completion this node waits for.
+    /// Plan-node indices whose completion this node waits for (cross-stream
+    /// deps become event record/wait pairs at dispatch time). Not
+    /// validated on construction: the checker flags out-of-range deps and
+    /// wait cycles, which is the point — fault injection builds
+    /// deliberately broken plans.
     pub deps: &'a [usize],
-}
-
-/// An issue-ordered schedule: which kernel goes to which stream, after
-/// which dependencies.
-#[derive(Debug, Clone, Default)]
-pub struct DispatchPlan {
-    nodes: Vec<PlanNode>,
-    /// Human-readable label for diagnostics (layer key, net name...).
-    pub label: String,
-}
-
-impl DispatchPlan {
-    /// Empty plan with a diagnostic label.
-    pub fn new(label: &str) -> Self {
-        DispatchPlan {
-            nodes: Vec::new(),
-            label: label.to_string(),
-        }
-    }
-
-    /// Append a node; returns its index. Dependency indices are *not*
-    /// validated here — [`check`](crate::Sanitizer::check_plan) flags
-    /// out-of-range deps and wait cycles, which is the point: fault
-    /// injection builds deliberately broken plans.
-    pub fn add(&mut self, kernel: KernelDesc, stream: usize, deps: &[usize]) -> usize {
-        self.nodes.push(PlanNode {
-            kernel,
-            stream,
-            deps: deps.to_vec(),
-        });
-        self.nodes.len() - 1
-    }
-
-    /// The plan the group scheduler would execute: group `i` is an ordered
-    /// chain on stream `i % num_streams`, with chain edges as deps.
-    pub fn round_robin(label: &str, groups: &[Vec<KernelDesc>], num_streams: usize) -> Self {
-        let num_streams = num_streams.max(1);
-        let mut plan = DispatchPlan::new(label);
-        for (g, group) in groups.iter().enumerate() {
-            let mut prev: Option<usize> = None;
-            for k in group {
-                let deps: Vec<usize> = prev.into_iter().collect();
-                prev = Some(plan.add(k.clone(), g % num_streams, &deps));
-            }
-        }
-        plan
-    }
-
-    /// Plan nodes in issue order.
-    pub fn nodes(&self) -> &[PlanNode] {
-        &self.nodes
-    }
-
-    /// Number of kernels in the plan.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether the plan is empty.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// Borrowed node views in issue order.
-    pub fn node_refs(&self) -> Vec<PlanNodeRef<'_>> {
-        self.nodes
-            .iter()
-            .map(|n| PlanNodeRef {
-                kernel: &n.kernel,
-                stream: n.stream,
-                deps: &n.deps,
-            })
-            .collect()
-    }
-
-    /// Check the plan: out-of-range deps, event-wait cycles (deadlock),
-    /// and memory conflicts not covered by happens-before. Appends
-    /// diagnostics to `out`; returns the number of kernel pairs compared.
-    pub(crate) fn check(&self, out: &mut Vec<Diagnostic>) -> u64 {
-        check_nodes(&self.label, &self.node_refs(), out, true)
-    }
 }
 
 fn kernel_ref(nodes: &[PlanNodeRef<'_>], i: usize) -> KernelRef {
@@ -363,9 +271,21 @@ pub(crate) fn check_nodes(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use gpu_sim::{BufferId, ByteRange, Dim3, KernelCost, LaunchConfig};
+
+    /// Borrowed node views over owned `(kernel, stream, deps)` rows: the
+    /// shape the checker and the linter take.
+    pub(crate) fn refs(rows: &[(KernelDesc, usize, Vec<usize>)]) -> Vec<PlanNodeRef<'_>> {
+        rows.iter()
+            .map(|(kernel, stream, deps)| PlanNodeRef {
+                kernel,
+                stream: *stream,
+                deps,
+            })
+            .collect()
+    }
 
     fn kernel(name: &str) -> KernelDesc {
         KernelDesc::new(
@@ -376,33 +296,19 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_matches_group_scheduler_shape() {
-        let groups = vec![
-            vec![kernel("a0"), kernel("a1")],
-            vec![kernel("b0")],
-            vec![kernel("c0")],
-        ];
-        let p = DispatchPlan::round_robin("t", &groups, 2);
-        assert_eq!(p.len(), 4);
-        let streams: Vec<usize> = p.nodes().iter().map(|n| n.stream).collect();
-        assert_eq!(streams, vec![0, 0, 1, 0]);
-        assert_eq!(p.nodes()[1].deps, vec![0], "chain edge inside group");
-        assert!(p.nodes()[2].deps.is_empty());
-    }
-
-    #[test]
     fn clean_plan_has_no_diagnostics() {
         let buf = BufferId::from_label("plan/x");
-        let groups: Vec<Vec<KernelDesc>> = (0..4)
+        // Four one-kernel chunks, one per stream.
+        let p: Vec<_> = (0..4)
             .map(|i| {
-                vec![kernel("k")
+                let k = kernel("k")
                     .with_tag(i)
-                    .writes(buf, ByteRange::span(i * 64, 64))]
+                    .writes(buf, ByteRange::span(i * 64, 64));
+                (k, i as usize, vec![])
             })
             .collect();
-        let p = DispatchPlan::round_robin("t", &groups, 4);
         let mut out = Vec::new();
-        let pairs = p.check(&mut out);
+        let pairs = check_nodes("t", &refs(&p), &mut out, true);
         assert_eq!(out, vec![]);
         assert_eq!(pairs, 6);
     }
@@ -410,11 +316,12 @@ mod tests {
     #[test]
     fn unordered_conflict_is_a_missing_dependency() {
         let buf = BufferId::from_label("plan/y");
-        let mut p = DispatchPlan::new("t");
-        p.add(kernel("w0").writes(buf, ByteRange::new(0, 128)), 0, &[]);
-        p.add(kernel("w1").writes(buf, ByteRange::new(64, 192)), 1, &[]);
+        let p = [
+            (kernel("w0").writes(buf, ByteRange::new(0, 128)), 0, vec![]),
+            (kernel("w1").writes(buf, ByteRange::new(64, 192)), 1, vec![]),
+        ];
         let mut out = Vec::new();
-        p.check(&mut out);
+        check_nodes("t", &refs(&p), &mut out, true);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].kind, DiagnosticKind::MissingDependency);
         let s = out[0].to_string();
@@ -426,30 +333,33 @@ mod tests {
     fn dep_or_same_stream_covers_the_hazard() {
         let buf = BufferId::from_label("plan/z");
         // Same conflict, covered by a declared dep.
-        let mut p = DispatchPlan::new("t");
-        let a = p.add(kernel("w0").writes(buf, ByteRange::new(0, 128)), 0, &[]);
-        p.add(kernel("w1").writes(buf, ByteRange::new(0, 128)), 1, &[a]);
+        let p = [
+            (kernel("w0").writes(buf, ByteRange::new(0, 128)), 0, vec![]),
+            (kernel("w1").writes(buf, ByteRange::new(0, 128)), 1, vec![0]),
+        ];
         let mut out = Vec::new();
-        p.check(&mut out);
+        check_nodes("t", &refs(&p), &mut out, true);
         assert_eq!(out, vec![]);
         // Covered by stream FIFO order instead.
-        let mut p = DispatchPlan::new("t");
-        p.add(kernel("w0").writes(buf, ByteRange::new(0, 128)), 3, &[]);
-        p.add(kernel("w1").writes(buf, ByteRange::new(0, 128)), 3, &[]);
+        let p = [
+            (kernel("w0").writes(buf, ByteRange::new(0, 128)), 3, vec![]),
+            (kernel("w1").writes(buf, ByteRange::new(0, 128)), 3, vec![]),
+        ];
         let mut out = Vec::new();
-        p.check(&mut out);
+        check_nodes("t", &refs(&p), &mut out, true);
         assert_eq!(out, vec![]);
     }
 
     #[test]
     fn transitive_order_suppresses_false_positives() {
         let buf = BufferId::from_label("plan/t");
-        let mut p = DispatchPlan::new("t");
-        let a = p.add(kernel("a").writes(buf, ByteRange::new(0, 64)), 0, &[]);
-        let b = p.add(kernel("b"), 1, &[a]);
-        p.add(kernel("c").reads(buf, ByteRange::new(0, 64)), 2, &[b]);
+        let p = [
+            (kernel("a").writes(buf, ByteRange::new(0, 64)), 0, vec![]),
+            (kernel("b"), 1, vec![0]),
+            (kernel("c").reads(buf, ByteRange::new(0, 64)), 2, vec![1]),
+        ];
         let mut out = Vec::new();
-        p.check(&mut out);
+        check_nodes("t", &refs(&p), &mut out, true);
         assert_eq!(out, vec![], "a → b → c orders a before c transitively");
     }
 
@@ -457,11 +367,9 @@ mod tests {
     fn cross_stream_wait_cycle_is_detected() {
         // Stream 0: k0 waits on k1 (enqueued later on stream 1); stream 1:
         // k1 waits on k0. Neither can ever start.
-        let mut p = DispatchPlan::new("t");
-        p.add(kernel("k0"), 0, &[1]);
-        p.add(kernel("k1"), 1, &[0]);
+        let p = [(kernel("k0"), 0, vec![1]), (kernel("k1"), 1, vec![0])];
         let mut out = Vec::new();
-        p.check(&mut out);
+        check_nodes("t", &refs(&p), &mut out, true);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].kind, DiagnosticKind::EventWaitCycle);
         assert!(out[0].to_string().contains("cycle"), "{}", out[0]);
@@ -469,10 +377,8 @@ mod tests {
 
     #[test]
     fn dangling_dep_is_reported() {
-        let mut p = DispatchPlan::new("t");
-        p.add(kernel("k"), 0, &[7]);
         let mut out = Vec::new();
-        p.check(&mut out);
+        check_nodes("t", &refs(&[(kernel("k"), 0, vec![7])]), &mut out, true);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].kind, DiagnosticKind::EventWaitCycle);
         assert!(out[0].to_string().contains("nonexistent"), "{}", out[0]);

@@ -117,7 +117,7 @@ pub(crate) mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{DispatchPlan, PlanNodeRef};
+    use crate::plan::PlanNodeRef;
     use crate::{Diagnostic, LintConfig, LintDiag, LintStats, SanitizeMode, Sanitizer};
     use crate::{SanitizerStats, SymGroupSpec};
     use gpu_sim::{BufferId, ByteRange, Device, DeviceProps, Dim3, KernelCost, KernelDesc};
@@ -173,7 +173,7 @@ mod tests {
         assert_eq!(candidates(&[set(&[(0, 0, 64)], &[(0, 32, 96)])]), vec![]);
         // None of the above reaches a consumer's report either.
         let mut san = Sanitizer::new(SanitizeMode::PlanOnly);
-        san.check_plan(&DispatchPlan::new("empty"));
+        san.check_plan_ref("empty", &[]);
         san.check_chunks("empty", &[]);
         assert_eq!(san.reports(), &[]);
         assert_eq!(san.stats().plan_pairs + san.stats().chunk_pairs, 0);

@@ -11,10 +11,11 @@
 //!   that is never recorded (dynamic).
 //! - `data-race` — conflicting launches on unordered streams (dynamic).
 
+use crate::refs;
 use gpu_sim::{
     BufferId, ByteRange, Device, DeviceProps, Dim3, KernelCost, KernelDesc, LaunchConfig,
 };
-use sanitizer::{DiagnosticKind, DispatchPlan, SanitizeMode, Sanitizer};
+use sanitizer::{DiagnosticKind, SanitizeMode, Sanitizer};
 
 fn kernel(name: &str) -> KernelDesc {
     KernelDesc::new(
@@ -44,19 +45,28 @@ fn sample_chain(i: u64) -> Vec<KernelDesc> {
 fn dropped_dep_in_plan_is_a_missing_dependency() {
     // Correct plan: each sample's sgemm depends on its im2col, samples on
     // separate streams. Clean.
-    let groups: Vec<Vec<KernelDesc>> = (0..4).map(sample_chain).collect();
+    let good: Vec<_> = (0..4)
+        .flat_map(|i| {
+            let (chain, s) = (sample_chain(i), i as usize);
+            [
+                (chain[0].clone(), s, vec![]),
+                (chain[1].clone(), s, vec![2 * s]),
+            ]
+        })
+        .collect();
     let mut san = Sanitizer::new(SanitizeMode::PlanOnly);
-    san.check_plan(&DispatchPlan::round_robin("good", &groups, 4));
+    san.check_plan_ref("good", &refs(&good));
     assert_eq!(san.reports(), &[], "correct plan must be silent");
 
     // Fault: rebuild the same schedule by hand but put sample 0's sgemm on
     // a different stream than its im2col and drop the dependency between
     // them — the RAW hazard on fi/col is no longer covered.
-    let mut plan = DispatchPlan::new("dropped-dep");
     let chain = sample_chain(0);
-    plan.add(chain[0].clone(), 0, &[]);
-    plan.add(chain[1].clone(), 1, &[]); // should have been deps = [0]
-    san.check_plan(&plan);
+    let plan = [
+        (chain[0].clone(), 0, vec![]),
+        (chain[1].clone(), 1, vec![]), // should have been deps = [0]
+    ];
+    san.check_plan_ref("dropped-dep", &refs(&plan));
     assert_eq!(san.reports().len(), 1);
     let d = &san.reports()[0];
     assert_eq!(d.kind, DiagnosticKind::MissingDependency);
@@ -94,13 +104,11 @@ fn widened_chunk_region_overlaps_its_neighbour() {
 
 #[test]
 fn circular_plan_deps_are_an_event_wait_cycle() {
-    // DispatchPlan::add doesn't validate deps, precisely so faults like
-    // this can be constructed: node 0 waits on node 1 and vice versa.
-    let mut plan = DispatchPlan::new("cycle");
-    plan.add(kernel("a"), 0, &[1]);
-    plan.add(kernel("b"), 1, &[0]);
+    // Plan nodes carry unvalidated deps, precisely so faults like this can
+    // be constructed: node 0 waits on node 1 and vice versa.
+    let plan = [(kernel("a"), 0, vec![1]), (kernel("b"), 1, vec![0])];
     let mut san = Sanitizer::new(SanitizeMode::PlanOnly);
-    san.check_plan(&plan);
+    san.check_plan_ref("cycle", &refs(&plan));
     assert!(san
         .reports()
         .iter()
@@ -111,11 +119,9 @@ fn circular_plan_deps_are_an_event_wait_cycle() {
 fn self_wait_in_plan_is_an_event_wait_cycle() {
     // The shortest cycle: a node whose own completion it waits for. The
     // rest of the plan is sound, so this is the only report.
-    let mut plan = DispatchPlan::new("self-wait");
-    plan.add(kernel("a"), 0, &[]);
-    plan.add(kernel("b"), 1, &[0, 1]);
+    let plan = [(kernel("a"), 0, vec![]), (kernel("b"), 1, vec![0, 1])];
     let mut san = Sanitizer::new(SanitizeMode::PlanOnly);
-    san.check_plan(&plan);
+    san.check_plan_ref("self-wait", &refs(&plan));
     let reports = san.reports();
     assert_eq!(reports.len(), 1, "{reports:?}");
     assert_eq!(reports[0].kind, DiagnosticKind::EventWaitCycle);

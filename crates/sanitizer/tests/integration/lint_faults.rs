@@ -10,10 +10,10 @@
 //! - `PL004` — a symbolic declaration that disagrees with the built kernels.
 //! - `PL005` — peak live-buffer footprint over device memory.
 
+use crate::refs;
 use gpu_sim::{BufferId, ByteRange, Dim3, KernelCost, KernelDesc, LaunchConfig};
 use sanitizer::{
-    DiagnosticKind, DispatchPlan, LintConfig, SanitizeMode, Sanitizer, SymGroupSpec, SymKernel,
-    SymRange,
+    DiagnosticKind, LintConfig, SanitizeMode, Sanitizer, SymGroupSpec, SymKernel, SymRange,
 };
 
 fn kernel(name: &str) -> KernelDesc {
@@ -44,14 +44,15 @@ fn lint_codes(san: &Sanitizer) -> Vec<&'static str> {
 fn redundant_event_edge_surfaces_as_pw001() {
     // a(s0) → b(s1) → c(s2) plus a direct wait c → a: the direct edge is
     // outside the transitive reduction.
-    let mut p = DispatchPlan::new("lf/redundant");
-    let a = p.add(kernel("a"), 0, &[]);
-    let b = p.add(kernel("b"), 1, &[a]);
-    p.add(kernel("c"), 2, &[b, a]);
+    let p = [
+        (kernel("a"), 0, vec![]),
+        (kernel("b"), 1, vec![0]),
+        (kernel("c"), 2, vec![1, 0]),
+    ];
     let mut san = Sanitizer::new(SanitizeMode::PlanOnly);
     san.attach_linter(cfg());
-    san.check_plan(&p);
-    san.lint_plan_nodes("lf/redundant", &p.node_refs(), true, false);
+    san.check_plan_ref("lf/redundant", &refs(&p));
+    san.lint_plan_nodes("lf/redundant", &refs(&p), true, false);
     assert!(san.reports().is_empty(), "{:?}", san.reports());
     assert!(
         lint_codes(&san).contains(&"PW001"),
@@ -63,25 +64,24 @@ fn redundant_event_edge_surfaces_as_pw001() {
 #[test]
 fn same_stream_independent_pair_surfaces_as_pw002() {
     let buf = BufferId::from_label("lf/pw002");
-    let mut p = DispatchPlan::new("lf/serial");
-    p.add(kernel("w0").writes(buf, ByteRange::new(0, 64)), 0, &[]);
-    p.add(kernel("w1").writes(buf, ByteRange::new(64, 128)), 0, &[]);
+    let p = [
+        (kernel("w0").writes(buf, ByteRange::new(0, 64)), 0, vec![]),
+        (kernel("w1").writes(buf, ByteRange::new(64, 128)), 0, vec![]),
+    ];
     let mut san = Sanitizer::new(SanitizeMode::PlanOnly);
     san.attach_linter(cfg());
-    san.check_plan(&p);
-    san.lint_plan_nodes("lf/serial", &p.node_refs(), false, false);
+    san.check_plan_ref("lf/serial", &refs(&p));
+    san.lint_plan_nodes("lf/serial", &refs(&p), false, false);
     assert!(san.reports().is_empty(), "{:?}", san.reports());
     assert_eq!(lint_codes(&san), vec!["PW002"]);
 }
 
 #[test]
 fn unconsumed_events_surface_as_pw003() {
-    let mut p = DispatchPlan::new("lf/unused");
-    p.add(kernel("a"), 0, &[]);
-    p.add(kernel("b"), 1, &[]);
+    let p = [(kernel("a"), 0, vec![]), (kernel("b"), 1, vec![])];
     let mut san = Sanitizer::new(SanitizeMode::PlanOnly);
     san.attach_linter(cfg());
-    san.lint_plan_nodes("lf/unused", &p.node_refs(), true, false);
+    san.lint_plan_nodes("lf/unused", &refs(&p), true, false);
     assert_eq!(lint_codes(&san), vec!["PW003"]);
 }
 
@@ -149,20 +149,21 @@ fn over_capacity_buffer_set_surfaces_as_pl005() {
         mem_bytes: 1000,
         max_resident_threads: 1 << 16,
     });
-    let mut p = DispatchPlan::new("lf/oom");
-    let a = p.add(
-        kernel("w0").writes(BufferId::from_label("lf/big0"), ByteRange::new(0, 600)),
-        0,
-        &[],
+    let (big0, big1) = (
+        BufferId::from_label("lf/big0"),
+        BufferId::from_label("lf/big1"),
     );
-    p.add(
-        kernel("w1")
-            .reads(BufferId::from_label("lf/big0"), ByteRange::new(0, 600))
-            .writes(BufferId::from_label("lf/big1"), ByteRange::new(0, 600)),
-        0,
-        &[a],
-    );
-    san.lint_plan_nodes("lf/oom", &p.node_refs(), false, false);
+    let p = [
+        (kernel("w0").writes(big0, ByteRange::new(0, 600)), 0, vec![]),
+        (
+            kernel("w1")
+                .reads(big0, ByteRange::new(0, 600))
+                .writes(big1, ByteRange::new(0, 600)),
+            0,
+            vec![0],
+        ),
+    ];
+    san.lint_plan_nodes("lf/oom", &refs(&p), false, false);
     assert_eq!(lint_codes(&san), vec!["PL005"]);
     let rendered = san.linter().unwrap().render();
     assert!(rendered.contains("1200 B"), "{rendered}");
@@ -172,19 +173,20 @@ fn over_capacity_buffer_set_surfaces_as_pl005() {
 fn rendering_is_byte_identical_across_runs() {
     let run = || {
         let buf = BufferId::from_label("lf/det");
-        let mut p = DispatchPlan::new("lf/det");
-        let a = p.add(kernel("a").writes(buf, ByteRange::new(0, 64)), 0, &[]);
-        let b = p.add(kernel("b").writes(buf, ByteRange::new(64, 128)), 1, &[a]);
-        p.add(
-            kernel("c").writes(buf, ByteRange::new(128, 192)),
-            2,
-            &[b, a],
-        );
-        p.add(kernel("d").writes(buf, ByteRange::new(192, 256)), 2, &[]);
+        let p = [
+            (kernel("a").writes(buf, ByteRange::new(0, 64)), 0, vec![]),
+            (kernel("b").writes(buf, ByteRange::new(64, 128)), 1, vec![0]),
+            (
+                kernel("c").writes(buf, ByteRange::new(128, 192)),
+                2,
+                vec![1, 0],
+            ),
+            (kernel("d").writes(buf, ByteRange::new(192, 256)), 2, vec![]),
+        ];
         let mut san = Sanitizer::new(SanitizeMode::PlanOnly);
         san.attach_linter(cfg());
-        san.check_plan(&p);
-        san.lint_plan_nodes("lf/det", &p.node_refs(), true, false);
+        san.check_plan_ref("lf/det", &refs(&p));
+        san.lint_plan_nodes("lf/det", &refs(&p), true, false);
         san.linter().unwrap().render()
     };
     let first = run();

@@ -8,9 +8,10 @@
 //!    `Refuted` spec's witness chunks conflict concretely whenever the
 //!    shape contains both.
 
+use crate::refs;
 use gpu_sim::{Dim3, KernelCost, KernelDesc, LaunchConfig};
 use proptest::prelude::*;
-use sanitizer::{DispatchPlan, LintConfig, Linter, SymGroupSpec, SymKernel, SymRange, SymVerdict};
+use sanitizer::{LintConfig, Linter, SymGroupSpec, SymKernel, SymRange, SymVerdict};
 use std::collections::BTreeSet;
 
 fn kernel(name: &str) -> KernelDesc {
@@ -21,7 +22,7 @@ fn kernel(name: &str) -> KernelDesc {
     )
 }
 
-/// The happens-before edge set a `DispatchPlan` induces: declared deps
+/// The happens-before edge set a plan induces: declared deps
 /// plus the implicit FIFO edge from each node to its stream predecessor —
 /// minus `removed` (declared edges only, as `(dep, node)` pairs).
 fn hb_closure(
@@ -90,15 +91,12 @@ proptest! {
                 }
             }
         }
-        let mut plan = DispatchPlan::new("pt/hb");
-        for i in 0..n {
-            plan.add(kernel("k"), streams[i], &deps[i]);
-        }
+        let plan: Vec<_> = (0..n).map(|i| (kernel("k"), streams[i], deps[i].clone())).collect();
         let mut linter = Linter::new(LintConfig {
             mem_bytes: 1 << 40,
             max_resident_threads: 1 << 16,
         });
-        linter.lint_plan("pt/hb", &plan.node_refs(), false, true);
+        linter.lint_plan("pt/hb", &refs(&plan), false, true);
         let flagged: BTreeSet<(usize, usize)> = linter
             .diags()
             .iter()

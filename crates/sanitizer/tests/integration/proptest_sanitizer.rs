@@ -2,9 +2,10 @@
 //! schedule, and a single injected fault — a dropped dependency or a
 //! widened chunk region — is always reported.
 
+use crate::refs;
 use gpu_sim::{BufferId, ByteRange, Dim3, KernelCost, KernelDesc, LaunchConfig};
 use proptest::prelude::*;
-use sanitizer::{DiagnosticKind, DispatchPlan, SanitizeMode, Sanitizer};
+use sanitizer::{DiagnosticKind, SanitizeMode, Sanitizer};
 
 fn kernel(name: &str, tag: u64) -> KernelDesc {
     KernelDesc::new(
@@ -52,7 +53,15 @@ proptest! {
         let groups = schedule(chunks, depth, stride_elems * 4);
         let mut san = Sanitizer::new(SanitizeMode::PlanOnly);
         san.check_chunks("pt", &groups);
-        san.check_plan(&DispatchPlan::round_robin("pt", &groups, pool));
+        // Chunk `c` is a chain on stream `c % pool`.
+        let mut plan = Vec::new();
+        for (c, chain) in groups.iter().enumerate() {
+            for (k, kd) in chain.iter().enumerate() {
+                let deps = if k == 0 { vec![] } else { vec![plan.len() - 1] };
+                plan.push((kd.clone(), c % pool, deps));
+            }
+        }
+        san.check_plan_ref("pt", &refs(&plan));
         prop_assert_eq!(san.reports(), &[]);
         // The checks genuinely ran (unless there was nothing to compare).
         if chunks > 1 {
@@ -79,27 +88,26 @@ proptest! {
         // Every kernel on its own stream, consecutive chain kernels
         // linked by an explicit dep: declared deps are the only ordering.
         let build = |drop: Option<(usize, usize)>| {
-            let mut plan = DispatchPlan::new("pt");
-            let mut idx = 0usize;
+            let mut plan = Vec::new();
             for (c, chain) in groups.iter().enumerate() {
                 for (k, kd) in chain.iter().enumerate() {
+                    let idx = plan.len();
                     let deps: Vec<usize> = if k == 0 || drop == Some((c, k)) {
                         vec![]
                     } else {
                         vec![idx - 1]
                     };
-                    plan.add(kd.clone(), idx, &deps);
-                    idx += 1;
+                    plan.push((kd.clone(), idx, deps));
                 }
             }
             plan
         };
 
         let mut san = Sanitizer::new(SanitizeMode::PlanOnly);
-        san.check_plan(&build(None));
+        san.check_plan_ref("pt", &refs(&build(None)));
         prop_assert_eq!(san.reports(), &[]);
 
-        san.check_plan(&build(Some((victim_chunk, victim_link))));
+        san.check_plan_ref("pt", &refs(&build(Some((victim_chunk, victim_link)))));
         let missing: Vec<_> = san
             .reports()
             .iter()

@@ -7,7 +7,7 @@
 //! cargo run --release --example multi_gpu
 //! ```
 
-use glp4nn::{ExecMode, Glp4nn, Glp4nnError, LayerKey, Schedule};
+use glp4nn::{ExecMode, Glp4nn, Glp4nnError, LayerKey, PlanCache, Schedule};
 use gpu_sim::{Device, DeviceProps, Dim3, KernelCost, KernelDesc, LaunchConfig};
 
 /// A CaffeNet-conv3-shaped per-sample kernel chain.
@@ -54,9 +54,11 @@ fn main() -> Result<(), Glp4nnError> {
         "GPU", "profile(ms)", "steady(ms)", "speedup", "plan (streams)"
     );
     for (i, dev) in devices.iter_mut().enumerate() {
-        let r1 = glp.execute(dev, i, &key, Schedule::groups(groups(32)), None)?;
+        // Each device keeps its frozen schedules in its own cache.
+        let plans = &mut PlanCache::default();
+        let r1 = glp.execute(dev, plans, i, &key, Schedule::groups(groups(32)), None)?;
         assert_eq!(r1.mode, ExecMode::Profiling);
-        let r2 = glp.execute(dev, i, &key, Schedule::groups(groups(32)), None)?;
+        let r2 = glp.execute(dev, plans, i, &key, Schedule::groups(groups(32)), None)?;
         let streams = match r2.mode {
             ExecMode::Concurrent { streams } => streams,
             _ => unreachable!("plan must exist after profiling"),
@@ -72,7 +74,7 @@ fn main() -> Result<(), Glp4nnError> {
     }
     println!("\nper-GPU overheads (shared tracker keeps separate books):");
     for i in 0..devices.len() {
-        let c = glp.cost_report(i);
+        let c = glp.cost_report(i)?;
         println!(
             "  gpu{}: {} kernels profiled, T_p {:.3} ms, T_a {:.3} ms, mem_total {:.1} KB",
             i,

@@ -3,7 +3,7 @@
 //! multi-GPU training. (Dataflow dependency graphs are `interop`'s whole-net
 //! wave plans; `crates/interop/tests` and `reproduce interop` cover them.)
 
-use glp4nn::{Glp4nn, LayerKey, OptimConfig, Schedule};
+use glp4nn::{Glp4nn, LayerKey, OptimConfig, PlanCache, Schedule};
 use gpu_sim::{Device, DeviceProps, Dim3, KernelCost, KernelDesc, LaunchConfig};
 use nn::data::SyntheticDataset;
 use nn::models;
@@ -39,9 +39,10 @@ fn fusion_reduces_launches_and_time_for_small_kernels() {
         let mut glp = Glp4nn::with_optim(1, optim);
         glp.register_device(0, dev.props());
         let key = LayerKey::forward("net", "tiny");
+        let mut plans = PlanCache::default();
         let mut run = |dev: &mut Device| {
-            glp.execute(dev, 0, &key, Schedule::groups(small_groups(16)), None)
-                .unwrap()
+            let groups = Schedule::groups(small_groups(16));
+            glp.execute(dev, &mut plans, 0, &key, groups, None).unwrap()
         };
         run(&mut dev); // profile
         let before = dev.trace().len();

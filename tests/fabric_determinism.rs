@@ -97,7 +97,8 @@ fn run_fabric(
         copy_ids.push(id);
     }
 
-    let end = fabric.run_with_workers(&mut devs, workers);
+    fabric.set_workers(workers);
+    let end = fabric.run(&mut devs);
     let ro: Vec<&Device> = devices.iter().collect();
     let csv = fabric.merged_timeline(&ro).render_csv();
     let spans = copy_ids.iter().map(|&id| fabric.copy_span(id)).collect();

@@ -3,7 +3,7 @@
 //! analyzer and runtime scheduler, and all GPUs in the same machine share
 //! a public resource tracker and stream manager" (paper §3.1).
 
-use glp4nn::{ExecReport, Glp4nn, LayerKey, Schedule};
+use glp4nn::{ExecReport, Glp4nn, LayerKey, PlanCache, Schedule};
 use gpu_sim::{Device, DeviceProps, Dim3, KernelCost, KernelDesc, LaunchConfig};
 
 fn groups(n: u64, flops: f64) -> Vec<Vec<KernelDesc>> {
@@ -35,7 +35,9 @@ fn run(
     n: u64,
     f: f64,
 ) -> ExecReport {
-    glp.execute(dev, gpu, key, Schedule::groups(groups(n, f)), None)
+    // A fresh plan cache: every call here profiles or captures.
+    let plans = &mut PlanCache::default();
+    glp.execute(dev, plans, gpu, key, Schedule::groups(groups(n, f)), None)
         .expect("registered gpu")
 }
 
@@ -97,8 +99,8 @@ fn shared_tracker_keeps_per_gpu_overheads_separate() {
         1.0e6,
     );
 
-    let c0 = glp.cost_report(0);
-    let c1 = glp.cost_report(1);
+    let c0 = glp.cost_report(0).unwrap();
+    let c1 = glp.cost_report(1).unwrap();
     assert_eq!(c0.kernels_recorded, 8);
     assert_eq!(c1.kernels_recorded, 20);
 }

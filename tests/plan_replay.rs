@@ -16,7 +16,7 @@ use glp4nn::analyzer::KernelAnalyzer;
 use glp4nn::scheduler::{RuntimeScheduler, Schedule};
 use glp4nn::streams::StreamManager;
 use glp4nn::tracker::ResourceTracker;
-use glp4nn::{LayerKey, OptimConfig, Phase};
+use glp4nn::{LayerKey, OptimConfig, Phase, PlanCache};
 use gpu_sim::{Device, DeviceProps, Dim3, KernelCost, KernelDesc, LaunchConfig};
 use nn::data::SyntheticDataset;
 use nn::{models, DispatchMode, ExecCtx, Net, NetSpec, Solver, SolverConfig};
@@ -214,15 +214,39 @@ fn ctx_plan_cache_keys_on_batch_chunks_and_mode() {
     assert_eq!(ctx.plan_captures(), 5, "phase change must miss");
     split(&mut ctx, Phase::Backward, 4);
     assert_eq!(ctx.plan_captures(), 5, "warm key must keep hitting");
+
+    // Plan reuse off is one switch on the context's one cache: every
+    // dispatch of an unchanged key captures again, in each of the three
+    // modes (Glp4nn's profiling dispatch, which captures nothing, first).
+    for mode in [
+        DispatchMode::Naive,
+        DispatchMode::FixedStreams(4),
+        DispatchMode::Glp4nn,
+    ] {
+        let mut ctx = ExecCtx::with_mode(DeviceProps::p100(), mode)
+            .timing_only()
+            .without_plan_reuse();
+        ctx.net_name = "net".to_string();
+        ctx.batch = 8;
+        if mode == DispatchMode::Glp4nn {
+            split(&mut ctx, Phase::Forward, 8);
+            assert_eq!(ctx.plan_captures(), 0, "profiling captures nothing");
+        }
+        for n in 1..=3 {
+            split(&mut ctx, Phase::Forward, 8);
+            assert_eq!(ctx.plan_captures(), n, "{mode:?} must re-capture");
+        }
+    }
 }
 
 /// The scheduler-level cache key: the optimizer configuration is part of
 /// it (fusion/reordering change the captured schedule), and each device's
-/// analyzer caches privately.
+/// plan cache and analyzer are private.
 #[test]
 fn scheduler_plan_cache_keys_on_optim_and_device() {
     let props = DeviceProps::k40c();
     let mut dev = Device::new(props.clone());
+    let mut plans = PlanCache::default();
     let tracker = ResourceTracker::new(1);
     let mut analyzer = KernelAnalyzer::new(props.clone());
     let streams = StreamManager::new(1);
@@ -232,52 +256,55 @@ fn scheduler_plan_cache_keys_on_optim_and_device() {
     let mut tuned = RuntimeScheduler::with_optim(0, OptimConfig::all());
 
     let groups8 = || Schedule::groups(small_groups(8));
-    let captures_solves = |an: &KernelAnalyzer| (an.exec_plans.captures(), an.solves());
+    let captures_solves = |p: &PlanCache, an: &KernelAnalyzer| (p.captures(), an.solves());
 
-    let exec = |s: &mut RuntimeScheduler, dev: &mut Device, an: &mut KernelAnalyzer| {
-        s.execute(dev, &tracker, an, &streams, &key, groups8(), None)
-            .unwrap()
-    };
+    let exec =
+        |s: &mut RuntimeScheduler, dev: &mut Device, p: &mut PlanCache, an: &mut KernelAnalyzer| {
+            s.execute(dev, p, &tracker, an, &streams, &key, groups8(), None)
+                .unwrap()
+        };
 
-    exec(&mut plain, &mut dev, &mut analyzer); // profiling, no capture
-    assert_eq!(captures_solves(&analyzer), (0, 1));
-    exec(&mut plain, &mut dev, &mut analyzer); // capture + replay
-    assert_eq!(captures_solves(&analyzer), (1, 1));
-    exec(&mut plain, &mut dev, &mut analyzer); // pure replay
-    exec(&mut plain, &mut dev, &mut analyzer);
+    exec(&mut plain, &mut dev, &mut plans, &mut analyzer); // profiling, no capture
+    assert_eq!(captures_solves(&plans, &analyzer), (0, 1));
+    exec(&mut plain, &mut dev, &mut plans, &mut analyzer); // capture + replay
+    assert_eq!(captures_solves(&plans, &analyzer), (1, 1));
+    exec(&mut plain, &mut dev, &mut plans, &mut analyzer); // pure replay
+    exec(&mut plain, &mut dev, &mut plans, &mut analyzer);
     assert_eq!(
-        captures_solves(&analyzer),
+        captures_solves(&plans, &analyzer),
         (1, 1),
         "steady state must not re-capture or re-solve"
     );
 
-    // Same analyzer, different optimizer config: the concurrency plan is
-    // shared but the execution plan must be re-captured.
-    exec(&mut tuned, &mut dev, &mut analyzer);
+    // Same cache and analyzer, different optimizer config: the concurrency
+    // plan is shared but the execution plan must be re-captured.
+    exec(&mut tuned, &mut dev, &mut plans, &mut analyzer);
     assert_eq!(
-        captures_solves(&analyzer),
+        captures_solves(&plans, &analyzer),
         (2, 1),
         "OptimConfig change must miss the exec-plan cache"
     );
 
-    // A different device gets a private analyzer (and its own stream
-    // pool), so nothing is shared.
+    // A different device gets a private cache and analyzer (and its own
+    // stream pool), so nothing is shared.
     let mut dev2 = Device::new(DeviceProps::titan_xp());
+    let mut plans2 = PlanCache::default();
     let mut analyzer2 = KernelAnalyzer::new(DeviceProps::titan_xp());
     let streams2 = StreamManager::new(1);
-    let exec2 = |s: &mut RuntimeScheduler, dev: &mut Device, an: &mut KernelAnalyzer| {
-        s.execute(dev, &tracker, an, &streams2, &key, groups8(), None)
-            .unwrap()
-    };
-    exec2(&mut plain, &mut dev2, &mut analyzer2);
-    exec2(&mut plain, &mut dev2, &mut analyzer2);
+    let exec2 =
+        |s: &mut RuntimeScheduler, dev: &mut Device, p: &mut PlanCache, an: &mut KernelAnalyzer| {
+            s.execute(dev, p, &tracker, an, &streams2, &key, groups8(), None)
+                .unwrap()
+        };
+    exec2(&mut plain, &mut dev2, &mut plans2, &mut analyzer2);
+    exec2(&mut plain, &mut dev2, &mut plans2, &mut analyzer2);
     assert_eq!(
-        captures_solves(&analyzer2),
+        captures_solves(&plans2, &analyzer2),
         (1, 1),
         "new device must profile and capture afresh"
     );
     assert_eq!(
-        captures_solves(&analyzer),
+        captures_solves(&plans, &analyzer),
         (2, 1),
         "first device's cache is untouched"
     );

@@ -55,7 +55,7 @@ fn overhead_report_matches_paper_structure() {
     let mut net = Net::from_spec(&spec);
     net.forward(&mut ctx); // profiling iteration
     let glp = ctx.glp.as_ref().unwrap();
-    let report = glp.cost_report(0);
+    let report = glp.cost_report(0).unwrap();
 
     // Forward profiled 3 conv layers × 16 samples × 3 kernels.
     assert_eq!(report.kernels_recorded, 3 * 16 * 3);

@@ -42,7 +42,8 @@ pub struct LintRow {
     pub performance: usize,
     /// Finding count per code, e.g. `PW002 -> 12`.
     pub by_code: BTreeMap<&'static str, usize>,
-    /// Captures fully admitted by a symbolic certificate.
+    /// Captures fully admitted by their sample slots (the report's
+    /// "symbolic disjointness certificates").
     pub certified_captures: u64,
     /// Capture checks that fell back to pairwise comparison.
     pub pairwise_fallbacks: u64,
@@ -142,7 +143,7 @@ mod tests {
     use super::*;
 
     /// The smoke sweep over the smallest net must certify its conv
-    /// captures symbolically and produce zero correctness findings.
+    /// captures by their sample slots and produce zero correctness findings.
     #[test]
     fn smoke_lint_of_cifar10_is_correctness_clean_and_certified() {
         let mut ctx = ExecCtx::glp4nn(DeviceProps::p100())
@@ -170,7 +171,7 @@ mod tests {
         let s = ctx.sanitizer.stats();
         assert!(
             s.certified_captures > 0,
-            "conv/pool captures must be admitted by symbolic certificates: {s:?}"
+            "conv/pool captures must be admitted by their sample slots: {s:?}"
         );
     }
 }

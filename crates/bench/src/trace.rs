@@ -28,9 +28,10 @@ pub fn trace_net(net: &str, mode: DispatchMode, smoke: bool) -> Telemetry {
     trace_net_with_stats(net, mode, smoke).0
 }
 
-/// [`trace_net`], additionally returning the device's [`DeviceStats`] so
-/// tests can reconcile span wall-clock totals (e.g. the sum of `kernel`
-/// span durations) against the simulator's own accounting.
+/// [`trace_net`], additionally returning the device's
+/// [`DeviceStats`](gpu_sim::DeviceStats) so tests can reconcile span
+/// wall-clock totals (e.g. the sum of `kernel` span durations) against the
+/// simulator's own accounting.
 pub fn trace_net_with_stats(
     net: &str,
     mode: DispatchMode,

@@ -214,7 +214,7 @@ fn occupancy_model(
     (m, vars)
 }
 
-/// Solve the occupancy program of [`occupancy_model`] over `dispatches`
+/// Solve the occupancy program of `occupancy_model` over `dispatches`
 /// (`(kernel classes, cap on concurrent instances per class)` each): the
 /// per-layer model is one dispatch with cap `u32::MAX`, a wave of several
 /// layers is one dispatch per layer with its group count as cap. Returns

@@ -13,7 +13,7 @@ use crate::scheduler::{RuntimeScheduler, Schedule};
 use crate::streams::{StreamError, StreamManager};
 use crate::tracker::ResourceTracker;
 use gpu_sim::{Device, DeviceProps, KernelDesc, SimTime};
-use sanitizer::{Sanitizer, SymGroupSpec};
+use sanitizer::{SampleSlots, Sanitizer};
 
 /// Error from framework-level execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -136,9 +136,8 @@ impl<'a> LayerKey<'a> {
         self.to_string()
     }
 
-    /// Shape-independent dispatch-site key (`net/layer/phase`), used by
-    /// the sanitizer's symbolic-certificate cache: one disjointness proof
-    /// covers every chunk count the site is captured at.
+    /// Shape-independent dispatch-site key (`net/layer/phase`), which
+    /// names the site's sample-slot declaration in sanitizer diagnostics.
     pub fn site_key(&self) -> String {
         format!("{}/{}/{}", self.net, self.layer, self.phase.as_str())
     }
@@ -237,7 +236,7 @@ impl Glp4nn {
     ) -> Result<ExecReport, Glp4nnError>
     where
         G: FnOnce() -> Vec<Vec<KernelDesc>>,
-        S: FnOnce() -> Option<SymGroupSpec>,
+        S: FnOnce() -> Option<SampleSlots>,
     {
         let rt = self
             .gpus

@@ -31,7 +31,7 @@
 use crate::framework::{ExecMode, ExecReport};
 use crate::scheduler::tel_instant;
 use gpu_sim::{Device, EventId, KernelDesc, StreamId};
-use sanitizer::{PlanNodeRef, Sanitizer, SymGroupSpec};
+use sanitizer::{PlanNodeRef, SampleSlots, Sanitizer};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -434,19 +434,19 @@ impl PlanMiss<'_> {
 pub struct CaptureSource<'a> {
     /// Sanitizer context string for diagnostics.
     pub context: &'a str,
-    /// Shape-independent site key (`net/layer/phase`) of the
-    /// symbolic-certificate cache.
+    /// Shape-independent site key (`net/layer/phase`), named by a
+    /// slot-miss diagnostic.
     pub site: &'a str,
-    /// The layer's symbolic access declaration, when it has one.
-    pub spec: Option<&'a SymGroupSpec>,
+    /// The layer's per-sample slot declaration, when it has one.
+    pub spec: Option<&'a SampleSlots>,
     /// One kernel chain per chunk.
     pub groups: &'a [Vec<KernelDesc>],
 }
 
 /// Capture-time verification, run once per captured schedule and never on
 /// replay. First the `source` the schedule was built from: chunk regions
-/// must be disjoint (through the site's symbolic certificate when a spec is
-/// declared and proven, pairwise otherwise). Then the `plan` about to be
+/// must be disjoint (admitted by the site's sample slots when it declares
+/// them and every chunk stays in its slots, pairwise otherwise). Then the `plan` about to be
 /// cached: the static plan check over its frozen tables, then the linter if
 /// one is attached — one analysis ([`Sanitizer::verify_plan`]: one
 /// happens-before relation, one closure, one hazard sweep) feeding both. A

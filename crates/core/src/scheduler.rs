@@ -16,7 +16,7 @@ use crate::plan::{verify_capture, CaptureSource, ExecPlan, PlanCache};
 use crate::streams::{StreamError, StreamManager};
 use crate::tracker::ResourceTracker;
 use gpu_sim::{Device, KernelDesc};
-use sanitizer::{Sanitizer, SymGroupSpec};
+use sanitizer::{SampleSlots, Sanitizer};
 use std::fmt::Write as _;
 
 /// Emit a host-track instant plus a counter bump on the device's attached
@@ -74,16 +74,17 @@ pub(crate) fn tel_span(
 pub struct Schedule<G, S> {
     /// Builds the groups; called on a plan-cache miss only.
     pub make_groups: G,
-    /// Builds the site's symbolic access declaration, if the layer has
+    /// Builds the site's per-sample slot declaration, if the layer has
     /// one; called on a plan-cache miss with a sanitizer attached only.
-    /// With a `Proven` certificate for `key.site_key()`, capture-time
-    /// checking drops from two hazard sweeps (chunk unions, then plan
-    /// nodes; each O(a log a) in the declared accesses plus the
-    /// overlapping pairs found) to an O(chunks) conformance check plus
-    /// structural plan checks. Conformance runs against the
-    /// *post-transform* groups: §6 fusion/reordering rewrites kernels,
-    /// so transformed schedules fall back to the pairwise path by
-    /// construction.
+    /// When every chunk stays in its slots, capture-time checking drops
+    /// from two hazard sweeps (chunk unions, then plan nodes; each
+    /// O(a log a) in the declared accesses plus the overlapping pairs
+    /// found) to one pass over the accesses plus structural plan checks.
+    /// The slots are checked against the *post-transform* groups: §6
+    /// fusion merges a chain's kernels and keeps their accesses, so a
+    /// fused capture still certifies; reordering moves a sample's chain
+    /// to another chunk index, so a reordered capture misses its slots and
+    /// falls back to the pairwise path.
     pub make_spec: S,
 }
 
@@ -91,11 +92,11 @@ type Groups = Vec<Vec<KernelDesc>>;
 
 // Constructor for the call sites that have no closures of their own: `fn`
 // pointers stand in for the unused type parameters, so none needs naming.
-impl Schedule<fn() -> Groups, fn() -> Option<SymGroupSpec>> {
-    /// Chunk groups already built, no symbolic spec.
+impl Schedule<fn() -> Groups, fn() -> Option<SampleSlots>> {
+    /// Chunk groups already built, no slot declaration.
     pub fn groups(
         groups: Groups,
-    ) -> Schedule<impl FnOnce() -> Groups, fn() -> Option<SymGroupSpec>> {
+    ) -> Schedule<impl FnOnce() -> Groups, fn() -> Option<SampleSlots>> {
         Schedule {
             make_groups: move || groups,
             make_spec: || None,
@@ -175,7 +176,7 @@ impl RuntimeScheduler {
     ) -> Result<ExecReport, StreamError>
     where
         G: FnOnce() -> Groups,
-        S: FnOnce() -> Option<SymGroupSpec>,
+        S: FnOnce() -> Option<SampleSlots>,
     {
         self.key.clear();
         let _ = write!(self.key, "{key}");

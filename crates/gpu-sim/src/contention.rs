@@ -18,7 +18,7 @@
 //! two agree would move timelines and every digest; it waits for a
 //! re-baseline (`place_and_retire_round_differently_so_the_residue_drifts`
 //! pins the asymmetry). So the replay memo does not key on the residue: a
-//! recording keeps its [`Residue`] program, the `place`/`retire` amounts in
+//! recording keeps its `Residue` program, the `place`/`retire` amounts in
 //! order, and a hit must show that the recorded factors, or the burst
 //! durations they gave, come out again from the current demand.
 //!

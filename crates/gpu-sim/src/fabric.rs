@@ -19,8 +19,9 @@
 //!   sending stream is busy for the whole transfer) and completes a
 //!   destination-side wait marker, giving the same happens-before edge an
 //!   event wait would. Copies pay the host launch overhead on the source
-//!   device, appear in its command log ([`CmdRecord::CopySrc`] /
-//!   [`CmdRecord::CopyDst`]) and in its timeline like kernels do.
+//!   device, appear in its command log
+//!   ([`CmdRecord::CopySrc`](crate::CmdRecord::CopySrc) /
+//!   [`CmdRecord::CopyDst`](crate::CmdRecord::CopyDst)) and in its timeline like kernels do.
 //! - [`Fabric::run`] is a global discrete-event loop: it always steps the
 //!   device with the earliest pending event (ties go to the lower device
 //!   index), so cross-device timestamps are processed in nondecreasing

@@ -5,7 +5,8 @@
 //! External input blobs have no producer, so fan-out from inputs (the
 //! Siamese twin towers) creates parallel branches for free. The DAG gives
 //! the scheduler its two structural facts: a deterministic topological
-//! order, and the *wave* decomposition — longest-path level sets, each of
+//! order (spec order, which [`LayerDag::from_spec`] verifies), and the
+//! *wave* decomposition — longest-path level sets, each of
 //! which is an antichain (no path connects two layers at the same depth)
 //! and therefore a co-schedulable set.
 
@@ -100,12 +101,6 @@ impl LayerDag {
         self.depth[i]
     }
 
-    /// The deterministic canonical topological order: spec order, which
-    /// `from_spec` verified is topological.
-    pub fn topo_order(&self) -> Vec<usize> {
-        (0..self.num_layers()).collect()
-    }
-
     /// Wave decomposition: `waves()[d]` holds every layer at depth `d`,
     /// ascending by layer index. Each wave is an antichain — a path
     /// between two layers would force strictly increasing depth.
@@ -187,7 +182,8 @@ mod tests {
         }
         assert_eq!(waves[8].len(), 1, "contrastive loss is alone");
         assert_eq!(dag.antichains().len(), 8);
-        assert!(dag.is_topo_order(&dag.topo_order()));
+        let spec_order: Vec<usize> = (0..dag.num_layers()).collect();
+        assert!(dag.is_topo_order(&spec_order));
     }
 
     #[test]
@@ -228,7 +224,9 @@ mod tests {
     #[test]
     fn is_topo_order_rejects_violations() {
         let dag = LayerDag::from_spec(&nn::models::cifar10_quick(4, 1));
-        let mut order = dag.topo_order();
+        // Spec order, which `from_spec` verified is topological.
+        let mut order: Vec<usize> = (0..dag.num_layers()).collect();
+        assert!(dag.is_topo_order(&order));
         order.swap(0, 1); // conv1 after pool1 is invalid
         assert!(!dag.is_topo_order(&order));
         assert!(!dag.is_topo_order(&order[1..]));

@@ -249,10 +249,9 @@ impl InterOpExec {
         key: &str,
     ) -> Arc<ExecPlan> {
         if ctx.sanitizer.is_enabled() {
-            // Per-dispatch chunk disjointness (symbolically certified where
-            // the layer declares a spec — the certificate cache is shared
-            // with per-layer dispatch sites); the whole-net plan is
-            // validated once it exists, below.
+            // Per-dispatch chunk disjointness (admitted by the sample slots
+            // where the layer declares them, pairwise otherwise); the
+            // whole-net plan is validated once it exists, below.
             for d in &staged {
                 let site = format!("{}/{}/{}", self.spec.name, d.layer, phase.as_str());
                 let dkey = format!("{site}/b{}/c{}/interop", ctx.batch, d.chunks);

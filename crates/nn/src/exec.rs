@@ -3,7 +3,7 @@
 use glp4nn::plan::CaptureSource;
 use glp4nn::{ExecMode, ExecPlan, ExecReport, Glp4nn, LayerKey, Phase, PlanCache, Schedule};
 use gpu_sim::{Device, DeviceProps, EventId, KernelDesc, SimTime, StreamId};
-use sanitizer::{LintConfig, SanitizeMode, Sanitizer, SymGroupSpec};
+use sanitizer::{LintConfig, SampleSlots, SanitizeMode, Sanitizer};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -23,8 +23,8 @@ pub enum DispatchMode {
 
 /// One dispatch recorded during a staging pass (see
 /// [`ExecCtx::begin_staging`]): everything an inter-operator scheduler
-/// needs to rebuild the launch — the kernel groups, the symbolic access
-/// spec (when the layer declares one), and the site identity.
+/// needs to rebuild the launch — the kernel groups, the per-sample slot
+/// declaration (when the layer has one), and the site identity.
 pub struct StagedDispatch {
     /// Layer name (matches the layer's position in the net spec).
     pub layer: String,
@@ -34,8 +34,9 @@ pub struct StagedDispatch {
     pub chunks: usize,
     /// Independent kernel groups (each group is a FIFO chain).
     pub groups: Vec<Vec<KernelDesc>>,
-    /// Symbolic per-chunk access declaration, when the layer has one.
-    pub spec: Option<SymGroupSpec>,
+    /// Per-sample slot declaration, when the layer has one (exactly the
+    /// [`dispatch_split`](ExecCtx::dispatch_split) sites).
+    pub spec: Option<SampleSlots>,
 }
 
 /// Per-layer timing record captured during a pass; `layer` shares the
@@ -234,8 +235,8 @@ impl ExecCtx {
     }
 
     /// Begin a staging pass: until [`take_staged`](ExecCtx::take_staged),
-    /// every dispatch is recorded (with its kernel groups and symbolic
-    /// spec) instead of being launched, and no timings accumulate. Layer
+    /// every dispatch is recorded (with its kernel groups and sample
+    /// slots) instead of being launched, and no timings accumulate. Layer
     /// CPU math is unaffected — GLP4NN's convergence invariant means the
     /// numerics never depend on how (or whether) kernels are dispatched.
     pub fn begin_staging(&mut self) {
@@ -274,7 +275,7 @@ impl ExecCtx {
         layer: &str,
         phase: Phase,
         chunks: usize,
-        make_spec: impl FnOnce() -> Option<SymGroupSpec>,
+        make_spec: impl FnOnce() -> Option<SampleSlots>,
         make_groups: impl FnOnce() -> Vec<Vec<KernelDesc>>,
     ) -> ExecReport {
         let mut kernels = 0;
@@ -307,20 +308,18 @@ impl ExecCtx {
     /// cached the plan replays and neither runs, so steady-state
     /// iterations build no kernel descriptors. `make_groups` must build
     /// exactly `chunks` groups (the count is part of the cache key).
-    /// `make_spec` is the layer's symbolic declaration of the per-chunk
-    /// access pattern, called at capture with the sanitizer enabled only:
-    /// with one, chunk checking uses a cached symbolic disjointness
-    /// certificate (one proof per `net/layer/phase` site) plus an O(chunks)
-    /// conformance check instead of a hazard sweep over the chunks' access
-    /// unions (O(a log a) in their declared accesses — it was O(chunks²)
-    /// comparisons before the sweep), and certified plans skip the
-    /// plan-level sweep too.
+    /// `make_spec` is the layer's declaration of its per-sample slots,
+    /// called at capture with the sanitizer enabled only: with one, chunk
+    /// checking is one pass checking each access against its chunk's slot
+    /// ([`SampleSlots::admits`]) instead of a hazard sweep over the chunks'
+    /// access unions (O(a log a) in their declared accesses), and certified
+    /// plans skip the plan-level sweep too.
     pub fn dispatch_split(
         &mut self,
         layer: &Arc<str>,
         phase: Phase,
         chunks: usize,
-        make_spec: impl Fn() -> Option<SymGroupSpec>,
+        make_spec: impl Fn() -> Option<SampleSlots>,
         make_groups: impl Fn() -> Vec<Vec<KernelDesc>>,
     ) -> ExecReport {
         self.dispatch(self.mode, layer, phase, chunks, make_spec, make_groups)
@@ -347,7 +346,7 @@ impl ExecCtx {
         layer: &Arc<str>,
         phase: Phase,
         chunks: usize,
-        make_spec: impl Fn() -> Option<SymGroupSpec>,
+        make_spec: impl Fn() -> Option<SampleSlots>,
         make_groups: impl Fn() -> Vec<Vec<KernelDesc>>,
     ) -> ExecReport {
         if self.staged.is_some() || self.suppress {
@@ -454,7 +453,7 @@ impl ExecCtx {
         phase: Phase,
         chunks: usize,
         pool: &[StreamId],
-        make_spec: impl FnOnce() -> Option<SymGroupSpec>,
+        make_spec: impl FnOnce() -> Option<SampleSlots>,
         make_groups: impl FnOnce() -> Vec<Vec<KernelDesc>>,
     ) -> ExecReport {
         self.plan_key(layer, phase, chunks, pool.len());

@@ -68,8 +68,8 @@ impl Layer for ConcatLayer {
             // Batch-split path: one kernel per sample, each declaring
             // exactly its sample's row in every input and in the output.
             // The tight per-sample regions (instead of whole-buffer spans)
-            // are what let the sanitizer prove cross-operator and
-            // cross-chunk disjointness symbolically.
+            // are what let the sanitizer admit the chunks by their sample
+            // slots and prove cross-operator disjointness.
             let per_out = total_c * spatial;
             let per_in: Vec<usize> = bottom.iter().map(|b| b.channels() * spatial).collect();
             if self.in_bufs.len() != bottom.len() {
@@ -81,14 +81,8 @@ impl Layer for ConcatLayer {
                 Phase::Forward,
                 n,
                 || {
-                    let mut k = sanitizer::SymKernel::new("concat");
-                    for (buf, cnt) in in_bufs.iter().zip(&per_in) {
-                        k = k.reads(*buf, kernels::sym_sample(*cnt));
-                    }
-                    Some(
-                        sanitizer::SymGroupSpec::new()
-                            .kernel(k.writes(out_buf, kernels::sym_sample(per_out))),
-                    )
+                    let slots = in_bufs.iter().copied().zip(per_in.iter().copied());
+                    Some(kernels::sample_slots(slots.chain([(out_buf, per_out)])))
                 },
                 || {
                     (0..n as u64)
@@ -156,12 +150,8 @@ impl Layer for ConcatLayer {
                 Phase::Backward,
                 n,
                 || {
-                    let mut k = sanitizer::SymKernel::new("concat_bwd")
-                        .reads(dout_buf, kernels::sym_sample(per_out));
-                    for (buf, cnt) in din_bufs.iter().zip(&per_in) {
-                        k = k.writes(*buf, kernels::sym_sample(*cnt));
-                    }
-                    Some(sanitizer::SymGroupSpec::new().kernel(k))
+                    let slots = din_bufs.iter().copied().zip(per_in.iter().copied());
+                    Some(kernels::sample_slots(slots.chain([(dout_buf, per_out)])))
                 },
                 || {
                     (0..n as u64)
@@ -280,17 +270,17 @@ mod tests {
         let mut staged = c.take_staged();
         assert_eq!(staged.len(), 1);
         let d = staged.pop().unwrap();
-        let spec = d.spec.expect("concat declares a symbolic spec");
+        let spec = d.spec.expect("concat declares its sample slots");
         assert_eq!(d.groups.len(), 3, "one group per sample");
 
-        // Tight per-sample regions: symbolically certified, zero reports.
+        // Tight per-sample regions: certified by their slots, zero reports.
         let mut san = Sanitizer::new(SanitizeMode::PlanOnly);
         assert!(san.check_chunks_spec("cat/fwd", "test/cat/fwd", &spec, &d.groups));
         assert!(san.reports().is_empty(), "{:?}", san.reports());
 
         // Fault injection: widen one sample's write back to the whole
-        // output buffer (the old full-span declaration). Conformance
-        // against the spec fails, the pairwise fallback runs, and the
+        // output buffer (the old full-span declaration). The write leaves
+        // its sample slot, the pairwise fallback runs, and the
         // cross-sample overlap is reported.
         let mut widened = d.groups.clone();
         widened[1][0].accesses.writes[0].range = kernels::full_range(top[0].count());

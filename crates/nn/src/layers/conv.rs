@@ -15,10 +15,10 @@
 use crate::exec::ExecCtx;
 use crate::layer::Layer;
 use crate::layers::kernels;
-use crate::layers::kernels::{full_range, sample_range, sym_full, sym_sample};
+use crate::layers::kernels::{full_range, sample_range};
 use glp4nn::Phase;
 use gpu_sim::BufferId;
-use sanitizer::{SymGroupSpec, SymKernel};
+use sanitizer::SampleSlots;
 use tensor::gemm::{sgemm, Transpose};
 use tensor::im2col::{col2im, im2col, ConvGeometry};
 use tensor::pool::num_workers;
@@ -220,87 +220,23 @@ impl ConvLayer {
         g
     }
 
-    /// Symbolic (chunk-parametric) form of [`Self::forward_group`]: the
-    /// same kernel chain with every per-sample range written as an affine
-    /// function of the chunk index. The sanitizer proves disjointness of
-    /// this spec once per dispatch site and only conformance-checks each
-    /// captured instance against it.
-    fn symbolic_forward(&self) -> SymGroupSpec {
-        let in_r = sym_sample(self.ci * self.ih * self.iw);
-        let col_r = sym_sample(self.k_dim() * self.ohw());
-        let out_r = sym_sample(self.cfg.num_output * self.ohw());
-        let mut spec = SymGroupSpec::new();
-        if !self.is_1x1() {
-            spec = spec.kernel(
-                SymKernel::new("im2col")
-                    .reads(self.bufs.input, in_r)
-                    .writes(self.bufs.col, col_r),
-            );
-        }
-        let (gemm_src, gemm_src_r) = if self.is_1x1() {
-            (self.bufs.input, in_r)
-        } else {
-            (self.bufs.col, col_r)
-        };
-        spec.kernel(
-            SymKernel::new("sgemm")
-                .reads(self.bufs.w, sym_full(self.cfg.num_output * self.k_dim()))
-                .reads(gemm_src, gemm_src_r)
-                .writes(self.bufs.out, out_r),
-        )
-        .kernel(
-            SymKernel::new("gemmk")
-                .reads(self.bufs.bias, sym_full(self.cfg.num_output))
-                .reads(self.bufs.out, out_r)
-                .writes(self.bufs.out, out_r),
-        )
-    }
-
-    /// Symbolic form of [`Self::backward_group`].
-    fn symbolic_backward(&self) -> SymGroupSpec {
-        let co = self.cfg.num_output;
-        let k = self.k_dim();
-        let in_r = sym_sample(self.ci * self.ih * self.iw);
-        let col_r = sym_sample(k * self.ohw());
-        let dout_r = sym_sample(co * self.ohw());
-        let mut spec = SymGroupSpec::new();
-        if !self.is_1x1() {
-            spec = spec.kernel(
-                SymKernel::new("im2col")
-                    .reads(self.bufs.input, in_r)
-                    .writes(self.bufs.col, col_r),
-            );
-        }
-        let (col_src, col_src_r) = if self.is_1x1() {
-            (self.bufs.input, in_r)
-        } else {
-            (self.bufs.col, col_r)
-        };
-        spec = spec.kernel(
-            SymKernel::new("sgemm")
-                .reads(self.bufs.dout, dout_r)
-                .reads(col_src, col_src_r)
-                .writes(self.bufs.dw_part, sym_sample(co * k)),
-        );
-        let (dcol_dst, dcol_dst_r) = if self.is_1x1() {
-            (self.bufs.din, in_r)
-        } else {
-            (self.bufs.dcol, col_r)
-        };
-        spec = spec.kernel(
-            SymKernel::new("sgemm")
-                .reads(self.bufs.w, sym_full(co * k))
-                .reads(self.bufs.dout, dout_r)
-                .writes(dcol_dst, dcol_dst_r),
-        );
-        if !self.is_1x1() {
-            spec = spec.kernel(
-                SymKernel::new("col2im")
-                    .reads(self.bufs.dcol, col_r)
-                    .writes(self.bufs.din, in_r),
-            );
-        }
-        spec
+    /// The batch-major buffers both kernel groups touch, with their
+    /// per-sample strides: every access of sample `i`'s chain stays in slot
+    /// `i` of these, and the weights and bias it only reads. The sanitizer
+    /// admits a capture by checking each access against its slot.
+    fn sample_slots(&self) -> SampleSlots {
+        let (in_s, col_s) = (self.ci * self.ih * self.iw, self.k_dim() * self.ohw());
+        let out_s = self.cfg.num_output * self.ohw();
+        let b = &self.bufs;
+        kernels::sample_slots([
+            (b.input, in_s),
+            (b.col, col_s),
+            (b.out, out_s),
+            (b.dout, out_s),
+            (b.dw_part, self.cfg.num_output * self.k_dim()),
+            (b.dcol, col_s),
+            (b.din, in_s),
+        ])
     }
 }
 
@@ -342,7 +278,7 @@ impl Layer for ConvLayer {
             &self.name,
             Phase::Forward,
             n,
-            || Some(self.symbolic_forward()),
+            || Some(self.sample_slots()),
             || (0..n as u64).map(|i| self.forward_group(i)).collect(),
         );
 
@@ -404,7 +340,7 @@ impl Layer for ConvLayer {
             &self.name,
             Phase::Backward,
             n,
-            || Some(self.symbolic_backward()),
+            || Some(self.sample_slots()),
             || (0..n as u64).map(|i| self.backward_group(i)).collect(),
         );
 
@@ -758,48 +694,6 @@ mod tests {
                 union_a.conflict_with(&union_b).is_none(),
                 "sample chains 0 and 1 must touch disjoint regions"
             );
-        }
-    }
-
-    #[test]
-    fn symbolic_specs_are_proven_and_match_built_groups() {
-        for cfg in [
-            // Full im2col path and the 1×1 fast path.
-            ConvConfig {
-                num_output: 4,
-                kernel: 3,
-                stride: 1,
-                pad: 1,
-            },
-            ConvConfig {
-                num_output: 3,
-                kernel: 1,
-                stride: 1,
-                pad: 0,
-            },
-        ] {
-            let mut l = ConvLayer::new("conv1", cfg, 1);
-            let bottom = Blob::nchw(3, 2, 8, 8);
-            let mut top = vec![Blob::empty()];
-            l.reshape(&[&bottom], &mut top);
-
-            for (spec, mk) in [
-                (
-                    l.symbolic_forward(),
-                    ConvLayer::forward_group as fn(&_, u64) -> _,
-                ),
-                (l.symbolic_backward(), ConvLayer::backward_group),
-            ] {
-                assert!(
-                    matches!(spec.prove(), sanitizer::SymVerdict::Proven { .. }),
-                    "conv spec must be affine-provable (k{})",
-                    cfg.kernel
-                );
-                for i in 0..3u64 {
-                    spec.conforms(&mk(&l, i), i)
-                        .expect("built group must match its symbolic spec");
-                }
-            }
         }
     }
 

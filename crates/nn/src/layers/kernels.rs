@@ -8,6 +8,7 @@
 //! roofline inputs: FLOPs and DRAM bytes per block.
 
 use gpu_sim::{BufferId, ByteRange, Dim3, KernelCost, KernelDesc, LaunchConfig};
+use sanitizer::SampleSlots;
 
 /// Bytes per f32 element, for declared access ranges.
 pub const F32_BYTES: u64 = 4;
@@ -28,18 +29,16 @@ pub fn full_range(elems: usize) -> ByteRange {
     ByteRange::span(0, elems as u64 * F32_BYTES)
 }
 
-/// Symbolic (chunk-parametric) form of [`sample_range`]: chunk `i` covers
-/// `[i·stride, (i+1)·stride)` bytes for every `i` — the declaration the
-/// sanitizer's prover turns into a once-per-site disjointness
-/// certificate.
-pub fn sym_sample(stride_elems: usize) -> sanitizer::SymRange {
-    let stride = stride_elems as u64 * F32_BYTES;
-    sanitizer::SymRange::per_chunk(0, stride, stride)
-}
-
-/// Symbolic form of [`full_range`]: every chunk touches the whole buffer.
-pub fn sym_full(elems: usize) -> sanitizer::SymRange {
-    sanitizer::SymRange::fixed(full_range(elems))
+/// The sample slots of a batch-split site: each `(buffer, stride_elems)`
+/// says chunk `i` touches only [`sample_range`]`(i, stride_elems)` of that
+/// batch-major buffer. Buffers left out (weights, bias) may only be read.
+pub(crate) fn sample_slots(slots: impl IntoIterator<Item = (BufferId, usize)>) -> SampleSlots {
+    SampleSlots(
+        slots
+            .into_iter()
+            .map(|(b, elems)| (b, elems as u64 * F32_BYTES))
+            .collect(),
+    )
 }
 
 /// Ids of a layer's per-blob buffers `"{layer}/{stem}0"`, `"{layer}/{stem}1"`,

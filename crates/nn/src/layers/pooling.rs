@@ -109,14 +109,11 @@ impl Layer for PoolingLayer {
                 Phase::Forward,
                 n,
                 || {
-                    Some(
-                        sanitizer::SymGroupSpec::new().kernel(
-                            sanitizer::SymKernel::new("pool")
-                                .reads(in_buf, kernels::sym_sample(c * ih * iw))
-                                .writes(out_buf, kernels::sym_sample(c * oh * ow))
-                                .writes(idx_buf, kernels::sym_sample(c * oh * ow)),
-                        ),
-                    )
+                    Some(kernels::sample_slots([
+                        (in_buf, c * ih * iw),
+                        (out_buf, c * oh * ow),
+                        (idx_buf, c * oh * ow),
+                    ]))
                 },
                 || {
                     (0..n as u64)

@@ -58,8 +58,8 @@ impl Layer for SplitLayer {
         if ctx.batch_parallel_all {
             // Batch-split path: one copy kernel per sample with tight
             // per-sample regions (not whole-buffer spans) on the input and
-            // every duplicated top, so cross-chunk and cross-operator
-            // disjointness stays symbolically provable.
+            // every duplicated top, so the chunks stay in their sample
+            // slots and cross-operator disjointness stays provable.
             let samples = bottom[0].num();
             let per = n / samples.max(1);
             if self.out_bufs.len() != top.len() {
@@ -72,12 +72,8 @@ impl Layer for SplitLayer {
                 Phase::Forward,
                 samples,
                 || {
-                    let mut k =
-                        sanitizer::SymKernel::new("split").reads(in_buf, kernels::sym_sample(per));
-                    for buf in out_bufs {
-                        k = k.writes(*buf, kernels::sym_sample(per));
-                    }
-                    Some(sanitizer::SymGroupSpec::new().kernel(k))
+                    let slots = out_bufs.iter().map(|&b| (b, per));
+                    Some(kernels::sample_slots(slots.chain([(in_buf, per)])))
                 },
                 || {
                     (0..samples as u64)
@@ -132,14 +128,8 @@ impl Layer for SplitLayer {
                 Phase::Backward,
                 samples,
                 || {
-                    let mut k = sanitizer::SymKernel::new("split_bwd");
-                    for buf in dout_bufs {
-                        k = k.reads(*buf, kernels::sym_sample(per));
-                    }
-                    Some(
-                        sanitizer::SymGroupSpec::new()
-                            .kernel(k.writes(din_buf, kernels::sym_sample(per))),
-                    )
+                    let slots = dout_bufs.iter().map(|&b| (b, per));
+                    Some(kernels::sample_slots(slots.chain([(din_buf, per)])))
                 },
                 || {
                     (0..samples as u64)
@@ -230,16 +220,16 @@ mod tests {
         let mut staged = ctx.take_staged();
         assert_eq!(staged.len(), 1);
         let d = staged.pop().unwrap();
-        let spec = d.spec.expect("split declares a symbolic spec");
+        let spec = d.spec.expect("split declares its sample slots");
         assert_eq!(d.groups.len(), 4, "one group per sample");
 
-        // Tight per-sample regions: symbolically certified, zero reports.
+        // Tight per-sample regions: certified by their slots, zero reports.
         let mut san = Sanitizer::new(SanitizeMode::PlanOnly);
         assert!(san.check_chunks_spec("split/bwd", "test/split/bwd", &spec, &d.groups));
         assert!(san.reports().is_empty(), "{:?}", san.reports());
 
         // Fault injection: widen one sample's gradient write back to the
-        // whole bottom-diff buffer. The spec conformance check fails, the
+        // whole bottom-diff buffer. The write leaves its sample slot, the
         // pairwise fallback runs, and the overlap is reported.
         let mut widened = d.groups.clone();
         widened[2][0].accesses.writes[0].range = kernels::full_range(bottoms[0].count());

@@ -7,3 +7,4 @@
 
 mod proptest_data_parallel;
 mod proptest_layers;
+mod sample_slots;

@@ -36,17 +36,17 @@ impl Severity {
 pub enum LintCode {
     /// PL001: two conflicting kernels with no happens-before ordering.
     UnorderedHazard,
-    /// PL002: chunk access regions overlap (symbolically refuted or
-    /// concretely detected), so concurrent dispatch is not
-    /// convergence-invariant.
+    /// PL002: chunk access regions overlap (found by the pairwise chunk
+    /// check), so concurrent dispatch is not convergence-invariant.
     OverlappingChunks,
     /// PL003: an event wait that can never be satisfied (dangling dep or
     /// wait cycle — deadlock).
     WaitCycle,
-    /// PL004: a layer's symbolic access declaration disagrees with the
-    /// kernels it actually built; the certificate is unusable and the
-    /// checker fell back to per-instance pairwise checking.
-    SymbolicMismatch,
+    /// PL004: a layer's declared sample slots do not admit the kernels it
+    /// actually built (an access leaves its chunk's slot, or a write goes
+    /// to an undeclared buffer); the checker fell back to per-instance
+    /// pairwise checking.
+    SlotMiss,
     /// PL005: the plan's peak live-buffer footprint exceeds the device's
     /// memory capacity.
     PeakMemory,
@@ -67,7 +67,7 @@ impl LintCode {
             LintCode::UnorderedHazard => "PL001",
             LintCode::OverlappingChunks => "PL002",
             LintCode::WaitCycle => "PL003",
-            LintCode::SymbolicMismatch => "PL004",
+            LintCode::SlotMiss => "PL004",
             LintCode::PeakMemory => "PL005",
             LintCode::RedundantSync => "PW001",
             LintCode::FalseSerialization => "PW002",
@@ -81,9 +81,7 @@ impl LintCode {
             LintCode::UnorderedHazard => "conflicting kernels with no happens-before ordering",
             LintCode::OverlappingChunks => "chunk access regions overlap",
             LintCode::WaitCycle => "event wait can never be satisfied",
-            LintCode::SymbolicMismatch => {
-                "symbolic access declaration disagrees with built kernels"
-            }
+            LintCode::SlotMiss => "declared sample slots do not admit built kernels",
             LintCode::PeakMemory => "peak live-buffer footprint exceeds device memory",
             LintCode::RedundantSync => "event edge implied by other orderings",
             LintCode::FalseSerialization => "independent kernels serialized on one stream",
@@ -98,7 +96,7 @@ impl LintCode {
             | LintCode::OverlappingChunks
             | LintCode::WaitCycle
             | LintCode::PeakMemory => Severity::Error,
-            LintCode::SymbolicMismatch | LintCode::RedundantSync | LintCode::FalseSerialization => {
+            LintCode::SlotMiss | LintCode::RedundantSync | LintCode::FalseSerialization => {
                 Severity::Warning
             }
             LintCode::UnusedEvent => Severity::Note,

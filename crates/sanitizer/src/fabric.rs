@@ -2,7 +2,7 @@
 //! behind both [`Sanitizer::check_device`](crate::Sanitizer::check_device)
 //! (one device, no fabric) and
 //! [`Sanitizer::check_fabric`](crate::Sanitizer::check_fabric) (every
-//! device of a [`Fabric`](gpu_sim::Fabric), replayed together).
+//! device of a [`Fabric`], replayed together).
 //!
 //! The engine records every host-issued stream command ([`CmdRecord`]); the
 //! replay walks the log suffixes with one vector clock per
@@ -35,7 +35,7 @@
 //! in the same sync phase. A copy's destination write participates in the
 //! destination device's space — the edge the fault-injection tests
 //! exercise. Each `(device, phase)` bucket is scanned with
-//! [`conflict_candidates`]: two conflicting accesses whose clocks are
+//! `sweep::conflict_candidates`: two conflicting accesses whose clocks are
 //! incomparable are a data race. A replay that stalls (a wait whose event
 //! is never recorded, or waits forming a cycle) is a deadlock.
 

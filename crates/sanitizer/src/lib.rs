@@ -43,12 +43,9 @@ pub use diag::{LintCode, LintDiag, Severity};
 pub use lint::{LintConfig, LintStats, Linter, PlanLintSummary};
 pub use plan::PlanNodeRef;
 pub use report::{ConflictSite, Diagnostic, DiagnosticKind, KernelRef};
-pub use symbolic::{
-    SymAccess, SymAccessSet, SymConflict, SymGroupSpec, SymKernel, SymRange, SymVerdict,
-};
+pub use symbolic::SampleSlots;
 
 use gpu_sim::{AccessSet, CmdRecord, Device, Fabric, KernelDesc};
-use std::collections::HashMap;
 
 /// How much checking the runtime should do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -79,19 +76,16 @@ pub struct SanitizerStats {
     /// Access-carrying node pairs covered by the dynamic checker, counted
     /// per (device, sync phase).
     pub trace_pairs: u64,
-    /// Symbolic disjointness proofs run (one per dispatch site, cached).
-    pub symbolic_proofs: u64,
-    /// Chunks admitted by certificate conformance instead of pairwise
+    /// Chunks admitted by their declared sample slots instead of pairwise
     /// comparison.
     pub symbolic_chunks: u64,
-    /// Captures fully admitted by a symbolic certificate (chunk check
+    /// Captures fully admitted by their declared sample slots (chunk check
     /// *and* plan hazard sweep skipped).
     pub certified_captures: u64,
-    /// Concrete groups that failed certificate conformance (fell back to
-    /// pairwise checking).
+    /// Captures whose groups left their declared sample slots (fell back
+    /// to pairwise checking).
     pub conformance_misses: u64,
-    /// Capture checks that ran the pairwise path (unsupported spec or
-    /// conformance miss).
+    /// Slot-declared capture checks that ran the pairwise path.
     pub pairwise_fallbacks: u64,
 }
 
@@ -106,11 +100,6 @@ pub struct Sanitizer {
     /// Per-device cursors for merged fabric replay ([`check_fabric`]
     /// (Sanitizer::check_fabric)); indexed by fabric device index.
     fabric_cursors: Vec<usize>,
-    /// Cached symbolic verdicts, keyed by dispatch site
-    /// (`net/layer/phase`) and guarded by the exact spec they were proven
-    /// for: a site whose declaration changes (reshape, site collision) is
-    /// re-proven rather than inheriting a stale verdict.
-    certs: HashMap<String, (SymGroupSpec, SymVerdict)>,
     /// Attached plan linter, if any.
     linter: Option<Linter>,
 }
@@ -145,6 +134,7 @@ impl Sanitizer {
     /// group is one chunk's kernel chain; its access set is the union over
     /// the chain. One sweep over the unions' declared accesses, not a
     /// comparison per chunk pair; `chunk_pairs` counts the pairs covered.
+    /// Each overlap is also mirrored into the attached linter as a PL002.
     pub fn check_chunks(&mut self, context: &str, groups: &[Vec<KernelDesc>]) {
         if !self.is_enabled() {
             return;
@@ -173,6 +163,20 @@ impl Sanitizer {
                         index: g,
                     })
                 };
+                if let Some(l) = &mut self.linter {
+                    l.push(LintDiag {
+                        code: LintCode::OverlappingChunks,
+                        plan: context.to_string(),
+                        node: None,
+                        message: format!(
+                            "chunks {i} and {j} overlap on {} over {} ({})",
+                            c.buffer,
+                            c.overlap,
+                            c.hazard()
+                        ),
+                        notes: vec![],
+                    });
+                }
                 self.reports.push(Diagnostic {
                     kind: DiagnosticKind::OverlappingChunkRegions,
                     context: context.to_string(),
@@ -193,7 +197,8 @@ impl Sanitizer {
     }
 
     /// Attach a plan linter; captured plans are linted as they are
-    /// validated and symbolic findings (PL002/PL004) are mirrored into it.
+    /// validated, and chunk findings (PL002 overlaps, PL004 slot misses)
+    /// are mirrored into it.
     pub fn attach_linter(&mut self, cfg: LintConfig) {
         self.linter = Some(Linter::new(cfg));
     }
@@ -203,119 +208,54 @@ impl Sanitizer {
         self.linter.as_ref()
     }
 
-    /// Certificate-backed chunk check. `site` keys the certificate cache
-    /// (conventionally `net/layer/phase` — shape- and mode-independent);
-    /// `spec` is the layer's symbolic declaration of the per-chunk kernel
-    /// chain; `groups` are the concrete chunks about to be dispatched.
+    /// Slot-declared chunk check. `slots` is the layer's declaration of
+    /// its per-sample buffers; `groups` are the concrete chunks about to be
+    /// dispatched; `site` (conventionally `net/layer/phase`) names the
+    /// declaration in diagnostics.
     ///
-    /// Returns `true` iff the capture is **certified**: the spec is
-    /// symbolically proven hazard-free for all shapes and every concrete
-    /// group conforms to it — in which case no pairwise comparison ran
-    /// and the caller may also skip the plan-level hazard sweep
+    /// Returns `true` iff the capture is **certified**: every group stays
+    /// in its sample slots ([`SampleSlots::admits`]) — in which case no
+    /// pairwise comparison ran and the caller may also skip the plan-level
+    /// hazard sweep
     /// ([`check_plan_ref_certified`](Sanitizer::check_plan_ref_certified)).
-    /// Any other outcome (refuted, unsupported, mismatch) returns
-    /// `false`; unsupported/mismatch fall back to
-    /// [`check_chunks`](Sanitizer::check_chunks), a refutation is
-    /// reported directly.
+    /// On a miss the attached linter gets a PL004 naming `site` and the
+    /// check falls back to [`check_chunks`](Sanitizer::check_chunks),
+    /// which reports any real overlap.
     pub fn check_chunks_spec(
         &mut self,
         context: &str,
         site: &str,
-        spec: &SymGroupSpec,
+        slots: &SampleSlots,
         groups: &[Vec<KernelDesc>],
     ) -> bool {
         if !self.is_enabled() {
             return false;
         }
-        let verdict = match self.certs.get(site) {
-            Some((cached_spec, v)) if cached_spec == spec => v.clone(),
-            _ => {
-                let v = spec.prove();
-                self.stats.symbolic_proofs += 1;
-                self.certs
-                    .insert(site.to_string(), (spec.clone(), v.clone()));
-                v
-            }
+        let Err(why) = slots.admits(groups) else {
+            self.stats.symbolic_chunks += groups.len() as u64;
+            self.stats.certified_captures += 1;
+            return true;
         };
-        match verdict {
-            SymVerdict::Proven { .. } => {
-                for (i, g) in groups.iter().enumerate() {
-                    if let Err(why) = spec.conforms(g, i as u64) {
-                        self.stats.conformance_misses += 1;
-                        if let Some(l) = &mut self.linter {
-                            l.push(LintDiag {
-                                code: LintCode::SymbolicMismatch,
-                                plan: context.to_string(),
-                                node: None,
-                                message: format!(
-                                    "declaration for site `{site}` disagrees with the kernels \
-                                     actually built: {why}"
-                                ),
-                                notes: vec![
-                                    "certificate unusable; fell back to per-instance pairwise \
-                                     checking"
-                                        .to_string(),
-                                ],
-                            });
-                        }
-                        self.stats.pairwise_fallbacks += 1;
-                        self.check_chunks(context, groups);
-                        return false;
-                    }
-                }
-                self.stats.symbolic_chunks += groups.len() as u64;
-                self.stats.certified_captures += 1;
-                true
-            }
-            SymVerdict::Refuted(c) => {
-                let detail = format!(
-                    "symbolic refutation for site `{site}`: chunks {} and {} overlap on {} \
-                     over {} in every shape containing both",
-                    c.chunk_a, c.chunk_b, c.buffer, c.overlap
-                );
-                if let Some(l) = &mut self.linter {
-                    l.push(LintDiag {
-                        code: LintCode::OverlappingChunks,
-                        plan: context.to_string(),
-                        node: None,
-                        message: detail.clone(),
-                        notes: vec![],
-                    });
-                }
-                self.reports.push(Diagnostic {
-                    kind: DiagnosticKind::OverlappingChunkRegions,
-                    context: context.to_string(),
-                    first: None,
-                    second: None,
-                    site: Some(ConflictSite {
-                        buffer: c.buffer,
-                        overlap: c.overlap,
-                        hazard: c.hazard,
-                    }),
-                    detail,
-                });
-                false
-            }
-            SymVerdict::Unsupported { detail } => {
-                if let Some(l) = &mut self.linter {
-                    l.push(LintDiag {
-                        code: LintCode::SymbolicMismatch,
-                        plan: context.to_string(),
-                        node: None,
-                        message: format!("site `{site}` is outside the affine fragment: {detail}"),
-                        notes: vec!["fell back to per-instance pairwise checking".to_string()],
-                    });
-                }
-                self.stats.pairwise_fallbacks += 1;
-                self.check_chunks(context, groups);
-                false
-            }
+        self.stats.conformance_misses += 1;
+        if let Some(l) = &mut self.linter {
+            l.push(LintDiag {
+                code: LintCode::SlotMiss,
+                plan: context.to_string(),
+                node: None,
+                message: format!(
+                    "sample slots declared for site `{site}` do not admit the built kernels: {why}"
+                ),
+                notes: vec!["fell back to per-instance pairwise checking".to_string()],
+            });
         }
+        self.stats.pairwise_fallbacks += 1;
+        self.check_chunks(context, groups);
+        false
     }
 
     /// Structure-only plan check (dangling deps, wait cycles) for
-    /// captures admitted by a symbolic certificate: hazard-freedom is
-    /// already proven, so the hazard sweep of
+    /// captures admitted by their sample slots: hazard-freedom is already
+    /// proven, so the hazard sweep of
     /// [`check_plan_ref`](Sanitizer::check_plan_ref) is skipped.
     pub fn check_plan_ref_certified(&mut self, label: &str, nodes: &[PlanNodeRef<'_>]) {
         if !self.is_enabled() {

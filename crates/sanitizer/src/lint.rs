@@ -9,7 +9,7 @@
 //!   the correctness analyses, re-expressed as lint findings. PL001 reads
 //!   the hazards of the plan's one `PlanAnalysis` (an indexed sweep over
 //!   the declared accesses, `sweep.rs`, not a pair-by-pair scan;
-//!   skipped entirely when a symbolic certificate already proves
+//!   skipped entirely when the capture's sample slots already prove
 //!   hazard-freedom);
 //! - **PL005** peak live-buffer footprint vs. device memory, from
 //!   per-buffer lifetime intervals over the plan;
@@ -98,7 +98,7 @@ impl Linter {
         self.cfg
     }
 
-    /// Record an externally produced finding (the symbolic checker pushes
+    /// Record an externally produced finding (the chunk checks push
     /// PL002/PL004 through here so all findings render together).
     pub fn push(&mut self, diag: LintDiag) {
         self.count(diag.code);
@@ -133,8 +133,9 @@ impl Linter {
     /// `records_events` says whether the plan actually records events
     /// (DAG plans with cross-stream edges do; round-robin chain plans order
     /// through stream FIFO alone and get no PW003 analysis). `hazards_proven`
-    /// says a symbolic certificate already proved cross-chunk hazard-freedom
-    /// for this plan's kernels, so the PL001 hazard sweep is skipped.
+    /// says the capture's sample slots already proved cross-chunk
+    /// hazard-freedom for this plan's kernels, so the PL001 hazard sweep is
+    /// skipped.
     pub fn lint_plan(
         &mut self,
         label: &str,
@@ -207,7 +208,7 @@ impl Linter {
         let reaches = |a, b| reach.before(a, b);
 
         // PL001: conflicting kernels with no HB ordering (none to report
-        // when a symbolic certificate made the sweep unnecessary).
+        // when the sample-slot check made the sweep unnecessary).
         for &(i, j, c) in &analysis.hazards {
             self.push(LintDiag {
                 code: LintCode::UnorderedHazard,
@@ -519,7 +520,7 @@ mod tests {
         let (l, s) = lint(&refs(&p), false);
         assert_eq!(s.correctness, 1);
         assert_eq!(l.diags()[0].code.code(), "PL001");
-        // With a certificate the scan is skipped.
+        // With hazards proven the scan is skipped.
         let mut l2 = Linter::new(cfg());
         let s2 = l2.lint_plan("t", &refs(&p), false, true);
         assert_eq!(s2.correctness, 0);

@@ -147,8 +147,7 @@ pub(crate) struct PlanAnalysis {
 
 impl PlanAnalysis {
     /// Analyse `nodes`. `scan_hazards` false skips the hazard scan — the
-    /// caller holds a symbolic certificate that already proves
-    /// hazard-freedom; `for_lint` keeps the closure for the linter's
+    /// caller's sample-slot check already proves hazard-freedom; `for_lint` keeps the closure for the linter's
     /// synchronization analyses even then.
     pub(crate) fn new(nodes: &[PlanNodeRef<'_>], scan_hazards: bool, for_lint: bool) -> Self {
         let mut a = PlanAnalysis {
@@ -257,8 +256,8 @@ impl PlanAnalysis {
 /// covered, not visited: the scan is one [`conflict_candidates`] sweep,
 /// `O(a log a)` in the plan's declared accesses plus the overlapping pairs
 /// it finds. With `scan_pairs` false only the structural checks run
-/// (dangling deps, self-waits, wait cycles) — the caller holds a symbolic
-/// certificate that already proves hazard-freedom.
+/// (dangling deps, self-waits, wait cycles) — the caller's sample-slot
+/// check already proves hazard-freedom.
 pub(crate) fn check_nodes(
     label: &str,
     nodes: &[PlanNodeRef<'_>],

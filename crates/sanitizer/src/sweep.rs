@@ -119,7 +119,7 @@ mod tests {
     use super::*;
     use crate::plan::PlanNodeRef;
     use crate::{Diagnostic, LintConfig, LintDiag, LintStats, SanitizeMode, Sanitizer};
-    use crate::{SanitizerStats, SymGroupSpec};
+    use crate::{SampleSlots, SanitizerStats};
     use gpu_sim::{BufferId, ByteRange, Device, DeviceProps, Dim3, KernelCost, KernelDesc};
     use gpu_sim::{CopyDesc, Fabric, LaunchConfig, LinkProps, MemAccess};
     use proptest::prelude::*;
@@ -463,9 +463,9 @@ mod tests {
             .collect();
         let mut san = Sanitizer::new(SanitizeMode::PlanOnly);
         if spec {
-            // An empty declaration conforms to no kernel: the certificate
-            // path falls back to the per-instance check.
-            san.check_chunks_spec("pt", "pt/site", &SymGroupSpec::new(), &groups);
+            // An empty declaration admits no write: groups that write fall
+            // back to the per-instance check.
+            san.check_chunks_spec("pt", "pt/site", &SampleSlots::default(), &groups);
         } else {
             san.check_chunks("pt", &groups);
         }

@@ -1,431 +1,67 @@
-//! Symbolic (shape-parametric) access sets and the chunk-disjointness
-//! prover.
+//! Symbolic per-sample slot declarations: the one access shape
+//! batch-split layers emit, checked in one pass.
 //!
-//! The pairwise checker ([`crate::Sanitizer::check_chunks`]) proves one
-//! *instance* of a layer safe in O(chunks²) access comparisons, and it
-//! does so again for every captured shape. But the layers' declared
-//! accesses are affine in the chunk index by construction — sample `i`
-//! touches `[i·stride, i·stride + len)` of each batch-major buffer — so
-//! disjointness can be proved *once per dispatch site, for every
-//! admissible chunk count at once*: a [`SymGroupSpec`] describes the
-//! per-chunk kernel chain parametrically, [`SymGroupSpec::prove`] decides
-//! cross-chunk hazard-freedom in closed form, and the resulting
-//! [`SymVerdict`] is cached as a certificate. Per capture, only an O(chunks)
-//! conformance check remains: each concrete group must match the spec
-//! evaluated at its index. Non-affine layers (or transformed schedules —
-//! §6 fusion/reordering rewrites the groups) simply fail conformance and
-//! fall back to the pairwise checker, so the certificate is an
-//! optimization, never a soundness assumption.
+//! The pairwise checker ([`crate::Sanitizer::check_chunks`]) sweeps the
+//! chunks' access unions for every captured instance. But a batch-split
+//! layer's chunks are independent for one reason (paper §3.3.1): chunk `i`
+//! processes sample `i`, so every access to a batch-major buffer stays in
+//! that sample's slot `[i·s, (i+1)·s)`, and everything else it touches —
+//! weights, bias — it only reads. A [`SampleSlots`] declares those
+//! buffers and their per-sample strides, symbolically in `i`;
+//! [`SampleSlots::admits`] checks each concrete access against its chunk's
+//! slot once. Slots of distinct chunks are disjoint and undeclared buffers
+//! are never written, so a pass proves cross-chunk hazard-freedom with no
+//! pairwise step and nothing to cache. A miss (a reordered schedule, a
+//! drifted declaration) falls back to the pairwise checker, so the check is
+//! a shortcut, never a soundness assumption.
 
-use gpu_sim::{AccessSet, BufferId, ByteRange, KernelDesc, MemAccess};
+use gpu_sim::{BufferId, KernelDesc};
 
-/// A byte range parametric in the chunk index `i`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SymRange {
-    /// The same fixed range for every chunk (weights, whole-batch blobs).
-    Fixed {
-        /// First byte covered.
-        start: u64,
-        /// Bytes covered.
-        len: u64,
-    },
-    /// Affine per-chunk range: chunk `i` covers
-    /// `[base + i·stride, base + i·stride + len)`.
-    PerChunk {
-        /// Offset of chunk 0.
-        base: u64,
-        /// Bytes between consecutive chunks' starts (> 0).
-        stride: u64,
-        /// Bytes covered per chunk.
-        len: u64,
-    },
-}
+/// The batch-major buffers of one dispatch site, each with its per-sample
+/// stride in bytes: chunk `i` may touch only `[i·stride, (i+1)·stride)` of
+/// a declared buffer, and may write no undeclared one.
+#[derive(Debug, Default)]
+pub struct SampleSlots(pub Vec<(BufferId, u64)>);
 
-impl SymRange {
-    /// A fixed (chunk-independent) range.
-    pub fn fixed(range: ByteRange) -> Self {
-        SymRange::Fixed {
-            start: range.start,
-            len: range.len(),
-        }
-    }
-
-    /// An affine per-chunk range. A zero stride degenerates to a fixed
-    /// range (every chunk touches the same bytes).
-    pub fn per_chunk(base: u64, stride: u64, len: u64) -> Self {
-        if stride == 0 {
-            SymRange::Fixed { start: base, len }
-        } else {
-            SymRange::PerChunk { base, stride, len }
-        }
-    }
-
-    /// The concrete range of chunk `i`.
-    pub fn at(self, i: u64) -> ByteRange {
-        match self {
-            SymRange::Fixed { start, len } => ByteRange::span(start, len),
-            SymRange::PerChunk { base, stride, len } => ByteRange::span(base + i * stride, len),
-        }
-    }
-
-    fn is_empty(self) -> bool {
-        match self {
-            SymRange::Fixed { len, .. } | SymRange::PerChunk { len, .. } => len == 0,
-        }
-    }
-}
-
-/// One declared symbolic access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SymAccess {
-    /// Buffer touched.
-    pub buffer: BufferId,
-    /// Parametric byte range.
-    pub range: SymRange,
-}
-
-/// Symbolic access set of one kernel of the per-chunk chain.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SymAccessSet {
-    /// Regions read.
-    pub reads: Vec<SymAccess>,
-    /// Regions written.
-    pub writes: Vec<SymAccess>,
-}
-
-/// One kernel of the per-chunk chain, with its symbolic accesses.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SymKernel {
-    /// Kernel name — must match the built [`KernelDesc::name`] for
-    /// conformance.
-    pub name: String,
-    /// Symbolic access set.
-    pub accesses: SymAccessSet,
-}
-
-impl SymKernel {
-    /// A named kernel with no accesses yet.
-    pub fn new(name: &str) -> Self {
-        SymKernel {
-            name: name.to_string(),
-            accesses: SymAccessSet::default(),
-        }
-    }
-
-    /// Declare a parametric read.
-    pub fn reads(mut self, buffer: BufferId, range: SymRange) -> Self {
-        self.accesses.reads.push(SymAccess { buffer, range });
-        self
-    }
-
-    /// Declare a parametric write.
-    pub fn writes(mut self, buffer: BufferId, range: SymRange) -> Self {
-        self.accesses.writes.push(SymAccess { buffer, range });
-        self
-    }
-}
-
-/// The symbolic description of one dispatch site's per-chunk kernel
-/// chain: chunk `i` launches every kernel of the spec evaluated at `i`.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SymGroupSpec {
-    /// The per-chunk kernel chain, in issue order.
-    pub kernels: Vec<SymKernel>,
-}
-
-/// A symbolic conflict witness: two chunks whose evaluated regions
-/// overlap, for any shape with enough chunks to contain both.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SymConflict {
-    /// Buffer both chunks touch.
-    pub buffer: BufferId,
-    /// Hazard label (`write/write`, `write/read`).
-    pub hazard: &'static str,
-    /// Witness chunk index of the first access.
-    pub chunk_a: u64,
-    /// Witness chunk index of the second access (≠ `chunk_a`).
-    pub chunk_b: u64,
-    /// The overlapping byte range at the witness indices.
-    pub overlap: ByteRange,
-}
-
-/// Outcome of [`SymGroupSpec::prove`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SymVerdict {
-    /// Cross-chunk hazard-freedom holds for every chunk count. `pairs` is
-    /// the number of symbolic access pairs decided.
-    Proven {
-        /// Symbolic access pairs decided.
-        pairs: u64,
-    },
-    /// Two chunks conflict for every shape containing both witnesses.
-    Refuted(SymConflict),
-    /// The spec is outside the affine fragment the prover decides
-    /// (e.g. two per-chunk accesses with different strides); callers must
-    /// fall back to per-instance pairwise checking.
-    Unsupported {
-        /// Why the prover gave up.
-        detail: String,
-    },
-}
-
-/// Smallest-magnitude nonzero integer `d` with `d·s` strictly inside
-/// `(lo, hi)`, if any. `s > 0`.
-fn nonzero_multiple_in(lo: i128, hi: i128, s: i128) -> Option<i128> {
-    debug_assert!(s > 0);
-    if lo >= hi {
-        return None;
-    }
-    // Valid k form the contiguous range [k_min, k_max].
-    let k_min = lo.div_euclid(s) + 1; // smallest k with k*s > lo
-    let k_max = (hi - 1).div_euclid(s); // largest k with k*s < hi
-    if k_min > k_max {
-        return None;
-    }
-    if k_min > 0 {
-        Some(k_min)
-    } else if k_max < 0 {
-        Some(k_max)
-    } else if k_max >= 1 {
-        Some(1) // range contains 0; prefer the smallest positive
-    } else if k_min <= -1 {
-        Some(-1)
-    } else {
-        None // only k = 0 fits
-    }
-}
-
-/// Does access `a` at chunk `ia` ever overlap access `b` at a *different*
-/// chunk `ib`, for some admissible shape? Returns a witness `(ia, ib)`
-/// with minimal indices, or `Err(())` if the pair is outside the decided
-/// fragment.
-fn cross_chunk_overlap(a: SymRange, b: SymRange) -> Result<Option<(u64, u64)>, ()> {
-    if a.is_empty() || b.is_empty() {
-        return Ok(None);
-    }
-    match (a, b) {
-        // Both chunk-independent: performed identically by every chunk,
-        // so any overlap is a cross-chunk conflict (chunks 0 and 1).
-        (SymRange::Fixed { .. }, SymRange::Fixed { .. }) => {
-            Ok(a.at(0).intersect(b.at(0)).map(|_| (0, 1)))
-        }
-        // Fixed vs per-chunk: the fixed access is performed by every
-        // chunk, so it suffices that *some* chunk's affine range overlaps
-        // it — a different chunk always exists once that one does.
-        (
-            SymRange::Fixed { start, len },
-            SymRange::PerChunk {
-                base,
-                stride,
-                len: plen,
-            },
-        ) => {
-            let i = first_overlap_index(start, len, base, stride, plen);
-            Ok(i.map(|i| (if i == 0 { 1 } else { 0 }, i)))
-        }
-        (
-            SymRange::PerChunk {
-                base,
-                stride,
-                len: plen,
-            },
-            SymRange::Fixed { start, len },
-        ) => {
-            let i = first_overlap_index(start, len, base, stride, plen);
-            Ok(i.map(|i| (i, if i == 0 { 1 } else { 0 })))
-        }
-        (
-            SymRange::PerChunk {
-                base: ab,
-                stride: astr,
-                len: alen,
-            },
-            SymRange::PerChunk {
-                base: bb,
-                stride: bstr,
-                len: blen,
-            },
-        ) => {
-            if astr != bstr {
-                // Different strides: overlap is a divisibility question the
-                // affine fragment does not decide; fall back.
-                return Err(());
+impl SampleSlots {
+    /// `Ok` when every access of chunk `i` (group `i`) to a declared buffer
+    /// lies inside slot `i` and every write goes to a declared buffer;
+    /// otherwise why not. A zero stride, a buffer declared twice and a slot
+    /// reaching past `u64::MAX` are misses.
+    pub fn admits(&self, groups: &[Vec<KernelDesc>]) -> Result<(), String> {
+        for (n, &(buffer, stride)) in self.0.iter().enumerate() {
+            if stride == 0 {
+                return Err(format!("{buffer} is declared with a zero stride"));
             }
-            // Chunk i of `a` vs chunk j of `b`, d = i - j ≠ 0:
-            // overlap ⇔ d·stride ∈ (bb - ab - alen, bb - ab + blen).
-            let s = astr as i128;
-            let delta = bb as i128 - ab as i128;
-            let d = nonzero_multiple_in(delta - alen as i128, delta + blen as i128, s);
-            Ok(d.map(|d| {
-                if d > 0 {
-                    (d as u64, 0)
-                } else {
-                    (0, (-d) as u64)
+            if self.0[..n].iter().any(|&(b, _)| b == buffer) {
+                return Err(format!("{buffer} is declared twice"));
+            }
+        }
+        for (i, group) in groups.iter().enumerate() {
+            for k in group {
+                let reads = k.accesses.reads.iter().map(|a| (a, false));
+                for (a, write) in reads.chain(k.accesses.writes.iter().map(|a| (a, true))) {
+                    let verb = if write { "writes" } else { "reads" };
+                    let Some(&(_, stride)) = self.0.iter().find(|&&(b, _)| b == a.buffer) else {
+                        if write {
+                            return Err(format!(
+                                "chunk {i} kernel `{}` writes undeclared buffer {}",
+                                k.name, a.buffer
+                            ));
+                        }
+                        continue;
+                    };
+                    let slot = (i as u64)
+                        .checked_mul(stride)
+                        .and_then(|lo| Some((lo, lo.checked_add(stride)?)));
+                    if !slot.is_some_and(|(lo, hi)| lo <= a.range.start && a.range.end <= hi) {
+                        return Err(format!(
+                            "chunk {i} kernel `{}` {verb} {} of {}, outside sample slot {i} \
+                             (stride {stride})",
+                            k.name, a.range, a.buffer
+                        ));
+                    }
                 }
-            }))
-        }
-    }
-}
-
-/// Smallest `i ≥ 0` whose affine range `[base + i·stride, + plen)`
-/// overlaps the fixed range `[start, start + len)`, if any.
-fn first_overlap_index(start: u64, len: u64, base: u64, stride: u64, plen: u64) -> Option<u64> {
-    debug_assert!(stride > 0);
-    let (start, len) = (start as i128, len as i128);
-    let (base, stride, plen) = (base as i128, stride as i128, plen as i128);
-    // Overlap at i ⇔ base + i·stride < start + len AND start < base + i·stride + plen.
-    let i0 = if base + plen > start {
-        0
-    } else {
-        // smallest i with base + i·stride + plen > start
-        (start - base - plen + stride) / stride // = ceil((start - base - plen + 1) / stride)
-    };
-    (base + i0 * stride < start + len).then_some(i0 as u64)
-}
-
-impl SymGroupSpec {
-    /// Empty spec.
-    pub fn new() -> Self {
-        SymGroupSpec::default()
-    }
-
-    /// Append a kernel to the per-chunk chain.
-    pub fn kernel(mut self, k: SymKernel) -> Self {
-        self.kernels.push(k);
-        self
-    }
-
-    /// The concrete union access set of chunk `i` (tests, fallback).
-    pub fn concrete(&self, i: u64) -> AccessSet {
-        let mut out = AccessSet::default();
-        for k in &self.kernels {
-            for a in &k.accesses.reads {
-                out.reads.push(MemAccess {
-                    buffer: a.buffer,
-                    range: a.range.at(i),
-                });
-            }
-            for a in &k.accesses.writes {
-                out.writes.push(MemAccess {
-                    buffer: a.buffer,
-                    range: a.range.at(i),
-                });
-            }
-        }
-        out
-    }
-
-    /// Decide cross-chunk hazard-freedom for every admissible shape: no
-    /// write of any chunk may overlap any access of a *different* chunk.
-    /// Within-chunk ordering is the dispatcher's chain contract and is
-    /// checked separately.
-    pub fn prove(&self) -> SymVerdict {
-        // Flatten the chain: cross-chunk safety concerns the union.
-        let mut writes: Vec<SymAccess> = Vec::new();
-        let mut reads: Vec<SymAccess> = Vec::new();
-        for k in &self.kernels {
-            writes.extend(k.accesses.writes.iter().copied());
-            reads.extend(k.accesses.reads.iter().copied());
-        }
-        let mut pairs = 0u64;
-        let mut check = |a: &SymAccess,
-                         b: &SymAccess,
-                         hazard: &'static str|
-         -> Result<Option<SymConflict>, String> {
-            if a.buffer != b.buffer {
-                return Ok(None);
-            }
-            pairs += 1;
-            match cross_chunk_overlap(a.range, b.range) {
-                Ok(None) => Ok(None),
-                Ok(Some((ia, ib))) => {
-                    let overlap = a
-                        .range
-                        .at(ia)
-                        .intersect(b.range.at(ib))
-                        .expect("witness indices must overlap");
-                    Ok(Some(SymConflict {
-                        buffer: a.buffer,
-                        hazard,
-                        chunk_a: ia,
-                        chunk_b: ib,
-                        overlap,
-                    }))
-                }
-                Err(()) => Err(format!(
-                    "accesses of `{}` mix per-chunk strides; not affine-decidable",
-                    a.buffer
-                )),
-            }
-        };
-        for (wi, w) in writes.iter().enumerate() {
-            // write/write, each unordered pair once (including w vs itself:
-            // a fixed write repeated by every chunk conflicts with itself).
-            for w2 in &writes[wi..] {
-                match check(w, w2, "write/write") {
-                    Ok(Some(c)) => return SymVerdict::Refuted(c),
-                    Ok(None) => {}
-                    Err(detail) => return SymVerdict::Unsupported { detail },
-                }
-            }
-            for r in &reads {
-                match check(w, r, "write/read") {
-                    Ok(Some(c)) => return SymVerdict::Refuted(c),
-                    Ok(None) => {}
-                    Err(detail) => return SymVerdict::Unsupported { detail },
-                }
-            }
-        }
-        SymVerdict::Proven { pairs }
-    }
-
-    /// Check that concrete `group` (chunk `i`'s built kernel chain) is
-    /// exactly the spec evaluated at `i`: same kernel count, names, and
-    /// (order-insensitive) declared access multisets. A `Proven`
-    /// certificate transfers to an instance only through this check.
-    pub fn conforms(&self, group: &[KernelDesc], i: u64) -> Result<(), String> {
-        if group.len() != self.kernels.len() {
-            return Err(format!(
-                "chunk {i}: {} kernels built, {} declared",
-                group.len(),
-                self.kernels.len()
-            ));
-        }
-        for (k, (built, spec)) in group.iter().zip(&self.kernels).enumerate() {
-            if built.name != spec.name {
-                return Err(format!(
-                    "chunk {i} kernel {k}: built `{}`, declared `{}`",
-                    built.name, spec.name
-                ));
-            }
-            let key = |m: &MemAccess| (m.buffer.0, m.range.start, m.range.end);
-            let canon = |accs: &[MemAccess]| -> Vec<(u64, u64, u64)> {
-                let mut v: Vec<_> = accs.iter().map(key).collect();
-                v.sort_unstable();
-                v
-            };
-            let eval = |accs: &[SymAccess]| -> Vec<(u64, u64, u64)> {
-                let mut v: Vec<_> = accs
-                    .iter()
-                    .map(|a| {
-                        let r = a.range.at(i);
-                        (a.buffer.0, r.start, r.end)
-                    })
-                    .collect();
-                v.sort_unstable();
-                v
-            };
-            if canon(&built.accesses.reads) != eval(&spec.accesses.reads) {
-                return Err(format!(
-                    "chunk {i} kernel {k} (`{}`): declared reads disagree with built reads",
-                    built.name
-                ));
-            }
-            if canon(&built.accesses.writes) != eval(&spec.accesses.writes) {
-                return Err(format!(
-                    "chunk {i} kernel {k} (`{}`): declared writes disagree with built writes",
-                    built.name
-                ));
             }
         }
         Ok(())
@@ -435,157 +71,166 @@ impl SymGroupSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpu_sim::{ByteRange, Dim3, KernelCost, LaunchConfig};
 
     fn buf(l: &str) -> BufferId {
         BufferId::from_label(l)
     }
 
+    fn kernel(i: u64) -> KernelDesc {
+        KernelDesc::new(
+            "k",
+            LaunchConfig::new(Dim3::linear(1), Dim3::linear(32), 16, 0),
+            KernelCost::new(1.0, 1.0),
+        )
+        .with_tag(i)
+    }
+
+    /// One single-kernel group per chunk, each built by `f(i)`.
+    fn groups(n: u64, f: impl Fn(u64) -> KernelDesc) -> Vec<Vec<KernelDesc>> {
+        (0..n).map(|i| vec![f(i)]).collect()
+    }
+
     #[test]
     fn tiled_per_chunk_writes_are_proven() {
-        // Chunk i writes [i*400, i*400+400): exactly tiling, len == stride.
-        let spec = SymGroupSpec::new()
-            .kernel(SymKernel::new("k").writes(buf("sym/a"), SymRange::per_chunk(0, 400, 400)));
-        assert!(matches!(spec.prove(), SymVerdict::Proven { .. }));
+        // Chunk i writes [i*400, i*400+400): exactly its slot.
+        let b = buf("sym/a");
+        let g = groups(4, |i| kernel(i).writes(b, ByteRange::span(i * 400, 400)));
+        assert_eq!(SampleSlots(vec![(b, 400)]).admits(&g), Ok(()));
     }
 
     #[test]
     fn overlapping_stride_is_refuted_with_minimal_witness() {
-        // len > stride: chunk i and i+1 overlap by 100 bytes.
-        let spec = SymGroupSpec::new()
-            .kernel(SymKernel::new("k").writes(buf("sym/b"), SymRange::per_chunk(0, 400, 500)));
-        match spec.prove() {
-            SymVerdict::Refuted(c) => {
-                assert_eq!((c.chunk_a, c.chunk_b), (1, 0));
-                assert_eq!(c.hazard, "write/write");
-                assert_eq!(c.overlap, ByteRange::new(400, 500));
-            }
-            v => panic!("expected refutation, got {v:?}"),
-        }
+        // len > stride: chunk i spills into chunk i+1's slot, and chunk 0 is
+        // the first to.
+        let b = buf("sym/b");
+        let g = groups(3, |i| kernel(i).writes(b, ByteRange::span(i * 400, 500)));
+        let why = SampleSlots(vec![(b, 400)]).admits(&g).unwrap_err();
+        assert!(why.contains("chunk 0") && why.contains("[0, 500)"), "{why}");
     }
 
     #[test]
     fn fixed_write_is_always_refuted() {
-        // Every chunk writes the same fixed range: WW across chunks.
-        let spec = SymGroupSpec::new().kernel(
-            SymKernel::new("k").writes(buf("sym/c"), SymRange::fixed(ByteRange::new(0, 64))),
-        );
-        assert!(matches!(spec.prove(), SymVerdict::Refuted(c) if c.hazard == "write/write"));
+        // Every chunk writes the same range, of an undeclared buffer or of
+        // a declared one: either way it leaves the sample slots.
+        let b = buf("sym/c");
+        let g = groups(2, |i| kernel(i).writes(b, ByteRange::new(0, 64)));
+        let why = SampleSlots::default().admits(&g).unwrap_err();
+        assert!(why.contains("undeclared"), "{why}");
+        let why = SampleSlots(vec![(b, 64)]).admits(&g).unwrap_err();
+        assert!(why.contains("chunk 1"), "{why}");
     }
 
     #[test]
     fn fixed_read_against_disjoint_chunk_writes_is_fine() {
-        // Weights read by every chunk; outputs tiled: the conv pattern.
-        let spec = SymGroupSpec::new().kernel(
-            SymKernel::new("sgemm")
-                .reads(buf("sym/w"), SymRange::fixed(ByteRange::new(0, 1024)))
-                .writes(buf("sym/out"), SymRange::per_chunk(0, 256, 256)),
-        );
-        assert!(matches!(spec.prove(), SymVerdict::Proven { .. }));
+        // Weights read whole by every chunk; outputs tiled: the conv
+        // pattern.
+        let (w, out) = (buf("sym/w"), buf("sym/out"));
+        let g = groups(3, |i| {
+            kernel(i)
+                .reads(w, ByteRange::new(0, 1024))
+                .writes(out, ByteRange::span(i * 256, 256))
+        });
+        assert_eq!(SampleSlots(vec![(out, 256)]).admits(&g), Ok(()));
     }
 
     #[test]
     fn chunk_write_overlapping_fixed_read_is_refuted() {
-        // Chunk writes march into a region some other chunk reads whole.
-        let spec = SymGroupSpec::new().kernel(
-            SymKernel::new("k")
-                .reads(buf("sym/d"), SymRange::fixed(ByteRange::new(0, 4096)))
-                .writes(buf("sym/d"), SymRange::per_chunk(0, 256, 256)),
-        );
-        match spec.prove() {
-            SymVerdict::Refuted(c) => assert_eq!(c.hazard, "write/read"),
-            v => panic!("expected refutation, got {v:?}"),
-        }
-    }
-
-    #[test]
-    fn far_fixed_range_needs_a_late_witness() {
-        // Fixed read at [4000, 4100); chunk writes [i*1000, +500). Chunk 4
-        // is the first to reach it.
-        let spec = SymGroupSpec::new().kernel(
-            SymKernel::new("k")
-                .reads(buf("sym/e"), SymRange::fixed(ByteRange::new(4000, 4100)))
-                .writes(buf("sym/e"), SymRange::per_chunk(0, 1000, 500)),
-        );
-        match spec.prove() {
-            SymVerdict::Refuted(c) => {
-                assert_eq!(c.chunk_a.max(c.chunk_b), 4);
-                assert_eq!(c.overlap, ByteRange::new(4000, 4100));
-            }
-            v => panic!("expected refutation, got {v:?}"),
-        }
+        // Chunk writes march into a buffer every chunk reads whole: the
+        // whole-buffer read leaves chunk 0's slot.
+        let d = buf("sym/d");
+        let g = groups(3, |i| {
+            kernel(i)
+                .reads(d, ByteRange::new(0, 4096))
+                .writes(d, ByteRange::span(i * 256, 256))
+        });
+        let why = SampleSlots(vec![(d, 256)]).admits(&g).unwrap_err();
+        assert!(why.contains("reads [0, 4096)"), "{why}");
     }
 
     #[test]
     fn offset_equal_stride_accesses_can_interleave_safely() {
-        // Two buffers' halves interleaved in one buffer: chunk i writes
-        // [i*800, +400) and reads [i*800+400, +400) — never collide.
-        let spec = SymGroupSpec::new().kernel(
-            SymKernel::new("k")
-                .writes(buf("sym/f"), SymRange::per_chunk(0, 800, 400))
-                .reads(buf("sym/f"), SymRange::per_chunk(400, 800, 400)),
-        );
-        assert!(matches!(spec.prove(), SymVerdict::Proven { .. }));
-    }
-
-    #[test]
-    fn different_strides_are_unsupported() {
-        let spec = SymGroupSpec::new().kernel(
-            SymKernel::new("k")
-                .writes(buf("sym/g"), SymRange::per_chunk(0, 400, 400))
-                .reads(buf("sym/g"), SymRange::per_chunk(0, 300, 300)),
-        );
-        assert!(matches!(spec.prove(), SymVerdict::Unsupported { .. }));
+        // Chunk i writes the first half of its 800-byte slot and reads the
+        // second half.
+        let b = buf("sym/f");
+        let g = groups(4, |i| {
+            kernel(i)
+                .writes(b, ByteRange::span(i * 800, 400))
+                .reads(b, ByteRange::span(i * 800 + 400, 400))
+        });
+        assert_eq!(SampleSlots(vec![(b, 800)]).admits(&g), Ok(()));
     }
 
     #[test]
     fn read_read_overlap_is_not_a_hazard() {
-        let spec = SymGroupSpec::new().kernel(
-            SymKernel::new("k").reads(buf("sym/h"), SymRange::fixed(ByteRange::new(0, 64))),
-        );
-        assert!(matches!(spec.prove(), SymVerdict::Proven { .. }));
+        let b = buf("sym/h");
+        let g = groups(3, |i| kernel(i).reads(b, ByteRange::new(0, 64)));
+        assert_eq!(SampleSlots::default().admits(&g), Ok(()));
+    }
+
+    #[test]
+    fn zero_stride_duplicate_and_overflow_are_refused() {
+        let b = buf("sym/g");
+        let g = groups(2, |i| kernel(i).writes(b, ByteRange::span(i * 64, 64)));
+        assert!(SampleSlots(vec![(b, 0)]).admits(&g).is_err());
+        // Two strides for one buffer: its slots are ambiguous.
+        assert!(SampleSlots(vec![(b, 64), (b, 32)]).admits(&g).is_err());
+        assert!(SampleSlots(vec![(b, 64), (b, 64)]).admits(&g).is_err());
+        // Only chunk n touches the buffer: chunk 3's slot start, 3·stride,
+        // is past u64::MAX; chunk 2's slot end is too.
+        let stride = u64::MAX / 3 + 1;
+        let only = |n: u64| {
+            groups(n + 1, move |i| {
+                let k = kernel(i);
+                if i == n {
+                    k.writes(b, ByteRange::new(u64::MAX - 1, u64::MAX))
+                } else {
+                    k
+                }
+            })
+        };
+        for n in [2, 3] {
+            let why = SampleSlots(vec![(b, stride)]).admits(&only(n)).unwrap_err();
+            assert!(why.contains(&format!("chunk {n}")), "{why}");
+        }
     }
 
     #[test]
     fn conformance_accepts_exact_instance_and_rejects_drift() {
         let b = buf("sym/i");
-        let spec = SymGroupSpec::new()
-            .kernel(SymKernel::new("k").writes(b, SymRange::per_chunk(0, 400, 400)));
-        let mk = |i: u64, start: u64| {
-            vec![gpu_sim::KernelDesc::new(
-                "k",
-                gpu_sim::LaunchConfig::new(
-                    gpu_sim::Dim3::linear(1),
-                    gpu_sim::Dim3::linear(32),
-                    16,
-                    0,
-                ),
-                gpu_sim::KernelCost::new(1.0, 1.0),
-            )
-            .with_tag(i)
-            .writes(b, ByteRange::span(start, 400))]
+        let slots = SampleSlots(vec![(b, 400)]);
+        let mk = |starts: [u64; 3]| {
+            let g: Vec<_> = starts
+                .iter()
+                .enumerate()
+                .map(|(i, &s)| vec![kernel(i as u64).writes(b, ByteRange::span(s, 400))])
+                .collect();
+            g
         };
-        assert!(spec.conforms(&mk(2, 800), 2).is_ok());
-        assert!(spec.conforms(&mk(2, 640), 2).is_err(), "wrong offset");
-        assert!(spec.conforms(&[], 0).is_err(), "wrong kernel count");
+        assert_eq!(slots.admits(&mk([0, 400, 800])), Ok(()));
+        assert!(slots.admits(&mk([0, 400, 640])).is_err(), "wrong offset");
+        // Chunks swapped: each stays disjoint, but chunk 1 no longer holds
+        // sample 1, so the slots do not admit it.
+        assert!(slots.admits(&mk([0, 800, 400])).is_err(), "reordered");
+        assert_eq!(slots.admits(&[]), Ok(()), "no chunks, nothing to admit");
     }
 
     #[test]
     fn proven_spec_matches_pairwise_on_instances() {
-        // The certificate must agree with the concrete pairwise check.
-        let spec = SymGroupSpec::new().kernel(
-            SymKernel::new("k")
-                .reads(buf("sym/j/w"), SymRange::fixed(ByteRange::new(0, 128)))
-                .writes(buf("sym/j/o"), SymRange::per_chunk(64, 512, 512)),
-        );
-        assert!(matches!(spec.prove(), SymVerdict::Proven { .. }));
+        // Whatever the slots admit, no two chunks conflict concretely.
+        let (w, o) = (buf("sym/j/w"), buf("sym/j/o"));
         for n in 2..6u64 {
-            for i in 0..n {
-                for j in 0..n {
+            let g = groups(n, |i| {
+                kernel(i)
+                    .reads(w, ByteRange::new(0, 128))
+                    .writes(o, ByteRange::span(i * 512 + 64, 448))
+            });
+            assert_eq!(SampleSlots(vec![(o, 512)]).admits(&g), Ok(()));
+            for i in 0..g.len() {
+                for j in 0..g.len() {
                     if i != j {
-                        assert!(
-                            spec.concrete(i).conflict_with(&spec.concrete(j)).is_none(),
-                            "chunks {i},{j} of {n}"
-                        );
+                        let c = g[i][0].accesses.conflict_with(&g[j][0].accesses);
+                        assert!(c.is_none(), "chunks {i},{j} of {n}");
                     }
                 }
             }

@@ -1,20 +1,19 @@
 //! Fault injection for the plan linter: each lint code is provoked by a
-//! deliberately constructed plan (or spec) and must surface with exactly
-//! that code, and rendering must be byte-identical across runs.
+//! deliberately constructed plan (or slot declaration) and must surface
+//! with exactly that code, and rendering must be byte-identical across
+//! runs.
 //!
 //! Covered codes:
 //! - `PW001` — an event edge already implied by the rest of happens-before.
 //! - `PW002` — independent kernels serialized on one stream.
 //! - `PW003` — recorded events never consumed across streams.
-//! - `PL002` — a symbolic refutation (chunks provably overlap).
-//! - `PL004` — a symbolic declaration that disagrees with the built kernels.
+//! - `PL002` — chunks whose regions overlap (found by the pairwise fallback).
+//! - `PL004` — declared sample slots that do not admit the built kernels.
 //! - `PL005` — peak live-buffer footprint over device memory.
 
 use crate::refs;
 use gpu_sim::{BufferId, ByteRange, Dim3, KernelCost, KernelDesc, LaunchConfig};
-use sanitizer::{
-    DiagnosticKind, LintConfig, SanitizeMode, Sanitizer, SymGroupSpec, SymKernel, SymRange,
-};
+use sanitizer::{DiagnosticKind, LintConfig, SampleSlots, SanitizeMode, Sanitizer};
 
 fn kernel(name: &str) -> KernelDesc {
     KernelDesc::new(
@@ -87,11 +86,11 @@ fn unconsumed_events_surface_as_pw003() {
 
 #[test]
 fn symbolic_refutation_surfaces_as_pl002_and_a_diagnostic() {
-    // Chunk stride 256 but length 384: neighbours overlap by 128 bytes in
-    // every shape with ≥ 2 chunks.
+    // Declared stride 256 but length 384: each chunk spills 128 bytes into
+    // its neighbour's slot. The slots miss (PL004), and the pairwise
+    // fallback finds both neighbour overlaps (PL002 and a diagnostic each).
     let buf = BufferId::from_label("lf/pl002");
-    let spec = SymGroupSpec::new()
-        .kernel(SymKernel::new("k").writes(buf, SymRange::per_chunk(0, 256, 384)));
+    let slots = SampleSlots(vec![(buf, 256)]);
     let groups: Vec<Vec<KernelDesc>> = (0..3u64)
         .map(|i| {
             vec![kernel("k")
@@ -101,26 +100,31 @@ fn symbolic_refutation_surfaces_as_pl002_and_a_diagnostic() {
         .collect();
     let mut san = Sanitizer::new(SanitizeMode::PlanOnly);
     san.attach_linter(cfg());
-    let certified = san.check_chunks_spec("lf/refuted", "lf/net/conv/fwd", &spec, &groups);
+    let certified = san.check_chunks_spec("lf/refuted", "lf/net/conv/fwd", &slots, &groups);
     assert!(!certified);
-    assert_eq!(lint_codes(&san), vec!["PL002"]);
-    // The refutation is also a first-class sanitizer diagnostic.
-    assert_eq!(san.reports().len(), 1);
-    assert_eq!(
-        san.reports()[0].kind,
-        DiagnosticKind::OverlappingChunkRegions
-    );
-    assert_eq!(san.stats().certified_captures, 0);
+    assert_eq!(lint_codes(&san), vec!["PL004", "PL002", "PL002"]);
+    let diags = san.linter().unwrap().diags();
+    assert!(diags[0].message.contains("lf/net/conv/fwd"), "{diags:?}");
+    assert!(diags[1].message.contains("[256, 384)"), "{diags:?}");
+    // Each overlap is also a first-class sanitizer diagnostic.
+    assert_eq!(san.reports().len(), 2);
+    for r in san.reports() {
+        assert_eq!(r.kind, DiagnosticKind::OverlappingChunkRegions);
+        assert_eq!(r.context, "lf/refuted");
+    }
+    let stats = san.stats();
+    assert_eq!(stats.certified_captures, 0);
+    assert_eq!(stats.symbolic_chunks, 0);
+    assert_eq!((stats.conformance_misses, stats.pairwise_fallbacks), (1, 1));
 }
 
 #[test]
 fn declaration_drift_surfaces_as_pl004_and_falls_back() {
-    // The spec says stride 256; the built kernels actually stride 512.
-    // The certificate must be refused and pairwise checking must run (and
+    // The slots say stride 256; the built kernels actually stride 512.
+    // The slots must refuse the groups and pairwise checking must run (and
     // stay silent — the real kernels are fine).
     let buf = BufferId::from_label("lf/pl004");
-    let spec = SymGroupSpec::new()
-        .kernel(SymKernel::new("k").writes(buf, SymRange::per_chunk(0, 256, 256)));
+    let slots = SampleSlots(vec![(buf, 256)]);
     let groups: Vec<Vec<KernelDesc>> = (0..3u64)
         .map(|i| {
             vec![kernel("k")
@@ -130,10 +134,16 @@ fn declaration_drift_surfaces_as_pl004_and_falls_back() {
         .collect();
     let mut san = Sanitizer::new(SanitizeMode::PlanOnly);
     san.attach_linter(cfg());
-    let certified = san.check_chunks_spec("lf/drift", "lf/net/conv2/fwd", &spec, &groups);
+    let certified = san.check_chunks_spec("lf/drift", "lf/net/conv2/fwd", &slots, &groups);
     assert!(!certified);
     assert_eq!(lint_codes(&san), vec!["PL004"]);
+    let message = &san.linter().unwrap().diags()[0].message;
+    assert!(
+        message.contains("lf/net/conv2/fwd") && message.contains("chunk 1"),
+        "{message}"
+    );
     assert!(san.reports().is_empty(), "{:?}", san.reports());
+    assert_eq!(san.stats().certified_captures, 0);
     assert_eq!(san.stats().conformance_misses, 1);
     assert_eq!(san.stats().pairwise_fallbacks, 1);
     assert!(

@@ -1,17 +1,17 @@
-//! Property tests for the plan linter and the symbolic prover.
+//! Property tests for the plan linter and the sample-slot check.
 //!
 //! 1. **PW001 is sound**: removing *every* event edge the linter flags as
 //!    redundant leaves the happens-before relation (transitive closure of
 //!    declared deps + per-stream FIFO order) exactly unchanged.
-//! 2. **Certificates agree with the pairwise checker**: a `Proven` spec
-//!    has no cross-chunk conflict at any materialized shape, and a
-//!    `Refuted` spec's witness chunks conflict concretely whenever the
-//!    shape contains both.
+//! 2. **The sample-slot check is sound**: whenever declared slots admit a
+//!    capture's chunk groups, the pairwise checker finds no cross-chunk
+//!    conflict in them.
 
 use crate::refs;
+use gpu_sim::{BufferId, ByteRange};
 use gpu_sim::{Dim3, KernelCost, KernelDesc, LaunchConfig};
 use proptest::prelude::*;
-use sanitizer::{LintConfig, Linter, SymGroupSpec, SymKernel, SymRange, SymVerdict};
+use sanitizer::{LintConfig, Linter, SampleSlots, SanitizeMode, Sanitizer};
 use std::collections::BTreeSet;
 
 fn kernel(name: &str) -> KernelDesc {
@@ -108,55 +108,48 @@ proptest! {
         prop_assert_eq!(before, after, "flagged {:?}", flagged);
     }
 
-    /// The symbolic verdict agrees with the concrete pairwise checker at
-    /// every materialized shape.
+    /// The sample-slot check is sound: whatever it admits, the pairwise
+    /// checker finds no cross-chunk conflict in.
     #[test]
-    fn symbolic_verdict_matches_pairwise_instances(
+    fn admitted_groups_never_conflict_pairwise(
+        decls in prop::collection::vec((0usize..3, 1u64..5), 1..3),
         accs in prop::collection::vec(
-            (0usize..2, any::<bool>(), 0u64..4, 1u64..5, 1u64..5, any::<bool>()),
-            1..4,
+            (0u8..4, 0usize..3, 0usize..3, any::<bool>(), 1u64..5, 0u64..4, 1u64..4),
+            1..5,
         ),
+        chunks in 2u64..7,
     ) {
-        // Each tuple: (buffer, is_write, base/64, stride/64, len/64, fixed?).
-        let mut k = SymKernel::new("k");
-        for &(buf, is_write, base, stride, len, fixed) in &accs {
-            let b = gpu_sim::BufferId::from_label(&format!("pt/sym{buf}"));
-            let r = if fixed {
-                SymRange::fixed(gpu_sim::ByteRange::span(base * 64, len * 64))
-            } else {
-                SymRange::per_chunk(base * 64, stride * 64, len * 64)
-            };
-            k = if is_write { k.writes(b, r) } else { k.reads(b, r) };
-        }
-        let spec = SymGroupSpec::new().kernel(k);
-        match spec.prove() {
-            SymVerdict::Proven { .. } => {
-                for n in 2..6u64 {
-                    for i in 0..n {
-                        for j in 0..n {
-                            if i != j {
-                                prop_assert!(
-                                    spec.concrete(i).conflict_with(&spec.concrete(j)).is_none(),
-                                    "proven spec conflicts at chunks {},{} of {}", i, j, n
-                                );
-                            }
-                        }
-                    }
+        // Units of 64 bytes. Each access tuple is (mode, slot, buffer,
+        // is_write, stride, offset, len); every chunk performs every access:
+        // modes 0 and 1 land inside declared slot `slot`, mode 2 is
+        // per-chunk at its own stride, mode 3 is one whole-buffer range.
+        let buf = |b: usize| BufferId::from_label(&format!("pt/slot{b}"));
+        let slots = SampleSlots(decls.iter().map(|&(b, s)| (buf(b), s * 64)).collect());
+        let groups: Vec<Vec<KernelDesc>> = (0..chunks)
+            .map(|i| {
+                let mut k = kernel("k").with_tag(i);
+                for &(mode, slot, b, is_write, stride, off, len) in &accs {
+                    let (sb, s) = decls[slot % decls.len()];
+                    let (b, start, len) = match mode {
+                        0 | 1 => (buf(sb), i * s + off % s, len.min(s - off % s)),
+                        2 => (buf(b), i * stride + off, len),
+                        _ => (buf(b), off, len),
+                    };
+                    let r = ByteRange::span(start * 64, len * 64);
+                    k = if is_write { k.writes(b, r) } else { k.reads(b, r) };
                 }
-            }
-            SymVerdict::Refuted(c) => {
-                prop_assert!(c.chunk_a != c.chunk_b);
-                prop_assert!(
-                    spec.concrete(c.chunk_a)
-                        .conflict_with(&spec.concrete(c.chunk_b))
-                        .is_some(),
-                    "witness chunks {},{} do not conflict concretely", c.chunk_a, c.chunk_b
-                );
-            }
-            SymVerdict::Unsupported { .. } => {
-                // Outside the affine fragment; the runtime falls back to
-                // pairwise checking, so nothing to cross-validate.
-            }
+                vec![k]
+            })
+            .collect();
+        let mut san = Sanitizer::new(SanitizeMode::PlanOnly);
+        let certified = san.check_chunks_spec("pt", "pt/site", &slots, &groups);
+        prop_assert_eq!(certified, slots.admits(&groups).is_ok());
+        if certified {
+            san.check_chunks("pt", &groups);
+            prop_assert!(
+                san.reports().is_empty(),
+                "admitted groups conflict: {:?}", san.reports()
+            );
         }
     }
 }

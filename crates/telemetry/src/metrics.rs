@@ -345,29 +345,6 @@ impl MetricsRegistry {
         self.histograms.iter()
     }
 
-    /// Merge another registry into this one: counters add, gauges take
-    /// the other's value (last write wins, matching
-    /// [`gauge_set`](MetricsRegistry::gauge_set)), histograms append
-    /// observations. Used to fold a subsystem's private registry (e.g.
-    /// the fleet's router gauges) into a run's exported telemetry.
-    pub fn merge_from(&mut self, other: &MetricsRegistry) {
-        for (name, v) in other.counters() {
-            self.counter_add(name, v);
-        }
-        for (name, v) in other.gauges() {
-            self.gauge_set(name, v);
-        }
-        for (name, h) in other.histograms() {
-            let dst = self
-                .histograms
-                .entry(name)
-                .get_or_insert_with(Histogram::new);
-            for v in h.values() {
-                dst.record(*v);
-            }
-        }
-    }
-
     /// Plain-text snapshot: one line per metric, sorted within sorted
     /// sections, deterministic.
     pub fn snapshot(&self) -> String {
@@ -490,26 +467,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_counters_overwrites_gauges_appends_histograms() {
-        let mut a = MetricsRegistry::new();
-        a.counter_add("hits", 3);
-        a.gauge_set("depth", 1.0);
-        a.observe("lat", 10);
-        let mut b = MetricsRegistry::new();
-        b.counter_add("hits", 2);
-        b.counter_add("misses", 1);
-        b.gauge_set("depth", 9.0);
-        b.observe("lat", 20);
-        b.observe("other", 5);
-        a.merge_from(&b);
-        assert_eq!(a.counter("hits"), 5);
-        assert_eq!(a.counter("misses"), 1);
-        assert_eq!(a.gauge("depth"), Some(9.0));
-        assert_eq!(a.histogram("lat").unwrap().values(), [10, 20]);
-        assert_eq!(a.histogram("other").unwrap().count(), 1);
-    }
-
-    #[test]
     fn snapshot_is_sorted_and_stable() {
         let mut m = MetricsRegistry::new();
         m.counter_add("z.last", 1);
@@ -553,9 +510,6 @@ mod tests {
         assert_eq!(m.snapshot(), before, "an unwritten id exports nothing");
         assert_eq!(m.counters().count(), 1);
         assert_eq!(m.gauges().count(), 0);
-        let mut merged = MetricsRegistry::new();
-        merged.merge_from(&m);
-        assert_eq!(merged.snapshot(), before, "nor does it merge");
         m.counter_add_id(c, 0);
         assert!(m.snapshot().contains("later = 0"), "a zero add writes");
     }

@@ -10,7 +10,8 @@
 #   tests/integration/main.rs);
 # - no dead dependency edge: scripts/deps.sh fails when a normal or dev
 #   dependency is never named in its package's sources;
-# - clippy with warnings denied, release build, full test suite;
+# - clippy and rustdoc with warnings denied, release build, full test
+#   suite;
 # - the seven wall-clock-free smokes, diffed against tests/golden/smoke/:
 #   serving (dynamic batching over one replica; asserts GLP4NN throughput >=
 #   naive),
@@ -57,6 +58,7 @@ if ! unused=$(bash scripts/deps.sh); then
     exit 1
 fi
 cargo clippy --workspace --all-targets -- -D warnings
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 cargo build --workspace --release
 cargo test --workspace -q
 for smoke in serving sanitize lint interop replay multi-gpu fleet; do

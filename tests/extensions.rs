@@ -4,7 +4,8 @@
 //! wave plans; `crates/interop/tests` and `reproduce interop` cover them.)
 
 use glp4nn::{Glp4nn, LayerKey, OptimConfig, PlanCache, Schedule};
-use gpu_sim::{Device, DeviceProps, Dim3, KernelCost, KernelDesc, LaunchConfig};
+use gpu_sim::LaunchConfig;
+use gpu_sim::{BufferId, ByteRange, Device, DeviceProps, Dim3, KernelCost, KernelDesc};
 use nn::data::SyntheticDataset;
 use nn::models;
 use nn::solver::MomentumKind;
@@ -62,6 +63,83 @@ fn fusion_reduces_launches_and_time_for_small_kernels() {
         fused_ns < base_ns,
         "launch-bound groups must get faster: {fused_ns} vs {base_ns}"
     );
+}
+
+#[test]
+fn fused_captures_certify_and_reordered_ones_fall_back() {
+    // Sample i's chain reads its slot of `in` and the whole of `w`, and
+    // writes its slot of `out`; chain i has min(i + 1, 3) kernels.
+    let [input, w, out] = ["in", "w", "out"].map(|b| BufferId::from_label(&format!("ext/{b}")));
+    let slots = || sanitizer::SampleSlots(vec![(input, 256), (out, 256)]);
+    let groups = || -> Vec<Vec<KernelDesc>> {
+        (0..3u64)
+            .map(|i| {
+                let mut g = small_groups(1).remove(0);
+                g.truncate(i as usize + 1);
+                g.into_iter()
+                    .map(|k| {
+                        k.with_tag(i)
+                            .reads(input, ByteRange::span(i * 256, 256))
+                            .reads(w, ByteRange::new(0, 1024))
+                            .writes(out, ByteRange::span(i * 256, 256))
+                    })
+                    .collect()
+            })
+            .collect()
+    };
+    let run = |optim: OptimConfig| {
+        let mut dev = Device::new(DeviceProps::k40c());
+        let mut glp = Glp4nn::with_optim(1, optim);
+        glp.register_device(0, dev.props());
+        let mut plans = PlanCache::default();
+        let mut san = sanitizer::Sanitizer::new(sanitizer::SanitizeMode::PlanOnly);
+        san.attach_linter(sanitizer::LintConfig {
+            mem_bytes: 1 << 30,
+            max_resident_threads: 1 << 16,
+        });
+        let key = LayerKey::forward("net", "ext");
+        // Profile, then capture: both check the chunks.
+        for _ in 0..2 {
+            let source = Schedule {
+                make_groups: groups,
+                make_spec: || Some(slots()),
+            };
+            glp.execute(&mut dev, &mut plans, 0, &key, source, Some(&mut san))
+                .unwrap();
+        }
+        let linter = san.linter().unwrap();
+        let codes: Vec<_> = linter.diags().iter().map(|d| d.code.code()).collect();
+        let launches = dev.trace().len();
+        (san.stats(), codes, san.reports().len(), launches)
+    };
+
+    // Fusion merges each chain into one launch whose accesses stay in the
+    // sample's slots: the capture certifies and nothing is reported.
+    let (stats, codes, reports, launches) = run(OptimConfig {
+        fusion: true,
+        ..OptimConfig::default()
+    });
+    assert!(launches < 2 * 6, "the capture must have fused: {launches}");
+    assert_eq!((stats.certified_captures, stats.pairwise_fallbacks), (2, 0));
+    assert!(!codes.contains(&"PL004"), "{codes:?}");
+    assert_eq!(reports, 0);
+
+    // LPT puts the longest chain (sample 2) at chunk 0: no longer its
+    // sample's slot, so the capture misses, says so and falls back to the
+    // pairwise check, which finds the chunks disjoint.
+    let (stats, codes, reports, _) = run(OptimConfig {
+        reordering: true,
+        ..OptimConfig::default()
+    });
+    assert_eq!((stats.certified_captures, stats.pairwise_fallbacks), (1, 1));
+    assert_eq!(stats.conformance_misses, 1);
+    assert_eq!(
+        codes.iter().filter(|&&c| c == "PL004").count(),
+        1,
+        "{codes:?}"
+    );
+    assert!(!codes.contains(&"PL002"), "{codes:?}");
+    assert_eq!(reports, 0);
 }
 
 #[test]

@@ -36,16 +36,16 @@ fn glp4nn_batch_split_regions_are_disjoint_for_all_models() {
         for batch in [2usize, 4, 8] {
             let ctx = sanitized_iteration(net, batch, DispatchMode::Glp4nn);
             let stats = ctx.sanitizer.stats();
-            // Chunk disjointness is now established by symbolic certificates
-            // (once per site, covering every chunk) with pairwise comparison
-            // as the fallback; either counter proves the check ran.
+            // Chunk disjointness is established by the sites' sample slots
+            // with pairwise comparison as the fallback; either counter
+            // proves the check ran.
             assert!(
                 stats.symbolic_chunks + stats.chunk_pairs > 0,
                 "{net}@{batch}: no chunks verified — layers stopped declaring accesses?"
             );
             assert!(
                 stats.certified_captures > 0,
-                "{net}@{batch}: no capture admitted by a symbolic certificate"
+                "{net}@{batch}: no capture admitted by its sample slots"
             );
             let overlaps: Vec<_> = ctx
                 .sanitizer
@@ -88,7 +88,7 @@ fn full_iteration_is_race_free_under_every_dispatch_mode() {
 fn larger_batches_scale_the_checked_pairs() {
     // Chunk pairs grow quadratically with the batch: a quick sanity check
     // that per-sample declarations track the batch size. Capture admits
-    // these sites by symbolic certificate, so the pairwise checker runs on
+    // these sites by their sample slots, so the pairwise checker runs on
     // one staged iteration's chunk groups directly.
     let chunk_pairs = |batch: usize| {
         let mut ctx = ExecCtx::glp4nn(DeviceProps::p100()).timing_only();

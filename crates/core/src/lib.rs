@@ -17,7 +17,7 @@
 //!   Shared by all GPUs on the machine.
 //! - [`analyzer::KernelAnalyzer`] — *kernel analyzer*: the *concurrency
 //!   analyzer* builds the paper's analytical model (Eqs. 1-9) as a small
-//!   integer program solved with [`milp`] (the GLPK substitute), and the
+//!   integer program solved by an exact search (the GLPK substitute), and the
 //!   *concurrency maintainer* caches one [`analyzer::ConcurrencyPlan`] per
 //!   layer per GPU. Private to each GPU.
 //! - [`streams::StreamManager`] — *stream manager*: a pool of pre-created

@@ -30,7 +30,7 @@
 
 use crate::framework::{ExecMode, ExecReport};
 use crate::scheduler::tel_instant;
-use gpu_sim::{Device, EventId, KernelDesc, StreamId};
+use gpu_sim::{Device, EventId, KernelDesc, Recording, StreamId};
 use sanitizer::{PlanNodeRef, SampleSlots, Sanitizer};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -206,17 +206,27 @@ impl ExecPlan {
     }
 
     /// The same frozen schedule bound to another stream pool of the same
-    /// size — a candidate measured on a scratch device, re-targeted at the
-    /// device that will execute it. Tables are copied, kernel descriptors
-    /// shared; nothing is re-derived.
-    pub fn on_pool(&self, pool: &[StreamId]) -> Self {
+    /// size — a candidate measured on a scratch device (its run recorded by
+    /// [`Device::run_recorded`]), re-targeted at `dev`, the device that will
+    /// execute it. Tables are copied, kernel descriptors shared; nothing is
+    /// re-derived. When `pool` holds the probe's own stream ids, `probe`,
+    /// the recording of its run, becomes `dev`'s recording of the new plan
+    /// ([`Device::seed_memo`]): the new plan's replays on a quiescent `dev`
+    /// apply the probe's run instead of simulating it again. Under other ids
+    /// the plan starts the memo's usual life: stream ids order simultaneous
+    /// events, so a shifted recording would not be the same run.
+    pub fn on_pool(&self, dev: &mut Device, pool: &[StreamId], probe: Option<Recording>) -> Self {
         assert_eq!(
             pool.len(),
             self.streams.len(),
             "a plan is re-targeted at a pool of its own size"
         );
+        let id = next_id();
+        if let Some(rec) = probe.filter(|_| pool == self.streams.as_slice()) {
+            dev.seed_memo(id, rec);
+        }
         ExecPlan {
-            id: next_id(),
+            id,
             label: self.label.clone(),
             streams: pool.to_vec(),
             kernels: self.kernels.clone(),
@@ -645,28 +655,49 @@ mod tests {
         let probed =
             ExecPlan::capture_assigned("p", &nodes, &deps, &[0, 1, 0], &scratch_pool, mode);
 
-        // The executing device's pool sits at other stream ids.
+        let probe = scratch.run_recorded(|d| probed.issue(d));
+        let r1 = ExecReport {
+            mode,
+            elapsed_ns: scratch.now(),
+            kernels: 3,
+        };
+        let spans = |d: &Device| -> Vec<_> {
+            let trace = d.trace().iter();
+            trace
+                .map(|t| (t.name.to_string(), t.stream, t.start_ns, t.end_ns))
+                .collect()
+        };
+
+        // The executing device's pool sits at other stream ids: the plan
+        // is re-targeted, and its replay simulates.
         let mut dev = Device::new(DeviceProps::p100());
         dev.create_stream();
         let pool: Vec<_> = (0..2).map(|_| dev.create_stream()).collect();
         assert_ne!(pool, scratch_pool);
-        let plan = probed.on_pool(&pool);
+        let plan = probed.on_pool(&mut dev, &pool, probe.clone());
         assert_eq!(plan.streams(), &pool[..]);
         assert_eq!(plan.steps(), probed.steps());
         assert_eq!(plan.node_streams(), probed.node_streams());
         assert_eq!(plan.node_deps(2), probed.node_deps(2));
         assert_eq!((plan.num_events(), plan.mode()), (2, mode));
         assert!((0..3).all(|i| Arc::ptr_eq(&plan.kernels[i], &nodes[i])));
+        assert_eq!(plan.replay(&mut dev), r1);
+        assert_eq!(dev.memo_stats(), (0, 1));
+        let shifted: Vec<_> = spans(&dev)
+            .into_iter()
+            .map(|(n, _, s, e)| (n, s, e))
+            .collect();
+        let probed_spans = spans(&scratch).into_iter().map(|(n, _, s, e)| (n, s, e));
+        assert!(probed_spans.eq(shifted));
 
-        let (r1, r2) = (probed.replay(&mut scratch), plan.replay(&mut dev));
-        assert_eq!(r1, r2);
-        let spans = |d: &Device| -> Vec<_> {
-            let trace = d.trace().iter();
-            trace
-                .map(|t| (t.name.to_string(), t.start_ns, t.end_ns))
-                .collect()
-        };
-        assert_eq!(spans(&scratch), spans(&dev));
+        // On the probe's own stream ids the first replay applies its run.
+        let mut same = Device::new(DeviceProps::p100());
+        let same_pool: Vec<_> = (0..2).map(|_| same.create_stream()).collect();
+        let applied = probed.on_pool(&mut same, &same_pool, probe);
+        assert_eq!(applied.replay(&mut same), r1);
+        assert_eq!(same.memo_stats(), (1, 0));
+        assert_eq!(spans(&same), spans(&scratch));
+        assert_eq!(same.command_log(), scratch.command_log());
     }
 
     #[test]

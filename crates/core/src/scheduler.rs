@@ -211,7 +211,10 @@ impl RuntimeScheduler {
                 groups = reorder_groups(groups, &cplan.class_durations, overhead);
             }
         }
-        let site = key.site_key();
+        // Only a slot-miss diagnostic names the site.
+        let site = sanitizer
+            .as_ref()
+            .map_or_else(String::new, |_| key.site_key());
         let spec = sanitizer.as_ref().and_then(|_| (source.make_spec)());
         let source = CaptureSource {
             context: name,

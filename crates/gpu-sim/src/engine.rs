@@ -71,6 +71,7 @@
 //! The simulation is fully deterministic.
 
 pub(crate) mod memo;
+pub use memo::Recording;
 
 use crate::arena::Arena;
 use crate::contention::{burst_ns, BandwidthTracker};

@@ -32,6 +32,12 @@ pub(crate) struct Outcome {
     pub(crate) residue: Arc<Residue>,
 }
 
+/// One quiescent run recorded on a device ([`Device::run_recorded`]), for a
+/// device whose same streams then receive the same commands to apply
+/// ([`Device::seed_memo`]).
+#[derive(Debug, Clone)]
+pub struct Recording(Arc<Outcome>);
+
 /// Kernel-id, event-id, time and fabric copy-id offsets (wrapping: records
 /// subtract).
 #[derive(Clone, Copy)]
@@ -103,7 +109,8 @@ impl Device {
     /// key's replay, apply the recording instead, with the same observable
     /// result. Every call with one `key` must issue the same commands on the
     /// same existing streams (`ExecPlan` keys by plan); the second call on
-    /// an idle device records. Attached telemetry bypasses the memo.
+    /// an idle device records, unless [`seed_memo`](Device::seed_memo) gave
+    /// the key a recording first. Attached telemetry bypasses the memo.
     pub fn replay_memo(&mut self, key: u64, issue: impl FnOnce(&mut Device)) -> SimTime {
         let idle = self.quiescent();
         #[cfg(test)]
@@ -127,6 +134,27 @@ impl Device {
         }
         self.memo = memo;
         self.clock
+    }
+
+    /// Issue with `issue` and run to completion, recording the run the way
+    /// [`replay_memo`](Device::replay_memo) records a replay: `None` unless
+    /// the device was quiescent before and after it, and the run created no
+    /// stream. Telemetry bypasses it, as it does the memo.
+    pub fn run_recorded(&mut self, issue: impl FnOnce(&mut Device)) -> Option<Recording> {
+        let start = (self.quiescent())
+            .then(|| self.record_start(self.clock, self.kernels.len(), self.events.len()));
+        issue(self);
+        self.run();
+        Some(Recording(Arc::new(self.record_finish(start?, 0)?)))
+    }
+
+    /// Make `rec` this device's recording of replay `key`: from the next
+    /// [`replay_memo`](Device::replay_memo) of `key` on, a quiescent device
+    /// applies it (once its residue program is proven to repeat) instead of
+    /// simulating. `key` must issue the recorded commands on the recorded
+    /// stream ids: ids are shifted on apply, stream ids are not.
+    pub fn seed_memo(&mut self, key: u64, rec: Recording) {
+        self.memo.insert(key, Some(rec.0));
     }
 
     /// `(hits, misses)` of [`replay_memo`](Device::replay_memo): replays

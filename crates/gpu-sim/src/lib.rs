@@ -59,7 +59,7 @@ pub mod stream;
 pub mod timeline;
 
 pub use device::{Arch, ArchFeatures, DeviceProps};
-pub use engine::Device;
+pub use engine::{Device, Recording};
 pub use fabric::{CopyDesc, Fabric, FabricError, FabricSpec, LinkProps};
 pub use kernel::{
     AccessConflict, AccessSet, BufferId, ByteRange, Dim3, KernelCost, KernelDesc, KernelId,

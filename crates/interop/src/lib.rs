@@ -43,7 +43,7 @@ pub use wave::{co_schedule, WaveAssignment, WaveDispatchProfile};
 
 use glp4nn::plan::{verify_capture, CaptureSource};
 use glp4nn::{ExecMode, ExecPlan, KernelProfile, Phase};
-use gpu_sim::{Device, DeviceProps, KernelDesc, KernelName, SimTime, StreamId};
+use gpu_sim::{Device, DeviceProps, KernelDesc, KernelName, Recording, SimTime, StreamId};
 use nn::exec::StagedDispatch;
 use nn::{ExecCtx, LayerTiming, Net, NetSpec};
 use std::collections::HashMap;
@@ -351,19 +351,22 @@ impl InterOpExec {
         };
         let asm_a = assemble(&exec_waves_a, &dispatches_of, &preds_of);
         let asm_b = assemble(&exec_waves_b, &dispatches_of, &preds_of);
-        let (wave_ns, wave_plan) = measure(&asm_a, key, &props);
-        let (serial_ns, serial_plan) = measure(&asm_b, key, &props);
+        let (wave_ns, wave_plan, wave_run) = measure(&asm_a, key, &props);
+        let (serial_ns, serial_plan, serial_run) = measure(&asm_b, key, &props);
         let chose_waves = wave_ns <= serial_ns;
-        let (chosen, probed) = if chose_waves {
-            (&asm_a, &wave_plan)
+        let (chosen, probed, run) = if chose_waves {
+            (&asm_a, &wave_plan, wave_run)
         } else {
-            (&asm_b, &serial_plan)
+            (&asm_b, &serial_plan, serial_run)
         };
 
         // The executed plan is the winning probe's tables on this
-        // context's streams, not a third capture.
+        // context's streams, not a third capture, and its first replay
+        // applies the probe's run rather than simulating it a third time
+        // (when the pool has the probe's stream ids, as a fresh context's
+        // does).
         let pool = ctx.ensure_streams(chosen.num_streams.max(1));
-        let plan = Arc::new(probed.on_pool(&pool));
+        let plan = Arc::new(probed.on_pool(&mut ctx.device, &pool, run));
 
         if ctx.sanitizer.is_enabled() {
             // Verifying the plan without a source deliberately keeps the
@@ -572,8 +575,13 @@ fn assemble(
 /// Instantiate an assembly against a scratch device and measure one
 /// replay — the candidate-selection probe. The scratch device is fresh
 /// and idle, so the measurement is deterministic and isolated from the
-/// training device's state.
-fn measure(asm: &Assembly, label: &str, props: &DeviceProps) -> (SimTime, Arc<ExecPlan>) {
+/// training device's state; the run is recorded for the executed plan to
+/// apply if this candidate wins.
+fn measure(
+    asm: &Assembly,
+    label: &str,
+    props: &DeviceProps,
+) -> (SimTime, Arc<ExecPlan>, Option<Recording>) {
     let n = asm.num_streams.max(1);
     let mode = if n <= 1 {
         ExecMode::Profiling
@@ -584,8 +592,9 @@ fn measure(asm: &Assembly, label: &str, props: &DeviceProps) -> (SimTime, Arc<Ex
     let pool: Vec<StreamId> = (0..n).map(|_| dev.create_stream()).collect();
     let plan =
         ExecPlan::capture_assigned(label, &asm.nodes, &asm.deps, &asm.stream_of, &pool, mode);
-    let r = plan.replay(&mut dev);
-    (r.elapsed_ns, Arc::new(plan))
+    let t0 = dev.now();
+    let run = dev.run_recorded(|dev| plan.issue(dev));
+    (dev.now() - t0, Arc::new(plan), run)
 }
 
 #[cfg(test)]

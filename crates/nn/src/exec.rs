@@ -471,9 +471,11 @@ impl ExecCtx {
                 };
                 let plan = ExecPlan::capture_round_robin(key, &groups, pool, mode);
                 let san = self.sanitizer.is_enabled().then_some(&mut self.sanitizer);
-                // Shape-independent: one disjointness proof covers every
-                // batch size and chunk count the site is captured at.
-                let site = format!("{}/{}/{}", self.net_name, layer, phase.as_str());
+                // Shape-independent, and named only by a slot-miss
+                // diagnostic: formatted only when a sanitizer checks.
+                let site = san.as_ref().map_or_else(String::new, |_| {
+                    format!("{}/{}/{}", self.net_name, layer, phase.as_str())
+                });
                 let spec = san.as_ref().and_then(|_| make_spec());
                 let source = CaptureSource {
                     context: if spec.is_some() { key } else { layer },

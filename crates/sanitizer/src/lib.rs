@@ -82,10 +82,8 @@ pub struct SanitizerStats {
     /// Captures fully admitted by their declared sample slots (chunk check
     /// *and* plan hazard sweep skipped).
     pub certified_captures: u64,
-    /// Captures whose groups left their declared sample slots (fell back
-    /// to pairwise checking).
-    pub conformance_misses: u64,
-    /// Slot-declared capture checks that ran the pairwise path.
+    /// Slot-declared capture checks whose groups left their declared
+    /// sample slots and ran the pairwise path.
     pub pairwise_fallbacks: u64,
 }
 
@@ -236,7 +234,6 @@ impl Sanitizer {
             self.stats.certified_captures += 1;
             return true;
         };
-        self.stats.conformance_misses += 1;
         if let Some(l) = &mut self.linter {
             l.push(LintDiag {
                 code: LintCode::SlotMiss,

@@ -115,7 +115,7 @@ fn symbolic_refutation_surfaces_as_pl002_and_a_diagnostic() {
     let stats = san.stats();
     assert_eq!(stats.certified_captures, 0);
     assert_eq!(stats.symbolic_chunks, 0);
-    assert_eq!((stats.conformance_misses, stats.pairwise_fallbacks), (1, 1));
+    assert_eq!(stats.pairwise_fallbacks, 1);
 }
 
 #[test]
@@ -144,7 +144,6 @@ fn declaration_drift_surfaces_as_pl004_and_falls_back() {
     );
     assert!(san.reports().is_empty(), "{:?}", san.reports());
     assert_eq!(san.stats().certified_captures, 0);
-    assert_eq!(san.stats().conformance_misses, 1);
     assert_eq!(san.stats().pairwise_fallbacks, 1);
     assert!(
         san.stats().chunk_pairs > 0,

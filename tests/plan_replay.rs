@@ -18,6 +18,7 @@ use glp4nn::streams::StreamManager;
 use glp4nn::tracker::ResourceTracker;
 use glp4nn::{LayerKey, OptimConfig, Phase, PlanCache};
 use gpu_sim::{Device, DeviceProps, Dim3, KernelCost, KernelDesc, LaunchConfig};
+use interop::InterOpExec;
 use nn::data::SyntheticDataset;
 use nn::{models, DispatchMode, ExecCtx, Net, NetSpec, Solver, SolverConfig};
 use proptest::prelude::*;
@@ -372,6 +373,46 @@ fn memo_replays_match_the_simulation_on_warm_loops() {
             assert!(memo.device.memo_stats().0 > 0, "{case}: no replay hit");
             assert_eq!(sim.device.memo_stats().0, 0, "{case}");
         }
+    }
+}
+
+/// A whole-net capture probes both candidate plans on scratch devices and
+/// executes the winner; on a fresh context the pool has the probe's stream
+/// ids, so the executed plan's replays apply the probe's recorded run from
+/// the first on (`ExecPlan::on_pool`). The reference arm attaches a
+/// telemetry recorder, which keeps every replay on the simulation. Over
+/// the capture step and a warm one, timelines, command logs, statistics,
+/// clocks and event counts must agree, with no simulated replay left.
+#[test]
+fn interop_captures_apply_the_winning_probe() {
+    for spec in [models::siamese(8, 3), models::fanout(4, 11)] {
+        let [(memo, _), (sim, _)] = [false, true].map(|reference| {
+            let mut ctx = ExecCtx::naive(DeviceProps::p100()).timing_only();
+            if reference {
+                ctx.set_telemetry(telemetry::shared(Telemetry::new()), 0);
+            }
+            let mut net = Net::from_spec(&spec);
+            let mut exec = InterOpExec::new(&spec);
+            for _ in 0..2 {
+                exec.step(&mut ctx, &mut net);
+            }
+            (ctx, exec)
+        });
+        let case = &spec.name;
+        assert_eq!(memo.device.trace(), sim.device.trace(), "{case}");
+        assert_eq!(
+            memo.device.command_log(),
+            sim.device.command_log(),
+            "{case}"
+        );
+        assert_eq!(memo.device.stats(), sim.device.stats(), "{case}");
+        assert_eq!(memo.device.now(), sim.device.now(), "{case}");
+        assert_eq!(
+            memo.device.events_processed(),
+            sim.device.events_processed(),
+            "{case}"
+        );
+        assert_eq!(memo.device.memo_stats(), (4, 0), "{case}");
     }
 }
 

@@ -21,7 +21,7 @@ use sanitizer::SanitizeMode;
 /// Offered load per fabric (requests per simulated second): just under
 /// saturation for the uniform fabric, just over for the heterogeneous
 /// one (saturation measured at ~82 k and ~153 k resp.).
-pub fn fabric_rate(fabric: &FabricSpec) -> f64 {
+fn fabric_rate(fabric: &FabricSpec) -> f64 {
     if fabric.name.starts_with("hetero") {
         160_000.0
     } else {
@@ -31,7 +31,7 @@ pub fn fabric_rate(fabric: &FabricSpec) -> f64 {
 
 /// Requests per sweep cell. The full grid is 12 cells x 100 k requests
 /// = 1.2 M simulated requests.
-pub fn cell_requests(smoke: bool) -> usize {
+fn cell_requests(smoke: bool) -> usize {
     if smoke {
         2_000
     } else {
@@ -40,12 +40,12 @@ pub fn cell_requests(smoke: bool) -> usize {
 }
 
 /// The two fabrics swept, in print order.
-pub fn fleet_fabrics() -> Vec<FabricSpec> {
+fn fleet_fabrics() -> Vec<FabricSpec> {
     vec![fabric_uniform8(), fabric_hetero12()]
 }
 
 /// The two tenant mixes swept, in print order.
-pub fn fleet_mixes() -> Vec<PriorityMix> {
+fn fleet_mixes() -> Vec<PriorityMix> {
     vec![
         PriorityMix::premium_heavy(),
         PriorityMix::besteffort_heavy(),
@@ -113,7 +113,7 @@ pub fn total_sanitizer_reports(rows: &[FleetReport]) -> usize {
 /// uniform fabric with a 2..=8 replica controller, so the fleet scales
 /// up under the burst (fresh spawns pay warmup/plan capture in simulated
 /// time) and back down through the trickle.
-pub fn autoscale_config(smoke: bool) -> FleetConfig {
+fn autoscale_config(smoke: bool) -> FleetConfig {
     let mut cfg = cell_config(
         fabric_uniform8(),
         RouterPolicy::JoinShortestQueue,

@@ -22,6 +22,10 @@
 //!
 //! Numerical values never ride these copies (the simulator moves no data);
 //! the canonical math is the host-side fixed tree in [`crate::reduce`].
+//!
+//! The communicator holds no recorder: it counts `collective.*` traffic on
+//! the rank-0 device's. Spans stay with the caller ([`CommReport::emit_span`]),
+//! as copy timings exist only after `fabric.run`.
 
 use gpu_sim::{
     BufferId, ByteRange, CopyId, Device, Dim3, Fabric, FabricError, KernelCost, KernelDesc,
@@ -103,7 +107,6 @@ impl CommReport {
 pub struct RingComm {
     streams: Vec<StreamId>,
     seq: u64,
-    telemetry: telemetry::RecorderSlot,
 }
 
 impl RingComm {
@@ -112,25 +115,18 @@ impl RingComm {
         RingComm {
             streams: devs.iter_mut().map(|d| d.create_stream()).collect(),
             seq: 0,
-            telemetry: telemetry::RecorderSlot::empty(),
         }
     }
 
-    /// Count collective traffic (`collective.*` counters) on a shared
-    /// recorder. Span recording stays with the caller (via
-    /// [`CommReport::emit_span`]) because copy timings only exist after
-    /// `fabric.run`.
-    pub fn set_telemetry(&mut self, rec: telemetry::SharedRecorder) {
-        self.telemetry.attach(rec);
+    /// Run `f` on the rank-0 device's recorder, if one is attached.
+    fn record(devs: &[&mut Device], f: impl FnOnce(&mut dyn telemetry::Recorder)) {
+        if let Some(d) = devs.first() {
+            d.telemetry().with(f);
+        }
     }
 
-    /// Detach the shared recorder.
-    pub fn clear_telemetry(&mut self) {
-        self.telemetry.clear();
-    }
-
-    fn count(&self, op: &'static str, rep: &CommReport) {
-        self.telemetry.with(|r| {
+    fn count(devs: &[&mut Device], op: &'static str, rep: &CommReport) {
+        Self::record(devs, |r| {
             r.counter_add(op, 1);
             r.counter_add("collective.bytes_on_wire", rep.bytes_on_wire);
             r.counter_add("collective.copies", rep.copies.len() as u64);
@@ -149,8 +145,8 @@ impl RingComm {
         self.streams.len()
     }
 
-    /// The segment device `r` owns (holds fully reduced) after
-    /// [`reduce_scatter`](RingComm::reduce_scatter).
+    /// The segment device `r` owns (holds fully reduced) after the
+    /// reduce-scatter half of [`all_reduce`](RingComm::all_reduce).
     pub fn owned_segment(&self, r: usize) -> usize {
         (r + 1) % self.size()
     }
@@ -165,15 +161,13 @@ impl RingComm {
     ) -> Result<CommReport, FabricError> {
         let mut rep = self.reduce_scatter(fabric, devs, bucket)?;
         rep.absorb(self.all_gather(fabric, devs, bucket)?);
-        self.telemetry.with(|r| {
-            r.counter_add("collective.allreduces", 1);
-        });
+        Self::record(devs, |r| r.counter_add("collective.allreduces", 1));
         Ok(rep)
     }
 
     /// Reduce-scatter: after `R-1` steps device `r` holds the fully
     /// reduced segment [`owned_segment(r)`](RingComm::owned_segment).
-    pub fn reduce_scatter(
+    fn reduce_scatter(
         &mut self,
         fabric: &mut Fabric,
         devs: &mut [&mut Device],
@@ -228,7 +222,7 @@ impl RingComm {
                 rep.reduce_kernels += 1;
             }
         }
-        self.count("collective.reduce_scatters", &rep);
+        Self::count(devs, "collective.reduce_scatters", &rep);
         Ok(rep)
     }
 
@@ -237,7 +231,7 @@ impl RingComm {
     /// postcondition) and circulates the segments until every device holds
     /// the whole bucket. Arriving segments are written straight into the
     /// accumulator — no reduction kernels.
-    pub fn all_gather(
+    fn all_gather(
         &mut self,
         fabric: &mut Fabric,
         devs: &mut [&mut Device],
@@ -269,7 +263,7 @@ impl RingComm {
                 rep.bytes_on_wire += range.len();
             }
         }
-        self.count("collective.all_gathers", &rep);
+        Self::count(devs, "collective.all_gathers", &rep);
         Ok(rep)
     }
 
@@ -317,7 +311,7 @@ impl RingComm {
                 rep.bytes_on_wire += range.len();
             }
         }
-        self.count("collective.broadcasts", &rep);
+        Self::count(devs, "collective.broadcasts", &rep);
         Ok(rep)
     }
 

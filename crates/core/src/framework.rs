@@ -283,11 +283,6 @@ impl Glp4nn {
         })
     }
 
-    /// Shared resource tracker (for direct inspection).
-    pub fn tracker(&self) -> &ResourceTracker {
-        &self.tracker
-    }
-
     /// Shared stream manager (for direct inspection).
     pub fn stream_manager(&self) -> &StreamManager {
         &self.streams

@@ -75,7 +75,7 @@ impl OptimConfig {
 /// fused kernel is schedulable wherever the bigger part was; the grid
 /// keeps the larger block count. The name records the lineage
 /// (`a+b`) so profiles of fused classes stay distinguishable.
-pub fn fuse_pair(a: &KernelDesc, b: &KernelDesc) -> KernelDesc {
+fn fuse_pair(a: &KernelDesc, b: &KernelDesc) -> KernelDesc {
     let blocks = a.launch.num_blocks().max(b.launch.num_blocks()) as u32;
     let threads = a
         .launch
@@ -133,7 +133,7 @@ pub fn fuse_group(
 
 /// Estimated duration of a group (sum of known class durations; unknown
 /// classes count as one launch overhead).
-pub fn estimate_group_ns(
+fn estimate_group_ns(
     group: &[KernelDesc],
     durations: &DurationsByName,
     launch_overhead_ns: u64,

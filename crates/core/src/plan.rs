@@ -421,14 +421,15 @@ impl PlanMiss<'_> {
         plan: ExecPlan,
     ) -> Arc<ExecPlan> {
         if let Some(san) = sanitizer {
-            let t0 = dev.telemetry().is_some().then(std::time::Instant::now);
+            let t0 = dev.telemetry().is_attached().then(std::time::Instant::now);
             let certified = verify_capture(san, Some(source), Some(&plan));
-            if let (Some(t0), Some(rec)) = (t0, dev.telemetry()) {
-                let mut r = rec.lock().unwrap_or_else(|p| p.into_inner());
-                r.counter_add("sanitize.verify_ns", t0.elapsed().as_nanos() as u64);
-                if certified {
-                    r.counter_add("sanitize.certified_captures", 1);
-                }
+            if let Some(t0) = t0 {
+                dev.telemetry().with(|r| {
+                    r.counter_add("sanitize.verify_ns", t0.elapsed().as_nanos() as u64);
+                    if certified {
+                        r.counter_add("sanitize.certified_captures", 1);
+                    }
+                });
             }
         }
         let plan = Arc::new(plan);

@@ -23,16 +23,17 @@ use std::fmt::Write as _;
 /// recorder, if any. The name closure runs only when telemetry is
 /// attached, so the disabled path performs no formatting and no
 /// allocation. Every plan-cache event in the workspace ([`PlanCache`]'s)
-/// and every profiling-stage event of this scheduler goes through here, so
-/// the instant-then-counter order the trace files pin has one definition.
+/// and every profiling-stage event of this scheduler but the CUPTI ingest
+/// instant (stamped with its batch's end, not the device clock) goes
+/// through here, so the instant-then-counter order the trace files pin has
+/// one definition.
 pub(crate) fn tel_instant(
     dev: &Device,
     cat: &str,
     counter: &str,
     make_name: impl FnOnce() -> String,
 ) {
-    if let Some(rec) = dev.telemetry() {
-        let mut r = rec.lock().unwrap_or_else(|p| p.into_inner());
+    dev.telemetry().with(|r| {
         r.instant(
             dev.telemetry_pid(),
             telemetry::HOST_TID,
@@ -41,7 +42,7 @@ pub(crate) fn tel_instant(
             dev.now(),
         );
         r.counter_add(counter, 1);
-    }
+    });
 }
 
 /// Emit a host-track span `[start_ns, end_ns]` on the device's attached
@@ -53,8 +54,7 @@ pub(crate) fn tel_span(
     end_ns: u64,
     make_name: impl FnOnce() -> String,
 ) {
-    if let Some(rec) = dev.telemetry() {
-        let mut r = rec.lock().unwrap_or_else(|p| p.into_inner());
+    dev.telemetry().with(|r| {
         r.span(
             dev.telemetry_pid(),
             telemetry::HOST_TID,
@@ -63,7 +63,7 @@ pub(crate) fn tel_span(
             start_ns,
             end_ns,
         );
-    }
+    });
 }
 
 /// One thing to schedule: a layer's batch-split chunk groups — mutually
@@ -246,12 +246,33 @@ impl RuntimeScheduler {
         let pool = [streams.default_stream(dev)];
         let plan = ExecPlan::capture_round_robin(name, &groups, &pool, ExecMode::Profiling);
         let report = plan.replay(dev);
-        tracker.ingest(self.gpu, dev.trace());
+        let n = tracker.ingest(self.gpu, dev.trace());
+        // The profiler mirrors into the device's recorder: one instant per
+        // ingested batch (the trace's last `n` kernels), stamped with its
+        // last kernel's simulated end.
+        if n > 0 {
+            dev.telemetry().with(|r| {
+                r.counter_add("cupti.records", n as u64);
+                let batch = &dev.trace()[dev.trace().len() - n..];
+                let end = batch.iter().map(|t| t.end_ns).max().unwrap_or(0);
+                r.instant(
+                    dev.telemetry_pid(),
+                    telemetry::HOST_TID,
+                    &format!("cupti.ingest x{n}"),
+                    "cupti",
+                    end,
+                );
+            });
+        }
         tracker.disable(self.gpu);
         tel_span(dev, "profile", profile_start, dev.now(), || {
             format!("profile {name}")
         });
         let profiles = tracker.parse(self.gpu);
+        dev.telemetry().with(|r| {
+            let flushed = profiles.iter().map(|p| p.instances).sum();
+            r.counter_add("cupti.flushed_records", flushed);
+        });
         tel_instant(dev, "cupti", "cupti.flushes", || {
             format!("cupti.flush gpu{}", self.gpu)
         });

@@ -89,21 +89,10 @@ impl ResourceTracker {
     pub fn overhead(&self, gpu: usize) -> cupti_sim::ProfilerOverhead {
         self.lock().profilers[gpu].overhead()
     }
-
-    /// Mirror device `gpu`'s profiler activity into a shared recorder
-    /// (ingest instants on the host track, record counters).
-    pub fn set_telemetry(&self, gpu: usize, rec: telemetry::SharedRecorder, pid: u32) {
-        self.lock().profilers[gpu].set_telemetry(rec, pid);
-    }
-
-    /// Detach the shared recorder from device `gpu`'s profiler.
-    pub fn clear_telemetry(&self, gpu: usize) {
-        self.lock().profilers[gpu].clear_telemetry();
-    }
 }
 
 /// Group raw activity records into kernel-class profiles.
-pub fn parse_records(records: &[ActivityRecord]) -> Vec<KernelProfile> {
+fn parse_records(records: &[ActivityRecord]) -> Vec<KernelProfile> {
     // Preserve first-seen order for determinism.
     let mut order: Vec<String> = Vec::new();
     let mut acc: HashMap<String, (ActivityRecord, u64, u64)> = HashMap::new();

@@ -15,6 +15,9 @@
 //!   protocol, exactly like `cuptiActivityRegisterCallbacks`.
 //! - [`subscriber::Profiler`] — enable/disable, ingest kernel traces from a
 //!   [`gpu_sim::Device`], flush completed buffers, and parse records back.
+//!   It holds no telemetry recorder: the device's is the one place a
+//!   recorder attaches, and the caller that drives a profiling window
+//!   records the ingest instants and `cupti.*` counters there.
 //! - [`overhead`] — the memory (`mem_tt`, `mem_K`, `mem_cupti`, Eqs. 10-11)
 //!   and profiling-time (`T_p`, Eq. 12) accounting that the paper reports
 //!   in Fig. 10 and Table 6.

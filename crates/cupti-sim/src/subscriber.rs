@@ -4,7 +4,7 @@ use crate::activity::ActivityRecord;
 use crate::buffer::BufferPool;
 use crate::overhead::{OverheadCounters, ProfilerOverhead};
 use std::time::Instant;
-use telemetry::{MetricsRegistry, RecorderSlot, SharedRecorder};
+use telemetry::MetricsRegistry;
 
 /// A compact kernel profiler in the style of a CUPTI subscriber.
 ///
@@ -15,18 +15,17 @@ use telemetry::{MetricsRegistry, RecorderSlot, SharedRecorder};
 /// phase) pays zero overhead.
 ///
 /// Overhead accounting (Eqs. 10-12) lives in a private
-/// [`telemetry::MetricsRegistry`]; an optionally attached shared recorder
-/// additionally receives per-batch ingest instants (stamped with the
-/// simulated completion time of the last kernel in the batch, never wall
-/// clock) and record counters.
+/// [`telemetry::MetricsRegistry`]. The profiler holds no recorder: the
+/// caller that drives a profiling window mirrors it into the profiled
+/// device's recorder (`glp4nn`'s runtime scheduler emits the per-batch
+/// ingest instant and the `cupti.*` record counters from the counts
+/// [`ingest`](Profiler::ingest) and [`flush`](Profiler::flush) return).
 #[derive(Debug)]
 pub struct Profiler {
     enabled: bool,
     pool: BufferPool,
     metrics: MetricsRegistry,
     counters: OverheadCounters,
-    telemetry: RecorderSlot,
-    telemetry_pid: u32,
     /// Trace entries already consumed (so repeated `ingest` of a growing
     /// device trace only processes new kernels).
     consumed: usize,
@@ -43,22 +42,8 @@ impl Profiler {
             pool,
             metrics,
             counters,
-            telemetry: RecorderSlot::empty(),
-            telemetry_pid: 0,
             consumed: 0,
         }
-    }
-
-    /// Mirror ingest activity into a shared recorder, attributed to
-    /// device `pid`.
-    pub fn set_telemetry(&mut self, rec: SharedRecorder, pid: u32) {
-        self.telemetry.attach(rec);
-        self.telemetry_pid = pid;
-    }
-
-    /// Detach the shared recorder.
-    pub fn clear_telemetry(&mut self) {
-        self.telemetry.clear();
     }
 
     /// Start recording kernel activity.
@@ -87,29 +72,14 @@ impl Profiler {
             return 0;
         }
         let t0 = Instant::now();
-        let mut n = 0;
-        let mut batch_end_ns = 0u64;
         for t in new {
             let rec = ActivityRecord::from_trace(t);
             self.counters.account_record(&mut self.metrics, &rec);
             self.pool.push(&rec);
-            batch_end_ns = batch_end_ns.max(rec.end_ns);
-            n += 1;
         }
         self.counters
             .add_profiling_time(&mut self.metrics, t0.elapsed());
-        let pid = self.telemetry_pid;
-        self.telemetry.with(|r| {
-            r.counter_add("cupti.records", n as u64);
-            r.instant(
-                pid,
-                telemetry::HOST_TID,
-                &format!("cupti.ingest x{n}"),
-                "cupti",
-                batch_end_ns,
-            );
-        });
-        n
+        new.len()
     }
 
     /// Drain completed buffers and parse them back into records. Parse
@@ -128,9 +98,6 @@ impl Profiler {
         }
         self.counters
             .add_profiling_time(&mut self.metrics, t0.elapsed());
-        self.telemetry.with(|r| {
-            r.counter_add("cupti.flushed_records", out.len() as u64);
-        });
         out
     }
 

@@ -245,7 +245,7 @@ impl DeviceProps {
 
     /// Tesla M2090 — Fermi GF110 (Table 1 generation study; not part of
     /// the paper's Table 3 testbed).
-    pub fn m2090() -> Self {
+    fn m2090() -> Self {
         DeviceProps {
             name: "Tesla M2090".to_string(),
             arch: Arch::Fermi,
@@ -267,7 +267,7 @@ impl DeviceProps {
     }
 
     /// GeForce GTX Titan X — Maxwell GM200 (Table 1 generation study).
-    pub fn titan_x_maxwell() -> Self {
+    fn titan_x_maxwell() -> Self {
         DeviceProps {
             name: "Titan X (Maxwell)".to_string(),
             arch: Arch::Maxwell,
@@ -289,7 +289,7 @@ impl DeviceProps {
     }
 
     /// Tesla V100 — Volta GV100 (Table 1 generation study).
-    pub fn v100() -> Self {
+    fn v100() -> Self {
         DeviceProps {
             name: "Tesla V100".to_string(),
             arch: Arch::Volta,

@@ -296,11 +296,12 @@ impl Device {
         self.event_src.clear();
     }
 
-    /// The attached telemetry recorder, if any (host-side layers — plan
-    /// capture, profiling — reuse the device's handle rather than
-    /// threading their own).
-    pub fn telemetry(&self) -> Option<&SharedRecorder> {
-        self.telemetry.get()
+    /// The device's recorder slot: the one place a recorder attaches. Every
+    /// layer that records while it works on this device — plan capture,
+    /// profiling, the fabric's copies, collectives, the data-parallel
+    /// trainer — records here, under [`telemetry_pid`](Device::telemetry_pid).
+    pub fn telemetry(&self) -> &RecorderSlot {
+        &self.telemetry
     }
 
     /// The Chrome-trace process id this device reports under.

@@ -320,11 +320,6 @@ pub struct Fabric {
     /// Reusable storage for the loop's cached next-event time per device
     /// (see the module docs, "The frontier invariant").
     frontier: Vec<Option<SimTime>>,
-    /// Optional telemetry recorder: P2P copy spans on the source stream,
-    /// transfer flow arrows to the destination, and link-byte counters.
-    /// Device index = Chrome-trace pid, matching the per-device
-    /// [`Device::set_telemetry`] convention.
-    telemetry: telemetry::RecorderSlot,
     /// Copies before this index were resolved by an earlier `run`.
     settled: usize,
     memo: Memo,
@@ -358,7 +353,6 @@ impl Fabric {
             workers: 1,
             ready_buf: Vec::new(),
             frontier: Vec::new(),
-            telemetry: telemetry::RecorderSlot::empty(),
             settled: 0,
             memo: Memo::default(),
         }
@@ -433,19 +427,6 @@ impl Fabric {
             .flatten()
             .map(|l| l.latency_ns)
             .min()
-    }
-
-    /// Attach a telemetry recorder: each resolved P2P copy emits a span
-    /// on its source device's stream, a flow arrow to the destination
-    /// stream, and per-link byte counters. Observation-only — link
-    /// scheduling and timing are unaffected.
-    pub fn set_telemetry(&mut self, rec: telemetry::SharedRecorder) {
-        self.telemetry.attach(rec);
-    }
-
-    /// Detach the telemetry recorder.
-    pub fn clear_telemetry(&mut self) {
-        self.telemetry.clear();
     }
 
     /// Number of devices.
@@ -591,21 +572,22 @@ impl Fabric {
         self.copies[idx].start = Some(start);
         self.copies[idx].end = Some(end);
         // The copy shows up in the source device's timeline like a kernel
-        // (tagged with its fabric-wide copy id).
-        if self.telemetry.is_attached() {
-            self.telemetry.with(|r| {
-                r.span(src as u32, stream.raw() as u64, &name, "p2p", start, end);
-                r.flow(
-                    &name,
-                    "p2p",
-                    (src as u32, stream.raw() as u64, end),
-                    (dst as u32, dst_stream.raw() as u64, end),
-                );
-                r.counter_add("fabric.p2p_copies", 1);
-                r.counter_add("fabric.link_bytes", bytes);
-                r.counter_add(&format!("fabric.link_bytes.{src}->{dst}"), bytes);
-            });
-        }
+        // (tagged with its fabric-wide copy id). The source device's
+        // recorder takes the span, the flow arrow to the destination stream
+        // and the link-byte counters; observation-only.
+        let (src_pid, dst_pid) = (devs[src].telemetry_pid(), devs[dst].telemetry_pid());
+        devs[src].telemetry().with(|r| {
+            r.span(src_pid, stream.raw() as u64, &name, "p2p", start, end);
+            r.flow(
+                &name,
+                "p2p",
+                (src_pid, stream.raw() as u64, end),
+                (dst_pid, dst_stream.raw() as u64, end),
+            );
+            r.counter_add("fabric.p2p_copies", 1);
+            r.counter_add("fabric.link_bytes", bytes);
+            r.counter_add(&format!("fabric.link_bytes.{src}->{dst}"), bytes);
+        });
         devs[src].push_trace_entry(KernelTrace {
             id: KernelId(u64::MAX - id.raw()),
             name,
@@ -656,9 +638,11 @@ impl Fabric {
     /// including the sequential path — produces byte-identical timelines
     /// (pinned by the `fabric_parallel_determinism` proptest).
     ///
-    /// Telemetry keeps a run on the one-worker loop — the default, and the
-    /// fast path: recorder entries are pushed in stepping order, and
-    /// concurrent stepping would interleave them nondeterministically.
+    /// A recorder on any device keeps a run on the one-worker loop — the
+    /// default, and the fast path: recorder entries are pushed in stepping
+    /// order, and concurrent stepping would interleave them
+    /// nondeterministically. Copies record on their source device's
+    /// recorder.
     ///
     /// At one worker, an episode is keyed by its pending program (DESIGN.md,
     /// "Quiescent fabric-run memo"): its second sighting records, later ones
@@ -672,8 +656,7 @@ impl Fabric {
             self.num_devices,
             devs.len()
         );
-        let telemetry_on =
-            self.telemetry.is_attached() || devs.iter().any(|d| d.telemetry().is_some());
+        let telemetry_on = devs.iter().any(|d| d.telemetry().is_attached());
         let key = (workers <= 1 && !telemetry_on)
             .then(|| self.episode_key(devs))
             .flatten();
@@ -1294,7 +1277,7 @@ mod tests {
     /// decided by the device-index tie-break. Runs end with unequal device
     /// clocks, so a later copy from a lagging device to a leading one has
     /// an `end` before the destination's clock. `telemetry` attaches one
-    /// recorder everywhere, which also bypasses the memo.
+    /// recorder to every device (pid = index), which also bypasses the memo.
     fn drive(
         (models, link_sel, seed, mirror, telemetry): (&[u8], usize, u64, bool, bool),
         episodes: &[Vec<Op>],
@@ -1314,9 +1297,6 @@ mod tests {
         let mut fab = Fabric::fully_connected(n, LINKS[link_sel]());
         fab.set_jitter_seed(seed);
         let rec = telemetry::shared(telemetry::Telemetry::new());
-        if telemetry {
-            fab.set_telemetry(rec.clone());
-        }
         for (pid, d) in devices.iter_mut().enumerate() {
             if telemetry {
                 d.set_telemetry(rec.clone(), pid as u32);
@@ -1492,13 +1472,20 @@ mod tests {
             "a device's recorder sees every kernel"
         );
         h[1].clear_telemetry();
-        fab.set_telemetry(telemetry::shared(telemetry::Telemetry::new()));
+        let rec = telemetry::shared(telemetry::Telemetry::new());
+        h[0].set_telemetry(rec.clone(), 0);
         assert_eq!(
             episode(&mut fab, &mut h, 1),
             (2, 4),
-            "telemetry sees every copy"
+            "the source device's recorder sees every copy"
         );
-        fab.clear_telemetry();
+        h[0].clear_telemetry();
+        let seen = {
+            let rec = rec.lock().unwrap();
+            let p2p = rec.spans().iter().filter(|s| s.cat == "p2p").count();
+            (p2p, rec.flows().len())
+        };
+        assert_eq!(seen, (1, 1), "one span and one flow arrow for the copy");
         assert_eq!(
             episode(&mut fab, &mut h, 2),
             (2, 5),

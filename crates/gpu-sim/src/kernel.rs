@@ -115,7 +115,7 @@ impl KernelCost {
     /// assumes an uncontended fair share of device bandwidth per SM;
     /// contention on top of this is handled by [`crate::contention`] and
     /// by the engine's residency-aware burst timing.
-    pub fn nominal_block_time_ns(&self, dev: &DeviceProps, threads_per_block: u32) -> SimTime {
+    fn nominal_block_time_ns(&self, dev: &DeviceProps, threads_per_block: u32) -> SimTime {
         let warps = threads_per_block.div_ceil(dev.warp_size);
         let rate_c = dev.sm_peak_flops() * warps as f64 / warps.max(dev.warps_for_peak) as f64;
         let t_compute = if self.flops_per_block > 0.0 {

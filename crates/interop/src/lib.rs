@@ -375,14 +375,13 @@ impl InterOpExec {
             verify_capture(&mut ctx.sanitizer, None, Some(&plan));
         }
 
-        if let Some(rec) = ctx.device.telemetry() {
-            let mut r = rec.lock().unwrap_or_else(|p| p.into_inner());
+        ctx.device.telemetry().with(|r| {
             r.counter_add("interop.waves", chosen.waves as u64);
             r.counter_add(
                 "interop.coscheduled_kernels",
                 chosen.coscheduled_kernels as u64,
             );
-        }
+        });
 
         ctx.plans.store(&ctx.device, key, key, Arc::clone(&plan));
         self.reports.push(PhaseReport {

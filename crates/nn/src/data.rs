@@ -76,7 +76,7 @@ impl SyntheticDataset {
 
     /// ImageNet-shaped: 1.2M/150k, 256×256 RGB stored, 227×227 crops (the
     /// CaffeNet input), 1000 classes.
-    pub fn imagenet_like(seed: u64) -> Self {
+    fn imagenet_like(seed: u64) -> Self {
         SyntheticDataset {
             name: "ImageNet",
             classes: 1000,
@@ -90,7 +90,7 @@ impl SyntheticDataset {
     }
 
     /// Pixels per image.
-    pub fn image_size(&self) -> usize {
+    fn image_size(&self) -> usize {
         self.channels * self.height * self.width
     }
 
@@ -102,7 +102,7 @@ impl SyntheticDataset {
     }
 
     /// Write sample `index` into `out` (length = `image_size`).
-    pub fn sample_into(&self, index: usize, out: &mut [f32]) {
+    fn sample_into(&self, index: usize, out: &mut [f32]) {
         assert_eq!(out.len(), self.image_size());
         let label = self.label(index) as u64;
         let proto_seed = mix(self.seed ^ label.wrapping_mul(0xD6E8FEB86659FD93));

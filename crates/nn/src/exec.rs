@@ -57,8 +57,6 @@ pub struct LayerTiming {
 pub struct ExecCtx {
     /// The simulated GPU.
     pub device: Device,
-    /// Index of this GPU within the GLP4NN framework.
-    pub gpu: usize,
     /// Dispatch policy for convolution layers.
     pub mode: DispatchMode,
     /// GLP4NN runtime. A default single-GPU framework is attached on the
@@ -137,11 +135,10 @@ impl ExecCtx {
 
     /// Context with an explicit dispatch mode. In `Glp4nn` mode the same
     /// framework as [`glp4nn`](ExecCtx::glp4nn)'s attaches on the first
-    /// dispatch, taking the recorder set by then.
+    /// dispatch.
     pub fn with_mode(props: DeviceProps, mode: DispatchMode) -> Self {
         ExecCtx {
             device: Device::new(props),
-            gpu: 0,
             mode,
             glp: None,
             compute: true,
@@ -181,24 +178,19 @@ impl ExecCtx {
         self
     }
 
-    /// Attach a shared telemetry recorder: the device records kernel spans
-    /// and event-dependency flows under process `pid`, and in Glp4nn mode
-    /// the framework's profiler mirrors its ingest activity. Observation
-    /// only — attaching changes neither the simulated timeline nor any
-    /// numerics.
+    /// Attach a shared telemetry recorder to the context's device, under
+    /// process `pid`: kernel spans and event-dependency flows, and
+    /// everything recorded while working on the device — plan-cache and
+    /// profiling events, and, in a data-parallel trainer, P2P copies and
+    /// collectives. Observation only — attaching changes neither the
+    /// simulated timeline nor any numerics.
     pub fn set_telemetry(&mut self, rec: telemetry::SharedRecorder, pid: u32) {
-        self.device.set_telemetry(Arc::clone(&rec), pid);
-        if let Some(glp) = self.glp.as_ref() {
-            glp.tracker().set_telemetry(self.gpu, rec, pid);
-        }
+        self.device.set_telemetry(rec, pid);
     }
 
     /// Detach the shared telemetry recorder.
     pub fn clear_telemetry(&mut self) {
         self.device.clear_telemetry();
-        if let Some(glp) = self.glp.as_ref() {
-            glp.tracker().clear_telemetry(self.gpu);
-        }
     }
 
     /// Enable schedule sanitizing: `PlanOnly` statically validates every
@@ -389,14 +381,10 @@ impl ExecCtx {
                     // [`glp4nn`](ExecCtx::glp4nn): same framework, late.
                     let mut glp = Glp4nn::new(1);
                     glp.register_device(0, device.props());
-                    if let Some(rec) = device.telemetry() {
-                        glp.tracker()
-                            .set_telemetry(0, Arc::clone(rec), device.telemetry_pid());
-                    }
                     glp
                 });
                 let (dev, plans) = (&mut self.device, &mut self.plans);
-                match glp.execute(dev, plans, self.gpu, &key, source, san) {
+                match glp.execute(dev, plans, 0, &key, source, san) {
                     Ok(report) => report,
                     // An attached framework that does not manage this GPU
                     // leaves the layer in original Caffe form.

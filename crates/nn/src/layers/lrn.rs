@@ -27,7 +27,7 @@ impl LrnLayer {
     }
 
     /// Fully parameterized LRN.
-    pub fn with_params(name: &str, size: usize, alpha: f32, beta: f32, k: f32) -> Self {
+    fn with_params(name: &str, size: usize, alpha: f32, beta: f32, k: f32) -> Self {
         assert!(size % 2 == 1, "LRN size must be odd");
         LrnLayer {
             name: name.into(),

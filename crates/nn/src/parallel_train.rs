@@ -84,7 +84,6 @@ pub struct DataParallelTrainer {
     /// over the fabric because copies cross devices (the replicas'
     /// contexts keep only their static checks).
     sanitizer: Sanitizer,
-    telemetry: telemetry::RecorderSlot,
 }
 
 impl DataParallelTrainer {
@@ -123,32 +122,26 @@ impl DataParallelTrainer {
             overlap: false,
             shards,
             sanitizer: Sanitizer::default(),
-            telemetry: telemetry::RecorderSlot::empty(),
         }
     }
 
-    /// Attach a shared telemetry recorder to the whole trainer: every
-    /// replica's device (pid = replica index), the fabric (P2P copy spans
-    /// and flow arrows), the ring communicator (traffic counters), and the
-    /// trainer itself (per-iteration collective spans and step metrics).
-    /// Observation only: timelines and trained weights are unchanged.
+    /// Attach a shared telemetry recorder to every replica's device (pid =
+    /// replica index). Everything else records on the devices' recorders:
+    /// the fabric (P2P copy spans and flow arrows, on the source device's),
+    /// the ring communicator (traffic counters) and the trainer itself
+    /// (per-iteration collective spans and step metrics), both on replica
+    /// 0's. Observation only: timelines and trained weights are unchanged.
     pub fn set_telemetry(&mut self, rec: telemetry::SharedRecorder) {
         for (r, (_, ctx)) in self.replicas.iter_mut().enumerate() {
             ctx.set_telemetry(std::sync::Arc::clone(&rec), r as u32);
         }
-        self.fabric.set_telemetry(std::sync::Arc::clone(&rec));
-        self.comm.set_telemetry(std::sync::Arc::clone(&rec));
-        self.telemetry.attach(rec);
     }
 
-    /// Detach the shared telemetry recorder everywhere.
+    /// Detach the shared telemetry recorder from every replica's device.
     pub fn clear_telemetry(&mut self) {
         for (_, ctx) in &mut self.replicas {
             ctx.clear_telemetry();
         }
-        self.fabric.clear_telemetry();
-        self.comm.clear_telemetry();
-        self.telemetry.clear();
     }
 
     /// Name the processes/threads this trainer records under (call once
@@ -256,6 +249,12 @@ impl DataParallelTrainer {
     /// Access replica `r`'s network (e.g. to fill its input sub-batch).
     pub fn replica_net(&mut self, r: usize) -> &mut Net {
         &mut self.replicas[r].0
+    }
+
+    /// Access replica `r`'s execution context (e.g. to attach a recorder
+    /// to its device alone).
+    pub fn replica_ctx(&mut self, r: usize) -> &mut ExecCtx {
+        &mut self.replicas[r].1
     }
 
     /// The interconnect fabric (copy spans, link properties).
@@ -517,9 +516,10 @@ impl DataParallelTrainer {
         if self.overlap {
             compute_ns = wall_ns;
         }
+        let rec = self.replicas[0].1.device.telemetry();
         let mut span: Option<(u64, u64)> = None;
         for (tid, (label, rep)) in comm_reports.iter().enumerate() {
-            self.telemetry.with(|r| {
+            rec.with(|r| {
                 rep.emit_span(&self.fabric, r, &format!("allreduce {label}"), tid as u64);
             });
             if let Some((s, e)) = rep.span(&self.fabric) {
@@ -534,7 +534,7 @@ impl DataParallelTrainer {
             let views: Vec<&Device> = self.replicas.iter().map(|(_, c)| &c.device).collect();
             self.sanitizer.check_fabric(&self.fabric, &views);
         }
-        self.telemetry.with(|r| {
+        rec.with(|r| {
             r.counter_add("train.iterations", 1);
             r.observe("train.step_wall_ns", wall_ns);
             r.observe("train.step_compute_ns", compute_ns);

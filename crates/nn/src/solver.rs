@@ -106,7 +106,7 @@ impl Solver {
     }
 
     /// Learning rate at the current iteration.
-    pub fn current_lr(&self) -> f32 {
+    fn current_lr(&self) -> f32 {
         match self.cfg.policy {
             LrPolicy::Fixed => self.cfg.base_lr,
             LrPolicy::Step { gamma, step } => {

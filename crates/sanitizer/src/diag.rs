@@ -173,7 +173,7 @@ impl LintDiag {
 }
 
 /// Sort findings into the canonical deterministic order.
-pub fn sort_diags(diags: &mut [LintDiag]) {
+fn sort_diags(diags: &mut [LintDiag]) {
     diags.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
 }
 

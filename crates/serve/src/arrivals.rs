@@ -36,7 +36,7 @@ impl PoissonArrivals {
     }
 
     /// Draw the next arrival.
-    pub fn next_request(&mut self) -> Request {
+    fn next_request(&mut self) -> Request {
         // Inverse-CDF exponential sample; 1 - u in (0, 1] avoids ln(0).
         let u: f64 = self.rng.gen();
         let gap_s = -(1.0 - u).ln() / self.rate_rps;

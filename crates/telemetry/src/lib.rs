@@ -25,8 +25,9 @@
 //! profiler's `T_p`) live in *metrics counters only*, never in span
 //! timestamps.
 //!
-//! The off-path costs nothing: instrumented components hold an
-//! `Option<SharedRecorder>` and skip everything on `None`. Recording is
+//! A recorder attaches in one place per device, its [`RecorderSlot`], and
+//! every layer working on a device records there. The off-path costs
+//! nothing: an empty slot is one `None` test. Recording is
 //! observation-only — it must never create streams or events, advance a
 //! clock, or otherwise perturb the simulation (property-tested in
 //! `tests/observation_only.rs`).
@@ -137,11 +138,6 @@ impl RecorderSlot {
     /// Whether a recorder is attached.
     pub fn is_attached(&self) -> bool {
         self.0.is_some()
-    }
-
-    /// The attached handle, if any (e.g. to propagate to a sub-component).
-    pub fn get(&self) -> Option<&SharedRecorder> {
-        self.0.as_ref()
     }
 
     /// Run `f` against the recorder if one is attached; no-op otherwise.

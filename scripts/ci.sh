@@ -26,8 +26,10 @@
 # - the full `reproduce serving` sweep, diffed against
 #   tests/golden/serving_full.txt;
 # - `reproduce trace --smoke` (Chrome traces for 4 nets x 3 modes plus a
-#   multi-GPU overlap run), then every emitted trace file round-trips through
-#   the standalone validate-trace binary;
+#   multi-GPU overlap run), its stdout (span/instant/flow/byte counts per
+#   trace and the multi-GPU metrics snapshot) diffed against
+#   tests/golden/smoke/trace.txt, then every emitted trace file round-trips
+#   through the standalone validate-trace binary;
 # - the standalone benchmark crate is built and tested, so a library change
 #   that breaks the API it pins fails here; all five of its workloads then
 #   run at the minimum length, because run.sh exits non-zero when any digest
@@ -67,7 +69,8 @@ for smoke in serving sanitize lint interop replay multi-gpu fleet; do
 done
 cargo run -p glp4nn-bench --release --bin reproduce -- serving |
     diff tests/golden/serving_full.txt -
-cargo run -p glp4nn-bench --release --bin reproduce -- trace --smoke
+cargo run -p glp4nn-bench --release --bin reproduce -- trace --smoke |
+    diff tests/golden/smoke/trace.txt -
 cargo run -p telemetry --release --bin validate-trace -- target/telemetry/*.trace.json
 
 # The benchmark crate is a workspace of its own; build it where

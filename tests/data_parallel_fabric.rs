@@ -135,6 +135,50 @@ fn warm_steps_apply_the_recorded_fabric_episode() {
     }
 }
 
+/// One recorder per device: a recorder attached to each replica's context
+/// alone (pid = replica index) records everything the trainer-wide attach
+/// does — P2P copy spans and flow arrows, `fabric.*` and `collective.*`
+/// counters, `allreduce` spans, `train.*` metrics and the profiler's
+/// `cupti.*` events — in the same order.
+#[test]
+fn replica_recorders_see_the_whole_trainer() {
+    let run = |per_replica: bool| {
+        let spec = models::cifar10_quick(4, 1);
+        let devices = vec![DeviceProps::p100(); 4];
+        let mut dp = DataParallelTrainer::new(&spec, &devices, true, SolverConfig::default())
+            .with_link(LinkProps::nvlink())
+            .with_overlap(true)
+            .timing_only();
+        let rec = telemetry::shared(telemetry::Telemetry::new());
+        if per_replica {
+            for r in 0..4 {
+                dp.replica_ctx(r).set_telemetry(rec.clone(), r as u32);
+            }
+        } else {
+            dp.set_telemetry(rec.clone());
+        }
+        for _ in 0..3 {
+            dp.step();
+        }
+        dp.clear_telemetry();
+        let t = rec.lock().unwrap();
+        (t.chrome_trace(), t.metrics_snapshot())
+    };
+    let (trace, metrics) = run(true);
+    for cat in ["\"p2p\"", "\"allreduce ", "\"cupti.ingest x"] {
+        assert!(trace.contains(cat), "trace lacks {cat}");
+    }
+    for counter in [
+        "fabric.p2p_copies",
+        "collective.allreduces",
+        "cupti.flushed_records",
+        "train.iterations = 3",
+    ] {
+        assert!(metrics.contains(counter), "metrics lack {counter}");
+    }
+    assert!(run(false) == (trace, metrics), "attach points disagree");
+}
+
 /// The trainer's communication volume matches the collective layer run
 /// standalone: 2(R-1) segment copies per device, R(R-1) fold kernels.
 #[test]
